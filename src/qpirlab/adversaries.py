@@ -189,10 +189,6 @@ def standard_inputs(instance: QpirInstance, *, databases=None,
 # ---------------------------------------------------------------------------
 
 
-def _server_rounds(spec: ProtocolSpec) -> int:
-    return spec.rounds
-
-
 def purified_honest(spec_or_instance, party: str = SERVER) -> Adversary:
     """The honest server with every measurement deferred to an ancilla.
 

@@ -1,19 +1,30 @@
 """Quantum operations over named registers.
 
-Operations come in two flavors backed by one contract:
-
-* structured ops (Hadamard transforms, inner-product CNOTs, selector-driven
-  gates, register preparation/swap/copy, computational-basis measurement)
-  apply through bit arithmetic on the flat amplitude index and are exactly
-  isometric by construction;
-* ``DenseOp`` carries explicit operator matrices over a short list of
-  registers and covers anything else (general isometries, Kraus sets,
-  measurement operator sets), embedded as identity on untouched registers.
-
 Every op reports its ``kind`` (``isometry``, ``kraus-set`` or
 ``measurement``), the registers it reads and writes, and any registers it
 creates.  Application is branch-wise on unnormalized amplitude vectors so a
 measurement simply multiplies branches; total squared norm is conserved.
+
+Ops apply through three kernel shapes, all under the big-endian convention
+of :mod:`qpirlab.states`:
+
+* XOR permutation: ``InnerProductCnotOp``, ``SelectCnotOp``,
+  ``SelectFlipOp``, ``CnotOp``, ``CopyOp`` and ``SwapOp`` each supply only a
+  ``_flip(idx, layout)`` mask; the shared kernel gathers ``vec[idx ^ flip]``
+  through a cached index array;
+* diagonal sign: ``SelectPhaseOp`` multiplies by a cached +-1 array;
+* local matrices on front-moved axes: ``RotateOp``, ``MeasureOp`` and
+  ``DenseOp`` bring their registers' axes to the front with
+  ``states.slots_to_front``, act on the resulting ``(2**k, rest)`` matrix
+  and move the axes back.  ``DenseOp`` covers anything else (general
+  isometries, Kraus sets, measurement operator sets), embedded as identity
+  on untouched registers.
+
+``HadamardOp`` applies a butterfly per qubit and ``PrepareOp`` an outer
+product.  Every concrete op class binds ``apply_vectors(self, vectors,
+layout)`` in its own class body (the XOR ops as ``apply_vectors =
+_apply_flip``), never by inheritance: per-kind instrumentation looks the
+method up in each class's ``__dict__``.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import STATE_ATOL, check_cap, check_reduced_cap
-from .states import DensityOperator, PureState, RegisterLayout
+from .states import DensityOperator, PureState, RegisterLayout, slots_from_front, slots_to_front
 
 __all__ = [
     "ChannelError",
@@ -224,6 +235,35 @@ class HadamardOp(ChannelOp):
         return {"op": "hadamard", "register": self.register}
 
 
+def _apply_flip(self, vectors, layout):
+    """The XOR-permutation kernel: gather ``vec[idx ^ flip]``, where the op's
+    ``_flip(idx, layout)`` gives the bits to flip at each flat index.  The
+    gather index is built once per (op, layout) and cached."""
+
+    def build():
+        idx = _index_array(layout.dim)
+        return idx ^ self._flip(idx, layout)
+
+    perm = _perm_cache.get(self, layout, build)
+    return [vec[perm] for vec in vectors]
+
+
+def _selected_bit(idx, layout, table, selector, fixed_value):
+    """At each flat index, the bit of the ``(register, qubit)`` that
+    ``table`` assigns to the selector's label; 0 for labels without an entry.
+    With ``selector=None`` the entry under ``fixed_value`` applies everywhere."""
+    total = layout.total_qubits
+    table = dict(table)
+    if selector is None:
+        reg, q = table[fixed_value]
+        return (idx >> _shift(total, layout.qubit(reg, q))) & 1
+    shifts = np.full(1 << layout.width(selector), -1, dtype=np.int32)
+    for v, (reg, q) in table.items():
+        shifts[v] = _shift(total, layout.qubit(reg, q))
+    sh = shifts[_gather(idx, total, layout.slots([selector]))]
+    return np.where(sh >= 0, (idx >> np.maximum(sh, 0)) & 1, 0)
+
+
 @dataclass(frozen=True)
 class InnerProductCnotOp(ChannelOp):
     """Flip a target qubit by the inner product (mod 2) of a source register
@@ -257,7 +297,7 @@ class InnerProductCnotOp(ChannelOp):
     def writes(self):
         return (self.target,)
 
-    def _build_perm(self, layout):
+    def _flip(self, idx, layout):
         total = layout.total_qubits
         w = layout.width(self.source)
         src_slots = layout.slots([self.source])
@@ -273,7 +313,6 @@ class InnerProductCnotOp(ChannelOp):
                     f"mask slice [{self.mask_offset}, {self.mask_offset + w}) "
                     f"out of range for {self.mask_register!r} (width {mw})"
                 )
-        idx = _index_array(1 << total)
         tshift = _shift(total, layout.qubit(self.target, self.target_qubit))
         if self.mask is not None:
             const = 0
@@ -281,18 +320,15 @@ class InnerProductCnotOp(ChannelOp):
                 if c == "1":
                     const |= 1 << _shift(total, src_slots[j])
             if const == 0:
-                return idx.copy()
-            par = np.bitwise_count(idx & const).astype(np.int32) & 1
-        else:
-            moff = layout.offset(self.mask_register) + self.mask_offset
-            par = np.zeros_like(idx)
-            for j in range(w):
-                par ^= (idx >> _shift(total, src_slots[j])) & (idx >> _shift(total, moff + j)) & 1
-        return idx ^ (par << tshift)
+                return 0
+            return (np.bitwise_count(idx & const).astype(np.int32) & 1) << tshift
+        moff = layout.offset(self.mask_register) + self.mask_offset
+        par = np.zeros_like(idx)
+        for j in range(w):
+            par ^= (idx >> _shift(total, src_slots[j])) & (idx >> _shift(total, moff + j)) & 1
+        return par << tshift
 
-    def apply_vectors(self, vectors, layout):
-        perm = _perm_cache.get(self, layout, lambda: self._build_perm(layout))
-        return [vec[perm] for vec in vectors]
+    apply_vectors = _apply_flip
 
     def descriptor(self):
         d = {"op": "inner-product-cnot", "source": self.source, "target": self.target,
@@ -303,10 +339,6 @@ class InnerProductCnotOp(ChannelOp):
             d["mask_register"] = self.mask_register
             d["mask_offset"] = self.mask_offset
         return d
-
-
-def _selector_values(idx, layout, selector):
-    return _gather(idx, layout.total_qubits, layout.slots([selector]))
 
 
 @dataclass(frozen=True)
@@ -332,21 +364,8 @@ class SelectPhaseOp(ChannelOp):
         return tuple(dict.fromkeys(r for _, (r, _) in self.targets))
 
     def _build_sign(self, layout):
-        total = layout.total_qubits
-        idx = _index_array(1 << total)
-        table = dict(self.targets)
-        if self.selector is None:
-            reg, q = table[self.fixed_value]
-            bit = (idx >> _shift(total, layout.qubit(reg, q))) & 1
-        else:
-            width = layout.width(self.selector)
-            shifts = np.full(1 << width, -1, dtype=np.int32)
-            for v, (reg, q) in table.items():
-                shifts[v] = _shift(total, layout.qubit(reg, q))
-            vals = _selector_values(idx, layout, self.selector)
-            sh = shifts[vals]
-            bit = np.where(sh >= 0, (idx >> np.maximum(sh, 0)) & 1, 0)
-        return 1.0 - 2.0 * bit
+        idx = _index_array(layout.dim)
+        return 1.0 - 2.0 * _selected_bit(idx, layout, self.targets, self.selector, self.fixed_value)
 
     def apply_vectors(self, vectors, layout):
         sign = _perm_cache.get(self, layout, lambda: self._build_sign(layout))
@@ -377,27 +396,11 @@ class SelectCnotOp(ChannelOp):
     def writes(self):
         return (self.target[0],)
 
-    def _build_perm(self, layout):
-        total = layout.total_qubits
-        idx = _index_array(1 << total)
-        table = dict(self.sources)
-        tshift = _shift(total, layout.qubit(*self.target))
-        if self.selector is None:
-            reg, q = table[self.fixed_value]
-            par = (idx >> _shift(total, layout.qubit(reg, q))) & 1
-        else:
-            width = layout.width(self.selector)
-            shifts = np.full(1 << width, -1, dtype=np.int32)
-            for v, (reg, q) in table.items():
-                shifts[v] = _shift(total, layout.qubit(reg, q))
-            vals = _selector_values(idx, layout, self.selector)
-            sh = shifts[vals]
-            par = np.where(sh >= 0, (idx >> np.maximum(sh, 0)) & 1, 0)
-        return idx ^ (par << tshift)
+    def _flip(self, idx, layout):
+        par = _selected_bit(idx, layout, self.sources, self.selector, self.fixed_value)
+        return par << _shift(layout.total_qubits, layout.qubit(*self.target))
 
-    def apply_vectors(self, vectors, layout):
-        perm = _perm_cache.get(self, layout, lambda: self._build_perm(layout))
-        return [vec[perm] for vec in vectors]
+    apply_vectors = _apply_flip
 
     def descriptor(self):
         return {"op": "select-cnot", "selector": self.selector,
@@ -422,19 +425,15 @@ class SelectFlipOp(ChannelOp):
     def writes(self):
         return (self.target[0],)
 
-    def _build_perm(self, layout):
+    def _flip(self, idx, layout):
         total = layout.total_qubits
-        width = layout.width(self.selector)
-        if len(self.bit_table) != (1 << width):
+        if len(self.bit_table) != (1 << layout.width(self.selector)):
             raise ChannelError("bit table length does not match selector width")
-        idx = _index_array(1 << total)
-        vals = _selector_values(idx, layout, self.selector)
+        vals = _gather(idx, total, layout.slots([self.selector]))
         par = np.asarray(self.bit_table, dtype=np.int32)[vals]
-        return idx ^ (par << _shift(total, layout.qubit(*self.target)))
+        return par << _shift(total, layout.qubit(*self.target))
 
-    def apply_vectors(self, vectors, layout):
-        perm = _perm_cache.get(self, layout, lambda: self._build_perm(layout))
-        return [vec[perm] for vec in vectors]
+    apply_vectors = _apply_flip
 
     def descriptor(self):
         return {"op": "select-flip", "selector": self.selector,
@@ -456,15 +455,12 @@ class CnotOp(ChannelOp):
     def writes(self):
         return (self.target[0],)
 
-    def _build_perm(self, layout):
+    def _flip(self, idx, layout):
         total = layout.total_qubits
-        idx = _index_array(1 << total)
         par = (idx >> _shift(total, layout.qubit(*self.control))) & 1
-        return idx ^ (par << _shift(total, layout.qubit(*self.target)))
+        return par << _shift(total, layout.qubit(*self.target))
 
-    def apply_vectors(self, vectors, layout):
-        perm = _perm_cache.get(self, layout, lambda: self._build_perm(layout))
-        return [vec[perm] for vec in vectors]
+    apply_vectors = _apply_flip
 
     def descriptor(self):
         return {"op": "cnot", "control": list(self.control), "target": list(self.target)}
@@ -485,22 +481,19 @@ class CopyOp(ChannelOp):
     def writes(self):
         return (self.target,)
 
-    def _build_perm(self, layout):
+    def _flip(self, idx, layout):
         if layout.width(self.source) != layout.width(self.target):
             raise ChannelError(
                 f"copy width mismatch: {self.source!r} vs {self.target!r}"
             )
         total = layout.total_qubits
-        idx = _index_array(1 << total)
         flip = np.zeros_like(idx)
         for j, s in enumerate(layout.slots([self.source])):
             bit = (idx >> _shift(total, s)) & 1
             flip |= bit << _shift(total, layout.qubit(self.target, j))
-        return idx ^ flip
+        return flip
 
-    def apply_vectors(self, vectors, layout):
-        perm = _perm_cache.get(self, layout, lambda: self._build_perm(layout))
-        return [vec[perm] for vec in vectors]
+    apply_vectors = _apply_flip
 
     def descriptor(self):
         return {"op": "copy", "source": self.source, "target": self.target}
@@ -521,23 +514,18 @@ class SwapOp(ChannelOp):
     def writes(self):
         return (self.first, self.second)
 
-    def _build_perm(self, layout):
+    def _flip(self, idx, layout):
         if layout.width(self.first) != layout.width(self.second):
             raise ChannelError(f"swap width mismatch: {self.first!r} vs {self.second!r}")
         total = layout.total_qubits
-        idx = _index_array(1 << total)
-        a_slots = layout.slots([self.first])
-        b_slots = layout.slots([self.second])
         flip = np.zeros_like(idx)
-        for j in range(len(a_slots)):
-            bit = ((idx >> _shift(total, a_slots[j])) ^ (idx >> _shift(total, b_slots[j]))) & 1
-            flip |= bit << _shift(total, a_slots[j])
-            flip |= bit << _shift(total, b_slots[j])
-        return idx ^ flip
+        for a, b in zip(layout.slots([self.first]), layout.slots([self.second])):
+            bit = ((idx >> _shift(total, a)) ^ (idx >> _shift(total, b))) & 1
+            flip |= bit << _shift(total, a)
+            flip |= bit << _shift(total, b)
+        return flip
 
-    def apply_vectors(self, vectors, layout):
-        perm = _perm_cache.get(self, layout, lambda: self._build_perm(layout))
-        return [vec[perm] for vec in vectors]
+    apply_vectors = _apply_flip
 
     def descriptor(self):
         return {"op": "swap", "first": self.first, "second": self.second}
@@ -564,26 +552,19 @@ class RotateOp(ChannelOp):
 
     def apply_vectors(self, vectors, layout):
         total = layout.total_qubits
-        pt = layout.qubit(*self.target)
+        slots = [layout.qubit(*self.target)]
+        if self.control is not None:
+            slots.insert(0, layout.qubit(*self.control))
         c = math.cos(self.theta / 2.0)
         s = math.sin(self.theta / 2.0)
         out = []
         for vec in vectors:
-            t = vec.reshape([2] * total)
-            if self.control is None:
-                t = np.moveaxis(t, pt, 0)
-                new = np.empty_like(t)
-                new[0] = c * t[0] - s * t[1]
-                new[1] = s * t[0] + c * t[1]
-                new = np.moveaxis(new, 0, pt)
-            else:
-                pc = layout.qubit(*self.control)
-                t = np.moveaxis(t, (pc, pt), (0, 1))
-                new = t.copy()
-                new[1, 0] = c * t[1, 0] - s * t[1, 1]
-                new[1, 1] = s * t[1, 0] + c * t[1, 1]
-                new = np.moveaxis(new, (0, 1), (pc, pt))
-            out.append(np.ascontiguousarray(new).reshape(-1))
+            t = slots_to_front(vec, total, slots)
+            # rows 0/1 (uncontrolled) or 2/3 (control set) hold target 0/1
+            new = t.copy()
+            new[-2] = c * t[-2] - s * t[-1]
+            new[-1] = s * t[-2] + c * t[-1]
+            out.append(slots_from_front(new, slots))
         return out
 
     def descriptor(self):
@@ -667,18 +648,16 @@ class MeasureOp(ChannelOp):
     def apply_vectors(self, vectors, layout):
         total = layout.total_qubits
         slots = layout.slots([self.register])
-        w = len(slots)
         out = []
         for vec in vectors:
-            t = np.moveaxis(vec.reshape([2] * total), slots, range(w)).reshape(1 << w, -1)
-            for x in range(1 << w):
+            t = slots_to_front(vec, total, slots)
+            for x in range(t.shape[0]):
                 weight = float(np.vdot(t[x], t[x]).real)
                 if weight <= _BRANCH_PRUNE:
                     continue
                 branch = np.zeros_like(t)
                 branch[x] = t[x]
-                branch = np.moveaxis(branch.reshape([2] * total), range(w), slots)
-                out.append(np.ascontiguousarray(branch).reshape(-1))
+                out.append(slots_from_front(branch, slots))
         return out
 
     def dense_operators(self, layout):
@@ -754,9 +733,7 @@ class DenseOp(ChannelOp):
 
     def apply_vectors(self, vectors, layout):
         total = layout.total_qubits
-        slots = []
-        for name in self.registers:
-            slots.extend(layout.slots([name]))
+        slots = layout.ordered_slots(self.registers)
         k = len(slots)
         knew = sum(w for _, w in self.created)
         din, dout = 1 << k, 1 << (k + knew)
@@ -770,14 +747,12 @@ class DenseOp(ChannelOp):
         dest = slots + list(range(total, total + knew))
         out = []
         for vec in vectors:
-            t = np.moveaxis(vec.reshape([2] * total), slots, range(k)).reshape(din, -1)
+            t = slots_to_front(vec, total, slots)
             for m in self.matrices:
-                b = (m @ t).reshape([2] * (k + knew) + [2] * (total - k))
-                b = np.moveaxis(b, range(k + knew), dest)
-                w2 = float(np.vdot(b, b).real)
-                if len(self.matrices) > 1 and w2 <= _BRANCH_PRUNE:
+                b = m @ t
+                if len(self.matrices) > 1 and float(np.vdot(b, b).real) <= _BRANCH_PRUNE:
                     continue
-                out.append(np.ascontiguousarray(b).reshape(-1))
+                out.append(slots_from_front(b, dest))
         return out
 
     def dense_operators(self, layout):
@@ -820,12 +795,10 @@ def apply_channel(state, op: ChannelOp, *, layout: RegisterLayout | None = None)
             raise ChannelError("a register layout is required for density-operator inputs")
         if layout.dim != state.dimension:
             raise ChannelError("layout dimension does not match the density operator")
-        evals, evecs = np.linalg.eigh(state.matrix)
-        vectors = [np.sqrt(lam) * evecs[:, i] for i, lam in enumerate(evals) if lam > 1e-14]
         out_layout = op.output_layout(layout)
         out_vectors: list[np.ndarray] = []
-        for v in vectors:
-            out_vectors.extend(op.apply_vectors([np.ascontiguousarray(v)], layout))
+        for v in state.branches():
+            out_vectors.extend(op.apply_vectors([v], layout))
         return DensityOperator.from_ensemble(out_vectors, out_layout.dim)
     raise ChannelError(f"cannot apply a channel to {type(state).__name__}")
 

@@ -297,9 +297,8 @@ def theorem32(n, thetas, tolerance, out, fmt):
 @main.command()
 @click.argument("which", type=click.Choice(["all"]))
 @click.option("--sizes", default="1,2,4")
-@click.option("--seed", type=int, default=7)
 @_with_common
-def suite(which, sizes, seed, out, fmt):
+def suite(which, sizes, out, fmt):
     """The full qualitative battery at desk scale."""
     ns = [int(s) for s in sizes.split(",")]
     rows: list[dict] = []
@@ -308,7 +307,6 @@ def suite(which, sizes, seed, out, fmt):
         kw.setdefault("tolerance", TOL)
         rows.append(kw)
 
-    rng = np.random.default_rng(seed)
     for n in ns:
         # correctness, exhaustive
         for d in range(1 << n):

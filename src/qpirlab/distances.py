@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from .config import check_reduced_cap
-from .states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError, hermitize
+from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, hermitize,
+                     slots_to_front)
 
 __all__ = [
     "partial_trace",
@@ -36,23 +37,24 @@ __all__ = [
 def gram_reduce(vectors, layout: RegisterLayout, keep) -> DensityOperator:
     """Reduced density operator on ``keep`` from unnormalized pure branches.
 
-    Computes the Gram matrix directly from amplitudes without materializing
-    any global density operator.
+    The basis is the big-endian concatenation of the ``keep`` registers in
+    the order given.  Computes the Gram matrix directly from amplitudes
+    without materializing any global density operator.
     """
-    keep_slots = layout.slots(keep)
+    keep_slots = layout.ordered_slots(keep)
     k = len(keep_slots)
     check_reduced_cap(k)
     total = layout.total_qubits
     g = np.zeros((1 << k, 1 << k), dtype=np.complex128)
     for vec in vectors:
-        m = np.moveaxis(vec.reshape([2] * total), keep_slots, range(k)).reshape(1 << k, -1)
+        m = slots_to_front(vec, total, keep_slots)
         g += m @ m.conj().T
     return DensityOperator(1 << k, g, psd_checked=True)
 
 
 def partial_trace(state: PureState, keep) -> DensityOperator:
     """Trace out everything but ``keep`` (kept registers in layout order)."""
-    return gram_reduce([state.amplitudes], state.layout, keep)
+    return gram_reduce([state.amplitudes], state.layout, state.layout.subset(keep).names)
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -202,5 +204,6 @@ def trace_in_extraction(alpha: PureState, phi: PureState) -> tuple[PureState, fl
         )
     beta_layout = RegisterLayout(tuple((n, alpha.layout.width(n)) for n in y_names))
     beta = PureState.from_vector(beta_layout, proj / math.sqrt(p0))
-    eps = trace_distance(partial_trace(alpha, x_names), DensityOperator.from_pure(phi_vec))
+    eps = trace_distance(gram_reduce([alpha.amplitudes], alpha.layout, x_names),
+                         DensityOperator.from_pure(phi_vec))
     return beta, math.sqrt(max(eps, 0.0))

@@ -26,7 +26,7 @@ import numpy as np
 from .channels import ChannelOp, ChannelError, PrepareOp, op_from_descriptor
 from .config import check_cap, check_reduced_cap
 from .distances import gram_reduce
-from .states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
+from .states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError, slots_to_front
 
 __all__ = [
     "ProtocolShapeError",
@@ -212,9 +212,7 @@ class Ensemble:
     def from_density(cls, layout: RegisterLayout, rho: DensityOperator) -> "Ensemble":
         if rho.dimension != layout.dim:
             raise StateError("density operator does not match the layout")
-        evals, evecs = np.linalg.eigh(rho.matrix)
-        vecs = [np.sqrt(lam) * evecs[:, i] for i, lam in enumerate(evals) if lam > 1e-14]
-        return cls(layout, vecs)
+        return cls(layout, rho.branches())
 
     @property
     def weight(self) -> float:
@@ -252,18 +250,8 @@ class Ensemble:
         instead of layout order.
         """
         if not ordered:
-            return gram_reduce(self.vectors, self.layout, names)
-        slots: list[int] = []
-        for n in names:
-            slots.extend(self.layout.slots([n]))
-        k = len(slots)
-        check_reduced_cap(k)
-        total = self.layout.total_qubits
-        g = np.zeros((1 << k, 1 << k), dtype=np.complex128)
-        for vec in self.vectors:
-            m = np.moveaxis(vec.reshape([2] * total), slots, range(k)).reshape(1 << k, -1)
-            g += m @ m.conj().T
-        return DensityOperator(1 << k, g, psd_checked=True)
+            names = self.layout.subset(names).names
+        return gram_reduce(self.vectors, self.layout, names)
 
     def density(self) -> DensityOperator:
         check_reduced_cap(self.layout.total_qubits)
@@ -272,13 +260,11 @@ class Ensemble:
     def traced(self, names, *, prune: float = 1e-24) -> "Ensemble":
         """Ensemble over the remaining registers after discarding ``names``."""
         drop = self.layout.slots(names)
-        k = len(drop)
         total = self.layout.total_qubits
         new_layout = self.layout.without(names)
         out = []
         for vec in self.vectors:
-            m = np.moveaxis(vec.reshape([2] * total), drop, range(k)).reshape(1 << k, -1)
-            for row in m:
+            for row in slots_to_front(vec, total, drop):
                 if float(np.vdot(row, row).real) > prune:
                     out.append(np.ascontiguousarray(row))
         return Ensemble(new_layout, out)
@@ -287,9 +273,7 @@ class Ensemble:
         """Branch vectors permuted to the given register-name order."""
         if tuple(names) == self.layout.names:
             return list(self.vectors)
-        perm = []
-        for n in names:
-            perm.extend(self.layout.slots([n]))
+        perm = self.layout.ordered_slots(names)
         if len(perm) != self.layout.total_qubits:
             raise LayoutError("alignment must cover every register")
         total = self.layout.total_qubits

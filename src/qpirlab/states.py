@@ -28,6 +28,29 @@ __all__ = [
 ]
 
 
+def slots_to_front(vec: np.ndarray, total: int, slots) -> np.ndarray:
+    """View a flat amplitude vector as a ``(2**k, rest)`` matrix.
+
+    Row ``r`` holds the amplitudes whose bits at the ``k`` qubit ``slots``
+    spell ``r`` big-endian, in the order the slots are given; the columns
+    keep the remaining slots in layout order.
+    """
+    k = len(slots)
+    return np.moveaxis(vec.reshape([2] * total), slots, range(k)).reshape(1 << k, -1)
+
+
+def slots_from_front(mat: np.ndarray, slots) -> np.ndarray:
+    """Inverse of :func:`slots_to_front`: a contiguous flat vector whose row
+    bits return to ``slots``.
+
+    The row count may exceed the one it was taken with; slots at or past the
+    input width then name qubits appended to the layout.
+    """
+    total = mat.size.bit_length() - 1
+    t = np.moveaxis(mat.reshape([2] * total), range(len(slots)), slots)
+    return np.ascontiguousarray(t).reshape(-1)
+
+
 class LayoutError(ValueError):
     """Register layout is malformed or a named register is missing."""
 
@@ -103,6 +126,15 @@ class RegisterLayout:
             if n in wanted:
                 out.extend(range(off, off + w))
             off += w
+        return out
+
+    def ordered_slots(self, names) -> list[int]:
+        """Global qubit slots of ``names``, register by register in the
+        given order."""
+        out = []
+        for n in names:
+            off = self.offset(n)
+            out.extend(range(off, off + self.width(n)))
         return out
 
     def subset(self, names) -> "RegisterLayout":
@@ -208,9 +240,7 @@ class PureState:
             raise LayoutError(
                 f"layouts hold different registers: {self.layout.names} vs {layout.names}"
             )
-        perm = []
-        for name in layout.names:
-            perm.extend(self.layout.slots([name]))
+        perm = self.layout.ordered_slots(layout.names)
         return np.ascontiguousarray(self.tensor_view.transpose(perm)).reshape(-1)
 
     def reordered(self, names) -> "PureState":
@@ -330,5 +360,8 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+    def branches(self) -> list[np.ndarray]:
+        """Unnormalized pure branches ``sqrt(lam) v`` from the eigenpairs
+        with ``lam > 1e-14``; their outer products sum back to the matrix."""
+        evals, evecs = np.linalg.eigh(self.matrix)
+        return [np.sqrt(lam) * evecs[:, i] for i, lam in enumerate(evals) if lam > 1e-14]

@@ -237,6 +237,18 @@ class TestTraceIn:
             assert bound == pytest.approx(math.sqrt(eps), abs=1e-9)
             done += 1
 
+    @pytest.mark.parametrize("phi_order", [("a", "b"), ("b", "a")])
+    def test_phi_register_order_does_not_matter(self, phi_order):
+        # alpha = |0>_a |+>_b |0>_y is exactly phi (x) |0>_y whatever order
+        # phi declares its registers in.
+        plus = PureState.from_vector(RegisterLayout((("b", 1),)), [1, 1], normalize=True)
+        zero_a = PureState.basis(RegisterLayout((("a", 1),)))
+        alpha = zero_a.tensor(plus).tensor(PureState.basis(RegisterLayout((("y", 1),))))
+        phi = zero_a.tensor(plus).reordered(phi_order)
+        beta, bound = trace_in_extraction(alpha, phi)
+        assert bound == pytest.approx(0.0, abs=1e-6)
+        assert abs(beta.amplitudes[0]) == pytest.approx(1.0)
+
     def test_zero_projection_rejected(self):
         layout = RegisterLayout((("X", 1), ("Y", 1)))
         alpha = PureState.basis(layout, {"X": 1})

@@ -1,0 +1,348 @@
+"""Slow reference for every op kind, built label by label from its definition.
+
+``ChannelOp.dense_operators`` is assembled by calling ``apply_vectors`` on
+basis vectors, so it cannot check a kernel.  The reference here never calls
+one: it walks every basis assignment of a layout with
+``RegisterLayout.basis_index`` and plain Python bit arithmetic, writes the
+op's matrix entry by entry, and the kernels are compared against it on
+seeded random layouts with shuffled register order.
+"""
+
+import inspect
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_kraus, random_unitary
+from qpirlab import channels
+from qpirlab.channels import (
+    ChannelOp,
+    CnotOp,
+    CopyOp,
+    DenseOp,
+    HadamardOp,
+    InnerProductCnotOp,
+    MeasureOp,
+    PrepareOp,
+    RotateOp,
+    SelectCnotOp,
+    SelectFlipOp,
+    SelectPhaseOp,
+    SwapOp,
+)
+from qpirlab.states import RegisterLayout
+
+
+def _bit(label: int, width: int, j: int) -> int:
+    # Qubit j of a register label is its j-th most significant bit.
+    return (label >> (width - 1 - j)) & 1
+
+
+def _flip(label: int, width: int, j: int) -> int:
+    return label ^ (1 << (width - 1 - j))
+
+
+def _assignments(layout: RegisterLayout):
+    names = layout.names
+    for labels in itertools.product(*(range(1 << w) for _, w in layout.registers)):
+        yield dict(zip(names, labels))
+
+
+def _concat(labels, widths) -> int:
+    out = 0
+    for label, w in zip(labels, widths):
+        out = (out << w) | label
+    return out
+
+
+def _split(value: int, widths) -> list[int]:
+    out = []
+    for w in reversed(widths):
+        out.append(value & ((1 << w) - 1))
+        value >>= w
+    return out[::-1]
+
+
+def _matrix(layout, out_layout, image) -> np.ndarray:
+    """Matrix whose column for each input assignment lists ``image(a)``'s
+    (output assignment, amplitude) pairs."""
+    m = np.zeros((out_layout.dim, layout.dim), dtype=np.complex128)
+    for a in _assignments(layout):
+        col = layout.basis_index(a)
+        for b, amp in image(a):
+            m[out_layout.basis_index(b), col] += amp
+    return m
+
+
+def _permutation(layout, relabel):
+    return [_matrix(layout, layout, lambda a: [(relabel(dict(a)), 1.0)])]
+
+
+def _hadamard(op, layout):
+    r, w = op.register, layout.width(op.register)
+
+    def image(a):
+        for y in range(1 << w):
+            dots = sum(_bit(a[r], w, j) & _bit(y, w, j) for j in range(w))
+            yield {**a, r: y}, (-1) ** dots / math.sqrt(2) ** w
+
+    return [_matrix(layout, layout, image)]
+
+
+def _ip_cnot(op, layout):
+    ws = layout.width(op.source)
+    wt = layout.width(op.target)
+
+    def relabel(a):
+        par = 0
+        for j in range(ws):
+            if op.mask is not None:
+                m = int(op.mask[j])
+            else:
+                m = _bit(a[op.mask_register], layout.width(op.mask_register), op.mask_offset + j)
+            par ^= _bit(a[op.source], ws, j) & m
+        if par:
+            a[op.target] = _flip(a[op.target], wt, op.target_qubit)
+        return a
+
+    return _permutation(layout, relabel)
+
+
+def _chosen_bit(a, layout, table, selector, fixed_value) -> int:
+    key = fixed_value if selector is None else a[selector]
+    if key not in dict(table):
+        return 0
+    reg, q = dict(table)[key]
+    return _bit(a[reg], layout.width(reg), q)
+
+
+def _select_phase(op, layout):
+    def image(a):
+        bit = _chosen_bit(a, layout, op.targets, op.selector, op.fixed_value)
+        yield a, -1.0 if bit else 1.0
+
+    return [_matrix(layout, layout, image)]
+
+
+def _select_cnot(op, layout):
+    reg, q = op.target
+
+    def relabel(a):
+        if _chosen_bit(a, layout, op.sources, op.selector, op.fixed_value):
+            a[reg] = _flip(a[reg], layout.width(reg), q)
+        return a
+
+    return _permutation(layout, relabel)
+
+
+def _select_flip(op, layout):
+    reg, q = op.target
+
+    def relabel(a):
+        if op.bit_table[a[op.selector]]:
+            a[reg] = _flip(a[reg], layout.width(reg), q)
+        return a
+
+    return _permutation(layout, relabel)
+
+
+def _cnot(op, layout):
+    (creg, cq), (treg, tq) = op.control, op.target
+
+    def relabel(a):
+        if _bit(a[creg], layout.width(creg), cq):
+            a[treg] = _flip(a[treg], layout.width(treg), tq)
+        return a
+
+    return _permutation(layout, relabel)
+
+
+def _copy(op, layout):
+    def relabel(a):
+        a[op.target] ^= a[op.source]
+        return a
+
+    return _permutation(layout, relabel)
+
+
+def _swap(op, layout):
+    def relabel(a):
+        a[op.first], a[op.second] = a[op.second], a[op.first]
+        return a
+
+    return _permutation(layout, relabel)
+
+
+def _rotate(op, layout):
+    treg, tq = op.target
+    wt = layout.width(treg)
+    c, s = math.cos(op.theta / 2), math.sin(op.theta / 2)
+    ry = ((c, -s), (s, c))
+
+    def image(a):
+        if op.control is not None and not _bit(a[op.control[0]], layout.width(op.control[0]), op.control[1]):
+            yield a, 1.0
+            return
+        b_in = _bit(a[treg], wt, tq)
+        for b_out in (0, 1):
+            label = a[treg] if b_out == b_in else _flip(a[treg], wt, tq)
+            yield {**a, treg: label}, ry[b_out][b_in]
+
+    return [_matrix(layout, layout, image)]
+
+
+def _prepare(op, layout):
+    out_layout = layout.extended(op.registers)
+    widths = [w for _, w in op.registers]
+
+    def image(a):
+        for v, amp in enumerate(op.amplitudes):
+            yield {**a, **dict(zip((n for n, _ in op.registers), _split(v, widths)))}, amp
+
+    return [_matrix(layout, out_layout, image)]
+
+
+def _measure(op, layout):
+    r = op.register
+    return [_matrix(layout, layout, lambda a, x=x: [(a, 1.0)] if a[r] == x else [])
+            for x in range(1 << layout.width(r))]
+
+
+def _dense(op, layout):
+    out_layout = layout.extended(op.created)
+    w_in = [layout.width(n) for n in op.registers]
+    out_names = list(op.registers) + [n for n, _ in op.created]
+    w_out = w_in + [w for _, w in op.created]
+
+    def image_of(m):
+        def image(a):
+            col = _concat([a[n] for n in op.registers], w_in)
+            for row in range(m.shape[0]):
+                yield {**a, **dict(zip(out_names, _split(row, w_out)))}, m[row, col]
+        return image
+
+    return [_matrix(layout, out_layout, image_of(m)) for m in op.matrices]
+
+
+REFERENCE = {
+    HadamardOp: _hadamard,
+    InnerProductCnotOp: _ip_cnot,
+    SelectPhaseOp: _select_phase,
+    SelectCnotOp: _select_cnot,
+    SelectFlipOp: _select_flip,
+    CnotOp: _cnot,
+    CopyOp: _copy,
+    SwapOp: _swap,
+    RotateOp: _rotate,
+    PrepareOp: _prepare,
+    MeasureOp: _measure,
+    DenseOp: _dense,
+}
+
+
+# ---------------------------------------------------------------------------
+# seeded random layouts and ops
+# ---------------------------------------------------------------------------
+
+
+def _layout(rng) -> RegisterLayout:
+    """Registers a and b share a width; c is a selector; d is wide enough for
+    a mask slice when the budget allows.  At most 8 qubits, shuffled."""
+    wa = int(rng.integers(1, 3))
+    wc = int(rng.integers(1, 3))
+    wd = int(rng.integers(1, 8 - 2 * wa - wc + 1))
+    regs = [("a", wa), ("b", wa), ("c", wc), ("d", wd)]
+    order = rng.permutation(len(regs))
+    return RegisterLayout(tuple(regs[i] for i in order))
+
+
+def _qubit(rng, layout, names):
+    reg = names[int(rng.integers(len(names)))]
+    return reg, int(rng.integers(layout.width(reg)))
+
+
+def _table(rng, layout, selector, names, fixed_value):
+    """A selector table with some labels missing, or the single fixed entry."""
+    if selector is None:
+        return ((fixed_value, _qubit(rng, layout, names)),)
+    labels = [v for v in range(1 << layout.width(selector)) if rng.random() < 0.6]
+    return tuple((v, _qubit(rng, layout, names)) for v in labels)
+
+
+def _ops(rng, layout):
+    wa, wd = layout.width("a"), layout.width("d")
+    mask = "".join(rng.choice(["0", "1"], size=wa))
+    theta = float(rng.uniform(-math.pi, math.pi))
+    k = layout.width("c")
+    kraus = random_kraus(rng, 1 << k, 2)
+    return [
+        HadamardOp(["a", "c", "d"][int(rng.integers(3))]),
+        InnerProductCnotOp(source="a", target="d", mask=mask,
+                           target_qubit=int(rng.integers(wd))),
+        InnerProductCnotOp(source="a", target="c", mask="0" * wa),
+        InnerProductCnotOp(source="a", target="c",
+                           mask_register="d" if wd >= wa else "b",
+                           mask_offset=max(wd - wa, 0),
+                           target_qubit=int(rng.integers(k))),
+        SelectPhaseOp(targets=_table(rng, layout, None, ["a", "b", "d"], 1), fixed_value=1),
+        SelectPhaseOp(targets=_table(rng, layout, "c", ["a", "c", "d"], 0), selector="c"),
+        SelectCnotOp(sources=_table(rng, layout, None, ["a", "b"], 1),
+                     target=_qubit(rng, layout, ["d"]), fixed_value=1),
+        SelectCnotOp(sources=_table(rng, layout, "c", ["a", "b"], 0),
+                     target=_qubit(rng, layout, ["d"]), selector="c"),
+        SelectFlipOp(selector="c", bit_table=tuple(int(b) for b in rng.integers(0, 2, 1 << k)),
+                     target=_qubit(rng, layout, ["a", "d"])),
+        CnotOp(_qubit(rng, layout, ["a", "c"]), _qubit(rng, layout, ["b", "d"])),
+        CopyOp("a", "b"),
+        SwapOp("a", "b"),
+        SwapOp("b", "a"),
+        RotateOp(_qubit(rng, layout, ["a", "d"]), theta),
+        RotateOp(_qubit(rng, layout, ["d"]), theta, control=_qubit(rng, layout, ["a", "c"])),
+        PrepareOp((("p", 1), ("q", 1)), tuple(random_unitary(rng, 4)[:, 0])),
+        MeasureOp(["a", "c", "d"][int(rng.integers(3))]),
+        DenseOp((random_unitary(rng, 1 << (wa + k)),), ("c", "a")),
+        DenseOp(tuple(kraus), ("c",), operation_kind="kraus-set"),
+        DenseOp((np.kron(random_unitary(rng, 1 << k), np.ones((2, 1)) / math.sqrt(2)),),
+                ("c",), created=(("e", 1),)),
+        DenseOp(tuple(np.kron(km, np.array([[1.0], [0.0]])) for km in kraus),
+                ("c",), created=(("e", 1),), operation_kind="measurement"),
+    ]
+
+
+SEEDS = range(6)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kernels_match_reference(seed):
+    rng = np.random.default_rng(9000 + seed)
+    layout = _layout(rng)
+    ops = _ops(rng, layout)
+    assert {type(op) for op in ops} == set(REFERENCE)
+    vectors = [rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim) for _ in range(2)]
+    for op in ops:
+        mats = REFERENCE[type(op)](op, layout)
+        got = op.apply_vectors([v.copy() for v in vectors], layout)
+        want = [m @ v for v in vectors for m in mats]
+        assert len(got) == len(want), op
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, atol=1e-12, err_msg=repr(op))
+
+
+def _op_classes():
+    return {cls for cls in map(channels.__dict__.get, channels.__all__)
+            if isinstance(cls, type) and issubclass(cls, ChannelOp) and cls is not ChannelOp}
+
+
+def test_every_op_kind_has_a_reference():
+    assert _op_classes() == set(REFERENCE)
+
+
+def test_op_classes_bind_apply_vectors_in_their_own_body():
+    # The benchmark's per-kind spans wrap ``cls.__dict__["apply_vectors"]``;
+    # a method inherited from a shared base would not be found there.
+    for cls in _op_classes():
+        fn = cls.__dict__.get("apply_vectors")
+        assert fn is not None, cls.__name__
+        assert list(inspect.signature(fn).parameters) == ["self", "vectors", "layout"], cls.__name__
