@@ -79,11 +79,8 @@ class Adversary:
     recoveries: tuple[Recovery, ...] | None
     extra_registers: tuple[str, ...] = ()
     notes: str = ""
-    party: str = SERVER
 
     def modified_spec(self, spec: ProtocolSpec) -> ProtocolSpec:
-        if self.party != SERVER:
-            raise ProtocolShapeError("only server-side adversaries are modeled")
         return spec.with_server(self.program, name=f"{spec.name}~{self.name}")
 
     def run(self, spec: ProtocolSpec, input_state, **kw) -> ExecutionTranscript:
@@ -189,7 +186,7 @@ def standard_inputs(instance: QpirInstance, *, databases=None,
 # ---------------------------------------------------------------------------
 
 
-def purified_honest(spec_or_instance, party: str = SERVER) -> Adversary:
+def purified_honest(spec_or_instance) -> Adversary:
     """The honest server with every measurement deferred to an ancilla.
 
     Unitary steps are kept as-is; each computational-basis measurement is
@@ -199,8 +196,6 @@ def purified_honest(spec_or_instance, party: str = SERVER) -> Adversary:
     speciousness is zero.
     """
     spec = spec_or_instance.spec if isinstance(spec_or_instance, QpirInstance) else spec_or_instance
-    if party != SERVER:
-        raise ProtocolShapeError("only server-side adversaries are modeled")
     widths = spec.validate()
     purified: list[tuple[int, str, str]] = []  # (server round, register, purifier)
     steps = []
@@ -355,20 +350,14 @@ class SpeciousnessReport:
         return max(d for lbl, _, d in self.rows if lbl == label)
 
 
-def _recovery_allowed(transcript: ExecutionTranscript, t: int) -> set[str]:
-    # Recovery domain: the adversary's memory, plus the in-flight message at
-    # odd steps only (at even steps the incoming message is out of bounds).
-    own = transcript.record(t).ownership
-    allowed = {n for n, o in own.items() if o == SERVER}
-    if t % 2 == 1:
-        allowed |= {n for n, o in own.items() if o in ("A->B", "B->A")}
-    return allowed
-
-
 def apply_recovery(transcript: ExecutionTranscript, t: int, recovery: Recovery) -> Ensemble:
     """The recovered global state at step t (discards traced out)."""
     ens = transcript.ensemble(t)
-    allowed = _recovery_allowed(transcript, t)
+    # Recovery domain: the adversary's memory, plus the in-flight message at
+    # odd steps only (at even steps the incoming message is out of bounds).
+    allowed = set(transcript.owned(t, SERVER))
+    if t % 2 == 1:
+        allowed |= set(transcript.in_transit(t))
     for op in recovery.ops:
         stray = set(op.touches) - allowed
         if stray:

@@ -27,8 +27,6 @@ from .privacy import is_measurement_free
 from .protocols import QpirInstance, database_bits
 from .runtime import (
     CLIENT,
-    SERVER,
-    Ensemble,
     communication,
     execute,
     fold_setup_into_messages,
@@ -207,19 +205,6 @@ class ReconstructionTrace:
                 for b in self.bits]
 
 
-def _client_regs(transcript) -> list[str]:
-    t = transcript.steps
-    own = transcript.record(t).ownership
-    return [n for n in transcript.final.layout.names if own.get(n) == CLIENT]
-
-
-def _server_regs(transcript, refs=True) -> list[str]:
-    t = transcript.steps
-    own = transcript.record(t).ownership
-    keep = {SERVER} | ({"R"} if refs else set())
-    return [n for n in transcript.final.layout.names if own.get(n) in keep]
-
-
 def _bit_projectors(layout_regs, widths, output_register) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal projectors on the client space for output bit 0 / 1."""
     total = sum(widths[n] for n in layout_regs)
@@ -284,7 +269,7 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
 
     transcripts = [run(i) for i in range(1, n + 1)]
     finals = [tr.final.to_pure() for tr in transcripts]
-    b_regs = _client_regs(transcripts[0])
+    b_regs = list(transcripts[0].owned(transcripts[0].steps, CLIENT))
     widths = dict(finals[0].layout.registers)
 
     # measured correctness error: worst-case failure of the decoder
@@ -301,8 +286,7 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
 
     # measured privacy error of the relevant input class: half the worst
     # distance between run-1 and run-i server-plus-reference marginals
-    a_names = _server_regs(transcripts[0])
-    views = [_traced_to(tr.final, a_names) for tr in transcripts]
+    views = [tr.server_view(tr.steps) for tr in transcripts]
     eps = max(
         (ensemble_trace_distance(views[0].vectors,
                                  views[i].aligned_vectors(views[0].layout.names)) / 2.0
@@ -373,11 +357,6 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
         notes="per-database rotations; not executable without the database"
         if mode == "classical-per-a" else "",
     )
-
-
-def _traced_to(ens: Ensemble, keep_names) -> Ensemble:
-    drop = [n for n in ens.layout.names if n not in set(keep_names)]
-    return ens.traced(drop) if drop else ens
 
 
 # ---------------------------------------------------------------------------

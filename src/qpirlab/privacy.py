@@ -1,10 +1,11 @@
 """Anchored-privacy verification, lower bounds, and simulator certificates.
 
-The server's view at an even global step ``2t`` is everything on its side
-plus the in-flight client message, keeping any reference registers.  Views
-are handled as low-rank ensembles (branch vectors componentized over the
-traced-out client side), so distances stay cheap even when the view itself
-is large.
+Every figure here is a distance between server views.  The one definition
+of the view is :meth:`ExecutionTranscript.server_view`: at step ``t`` it is
+everything on the server's side plus the in-flight messages, keeping any
+reference registers.  Views are handled as low-rank ensembles (branch
+vectors componentized over the traced-out client side), so distances stay
+cheap even when the view itself is large.
 
 Lower bounds need no simulator: two runs that any one simulator state must
 approximate within eps sit within 2 eps of each other, so half the largest
@@ -14,15 +15,14 @@ reference-marginal class certifies a floor under every achievable eps.
 Upper bounds come from explicit simulators: the honest-protocol simulator
 (rerun with the client input pinned to 1) and the specious-adversary
 simulator assembled from an extracted anchor state, the inverted purified
-recovery, and the honest simulator.
+recovery, and the honest simulator.  Both are scored by one certificate
+loop over the standard anchored inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .adversaries import Adversary, InputSpec, standard_inputs
 from .channels import (
@@ -40,14 +40,13 @@ from .channels import (
 from .distances import ensemble_trace_distance, trace_in_extraction
 from .protocols import QpirInstance
 from .runtime import (
-    CLIENT,
     Ensemble,
     ExecutionTranscript,
     ProtocolShapeError,
     ProtocolSpec,
     execute,
 )
-from .states import PureState, RegisterLayout
+from .states import PureState
 
 __all__ = [
     "PrivacyRow",
@@ -73,14 +72,6 @@ def is_measurement_free(spec: ProtocolSpec) -> bool:
 
 def _even_steps(spec: ProtocolSpec) -> list[int]:
     return [2 * t for t in range(1, spec.rounds + 1)]
-
-
-def _view_ensemble(transcript: ExecutionTranscript, t: int) -> Ensemble:
-    """Server-side view at step t as a low-rank ensemble (reference kept)."""
-    ens = transcript.ensemble(t)
-    own = transcript.record(t).ownership
-    client_side = [n for n in ens.layout.names if own.get(n) == CLIENT]
-    return ens.traced(client_side) if client_side else ens
 
 
 @dataclass(frozen=True)
@@ -126,8 +117,7 @@ class PrivacyReport:
 def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = None,
                         mode: str = "anchored", *, databases=None,
                         client_kinds=("classical", "uniform", "entangled", "correlated"),
-                        target: float | None = None,
-                        include_odd_steps: bool = False) -> PrivacyReport:
+                        target: float | None = None) -> PrivacyReport:
     """Certified floor under the privacy error of a (possibly adversarial) run.
 
     For every even step and every pair of inputs sharing the database state
@@ -135,8 +125,7 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     achievable simulation error.  ``mode="anchored"`` keeps the database
     classical; ``mode="full"`` adds the uniformly superposed database, the
     input class anchoring excludes.  Odd steps are outside the definition's
-    quantification; ``include_odd_steps`` adds them as informational rows
-    (never flagged required) without folding them into ``eps_lower``.
+    quantification and are not compared.
     """
     if mode not in ("anchored", "full"):
         raise ValueError(f"unknown privacy mode {mode!r}")
@@ -146,8 +135,7 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
         superposed_db=(mode == "full" and instance.database_register is not None),
     )
     s = instance.spec.rounds
-    steps = (list(range(1, 2 * s + 1)) if include_odd_steps
-             else _even_steps(instance.spec))
+    steps = _even_steps(instance.spec)
     groups: dict[tuple[str, str], list[InputSpec]] = {}
     for ins in inputs:
         groups.setdefault((ins.x_label, ins.marginal_key), []).append(ins)
@@ -157,7 +145,7 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
         views: list[tuple[str, dict[int, Ensemble]]] = []
         for ins in members:
             tr = execute(spec, ins.state, probe_steps=steps, keep_states=False)
-            views.append((ins.label, {t: _view_ensemble(tr, t) for t in steps}))
+            views.append((ins.label, {t: tr.server_view(t) for t in steps}))
         for a in range(len(views)):
             for b in range(a + 1, len(views)):
                 la, va = views[a]
@@ -168,8 +156,8 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
                         ea.vectors, eb.aligned_vectors(ea.layout.names)
                     )
                     rows.append(PrivacyRow(t, x_label, (la, lb), float(dist),
-                                           required=(t % 2 == 0 and t // 2 <= s - 1)))
-    eps_lower = max((r.distance for r in rows if r.step % 2 == 0), default=0.0) / 2.0
+                                           required=(t // 2 <= s - 1)))
+    eps_lower = max((r.distance for r in rows), default=0.0) / 2.0
     return PrivacyReport(
         mode=mode,
         protocol=instance.spec.name,
@@ -193,56 +181,27 @@ def _reference_marginal(state: PureState | Ensemble, reference) -> Ensemble | No
     return ens.traced(drop)
 
 
-def _product_vectors(front: list[np.ndarray], back: list[np.ndarray]) -> list[np.ndarray]:
-    return [np.multiply.outer(f, b).reshape(-1) for f in front for b in back]
-
-
-class HonestSimulator:
-    """Def-style simulator for the honest server: rerun with the client
-    input pinned to index 1 and output the server-side registers."""
-
-    def __init__(self, instance: QpirInstance, reference_index: int = 1):
-        self.instance = instance
-        self.reference_index = reference_index
-        self._cache: dict = {}
-
-    def view(self, db, t: int) -> Ensemble:
-        key = (self._db_key(db), t)
-        if key not in self._cache:
-            tr = self.instance.run(
-                db if self.instance.database_register else None,
-                self.reference_index,
-                probe_steps=_even_steps(self.instance.spec), keep_states=False,
-            )
-            for step in _even_steps(self.instance.spec):
-                self._cache[(self._db_key(db), step)] = _view_ensemble(tr, step)
-        return self._cache[key]
-
-    def _db_key(self, db):
-        return tuple(db) if isinstance(db, (tuple, list)) else db
-
-    def epsilon_upper(self, inputs=None, *, adversary_spec: ProtocolSpec | None = None):
-        """Max distance between the simulated and the actual view over the
-        test inputs; returns (eps_upper, rows)."""
-        instance = self.instance
-        if inputs is None:
-            inputs = standard_inputs(instance)
-        spec = adversary_spec or instance.spec
-        rows = []
-        for ins in inputs:
-            tr = execute(spec, ins.state, probe_steps=_even_steps(instance.spec),
-                         keep_states=False)
-            db = _x_of(ins, instance)
-            ref = _reference_marginal(ins.state, ins.reference)
-            for t in _even_steps(instance.spec):
-                actual = _view_ensemble(tr, t)
-                sim = self.view(db, t)
-                sim_names = list(sim.layout.names) + list(ins.reference)
-                vecs = sim.vectors if ref is None else _product_vectors(sim.vectors, ref.vectors)
-                dist = ensemble_trace_distance(vecs, actual.aligned_vectors(sim_names))
-                rows.append((ins.label, t, float(dist)))
-        eps = max((d for _, _, d in rows), default=0.0)
-        return eps, rows
+def _certificate(instance: QpirInstance, spec: ProtocolSpec, inputs, simulate):
+    """(eps, rows): the worst distance, over the anchored test inputs and the
+    even steps, between ``simulate(db, t)`` (tensored with the input's
+    reference marginal) and the server view of a run of ``spec``."""
+    if inputs is None:
+        inputs = standard_inputs(instance)
+    steps = _even_steps(instance.spec)
+    rows = []
+    for ins in inputs:
+        tr = execute(spec, ins.state, probe_steps=steps, keep_states=False)
+        db = _x_of(ins, instance)
+        ref = _reference_marginal(ins.state, ins.reference)
+        for t in steps:
+            sim = simulate(db, t)
+            if ref is not None:
+                sim = sim.tensor(ref)
+            actual = tr.server_view(t)
+            dist = ensemble_trace_distance(sim.vectors, actual.aligned_vectors(sim.layout.names))
+            rows.append((ins.label, t, float(dist)))
+    eps = max((d for _, _, d in rows), default=0.0)
+    return eps, rows
 
 
 def _x_of(ins: InputSpec, instance: QpirInstance):
@@ -254,8 +213,36 @@ def _x_of(ins: InputSpec, instance: QpirInstance):
     return int(lbl.split("=", 1)[1], 2)
 
 
-def honest_simulator(instance: QpirInstance, reference_index: int = 1) -> HonestSimulator:
-    return HonestSimulator(instance, reference_index)
+class HonestSimulator:
+    """Def-style simulator for the honest server: rerun with the client
+    input pinned to index 1 and output the server-side registers."""
+
+    def __init__(self, instance: QpirInstance):
+        self.instance = instance
+        self._cache: dict = {}
+
+    def view(self, db, t: int) -> Ensemble:
+        key = (self._db_key(db), t)
+        if key not in self._cache:
+            tr = self.instance.run(
+                db if self.instance.database_register else None, 1,
+                probe_steps=_even_steps(self.instance.spec), keep_states=False,
+            )
+            for step in _even_steps(self.instance.spec):
+                self._cache[(self._db_key(db), step)] = tr.server_view(step)
+        return self._cache[key]
+
+    def _db_key(self, db):
+        return tuple(db) if isinstance(db, (tuple, list)) else db
+
+    def epsilon_upper(self, inputs=None):
+        """Max distance between the simulated and the actual view over the
+        test inputs; returns (eps_upper, rows)."""
+        return _certificate(self.instance, self.instance.spec, inputs, self.view)
+
+
+def honest_simulator(instance: QpirInstance) -> HonestSimulator:
+    return HonestSimulator(instance)
 
 
 _SELF_INVERSE = (HadamardOp, InnerProductCnotOp, SelectPhaseOp, SelectCnotOp,
@@ -287,8 +274,7 @@ class TheoremSimulator:
     recovery applied to (anchor tensor honest-simulator output).
     """
 
-    def __init__(self, instance: QpirInstance, adversary: Adversary, x0,
-                 reference_index: int = 1):
+    def __init__(self, instance: QpirInstance, adversary: Adversary, x0):
         if not is_measurement_free(instance.spec):
             raise ProtocolShapeError("the certificate needs a measurement-free protocol")
         if adversary.recoveries is None:
@@ -296,100 +282,66 @@ class TheoremSimulator:
         self.instance = instance
         self.adversary = adversary
         self.x0 = x0
-        self.honest = HonestSimulator(instance, reference_index)
+        self.honest = HonestSimulator(instance)
         self.anchors: dict[int, PureState | None] = {}
         self.extraction_bounds: dict[int, float] = {}
-        self._build()
+        inp = instance.basis_input(x0, 1)
+        honest_tr = execute(instance.spec, inp)
+        adv_tr = adversary.run(instance.spec, inp)
+        for t in _even_steps(instance.spec):
+            self.anchors[t], self.extraction_bounds[t] = self._extract(honest_tr, adv_tr, t)
 
-    def _build(self):
-        instance, adversary = self.instance, self.adversary
-        spec = instance.spec
-        inp = instance.basis_input(self.x0, self.honest.reference_index)
-        honest_tr = execute(spec, inp)
-        adv_tr = adversary.run(spec, inp)
-        for t in _even_steps(spec):
-            recovery = adversary.recoveries[t - 1]
-            ens = adv_tr.ensemble(t)
-            for op in recovery.ops:
-                ens = ens.apply(op)
-            if not ens.is_pure:
-                raise ProtocolShapeError(
-                    f"adversarial state at step {t} is not pure; purify the adversary"
-                )
-            if not recovery.discard:
-                self.anchors[t] = None
-                self.extraction_bounds[t] = 0.0
-                continue
-            alpha = ens.to_pure()
-            phi = honest_tr.ensemble(t).to_pure()
-            sigma, bound = trace_in_extraction(alpha, phi)
-            self.anchors[t] = sigma.reordered(
-                [n for n in alpha.layout.names if n in set(recovery.discard)]
-            )
-            self.extraction_bounds[t] = bound
-
-    def simulated_view(self, db, t: int) -> tuple[list[str], list[np.ndarray]]:
-        """Simulator output for database ``db`` at even step ``t``: register
-        names and ensemble vectors of the reconstructed adversary view."""
+    def _extract(self, honest_tr: ExecutionTranscript, adv_tr: ExecutionTranscript,
+                 t: int) -> tuple[PureState | None, float]:
+        """The anchor on the adversary's private registers at step ``t`` and
+        its trace-in bound; ``(None, 0.0)`` when the recovery discards
+        nothing."""
         recovery = self.adversary.recoveries[t - 1]
+        ens = adv_tr.ensemble(t)
+        for op in recovery.ops:
+            ens = ens.apply(op)
+        if not ens.is_pure:
+            raise ProtocolShapeError(
+                f"adversarial state at step {t} is not pure; purify the adversary"
+            )
+        if not recovery.discard:
+            return None, 0.0
+        alpha = ens.to_pure()
+        sigma, bound = trace_in_extraction(alpha, honest_tr.ensemble(t).to_pure())
+        discard = set(recovery.discard)
+        return sigma.reordered([n for n in alpha.layout.names if n in discard]), bound
+
+    def simulated_view(self, db, t: int) -> Ensemble:
+        """Simulator output for database ``db`` at even step ``t``: the
+        reconstructed adversary view."""
         sim = self.honest.view(db, t)
         anchor = self.anchors[t]
         if anchor is None:
-            return list(sim.layout.names), list(sim.vectors)
-        names = list(anchor.layout.names) + list(sim.layout.names)
-        widths = dict(anchor.layout.registers) | dict(sim.layout.registers)
-        layout = RegisterLayout(tuple((n, widths[n]) for n in names))
-        ens = Ensemble(layout, _product_vectors([anchor.amplitudes], sim.vectors))
-        for op in _inverted(recovery.ops):
+            return sim
+        ens = Ensemble.from_pure(anchor).tensor(sim)
+        for op in _inverted(self.adversary.recoveries[t - 1].ops):
             ens = ens.apply(op)
-        return list(ens.layout.names), list(ens.vectors)
+        return ens
 
     def certify(self, inputs=None):
         """(eps_hat, rows): worst distance between the simulator output and
         the adversary's actual view across anchored test inputs and steps."""
-        instance = self.instance
-        if inputs is None:
-            inputs = standard_inputs(instance)
-        adv_spec = self.adversary.modified_spec(instance.spec)
-        rows = []
-        for ins in inputs:
-            tr = execute(adv_spec, ins.state,
-                         probe_steps=_even_steps(instance.spec), keep_states=False)
-            db = _x_of(ins, instance)
-            ref = _reference_marginal(ins.state, ins.reference)
-            for t in _even_steps(instance.spec):
-                names, vecs = self.simulated_view(db, t)
-                if ref is not None:
-                    names = names + list(ins.reference)
-                    vecs = _product_vectors(vecs, ref.vectors)
-                actual = _view_ensemble(tr, t)
-                dist = ensemble_trace_distance(vecs, actual.aligned_vectors(names))
-                rows.append((ins.label, t, float(dist)))
-        eps_hat = max((d for _, _, d in rows), default=0.0)
-        return eps_hat, rows
+        adv_spec = self.adversary.modified_spec(self.instance.spec)
+        return _certificate(self.instance, adv_spec, inputs, self.simulated_view)
 
     def extract_anchor(self, db, client_state: PureState, t: int) -> PureState:
         """Re-extract the anchor from an arbitrary anchored pure input; used
         to check that one anchor serves every input."""
-        recovery = self.adversary.recoveries[t - 1]
-        if not recovery.discard:
+        if not self.adversary.recoveries[t - 1].discard:
             raise ProtocolShapeError("this adversary has no private registers")
-        inp = self.instance.input_with_client(db, client_state) \
-            if self.instance.database_register else client_state
+        inp = self.instance.input_with_client(db, client_state)
         honest_tr = execute(self.instance.spec, inp)
         adv_tr = self.adversary.run(self.instance.spec, inp)
-        ens = adv_tr.ensemble(t)
-        for op in recovery.ops:
-            ens = ens.apply(op)
-        alpha = ens.to_pure()
-        phi = honest_tr.ensemble(t).to_pure()
-        sigma, _ = trace_in_extraction(alpha, phi)
-        return sigma.reordered([n for n in alpha.layout.names if n in set(recovery.discard)])
+        return self._extract(honest_tr, adv_tr, t)[0]
 
 
-def theorem_simulator(instance: QpirInstance, adversary: Adversary, x0,
-                      reference_index: int = 1) -> TheoremSimulator:
-    return TheoremSimulator(instance, adversary, x0, reference_index)
+def theorem_simulator(instance: QpirInstance, adversary: Adversary, x0) -> TheoremSimulator:
+    return TheoremSimulator(instance, adversary, x0)
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ class QpirInstance:
         db_state = self.database_state(db)
         if isinstance(client_state, PureState):
             return db_state.tensor(client_state)
-        return _tensor_ensemble(db_state, client_state)
+        return Ensemble.from_pure(db_state).tensor(client_state)
 
     def run(self, db=None, index: int = 1, *, input_state=None,
             keep_states: bool = True, probe_steps=()) -> ExecutionTranscript:
@@ -166,12 +166,6 @@ class QpirInstance:
         return decode_output(transcript, index,
                              output_register=self.output_register,
                              index_register=self.index_register)
-
-
-def _tensor_ensemble(prefix: PureState, ens: Ensemble) -> Ensemble:
-    layout = prefix.layout.extended(ens.layout.registers)
-    vecs = [np.multiply.outer(prefix.amplitudes, v).reshape(-1) for v in ens.vectors]
-    return Ensemble(layout, vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ Message passing is modeled as ownership relabeling, never data movement: a
 sent register is marked in transit for the snapshot taken right after the
 sending step and belongs to the receiver from the next step on.  Reference
 registers (any extra registers carried by the input state) are never touched
-by either program.
+by either program.  :class:`ExecutionTranscript` is the only reader of these
+owner tags; :meth:`ExecutionTranscript.server_view` is the server's view that
+every privacy analysis compares.
 
 Evolution is branch-wise over unnormalized pure amplitude vectors: a
 measurement multiplies branches and mixed inputs enter as ensembles of pure
@@ -234,10 +236,12 @@ class Ensemble:
             out.extend(op.apply_vectors([v], self.layout))
         return Ensemble(new_layout, out)
 
-    def tensor_pure(self, state: PureState) -> "Ensemble":
-        layout = self.layout.extended(state.layout.registers)
-        vecs = [np.multiply.outer(v, state.amplitudes).reshape(-1) for v in self.vectors]
-        return Ensemble(layout, vecs)
+    def tensor(self, other: "Ensemble") -> "Ensemble":
+        """Product ensemble; ``other``'s registers are appended to the layout
+        and the branches are ``a (x) b for a in self for b in other``."""
+        layout = self.layout.extended(other.layout.registers)
+        return Ensemble(layout, [np.multiply.outer(a, b).reshape(-1)
+                                 for a in self.vectors for b in other.vectors])
 
     def purity(self) -> float:
         g = np.array([[np.vdot(a, b) for b in self.vectors] for a in self.vectors])
@@ -283,14 +287,17 @@ class Ensemble:
         ]
 
     def probabilities(self, names) -> np.ndarray:
-        keep = self.layout.slots(names)
+        """Marginal outcome distribution of ``names``, indexed big-endian in
+        the given name order."""
+        order = self.layout.ordered_slots(names)
+        keep = sorted(order)
         total = self.layout.total_qubits
-        acc = np.zeros(1 << len(keep))
+        acc = np.zeros([2] * len(keep))
         drop = tuple(a for a in range(total) if a not in keep)
         for v in self.vectors:
             p = np.abs(v.reshape([2] * total)) ** 2
-            acc += (p.sum(axis=drop) if drop else p).reshape(-1)
-        return acc
+            acc += p.sum(axis=drop) if drop else p
+        return acc.transpose([keep.index(a) for a in order]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +318,18 @@ class StepRecord:
 
 
 class ExecutionTranscript:
-    """Per-step global states plus ownership and communication accounting."""
+    """Per-step global states plus ownership and communication accounting.
 
-    def __init__(self, spec, records, final, m_a, m_b, reference_registers):
+    This is the only reader of the owner tags: analyses ask for
+    :meth:`owned`, :meth:`in_transit` and :meth:`server_view`.
+    """
+
+    def __init__(self, spec, records, final, m_a, m_b):
         self.spec = spec
         self.records: tuple[StepRecord, ...] = tuple(records)
         self.final: Ensemble = final
         self.m_a = m_a
         self.m_b = m_b
-        self.reference_registers = tuple(reference_registers)
 
     @property
     def steps(self) -> int:
@@ -347,40 +357,32 @@ class ExecutionTranscript:
     def ownership(self, t: int) -> dict[str, str]:
         return dict(self.record(t).ownership)
 
-    def side_registers(self, t: int, party: str, *, include_reference: bool = True,
-                       include_transit: bool = True) -> tuple[str, ...]:
-        """Registers making up a party's view at step t, in layout order.
+    def _tagged(self, t: int, tags) -> tuple[str, ...]:
+        own = self.record(t).ownership
+        return tuple(n for n in self.ensemble(t).layout.names if own[n] in tags)
 
-        In-transit registers count toward the view on both parities: the
-        freshly sent message at an odd step and the incoming message at an
-        even step both sit with the adversary for analysis purposes.
-        """
-        rec = self.record(t)
-        own = rec.ownership
-        names = []
-        for n in self.ensemble(t).layout.names:
-            o = own.get(n, REFEREE)
-            if o == party:
-                names.append(n)
-            elif include_transit and o in (_TRANSIT_TO_CLIENT, _TRANSIT_TO_SERVER):
-                names.append(n)
-            elif include_reference and o == REFEREE and party == SERVER:
-                names.append(n)
-        return tuple(names)
+    def owned(self, t: int, party: str) -> tuple[str, ...]:
+        """Registers ``party`` holds at step t, in layout order."""
+        return self._tagged(t, (party,))
 
-    def view(self, t: int, party: str = SERVER, *, include_reference: bool = True) -> DensityOperator:
-        """Reduced state of a party's registers (plus in-transit messages,
-        plus the reference when requested) at step t."""
-        names = self.side_registers(t, party, include_reference=include_reference)
-        return self.ensemble(t).reduced(names)
+    def in_transit(self, t: int) -> tuple[str, ...]:
+        """Registers sent at step t and not yet received, in layout order."""
+        return self._tagged(t, (_TRANSIT_TO_CLIENT, _TRANSIT_TO_SERVER))
+
+    def server_view(self, t: int) -> Ensemble:
+        """The server's view at step t: its memory, the in-flight messages
+        and the reference, i.e. the step-t ensemble with the client's
+        registers traced out."""
+        client = self.owned(t, CLIENT)
+        ens = self.ensemble(t)
+        return ens.traced(client) if client else ens
 
     def reduced(self, t: int, names) -> DensityOperator:
         return self.ensemble(t).reduced(names)
 
 
 def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None, *,
-            reference_registers=(), keep_states: bool = True,
-            probe_steps=()) -> ExecutionTranscript:
+            keep_states: bool = True, probe_steps=()) -> ExecutionTranscript:
     """Run the protocol on an input over the declared input registers.
 
     The input may carry extra registers beyond the declared inputs; they are
@@ -405,9 +407,6 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
                 f"input register {name!r} has width {ens.layout.width(name)}, expected {w}"
             )
     refs = tuple(n for n in ens.layout.names if n not in declared)
-    undeclared = set(reference_registers) - set(refs)
-    if undeclared:
-        raise ProtocolShapeError(f"reference registers {sorted(undeclared)} not in input")
 
     owner: dict[str, str] = {}
     for n, _ in spec.server.input_registers:
@@ -418,7 +417,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
         owner[n] = REFEREE
     if spec.setup is not None:
         check_cap(ens.layout.total_qubits + spec.setup.layout.total_qubits, what="state")
-        ens = ens.tensor_pure(spec.setup)
+        ens = ens.tensor(Ensemble.from_pure(spec.setup))
         for n in spec.setup.layout.names:
             owner[n] = SERVER if n in spec.server.setup_registers else CLIENT
 
@@ -454,7 +453,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
             m_b += sent_width
         keep = keep_states or t in probe or t == 2 * s
         records.append(StepRecord(t, party, ens if keep else None, dict(owner), tuple(step.sends)))
-    return ExecutionTranscript(spec, records, ens, m_a, m_b, refs)
+    return ExecutionTranscript(spec, records, ens, m_a, m_b)
 
 
 def fold_setup_into_messages(spec: ProtocolSpec) -> ProtocolSpec:

@@ -14,6 +14,7 @@ from qpirlab.adversaries import (
     purified_honest,
     standard_inputs,
 )
+from qpirlab.channels import HadamardOp
 from qpirlab.distances import ensemble_trace_distance
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import ProtocolShapeError, execute
@@ -147,6 +148,15 @@ class TestMeter:
                            tuple([bad] * len(adv.recoveries)), adv.extra_registers)
         with pytest.raises(ProtocolShapeError, match="non-adversary"):
             measure_speciousness(k2, broken)
+
+    def test_recovery_reaches_in_flight_message_at_odd_steps_only(self, k2):
+        # q0 is sent A->B at step 1 and returned B->A at step 2
+        tr = k2.run(0b01, 1)
+        touch_q0 = Recovery(ops=(HadamardOp("q0"),))
+        assert "q0" in tr.in_transit(1) and "q0" in tr.in_transit(2)
+        apply_recovery(tr, 1, touch_q0)
+        with pytest.raises(ProtocolShapeError, match="non-adversary"):
+            apply_recovery(tr, 2, touch_q0)
 
     def test_report_carries_inventory(self, k2):
         report = measure_speciousness(k2, purified_honest(k2))

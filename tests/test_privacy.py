@@ -16,6 +16,7 @@ from qpirlab.privacy import (
     HonestSimulator,
     PrivacyReport,
     PrivacyRow,
+    TheoremSimulator,
     honest_simulator,
     is_measurement_free,
     privacy_lower_bound,
@@ -23,7 +24,7 @@ from qpirlab.privacy import (
     verify_theorem_bound,
 )
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
-from qpirlab.runtime import ProtocolShapeError
+from qpirlab.runtime import Ensemble, ProtocolShapeError
 from qpirlab.states import PureState, RegisterLayout
 
 
@@ -128,6 +129,16 @@ class TestTheoremSimulator:
                 sigma = sim.extract_anchor(x, state, t)
                 assert pure_trace_distance(base, sigma) <= 2 * math.sqrt(2 * gamma) + 1e-8
 
+    def test_simulated_view_is_the_server_view_layout(self, k2):
+        # the lossy simulator rebuilds the adversary's view: honest server
+        # registers plus the discarded ancillas
+        sim = theorem_simulator(k2, gamma_family(k2, 0.2, lossy=True), x0=0)
+        adv_tr = sim.adversary.run(k2.spec, k2.basis_input(0, 1))
+        for t in (2, 4):
+            view = sim.simulated_view(0, t)
+            assert isinstance(view, Ensemble)
+            assert set(view.layout.names) == set(adv_tr.server_view(t).layout.names)
+
     def test_requires_measurement_free(self):
         cx = build_counterexample(2)
         assert not is_measurement_free(cx.spec)
@@ -171,3 +182,10 @@ class TestCounterexampleSeparation:
         # pinned from the oracle run: the purified first execution leaks 1/2
         assert broken.eps_lower == pytest.approx(0.25, abs=1e-9)
         assert broken.eps_lower > 0.1
+
+
+def test_certificate_methods_bound_in_their_own_class_body():
+    # The benchmark's certificate span wraps ``cls.__dict__[name]``; a method
+    # inherited or assigned elsewhere would not be found there.
+    assert "epsilon_upper" in HonestSimulator.__dict__
+    assert "certify" in TheoremSimulator.__dict__

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pure
+from qpirlab.adversaries import standard_inputs
 from qpirlab.channels import CopyOp, HadamardOp, PrepareOp
 from qpirlab.distances import trace_distance
 from qpirlab.protocols import build_kerenidis, epr_pair_state
@@ -91,6 +92,51 @@ def test_ownership_partitions_layout():
         names = set(tr.ensemble(t).layout.names)
         assert set(own) >= names
         assert all(own[n] in ("A", "B", "R", "A->B", "B->A") for n in names)
+
+
+@pytest.mark.parametrize("label", ["x=01,i=1", "x=01,i-entangled"])
+def test_ownership_queries_partition_layout(label):
+    inst = build_kerenidis(2)
+    ins = next(i for i in standard_inputs(inst) if i.label == label)
+    tr = execute(inst.spec, ins.state)
+    for t in range(1, tr.steps + 1):
+        names = tr.ensemble(t).layout.names
+        parts = (tr.owned(t, "A"), tr.owned(t, "B"), tr.in_transit(t), ins.reference)
+        assert sorted(n for part in parts for n in part) == sorted(names)
+        for part in parts[:3]:
+            assert list(part) == [n for n in names if n in part]  # layout order
+        view = tr.server_view(t)
+        assert view.layout.names == tuple(n for n in names if n not in tr.owned(t, "B"))
+
+
+def test_in_transit_is_what_the_step_sent():
+    tr = build_kerenidis(2).run(0b01, 1)
+    assert [tr.in_transit(t) for t in range(1, 5)] == [("q0", "q1"), ("q0", "q1"), ("f",), ()]
+
+
+def test_ensemble_tensor_appends_registers_and_orders_branches():
+    a = Ensemble(RegisterLayout((("a", 1),)), [np.array([1, 0]), np.array([0, 1])])
+    b = Ensemble(RegisterLayout((("b", 1),)), [np.array([1, 1]), np.array([1, -1])])
+    ab = a.tensor(b)
+    assert ab.layout.names == ("a", "b")
+    want = [np.kron(x, y) for x in a.vectors for y in b.vectors]
+    for got, exp in zip(ab.vectors, want, strict=True):
+        np.testing.assert_array_equal(got, exp)
+
+
+def test_ensemble_probabilities_follow_name_order():
+    layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1)))
+    ens = Ensemble.from_pure(PureState.basis(layout, {"a": 1, "b": 0, "c": 1}))
+    np.testing.assert_array_equal(ens.probabilities(("a", "b")), [0, 0, 1, 0])
+    np.testing.assert_array_equal(ens.probabilities(("b", "a")), [0, 1, 0, 0])
+    rng = np.random.default_rng(5)
+    wide = RegisterLayout((("x", 2), ("y", 1), ("z", 2)))
+    vecs = rng.normal(size=(3, wide.dim)) + 1j * rng.normal(size=(3, wide.dim))
+    vecs /= np.linalg.norm(vecs)
+    mixed = Ensemble(wide, vecs)
+    for names in (("z", "x"), ("y", "z", "x"), ("x", "z")):
+        want = np.diag(mixed.reduced(names, ordered=True).matrix).real
+        np.testing.assert_allclose(mixed.probabilities(names), want, atol=1e-12)
 
 
 def test_determinism_bit_identical():
