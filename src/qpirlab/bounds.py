@@ -64,22 +64,50 @@ class GentleMeasurement:
     certificate: float  # sqrt(1 - probability)
 
 
+def _operator_root(lam: np.ndarray) -> np.ndarray:
+    """sqrt(L) of a Hermitian ``L`` after checking ``0 <= L <= I``.
+
+    A projector (``||L^2 - L||_F <= STATE_ATOL``, so every eigenvalue is 0
+    or 1) is its own root.  Otherwise eigenvalues within STATE_ATOL of 0 or 1
+    are snapped to it before the square root, so eigen-noise does not leak
+    outside the operator's range.
+    """
+    if np.linalg.norm(lam @ lam - lam) <= STATE_ATOL:
+        return lam
+    evals, evecs = np.linalg.eigh(lam)
+    if evals.min() < -STATE_ATOL or evals.max() > 1 + STATE_ATOL:
+        raise StateError("operator is not between 0 and the identity")
+    evals[np.abs(evals) <= STATE_ATOL] = 0.0
+    evals[np.abs(evals - 1.0) <= STATE_ATOL] = 1.0
+    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+
+
 def gentle_measure(rho: DensityOperator, operator: np.ndarray) -> GentleMeasurement:
     """Measure ``0 <= operator <= I`` on ``rho``; the post-measurement state
     sqrt(L) rho sqrt(L) / tr(L rho) stays within sqrt(1 - tr(L rho)) of the
-    original, and that certificate is asserted on every call."""
+    original, and that certificate is asserted on every call.
+
+    A ``rho`` that keeps a factor ``F`` yields the post-state from the
+    branches ``sqrt(L) F / sqrt(p)``, with ``p = ||sqrt(L) F||_F^2``.
+    """
     lam = np.asarray(operator, dtype=np.complex128)
-    if lam.shape != rho.matrix.shape:
+    if lam.shape != (rho.dimension, rho.dimension):
         raise StateError("operator dimension does not match the state")
-    evals, evecs = np.linalg.eigh(hermitize(lam))
-    if evals.min() < -STATE_ATOL or evals.max() > 1 + STATE_ATOL:
-        raise StateError("operator is not between 0 and the identity")
-    p = float(np.real(np.trace(lam @ rho.matrix)))
+    if np.max(np.abs(lam - lam.conj().T)) > STATE_ATOL:
+        raise StateError("operator is not Hermitian within tolerance")
+    lam = hermitize(lam)
+    root = _operator_root(lam)
+    if rho.factor is not None:
+        branches = root @ rho.factor
+        p = float(np.vdot(branches, branches).real)
+    else:
+        p = float(np.vdot(rho.matrix, lam).real)  # tr(L rho), both Hermitian
     if p <= 1e-14:
         raise StateError("measurement succeeds with probability 0")
-    sqrt_lam = (evecs * np.sqrt(np.clip(evals, 0.0, 1.0))) @ evecs.conj().T
-    post = DensityOperator(rho.dimension, sqrt_lam @ rho.matrix @ sqrt_lam / p,
-                           psd_checked=True)
+    if rho.factor is not None:
+        post = DensityOperator(rho.dimension, branches / math.sqrt(p), factored=True)
+    else:
+        post = DensityOperator(rho.dimension, root @ rho.matrix @ root / p)
     certificate = math.sqrt(max(0.0, 1.0 - p))
     achieved = trace_distance(post, rho)
     if achieved > certificate + CHECK_ATOL:

@@ -9,6 +9,12 @@ halved convention, so the factor matters.
 
 For pure states the halved distance reduces to
 ``sqrt(1 - |<a|b>|^2)``.
+
+Density operators built from branch vectors (``gram_reduce``,
+``DensityOperator.from_pure`` / ``from_ensemble``) keep a factor ``F`` with
+``rho = F F^dagger`` when their rank is below half the dimension; eigenvalues
+at or below 1e-14 are cut, so at most rank x 1e-14 of trace is dropped.
+``trace_distance`` of two such operators works in the span of the factors.
 """
 
 from __future__ import annotations
@@ -38,18 +44,17 @@ def gram_reduce(vectors, layout: RegisterLayout, keep) -> DensityOperator:
     """Reduced density operator on ``keep`` from unnormalized pure branches.
 
     The basis is the big-endian concatenation of the ``keep`` registers in
-    the order given.  Computes the Gram matrix directly from amplitudes
-    without materializing any global density operator.
+    the order given.  Each branch, viewed as a ``(2**k, rest)`` matrix, is a
+    block of columns of one factor ``F`` with ``rho = F F^dagger``; no global
+    density operator is materialized, and a low-rank result keeps its factor
+    (see :class:`DensityOperator`).
     """
     keep_slots = layout.ordered_slots(keep)
     k = len(keep_slots)
     check_reduced_cap(k)
     total = layout.total_qubits
-    g = np.zeros((1 << k, 1 << k), dtype=np.complex128)
-    for vec in vectors:
-        m = slots_to_front(vec, total, keep_slots)
-        g += m @ m.conj().T
-    return DensityOperator(1 << k, g, psd_checked=True)
+    f = np.hstack([slots_to_front(vec, total, keep_slots) for vec in vectors])
+    return DensityOperator(1 << k, f, factored=True)
 
 
 def partial_trace(state: PureState, keep) -> DensityOperator:
@@ -58,11 +63,21 @@ def partial_trace(state: PureState, keep) -> DensityOperator:
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Halved trace distance between two density operators."""
+    """Halved trace distance between two density operators.
+
+    When both operands keep a factor (rank below half the dimension) and
+    their ranks sum to less than the dimension, the distance is taken in the
+    span of the two factors by :func:`ensemble_trace_distance`.  Otherwise
+    it is half the absolute eigenvalue sum of the dense difference, which is
+    also the reference the factored path is tested against.
+    """
     if rho.dimension != sigma.dimension:
         raise StateError(
             f"dimension mismatch: {rho.dimension} vs {sigma.dimension}"
         )
+    fa, fb = rho.factor, sigma.factor
+    if fa is not None and fb is not None and fa.shape[1] + fb.shape[1] < rho.dimension:
+        return ensemble_trace_distance(fa.T, fb.T)
     diff = hermitize(rho.matrix - sigma.matrix)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 

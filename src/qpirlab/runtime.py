@@ -28,7 +28,8 @@ import numpy as np
 from .channels import ChannelOp, ChannelError, PrepareOp, op_from_descriptor
 from .config import check_cap, check_reduced_cap
 from .distances import gram_reduce
-from .states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError, slots_to_front
+from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, marginal,
+                     slots_to_front)
 
 __all__ = [
     "ProtocolShapeError",
@@ -289,15 +290,7 @@ class Ensemble:
     def probabilities(self, names) -> np.ndarray:
         """Marginal outcome distribution of ``names``, indexed big-endian in
         the given name order."""
-        order = self.layout.ordered_slots(names)
-        keep = sorted(order)
-        total = self.layout.total_qubits
-        acc = np.zeros([2] * len(keep))
-        drop = tuple(a for a in range(total) if a not in keep)
-        for v in self.vectors:
-            p = np.abs(v.reshape([2] * total)) ** 2
-            acc += p.sum(axis=drop) if drop else p
-        return acc.transpose([keep.index(a) for a in order]).reshape(-1)
+        return marginal(self.vectors, self.layout, names)
 
 
 # ---------------------------------------------------------------------------

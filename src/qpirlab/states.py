@@ -51,6 +51,20 @@ def slots_from_front(mat: np.ndarray, slots) -> np.ndarray:
     return np.ascontiguousarray(t).reshape(-1)
 
 
+def marginal(vectors, layout: RegisterLayout, names) -> np.ndarray:
+    """Outcome distribution of ``names`` summed over the pure branches
+    ``vectors`` on ``layout``, indexed big-endian in the given name order."""
+    order = layout.ordered_slots(names)
+    keep = sorted(order)
+    total = layout.total_qubits
+    acc = np.zeros([2] * len(keep))
+    drop = tuple(a for a in range(total) if a not in keep)
+    for v in vectors:
+        p = np.abs(v.reshape([2] * total)) ** 2
+        acc += p.sum(axis=drop) if drop else p
+    return acc.transpose([keep.index(a) for a in order]).reshape(-1)
+
+
 class LayoutError(ValueError):
     """Register layout is malformed or a named register is missing."""
 
@@ -252,13 +266,9 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.aligned_to(self.layout)))
 
     def probabilities(self, names) -> np.ndarray:
-        """Marginal outcome distribution of the named registers, in layout order."""
-        keep = self.layout.slots(names)
-        probs = np.abs(self.tensor_view) ** 2
-        drop = tuple(a for a in range(self.layout.total_qubits) if a not in keep)
-        if drop:
-            probs = probs.sum(axis=drop)
-        return probs.reshape(-1)
+        """Marginal outcome distribution of ``names``, indexed big-endian in
+        the given name order."""
+        return marginal([self.amplitudes], self.layout, names)
 
     # -- binary fixture format ----------------------------------------------
 
@@ -293,33 +303,74 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+# Eigenvalues at or below this are dropped when a density operator is
+# compressed or split into branches.
+_EIGEN_CUTOFF = 1e-14
+
+
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
-    ``psd_checked=True`` skips the eigenvalue scan for matrices that are
-    positive semidefinite by construction (Gram reductions, pure outer
-    products); Hermiticity and trace are always verified.
+    A dense ``matrix`` is checked for Hermiticity, unit trace and, by an
+    eigenvalue scan, positivity.  With ``factored=True``, ``matrix`` is
+    instead a ``(dimension, k)`` factor ``F`` whose columns are unnormalized
+    pure branches, and ``rho = F F^dagger`` is positive semidefinite by
+    construction; only its trace is checked.
+
+    A factor with fewer columns than the dimension is compressed once,
+    through the small Gram eigenproblem ``eigh(F^dagger F)``, to orthogonal
+    columns ``sqrt(lam) v``; eigenvalues at or below 1e-14 are dropped, so at
+    most rank x 1e-14 of trace is lost.  The compressed factor is kept as
+    ``factor`` when its rank is below ``dimension / 2``, and the dense
+    ``matrix`` is then formed only on first use.  Otherwise ``factor`` is
+    None and the matrix is dense from the start.
     """
 
-    __slots__ = ("dimension", "matrix")
+    __slots__ = ("dimension", "factor", "_matrix")
 
-    def __init__(self, dimension: int, matrix, *, psd_checked: bool = False):
+    def __init__(self, dimension: int, matrix, *, factored: bool = False):
         m = np.asarray(matrix, dtype=np.complex128)
         d = int(dimension)
-        if m.shape != (d, d):
-            raise StateError(f"matrix has shape {m.shape}, expected ({d}, {d})")
-        if np.max(np.abs(m - m.conj().T)) > STATE_ATOL:
-            raise StateError("matrix is not Hermitian within tolerance")
-        m = hermitize(m)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > STATE_ATOL:
-            raise StateError(f"trace {tr!r} is not 1 within {STATE_ATOL}")
-        m /= tr
-        if not psd_checked and np.min(np.linalg.eigvalsh(m)) < -STATE_ATOL:
-            raise StateError(f"matrix has an eigenvalue below -{STATE_ATOL}")
-        m.flags.writeable = False
         self.dimension = d
-        self.matrix = m
+        self.factor = None
+        self._matrix = None
+        if factored:
+            if m.ndim != 2 or m.shape[0] != d:
+                raise StateError(f"factor has shape {m.shape}, expected ({d}, k)")
+            tr = float(np.vdot(m, m).real)
+            if abs(tr - 1.0) > STATE_ATOL:
+                raise StateError(f"trace {tr!r} is not 1 within {STATE_ATOL}")
+            if m.shape[1] < d:
+                evals, evecs = np.linalg.eigh(m.conj().T @ m)
+                keep = evals > _EIGEN_CUTOFF * tr
+                if 2 * np.count_nonzero(keep) < d:
+                    f = m @ evecs[:, keep] / np.sqrt(tr)
+                    f.flags.writeable = False
+                    self.factor = f
+                    return
+            m = hermitize(m @ m.conj().T) / tr
+        else:
+            if m.shape != (d, d):
+                raise StateError(f"matrix has shape {m.shape}, expected ({d}, {d})")
+            if np.max(np.abs(m - m.conj().T)) > STATE_ATOL:
+                raise StateError("matrix is not Hermitian within tolerance")
+            m = hermitize(m)
+            tr = float(np.trace(m).real)
+            if abs(tr - 1.0) > STATE_ATOL:
+                raise StateError(f"trace {tr!r} is not 1 within {STATE_ATOL}")
+            m /= tr
+            if np.min(np.linalg.eigvalsh(m)) < -STATE_ATOL:
+                raise StateError(f"matrix has an eigenvalue below -{STATE_ATOL}")
+        m.flags.writeable = False
+        self._matrix = m
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = hermitize(self.factor @ self.factor.conj().T)
+            m.flags.writeable = False
+            self._matrix = m
+        return self._matrix
 
     def __repr__(self):
         return f"DensityOperator(dimension={self.dimension})"
@@ -338,23 +389,20 @@ class DensityOperator:
             if isinstance(state_or_vector, PureState)
             else np.asarray(state_or_vector, dtype=np.complex128)
         )
-        return cls(vec.size, np.outer(vec, vec.conj()), psd_checked=True)
+        return cls(vec.size, vec.reshape(-1, 1), factored=True)
 
     @classmethod
     def maximally_mixed(cls, dimension: int) -> "DensityOperator":
-        return cls(dimension, np.eye(dimension) / dimension, psd_checked=True)
+        return cls(dimension, np.eye(dimension) / np.sqrt(dimension), factored=True)
 
     @classmethod
     def from_ensemble(cls, vectors, dimension: int | None = None) -> "DensityOperator":
         """Density operator sum(v v^dagger) over unnormalized branch vectors."""
-        vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
+        vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
         if not vecs:
             raise StateError("empty ensemble")
         d = dimension if dimension is not None else vecs[0].size
-        m = np.zeros((d, d), dtype=np.complex128)
-        for v in vecs:
-            m += np.outer(v, v.conj())
-        return cls(d, m, psd_checked=True)
+        return cls(d, np.stack(vecs, axis=1), factored=True)
 
     @property
     def purity(self) -> float:
@@ -363,5 +411,7 @@ class DensityOperator:
     def branches(self) -> list[np.ndarray]:
         """Unnormalized pure branches ``sqrt(lam) v`` from the eigenpairs
         with ``lam > 1e-14``; their outer products sum back to the matrix."""
+        if self.factor is not None:
+            return list(np.ascontiguousarray(self.factor.T))
         evals, evecs = np.linalg.eigh(self.matrix)
-        return [np.sqrt(lam) * evecs[:, i] for i, lam in enumerate(evals) if lam > 1e-14]
+        return [np.sqrt(lam) * evecs[:, i] for i, lam in enumerate(evals) if lam > _EIGEN_CUTOFF]

@@ -60,6 +60,42 @@ class TestGentleMeasurement:
         with pytest.raises(StateError):
             gentle_measure(ket([1, 0]), np.diag([0.0, 1.0]))  # probability 0
 
+    def test_rejects_non_hermitian_operator(self):
+        # its Hermitian part is 0.5 I, but the operator itself is no effect
+        with pytest.raises(StateError, match="Hermitian"):
+            gentle_measure(ket([1, 0]), np.array([[0.5, 0.3], [-0.3, 0.5]]))
+
+    def test_projector_path_matches_eigh_path(self, rng):
+        # (1 - 1e-6) P is no projector, so it takes the eigh path, yet its
+        # post-state is exactly P rho P / tr(P rho), as for P itself
+        d = 64
+        for rank in (1, 3, 31):
+            rho = random_density(rng, d, rank=rank)
+            q = np.linalg.qr(rng.normal(size=(d, 20)) + 1j * rng.normal(size=(d, 20)))[0]
+            proj = q @ q.conj().T
+            for state in (rho, DensityOperator(d, rho.matrix)):  # factored and dense
+                fast = gentle_measure(state, proj)
+                slow = gentle_measure(state, (1 - 1e-6) * proj)
+                assert slow.probability == pytest.approx((1 - 1e-6) * fast.probability,
+                                                         rel=1e-12)
+                np.testing.assert_allclose(fast.post_state.matrix, slow.post_state.matrix,
+                                           rtol=0, atol=1e-12)
+                want = proj @ rho.matrix @ proj / fast.probability
+                np.testing.assert_allclose(fast.post_state.matrix, want, rtol=0, atol=1e-12)
+
+    def test_scaled_projector_post_state_is_exact(self, rng):
+        # eigenvalues of 0.5 P within STATE_ATOL of 0 are snapped to 0, so no
+        # eigen-noise leaks outside the range of P
+        d = 64
+        rho = random_density(rng, d, rank=3)
+        q = np.linalg.qr(rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32)))[0]
+        proj = q @ q.conj().T
+        out = gentle_measure(rho, 0.5 * proj)
+        p = float(np.real(np.trace(proj @ rho.matrix)))
+        assert out.probability == pytest.approx(0.5 * p, rel=1e-12)
+        np.testing.assert_allclose(out.post_state.matrix, proj @ rho.matrix @ proj / p,
+                                   rtol=0, atol=1e-12)
+
 
 class TestHelstrom:
     def test_orthogonal_pure(self):
@@ -127,7 +163,7 @@ class TestPgm:
             own = tr.record(tr.steps).ownership
             b_regs = [n for n in tr.final.layout.names if own.get(n) == "B"]
             by_bit2[d & 1].append(tr.final.reduced(b_regs, ordered=True).matrix)
-        ens = [(0.5, DensityOperator(8, 0.5 * (m[0] + m[1]), psd_checked=True))
+        ens = [(0.5, DensityOperator(8, 0.5 * (m[0] + m[1])))
                for m in (by_bit2[0], by_bit2[1])]
         out = pgm(ens)
         assert out.p_lower == pytest.approx(0.5, abs=1e-9)
@@ -179,6 +215,12 @@ class TestExtractionAttack:
                 assert bit.drift <= k * step + 1e-8
                 assert bit.drift <= prev + step + 1e-8
                 prev = bit.drift
+
+    def test_kerenidis_coherent_second_bit_drift_is_exact(self):
+        # the attacker's state after measuring the unqueried bit is at
+        # distance exactly 1/sqrt(2) from the run-1 state
+        tr = extraction_attack(build_kerenidis(2), "coherent-reference")
+        assert tr.bits[1].drift == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_coherent_needs_quantum_path(self):
         inst = build_kerenidis(2, database=(0, 1))

@@ -129,6 +129,17 @@ class TestTraceDistance:
                 trace_distance(ra, rb), abs=1e-10)
 
 
+    def test_factored_matches_dense_reference(self, rng):
+        for d in (4, 16, 64):
+            for _ in range(10):
+                ra, rb = rng.integers(1, d // 2, size=2)
+                a = random_density(rng, d, rank=int(ra))
+                b = random_density(rng, d, rank=int(rb))
+                assert a.factor is not None and b.factor is not None
+                want = trace_distance(DensityOperator(d, a.matrix), DensityOperator(d, b.matrix))
+                assert trace_distance(a, b) == pytest.approx(want, abs=1e-12)
+
+
 class TestPurify:
     def test_rank_one(self):
         out = purify(DensityOperator.from_pure([1, 0]))

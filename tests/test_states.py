@@ -35,6 +35,14 @@ def test_big_endian_indexing():
     assert state.amplitudes[0b101] == 1.0
 
 
+def test_pure_probabilities_follow_name_order():
+    layout = RegisterLayout((("a", 1), ("b", 1)))
+    state = PureState.basis(layout, {"a": 1, "b": 0})
+    np.testing.assert_array_equal(state.probabilities(("a", "b")), [0, 0, 1, 0])
+    np.testing.assert_array_equal(state.probabilities(("b", "a")), [0, 1, 0, 0])
+    np.testing.assert_array_equal(state.probabilities(("b",)), [1, 0])
+
+
 def test_norm_validation():
     layout = RegisterLayout((("a", 1),))
     with pytest.raises(StateError):
@@ -79,3 +87,25 @@ def test_density_from_ensemble():
     v1 = np.array([0, 1]) / np.sqrt(2)
     rho = DensityOperator.from_ensemble([v0, v1])
     np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+
+
+def test_factor_kept_only_below_half_the_dimension(rng):
+    d = 16
+    for rank in range(1, d + 3):
+        vecs = rng.normal(size=(rank, d)) + 1j * rng.normal(size=(rank, d))
+        rho = DensityOperator.from_ensemble(vecs / np.linalg.norm(vecs))
+        dense = sum(np.outer(v, v.conj()) for v in vecs) / np.linalg.norm(vecs) ** 2
+        np.testing.assert_allclose(rho.matrix, dense, rtol=0, atol=1e-14)
+        if rank < d // 2:
+            assert rho.factor.shape == (d, rank)
+        else:
+            assert rho.factor is None
+
+
+def test_factor_compresses_repeated_branches(rng):
+    v = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    vecs = np.concatenate([v, v, 2 * v]) / np.sqrt(6 * np.vdot(v, v).real)
+    rho = DensityOperator.from_ensemble(vecs)
+    assert rho.factor.shape == (8, 2)
+    back = sum(np.outer(b, b.conj()) for b in rho.branches())
+    np.testing.assert_allclose(back, rho.matrix, rtol=0, atol=1e-14)
