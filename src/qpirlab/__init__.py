@@ -10,9 +10,6 @@ from .channels import (
     InnerProductCnotOp,
     MeasureOp,
     PrepareOp,
-    apply_channel,
-    hadamard_transform,
-    inner_product_cnot,
 )
 from .distances import (
     partial_trace,

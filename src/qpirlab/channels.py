@@ -2,26 +2,31 @@
 
 Every op reports its ``kind`` (``isometry``, ``kraus-set`` or
 ``measurement``), the registers it reads and writes, and any registers it
-creates.  Application is branch-wise on unnormalized amplitude vectors so a
-measurement simply multiplies branches; total squared norm is conserved.
+creates.  :meth:`runtime.Ensemble.apply` is the one evolution engine: it
+hands its whole ``(B, dim)`` branch array to one ``apply_vectors(vectors,
+layout)`` call per op.  Every kernel takes that C-contiguous complex128
+array of unnormalized branches and returns a ``(B', dim')`` one, with the
+output rows in the order ``for row in vectors: for outcome or matrix``.  A
+measurement or Kraus set multiplies branches; total squared norm is
+conserved, and outputs at or below ``states.BRANCH_PRUNE`` are dropped.
 
 Ops apply through three kernel shapes, all under the big-endian convention
 of :mod:`qpirlab.states`:
 
 * XOR permutation: ``InnerProductCnotOp``, ``SelectCnotOp``,
   ``SelectFlipOp``, ``CnotOp``, ``CopyOp`` and ``SwapOp`` each supply only a
-  ``_flip(idx, layout)`` mask; the shared kernel gathers ``vec[idx ^ flip]``
-  through a cached index array;
+  ``_flip(idx, layout)`` mask; the shared kernel gathers
+  ``vectors[:, idx ^ flip]`` through a cached index array;
 * diagonal sign: ``SelectPhaseOp`` multiplies by a cached +-1 array;
-* local matrices on front-moved axes: ``RotateOp``, ``MeasureOp`` and
-  ``DenseOp`` bring their registers' axes to the front with
-  ``states.slots_to_front``, act on the resulting ``(2**k, rest)`` matrix
-  and move the axes back.  ``DenseOp`` covers anything else (general
-  isometries, Kraus sets, measurement operator sets), embedded as identity
-  on untouched registers.
+* local matrices on front-moved axes: ``RotateOp`` and ``DenseOp`` bring
+  their registers' axes to the front with ``states.slots_to_front``, act on
+  the resulting ``(B, 2**k, rest)`` array and move the axes back.
+  ``DenseOp`` covers anything else (general isometries, Kraus sets,
+  measurement operator sets), embedded as identity on untouched registers.
 
-``HadamardOp`` applies a butterfly per qubit and ``PrepareOp`` an outer
-product.  Every concrete op class binds ``apply_vectors(self, vectors,
+``HadamardOp`` applies a butterfly per qubit, ``PrepareOp`` an outer
+product, and ``MeasureOp`` repeats each branch once per observed label and
+zeroes the other labels in place.  Every concrete op class binds ``apply_vectors(self, vectors,
 layout)`` in its own class body (the XOR ops as ``apply_vectors =
 _apply_flip``), never by inheritance: per-kind instrumentation looks the
 method up in each class's ``__dict__``.
@@ -37,7 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import STATE_ATOL, check_cap, check_reduced_cap
-from .states import DensityOperator, PureState, RegisterLayout, slots_from_front, slots_to_front
+from .states import (PureState, RegisterLayout, nonzero_rows, slot_weights, slots_from_front,
+                     slots_to_front)
 
 __all__ = [
     "ChannelError",
@@ -54,14 +60,8 @@ __all__ = [
     "RotateOp",
     "PrepareOp",
     "MeasureOp",
-    "apply_channel",
-    "inner_product_cnot",
-    "hadamard_transform",
     "op_from_descriptor",
 ]
-
-# Branches with squared norm below this are dropped after a measurement.
-_BRANCH_PRUNE = 1e-24
 
 
 class ChannelError(ValueError):
@@ -154,8 +154,9 @@ class ChannelOp:
                 raise ChannelError(f"{type(self).__name__} would recreate register {name!r}")
         return layout.extended(self.creates) if self.creates else layout
 
-    def apply_vectors(self, vectors: list[np.ndarray], layout: RegisterLayout) -> list[np.ndarray]:
-        """Apply to unnormalized flat vectors; may multiply branches."""
+    def apply_vectors(self, vectors: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+        """Apply to a ``(B, dim)`` array of unnormalized branches; returns a
+        ``(B', dim')`` array and may multiply branches."""
         raise NotImplementedError
 
     def dense_operators(self, layout: RegisterLayout) -> tuple[list[np.ndarray], tuple[str, ...]]:
@@ -164,32 +165,15 @@ class ChannelOp:
         Returns the matrices and the register order defining their basis
         (big-endian concatenation of those registers' labels).  Guarded by
         the reduced-dimension cap; intended for validation and small-system
-        work, not the simulation hot path.
+        work, not the simulation hot path.  This default serves the
+        isometries, which map each basis row to one output row;
+        ``MeasureOp`` and ``DenseOp`` override it.
         """
         regs = tuple(self.touches)
-        widths = [(n, layout.width(n)) for n in regs]
-        local = RegisterLayout(tuple(widths))
+        local = RegisterLayout(tuple((n, layout.width(n)) for n in regs))
         check_reduced_cap(local.total_qubits + sum(w for _, w in self.creates))
-        din = local.dim
-        columns: list[list[np.ndarray]] = []
-        out_layout = None
-        for b in range(din):
-            vec = np.zeros(din, dtype=np.complex128)
-            vec[b] = 1.0
-            outs = self.apply_vectors([vec], local)
-            out_layout = self.output_layout(local)
-            columns.append(outs)
-        n_branch = len(columns[0])
-        if any(len(c) != n_branch for c in columns):
-            raise ChannelError("branch count varies across basis states; cannot densify")
-        dout = out_layout.dim
-        mats = []
-        for k in range(n_branch):
-            m = np.zeros((dout, din), dtype=np.complex128)
-            for b in range(din):
-                m[:, b] = columns[b][k]
-            mats.append(m)
-        return mats, regs + tuple(n for n, _ in self.creates)
+        cols = self.apply_vectors(np.eye(local.dim, dtype=np.complex128), local)
+        return [np.ascontiguousarray(cols.T)], regs + tuple(n for n, _ in self.creates)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -215,37 +199,35 @@ class HadamardOp(ChannelOp):
         return (self.register,)
 
     def apply_vectors(self, vectors, layout):
-        slots = layout.slots([self.register])
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        out = []
-        for vec in vectors:
-            v = vec.astype(np.complex128, copy=True)
-            for s in slots:
-                t = v.reshape(1 << s, 2, -1)
-                a = t[:, 0, :].copy()
-                t[:, 0, :] += t[:, 1, :]
-                t[:, 0, :] *= inv_sqrt2
-                t[:, 1, :] *= -1.0
-                t[:, 1, :] += a
-                t[:, 1, :] *= inv_sqrt2
-            out.append(v)
-        return out
+        v = vectors.copy()
+        for s in layout.slots([self.register]):
+            t = v.reshape(len(v), 1 << s, 2, layout.dim >> (s + 1))
+            a = t[:, :, 0].copy()
+            t[:, :, 0] += t[:, :, 1]
+            t[:, :, 0] *= inv_sqrt2
+            t[:, :, 1] *= -1.0
+            t[:, :, 1] += a
+            t[:, :, 1] *= inv_sqrt2
+        return v
 
     def descriptor(self):
         return {"op": "hadamard", "register": self.register}
 
 
 def _apply_flip(self, vectors, layout):
-    """The XOR-permutation kernel: gather ``vec[idx ^ flip]``, where the op's
-    ``_flip(idx, layout)`` gives the bits to flip at each flat index.  The
-    gather index is built once per (op, layout) and cached."""
+    """The XOR-permutation kernel: gather ``vectors[:, idx ^ flip]``, where
+    the op's ``_flip(idx, layout)`` gives the bits to flip at each flat
+    index.  The gather index is built once per (op, layout) and cached."""
 
     def build():
         idx = _index_array(layout.dim)
         return idx ^ self._flip(idx, layout)
 
     perm = _perm_cache.get(self, layout, build)
-    return [vec[perm] for vec in vectors]
+    # vectors[:, perm] reads the int32 index in place but is column-major for
+    # several rows; np.take gives C order but first copies the index to intp.
+    return vectors[:, perm] if len(vectors) == 1 else np.take(vectors, perm, axis=1)
 
 
 def _selected_bit(idx, layout, table, selector, fixed_value):
@@ -368,8 +350,7 @@ class SelectPhaseOp(ChannelOp):
         return 1.0 - 2.0 * _selected_bit(idx, layout, self.targets, self.selector, self.fixed_value)
 
     def apply_vectors(self, vectors, layout):
-        sign = _perm_cache.get(self, layout, lambda: self._build_sign(layout))
-        return [vec * sign for vec in vectors]
+        return vectors * _perm_cache.get(self, layout, lambda: self._build_sign(layout))
 
     def descriptor(self):
         return {"op": "select-phase", "selector": self.selector,
@@ -557,15 +538,12 @@ class RotateOp(ChannelOp):
             slots.insert(0, layout.qubit(*self.control))
         c = math.cos(self.theta / 2.0)
         s = math.sin(self.theta / 2.0)
-        out = []
-        for vec in vectors:
-            t = slots_to_front(vec, total, slots)
-            # rows 0/1 (uncontrolled) or 2/3 (control set) hold target 0/1
-            new = t.copy()
-            new[-2] = c * t[-2] - s * t[-1]
-            new[-1] = s * t[-2] + c * t[-1]
-            out.append(slots_from_front(new, slots))
-        return out
+        t = slots_to_front(vectors, total, slots)
+        # rows 0/1 (uncontrolled) or 2/3 (control set) hold target 0/1
+        new = t.copy()
+        new[:, -2] = c * t[:, -2] - s * t[:, -1]
+        new[:, -1] = s * t[:, -2] + c * t[:, -1]
+        return slots_from_front(new, slots)
 
     def descriptor(self):
         return {"op": "rotate", "target": list(self.target), "theta": self.theta,
@@ -618,7 +596,7 @@ class PrepareOp(ChannelOp):
     def apply_vectors(self, vectors, layout):
         prep = np.asarray(self.amplitudes, dtype=np.complex128)
         check_cap(layout.total_qubits + sum(w for _, w in self.registers), what="state")
-        return [np.multiply.outer(vec, prep).reshape(-1) for vec in vectors]
+        return np.multiply.outer(vectors, prep).reshape(len(vectors), layout.dim * prep.size)
 
     def descriptor(self):
         return {"op": "prepare", "registers": [[n, w] for n, w in self.registers],
@@ -648,27 +626,19 @@ class MeasureOp(ChannelOp):
     def apply_vectors(self, vectors, layout):
         total = layout.total_qubits
         slots = layout.slots([self.register])
-        out = []
-        for vec in vectors:
-            t = slots_to_front(vec, total, slots)
-            for x in range(t.shape[0]):
-                weight = float(np.vdot(t[x], t[x]).real)
-                if weight <= _BRANCH_PRUNE:
-                    continue
-                branch = np.zeros_like(t)
-                branch[x] = t[x]
-                out.append(slots_from_front(branch, slots))
+        rows, labels = nonzero_rows(slot_weights(vectors, total, slots))
+        # A register's slots are contiguous: view each output row as (before,
+        # label, after) and zero the other labels in place (peak = output).
+        out = vectors[rows]
+        w = len(slots)
+        view = out.reshape(len(out), 1 << slots[0], 1 << w, 1 << (total - slots[0] - w))
+        view *= (np.arange(1 << w) == labels[:, None])[:, None, :, None]
         return out
 
     def dense_operators(self, layout):
         w = layout.width(self.register)
         check_reduced_cap(w)
-        mats = []
-        for x in range(1 << w):
-            p = np.zeros((1 << w, 1 << w), dtype=np.complex128)
-            p[x, x] = 1.0
-            mats.append(p)
-        return mats, (self.register,)
+        return [np.diag(row) for row in np.eye(1 << w, dtype=np.complex128)], (self.register,)
 
     def descriptor(self):
         return {"op": "measure", "register": self.register}
@@ -745,15 +715,13 @@ class DenseOp(ChannelOp):
         if knew:
             check_cap(total + knew, what="state")
         dest = slots + list(range(total, total + knew))
-        out = []
-        for vec in vectors:
-            t = slots_to_front(vec, total, slots)
-            for m in self.matrices:
-                b = m @ t
-                if len(self.matrices) > 1 and float(np.vdot(b, b).real) <= _BRANCH_PRUNE:
-                    continue
-                out.append(slots_from_front(b, dest))
-        return out
+        # (B, m, dout, rest): one block per (branch, matrix), branch-major
+        blocks = np.matmul(np.stack(self.matrices), slots_to_front(vectors, total, slots)[:, None])
+        if len(self.matrices) > 1:
+            blocks = blocks[nonzero_rows((np.abs(blocks) ** 2).sum(axis=(2, 3)))]
+        else:
+            blocks = blocks[:, 0]
+        return slots_from_front(blocks, dest)
 
     def dense_operators(self, layout):
         return list(self.matrices), self.registers + tuple(n for n, _ in self.created)
@@ -766,54 +734,8 @@ class DenseOp(ChannelOp):
 
 
 # ---------------------------------------------------------------------------
-# application and module-level helpers
+# descriptors
 # ---------------------------------------------------------------------------
-
-
-def apply_channel(state, op: ChannelOp, *, layout: RegisterLayout | None = None):
-    """Apply ``op`` embedded as identity on untouched registers.
-
-    A ``PureState`` stays pure under an isometry (possibly with an enlarged
-    layout) and becomes a ``DensityOperator`` under a branching operation.
-    A ``DensityOperator`` input needs its register ``layout`` and evolves by
-    eigendecomposition into pure branches.
-    """
-    if isinstance(state, PureState):
-        out_layout = op.output_layout(state.layout)
-        branches = op.apply_vectors([state.amplitudes.copy()], state.layout)
-        total = sum(float(np.vdot(b, b).real) for b in branches)
-        if abs(total - 1.0) > 1e-8:
-            raise ChannelError(f"operation does not conserve norm (total {total!r})")
-        if len(branches) == 1 and op.kind == "isometry":
-            return PureState(out_layout, branches[0])
-        if len(branches) == 1 and abs(float(np.vdot(branches[0], branches[0]).real) - 1.0) <= STATE_ATOL:
-            return PureState(out_layout, branches[0])
-        check_reduced_cap(out_layout.total_qubits)
-        return DensityOperator.from_ensemble(branches, out_layout.dim)
-    if isinstance(state, DensityOperator):
-        if layout is None:
-            raise ChannelError("a register layout is required for density-operator inputs")
-        if layout.dim != state.dimension:
-            raise ChannelError("layout dimension does not match the density operator")
-        out_layout = op.output_layout(layout)
-        out_vectors: list[np.ndarray] = []
-        for v in state.branches():
-            out_vectors.extend(op.apply_vectors([v], layout))
-        return DensityOperator.from_ensemble(out_vectors, out_layout.dim)
-    raise ChannelError(f"cannot apply a channel to {type(state).__name__}")
-
-
-def inner_product_cnot(state: PureState, source: str, mask: str, target: str) -> PureState:
-    """CNOT the target register's qubit 0 with ``source . mask`` (mod 2)."""
-    if state.layout.width(target) != 1:
-        raise ChannelError(f"target register {target!r} must have width 1")
-    op = InnerProductCnotOp(source=source, target=target, mask=mask)
-    return apply_channel(state, op)
-
-
-def hadamard_transform(state: PureState, register: str) -> PureState:
-    """Qubit-wise Hadamard transform of one register."""
-    return apply_channel(state, HadamardOp(register))
 
 
 _OP_CLASSES = {

@@ -40,8 +40,9 @@ __all__ = [
 ]
 
 
-def gram_reduce(vectors, layout: RegisterLayout, keep) -> DensityOperator:
-    """Reduced density operator on ``keep`` from unnormalized pure branches.
+def gram_reduce(vectors: np.ndarray, layout: RegisterLayout, keep) -> DensityOperator:
+    """Reduced density operator on ``keep`` from a ``(B, dim)`` array of
+    unnormalized pure branches.
 
     The basis is the big-endian concatenation of the ``keep`` registers in
     the order given.  Each branch, viewed as a ``(2**k, rest)`` matrix, is a
@@ -52,14 +53,15 @@ def gram_reduce(vectors, layout: RegisterLayout, keep) -> DensityOperator:
     keep_slots = layout.ordered_slots(keep)
     k = len(keep_slots)
     check_reduced_cap(k)
-    total = layout.total_qubits
-    f = np.hstack([slots_to_front(vec, total, keep_slots) for vec in vectors])
+    t = slots_to_front(vectors, layout.total_qubits, keep_slots)
+    # F is (2**k, B * rest); branch b fills columns [b * rest, (b + 1) * rest)
+    f = t.transpose(1, 0, 2).reshape(1 << k, -1)
     return DensityOperator(1 << k, f, factored=True)
 
 
 def partial_trace(state: PureState, keep) -> DensityOperator:
     """Trace out everything but ``keep`` (kept registers in layout order)."""
-    return gram_reduce([state.amplitudes], state.layout, state.layout.subset(keep).names)
+    return gram_reduce(state.amplitudes[None], state.layout, state.layout.subset(keep).names)
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -219,6 +221,6 @@ def trace_in_extraction(alpha: PureState, phi: PureState) -> tuple[PureState, fl
         )
     beta_layout = RegisterLayout(tuple((n, alpha.layout.width(n)) for n in y_names))
     beta = PureState.from_vector(beta_layout, proj / math.sqrt(p0))
-    eps = trace_distance(gram_reduce([alpha.amplitudes], alpha.layout, x_names),
+    eps = trace_distance(gram_reduce(alpha.amplitudes[None], alpha.layout, x_names),
                          DensityOperator.from_pure(phi_vec))
     return beta, math.sqrt(max(eps, 0.0))

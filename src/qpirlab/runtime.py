@@ -13,9 +13,10 @@ by either program.  :class:`ExecutionTranscript` is the only reader of these
 owner tags; :meth:`ExecutionTranscript.server_view` is the server's view that
 every privacy analysis compares.
 
-Evolution is branch-wise over unnormalized pure amplitude vectors: a
-measurement multiplies branches and mixed inputs enter as ensembles of pure
-branches, so the pure statevector path is the only evolution engine.
+Evolution runs on one ``(B, dim)`` array of unnormalized pure branches
+(:class:`Ensemble`): a measurement multiplies branches and mixed inputs
+enter as ensembles of pure branches, so :meth:`Ensemble.apply` is the only
+evolution engine.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .channels import ChannelOp, ChannelError, PrepareOp, op_from_descriptor
 from .config import check_cap, check_reduced_cap
 from .distances import gram_reduce
 from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, marginal,
-                     slots_to_front)
+                     nonzero_rows, slots_to_front)
 
 __all__ = [
     "ProtocolShapeError",
@@ -196,20 +197,26 @@ def communication(spec: ProtocolSpec) -> CommunicationBill:
 
 
 class Ensemble:
-    """A mixed state as unnormalized pure branches over one layout."""
+    """A mixed state as unnormalized pure branches over one layout.
+
+    ``vectors`` is one C-contiguous ``(B, dim)`` complex128 array: row ``b``
+    is branch ``b``'s flat amplitude vector under the big-endian convention
+    of :mod:`qpirlab.states`, and the state is the sum of the rows' outer
+    products.  Every method acts on the whole array at once.
+    """
 
     __slots__ = ("layout", "vectors")
 
     def __init__(self, layout: RegisterLayout, vectors):
+        vecs = np.ascontiguousarray(vectors, dtype=np.complex128)
+        if vecs.ndim != 2 or vecs.shape[1] != layout.dim:
+            raise StateError(f"branch array has shape {vecs.shape}, expected (B, {layout.dim})")
         self.layout = layout
-        self.vectors = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        for v in self.vectors:
-            if v.size != layout.dim:
-                raise StateError("branch vector does not match the layout")
+        self.vectors = vecs
 
     @classmethod
     def from_pure(cls, state: PureState) -> "Ensemble":
-        return cls(state.layout, [state.amplitudes])
+        return cls(state.layout, state.amplitudes[None])
 
     @classmethod
     def from_density(cls, layout: RegisterLayout, rho: DensityOperator) -> "Ensemble":
@@ -219,7 +226,7 @@ class Ensemble:
 
     @property
     def weight(self) -> float:
-        return float(sum(np.vdot(v, v).real for v in self.vectors))
+        return float(np.vdot(self.vectors, self.vectors).real)
 
     @property
     def is_pure(self) -> bool:
@@ -232,21 +239,18 @@ class Ensemble:
 
     def apply(self, op: ChannelOp) -> "Ensemble":
         new_layout = op.output_layout(self.layout)
-        out: list[np.ndarray] = []
-        for v in self.vectors:
-            out.extend(op.apply_vectors([v], self.layout))
-        return Ensemble(new_layout, out)
+        return Ensemble(new_layout, op.apply_vectors(self.vectors, self.layout))
 
     def tensor(self, other: "Ensemble") -> "Ensemble":
         """Product ensemble; ``other``'s registers are appended to the layout
         and the branches are ``a (x) b for a in self for b in other``."""
         layout = self.layout.extended(other.layout.registers)
-        return Ensemble(layout, [np.multiply.outer(a, b).reshape(-1)
-                                 for a in self.vectors for b in other.vectors])
+        prod = self.vectors[:, None, :, None] * other.vectors[None, :, None, :]
+        return Ensemble(layout, prod.reshape(-1, layout.dim))
 
     def purity(self) -> float:
-        g = np.array([[np.vdot(a, b) for b in self.vectors] for a in self.vectors])
-        return float(np.sum(np.abs(g) ** 2).real)
+        g = self.vectors.conj() @ self.vectors.T
+        return float(np.sum(np.abs(g) ** 2))
 
     def reduced(self, names, *, ordered: bool = False) -> DensityOperator:
         """Reduced density operator on ``names``.
@@ -262,30 +266,27 @@ class Ensemble:
         check_reduced_cap(self.layout.total_qubits)
         return DensityOperator.from_ensemble(self.vectors, self.layout.dim)
 
-    def traced(self, names, *, prune: float = 1e-24) -> "Ensemble":
-        """Ensemble over the remaining registers after discarding ``names``."""
-        drop = self.layout.slots(names)
-        total = self.layout.total_qubits
-        new_layout = self.layout.without(names)
-        out = []
-        for vec in self.vectors:
-            for row in slots_to_front(vec, total, drop):
-                if float(np.vdot(row, row).real) > prune:
-                    out.append(np.ascontiguousarray(row))
-        return Ensemble(new_layout, out)
+    def traced(self, names) -> "Ensemble":
+        """Ensemble over the remaining registers after discarding ``names``:
+        one branch per (branch, discarded label) pair above
+        ``states.BRANCH_PRUNE``."""
+        t = slots_to_front(self.vectors, self.layout.total_qubits, self.layout.slots(names))
+        kept = t[nonzero_rows((np.abs(t) ** 2).sum(axis=2))]
+        return Ensemble(self.layout.without(names), kept)
 
-    def aligned_vectors(self, names) -> list[np.ndarray]:
-        """Branch vectors permuted to the given register-name order."""
-        if tuple(names) == self.layout.names:
-            return list(self.vectors)
+    def aligned_vectors(self, names) -> np.ndarray:
+        """Branch array permuted to the given register-name order, which
+        must be a permutation of the layout's names."""
+        names = tuple(names)
+        if names == self.layout.names:
+            return self.vectors
+        if sorted(names) != sorted(self.layout.names):
+            raise LayoutError(
+                f"alignment order {names} is not a permutation of the layout {self.layout.names}"
+            )
         perm = self.layout.ordered_slots(names)
-        if len(perm) != self.layout.total_qubits:
-            raise LayoutError("alignment must cover every register")
-        total = self.layout.total_qubits
-        return [
-            np.ascontiguousarray(v.reshape([2] * total).transpose(perm)).reshape(-1)
-            for v in self.vectors
-        ]
+        t = slots_to_front(self.vectors, self.layout.total_qubits, perm)
+        return t.reshape(len(self.vectors), self.layout.dim)
 
     def probabilities(self, names) -> np.ndarray:
         """Marginal outcome distribution of ``names``, indexed big-endian in
@@ -339,11 +340,6 @@ class ExecutionTranscript:
             raise StateError(f"step {t} was not retained (streaming run)")
         return rec.ensemble
 
-    def state(self, t: int):
-        """The global state at step t: PureState if pure, else DensityOperator."""
-        ens = self.ensemble(t)
-        return ens.to_pure() if ens.is_pure else ens.density()
-
     def purity(self, t: int) -> float:
         return self.ensemble(t).purity()
 
@@ -386,11 +382,11 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
     declared = {n: w for n, w in (*spec.server.input_registers, *spec.client.input_registers)}
 
     if input_state is None:
-        ens = Ensemble(RegisterLayout(()), [np.ones(1, dtype=np.complex128)])
+        ens = Ensemble(RegisterLayout(()), np.ones((1, 1), dtype=np.complex128))
     elif isinstance(input_state, PureState):
         ens = Ensemble.from_pure(input_state)
     else:
-        ens = Ensemble(input_state.layout, [v.copy() for v in input_state.vectors])
+        ens = Ensemble(input_state.layout, input_state.vectors.copy())
 
     for name, w in declared.items():
         if not ens.layout.has(name):

@@ -28,41 +28,60 @@ __all__ = [
 ]
 
 
-def slots_to_front(vec: np.ndarray, total: int, slots) -> np.ndarray:
-    """View a flat amplitude vector as a ``(2**k, rest)`` matrix.
+# Branches with squared norm at or below this are dropped wherever branches
+# multiply: measurement outcomes, Kraus outputs and traced-out labels.
+BRANCH_PRUNE = 1e-24
 
-    Row ``r`` holds the amplitudes whose bits at the ``k`` qubit ``slots``
-    spell ``r`` big-endian, in the order the slots are given; the columns
-    keep the remaining slots in layout order.
+
+def slots_to_front(vectors: np.ndarray, total: int, slots) -> np.ndarray:
+    """View a ``(B, 2**total)`` branch array as ``(B, 2**k, rest)``.
+
+    Row ``r`` of branch ``b`` holds the amplitudes whose bits at the ``k``
+    qubit ``slots`` spell ``r`` big-endian, in the order the slots are
+    given; the columns keep the remaining slots in layout order.
     """
-    k = len(slots)
-    return np.moveaxis(vec.reshape([2] * total), slots, range(k)).reshape(1 << k, -1)
+    b, k = len(vectors), len(slots)
+    t = np.moveaxis(vectors.reshape([b] + [2] * total), [s + 1 for s in slots], range(1, k + 1))
+    return t.reshape(b, 1 << k, 1 << (total - k))
 
 
 def slots_from_front(mat: np.ndarray, slots) -> np.ndarray:
-    """Inverse of :func:`slots_to_front`: a contiguous flat vector whose row
-    bits return to ``slots``.
+    """Inverse of :func:`slots_to_front`: a contiguous ``(B, dim)`` array
+    whose row bits return to ``slots``.
 
     The row count may exceed the one it was taken with; slots at or past the
     input width then name qubits appended to the layout.
     """
-    total = mat.size.bit_length() - 1
-    t = np.moveaxis(mat.reshape([2] * total), range(len(slots)), slots)
-    return np.ascontiguousarray(t).reshape(-1)
+    b = mat.shape[0]
+    total = (mat.shape[1] * mat.shape[2]).bit_length() - 1
+    t = np.moveaxis(mat.reshape([b] + [2] * total), range(1, len(slots) + 1),
+                    [s + 1 for s in slots])
+    return np.ascontiguousarray(t).reshape(b, 1 << total)
 
 
-def marginal(vectors, layout: RegisterLayout, names) -> np.ndarray:
-    """Outcome distribution of ``names`` summed over the pure branches
-    ``vectors`` on ``layout``, indexed big-endian in the given name order."""
-    order = layout.ordered_slots(names)
-    keep = sorted(order)
-    total = layout.total_qubits
-    acc = np.zeros([2] * len(keep))
-    drop = tuple(a for a in range(total) if a not in keep)
-    for v in vectors:
-        p = np.abs(v.reshape([2] * total)) ** 2
-        acc += p.sum(axis=drop) if drop else p
-    return acc.transpose([keep.index(a) for a in order]).reshape(-1)
+def slot_weights(vectors: np.ndarray, total: int, slots) -> np.ndarray:
+    """``(B, 2**k)`` squared norms of the rows of
+    ``slots_to_front(vectors, total, slots)``, summed in place without
+    moving the amplitudes."""
+    keep = sorted(slots)
+    b = len(vectors)
+    p = np.abs(vectors.reshape([b] + [2] * total)) ** 2
+    drop = tuple(a + 1 for a in range(total) if a not in keep)
+    p = p.sum(axis=drop) if drop else p
+    return p.transpose([0] + [1 + keep.index(s) for s in slots]).reshape(b, 1 << len(slots))
+
+
+def nonzero_rows(weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row-major indices of the branch ``weights`` (squared norms) above
+    :data:`BRANCH_PRUNE`; the lighter branches are dropped."""
+    return np.nonzero(weights > BRANCH_PRUNE)
+
+
+def marginal(vectors: np.ndarray, layout: RegisterLayout, names) -> np.ndarray:
+    """Outcome distribution of ``names`` summed over the ``(B, dim)`` pure
+    branches ``vectors`` on ``layout``, indexed big-endian in the given name
+    order."""
+    return slot_weights(vectors, layout.total_qubits, layout.ordered_slots(names)).sum(axis=0)
 
 
 class LayoutError(ValueError):
@@ -166,9 +185,6 @@ class RegisterLayout:
     def extended(self, new_registers) -> "RegisterLayout":
         return RegisterLayout(self.registers + tuple(new_registers))
 
-    def renamed(self, mapping: dict[str, str]) -> "RegisterLayout":
-        return RegisterLayout(tuple((mapping.get(n, n), w) for n, w in self.registers))
-
     def basis_index(self, assignment: dict[str, int] | None = None) -> int:
         """Flat amplitude index of the basis state with the given labels.
 
@@ -242,10 +258,6 @@ class PureState:
 
     # -- views and helpers --------------------------------------------------
 
-    @property
-    def tensor_view(self) -> np.ndarray:
-        return self.amplitudes.reshape([2] * self.layout.total_qubits)
-
     def aligned_to(self, layout: RegisterLayout) -> np.ndarray:
         """Amplitudes permuted to another ordering of the same registers."""
         if layout.registers == self.layout.registers:
@@ -255,7 +267,7 @@ class PureState:
                 f"layouts hold different registers: {self.layout.names} vs {layout.names}"
             )
         perm = self.layout.ordered_slots(layout.names)
-        return np.ascontiguousarray(self.tensor_view.transpose(perm)).reshape(-1)
+        return slots_to_front(self.amplitudes[None], self.layout.total_qubits, perm).reshape(-1)
 
     def reordered(self, names) -> "PureState":
         target = RegisterLayout(tuple((n, self.layout.width(n)) for n in names))
@@ -268,7 +280,7 @@ class PureState:
     def probabilities(self, names) -> np.ndarray:
         """Marginal outcome distribution of ``names``, indexed big-endian in
         the given name order."""
-        return marginal([self.amplitudes], self.layout, names)
+        return marginal(self.amplitudes[None], self.layout, names)
 
     # -- binary fixture format ----------------------------------------------
 
@@ -384,12 +396,8 @@ class DensityOperator:
 
     @classmethod
     def from_pure(cls, state_or_vector) -> "DensityOperator":
-        vec = (
-            state_or_vector.amplitudes
-            if isinstance(state_or_vector, PureState)
-            else np.asarray(state_or_vector, dtype=np.complex128)
-        )
-        return cls(vec.size, vec.reshape(-1, 1), factored=True)
+        vec = getattr(state_or_vector, "amplitudes", state_or_vector)
+        return cls.from_ensemble(np.asarray(vec, dtype=np.complex128).reshape(1, -1))
 
     @classmethod
     def maximally_mixed(cls, dimension: int) -> "DensityOperator":
@@ -397,21 +405,24 @@ class DensityOperator:
 
     @classmethod
     def from_ensemble(cls, vectors, dimension: int | None = None) -> "DensityOperator":
-        """Density operator sum(v v^dagger) over unnormalized branch vectors."""
-        vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        if not vecs:
-            raise StateError("empty ensemble")
-        d = dimension if dimension is not None else vecs[0].size
-        return cls(d, np.stack(vecs, axis=1), factored=True)
+        """Density operator sum(v v^dagger) over the rows of a ``(B, dim)``
+        array of unnormalized branch vectors."""
+        vecs = np.asarray(vectors, dtype=np.complex128)
+        if vecs.ndim != 2 or not len(vecs):
+            raise StateError(f"branch array has shape {vecs.shape}, expected (B, dim)")
+        d = dimension if dimension is not None else vecs.shape[1]
+        return cls(d, np.ascontiguousarray(vecs.T), factored=True)
 
     @property
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def branches(self) -> list[np.ndarray]:
-        """Unnormalized pure branches ``sqrt(lam) v`` from the eigenpairs
-        with ``lam > 1e-14``; their outer products sum back to the matrix."""
+    def branches(self) -> np.ndarray:
+        """``(k, dim)`` unnormalized pure branches ``sqrt(lam) v`` from the
+        eigenpairs with ``lam > 1e-14``; their outer products sum back to the
+        matrix."""
         if self.factor is not None:
-            return list(np.ascontiguousarray(self.factor.T))
+            return np.ascontiguousarray(self.factor.T)
         evals, evecs = np.linalg.eigh(self.matrix)
-        return [np.sqrt(lam) * evecs[:, i] for i, lam in enumerate(evals) if lam > _EIGEN_CUTOFF]
+        keep = evals > _EIGEN_CUTOFF
+        return np.ascontiguousarray((np.sqrt(evals[keep]) * evecs[:, keep]).T)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,9 @@ from qpirlab.channels import (
     SelectCnotOp,
     SelectPhaseOp,
     SwapOp,
-    apply_channel,
-    hadamard_transform,
-    inner_product_cnot,
     op_from_descriptor,
 )
+from qpirlab.runtime import Ensemble
 from qpirlab.states import DensityOperator, PureState, RegisterLayout
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -27,7 +27,7 @@ H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 def test_hadamard_on_zero():
     state = PureState.basis(RegisterLayout((("a", 1),)))
-    out = apply_channel(state, DenseOp((H,), ("a",)))
+    out = Ensemble.from_pure(state).apply(DenseOp((H,), ("a",))).to_pure()
     np.testing.assert_allclose(out.amplitudes, [2**-0.5, 2**-0.5], atol=1e-12)
 
 
@@ -35,18 +35,20 @@ def test_identity_kraus_on_density(rng):
     layout = RegisterLayout((("a", 2),))
     rho = DensityOperator.maximally_mixed(4)
     op = DenseOp((np.eye(4),), ("a",), operation_kind="kraus-set")
-    out = apply_channel(rho, op, layout=layout)
+    out = Ensemble.from_density(layout, rho).apply(op).density()
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
 
 def test_inner_product_cnot_examples():
     layout = RegisterLayout((("r", 2), ("q", 1)))
     s = PureState.basis(layout, {"r": 0b11})
-    out = inner_product_cnot(s, "r", "01", "q")
+    op = InnerProductCnotOp(source="r", target="q", mask="01")
+    out = Ensemble.from_pure(s).apply(op).to_pure()
     assert out.amplitudes[layout.basis_index({"r": 0b11, "q": 1})] == pytest.approx(1)
 
     s = PureState.basis(layout, {"r": 0b10})
-    out = inner_product_cnot(s, "r", "01", "q")
+    op = InnerProductCnotOp(source="r", target="q", mask="01")
+    out = Ensemble.from_pure(s).apply(op).to_pure()
     assert out.amplitudes[layout.basis_index({"r": 0b10, "q": 0})] == pytest.approx(1)
 
     # (|00> + |11>)/sqrt2 (x) |0>, mask 11 -> unchanged (1*1 xor 1*1 = 0)
@@ -54,14 +56,16 @@ def test_inner_product_cnot_examples():
     v[layout.basis_index({"r": 0b00})] = 2**-0.5
     v[layout.basis_index({"r": 0b11})] = 2**-0.5
     s = PureState.from_vector(layout, v)
-    out = inner_product_cnot(s, "r", "11", "q")
+    op = InnerProductCnotOp(source="r", target="q", mask="11")
+    out = Ensemble.from_pure(s).apply(op).to_pure()
     np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
 
 
 def test_inner_product_cnot_zero_mask_fixes_state(rng):
     layout = RegisterLayout((("r", 2), ("q", 1)))
     s = random_pure(rng, layout)
-    out = inner_product_cnot(s, "r", "00", "q")
+    op = InnerProductCnotOp(source="r", target="q", mask="00")
+    out = Ensemble.from_pure(s).apply(op).to_pure()
     np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
 
 
@@ -69,7 +73,7 @@ def test_inner_product_cnot_width_mismatch():
     layout = RegisterLayout((("r", 2), ("q", 1)))
     s = PureState.basis(layout)
     with pytest.raises(ChannelError):
-        inner_product_cnot(s, "r", "011", "q")
+        Ensemble.from_pure(s).apply(InnerProductCnotOp(source="r", target="q", mask="011"))
 
 
 def test_inner_product_register_mask():
@@ -78,8 +82,8 @@ def test_inner_product_register_mask():
     for r in range(4):
         for d in range(4):
             s = PureState.basis(layout, {"r": r, "d": d})
-            out = apply_channel(
-                s, InnerProductCnotOp(source="r", target="q", mask_register="d"))
+            out = Ensemble.from_pure(s).apply(
+                InnerProductCnotOp(source="r", target="q", mask_register="d")).to_pure()
             par = ((r >> 1) & (d >> 1)) ^ (r & d & 1)
             idx = layout.basis_index({"r": r, "d": d, "q": par})
             assert abs(out.amplitudes[idx]) == pytest.approx(1)
@@ -88,11 +92,11 @@ def test_inner_product_register_mask():
 def test_hadamard_transform_examples(rng):
     layout = RegisterLayout((("r", 3),))
     s = PureState.basis(layout)
-    out = hadamard_transform(s, "r")
+    out = Ensemble.from_pure(s).apply(HadamardOp("r")).to_pure()
     np.testing.assert_allclose(out.amplitudes, np.full(8, 8**-0.5), atol=1e-12)
     # involution
     s = random_pure(rng, layout)
-    twice = hadamard_transform(hadamard_transform(s, "r"), "r")
+    twice = Ensemble.from_pure(s).apply(HadamardOp("r")).apply(HadamardOp("r")).to_pure()
     np.testing.assert_allclose(twice.amplitudes, s.amplitudes, atol=1e-10)
 
 
@@ -106,7 +110,7 @@ def test_hadamard_shifted_entangled_pair(d):
         par = bin(r & d).count("1") & 1
         v[layout.basis_index({"R": r, "Rp": r})] = (-1) ** par / 2
     s = PureState.from_vector(layout, v)
-    out = hadamard_transform(hadamard_transform(s, "R"), "Rp")
+    out = Ensemble.from_pure(s).apply(HadamardOp("R")).apply(HadamardOp("Rp")).to_pure()
     want = np.zeros(16, dtype=complex)
     for y in range(4):
         want[layout.basis_index({"R": y, "Rp": y ^ d})] = 0.5
@@ -116,7 +120,7 @@ def test_hadamard_shifted_entangled_pair(d):
 def test_measure_branches_to_density():
     layout = RegisterLayout((("a", 1), ("b", 1)))
     bell = PureState.from_vector(layout, np.array([1, 0, 0, 1]) / np.sqrt(2))
-    out = apply_channel(bell, MeasureOp("a"))
+    out = Ensemble.from_pure(bell).apply(MeasureOp("a")).density()
     assert isinstance(out, DensityOperator)
     want = np.zeros((4, 4))
     want[0, 0] = want[3, 3] = 0.5
@@ -126,7 +130,7 @@ def test_measure_branches_to_density():
 def test_prepare_appends_registers():
     layout = RegisterLayout((("a", 1),))
     s = PureState.basis(layout, {"a": 1})
-    out = apply_channel(s, PrepareOp.zeros((("anc", 2),)))
+    out = Ensemble.from_pure(s).apply(PrepareOp.zeros((("anc", 2),))).to_pure()
     assert out.layout.names == ("a", "anc")
     assert out.amplitudes[out.layout.basis_index({"a": 1, "anc": 0})] == pytest.approx(1)
 
@@ -142,7 +146,7 @@ def test_dense_kraus_completeness_and_branching(rng):
     ks = random_kraus(rng, 2, 3)
     op = DenseOp(tuple(ks), ("a",), operation_kind="kraus-set")
     s = random_pure(rng, RegisterLayout((("a", 1),)))
-    out = apply_channel(s, op)
+    out = Ensemble.from_pure(s).apply(op).density()
     assert isinstance(out, DensityOperator)
     want = sum(k @ np.outer(s.amplitudes, s.amplitudes.conj()) @ k.conj().T for k in ks)
     np.testing.assert_allclose(out.matrix, want, atol=1e-12)
@@ -153,8 +157,8 @@ def test_isometry_norm_preservation_property(rng):
     for _ in range(25):
         s = random_pure(rng, layout)
         u = random_unitary(rng, 4)
-        out = apply_channel(s, DenseOp((u,), ("a",)))
-        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-10
+        out = Ensemble.from_pure(s).apply(DenseOp((u,), ("a",)))
+        assert abs(np.linalg.norm(out.vectors) - 1) < 1e-10
 
 
 def test_select_ops_and_swap_copy():
@@ -163,15 +167,15 @@ def test_select_ops_and_swap_copy():
         s = PureState.basis(layout, {"sel": v, "src": 0b10})
         op = SelectCnotOp(sources=tuple((x, ("src", x % 2)) for x in range(4)),
                           target=("t", 0), selector="sel")
-        out = apply_channel(s, op)
+        out = Ensemble.from_pure(s).apply(op).to_pure()
         bit = (0b10 >> (1 - (v % 2))) & 1
         assert abs(out.amplitudes[layout.basis_index({"sel": v, "src": 0b10, "t": bit})]) == pytest.approx(1)
 
     layout = RegisterLayout((("a", 2), ("b", 2)))
     s = PureState.basis(layout, {"a": 0b01, "b": 0b10})
-    out = apply_channel(s, SwapOp("a", "b"))
+    out = Ensemble.from_pure(s).apply(SwapOp("a", "b")).to_pure()
     assert abs(out.amplitudes[layout.basis_index({"a": 0b10, "b": 0b01})]) == pytest.approx(1)
-    out = apply_channel(s, CopyOp("a", "b"))
+    out = Ensemble.from_pure(s).apply(CopyOp("a", "b")).to_pure()
     assert abs(out.amplitudes[layout.basis_index({"a": 0b01, "b": 0b11})]) == pytest.approx(1)
 
 
@@ -181,7 +185,7 @@ def test_select_phase_applies_sign():
     v = np.zeros(8, dtype=complex)
     v[layout.basis_index({"sel": 0, "q0": 1})] = 1 / np.sqrt(2)
     v[layout.basis_index({"sel": 1, "q0": 1})] = 1 / np.sqrt(2)
-    out = apply_channel(PureState.from_vector(layout, v), op)
+    out = Ensemble.from_pure(PureState.from_vector(layout, v)).apply(op).to_pure()
     assert out.amplitudes[layout.basis_index({"sel": 0, "q0": 1})] == pytest.approx(-1 / np.sqrt(2))
     assert out.amplitudes[layout.basis_index({"sel": 1, "q0": 1})] == pytest.approx(1 / np.sqrt(2))
 
@@ -190,7 +194,7 @@ def test_rotate_and_inverse(rng):
     layout = RegisterLayout((("c", 1), ("t", 1)))
     s = random_pure(rng, layout)
     op = RotateOp(("t", 0), 0.7, control=("c", 0))
-    out = apply_channel(apply_channel(s, op), op.inverse())
+    out = Ensemble.from_pure(s).apply(op).apply(op.inverse()).to_pure()
     np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
 
 
@@ -217,8 +221,8 @@ def test_descriptor_round_trip(rng):
     s = random_pure(rng, layout)
     for op in ops:
         clone = op_from_descriptor(op.descriptor())
-        a = op.apply_vectors([s.amplitudes.copy()], layout)
-        b = clone.apply_vectors([s.amplitudes.copy()], layout)
+        a = op.apply_vectors(s.amplitudes[None].copy(), layout)
+        b = clone.apply_vectors(s.amplitudes[None].copy(), layout)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             np.testing.assert_allclose(x, y, atol=1e-12)
@@ -231,10 +235,26 @@ def test_cap_exceeded_on_prepare(monkeypatch):
     from qpirlab.config import CapExceeded
 
     with pytest.raises(CapExceeded):
-        apply_channel(s, PrepareOp.zeros((("b", 2),)))
+        Ensemble.from_pure(s).apply(PrepareOp.zeros((("b", 2),)))
 
 
 def test_malformed_op_rejected():
     bad = np.array([[1.0, 0.4], [0.0, 0.6]])
     with pytest.raises(ChannelError):
         DenseOp((bad,), ("a",))
+
+
+def test_measure_peak_memory_stays_near_its_output(rng):
+    # A 4-qubit register in the low slots of a 16-qubit state: 16 outcome
+    # branches of 1 MiB each.  Building them in front-moved order and moving
+    # them back would peak at twice the output.
+    layout = RegisterLayout((("hi", 12), ("m", 4)))
+    vectors = random_pure(rng, layout).amplitudes[None].copy()
+    tracemalloc.start()
+    try:
+        out = MeasureOp("m").apply_vectors(vectors, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (16, layout.dim)
+    assert peak <= 1.5 * out.nbytes

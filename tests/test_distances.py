@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_kraus, random_pure
-from qpirlab.channels import DenseOp, apply_channel
+from qpirlab.channels import DenseOp
 from qpirlab.distances import (
     UhlmannPreconditionError,
     apply_side_unitary,
@@ -16,6 +16,7 @@ from qpirlab.distances import (
     trace_in_extraction,
     uhlmann_unitary,
 )
+from qpirlab.runtime import Ensemble
 from qpirlab.states import DensityOperator, PureState, RegisterLayout, StateError
 
 
@@ -58,7 +59,7 @@ class TestPartialTrace:
             vecs = [np.sqrt(max(l, 0)) * evecs[:, i] for i, l in enumerate(evals) if l > 1e-14]
             from qpirlab.distances import gram_reduce
 
-            nested = gram_reduce(vecs, sub_layout, ["a"]).matrix
+            nested = gram_reduce(np.array(vecs), sub_layout, ["a"]).matrix
             direct = partial_trace(s, ["a"]).matrix
             assert np.max(np.abs(nested - direct)) <= 1e-10
 
@@ -105,8 +106,8 @@ class TestTraceDistance:
             ks = random_kraus(rng, 4, 2)
             op = DenseOp(tuple(ks), ("a",), operation_kind="kraus-set")
             d_before = trace_distance(rho, sigma)
-            d_after = trace_distance(apply_channel(rho, op, layout=layout),
-                                     apply_channel(sigma, op, layout=layout))
+            d_after = trace_distance(Ensemble.from_density(layout, rho).apply(op).density(),
+                                     Ensemble.from_density(layout, sigma).apply(op).density())
             assert d_after <= d_before + 1e-9
 
     def test_pure_state_formula_agreement(self, rng):

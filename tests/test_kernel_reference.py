@@ -1,7 +1,7 @@
 """Slow reference for every op kind, built label by label from its definition.
 
-``ChannelOp.dense_operators`` is assembled by calling ``apply_vectors`` on
-basis vectors, so it cannot check a kernel.  The reference here never calls
+``ChannelOp.dense_operators`` is assembled by one ``apply_vectors`` call on
+the identity, so it cannot check a kernel.  The reference here never calls
 one: it walks every basis assignment of a layout with
 ``RegisterLayout.basis_index`` and plain Python bit arithmetic, writes the
 op's matrix entry by entry, and the kernels are compared against it on
@@ -32,6 +32,7 @@ from qpirlab.channels import (
     SelectPhaseOp,
     SwapOp,
 )
+from qpirlab.runtime import Ensemble
 from qpirlab.states import RegisterLayout
 
 
@@ -323,11 +324,15 @@ def test_kernels_match_reference(seed):
     vectors = [rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim) for _ in range(2)]
     for op in ops:
         mats = REFERENCE[type(op)](op, layout)
-        got = op.apply_vectors([v.copy() for v in vectors], layout)
+        got = op.apply_vectors(np.array(vectors), layout)
         want = [m @ v for v in vectors for m in mats]
         assert len(got) == len(want), op
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-12, err_msg=repr(op))
+        # one branch takes the XOR kernel's other gather
+        one = op.apply_vectors(np.array(vectors[:1]), layout)
+        assert len(one) == len(mats), op
+        np.testing.assert_allclose(one, want[:len(mats)], atol=1e-12, err_msg=repr(op))
 
 
 def _op_classes():
@@ -346,3 +351,57 @@ def test_op_classes_bind_apply_vectors_in_their_own_body():
         fn = cls.__dict__.get("apply_vectors")
         assert fn is not None, cls.__name__
         assert list(inspect.signature(fn).parameters) == ["self", "vectors", "layout"], cls.__name__
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ensemble_apply_hands_the_whole_batch_to_one_kernel_call(seed, monkeypatch):
+    rng = np.random.default_rng(9100 + seed)
+    layout = _layout(rng)
+    vectors = rng.normal(size=(3, layout.dim)) + 1j * rng.normal(size=(3, layout.dim))
+    ens = Ensemble(layout, vectors / np.linalg.norm(vectors))
+    for op in _ops(rng, layout):
+        cls = type(op)
+        calls = []
+        kernel = cls.__dict__["apply_vectors"]
+
+        def counted(self, vectors, layout, kernel=kernel):
+            calls.append(vectors.shape)
+            return kernel(self, vectors, layout)
+
+        monkeypatch.setattr(cls, "apply_vectors", counted)
+        out = ens.apply(op)
+        monkeypatch.undo()
+        assert calls == [(3, layout.dim)], op
+        v = out.vectors
+        assert v.ndim == 2 and v.shape[1] == op.output_layout(layout).dim, op
+        assert v.dtype == np.complex128 and v.flags.c_contiguous, op
+        if op.kind == "isometry":
+            assert len(v) == 3, op
+
+
+def _column_loop(op, layout):
+    # One basis vector at a time: the slow reference for the batched default.
+    regs = tuple(op.touches)
+    local = RegisterLayout(tuple((n, layout.width(n)) for n in regs))
+    cols = []
+    for b in range(local.dim):
+        vec = np.zeros((1, local.dim), dtype=np.complex128)
+        vec[0, b] = 1.0
+        out = op.apply_vectors(vec, local)
+        assert len(out) == 1, op
+        cols.append(out[0])
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_default_dense_operators_match_the_column_loop(seed):
+    rng = np.random.default_rng(9200 + seed)
+    layout = _layout(rng)
+    inheriting = [op for op in _ops(rng, layout) if "dense_operators" not in type(op).__dict__]
+    assert {type(op) for op in inheriting} == set(REFERENCE) - {MeasureOp, DenseOp}
+    for op in inheriting:
+        mats, regs = op.dense_operators(layout)
+        assert regs == tuple(op.touches) + tuple(n for n, _ in op.creates), op
+        assert len(mats) == 1 and mats[0].flags.c_contiguous, op
+        np.testing.assert_allclose(mats[0], _column_loop(op, layout), rtol=0, atol=1e-12,
+                                   err_msg=repr(op))

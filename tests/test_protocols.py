@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpirlab.channels import HadamardOp, apply_channel
+from qpirlab.channels import HadamardOp
 from qpirlab.distances import partial_trace, trace_distance
 from qpirlab.protocols import (
     build_baseline,
@@ -50,9 +50,9 @@ class TestKerenidis:
         for db in all_databases(2):
             for i in (1, 2):
                 tr = inst.run(db, i)
-                state = tr.state(3)
-                state = apply_channel(state, HadamardOp("r1c"))
-                state = apply_channel(state, CopyOp("r1", "f"))
+                ens = tr.ensemble(3)
+                assert ens.is_pure
+                state = ens.apply(HadamardOp("r1c")).apply(CopyOp("r1", "f")).to_pure()
                 got = partial_trace(state, ["r1", "r1c"])
                 want = np.zeros(4, dtype=complex)
                 d = db[i - 1]

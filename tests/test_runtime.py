@@ -18,7 +18,7 @@ from qpirlab.runtime import (
     spec_from_json,
     spec_to_json,
 )
-from qpirlab.states import PureState, RegisterLayout
+from qpirlab.states import LayoutError, PureState, RegisterLayout, StateError
 
 
 def send_db_spec(n=2):
@@ -81,7 +81,7 @@ def test_purity_preserved_measurement_free():
     tr = inst.run(0b01, 2)
     for t in range(1, tr.steps + 1):
         assert tr.purity(t) == pytest.approx(1.0, abs=1e-9)
-        assert tr.state(t).__class__.__name__ == "PureState"
+        assert tr.ensemble(t).is_pure
 
 
 def test_ownership_partitions_layout():
@@ -257,3 +257,69 @@ def test_epr_state_shape():
     probs = s.probabilities(("R", "Rp"))
     for r in range(4):
         assert probs[r * 4 + r] == pytest.approx(0.25)
+
+
+def _front(v, layout, names):
+    # One branch as a (2**k, rest) matrix with the qubits of `names` in
+    # front, in the given order, and the other qubits in layout order.
+    total = layout.total_qubits
+    front = layout.ordered_slots(names)
+    rest = [a for a in range(total) if a not in front]
+    return v.reshape([2] * total).transpose(front + rest).reshape(1 << len(front), -1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ensemble_methods_match_a_per_row_loop(seed):
+    rng = np.random.default_rng(700 + seed)
+    regs = [("x", 2), ("y", 1), ("z", 2)]
+    layout = RegisterLayout(tuple(regs[i] for i in rng.permutation(3)))
+    vecs = rng.normal(size=(3, layout.dim)) + 1j * rng.normal(size=(3, layout.dim))
+    # one branch without weight on z = 3, so tracing z drops a row
+    vecs[2, _front(np.arange(layout.dim), layout, ["z"])[3]] = 0
+    ens = Ensemble(layout, vecs / np.linalg.norm(vecs))
+    rows = list(ens.vectors)
+
+    for names in (("z",), ("y", "x"), ("x", "z")):
+        kept = [n for n in layout.names if n in names]
+        want = [r for v in rows for r in _front(v, layout, kept) if np.vdot(r, r).real > 1e-24]
+        got = ens.traced(names).vectors
+        assert got.shape == (len(want), layout.dim >> sum(layout.width(n) for n in names))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert len(ens.traced(("z",)).vectors) == 11
+
+    for names in (("z", "x", "y"), ("y", "z", "x"), layout.names):
+        want = [_front(v, layout, names).reshape(-1) for v in rows]
+        np.testing.assert_allclose(ens.aligned_vectors(names), want, rtol=0, atol=1e-12)
+
+    other = Ensemble(RegisterLayout((("w", 1),)), rng.normal(size=(2, 2)) + 0j)
+    want = [np.kron(a, b) for a in rows for b in other.vectors]
+    np.testing.assert_allclose(ens.tensor(other).vectors, want, rtol=0, atol=1e-12)
+
+    purity = sum(abs(np.vdot(a, b)) ** 2 for a in rows for b in rows)
+    assert ens.purity() == pytest.approx(purity, abs=1e-12)
+
+    for names in (("z", "x"), ("y",), ("x", "y", "z")):
+        want_p = sum((np.abs(_front(v, layout, names)) ** 2).sum(axis=1) for v in rows)
+        np.testing.assert_allclose(ens.probabilities(names), want_p, rtol=0, atol=1e-12)
+        want_rho = sum(m @ m.conj().T for m in (_front(v, layout, names) for v in rows))
+        got_rho = ens.reduced(names, ordered=True).matrix
+        np.testing.assert_allclose(got_rho, want_rho, rtol=0, atol=1e-12)
+        in_order = [n for n in layout.names if n in names]
+        want_rho = sum(m @ m.conj().T for m in (_front(v, layout, in_order) for v in rows))
+        np.testing.assert_allclose(ens.reduced(names).matrix, want_rho, rtol=0, atol=1e-12)
+
+
+def test_ensemble_rejects_malformed_branch_arrays():
+    layout = RegisterLayout((("a", 1), ("b", 1)))
+    with pytest.raises(StateError, match="expected"):
+        Ensemble(layout, np.ones(4))
+    with pytest.raises(StateError, match="expected"):
+        Ensemble(layout, np.ones((2, 8)))
+    assert Ensemble(layout, [np.ones(4) / 2]).vectors.shape == (1, 4)
+
+
+def test_aligned_vectors_requires_a_permutation_of_the_layout():
+    ens = Ensemble.from_pure(PureState.basis(RegisterLayout((("a", 1), ("b", 1)))))
+    for names in (("a", "a"), ("a",), ("a", "b", "c")):
+        with pytest.raises(LayoutError, match=r"\('a', 'b'\)"):
+            ens.aligned_vectors(names)
