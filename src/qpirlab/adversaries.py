@@ -29,8 +29,8 @@ from .channels import (
     RotateOp,
     SwapOp,
 )
-from .distances import ensemble_trace_distance
-from .protocols import QpirInstance
+from .config import CapExceeded
+from .protocols import QpirInstance, epr_pair_state
 from .runtime import (
     SERVER,
     Ensemble,
@@ -81,7 +81,8 @@ class Adversary:
     notes: str = ""
 
     def modified_spec(self, spec: ProtocolSpec) -> ProtocolSpec:
-        return spec.with_server(self.program, name=f"{spec.name}~{self.name}")
+        return ProtocolSpec(spec.rounds, self.program, spec.client, spec.setup,
+                            f"{spec.name}~{self.name}")
 
     def run(self, spec: ProtocolSpec, input_state, **kw) -> ExecutionTranscript:
         return execute(self.modified_spec(spec), input_state, **kw)
@@ -96,7 +97,9 @@ class Adversary:
 class InputSpec:
     """One named test input.
 
-    ``x_label`` groups inputs sharing a server-side database state;
+    ``x_label`` groups inputs sharing a server-side database state and
+    ``db`` is that database as an int label (``None`` when the instance
+    bakes its database in or the database is superposed);
     ``marginal_key`` groups inputs whose client part leaves the same
     marginal on the reference side, which is the comparison class for
     privacy lower bounds.
@@ -104,6 +107,7 @@ class InputSpec:
 
     label: str
     x_label: str
+    db: int | None
     marginal_key: str
     state: PureState | Ensemble
     reference: tuple[str, ...] = ()
@@ -125,59 +129,51 @@ def client_variants(instance: QpirInstance, kinds=("classical", "uniform", "enta
     if "uniform" in kinds:
         out.append(("i-uniform", "plain",
                     PureState(layout, np.full(n, 1 / math.sqrt(n), dtype=complex)), ()))
-    ref_layout = RegisterLayout(((reg, width), ("refi", width)))
+    epr = epr_pair_state(reg, "refi", width)
     if "entangled" in kinds:
-        amps = np.zeros(n * n, dtype=complex)
-        amps[[v * n + v for v in range(n)]] = 1 / math.sqrt(n)
-        out.append(("i-entangled", "refmix", PureState(ref_layout, amps), ("refi",)))
+        out.append(("i-entangled", "refmix", epr, ("refi",)))
     if "correlated" in kinds:
-        vecs = []
-        for v in range(n):
-            vec = np.zeros(n * n, dtype=complex)
-            vec[v * n + v] = 1 / math.sqrt(n)
-            vecs.append(vec)
-        out.append(("i-correlated", "refmix", Ensemble(ref_layout, vecs), ("refi",)))
+        # one branch per term of the entangled input: the same marginals,
+        # without the coherence
+        terms = np.diag(epr.amplitudes)[::n + 1]
+        out.append(("i-correlated", "refmix", Ensemble(epr.layout, terms), ("refi",)))
     return out
 
 
-def _combine(instance: QpirInstance, db, client_state):
-    if instance.database_register is None:
-        return client_state
-    return instance.input_with_client(db, client_state)
+# The standard set holds every classical database, of which there may be at
+# most this many.
+_MAX_DATABASES = 16
 
 
-def standard_inputs(instance: QpirInstance, *, databases=None,
-                    client_kinds=("classical", "uniform", "entangled", "correlated"),
-                    superposed_db: bool = False) -> list[InputSpec]:
+def standard_inputs(instance: QpirInstance, *, superposed_db: bool = False) -> list[InputSpec]:
     """The documented finite test-input set.
 
-    Anchored databases are every classical value by default (capped to 16);
+    Anchored databases are every classical value; an instance with more than
+    16 of them raises :class:`CapExceeded` rather than test a subset.
     ``superposed_db=True`` additionally pairs the uniform database
     superposition with each classical index, which is what the unrestricted
     speciousness quantification needs.
     """
     n = instance.n
-    variants = client_variants(instance, client_kinds)
-    inputs: list[InputSpec] = []
+    variants = client_variants(instance)
     if instance.database_register is None:
+        return [InputSpec(label, "x=built-in", None, key, state, refs)
+                for label, key, state, refs in variants]
+    if 1 << n > _MAX_DATABASES:
+        raise CapExceeded(f"standard inputs need all {1 << n} databases of "
+                          f"{instance.spec.name}, cap is {_MAX_DATABASES}")
+    inputs: list[InputSpec] = []
+    for db in range(1 << n):
+        xl = f"x={db:0{n}b}"
         for label, key, state, refs in variants:
-            inputs.append(InputSpec(label, "x=built-in", key, state, refs))
-        return inputs
-    if databases is None:
-        databases = range(min(1 << n, 16))
-    for db in databases:
-        xl = f"x={db:0{n}b}" if isinstance(db, int) else f"x={''.join(map(str, db))}"
-        for label, key, state, refs in variants:
-            inputs.append(InputSpec(f"{xl},{label}", xl, key,
-                                    _combine(instance, db, state), refs))
+            inputs.append(InputSpec(f"{xl},{label}", xl, db, key,
+                                    instance.input_with_client(db, state), refs))
     if superposed_db:
         db_layout = RegisterLayout(((instance.database_register, n),))
         plus = PureState(db_layout, np.full(1 << n, 2.0 ** (-n / 2), dtype=complex))
         for label, key, state, refs in client_variants(instance, ("classical", "uniform")):
-            if isinstance(state, Ensemble):
-                continue
             full = plus.tensor(state) if state.layout.registers else plus
-            inputs.append(InputSpec(f"x=+,{label}", "x=+", key, full, refs))
+            inputs.append(InputSpec(f"x=+,{label}", "x=+", None, key, full, refs))
     return inputs
 
 
@@ -186,7 +182,7 @@ def standard_inputs(instance: QpirInstance, *, databases=None,
 # ---------------------------------------------------------------------------
 
 
-def purified_honest(spec_or_instance) -> Adversary:
+def purified_honest(instance: QpirInstance) -> Adversary:
     """The honest server with every measurement deferred to an ancilla.
 
     Unitary steps are kept as-is; each computational-basis measurement is
@@ -195,7 +191,7 @@ def purified_honest(spec_or_instance) -> Adversary:
     purifiers, which reproduces the honest channel exactly, so the measured
     speciousness is zero.
     """
-    spec = spec_or_instance.spec if isinstance(spec_or_instance, QpirInstance) else spec_or_instance
+    spec = instance.spec
     widths = spec.validate()
     purified: list[tuple[int, str, str]] = []  # (server round, register, purifier)
     steps = []
@@ -376,25 +372,20 @@ def apply_recovery(transcript: ExecutionTranscript, t: int, recovery: Recovery) 
     return ens
 
 
-def measure_speciousness(spec_or_instance, adversary: Adversary,
-                         inputs=None) -> SpeciousnessReport:
+def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> SpeciousnessReport:
     """Per-step distances between recovered adversarial and honest states.
 
-    Runs every test input through both the honest protocol and the
-    adversary, applies the step-t recovery to the adversarial state and
+    Runs every standard input (with the superposed database, where the
+    instance has a database register) through both the honest protocol and
+    the adversary, applies the step-t recovery to the adversarial state and
     compares globally (the reference and client side ride along untouched).
     """
-    instance = spec_or_instance if isinstance(spec_or_instance, QpirInstance) else None
-    spec = instance.spec if instance else spec_or_instance
+    spec = instance.spec
     if adversary.recoveries is None:
         raise ProtocolShapeError(f"adversary {adversary.name} ships no recovery operators")
     if len(adversary.recoveries) != 2 * spec.rounds:
         raise ProtocolShapeError("one recovery per global step is required")
-    if inputs is None:
-        if instance is None:
-            raise ValueError("explicit inputs are required without a QpirInstance")
-        inputs = standard_inputs(instance,
-                                 superposed_db=instance.database_register is not None)
+    inputs = standard_inputs(instance, superposed_db=instance.database_register is not None)
     adv_spec = adversary.modified_spec(spec)
     rows = []
     for ins in inputs:
@@ -408,10 +399,7 @@ def measure_speciousness(spec_or_instance, adversary: Adversary,
                     f"recovered registers {recovered.layout.names} do not match "
                     f"honest registers {target.layout.names} at step {t}"
                 )
-            dist = ensemble_trace_distance(
-                recovered.aligned_vectors(target.layout.names), target.vectors
-            )
-            rows.append((ins.label, t, float(dist)))
+            rows.append((ins.label, t, recovered.distance(target)))
     gamma_hat = max(d for _, _, d in rows) if rows else 0.0
     return SpeciousnessReport(
         adversary=adversary.name,

@@ -17,21 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CHECK_ATOL, STATE_ATOL
-from .distances import (
-    UhlmannPreconditionError,
-    ensemble_trace_distance,
-    trace_distance,
-    uhlmann_unitary,
-)
+from .distances import UhlmannPreconditionError, trace_distance, uhlmann_unitary
 from .privacy import is_measurement_free
-from .protocols import QpirInstance, database_bits
+from .protocols import QpirInstance, database_bits, epr_pair_state
 from .runtime import (
     CLIENT,
     communication,
     execute,
     fold_setup_into_messages,
 )
-from .states import DensityOperator, PureState, RegisterLayout, StateError, hermitize
+from .states import DensityOperator, StateError, hermitize
 
 __all__ = [
     "GuessingBracket",
@@ -273,24 +268,23 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
 
     bits = None
     if mode == "classical-per-a":
+        built_in = instance.classical_database
         if database is None:
-            database = instance.classical_database
+            database = built_in
         if database is None:
             raise ValueError("classical-per-a mode needs a database")
         bits = database_bits(database, n)
+        if built_in is not None and bits != built_in:
+            raise ValueError(
+                f"database {''.join(map(str, bits))} disagrees with the database "
+                f"{''.join(map(str, built_in))} built into {instance.spec.name}"
+            )
 
     def run(i: int):
         if mode == "classical-per-a":
-            if instance.database_register is None:
-                state = instance.client_basis_state(i)
-            else:
-                state = instance.basis_input(bits, i)
+            state = instance.basis_input(bits, i)
         else:
-            dim = 1 << n
-            amps = np.zeros(dim * dim, dtype=np.complex128)
-            amps[[a * dim + a for a in range(dim)]] = dim ** -0.5
-            dbpart = PureState(
-                RegisterLayout((("refdb", n), (instance.database_register, n))), amps)
+            dbpart = epr_pair_state("refdb", instance.database_register, n)
             client = instance.client_basis_state(i)
             state = dbpart.tensor(client) if client.layout.registers else dbpart
         return execute(instance.spec, state, keep_states=False)
@@ -315,12 +309,7 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
     # measured privacy error of the relevant input class: half the worst
     # distance between run-1 and run-i server-plus-reference marginals
     views = [tr.server_view(tr.steps) for tr in transcripts]
-    eps = max(
-        (ensemble_trace_distance(views[0].vectors,
-                                 views[i].aligned_vectors(views[0].layout.names)) / 2.0
-         for i in range(1, n)),
-        default=0.0,
-    )
+    eps = max((views[0].distance(views[i]) / 2.0 for i in range(1, n)), default=0.0)
     eps_p = epsilon_prime(eps)
 
     p0, p1 = _bit_projectors(b_regs, widths, instance.output_register)

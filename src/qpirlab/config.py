@@ -3,8 +3,8 @@
 All dense simulation in this package is bounded by two knobs: a hard cap on
 the number of qubits in any global statevector, and a cap on the width of any
 subsystem for which a reduced density matrix is materialized.  Both can be
-overridden per call or through environment variables, so batch runs can fail
-fast with a register bill instead of exhausting memory.
+overridden through environment variables, so batch runs can fail fast with a
+register bill instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ class CapExceeded(Exception):
     """A register bill would exceed a configured qubit cap."""
 
 
-def check_cap(qubits: int, *, cap: int | None = None, what: str = "state") -> None:
-    limit = qubit_cap() if cap is None else cap
+def check_cap(qubits: int, *, what: str = "state") -> None:
+    limit = qubit_cap()
     if qubits > limit:
         raise CapExceeded(f"{what} needs {qubits} qubits, cap is {limit}")
 
 
-def check_reduced_cap(qubits: int, *, cap: int | None = None) -> None:
-    limit = reduced_cap() if cap is None else cap
+def check_reduced_cap(qubits: int) -> None:
+    limit = reduced_cap()
     if qubits > limit:
         raise CapExceeded(
             f"reduced operator needs {qubits} qubits, reduced cap is {limit}"

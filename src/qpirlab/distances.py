@@ -107,11 +107,11 @@ def ensemble_trace_distance(vectors_a, vectors_b) -> float:
     Works in the span of the branch vectors, so it stays cheap for low-rank
     states over large layouts.
     """
-    cols = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in (*vectors_a, *vectors_b)]
-    if not cols:
+    a, b = (np.asarray(v, dtype=np.complex128) for v in (vectors_a, vectors_b))
+    if len(a) + len(b) == 0:
         return 0.0
-    w = np.stack(cols, axis=1)
-    signs = np.array([1.0] * len(vectors_a) + [-1.0] * len(vectors_b))
+    w = np.vstack([m for m in (a, b) if len(m)]).T
+    signs = np.repeat([1.0, -1.0], [len(a), len(b)])
     r = np.linalg.qr(w, mode="r")
     g = hermitize((r * signs) @ r.conj().T)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(g))))
@@ -120,8 +120,9 @@ def ensemble_trace_distance(vectors_a, vectors_b) -> float:
 _RANK_TOL = 1e-12
 
 
-def purify(rho: DensityOperator, *, system: str = "system", purifier: str = "purifier") -> PureState:
-    """A purification of ``rho`` by eigendecomposition.
+def purify(rho: DensityOperator) -> PureState:
+    """A purification of ``rho`` by eigendecomposition, over the registers
+    ``system`` and ``purifier``.
 
     The purifying register has width ``ceil(log2(rank))`` and is omitted
     entirely for rank-one states (layouts do not carry width-0 registers).
@@ -135,9 +136,9 @@ def purify(rho: DensityOperator, *, system: str = "system", purifier: str = "pur
     rank = max(1, int(np.sum(evals > _RANK_TOL)))
     width = max(1, rank - 1).bit_length() if rank > 1 else 0
     if width == 0:
-        layout = RegisterLayout(((system, n_sys),))
+        layout = RegisterLayout((("system", n_sys),))
         return PureState.from_vector(layout, evecs[:, 0], normalize=True)
-    layout = RegisterLayout(((system, n_sys), (purifier, width)))
+    layout = RegisterLayout((("system", n_sys), ("purifier", width)))
     amps = np.zeros((rho.dimension, 1 << width), dtype=np.complex128)
     for j in range(rank):
         amps[:, j] = math.sqrt(max(evals[j], 0.0)) * evecs[:, j]

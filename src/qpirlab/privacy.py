@@ -3,9 +3,12 @@
 Every figure here is a distance between server views.  The one definition
 of the view is :meth:`ExecutionTranscript.server_view`: at step ``t`` it is
 everything on the server's side plus the in-flight messages, keeping any
-reference registers.  Views are handled as low-rank ensembles (branch
-vectors componentized over the traced-out client side), so distances stay
-cheap even when the view itself is large.
+reference registers.  One runner, ``_server_views``, executes a spec on a
+test input and takes its views at the even steps; one comparison,
+:meth:`Ensemble.distance`, aligns two views by register name and measures
+them.  Views are handled as low-rank ensembles (branch vectors
+componentized over the traced-out client side), so distances stay cheap
+even when the view itself is large.
 
 Lower bounds need no simulator: two runs that any one simulator state must
 approximate within eps sit within 2 eps of each other, so half the largest
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .adversaries import Adversary, InputSpec, standard_inputs
 from .channels import (
@@ -37,7 +41,7 @@ from .channels import (
     SelectPhaseOp,
     SwapOp,
 )
-from .distances import ensemble_trace_distance, trace_in_extraction
+from .distances import trace_in_extraction
 from .protocols import QpirInstance
 from .runtime import (
     Ensemble,
@@ -72,6 +76,12 @@ def is_measurement_free(spec: ProtocolSpec) -> bool:
 
 def _even_steps(spec: ProtocolSpec) -> list[int]:
     return [2 * t for t in range(1, spec.rounds + 1)]
+
+
+def _server_views(spec: ProtocolSpec, state, steps) -> dict[int, Ensemble]:
+    """The server's view at each of ``steps`` in one run of ``spec``."""
+    tr = execute(spec, state, probe_steps=steps, keep_states=False)
+    return {t: tr.server_view(t) for t in steps}
 
 
 @dataclass(frozen=True)
@@ -115,8 +125,7 @@ class PrivacyReport:
 
 
 def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = None,
-                        mode: str = "anchored", *, databases=None,
-                        client_kinds=("classical", "uniform", "entangled", "correlated"),
+                        mode: str = "anchored", *,
                         target: float | None = None) -> PrivacyReport:
     """Certified floor under the privacy error of a (possibly adversarial) run.
 
@@ -131,8 +140,7 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
         raise ValueError(f"unknown privacy mode {mode!r}")
     spec = instance.spec if adversary is None else adversary.modified_spec(instance.spec)
     inputs = standard_inputs(
-        instance, databases=databases, client_kinds=client_kinds,
-        superposed_db=(mode == "full" and instance.database_register is not None),
+        instance, superposed_db=(mode == "full" and instance.database_register is not None),
     )
     s = instance.spec.rounds
     steps = _even_steps(instance.spec)
@@ -142,21 +150,11 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
 
     rows: list[PrivacyRow] = []
     for (x_label, _key), members in groups.items():
-        views: list[tuple[str, dict[int, Ensemble]]] = []
-        for ins in members:
-            tr = execute(spec, ins.state, probe_steps=steps, keep_states=False)
-            views.append((ins.label, {t: tr.server_view(t) for t in steps}))
-        for a in range(len(views)):
-            for b in range(a + 1, len(views)):
-                la, va = views[a]
-                lb, vb = views[b]
-                for t in steps:
-                    ea, eb = va[t], vb[t]
-                    dist = ensemble_trace_distance(
-                        ea.vectors, eb.aligned_vectors(ea.layout.names)
-                    )
-                    rows.append(PrivacyRow(t, x_label, (la, lb), float(dist),
-                                           required=(t // 2 <= s - 1)))
+        views = [(ins.label, _server_views(spec, ins.state, steps)) for ins in members]
+        for (la, va), (lb, vb) in combinations(views, 2):
+            for t in steps:
+                rows.append(PrivacyRow(t, x_label, (la, lb), va[t].distance(vb[t]),
+                                       required=(t // 2 <= s - 1)))
     eps_lower = max((r.distance for r in rows), default=0.0) / 2.0
     return PrivacyReport(
         mode=mode,
@@ -181,36 +179,22 @@ def _reference_marginal(state: PureState | Ensemble, reference) -> Ensemble | No
     return ens.traced(drop)
 
 
-def _certificate(instance: QpirInstance, spec: ProtocolSpec, inputs, simulate):
+def _certificate(instance: QpirInstance, spec: ProtocolSpec, simulate):
     """(eps, rows): the worst distance, over the anchored test inputs and the
     even steps, between ``simulate(db, t)`` (tensored with the input's
     reference marginal) and the server view of a run of ``spec``."""
-    if inputs is None:
-        inputs = standard_inputs(instance)
     steps = _even_steps(instance.spec)
     rows = []
-    for ins in inputs:
-        tr = execute(spec, ins.state, probe_steps=steps, keep_states=False)
-        db = _x_of(ins, instance)
+    for ins in standard_inputs(instance):
+        views = _server_views(spec, ins.state, steps)
         ref = _reference_marginal(ins.state, ins.reference)
         for t in steps:
-            sim = simulate(db, t)
+            sim = simulate(ins.db, t)
             if ref is not None:
                 sim = sim.tensor(ref)
-            actual = tr.server_view(t)
-            dist = ensemble_trace_distance(sim.vectors, actual.aligned_vectors(sim.layout.names))
-            rows.append((ins.label, t, float(dist)))
+            rows.append((ins.label, t, sim.distance(views[t])))
     eps = max((d for _, _, d in rows), default=0.0)
     return eps, rows
-
-
-def _x_of(ins: InputSpec, instance: QpirInstance):
-    if instance.database_register is None:
-        return None
-    lbl = ins.x_label
-    if lbl == "x=+":
-        raise ValueError("honest simulator is defined for anchored inputs only")
-    return int(lbl.split("=", 1)[1], 2)
 
 
 class HonestSimulator:
@@ -219,26 +203,20 @@ class HonestSimulator:
 
     def __init__(self, instance: QpirInstance):
         self.instance = instance
-        self._cache: dict = {}
+        self._views: dict = {}  # database -> {even step: view}
 
     def view(self, db, t: int) -> Ensemble:
-        key = (self._db_key(db), t)
-        if key not in self._cache:
-            tr = self.instance.run(
-                db if self.instance.database_register else None, 1,
-                probe_steps=_even_steps(self.instance.spec), keep_states=False,
-            )
-            for step in _even_steps(self.instance.spec):
-                self._cache[(self._db_key(db), step)] = tr.server_view(step)
-        return self._cache[key]
+        key = tuple(db) if isinstance(db, (tuple, list)) else db
+        if key not in self._views:
+            inst = self.instance
+            self._views[key] = _server_views(inst.spec, inst.basis_input(db, 1),
+                                             _even_steps(inst.spec))
+        return self._views[key][t]
 
-    def _db_key(self, db):
-        return tuple(db) if isinstance(db, (tuple, list)) else db
-
-    def epsilon_upper(self, inputs=None):
+    def epsilon_upper(self):
         """Max distance between the simulated and the actual view over the
         test inputs; returns (eps_upper, rows)."""
-        return _certificate(self.instance, self.instance.spec, inputs, self.view)
+        return _certificate(self.instance, self.instance.spec, self.view)
 
 
 def honest_simulator(instance: QpirInstance) -> HonestSimulator:
@@ -323,11 +301,11 @@ class TheoremSimulator:
             ens = ens.apply(op)
         return ens
 
-    def certify(self, inputs=None):
+    def certify(self):
         """(eps_hat, rows): worst distance between the simulator output and
         the adversary's actual view across anchored test inputs and steps."""
         adv_spec = self.adversary.modified_spec(self.instance.spec)
-        return _certificate(self.instance, adv_spec, inputs, self.simulated_view)
+        return _certificate(self.instance, adv_spec, self.simulated_view)
 
     def extract_anchor(self, db, client_state: PureState, t: int) -> PureState:
         """Re-extract the anchor from an arbitrary anchored pure input; used

@@ -97,9 +97,7 @@ class QpirInstance:
     name: str
     n: int
     levels: int
-    cleanup: bool
     spec: ProtocolSpec
-    setup_pairs: tuple[tuple[str, str, int], ...]
     database_register: str | None
     index_register: str | None
     output_register: str
@@ -366,25 +364,17 @@ def build_kerenidis(n: int, cleanup: bool = False, database=None) -> QpirInstanc
         setup,
         name=f"kerenidis(n={n}{', cleanup' if cleanup else ''}{', classical' if not quantum else ''})",
     )
-    _check_bill(spec, quantum)
+    check_cap(sum(spec.validate().values()), what=f"protocol {spec.name} register bill")
     return QpirInstance(
         name="kerenidis",
         n=n,
         levels=levels,
-        cleanup=cleanup,
         spec=spec,
-        setup_pairs=tuple(asm.setup_pairs),
         database_register="db" if quantum else None,
         index_register="idx" if levels >= 1 else None,
         output_register=output,
         classical_database=bits,
     )
-
-
-def _check_bill(spec: ProtocolSpec, quantum: bool) -> None:
-    widths = spec.validate()
-    total = sum(widths.values())
-    check_cap(total, what=f"protocol {spec.name or '?'} register bill")
 
 
 def build_baseline(kind: str, n: int, database=None) -> QpirInstance:
@@ -439,7 +429,7 @@ def build_baseline(kind: str, n: int, database=None) -> QpirInstance:
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     return QpirInstance(
-        name=kind, n=n, levels=levels, cleanup=False, spec=spec, setup_pairs=(),
+        name=kind, n=n, levels=levels, spec=spec,
         database_register="db" if quantum else None,
         index_register="idx" if levels >= 1 else None,
         output_register="f", classical_database=bits,
@@ -482,8 +472,7 @@ def build_counterexample(n: int) -> QpirInstance:
         name=f"counterexample(n={n})",
     )
     return QpirInstance(
-        name="counterexample", n=n, levels=levels, cleanup=False, spec=spec,
-        setup_pairs=tuple(pairs), database_register="db",
+        name="counterexample", n=n, levels=levels, spec=spec, database_register="db",
         index_register=idx, output_register=asm2.f_name,
         classical_database=None,
     )
@@ -528,7 +517,7 @@ def decode_output(transcript: ExecutionTranscript, index: int = 1, *,
             raise StateError(f"index branch {index} has zero probability in this run")
         p0, p1 = p0 / total, p1 / total
     else:
-        if index != 1 and (index_register is not None):
+        if index != 1:
             # no index register recorded; only a fixed run can be decoded
             raise ValueError("run has no index register; only index=1 is decodable")
         p = ens.probabilities((out,))

@@ -11,7 +11,8 @@ sending step and belongs to the receiver from the next step on.  Reference
 registers (any extra registers carried by the input state) are never touched
 by either program.  :class:`ExecutionTranscript` is the only reader of these
 owner tags; :meth:`ExecutionTranscript.server_view` is the server's view that
-every privacy analysis compares.
+every privacy analysis compares, and :meth:`Ensemble.distance` is the one
+comparison.
 
 Evolution runs on one ``(B, dim)`` array of unnormalized pure branches
 (:class:`Ensemble`): a measurement multiplies branches and mixed inputs
@@ -28,7 +29,7 @@ import numpy as np
 
 from .channels import ChannelOp, ChannelError, PrepareOp, op_from_descriptor
 from .config import check_cap, check_reduced_cap
-from .distances import gram_reduce
+from .distances import ensemble_trace_distance, gram_reduce
 from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, marginal,
                      nonzero_rows, slots_to_front)
 
@@ -165,10 +166,6 @@ class ProtocolSpec:
                 )
         return widths
 
-    def with_server(self, program: PartyProgram, *, name: str | None = None) -> "ProtocolSpec":
-        return ProtocolSpec(self.rounds, program, self.client, self.setup,
-                            name if name is not None else self.name)
-
 
 @dataclass(frozen=True)
 class CommunicationBill:
@@ -264,7 +261,7 @@ class Ensemble:
 
     def density(self) -> DensityOperator:
         check_reduced_cap(self.layout.total_qubits)
-        return DensityOperator.from_ensemble(self.vectors, self.layout.dim)
+        return DensityOperator.from_ensemble(self.vectors)
 
     def traced(self, names) -> "Ensemble":
         """Ensemble over the remaining registers after discarding ``names``:
@@ -293,6 +290,11 @@ class Ensemble:
         the given name order."""
         return marginal(self.vectors, self.layout, names)
 
+    def distance(self, other: "Ensemble") -> float:
+        """Halved trace distance to ``other``, whose registers are aligned
+        to this layout's order by name."""
+        return ensemble_trace_distance(self.vectors, other.aligned_vectors(self.layout.names))
+
 
 # ---------------------------------------------------------------------------
 # execution
@@ -308,7 +310,6 @@ class StepRecord:
     party: str
     ensemble: Ensemble | None
     ownership: dict[str, str]
-    sent: tuple[str, ...]
 
 
 class ExecutionTranscript:
@@ -441,7 +442,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
         else:
             m_b += sent_width
         keep = keep_states or t in probe or t == 2 * s
-        records.append(StepRecord(t, party, ens if keep else None, dict(owner), tuple(step.sends)))
+        records.append(StepRecord(t, party, ens if keep else None, dict(owner)))
     return ExecutionTranscript(spec, records, ens, m_a, m_b)
 
 

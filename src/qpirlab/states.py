@@ -404,14 +404,13 @@ class DensityOperator:
         return cls(dimension, np.eye(dimension) / np.sqrt(dimension), factored=True)
 
     @classmethod
-    def from_ensemble(cls, vectors, dimension: int | None = None) -> "DensityOperator":
+    def from_ensemble(cls, vectors) -> "DensityOperator":
         """Density operator sum(v v^dagger) over the rows of a ``(B, dim)``
         array of unnormalized branch vectors."""
         vecs = np.asarray(vectors, dtype=np.complex128)
         if vecs.ndim != 2 or not len(vecs):
             raise StateError(f"branch array has shape {vecs.shape}, expected (B, dim)")
-        d = dimension if dimension is not None else vecs.shape[1]
-        return cls(d, np.ascontiguousarray(vecs.T), factored=True)
+        return cls(vecs.shape[1], np.ascontiguousarray(vecs.T), factored=True)
 
     @property
     def purity(self) -> float:

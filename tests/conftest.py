@@ -21,7 +21,7 @@ def random_density(rng, dim: int, rank: int | None = None) -> DensityOperator:
     for k in range(rank):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         vecs.append(np.sqrt(w[k]) * v / np.linalg.norm(v))
-    return DensityOperator.from_ensemble(vecs, dim)
+    return DensityOperator.from_ensemble(vecs)
 
 
 def random_kraus(rng, dim: int, count: int) -> list[np.ndarray]:
