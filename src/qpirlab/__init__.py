@@ -54,10 +54,8 @@ from .adversaries import (
 )
 from .privacy import (
     PrivacyReport,
-    honest_simulator,
     is_measurement_free,
     privacy_lower_bound,
-    theorem_simulator,
     verify_theorem_bound,
 )
 from .bounds import (

@@ -16,7 +16,7 @@ worst case on the standard set by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .runtime import (
     Ensemble,
     ExecutionTranscript,
     PartyProgram,
-    PartyStep,
     ProtocolShapeError,
     ProtocolSpec,
     execute,
@@ -70,7 +69,7 @@ class Recovery:
 class Adversary:
     """A server-side adversary: replacement program plus recovery operators.
 
-    ``recoveries`` has one entry per global step (length ``2 s``); ``None``
+    ``recoveries`` has one entry per step of the spec's schedule; ``None``
     means the adversary ships no recovery operators at all.
     """
 
@@ -81,8 +80,7 @@ class Adversary:
     notes: str = ""
 
     def modified_spec(self, spec: ProtocolSpec) -> ProtocolSpec:
-        return ProtocolSpec(spec.rounds, self.program, spec.client, spec.setup,
-                            f"{spec.name}~{self.name}")
+        return replace(spec, server=self.program, name=f"{spec.name}~{self.name}")
 
     def run(self, spec: ProtocolSpec, input_state, **kw) -> ExecutionTranscript:
         return execute(self.modified_spec(spec), input_state, **kw)
@@ -193,37 +191,29 @@ def purified_honest(instance: QpirInstance) -> Adversary:
     """
     spec = instance.spec
     widths = spec.validate()
-    purified: list[tuple[int, str, str]] = []  # (server round, register, purifier)
-    steps = []
-    counter = 0
-    for k, step in enumerate(spec.server.steps, start=1):
-        ops: list[ChannelOp] = []
-        for op in step.ops:
-            if isinstance(op, MeasureOp):
-                counter += 1
-                pname = f"purif{counter}"
-                w = widths[op.register]
-                ops.append(PrepareOp.zeros(((pname, w),)))
-                ops.append(CopyOp(op.register, pname))
-                purified.append((k, op.register, pname))
-            else:
-                ops.append(op)
-        steps.append(PartyStep(tuple(ops), step.sends))
-    program = PartyProgram(SERVER, tuple(steps), spec.server.input_registers,
-                           spec.server.setup_registers)
-    recoveries = []
-    for t in range(1, 2 * spec.rounds + 1):
-        done = (t + 1) // 2
-        live = [(reg, p) for k, reg, p in purified if k <= done]
+    purified: list[tuple[str, str]] = []  # (register, purifier), in program order
+    steps, recoveries = [], []
+    for st in spec.schedule:
+        if st.party == SERVER:
+            ops: list[ChannelOp] = []
+            for op in st.step.ops:
+                if isinstance(op, MeasureOp):
+                    pname = f"purif{len(purified) + 1}"
+                    ops.append(PrepareOp.zeros(((pname, widths[op.register]),)))
+                    ops.append(CopyOp(op.register, pname))
+                    purified.append((op.register, pname))
+                else:
+                    ops.append(op)
+            steps.append(replace(st.step, ops=tuple(ops)))
         recoveries.append(Recovery(
-            ops=tuple(MeasureOp(reg) for reg, _ in live),
-            discard=tuple(p for _, p in live),
+            ops=tuple(MeasureOp(reg) for reg, _ in purified),
+            discard=tuple(p for _, p in purified),
         ))
     return Adversary(
         name="honest-purified",
-        program=program,
+        program=replace(spec.server, steps=tuple(steps)),
         recoveries=tuple(recoveries),
-        extra_registers=tuple(p for _, _, p in purified),
+        extra_registers=tuple(p for _, p in purified),
     )
 
 
@@ -252,14 +242,12 @@ def purification_attack(instance: QpirInstance) -> Adversary:
         CopyOp(db, "adb"),
     )
     first = spec.server.steps[0]
-    steps = (PartyStep(prefix + first.ops, first.sends),) + spec.server.steps[1:]
-    program = PartyProgram(SERVER, steps, spec.server.input_registers,
-                           spec.server.setup_registers)
+    steps = (replace(first, ops=prefix + first.ops),) + spec.server.steps[1:]
     recovery = Recovery(ops=(SwapOp(db, "junk"),), discard=("adb", "junk"))
     return Adversary(
         name="purify-db",
-        program=program,
-        recoveries=tuple(recovery for _ in range(2 * spec.rounds)),
+        program=replace(spec.server, steps=steps),
+        recoveries=(recovery,) * len(spec.schedule),
         extra_registers=("adb", "junk"),
         notes="recovery applies to the anchored comparison only; none exists "
               "for the purified input",
@@ -284,32 +272,21 @@ def gamma_family(instance: QpirInstance, theta: float, lossy: bool = False) -> A
     if db is None:
         raise ProtocolShapeError("the rotation family needs the quantum-database path")
     spec = instance.spec
-    ancillas = []
-    steps = []
-    for k, step in enumerate(spec.server.steps, start=1):
-        anc = f"anc{k}"
-        ancillas.append(anc)
-        extra = (
-            PrepareOp.zeros(((anc, 1),)),
-            RotateOp((anc, 0), theta, control=(db, 0)),
-        )
-        steps.append(PartyStep(step.ops + extra, step.sends))
-    program = PartyProgram(SERVER, tuple(steps), spec.server.input_registers,
-                           spec.server.setup_registers)
-    recoveries = []
-    for t in range(1, 2 * spec.rounds + 1):
-        done = (t + 1) // 2
-        live = ancillas[:done]
-        if lossy:
-            recoveries.append(Recovery(ops=(), discard=tuple(live)))
-        else:
-            recoveries.append(Recovery(
-                ops=tuple(RotateOp((a, 0), -theta, control=(db, 0)) for a in live),
-                discard=tuple(live),
-            ))
+    ancillas: list[str] = []
+    steps, recoveries = [], []
+    for st in spec.schedule:
+        if st.party == SERVER:
+            anc = f"anc{len(ancillas) + 1}"
+            ancillas.append(anc)
+            steps.append(replace(st.step, ops=st.step.ops + (
+                PrepareOp.zeros(((anc, 1),)),
+                RotateOp((anc, 0), theta, control=(db, 0)),
+            )))
+        undo = () if lossy else tuple(RotateOp((a, 0), -theta, control=(db, 0)) for a in ancillas)
+        recoveries.append(Recovery(ops=undo, discard=tuple(ancillas)))
     return Adversary(
         name=f"gamma-lossy:{theta}" if lossy else f"gamma:{theta}",
-        program=program,
+        program=replace(spec.server, steps=tuple(steps)),
         recoveries=tuple(recoveries),
         extra_registers=tuple(ancillas),
     )
@@ -349,10 +326,11 @@ class SpeciousnessReport:
 def apply_recovery(transcript: ExecutionTranscript, t: int, recovery: Recovery) -> Ensemble:
     """The recovered global state at step t (discards traced out)."""
     ens = transcript.ensemble(t)
-    # Recovery domain: the adversary's memory, plus the in-flight message at
-    # odd steps only (at even steps the incoming message is out of bounds).
+    # Recovery domain: the adversary's memory, plus the in-flight message
+    # after its own steps only (after a client step the incoming message is
+    # out of bounds).
     allowed = set(transcript.owned(t, SERVER))
-    if t % 2 == 1:
+    if transcript.spec.schedule[t - 1].party == SERVER:
         allowed |= set(transcript.in_transit(t))
     for op in recovery.ops:
         stray = set(op.touches) - allowed
@@ -383,7 +361,7 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     spec = instance.spec
     if adversary.recoveries is None:
         raise ProtocolShapeError(f"adversary {adversary.name} ships no recovery operators")
-    if len(adversary.recoveries) != 2 * spec.rounds:
+    if len(adversary.recoveries) != len(spec.schedule):
         raise ProtocolShapeError("one recovery per global step is required")
     inputs = standard_inputs(instance, superposed_db=instance.database_register is not None)
     adv_spec = adversary.modified_spec(spec)
@@ -391,8 +369,8 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     for ins in inputs:
         honest = execute(spec, ins.state)
         dishonest = execute(adv_spec, ins.state)
-        for t in range(1, 2 * spec.rounds + 1):
-            recovered = apply_recovery(dishonest, t, adversary.recoveries[t - 1])
+        for t, recovery in enumerate(adversary.recoveries, start=1):
+            recovered = apply_recovery(dishonest, t, recovery)
             target = honest.ensemble(t)
             if set(recovered.layout.names) != set(target.layout.names):
                 raise ProtocolShapeError(

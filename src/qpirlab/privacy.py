@@ -44,6 +44,7 @@ from .channels import (
 from .distances import trace_in_extraction
 from .protocols import QpirInstance
 from .runtime import (
+    CLIENT,
     Ensemble,
     ExecutionTranscript,
     ProtocolShapeError,
@@ -57,9 +58,7 @@ __all__ = [
     "PrivacyReport",
     "privacy_lower_bound",
     "HonestSimulator",
-    "honest_simulator",
     "TheoremSimulator",
-    "theorem_simulator",
     "verify_theorem_bound",
     "is_measurement_free",
 ]
@@ -75,7 +74,8 @@ def is_measurement_free(spec: ProtocolSpec) -> bool:
 
 
 def _even_steps(spec: ProtocolSpec) -> list[int]:
-    return [2 * t for t in range(1, spec.rounds + 1)]
+    """The client's steps, after which the server's view is compared."""
+    return [st.t for st in spec.schedule if st.party == CLIENT]
 
 
 def _server_views(spec: ProtocolSpec, state, steps) -> dict[int, Ensemble]:
@@ -90,7 +90,7 @@ class PrivacyRow:
     x_label: str
     pair: tuple[str, str]
     distance: float
-    required: bool  # inside the definition's range t <= s-1
+    required: bool  # inside the definition's range: before the last step
 
     def as_dict(self) -> dict:
         return {"step": self.step, "x": self.x_label, "pair": list(self.pair),
@@ -133,17 +133,20 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     and the reference-marginal class, half the view distance lower-bounds any
     achievable simulation error.  ``mode="anchored"`` keeps the database
     classical; ``mode="full"`` adds the uniformly superposed database, the
-    input class anchoring excludes.  Odd steps are outside the definition's
-    quantification and are not compared.
+    input class anchoring excludes, so it needs a database register.  Odd
+    steps are outside the definition's quantification and are not compared.
     """
     if mode not in ("anchored", "full"):
         raise ValueError(f"unknown privacy mode {mode!r}")
+    if mode == "full" and instance.database_register is None:
+        raise ValueError(
+            f"mode 'full' on {instance.spec.name}: the superposed-database class "
+            "needs the quantum-database path"
+        )
     spec = instance.spec if adversary is None else adversary.modified_spec(instance.spec)
-    inputs = standard_inputs(
-        instance, superposed_db=(mode == "full" and instance.database_register is not None),
-    )
-    s = instance.spec.rounds
+    inputs = standard_inputs(instance, superposed_db=(mode == "full"))
     steps = _even_steps(instance.spec)
+    last = len(instance.spec.schedule)
     groups: dict[tuple[str, str], list[InputSpec]] = {}
     for ins in inputs:
         groups.setdefault((ins.x_label, ins.marginal_key), []).append(ins)
@@ -154,7 +157,7 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
         for (la, va), (lb, vb) in combinations(views, 2):
             for t in steps:
                 rows.append(PrivacyRow(t, x_label, (la, lb), va[t].distance(vb[t]),
-                                       required=(t // 2 <= s - 1)))
+                                       required=(t < last)))
     eps_lower = max((r.distance for r in rows), default=0.0) / 2.0
     return PrivacyReport(
         mode=mode,
@@ -217,10 +220,6 @@ class HonestSimulator:
         """Max distance between the simulated and the actual view over the
         test inputs; returns (eps_upper, rows)."""
         return _certificate(self.instance, self.instance.spec, self.view)
-
-
-def honest_simulator(instance: QpirInstance) -> HonestSimulator:
-    return HonestSimulator(instance)
 
 
 _SELF_INVERSE = (HadamardOp, InnerProductCnotOp, SelectPhaseOp, SelectCnotOp,
@@ -316,10 +315,6 @@ class TheoremSimulator:
         honest_tr = execute(self.instance.spec, inp)
         adv_tr = self.adversary.run(self.instance.spec, inp)
         return self._extract(honest_tr, adv_tr, t)[0]
-
-
-def theorem_simulator(instance: QpirInstance, adversary: Adversary, x0) -> TheoremSimulator:
-    return TheoremSimulator(instance, adversary, x0)
 
 
 @dataclass(frozen=True)

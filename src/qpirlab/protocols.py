@@ -503,25 +503,18 @@ def decode_output(transcript: ExecutionTranscript, index: int = 1, *,
     conditions on the branch ``idx = index - 1``; returns the likelier bit
     and its probability.
     """
-    ens = transcript.final
-    out = _resolve_output(ens.layout, output_register)
-    if index_register and ens.layout.has(index_register):
-        probs = ens.probabilities((index_register, out))
-        width = ens.layout.width(index_register)
-        v = index - 1
-        if not 0 <= v < (1 << width):
-            raise ValueError(f"index {index} out of range")
-        p0, p1 = probs[2 * v], probs[2 * v + 1]
-        total = p0 + p1
-        if total <= 1e-30:
-            raise StateError(f"index branch {index} has zero probability in this run")
-        p0, p1 = p0 / total, p1 / total
-    else:
-        if index != 1:
-            # no index register recorded; only a fixed run can be decoded
-            raise ValueError("run has no index register; only index=1 is decodable")
-        p = ens.probabilities((out,))
-        p0, p1 = float(p[0]), float(p[1])
+    dist = decode_distribution(transcript, output_register=output_register,
+                               index_register=index_register)
+    if len(dist) == 1 and index != 1:
+        # no index register recorded; only a fixed run can be decoded
+        raise ValueError("run has no index register; only index=1 is decodable")
+    if not 1 <= index <= len(dist):
+        raise ValueError(f"index {index} out of range")
+    p0, p1 = dist[index - 1]
+    total = p0 + p1
+    if total <= 1e-30:
+        raise StateError(f"index branch {index} has zero probability in this run")
+    p0, p1 = p0 / total, p1 / total
     return (1, p1) if p1 >= p0 else (0, p0)
 
 

@@ -1,17 +1,24 @@
 """Two-party protocol representation and execution.
 
 A protocol is an alternating sequence of party steps: the server acts at odd
-global steps, the client at even ones.  Step ``t`` odd is server round
-``(t+1)/2``; step ``t`` even is client round ``t/2``.  Each party step applies
-its operations and then hands off zero or more registers to the other party.
+global steps, the client at even ones.  Each party step applies its
+operations and then hands off zero or more registers to the other party.
 
 Message passing is modeled as ownership relabeling, never data movement: a
 sent register is marked in transit for the snapshot taken right after the
 sending step and belongs to the receiver from the next step on.  Reference
 registers (any extra registers carried by the input state) are never touched
-by either program.  :class:`ExecutionTranscript` is the only reader of these
-owner tags; :meth:`ExecutionTranscript.server_view` is the server's view that
-every privacy analysis compares, and :meth:`Ensemble.distance` is the one
+by either program.
+
+These step and ownership rules are written once, in the walk a
+:class:`ProtocolSpec` makes when it is built.  The walk leaves
+:attr:`ProtocolSpec.schedule`, one :class:`ScheduledStep` (step, party, ops
+and owner tags) per global step, and everything else reads it: ``execute``
+applies the ops in schedule order, the adversaries build their programs and
+recoveries from it and the privacy analyses take their steps from it.
+:class:`ExecutionTranscript` is the only reader of the owner tags;
+:meth:`ExecutionTranscript.server_view` is the server's view that every
+privacy analysis compares, and :meth:`Ensemble.distance` is the one
 comparison.
 
 Evolution runs on one ``(B, dim)`` array of unnormalized pure branches
@@ -23,7 +30,7 @@ evolution engine.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +46,7 @@ __all__ = [
     "PartyProgram",
     "ProtocolSpec",
     "Ensemble",
-    "StepRecord",
+    "ScheduledStep",
     "ExecutionTranscript",
     "execute",
     "CommunicationBill",
@@ -72,24 +79,39 @@ class PartyProgram:
     setup_registers: tuple[str, ...] = ()
 
 
+_TRANSIT = {SERVER: "A->B", CLIENT: "B->A"}  # sender -> in-transit tag
+_ARRIVAL = {"A->B": CLIENT, "B->A": SERVER}  # in-transit tag -> receiver
+
+
+@dataclass(frozen=True)
+class ScheduledStep:
+    """Global step ``t``: ``party`` runs ``step``.  ``owner`` tags every
+    protocol register that exists right after the step; what the step sent
+    is tagged in transit."""
+
+    t: int
+    party: str
+    step: PartyStep
+    owner: dict[str, str]  # read-only: shared by every transcript of the spec
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Alternating two-party protocol with optional pre-shared setup state."""
+    """Alternating two-party protocol with optional pre-shared setup state.
+
+    The protocol is walked once, when it is built: the walk checks shape and
+    ownership and leaves the register widths and :attr:`schedule`, one
+    :class:`ScheduledStep` per global step.
+    """
 
     rounds: int
     server: PartyProgram
     client: PartyProgram
     setup: PureState | None = None
     name: str = ""
+    schedule: tuple[ScheduledStep, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.validate()
-
-    # -- structural validation ------------------------------------------------
-
-    def validate(self) -> dict[str, int]:
-        """Walk the protocol checking shape and ownership; returns the
-        register width table for everything the protocol ever holds."""
         s = self.rounds
         if s < 1:
             raise ProtocolShapeError("a protocol has at least one round")
@@ -114,7 +136,6 @@ class ProtocolSpec:
             declare(n, w, SERVER)
         for n, w in self.client.input_registers:
             declare(n, w, CLIENT)
-        setup_names = set()
         if self.setup is not None:
             setup_names = set(self.setup.layout.names)
             claimed = set(self.server.setup_registers) | set(self.client.setup_registers)
@@ -127,10 +148,14 @@ class ProtocolSpec:
         elif self.server.setup_registers or self.client.setup_registers:
             raise ProtocolShapeError("setup registers declared but no setup state")
 
+        # The server acts at odd global steps, the client at even ones; a
+        # message is in transit until the receiver's step begins.
+        schedule = []
         for t in range(1, 2 * s + 1):
             party = SERVER if t % 2 else CLIENT
-            program = self.server if party == SERVER else self.client
-            step = program.steps[(t - 1) // 2]
+            step = (self.server if party == SERVER else self.client).steps[(t - 1) // 2]
+            for name, tag in owner.items():
+                owner[name] = _ARRIVAL.get(tag, tag)
             for op in step.ops:
                 for name in op.touches:
                     if name not in widths:
@@ -154,7 +179,8 @@ class ProtocolSpec:
                         f"step {t} ({party}): cannot send register {name!r} "
                         f"owned by {owner[name]}"
                     )
-                owner[name] = CLIENT if party == SERVER else SERVER
+                owner[name] = _TRANSIT[party]
+            schedule.append(ScheduledStep(t, party, step, dict(owner)))
 
         for k in range(s):
             a, b = self.server.steps[k], self.client.steps[k]
@@ -164,7 +190,13 @@ class ProtocolSpec:
                 raise ProtocolShapeError(
                     f"round {k + 1} is degenerate: nothing done, sent, or received"
                 )
-        return widths
+        object.__setattr__(self, "schedule", tuple(schedule))
+        object.__setattr__(self, "_widths", widths)
+
+    def validate(self) -> dict[str, int]:
+        """The register width table for everything the protocol ever holds,
+        from the walk made when the spec was built."""
+        return dict(self._widths)
 
 
 @dataclass(frozen=True)
@@ -300,55 +332,51 @@ class Ensemble:
 # execution
 # ---------------------------------------------------------------------------
 
-_TRANSIT_TO_CLIENT = "A->B"
-_TRANSIT_TO_SERVER = "B->A"
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    index: int
-    party: str
-    ensemble: Ensemble | None
-    ownership: dict[str, str]
-
 
 class ExecutionTranscript:
-    """Per-step global states plus ownership and communication accounting.
+    """The ensembles one run kept, read against the spec's schedule.
 
     This is the only reader of the owner tags: analyses ask for
     :meth:`owned`, :meth:`in_transit` and :meth:`server_view`.
     """
 
-    def __init__(self, spec, records, final, m_a, m_b):
+    def __init__(self, spec: ProtocolSpec, ensembles, references: tuple[str, ...]):
         self.spec = spec
-        self.records: tuple[StepRecord, ...] = tuple(records)
-        self.final: Ensemble = final
-        self.m_a = m_a
-        self.m_b = m_b
+        self.ensembles: tuple[Ensemble | None, ...] = tuple(ensembles)
+        self.references = references
+        self.final: Ensemble = self.ensembles[-1]
 
     @property
     def steps(self) -> int:
-        return len(self.records)
+        return len(self.ensembles)
 
-    def record(self, t: int) -> StepRecord:
-        if not 1 <= t <= self.steps:
-            raise IndexError(f"step {t} out of range 1..{self.steps}")
-        return self.records[t - 1]
+    @property
+    def m_a(self) -> int:
+        return communication(self.spec).m_a
+
+    @property
+    def m_b(self) -> int:
+        return communication(self.spec).m_b
 
     def ensemble(self, t: int) -> Ensemble:
-        rec = self.record(t)
-        if rec.ensemble is None:
+        if not 1 <= t <= self.steps:
+            raise IndexError(f"step {t} out of range 1..{self.steps}")
+        ens = self.ensembles[t - 1]
+        if ens is None:
             raise StateError(f"step {t} was not retained (streaming run)")
-        return rec.ensemble
+        return ens
 
     def purity(self, t: int) -> float:
         return self.ensemble(t).purity()
 
     def ownership(self, t: int) -> dict[str, str]:
-        return dict(self.record(t).ownership)
+        """Owner tag of every register at step t; references are ``R``."""
+        if not 1 <= t <= self.steps:
+            raise IndexError(f"step {t} out of range 1..{self.steps}")
+        return {**self.spec.schedule[t - 1].owner, **dict.fromkeys(self.references, REFEREE)}
 
     def _tagged(self, t: int, tags) -> tuple[str, ...]:
-        own = self.record(t).ownership
+        own = self.ownership(t)
         return tuple(n for n in self.ensemble(t).layout.names if own[n] in tags)
 
     def owned(self, t: int, party: str) -> tuple[str, ...]:
@@ -357,7 +385,7 @@ class ExecutionTranscript:
 
     def in_transit(self, t: int) -> tuple[str, ...]:
         """Registers sent at step t and not yet received, in layout order."""
-        return self._tagged(t, (_TRANSIT_TO_CLIENT, _TRANSIT_TO_SERVER))
+        return self._tagged(t, _ARRIVAL)
 
     def server_view(self, t: int) -> Ensemble:
         """The server's view at step t: its memory, the in-flight messages
@@ -379,8 +407,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
     treated as the untouched reference side.  With ``keep_states=False`` only
     the final state and any ``probe_steps`` are retained.
     """
-    widths = spec.validate()
-    declared = {n: w for n, w in (*spec.server.input_registers, *spec.client.input_registers)}
+    declared = dict((*spec.server.input_registers, *spec.client.input_registers))
 
     if input_state is None:
         ens = Ensemble(RegisterLayout(()), np.ones((1, 1), dtype=np.complex128))
@@ -397,53 +424,23 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
                 f"input register {name!r} has width {ens.layout.width(name)}, expected {w}"
             )
     refs = tuple(n for n in ens.layout.names if n not in declared)
-
-    owner: dict[str, str] = {}
-    for n, _ in spec.server.input_registers:
-        owner[n] = SERVER
-    for n, _ in spec.client.input_registers:
-        owner[n] = CLIENT
-    for n in refs:
-        owner[n] = REFEREE
     if spec.setup is not None:
         check_cap(ens.layout.total_qubits + spec.setup.layout.total_qubits, what="state")
         ens = ens.tensor(Ensemble.from_pure(spec.setup))
-        for n in spec.setup.layout.names:
-            owner[n] = SERVER if n in spec.server.setup_registers else CLIENT
 
     probe = set(probe_steps)
-    records: list[StepRecord] = []
-    s = spec.rounds
-    m_a = m_b = 0
-    for t in range(1, 2 * s + 1):
-        party = SERVER if t % 2 else CLIENT
-        program = spec.server if party == SERVER else spec.client
-        step = program.steps[(t - 1) // 2]
-        # resolve transits from the previous step
-        for n, o in list(owner.items()):
-            if o == _TRANSIT_TO_CLIENT:
-                owner[n] = CLIENT
-            elif o == _TRANSIT_TO_SERVER:
-                owner[n] = SERVER
-        for op in step.ops:
+    last = spec.schedule[-1]
+    kept: list[Ensemble | None] = []
+    for st in spec.schedule:
+        for op in st.step.ops:
             try:
                 ens = ens.apply(op)
             except (ChannelError, LayoutError, StateError) as exc:
                 raise ProtocolShapeError(
-                    f"step {t} ({party}): {type(op).__name__} failed: {exc}"
+                    f"step {st.t} ({st.party}): {type(op).__name__} failed: {exc}"
                 ) from exc
-            for n, _ in op.creates:
-                owner[n] = party
-        for n in step.sends:
-            owner[n] = _TRANSIT_TO_CLIENT if party == SERVER else _TRANSIT_TO_SERVER
-        sent_width = sum(widths[n] for n in step.sends)
-        if party == SERVER:
-            m_a += sent_width
-        else:
-            m_b += sent_width
-        keep = keep_states or t in probe or t == 2 * s
-        records.append(StepRecord(t, party, ens if keep else None, dict(owner)))
-    return ExecutionTranscript(spec, records, ens, m_a, m_b)
+        kept.append(ens if keep_states or st.t in probe or st is last else None)
+    return ExecutionTranscript(spec, kept, refs)
 
 
 def fold_setup_into_messages(spec: ProtocolSpec) -> ProtocolSpec:
@@ -457,21 +454,14 @@ def fold_setup_into_messages(spec: ProtocolSpec) -> ProtocolSpec:
     """
     if spec.setup is None:
         return spec
-    server = PartyProgram(
-        SERVER,
-        (PartyStep(),) + spec.server.steps,
-        spec.server.input_registers,
-        (),
+    share = PartyStep(ops=(PrepareOp.of_state(spec.setup),),
+                      sends=tuple(spec.server.setup_registers))
+    return replace(
+        spec, rounds=spec.rounds + 1, setup=None,
+        server=replace(spec.server, steps=(PartyStep(),) + spec.server.steps, setup_registers=()),
+        client=replace(spec.client, steps=(share,) + spec.client.steps, setup_registers=()),
+        name=(spec.name + "+folded") if spec.name else "folded",
     )
-    client = PartyProgram(
-        CLIENT,
-        (PartyStep(ops=(PrepareOp.of_state(spec.setup),),
-                   sends=tuple(spec.server.setup_registers)),) + spec.client.steps,
-        spec.client.input_registers,
-        (),
-    )
-    return ProtocolSpec(spec.rounds + 1, server, client, None,
-                        (spec.name + "+folded") if spec.name else "folded")
 
 
 # ---------------------------------------------------------------------------

@@ -61,14 +61,9 @@ def slots_from_front(mat: np.ndarray, slots) -> np.ndarray:
 
 def slot_weights(vectors: np.ndarray, total: int, slots) -> np.ndarray:
     """``(B, 2**k)`` squared norms of the rows of
-    ``slots_to_front(vectors, total, slots)``, summed in place without
-    moving the amplitudes."""
-    keep = sorted(slots)
-    b = len(vectors)
-    p = np.abs(vectors.reshape([b] + [2] * total)) ** 2
-    drop = tuple(a + 1 for a in range(total) if a not in keep)
-    p = p.sum(axis=drop) if drop else p
-    return p.transpose([0] + [1 + keep.index(s) for s in slots]).reshape(b, 1 << len(slots))
+    ``slots_to_front(vectors, total, slots)``.  The amplitudes are squared
+    before they are moved, so the move copies real numbers only."""
+    return slots_to_front(np.abs(vectors) ** 2, total, slots).sum(axis=2)
 
 
 def nonzero_rows(weights: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -25,7 +25,7 @@ from qpirlab.distances import (
     uhlmann_unitary,
     apply_side_unitary,
 )
-from qpirlab.privacy import privacy_lower_bound, theorem_simulator, verify_theorem_bound
+from qpirlab.privacy import privacy_lower_bound, verify_theorem_bound
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import communication
 from qpirlab.states import DensityOperator, PureState, RegisterLayout

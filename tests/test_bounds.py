@@ -160,7 +160,7 @@ class TestPgm:
         by_bit2 = {0: [], 1: []}
         for d in range(4):
             tr = inst.run(d, 1, keep_states=False)
-            own = tr.record(tr.steps).ownership
+            own = tr.ownership(tr.steps)
             b_regs = [n for n in tr.final.layout.names if own.get(n) == "B"]
             by_bit2[d & 1].append(tr.final.reduced(b_regs, ordered=True).matrix)
         ens = [(0.5, DensityOperator(8, 0.5 * (m[0] + m[1])))

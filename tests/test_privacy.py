@@ -17,10 +17,8 @@ from qpirlab.privacy import (
     PrivacyReport,
     PrivacyRow,
     TheoremSimulator,
-    honest_simulator,
     is_measurement_free,
     privacy_lower_bound,
-    theorem_simulator,
     verify_theorem_bound,
 )
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
@@ -66,6 +64,12 @@ class TestLowerBound:
         superposed = [r for r in report.rows if r.x_label == "x=+"]
         assert superposed and max(r.distance for r in superposed) > 0.1
 
+    def test_full_mode_refuses_a_built_in_database(self):
+        inst = build_kerenidis(2, database=(1, 0))
+        with pytest.raises(ValueError, match=r"kerenidis\(n=2, classical\).*quantum-database"):
+            privacy_lower_bound(inst, mode="full")
+        assert privacy_lower_bound(inst).mode == "anchored"
+
     def test_rows_tag_definition_range(self, k2):
         report = privacy_lower_bound(k2)
         s = k2.spec.rounds
@@ -81,25 +85,25 @@ class TestLowerBound:
 
 class TestHonestSimulator:
     def test_kerenidis_upper_bound(self, k2):
-        eps, rows = honest_simulator(k2).epsilon_upper()
+        eps, rows = HonestSimulator(k2).epsilon_upper()
         assert eps <= 1e-9
         assert any("i-uniform" in lbl for lbl, _, _ in rows)
         assert any("i-entangled" in lbl for lbl, _, _ in rows)
 
     def test_send_db_trivial_simulator(self):
         sd = build_baseline("send-db", 2)
-        eps, _ = honest_simulator(sd).epsilon_upper()
+        eps, _ = HonestSimulator(sd).epsilon_upper()
         assert eps <= 1e-9
 
     def test_sandwich_with_lower_bound(self, k2):
         lower = privacy_lower_bound(k2).eps_lower
-        upper, _ = honest_simulator(k2).epsilon_upper()
+        upper, _ = HonestSimulator(k2).epsilon_upper()
         assert lower <= upper + 1e-9
 
 
 class TestTheoremSimulator:
     def test_purified_honest_reduces_to_honest(self, k2):
-        sim = theorem_simulator(k2, purified_honest(k2), x0=0)
+        sim = TheoremSimulator(k2, purified_honest(k2), x0=0)
         eps_hat, _ = sim.certify()
         assert eps_hat <= 1e-9
 
@@ -107,7 +111,7 @@ class TestTheoremSimulator:
     def test_lossy_certificate(self, k2, theta):
         adv = gamma_family(k2, theta, lossy=True)
         gamma = measure_speciousness(k2, adv).gamma_hat
-        sim = theorem_simulator(k2, adv, x0=0)
+        sim = TheoremSimulator(k2, adv, x0=0)
         eps_hat, rows = sim.certify()
         assert eps_hat <= 3.0 * math.sqrt(2.0 * gamma) + 1e-6
         # superposed client indices are part of the certified domain
@@ -118,7 +122,7 @@ class TestTheoremSimulator:
         theta = 0.4
         adv = gamma_family(k2, theta, lossy=True)
         gamma = measure_speciousness(k2, adv).gamma_hat
-        sim = theorem_simulator(k2, adv, x0=0)
+        sim = TheoremSimulator(k2, adv, x0=0)
         t = 2 * k2.spec.rounds
         base = sim.anchors[t]
         layout = RegisterLayout((("idx", 1),))
@@ -132,7 +136,7 @@ class TestTheoremSimulator:
     def test_simulated_view_is_the_server_view_layout(self, k2):
         # the lossy simulator rebuilds the adversary's view: honest server
         # registers plus the discarded ancillas
-        sim = theorem_simulator(k2, gamma_family(k2, 0.2, lossy=True), x0=0)
+        sim = TheoremSimulator(k2, gamma_family(k2, 0.2, lossy=True), x0=0)
         adv_tr = sim.adversary.run(k2.spec, k2.basis_input(0, 1))
         for t in (2, 4):
             view = sim.simulated_view(0, t)
@@ -143,7 +147,7 @@ class TestTheoremSimulator:
         cx = build_counterexample(2)
         assert not is_measurement_free(cx.spec)
         with pytest.raises(ProtocolShapeError, match="measurement-free"):
-            theorem_simulator(cx, purified_honest(cx), x0=0)
+            TheoremSimulator(cx, purified_honest(cx), x0=0)
 
 
 class TestTheoremBound:
@@ -164,7 +168,7 @@ class TestTheoremBound:
     def test_sandwich_lower_vs_certified(self, k2):
         adv = gamma_family(k2, 0.4, lossy=True)
         lower = privacy_lower_bound(k2, adv).eps_lower
-        sim = theorem_simulator(k2, adv, x0=0)
+        sim = TheoremSimulator(k2, adv, x0=0)
         eps_hat, _ = sim.certify()
         gamma = measure_speciousness(k2, adv).gamma_hat
         assert lower <= eps_hat + 1e-6
