@@ -11,6 +11,15 @@ documented test-input set and over every protocol step.
 The measured gamma is therefore a certified lower bound on the true
 worst-case figure; the families constructed in this module attain their
 worst case on the standard set by design.
+
+The meter runs each database state twice, honestly and adversarially, on
+the purified index (the ``i-entangled`` input, whose reference ``refi``
+purifies the client's index), and steers both global states at every step
+to each test input's client state (:func:`steer`).  Following the paper's
+purification argument, the steering map acts only on that reference, which
+no program and no recovery touches, so it commutes with the protocol, the
+adversary, the recoveries (measurements included) and the discards: the
+steered distances are those of separate runs.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .runtime import (
     ProtocolSpec,
     execute,
 )
-from .states import PureState, RegisterLayout
+from .states import PureState, RegisterLayout, nonzero_rows, slots_to_front
 
 __all__ = [
     "Recovery",
@@ -48,6 +57,9 @@ __all__ = [
     "InputSpec",
     "client_variants",
     "standard_inputs",
+    "database_groups",
+    "purified_input",
+    "steer",
     "purified_honest",
     "purification_attack",
     "gamma_family",
@@ -93,7 +105,9 @@ class Adversary:
 
 @dataclass(frozen=True)
 class InputSpec:
-    """One named test input.
+    """One named test input: ``database`` (the server's input state, ``None``
+    when the instance bakes its database in) tensored with ``client``, a
+    state of the index register plus the ``reference`` registers.
 
     ``x_label`` groups inputs sharing a server-side database state and
     ``db`` is that database as an int label (``None`` when the instance
@@ -107,8 +121,21 @@ class InputSpec:
     x_label: str
     db: int | None
     marginal_key: str
-    state: PureState | Ensemble
+    database: PureState | None
+    client: PureState | Ensemble
     reference: tuple[str, ...] = ()
+
+    @property
+    def state(self) -> PureState | Ensemble:
+        if self.database is None:
+            return self.client
+        if isinstance(self.client, PureState):
+            return self.database.tensor(self.client)
+        return Ensemble.from_pure(self.database).tensor(self.client)
+
+
+# The reference that purifies the client's index in the ``i-entangled`` input.
+PURIFIER = "refi"
 
 
 def client_variants(instance: QpirInstance, kinds=("classical", "uniform", "entangled", "correlated")):
@@ -127,14 +154,14 @@ def client_variants(instance: QpirInstance, kinds=("classical", "uniform", "enta
     if "uniform" in kinds:
         out.append(("i-uniform", "plain",
                     PureState(layout, np.full(n, 1 / math.sqrt(n), dtype=complex)), ()))
-    epr = epr_pair_state(reg, "refi", width)
+    epr = epr_pair_state(reg, PURIFIER, width)
     if "entangled" in kinds:
-        out.append(("i-entangled", "refmix", epr, ("refi",)))
+        out.append(("i-entangled", "refmix", epr, (PURIFIER,)))
     if "correlated" in kinds:
         # one branch per term of the entangled input: the same marginals,
         # without the coherence
         terms = np.diag(epr.amplitudes)[::n + 1]
-        out.append(("i-correlated", "refmix", Ensemble(epr.layout, terms), ("refi",)))
+        out.append(("i-correlated", "refmix", Ensemble(epr.layout, terms), (PURIFIER,)))
     return out
 
 
@@ -150,12 +177,13 @@ def standard_inputs(instance: QpirInstance, *, superposed_db: bool = False) -> l
     16 of them raises :class:`CapExceeded` rather than test a subset.
     ``superposed_db=True`` additionally pairs the uniform database
     superposition with each classical index, which is what the unrestricted
-    speciousness quantification needs.
+    speciousness quantification needs.  Inputs sharing a database state are
+    listed together.
     """
     n = instance.n
     variants = client_variants(instance)
     if instance.database_register is None:
-        return [InputSpec(label, "x=built-in", None, key, state, refs)
+        return [InputSpec(label, "x=built-in", None, key, None, state, refs)
                 for label, key, state, refs in variants]
     if 1 << n > _MAX_DATABASES:
         raise CapExceeded(f"standard inputs need all {1 << n} databases of "
@@ -163,16 +191,59 @@ def standard_inputs(instance: QpirInstance, *, superposed_db: bool = False) -> l
     inputs: list[InputSpec] = []
     for db in range(1 << n):
         xl = f"x={db:0{n}b}"
+        database = instance.database_state(db)
         for label, key, state, refs in variants:
-            inputs.append(InputSpec(f"{xl},{label}", xl, db, key,
-                                    instance.input_with_client(db, state), refs))
+            inputs.append(InputSpec(f"{xl},{label}", xl, db, key, database, state, refs))
     if superposed_db:
         db_layout = RegisterLayout(((instance.database_register, n),))
         plus = PureState(db_layout, np.full(1 << n, 2.0 ** (-n / 2), dtype=complex))
         for label, key, state, refs in client_variants(instance, ("classical", "uniform")):
-            full = plus.tensor(state) if state.layout.registers else plus
-            inputs.append(InputSpec(f"x=+,{label}", "x=+", None, key, full, refs))
+            inputs.append(InputSpec(f"x=+,{label}", "x=+", None, key, plus, state, refs))
     return inputs
+
+
+def database_groups(inputs) -> list[list[InputSpec]]:
+    """``inputs`` split by database state (``x_label``), in order."""
+    groups: dict[str, list[InputSpec]] = {}
+    for ins in inputs:
+        groups.setdefault(ins.x_label, []).append(ins)
+    return list(groups.values())
+
+
+def purified_input(spec: ProtocolSpec, database: PureState | None) -> PureState | None:
+    """The one run input for ``database``: ``database`` with the client's
+    index entangled with :data:`PURIFIER`, which is the ``i-entangled``
+    input.  Without a client input register it is ``database`` alone
+    (``None``, the empty input, when there is no database either)."""
+    state = database
+    for name, width in spec.client.input_registers:
+        epr = epr_pair_state(name, PURIFIER, width)
+        state = epr if state is None else state.tensor(epr)
+    return state
+
+
+def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
+    """``ens``, taken from a run on :func:`purified_input`, as the run on
+    ``client`` would give it.
+
+    ``client`` is a state of the client's index register plus the
+    ``reference`` registers.  Each of its branches ``c`` contributes the
+    branches of ``ens`` with ``sqrt(n) sum_{i,r} c[i, r] |r><i|`` applied to
+    :data:`PURIFIER`, which puts ``reference`` in its place (appended to the
+    layout).  Branches left at zero weight are dropped, as a run drops them.
+    """
+    cl = client if isinstance(client, Ensemble) else Ensemble.from_pure(client)
+    index = [name for name in cl.layout.names if name not in reference]
+    if not index:  # no index register, so the purified run is the run
+        return ens
+    lay = ens.layout
+    c = slots_to_front(cl.vectors, cl.layout.total_qubits, cl.layout.slots(index))
+    v = slots_to_front(ens.vectors, lay.total_qubits, lay.slots([PURIFIER]))
+    # (client branch, run branch, other slots, reference label)
+    steered = math.sqrt(v.shape[1]) * (v.transpose(0, 2, 1)[None] @ c[:, None])
+    layout = lay.without([PURIFIER]).extended(cl.layout.without(index).registers)
+    rows = steered.reshape(-1, layout.dim)
+    return Ensemble(layout, rows[nonzero_rows((np.abs(rows) ** 2).sum(axis=1))])
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +424,13 @@ def apply_recovery(transcript: ExecutionTranscript, t: int, recovery: Recovery) 
 def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> SpeciousnessReport:
     """Per-step distances between recovered adversarial and honest states.
 
-    Runs every standard input (with the superposed database, where the
-    instance has a database register) through both the honest protocol and
-    the adversary, applies the step-t recovery to the adversarial state and
-    compares globally (the reference and client side ride along untouched).
+    Every standard input (with the superposed database, where the instance
+    has a database register) is compared at every step: the step-t recovery
+    is applied to the adversarial state and the result is compared globally
+    with the honest state (the reference and client side ride along
+    untouched).  Each database state is run once through the honest
+    protocol and once through the adversary, on the purified index; both
+    global states are then steered to each input's client state.
     """
     spec = instance.spec
     if adversary.recoveries is None:
@@ -366,9 +440,11 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     inputs = standard_inputs(instance, superposed_db=instance.database_register is not None)
     adv_spec = adversary.modified_spec(spec)
     rows = []
-    for ins in inputs:
-        honest = execute(spec, ins.state)
-        dishonest = execute(adv_spec, ins.state)
+    for members in database_groups(inputs):
+        run_input = purified_input(spec, members[0].database)
+        honest = execute(spec, run_input)
+        dishonest = execute(adv_spec, run_input)
+        states = []
         for t, recovery in enumerate(adversary.recoveries, start=1):
             recovered = apply_recovery(dishonest, t, recovery)
             target = honest.ensemble(t)
@@ -377,7 +453,12 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
                     f"recovered registers {recovered.layout.names} do not match "
                     f"honest registers {target.layout.names} at step {t}"
                 )
-            rows.append((ins.label, t, recovered.distance(target)))
+            states.append((t, recovered, target))
+        for ins in members:
+            for t, recovered, target in states:
+                d = steer(recovered, ins.client, ins.reference).distance(
+                    steer(target, ins.client, ins.reference))
+                rows.append((ins.label, t, d))
     gamma_hat = max(d for _, _, d in rows) if rows else 0.0
     return SpeciousnessReport(
         adversary=adversary.name,

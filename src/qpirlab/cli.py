@@ -127,6 +127,7 @@ def correctness(protocol, n, cleanup, databases, seed, out, fmt):
     rng = np.random.default_rng(seed)
     if databases is None and n <= 4:
         dbs = [tuple((d >> (n - 1 - j)) & 1 for j in range(n)) for d in range(1 << n)]
+        seed = None  # exhaustive: no database was drawn
     else:
         count = databases or 64
         dbs = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(count)]
@@ -148,7 +149,7 @@ def correctness(protocol, n, cleanup, databases, seed, out, fmt):
         for i in range(1, n + 1):
             bit, prob = inst.decode(tr, i)
             ok = bit == db[i - 1] and prob >= 1 - TOL
-            rows.append({"protocol": protocol, "n": n, "cleanup": cleanup,
+            rows.append({"protocol": protocol, "n": n, "cleanup": cleanup, "seed": seed,
                          "db": "".join(map(str, db)), "i": i, "bit": bit,
                          "probability": prob, "tolerance": TOL, "ok": ok})
     _finish(rows, out, fmt)

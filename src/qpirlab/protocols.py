@@ -524,9 +524,14 @@ def decode_distribution(transcript: ExecutionTranscript, *,
     """Joint outcome distribution over (index register, output bit).
 
     Shape (2**index_width, 2); without an index register, shape (1, 2).
+    Computed once per transcript and kept on it, read-only.
     """
     ens = transcript.final
     out = _resolve_output(ens.layout, output_register)
-    if index_register and ens.layout.has(index_register):
-        return ens.probabilities((index_register, out)).reshape(-1, 2)
-    return ens.probabilities((out,)).reshape(1, 2)
+    index = index_register if index_register and ens.layout.has(index_register) else None
+    dist = transcript.decoded.get((out, index))
+    if dist is None:
+        dist = ens.probabilities((index, out) if index else (out,)).reshape(-1, 2)
+        dist.flags.writeable = False
+        transcript.decoded[(out, index)] = dist
+    return dist

@@ -345,6 +345,8 @@ class ExecutionTranscript:
         self.ensembles: tuple[Ensemble | None, ...] = tuple(ensembles)
         self.references = references
         self.final: Ensemble = self.ensembles[-1]
+        # decode_distribution of the final state, by (output, index) register
+        self.decoded: dict[tuple[str, str | None], np.ndarray] = {}
 
     @property
     def steps(self) -> int:

@@ -94,6 +94,15 @@ def test_seed_fixes_randomized_fixtures(runner):
     assert a.output == b.output
 
 
+def test_correctness_rows_record_their_seed(runner, tmp_path):
+    for extra, want in (([], None), (["--databases", "2", "--seed", "11"], 11)):
+        out = tmp_path / f"seed{want}"
+        res = runner.invoke(main, ["correctness", "--n", "2", "--out", str(out), *extra])
+        assert res.exit_code == 0, res.output
+        rows = json.loads(out.with_suffix(".json").read_text())
+        assert rows and all(r["seed"] == want for r in rows)
+
+
 def test_suite_small(runner, tmp_path):
     res = runner.invoke(main, ["suite", "all", "--sizes", "1,2",
                                "--out", str(tmp_path / "suite")])

@@ -13,6 +13,7 @@ from qpirlab.adversaries import (
 )
 from qpirlab.distances import pure_trace_distance
 from qpirlab.privacy import (
+    FIGURE_TOL,
     HonestSimulator,
     PrivacyReport,
     PrivacyRow,
@@ -164,6 +165,20 @@ class TestTheoremBound:
         rows = verify_theorem_bound(k2, [gamma_family(k2, 0.9)])
         assert rows[0].gamma_hat <= 1e-9
         assert rows[0].eps_hat <= 1e-9
+
+    def test_noise_level_gamma_adds_nothing_to_the_bound(self, k2):
+        # both recoveries are exact; their gamma_hat is QR noise, kept raw
+        rows = verify_theorem_bound(k2, [gamma_family(k2, 0.3), purified_honest(k2)])
+        for r in rows:
+            assert r.gamma_hat <= FIGURE_TOL
+            assert r.bound == r.eps_honest
+            assert r.ok
+
+    def test_lossy_bound_is_unchanged(self, k2):
+        (row,) = verify_theorem_bound(k2, [gamma_family(k2, 0.3, lossy=True)])
+        assert row.gamma_hat > FIGURE_TOL
+        assert row.bound == row.eps_honest + 3.0 * math.sqrt(2.0 * row.gamma_hat)
+        assert row.bound == pytest.approx(float.fromhex("0x1.cb12edecfe42cp-2"), abs=1e-12)
 
     def test_sandwich_lower_vs_certified(self, k2):
         adv = gamma_family(k2, 0.4, lossy=True)

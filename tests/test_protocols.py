@@ -14,7 +14,7 @@ from qpirlab.protocols import (
     decode_output,
     epr_pair_state,
 )
-from qpirlab.runtime import communication, execute
+from qpirlab.runtime import Ensemble, communication, execute
 from qpirlab.states import DensityOperator, PureState, RegisterLayout
 from qpirlab.config import CapExceeded
 
@@ -180,6 +180,23 @@ def test_decode_requires_output_register():
     tr = inst.run((0, 1), 1)
     with pytest.raises(Exception, match="absent"):
         decode_output(tr, 1, output_register="nope")
+
+
+def test_decode_reduces_the_final_state_once(monkeypatch):
+    inst = build_kerenidis(4, database=(0, 1, 1, 0))
+    tr = inst.run(input_state=uniform_index_state(inst), keep_states=False)
+    calls = []
+    inner = Ensemble.probabilities
+    monkeypatch.setattr(Ensemble, "probabilities",
+                        lambda self, names: calls.append(names) or inner(self, names))
+    assert [inst.decode(tr, i)[0] for i in range(1, 5)] == [0, 1, 1, 0]
+    assert calls == [("idx", "f")]
+    dist = decode_distribution(tr)
+    assert dist is decode_distribution(tr) and dist.shape == (4, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        dist[0, 0] = 1.0
+    with pytest.raises(ValueError, match="out of range"):
+        inst.decode(tr, 5)
 
 
 def test_database_bits_forms():

@@ -1,0 +1,265 @@
+"""Steering against the per-input loop.
+
+Every analysis runs each database state once, on the purified index, and
+steers the result to each test input's client state.  The slow reference
+here runs every test input on its own, as the analyses did before: views,
+privacy rows, both certificates and the speciousness rows must agree with
+it to 1e-12."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from qpirlab import adversaries, privacy
+from qpirlab.adversaries import (
+    adversary_by_name,
+    apply_recovery,
+    database_groups,
+    measure_speciousness,
+    purified_honest,
+    purified_input,
+    standard_inputs,
+    steer,
+)
+from qpirlab.privacy import (
+    HonestSimulator,
+    TheoremSimulator,
+    _even_steps,
+    _reference_marginal,
+    _server_views,
+    privacy_lower_bound,
+)
+from qpirlab.protocols import build_counterexample, build_kerenidis
+from qpirlab.runtime import Ensemble, execute
+from qpirlab.states import RegisterLayout
+
+TOL = 1e-12
+
+
+def _instance(name):
+    return {
+        "k1": lambda: build_kerenidis(1),
+        "k2": lambda: build_kerenidis(2),
+        "k4": lambda: build_kerenidis(4),
+        "k2-classical": lambda: build_kerenidis(2, database=(1, 0)),
+        "k4-classical": lambda: build_kerenidis(4, database=(0, 1, 1, 0)),
+        "cx2": lambda: build_counterexample(2),
+    }[name]()
+
+
+def _adversary(inst, name):
+    if name is None:
+        return None
+    return purified_honest(inst) if name == "honest-purified" else adversary_by_name(inst, name)
+
+
+# ---------------------------------------------------------------------------
+# the slow reference: one run per test input
+# ---------------------------------------------------------------------------
+
+
+def _reference_views(spec, inputs, steps):
+    out = {}
+    for ins in inputs:
+        tr = execute(spec, ins.state, probe_steps=steps, keep_states=False)
+        out[ins.label] = {t: tr.server_view(t) for t in steps}
+    return out
+
+
+def _reference_rows(inst, spec, inputs, views):
+    steps = _even_steps(inst.spec)
+    groups = {}
+    for ins in inputs:
+        groups.setdefault((ins.x_label, ins.marginal_key), []).append(ins.label)
+    rows = []
+    for (x_label, _), labels in groups.items():
+        for la, lb in combinations(labels, 2):
+            for t in steps:
+                rows.append((t, x_label, (la, lb), views[la][t].distance(views[lb][t])))
+    return rows
+
+
+def _reference_certificate(inst, spec, simulate):
+    steps = _even_steps(inst.spec)
+    inputs = standard_inputs(inst)
+    views = _reference_views(spec, inputs, steps)
+    rows = []
+    for ins in inputs:
+        ref = _reference_marginal(ins.state, ins.reference)
+        for t in steps:
+            sim = simulate(ins.db, t)
+            if ref is not None:
+                sim = sim.tensor(ref)
+            rows.append((ins.label, t, sim.distance(views[ins.label][t])))
+    return rows
+
+
+def _reference_honest_view(inst):
+    cache = {}
+
+    def view(db, t):
+        if db not in cache:
+            tr = execute(inst.spec, inst.basis_input(db, 1))
+            cache[db] = tr
+        return cache[db].server_view(t)
+    return view
+
+
+def _reference_speciousness(inst, adv):
+    inputs = standard_inputs(inst, superposed_db=inst.database_register is not None)
+    adv_spec = adv.modified_spec(inst.spec)
+    rows = []
+    for ins in inputs:
+        honest = execute(inst.spec, ins.state)
+        dishonest = execute(adv_spec, ins.state)
+        for t, recovery in enumerate(adv.recoveries, start=1):
+            recovered = apply_recovery(dishonest, t, recovery)
+            rows.append((ins.label, t, recovered.distance(honest.ensemble(t))))
+    return rows
+
+
+def _assert_rows_match(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:-1] == w[:-1]
+        assert abs(g[-1] - w[-1]) <= TOL, (g, w)
+
+
+# ---------------------------------------------------------------------------
+# views and privacy rows
+# ---------------------------------------------------------------------------
+
+PRIVACY_CASES = [
+    ("k1", None), ("k2", None), ("k4", None), ("k2-classical", None), ("k4-classical", None),
+    ("cx2", None), ("cx2", "honest-purified"),
+    ("k2", "purify-db"), ("k2", "gamma:0.3"), ("k2", "gamma-lossy:0.3"),
+]
+
+
+@pytest.mark.parametrize("inst_name,adv_name", PRIVACY_CASES)
+def test_steered_views_and_rows_match_the_per_input_loop(inst_name, adv_name):
+    inst = _instance(inst_name)
+    adv = _adversary(inst, adv_name)
+    spec = inst.spec if adv is None else adv.modified_spec(inst.spec)
+    steps = _even_steps(inst.spec)
+    full = inst.database_register is not None
+    inputs = standard_inputs(inst, superposed_db=full)
+    want_views = _reference_views(spec, inputs, steps)
+
+    for members in database_groups(inputs):
+        got = _server_views(spec, members[0].database,
+                            [(ins.client, ins.reference) for ins in members], steps)
+        for ins, views in zip(members, got):
+            for t in steps:
+                assert views[t].distance(want_views[ins.label][t]) <= TOL, (ins.label, t)
+
+    for mode in ("anchored", "full") if full else ("anchored",):
+        report = privacy_lower_bound(inst, adv, mode)
+        mode_inputs = [ins for ins in inputs if mode == "full" or ins.x_label != "x=+"]
+        want = _reference_rows(inst, spec, mode_inputs, want_views)
+        _assert_rows_match([(r.step, r.x_label, r.pair, r.distance) for r in report.rows], want)
+        assert abs(report.eps_lower - max((w[-1] for w in want), default=0.0) / 2) <= TOL
+
+
+def test_inputs_without_an_index_register_are_not_steered():
+    inst = build_kerenidis(1)
+    for members in database_groups(standard_inputs(inst, superposed_db=True)):
+        assert [ins.label.split(",")[-1] for ins in members] == ["i=1"]
+        ins = members[0]
+        steps = _even_steps(inst.spec)
+        (views,) = _server_views(inst.spec, ins.database, [(ins.client, ins.reference)], steps)
+        tr = execute(inst.spec, ins.state)
+        for t in steps:
+            np.testing.assert_array_equal(views[t].vectors, tr.server_view(t).vectors)
+
+
+# ---------------------------------------------------------------------------
+# certificates and speciousness
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("inst_name", ["k1", "k2", "k4", "k2-classical", "cx2"])
+def test_honest_certificate_matches_the_per_input_loop(inst_name):
+    inst = _instance(inst_name)
+    sim = HonestSimulator(inst)
+    eps, rows = sim.epsilon_upper()
+    want = _reference_certificate(inst, inst.spec, _reference_honest_view(inst))
+    _assert_rows_match(rows, want)
+    assert abs(eps - max(d for *_, d in want)) <= TOL
+
+
+@pytest.mark.parametrize("adv_name", ["honest-purified", "purify-db", "gamma:0.3",
+                                      "gamma-lossy:0.3"])
+def test_theorem_certificate_matches_the_per_input_loop(adv_name):
+    inst = build_kerenidis(2)
+    adv = _adversary(inst, adv_name)
+    sim = TheoremSimulator(inst, adv, 0)
+    eps, rows = sim.certify()
+    ref_sim = TheoremSimulator(inst, adv, 0)
+    ref_sim.honest.view = _reference_honest_view(inst)
+    want = _reference_certificate(inst, adv.modified_spec(inst.spec), ref_sim.simulated_view)
+    _assert_rows_match(rows, want)
+    assert abs(eps - max(d for *_, d in want)) <= TOL
+
+
+@pytest.mark.parametrize("inst_name,adv_name", [
+    ("cx2", "honest-purified"), ("k2", "honest-purified"), ("k2", "purify-db"),
+    ("k2", "gamma:0.3"), ("k2", "gamma-lossy:0.3"), ("k1", "gamma-lossy:0.3"),
+])
+def test_speciousness_matches_the_per_input_loop(inst_name, adv_name):
+    inst = _instance(inst_name)
+    adv = _adversary(inst, adv_name)
+    report = measure_speciousness(inst, adv)
+    want = _reference_speciousness(inst, adv)
+    _assert_rows_match(report.rows, want)
+    assert abs(report.gamma_hat - max(d for *_, d in want)) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# one run per database state
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module):
+    calls = []
+    inner = module.execute
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, "execute", counted)
+    return calls
+
+
+def test_privacy_lower_bound_runs_each_database_once(monkeypatch):
+    calls = _count_calls(monkeypatch, privacy)
+    report = privacy_lower_bound(build_kerenidis(4))
+    assert len(calls) == 16
+    assert len(report.rows) == 528
+
+
+def test_speciousness_runs_each_database_once_per_side(monkeypatch):
+    inst = build_counterexample(2)
+    calls = _count_calls(monkeypatch, adversaries)
+    measure_speciousness(inst, purified_honest(inst))
+    # four classical databases and the superposed one, honest and adversarial
+    assert len(calls) == 10
+    assert len(set(calls)) == 2
+
+
+@pytest.mark.parametrize("inst_name", ["k2", "cx2"])
+def test_steering_reaches_any_client_state(inst_name, rng):
+    """Complex amplitudes, a reference other than the purifier and two
+    branches: the map holds for any client state, not only the standard
+    set, at every step of the global state."""
+    inst = _instance(inst_name)
+    layout = RegisterLayout(((inst.index_register, inst.levels), ("refx", 1)))
+    v = rng.normal(size=(2, layout.dim)) + 1j * rng.normal(size=(2, layout.dim))
+    client = Ensemble(layout, v / np.linalg.norm(v))
+    database = inst.database_state(2)
+    steered = execute(inst.spec, purified_input(inst.spec, database))
+    direct = execute(inst.spec, Ensemble.from_pure(database).tensor(client))
+    for t in range(1, steered.steps + 1):
+        got = steer(steered.ensemble(t), client, ("refx",))
+        assert got.distance(direct.ensemble(t)) <= TOL, t

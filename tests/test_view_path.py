@@ -5,7 +5,8 @@ analysis cannot honour."""
 import numpy as np
 import pytest
 
-from qpirlab.adversaries import client_variants, standard_inputs
+from qpirlab.adversaries import (client_variants, database_groups, purified_input,
+                                 standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
 from qpirlab.config import CapExceeded
 from qpirlab.distances import ensemble_trace_distance
@@ -55,14 +56,17 @@ def test_ensemble_trace_distance_takes_rows_or_arrays(rng):
 def test_server_views_match_a_run_that_keeps_every_step():
     k2 = build_kerenidis(2)
     steps = list(range(1, 2 * k2.spec.rounds + 1))
-    for ins in standard_inputs(k2, superposed_db=True):
-        views = _server_views(k2.spec, ins.state, steps)
-        kept = execute(k2.spec, ins.state)
-        assert sorted(views) == steps
-        for t in steps:
-            want = kept.server_view(t)
-            assert views[t].layout == want.layout
-            np.testing.assert_array_equal(views[t].vectors, want.vectors)
+    for members in database_groups(standard_inputs(k2, superposed_db=True)):
+        database = members[0].database
+        all_views = _server_views(k2.spec, database,
+                                  [(ins.client, ins.reference) for ins in members], steps)
+        kept = execute(k2.spec, purified_input(k2.spec, database))
+        for ins, views in zip(members, all_views):
+            assert sorted(views) == steps
+            for t in steps:
+                want = steer(kept.server_view(t), ins.client, ins.reference)
+                assert views[t].layout == want.layout
+                np.testing.assert_array_equal(views[t].vectors, want.vectors)
 
 
 @pytest.mark.parametrize("build", [lambda: build_kerenidis(2), lambda: build_kerenidis(4),
