@@ -326,9 +326,9 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
             premise.append(False)
 
     if mode == "classical-per-a":
-        rho = transcripts[0].final.reduced(b_regs, ordered=True)
+        rho = transcripts[0].final.reduced(b_regs)
     else:
-        rho = transcripts[0].final.reduced(["refdb"] + b_regs, ordered=True)
+        rho = transcripts[0].final.reduced(["refdb"] + b_regs)
     sigma_1 = rho
 
     extractions = []

@@ -18,18 +18,25 @@ of :mod:`qpirlab.states`:
   ``_flip(idx, layout)`` mask; the shared kernel gathers
   ``vectors[:, idx ^ flip]`` through a cached index array;
 * diagonal sign: ``SelectPhaseOp`` multiplies by a cached +-1 array;
-* local matrices on front-moved axes: ``RotateOp`` and ``DenseOp`` bring
-  their registers' axes to the front with ``states.slots_to_front``, act on
-  the resulting ``(B, 2**k, rest)`` array and move the axes back.
-  ``DenseOp`` covers anything else (general isometries, Kraus sets,
-  measurement operator sets), embedded as identity on untouched registers.
+* local matrices, ``_apply_local``: ``HadamardOp``, ``RotateOp`` and
+  ``DenseOp`` bring their qubits' axes to the front with
+  ``states.slots_to_front``, apply one ``np.matmul`` to the resulting
+  ``(B, 2**k, rest)`` array and move the axes back.  ``DenseOp`` covers
+  anything else (general isometries, Kraus sets, measurement operator sets),
+  embedded as identity on untouched registers.  ``HadamardOp`` multiplies by
+  ``H`` or ``H (x) H`` with exact +-1 entries, two qubits at a time, and
+  scales once: each output then sums at most four exact products, so equal
+  amplitudes that cancel give exact zeros.  A normalized matrix, or one
+  ``2**w``-term sum, leaves ~1e-17 dust there, which costs the analyses' QR
+  and eigh work and moves figures that go through an Uhlmann completion.
 
-``HadamardOp`` applies a butterfly per qubit, ``PrepareOp`` an outer
-product, and ``MeasureOp`` repeats each branch once per observed label and
-zeroes the other labels in place.  Every concrete op class binds ``apply_vectors(self, vectors,
-layout)`` in its own class body (the XOR ops as ``apply_vectors =
-_apply_flip``), never by inheritance: per-kind instrumentation looks the
-method up in each class's ``__dict__``.
+``PrepareOp`` applies an outer product, and ``MeasureOp`` repeats each
+branch once per observed label and zeroes the other labels in place.  An op
+that flips a qubit it also controls on is rejected when it is built.  Every
+concrete op class binds ``apply_vectors(self, vectors, layout)`` in its own
+class body (the XOR ops as ``apply_vectors = _apply_flip``), never by
+inheritance: per-kind instrumentation looks the method up in each class's
+``__dict__``.
 """
 
 from __future__ import annotations
@@ -118,6 +125,28 @@ class _ArrayCache:
 _perm_cache = _ArrayCache()
 
 
+def _apply_local(vectors, total, slots, matrices, dest):
+    """The local-matrix kernel: apply each matrix of the ``(m, dout, din)``
+    stack ``matrices`` to the qubit ``slots`` of every branch, with the
+    matrix basis big-endian in the given slot order, and return the output
+    row bits at ``dest``, which may name slots appended past ``total``.
+    Outputs are branch-major, one per (branch, matrix); with several
+    matrices, outputs at or below ``states.BRANCH_PRUNE`` are dropped."""
+    # (B, m, dout, rest): one block per (branch, matrix), branch-major
+    blocks = np.matmul(matrices, slots_to_front(vectors, total, slots)[:, None])
+    if len(matrices) > 1:
+        blocks = blocks[nonzero_rows((np.abs(blocks) ** 2).sum(axis=(2, 3)))]
+    else:
+        blocks = blocks[:, 0]
+    return slots_from_front(blocks, dest)
+
+
+# sqrt(2) H and 2 H (x) H with exact +-1 entries, as (1, d, d) stacks for
+# _apply_local (see the module docstring for why not a normalized matrix).
+_H_SIGNS = np.array([[1, 1], [1, -1]], dtype=np.complex128)
+_HADAMARD_SIGNS = {1: _H_SIGNS[None], 2: np.kron(_H_SIGNS, _H_SIGNS)[None]}
+
+
 class ChannelOp:
     """Base class; subclasses implement :meth:`apply_vectors`."""
 
@@ -199,17 +228,16 @@ class HadamardOp(ChannelOp):
         return (self.register,)
 
     def apply_vectors(self, vectors, layout):
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        v = vectors.copy()
-        for s in layout.slots([self.register]):
-            t = v.reshape(len(v), 1 << s, 2, layout.dim >> (s + 1))
-            a = t[:, :, 0].copy()
-            t[:, :, 0] += t[:, :, 1]
-            t[:, :, 0] *= inv_sqrt2
-            t[:, :, 1] *= -1.0
-            t[:, :, 1] += a
-            t[:, :, 1] *= inv_sqrt2
-        return v
+        slots = layout.slots([self.register])
+        out = vectors
+        # Two qubits per product: a sum of 2**w equal terms that cancel
+        # would round at its partial sum 3y and leave dust for a zero.
+        for k in range(0, len(slots), 2):
+            pair = slots[k:k + 2]
+            out = _apply_local(out, layout.total_qubits, pair, _HADAMARD_SIGNS[len(pair)], pair)
+        # a register has at least one qubit, so `out` is a fresh array here
+        out *= 0.5 ** (len(slots) // 2) * (1.0 / math.sqrt(2.0)) ** (len(slots) % 2)
+        return out
 
     def descriptor(self):
         return {"op": "hadamard", "register": self.register}
@@ -228,6 +256,16 @@ def _apply_flip(self, vectors, layout):
     # vectors[:, perm] reads the int32 index in place but is column-major for
     # several rows; np.take gives C order but first copies the index to intp.
     return vectors[:, perm] if len(vectors) == 1 else np.take(vectors, perm, axis=1)
+
+
+def _check_flips_no_control(op: "ChannelOp", flipped, controls) -> None:
+    """An op that flips ``flipped`` while it controls on it is not unitary;
+    names are compared as given, before any layout resolves them."""
+    if flipped in controls:
+        raise ChannelError(
+            f"{type(op).__name__} flips {flipped!r}, which it also controls on "
+            f"(controls {tuple(controls)!r})"
+        )
 
 
 def _selected_bit(idx, layout, table, selector, fixed_value):
@@ -268,6 +306,7 @@ class InnerProductCnotOp(ChannelOp):
             raise ChannelError("exactly one of mask / mask_register is required")
         if self.mask is not None and set(self.mask) - {"0", "1"}:
             raise ChannelError(f"mask {self.mask!r} is not a bit string")
+        _check_flips_no_control(self, self.target, (self.source, self.mask_register))
 
     @property
     def reads(self):
@@ -367,6 +406,10 @@ class SelectCnotOp(ChannelOp):
     selector: str | None = None
     fixed_value: int = 0
 
+    def __post_init__(self):
+        _check_flips_no_control(self, self.target[0], (self.selector,))
+        _check_flips_no_control(self, tuple(self.target), [tuple(q) for _, q in self.sources])
+
     @property
     def reads(self):
         regs = tuple(dict.fromkeys(r for _, (r, _) in self.sources))
@@ -398,6 +441,9 @@ class SelectFlipOp(ChannelOp):
     bit_table: tuple[int, ...]
     target: tuple[str, int]
 
+    def __post_init__(self):
+        _check_flips_no_control(self, self.target[0], (self.selector,))
+
     @property
     def reads(self):
         return (self.selector, self.target[0])
@@ -428,6 +474,9 @@ class CnotOp(ChannelOp):
     control: tuple[str, int]
     target: tuple[str, int]
 
+    def __post_init__(self):
+        _check_flips_no_control(self, tuple(self.target), (tuple(self.control),))
+
     @property
     def reads(self):
         return (self.control[0], self.target[0])
@@ -453,6 +502,9 @@ class CopyOp(ChannelOp):
 
     source: str
     target: str
+
+    def __post_init__(self):
+        _check_flips_no_control(self, self.target, (self.source,))
 
     @property
     def reads(self):
@@ -520,6 +572,10 @@ class RotateOp(ChannelOp):
     theta: float
     control: tuple[str, int] | None = None
 
+    def __post_init__(self):
+        if self.control is not None:
+            _check_flips_no_control(self, tuple(self.target), (tuple(self.control),))
+
     @property
     def reads(self):
         return (self.target[0],) if self.control is None else (self.control[0], self.target[0])
@@ -532,18 +588,15 @@ class RotateOp(ChannelOp):
         return RotateOp(self.target, -self.theta, self.control)
 
     def apply_vectors(self, vectors, layout):
-        total = layout.total_qubits
         slots = [layout.qubit(*self.target)]
         if self.control is not None:
             slots.insert(0, layout.qubit(*self.control))
         c = math.cos(self.theta / 2.0)
         s = math.sin(self.theta / 2.0)
-        t = slots_to_front(vectors, total, slots)
         # rows 0/1 (uncontrolled) or 2/3 (control set) hold target 0/1
-        new = t.copy()
-        new[:, -2] = c * t[:, -2] - s * t[:, -1]
-        new[:, -1] = s * t[:, -2] + c * t[:, -1]
-        return slots_from_front(new, slots)
+        m = np.eye(1 << len(slots), dtype=np.complex128)
+        m[-2:, -2:] = [[c, -s], [s, c]]
+        return _apply_local(vectors, layout.total_qubits, slots, m[None], slots)
 
     def descriptor(self):
         return {"op": "rotate", "target": list(self.target), "theta": self.theta,
@@ -680,6 +733,9 @@ class DenseOp(ChannelOp):
             raise ChannelError(f"unknown operation kind {kind!r}")
         if kind == "isometry" and len(mats) != 1:
             raise ChannelError("an isometry has exactly one operator")
+        names = [*self.registers, *(n for n, _ in self.created)]
+        if len(set(names)) != len(names):
+            raise ChannelError(f"DenseOp names a register twice: {tuple(names)!r}")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "operation_kind", kind)
         object.__setattr__(self, "registers", tuple(self.registers))
@@ -715,13 +771,7 @@ class DenseOp(ChannelOp):
         if knew:
             check_cap(total + knew, what="state")
         dest = slots + list(range(total, total + knew))
-        # (B, m, dout, rest): one block per (branch, matrix), branch-major
-        blocks = np.matmul(np.stack(self.matrices), slots_to_front(vectors, total, slots)[:, None])
-        if len(self.matrices) > 1:
-            blocks = blocks[nonzero_rows((np.abs(blocks) ** 2).sum(axis=(2, 3)))]
-        else:
-            blocks = blocks[:, 0]
-        return slots_from_front(blocks, dest)
+        return _apply_local(vectors, total, slots, np.stack(self.matrices), dest)
 
     def dense_operators(self, layout):
         return list(self.matrices), self.registers + tuple(n for n, _ in self.created)

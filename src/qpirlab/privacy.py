@@ -199,16 +199,21 @@ def _reference_marginal(state: PureState | Ensemble, reference) -> Ensemble | No
     return ens.traced(drop)
 
 
-def _certificate(instance: QpirInstance, spec: ProtocolSpec, simulate):
+def _database(instance: QpirInstance, db) -> PureState | None:
+    return instance.database_state(db) if instance.database_register else None
+
+
+def _certificate(instance: QpirInstance, views, simulate):
     """(eps, rows): the worst distance, over the anchored test inputs and the
     even steps, between ``simulate(db, t)`` (tensored with the input's
-    reference marginal) and the server view of a run of ``spec``."""
+    reference marginal) and the input's server view.  ``views(db, clients)``
+    gives the views over database ``db`` for each ``(client state,
+    reference names)`` of ``clients``, as :func:`_server_views` does."""
     steps = _even_steps(instance.spec)
     rows = []
     for members in database_groups(standard_inputs(instance)):
-        views = _server_views(spec, members[0].database,
-                              [(ins.client, ins.reference) for ins in members], steps)
-        for ins, view in zip(members, views):
+        group = views(members[0].db, [(ins.client, ins.reference) for ins in members])
+        for ins, view in zip(members, group):
             ref = _reference_marginal(ins.client, ins.reference)
             for t in steps:
                 sim = simulate(ins.db, t)
@@ -227,20 +232,31 @@ class HonestSimulator:
         self.instance = instance
         self._views: dict = {}  # database -> {even step: view}
 
+    @staticmethod
+    def _key(db):
+        return tuple(db) if isinstance(db, (tuple, list)) else db
+
+    def _run(self, db, clients) -> list[dict[int, Ensemble]]:
+        """The honest views over ``db`` for each of ``clients``, as
+        :func:`_server_views` gives them.  The simulator's own views (index
+        1) are steered from the same run and kept."""
+        inst = self.instance
+        own, *views = _server_views(inst.spec, _database(inst, db),
+                                    [(inst.client_basis_state(1), ()), *clients],
+                                    _even_steps(inst.spec))
+        self._views[self._key(db)] = own
+        return views
+
     def view(self, db, t: int) -> Ensemble:
-        key = tuple(db) if isinstance(db, (tuple, list)) else db
-        if key not in self._views:
-            inst = self.instance
-            database = inst.database_state(db) if inst.database_register else None
-            self._views[key] = _server_views(inst.spec, database,
-                                             [(inst.client_basis_state(1), ())],
-                                             _even_steps(inst.spec))[0]
-        return self._views[key][t]
+        if self._key(db) not in self._views:
+            self._run(db, [])
+        return self._views[self._key(db)][t]
 
     def epsilon_upper(self):
         """Max distance between the simulated and the actual view over the
-        test inputs; returns (eps_upper, rows)."""
-        return _certificate(self.instance, self.instance.spec, self.view)
+        test inputs; returns (eps_upper, rows).  One honest run per database
+        gives both sides."""
+        return _certificate(self.instance, self._run, self.view)
 
 
 _SELF_INVERSE = (HadamardOp, InnerProductCnotOp, SelectPhaseOp, SelectCnotOp,
@@ -324,8 +340,13 @@ class TheoremSimulator:
     def certify(self):
         """(eps_hat, rows): worst distance between the simulator output and
         the adversary's actual view across anchored test inputs and steps."""
-        adv_spec = self.adversary.modified_spec(self.instance.spec)
-        return _certificate(self.instance, adv_spec, self.simulated_view)
+        inst = self.instance
+        adv_spec = self.adversary.modified_spec(inst.spec)
+        steps = _even_steps(inst.spec)
+
+        def views(db, clients):
+            return _server_views(adv_spec, _database(inst, db), clients, steps)
+        return _certificate(inst, views, self.simulated_view)
 
     def extract_anchor(self, db, client_state: PureState, t: int) -> PureState:
         """Re-extract the anchor from an arbitrary anchored pure input; used

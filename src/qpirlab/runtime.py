@@ -281,14 +281,9 @@ class Ensemble:
         g = self.vectors.conj() @ self.vectors.T
         return float(np.sum(np.abs(g) ** 2))
 
-    def reduced(self, names, *, ordered: bool = False) -> DensityOperator:
-        """Reduced density operator on ``names``.
-
-        With ``ordered=True`` the basis follows the given name sequence
-        instead of layout order.
-        """
-        if not ordered:
-            names = self.layout.subset(names).names
+    def reduced(self, names) -> DensityOperator:
+        """Reduced density operator on ``names``, its basis big-endian in the
+        given name order."""
         return gram_reduce(self.vectors, self.layout, names)
 
     def density(self) -> DensityOperator:

@@ -159,6 +159,9 @@ class RegisterLayout:
     def ordered_slots(self, names) -> list[int]:
         """Global qubit slots of ``names``, register by register in the
         given order."""
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise LayoutError(f"register names {names} repeat")
         out = []
         for n in names:
             off = self.offset(n)

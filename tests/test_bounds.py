@@ -162,7 +162,7 @@ class TestPgm:
             tr = inst.run(d, 1, keep_states=False)
             own = tr.ownership(tr.steps)
             b_regs = [n for n in tr.final.layout.names if own.get(n) == "B"]
-            by_bit2[d & 1].append(tr.final.reduced(b_regs, ordered=True).matrix)
+            by_bit2[d & 1].append(tr.final.reduced(b_regs).matrix)
         ens = [(0.5, DensityOperator(8, 0.5 * (m[0] + m[1])))
                for m in (by_bit2[0], by_bit2[1])]
         out = pgm(ens)
@@ -221,6 +221,14 @@ class TestExtractionAttack:
         # distance exactly 1/sqrt(2) from the run-1 state
         tr = extraction_attack(build_kerenidis(2), "coherent-reference")
         assert tr.bits[1].drift == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+    def test_kerenidis_n4_coherent_drifts_are_pinned(self):
+        # Pinned values: each drift goes through an Uhlmann completion of a
+        # rank-deficient overlap, which moves by up to 0.03 under 1e-17
+        # rounding dust in the kernels' exact zeros.
+        tr = extraction_attack(build_kerenidis(4), "coherent-reference")
+        want = [0.0, 0.7067701707935816, 0.8122751958668093, 0.8661925952338183]
+        np.testing.assert_allclose([b.drift for b in tr.bits], want, rtol=0, atol=1e-12)
 
     def test_coherent_needs_quantum_path(self):
         inst = build_kerenidis(2, database=(0, 1))

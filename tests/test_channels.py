@@ -15,6 +15,7 @@ from qpirlab.channels import (
     PrepareOp,
     RotateOp,
     SelectCnotOp,
+    SelectFlipOp,
     SelectPhaseOp,
     SwapOp,
     op_from_descriptor,
@@ -258,3 +259,72 @@ def test_measure_peak_memory_stays_near_its_output(rng):
         tracemalloc.stop()
     assert out.shape == (16, layout.dim)
     assert peak <= 1.5 * out.nbytes
+
+
+@pytest.mark.parametrize("regs,op,ratio", [
+    ((("hi", 8), ("r", 2), ("lo", 6)), HadamardOp("r"), 2.0),
+    # two 2-qubit products: the first one's output is live during the second
+    ((("hi", 8), ("r", 4), ("lo", 4)), HadamardOp("r"), 3.0),
+    ((("hi", 8), ("c", 1), ("t", 1), ("lo", 6)), RotateOp(("t", 0), 0.3, ("c", 0)), 2.0),
+    ((("hi", 8), ("a", 2), ("lo", 6)), DenseOp((np.eye(4)[::-1],), ("a",)), 2.0),
+])
+def test_local_kernel_peak_memory(rng, regs, op, ratio):
+    # Per product on a 16-qubit state, the front-moved copy and the product
+    # are live together, then the product and its moved-back copy: twice the
+    # output.
+    layout = RegisterLayout(regs)
+    vectors = random_pure(rng, layout).amplitudes[None].copy()
+    tracemalloc.start()
+    try:
+        out = op.apply_vectors(vectors, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == vectors.shape
+    assert peak <= 1.01 * ratio * out.nbytes
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+@pytest.mark.parametrize("place", ["high", "middle", "low"])
+def test_hadamard_twice_keeps_exact_zeros(rng, w, place):
+    # Each setting of the other qubits of a 16-qubit state holds one label of
+    # the register, or nothing.  H then H sums equal terms that cancel, so a
+    # rounded product or partial sum would leave dust where a zero belongs.
+    before = {"high": 0, "middle": (16 - w) // 2, "low": 16 - w}[place]
+    regs = tuple((n, k) for n, k in (("a", before), ("r", w), ("b", 16 - w - before)) if k)
+    layout = RegisterLayout(regs)
+    rest = layout.dim >> w
+    amps = rng.normal(size=rest) + 1j * rng.normal(size=rest)
+    amps[rng.random(rest) < 0.5] = 0.0
+    t = np.zeros((1 << before, 1 << w, rest >> before), dtype=np.complex128)
+    t[np.arange(1 << before)[:, None], rng.integers(0, 1 << w, size=t[:, 0].shape),
+      np.arange(rest >> before)] = amps.reshape(1 << before, -1)
+    vectors = t.reshape(1, -1)
+    op = HadamardOp("r")
+    twice = op.apply_vectors(op.apply_vectors(vectors, layout), layout)
+    np.testing.assert_array_equal(twice == 0, vectors == 0)
+    np.testing.assert_allclose(twice, vectors, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("make,name", [
+    pytest.param(lambda: CnotOp(("a", 0), ("a", 0)), "CnotOp", id="cnot"),
+    pytest.param(lambda: CopyOp("a", "a"), "CopyOp", id="copy"),
+    pytest.param(lambda: op_from_descriptor({"op": "copy", "source": "a", "target": "a"}),
+                 "CopyOp", id="copy-descriptor"),
+    pytest.param(lambda: InnerProductCnotOp(source="a", target="a", mask="1"),
+                 "InnerProductCnotOp", id="ip-cnot-source"),
+    pytest.param(lambda: InnerProductCnotOp(source="b", target="a", mask_register="a"),
+                 "InnerProductCnotOp", id="ip-cnot-mask-register"),
+    pytest.param(lambda: SelectFlipOp("a", (0, 1), ("a", 0)), "SelectFlipOp", id="select-flip"),
+    pytest.param(lambda: SelectCnotOp(((1, ("b", 0)),), ("a", 0), selector="a"),
+                 "SelectCnotOp", id="select-cnot-selector"),
+    pytest.param(lambda: SelectCnotOp(((1, ("a", 0)),), ("a", 0), selector="b"),
+                 "SelectCnotOp", id="select-cnot-source"),
+    pytest.param(lambda: RotateOp(("a", 0), 0.3, ("a", 0)), "RotateOp", id="rotate"),
+    pytest.param(lambda: DenseOp((np.eye(4),), ("a", "a")), "DenseOp", id="dense"),
+])
+def test_ops_reject_controlling_on_what_they_flip(make, name):
+    # On |a=1> (x) |+> each of these would leave weight 0 or 0.5, or fail
+    # inside numpy, rather than name the op.
+    with pytest.raises(ChannelError, match=rf"{name}.*'a'"):
+        make()

@@ -101,7 +101,7 @@ class TestKerenidis:
                 bit, prob = inst.decode(tr, i)
                 assert bit == db[i - 1] and prob >= 1 - 1e-9
                 names = list(setup.layout.names)
-                rho = tr.final.reduced(names, ordered=True)
+                rho = tr.final.reduced(names)
                 vec = setup.aligned_to(RegisterLayout(
                     tuple((m, setup.layout.width(m)) for m in names)))
                 overlap = float(np.real(vec.conj() @ rho.matrix @ vec))

@@ -135,7 +135,7 @@ def test_ensemble_probabilities_follow_name_order():
     vecs /= np.linalg.norm(vecs)
     mixed = Ensemble(wide, vecs)
     for names in (("z", "x"), ("y", "z", "x"), ("x", "z")):
-        want = np.diag(mixed.reduced(names, ordered=True).matrix).real
+        want = np.diag(mixed.reduced(names).matrix).real
         np.testing.assert_allclose(mixed.probabilities(names), want, atol=1e-12)
 
 
@@ -302,11 +302,11 @@ def test_ensemble_methods_match_a_per_row_loop(seed):
         want_p = sum((np.abs(_front(v, layout, names)) ** 2).sum(axis=1) for v in rows)
         np.testing.assert_allclose(ens.probabilities(names), want_p, rtol=0, atol=1e-12)
         want_rho = sum(m @ m.conj().T for m in (_front(v, layout, names) for v in rows))
-        got_rho = ens.reduced(names, ordered=True).matrix
+        got_rho = ens.reduced(names).matrix
         np.testing.assert_allclose(got_rho, want_rho, rtol=0, atol=1e-12)
         in_order = [n for n in layout.names if n in names]
         want_rho = sum(m @ m.conj().T for m in (_front(v, layout, in_order) for v in rows))
-        np.testing.assert_allclose(ens.reduced(names).matrix, want_rho, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ens.reduced(in_order).matrix, want_rho, rtol=0, atol=1e-12)
 
 
 def test_ensemble_rejects_malformed_branch_arrays():
@@ -323,3 +323,10 @@ def test_aligned_vectors_requires_a_permutation_of_the_layout():
     for names in (("a", "a"), ("a",), ("a", "b", "c")):
         with pytest.raises(LayoutError, match=r"\('a', 'b'\)"):
             ens.aligned_vectors(names)
+
+
+def test_reduced_and_probabilities_reject_repeated_names():
+    ens = Ensemble.from_pure(PureState.basis(RegisterLayout((("a", 1), ("b", 1)))))
+    for call in (ens.reduced, ens.probabilities):
+        with pytest.raises(LayoutError, match=r"\('a', 'a'\)"):
+            call(["a", "a"])

@@ -239,6 +239,13 @@ def test_privacy_lower_bound_runs_each_database_once(monkeypatch):
     assert len(report.rows) == 528
 
 
+def test_honest_certificate_runs_each_database_once(monkeypatch):
+    # the simulated view (index 1) and the actual views share each run
+    calls = _count_calls(monkeypatch, privacy)
+    HonestSimulator(build_kerenidis(4)).epsilon_upper()
+    assert len(calls) == 16
+
+
 def test_speciousness_runs_each_database_once_per_side(monkeypatch):
     inst = build_counterexample(2)
     calls = _count_calls(monkeypatch, adversaries)
