@@ -49,7 +49,7 @@ from .runtime import (
     ProtocolSpec,
     execute,
 )
-from .states import PureState, RegisterLayout, nonzero_rows, slots_to_front
+from .states import LayoutError, PureState, RegisterLayout, nonzero_rows, slots_to_front
 
 __all__ = [
     "Recovery",
@@ -60,6 +60,7 @@ __all__ = [
     "database_groups",
     "purified_input",
     "steer",
+    "steering",
     "purified_honest",
     "purification_attack",
     "gamma_family",
@@ -222,6 +223,38 @@ def purified_input(spec: ProtocolSpec, database: PureState | None) -> PureState 
     return state
 
 
+def steering(ens: Ensemble):
+    """:func:`steer` of ``ens`` as a function of ``(client, reference)``.
+
+    :data:`PURIFIER` is moved to the front once, and every client state is
+    steered from that one copy, which the function keeps in place of
+    ``ens``.  A run without :data:`PURIFIER` had no index to purify, so it
+    is the run on every client state, and those must have no index either.
+    """
+    lay = ens.layout
+    purified = lay.has(PURIFIER)
+    unsteered = None if purified else ens
+    # (1, run branch, other slots, purifier label)
+    v = (slots_to_front(ens.vectors, lay.total_qubits, lay.slots([PURIFIER]))
+         .transpose(0, 2, 1)[None] if purified else None)
+
+    def steer_to(client: PureState | Ensemble, reference) -> Ensemble:
+        cl = client if isinstance(client, Ensemble) else Ensemble.from_pure(client)
+        index = [name for name in cl.layout.names if name not in reference]
+        if bool(index) != purified:
+            raise LayoutError(f"client registers {list(cl.layout.names)} with reference "
+                              f"{list(reference)} do not fit a run on {list(lay.names)}")
+        if not index:
+            return unsteered
+        c = slots_to_front(cl.vectors, cl.layout.total_qubits, cl.layout.slots(index))
+        # (client branch, run branch, other slots, reference label)
+        steered = math.sqrt(v.shape[3]) * (v @ c[:, None])
+        layout = lay.without([PURIFIER]).extended(cl.layout.without(index).registers)
+        rows = steered.reshape(-1, layout.dim)
+        return Ensemble(layout, rows[nonzero_rows((np.abs(rows) ** 2).sum(axis=1))])
+    return steer_to
+
+
 def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     """``ens``, taken from a run on :func:`purified_input`, as the run on
     ``client`` would give it.
@@ -231,19 +264,9 @@ def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     branches of ``ens`` with ``sqrt(n) sum_{i,r} c[i, r] |r><i|`` applied to
     :data:`PURIFIER`, which puts ``reference`` in its place (appended to the
     layout).  Branches left at zero weight are dropped, as a run drops them.
+    To steer one ``ens`` to many client states, use :func:`steering`.
     """
-    cl = client if isinstance(client, Ensemble) else Ensemble.from_pure(client)
-    index = [name for name in cl.layout.names if name not in reference]
-    if not index:  # no index register, so the purified run is the run
-        return ens
-    lay = ens.layout
-    c = slots_to_front(cl.vectors, cl.layout.total_qubits, cl.layout.slots(index))
-    v = slots_to_front(ens.vectors, lay.total_qubits, lay.slots([PURIFIER]))
-    # (client branch, run branch, other slots, reference label)
-    steered = math.sqrt(v.shape[1]) * (v.transpose(0, 2, 1)[None] @ c[:, None])
-    layout = lay.without([PURIFIER]).extended(cl.layout.without(index).registers)
-    rows = steered.reshape(-1, layout.dim)
-    return Ensemble(layout, rows[nonzero_rows((np.abs(rows) ** 2).sum(axis=1))])
+    return steering(ens)(client, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +476,11 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
                     f"recovered registers {recovered.layout.names} do not match "
                     f"honest registers {target.layout.names} at step {t}"
                 )
-            states.append((t, recovered, target))
+            states.append((t, steering(recovered), steering(target)))
         for ins in members:
             for t, recovered, target in states:
-                d = steer(recovered, ins.client, ins.reference).distance(
-                    steer(target, ins.client, ins.reference))
+                d = recovered(ins.client, ins.reference).distance(
+                    target(ins.client, ins.reference))
                 rows.append((ins.label, t, d))
     gamma_hat = max(d for _, _, d in rows) if rows else 0.0
     return SpeciousnessReport(

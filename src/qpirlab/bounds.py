@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .states import DensityOperator, StateError, hermitize
 __all__ = [
     "GuessingBracket",
     "GentleMeasurement",
+    "BlockProjector",
     "gentle_measure",
     "helstrom",
     "pgm",
@@ -59,6 +61,43 @@ class GentleMeasurement:
     certificate: float  # sqrt(1 - probability)
 
 
+@dataclass(frozen=True)
+class BlockProjector:
+    """The projector ``(+)_a u^dagger diag(keep[a]) u``, block-diagonal over
+    the ``blocks`` rows of the boolean ``(blocks, d_b)`` mask ``keep``.
+
+    Block ``a`` acts on basis indices ``a * d_b .. (a + 1) * d_b - 1``.
+    ``u`` is checked to be unitary once, at ``d_b``, when the projector is
+    built; ``bit`` is the output bit it measures, named in that error.
+    """
+
+    bit: int
+    u: np.ndarray
+    keep: np.ndarray
+
+    def __post_init__(self):
+        u = np.asarray(self.u, dtype=np.complex128)
+        keep = np.asarray(self.keep, dtype=bool)
+        if keep.ndim != 2 or u.shape != (keep.shape[1], keep.shape[1]):
+            raise StateError(f"bit {self.bit}: rotation of shape {u.shape} does not fit "
+                             f"blocks of shape {keep.shape}")
+        if np.linalg.norm(u.conj().T @ u - np.eye(len(u))) > STATE_ATOL:
+            raise StateError(f"bit {self.bit}: the rotation is not unitary within {STATE_ATOL}")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "keep", keep)
+
+    @property
+    def dimension(self) -> int:
+        return self.keep.size
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """``P f`` for a ``(dimension, k)`` array, one block at a time."""
+        blocks, d_b = self.keep.shape
+        g = self.u @ f.reshape(blocks, d_b, -1)
+        g *= self.keep[:, :, None]
+        return (self.u.conj().T @ g).reshape(f.shape)
+
+
 def _operator_root(lam: np.ndarray) -> np.ndarray:
     """sqrt(L) of a Hermitian ``L`` after checking ``0 <= L <= I``.
 
@@ -77,32 +116,45 @@ def _operator_root(lam: np.ndarray) -> np.ndarray:
     return (evecs * np.sqrt(evals)) @ evecs.conj().T
 
 
-def gentle_measure(rho: DensityOperator, operator: np.ndarray) -> GentleMeasurement:
+def gentle_measure(rho: DensityOperator,
+                   operator: np.ndarray | BlockProjector) -> GentleMeasurement:
     """Measure ``0 <= operator <= I`` on ``rho``; the post-measurement state
     sqrt(L) rho sqrt(L) / tr(L rho) stays within sqrt(1 - tr(L rho)) of the
     original, and that certificate is asserted on every call.
 
+    A dense ``operator`` is checked to be Hermitian and between 0 and I, and
+    its root is taken by :func:`_operator_root`.  A :class:`BlockProjector`
+    is a projector by construction and its own root, so it is applied block
+    by block as ``u^dagger (keep * (u F_a))``, with no Hermitian scan, no
+    eigendecomposition and no dense operator.
+
     A ``rho`` that keeps a factor ``F`` yields the post-state from the
-    branches ``sqrt(L) F / sqrt(p)``, with ``p = ||sqrt(L) F||_F^2``.
+    branches ``sqrt(L) F / sqrt(p)``, with ``p = ||sqrt(L) F||_F^2``; a dense
+    ``rho`` is multiplied by the root from both sides.
     """
-    lam = np.asarray(operator, dtype=np.complex128)
-    if lam.shape != (rho.dimension, rho.dimension):
-        raise StateError("operator dimension does not match the state")
-    if np.max(np.abs(lam - lam.conj().T)) > STATE_ATOL:
-        raise StateError("operator is not Hermitian within tolerance")
-    lam = hermitize(lam)
-    root = _operator_root(lam)
+    if isinstance(operator, BlockProjector):
+        if operator.dimension != rho.dimension:
+            raise StateError("operator dimension does not match the state")
+        root = operator.apply
+    else:
+        lam = np.asarray(operator, dtype=np.complex128)
+        if lam.shape != (rho.dimension, rho.dimension):
+            raise StateError("operator dimension does not match the state")
+        if np.max(np.abs(lam - lam.conj().T)) > STATE_ATOL:
+            raise StateError("operator is not Hermitian within tolerance")
+        root = partial(np.matmul, _operator_root(hermitize(lam)))
     if rho.factor is not None:
-        branches = root @ rho.factor
+        branches = root(rho.factor)
         p = float(np.vdot(branches, branches).real)
     else:
-        p = float(np.vdot(rho.matrix, lam).real)  # tr(L rho), both Hermitian
+        measured = root(root(rho.matrix).conj().T)  # sqrt(L) rho sqrt(L)
+        p = float(np.trace(measured).real)
     if p <= 1e-14:
         raise StateError("measurement succeeds with probability 0")
     if rho.factor is not None:
         post = DensityOperator(rho.dimension, branches / math.sqrt(p), factored=True)
     else:
-        post = DensityOperator(rho.dimension, root @ rho.matrix @ root / p)
+        post = DensityOperator(rho.dimension, measured / p)
     certificate = math.sqrt(max(0.0, 1.0 - p))
     achieved = trace_distance(post, rho)
     if achieved > certificate + CHECK_ATOL:
@@ -228,8 +280,8 @@ class ReconstructionTrace:
                 for b in self.bits]
 
 
-def _bit_projectors(layout_regs, widths, output_register) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal projectors on the client space for output bit 0 / 1."""
+def _output_bits(layout_regs, widths, output_register) -> np.ndarray:
+    """The output bit (0 or 1) of each client basis index, as a 0/1 mask."""
     total = sum(widths[n] for n in layout_regs)
     pos = 0
     for n in layout_regs:
@@ -237,9 +289,7 @@ def _bit_projectors(layout_regs, widths, output_register) -> tuple[np.ndarray, n
             break
         pos += widths[n]
     shift = total - 1 - pos  # output registers are single qubits here
-    idx = np.arange(1 << total)
-    bit = (idx >> shift) & 1
-    return np.diag((bit == 0).astype(np.complex128)), np.diag((bit == 1).astype(np.complex128))
+    return (np.arange(1 << total) >> shift) & 1
 
 
 def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
@@ -249,14 +299,19 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
     Runs the protocol once with client input 1, then for each further index
     conjugates the decoding measurement by the purification-side unitary
     relating the run-1 and run-i server marginals, measuring and gently
-    recovering in sequence.
+    recovering in sequence.  Only run 1 is kept; each later run gives its
+    correctness term, its view distance to run 1 and its unitary, and is
+    dropped.
 
     ``classical-per-a`` computes those unitaries per database, so the trace
     records that the strategy is not executable by a client who does not
     know the database.  ``coherent-reference`` runs on the uniform database
     superposition entangled with an untouched reference, making the
     unitaries input-independent (client-executable), which is exactly the
-    input class anchored privacy excludes.
+    input class anchored privacy excludes.  Either way each bit is measured
+    as a :class:`BlockProjector`: one block in ``classical-per-a``, one block
+    per reference label ``a`` in ``coherent-reference``, keeping the outputs
+    that match bit ``i`` of ``a``.
     """
     if mode not in ("classical-per-a", "coherent-reference"):
         raise ValueError(f"unknown attack mode {mode!r}")
@@ -289,71 +344,59 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
             state = dbpart.tensor(client) if client.layout.registers else dbpart
         return execute(instance.spec, state, keep_states=False)
 
-    transcripts = [run(i) for i in range(1, n + 1)]
-    finals = [tr.final.to_pure() for tr in transcripts]
-    b_regs = list(transcripts[0].owned(transcripts[0].steps, CLIENT))
-    widths = dict(finals[0].layout.registers)
-
-    # measured correctness error: worst-case failure of the decoder
-    correct = []
-    for i, tr in enumerate(transcripts, start=1):
+    def correctness(final, i: int) -> float:
+        """Probability that the decoder returns bit ``i`` of the database."""
         if mode == "classical-per-a":
-            joint = tr.final.probabilities((instance.output_register,))
-            correct.append(float(joint[bits[i - 1]]))
-        else:
-            joint = tr.final.probabilities(("refdb", instance.output_register))
-            agree = sum(float(joint[2 * a + ((a >> (n - i)) & 1)]) for a in range(1 << n))
-            correct.append(agree)
-    delta = max(0.0, 1.0 - min(correct))
+            joint = final.probabilities((instance.output_register,))
+            return float(joint[bits[i - 1]])
+        joint = final.probabilities(("refdb", instance.output_register))
+        return sum(float(joint[2 * a + ((a >> (n - i)) & 1)]) for a in range(1 << n))
 
-    # measured privacy error of the relevant input class: half the worst
-    # distance between run-1 and run-i server-plus-reference marginals
-    views = [tr.server_view(tr.steps) for tr in transcripts]
-    eps = max((views[0].distance(views[i]) / 2.0 for i in range(1, n)), default=0.0)
-    eps_p = epsilon_prime(eps)
+    first = run(1)
+    b_regs = list(first.owned(first.steps, CLIENT))
+    final_1 = first.final.to_pure()
+    view_1 = first.server_view(first.steps)
+    correct = [correctness(first.final, 1)]
+    rho = sigma_1 = first.final.reduced(
+        b_regs if mode == "classical-per-a" else ["refdb"] + b_regs)
+    out = _output_bits(b_regs, dict(final_1.layout.registers), instance.output_register)
+    del first
 
-    p0, p1 = _bit_projectors(b_regs, widths, instance.output_register)
-    d_b = p0.shape[0]
-
-    unitaries: list[np.ndarray | None] = [np.eye(d_b)]
-    premise = [True]
-    for i in range(1, n):
+    # Each later run, one at a time: its decoder's correctness, half its
+    # server-plus-reference marginal's distance from run 1's (the measured
+    # privacy error of the input class), and the unitary on the client's
+    # registers relating it to run 1 (None when none exists).
+    eps = 0.0
+    unitaries: list[np.ndarray | None] = [np.eye(len(out))]
+    for i in range(2, n + 1):
+        tr = run(i)
+        correct.append(correctness(tr.final, i))
+        eps = max(eps, view_1.distance(tr.server_view(tr.steps)) / 2.0)
         try:
-            unitaries.append(uhlmann_unitary(finals[0], finals[i], side=b_regs))
-            premise.append(True)
+            unitaries.append(uhlmann_unitary(final_1, tr.final.to_pure(), side=b_regs))
         except UhlmannPreconditionError:
             unitaries.append(None)
-            premise.append(False)
-
-    if mode == "classical-per-a":
-        rho = transcripts[0].final.reduced(b_regs)
-    else:
-        rho = transcripts[0].final.reduced(["refdb"] + b_regs)
-    sigma_1 = rho
+        del tr
+    delta = max(0.0, 1.0 - min(correct))
+    eps_p = epsilon_prime(eps)
 
     extractions = []
     overall = 1.0
     drift_step = math.sqrt(delta + eps_p)
     for i in range(1, n + 1):
         u = unitaries[i - 1]
-        if not premise[i - 1]:
+        if u is None:
             # not implementable; the attacker is left guessing this bit
             extractions.append(BitExtraction(i, 0.5, extractions[-1].drift if extractions else 0.0,
                                              i * drift_step, False))
             overall *= 0.5
             continue
-        proj = (p0, p1)
-        m0 = u.conj().T @ proj[0] @ u
-        m1 = u.conj().T @ proj[1] @ u
         if mode == "classical-per-a":
-            lam = (m0, m1)[bits[i - 1]]
+            keep = (out == bits[i - 1])[None]
         else:
-            sel0 = np.diag(np.array(
-                [1.0 if ((a >> (n - i)) & 1) == 0 else 0.0 for a in range(1 << n)],
-                dtype=np.complex128))
-            sel1 = np.eye(1 << n) - sel0
-            lam = np.kron(sel0, m0) + np.kron(sel1, m1)
-        outcome = gentle_measure(rho, lam)
+            a_bits = (np.arange(1 << n) >> (n - i)) & 1
+            keep = out[None] == a_bits[:, None]
+        outcome = gentle_measure(rho, BlockProjector(i, u, keep))
         drift = trace_distance(outcome.post_state, sigma_1)
         extractions.append(BitExtraction(i, outcome.probability, drift,
                                          i * drift_step, True))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .adversaries import (Adversary, database_groups, purified_input, standard_inputs,
-                          steer)
+                          steering)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -96,8 +96,8 @@ def _server_views(spec: ProtocolSpec, database, clients, steps) -> list[dict[int
     reference names)`` of ``clients`` over ``database``: one run of ``spec``
     on the purified index, its views steered to each client state."""
     tr = execute(spec, purified_input(spec, database), probe_steps=steps, keep_states=False)
-    views = {t: tr.server_view(t) for t in steps}
-    return [{t: steer(views[t], client, refs) for t in steps} for client, refs in clients]
+    views = {t: steering(tr.server_view(t)) for t in steps}
+    return [{t: views[t](client, refs) for t in steps} for client, refs in clients]
 
 
 @dataclass(frozen=True)
@@ -286,9 +286,13 @@ class TheoremSimulator:
     renormalized remainder on the adversary's private registers is the
     anchor.  The simulator for any anchored input is then the inverted
     recovery applied to (anchor tensor honest-simulator output).
+
+    ``honest`` is the honest simulator of the instance; simulators of
+    several adversaries may share it, and with it its honest runs.
     """
 
-    def __init__(self, instance: QpirInstance, adversary: Adversary, x0):
+    def __init__(self, honest: HonestSimulator, adversary: Adversary, x0):
+        instance = honest.instance
         if not is_measurement_free(instance.spec):
             raise ProtocolShapeError("the certificate needs a measurement-free protocol")
         if adversary.recoveries is None:
@@ -296,7 +300,7 @@ class TheoremSimulator:
         self.instance = instance
         self.adversary = adversary
         self.x0 = x0
-        self.honest = HonestSimulator(instance)
+        self.honest = honest
         self.anchors: dict[int, PureState | None] = {}
         self.extraction_bounds: dict[int, float] = {}
         inp = instance.basis_input(x0, 1)
@@ -385,14 +389,16 @@ def verify_theorem_bound(instance: QpirInstance, adversaries, *, x0=0,
     simulator, measure its achieved anchored privacy error, and check it
     against eps_honest + 3 sqrt(2 gamma).  A gamma at or below
     :data:`FIGURE_TOL` counts as 0 in the bound; the row keeps the raw
-    ``gamma_hat``."""
+    ``gamma_hat``.  One honest simulator serves every adversary, so each
+    database's honest run is made once."""
     from .adversaries import measure_speciousness
 
-    eps_honest, _ = HonestSimulator(instance).epsilon_upper()
+    honest = HonestSimulator(instance)
+    eps_honest, _ = honest.epsilon_upper()
     rows = []
     for adv in adversaries:
         gamma = measure_speciousness(instance, adv).gamma_hat
-        sim = TheoremSimulator(instance, adv, x0)
+        sim = TheoremSimulator(honest, adv, x0)
         eps_hat, _ = sim.certify()
         # sqrt would lift QR noise in an exact recovery (1e-15) to 1e-7
         bound = eps_honest + 3.0 * math.sqrt(2.0 * (gamma if gamma > FIGURE_TOL else 0.0))

@@ -12,12 +12,15 @@ from qpirlab.adversaries import (
     measure_speciousness,
     purification_attack,
     purified_honest,
+    purified_input,
     standard_inputs,
+    steering,
 )
 from qpirlab.channels import HadamardOp
 from qpirlab.distances import ensemble_trace_distance
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import ProtocolShapeError, execute
+from qpirlab.states import LayoutError
 
 # measured once from the exact simulation and frozen; equals sin^2(theta/2)/2,
 # attained on the superposed-database inputs at the final step
@@ -197,3 +200,18 @@ def test_client_variants_cover_documented_set(k2):
     assert labels == ["i=1", "i=2", "i-uniform", "i-entangled", "i-correlated"]
     inputs = standard_inputs(k2, superposed_db=True)
     assert sum(1 for i in inputs if i.x_label == "x=+") > 0
+
+
+def test_steering_refuses_a_client_that_does_not_fit_the_run(k2):
+    # a purified run needs a client state with an index register, and a
+    # run without the purifier (no client input) one without
+    run = execute(k2.spec, purified_input(k2.spec, k2.database_state(1))).final
+    k1 = build_kerenidis(1)
+    plain = execute(k1.spec, purified_input(k1.spec, k1.database_state(1))).final
+    no_index = client_variants(k1)[0][2]
+    with pytest.raises(LayoutError, match="do not fit"):
+        steering(run)(no_index, ())
+    with pytest.raises(LayoutError, match="do not fit"):
+        steering(plain)(k2.client_basis_state(1), ())
+    assert steering(plain)(no_index, ()) is plain
+    assert "refi" not in steering(run)(k2.client_basis_state(1), ()).layout.names

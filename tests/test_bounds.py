@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_density
+from qpirlab import bounds
 from qpirlab.bounds import (
+    BlockProjector,
     GuessingBracket,
     binary_entropy,
     chain_rule_check,
@@ -24,6 +27,22 @@ from qpirlab.states import DensityOperator, StateError
 
 def ket(vec):
     return DensityOperator.from_pure(np.asarray(vec, dtype=complex))
+
+
+def dense_projector(proj: BlockProjector) -> np.ndarray:
+    """The slow reference: the block projector as a dense sum of
+    ``kron(|a><a|, u^dagger diag(keep[a]) u)``."""
+    blocks, d_b = proj.keep.shape
+    out = np.zeros((blocks * d_b, blocks * d_b), dtype=complex)
+    for a in range(blocks):
+        sel = np.zeros((blocks, blocks))
+        sel[a, a] = 1.0
+        out += np.kron(sel, proj.u.conj().T @ np.diag(proj.keep[a].astype(float)) @ proj.u)
+    return out
+
+
+def random_unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
 
 
 class TestGentleMeasurement:
@@ -95,6 +114,37 @@ class TestGentleMeasurement:
         assert out.probability == pytest.approx(0.5 * p, rel=1e-12)
         np.testing.assert_allclose(out.post_state.matrix, proj @ rho.matrix @ proj / p,
                                    rtol=0, atol=1e-12)
+
+
+class TestBlockProjector:
+    @pytest.mark.parametrize("blocks,d_b,rank", [(1, 8, 2), (1, 8, 7), (4, 16, 3), (4, 16, 40)])
+    def test_matches_the_dense_reference(self, rng, blocks, d_b, rank):
+        # low ranks keep a factor, high ranks a dense matrix
+        proj = BlockProjector(1, random_unitary(rng, d_b), rng.random((blocks, d_b)) < 0.5)
+        rho = random_density(rng, blocks * d_b, rank=rank)
+        fast = gentle_measure(rho, proj)
+        slow = gentle_measure(rho, dense_projector(proj))
+        assert fast.probability == pytest.approx(slow.probability, rel=0, abs=1e-12)
+        np.testing.assert_allclose(fast.post_state.matrix, slow.post_state.matrix,
+                                   rtol=0, atol=1e-12)
+
+    def test_rejects_a_non_unitary_rotation(self, rng):
+        u = random_unitary(rng, 8)
+        u[0] *= 1 + 1e-6
+        with pytest.raises(StateError, match="bit 3"):
+            BlockProjector(3, u, np.ones((2, 8), dtype=bool))
+
+    def test_rejects_mismatched_shapes(self, rng):
+        with pytest.raises(StateError, match="bit 1"):
+            BlockProjector(1, random_unitary(rng, 8), np.ones((2, 4), dtype=bool))
+        proj = BlockProjector(1, random_unitary(rng, 4), np.ones((2, 4), dtype=bool))
+        with pytest.raises(StateError, match="dimension"):
+            gentle_measure(random_density(rng, 16), proj)
+
+    def test_zero_probability_is_refused(self):
+        proj = BlockProjector(1, np.eye(2), np.array([[False, True]]))
+        with pytest.raises(StateError, match="probability 0"):
+            gentle_measure(ket([1, 0]), proj)
 
 
 class TestHelstrom:
@@ -229,6 +279,45 @@ class TestExtractionAttack:
         tr = extraction_attack(build_kerenidis(4), "coherent-reference")
         want = [0.0, 0.7067701707935816, 0.8122751958668093, 0.8661925952338183]
         np.testing.assert_allclose([b.drift for b in tr.bits], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,mode,db", [(2, "coherent-reference", None),
+                                           (2, "classical-per-a", (1, 0)),
+                                           (4, "coherent-reference", None),
+                                           (4, "classical-per-a", (0, 1, 1, 0))])
+    def test_block_projectors_match_the_dense_reference(self, monkeypatch, n, mode, db):
+        inner = bounds.gentle_measure
+
+        def attack(dense):
+            posts = []
+
+            def measured(rho, operator):
+                out = inner(rho, dense_projector(operator) if dense else operator)
+                posts.append(out.post_state.matrix)
+                return out
+            monkeypatch.setattr(bounds, "gentle_measure", measured)
+            return extraction_attack(build_kerenidis(n), mode, database=db), posts
+
+        fast, fast_posts = attack(False)
+        slow, slow_posts = attack(True)
+        assert len(fast_posts) == len(slow_posts) == n
+        for a, b in zip(fast.bits, slow.bits):
+            assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
+            assert a.drift == pytest.approx(b.drift, rel=0, abs=1e-12)
+        for a, b in zip(fast_posts, slow_posts):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_kerenidis_n4_coherent_memory(self):
+        # Bound: the measured tracemalloc peak (52.2 MiB) + 10%.  A dense
+        # 1024 x 1024 operator per bit and all n runs kept peak at 140.5 MiB.
+        inst = build_kerenidis(4)
+        extraction_attack(inst, "coherent-reference")  # fill the kernel caches
+        tracemalloc.start()
+        try:
+            extraction_attack(inst, "coherent-reference")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 52.2 * 2**20
 
     def test_coherent_needs_quantum_path(self):
         inst = build_kerenidis(2, database=(0, 1))

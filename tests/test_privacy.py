@@ -104,7 +104,7 @@ class TestHonestSimulator:
 
 class TestTheoremSimulator:
     def test_purified_honest_reduces_to_honest(self, k2):
-        sim = TheoremSimulator(k2, purified_honest(k2), x0=0)
+        sim = TheoremSimulator(HonestSimulator(k2), purified_honest(k2), x0=0)
         eps_hat, _ = sim.certify()
         assert eps_hat <= 1e-9
 
@@ -112,7 +112,7 @@ class TestTheoremSimulator:
     def test_lossy_certificate(self, k2, theta):
         adv = gamma_family(k2, theta, lossy=True)
         gamma = measure_speciousness(k2, adv).gamma_hat
-        sim = TheoremSimulator(k2, adv, x0=0)
+        sim = TheoremSimulator(HonestSimulator(k2), adv, x0=0)
         eps_hat, rows = sim.certify()
         assert eps_hat <= 3.0 * math.sqrt(2.0 * gamma) + 1e-6
         # superposed client indices are part of the certified domain
@@ -123,7 +123,7 @@ class TestTheoremSimulator:
         theta = 0.4
         adv = gamma_family(k2, theta, lossy=True)
         gamma = measure_speciousness(k2, adv).gamma_hat
-        sim = TheoremSimulator(k2, adv, x0=0)
+        sim = TheoremSimulator(HonestSimulator(k2), adv, x0=0)
         t = 2 * k2.spec.rounds
         base = sim.anchors[t]
         layout = RegisterLayout((("idx", 1),))
@@ -137,7 +137,7 @@ class TestTheoremSimulator:
     def test_simulated_view_is_the_server_view_layout(self, k2):
         # the lossy simulator rebuilds the adversary's view: honest server
         # registers plus the discarded ancillas
-        sim = TheoremSimulator(k2, gamma_family(k2, 0.2, lossy=True), x0=0)
+        sim = TheoremSimulator(HonestSimulator(k2), gamma_family(k2, 0.2, lossy=True), x0=0)
         adv_tr = sim.adversary.run(k2.spec, k2.basis_input(0, 1))
         for t in (2, 4):
             view = sim.simulated_view(0, t)
@@ -148,7 +148,7 @@ class TestTheoremSimulator:
         cx = build_counterexample(2)
         assert not is_measurement_free(cx.spec)
         with pytest.raises(ProtocolShapeError, match="measurement-free"):
-            TheoremSimulator(cx, purified_honest(cx), x0=0)
+            TheoremSimulator(HonestSimulator(cx), purified_honest(cx), x0=0)
 
 
 class TestTheoremBound:
@@ -180,10 +180,24 @@ class TestTheoremBound:
         assert row.bound == row.eps_honest + 3.0 * math.sqrt(2.0 * row.gamma_hat)
         assert row.bound == pytest.approx(float.fromhex("0x1.cb12edecfe42cp-2"), abs=1e-12)
 
+    def test_honest_runs_are_shared_across_adversaries(self, k2, monkeypatch):
+        # 4 databases for the honest certificate, whose views every
+        # adversary's simulator reuses, plus one x0 reference run each
+        from qpirlab import privacy
+
+        inner, calls = privacy.execute, []
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.name)
+            return inner(spec, *args, **kwargs)
+        monkeypatch.setattr(privacy, "execute", counted)
+        verify_theorem_bound(k2, [gamma_family(k2, t, lossy=True) for t in (0.1, 0.2, 0.4)])
+        assert calls.count(k2.spec.name) == 7
+
     def test_sandwich_lower_vs_certified(self, k2):
         adv = gamma_family(k2, 0.4, lossy=True)
         lower = privacy_lower_bound(k2, adv).eps_lower
-        sim = TheoremSimulator(k2, adv, x0=0)
+        sim = TheoremSimulator(HonestSimulator(k2), adv, x0=0)
         eps_hat, _ = sim.certify()
         gamma = measure_speciousness(k2, adv).gamma_hat
         assert lower <= eps_hat + 1e-6

@@ -194,9 +194,9 @@ def test_honest_certificate_matches_the_per_input_loop(inst_name):
 def test_theorem_certificate_matches_the_per_input_loop(adv_name):
     inst = build_kerenidis(2)
     adv = _adversary(inst, adv_name)
-    sim = TheoremSimulator(inst, adv, 0)
+    sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
     eps, rows = sim.certify()
-    ref_sim = TheoremSimulator(inst, adv, 0)
+    ref_sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
     ref_sim.honest.view = _reference_honest_view(inst)
     want = _reference_certificate(inst, adv.modified_spec(inst.spec), ref_sim.simulated_view)
     _assert_rows_match(rows, want)
