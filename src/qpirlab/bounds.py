@@ -59,6 +59,7 @@ class GentleMeasurement:
     probability: float
     post_state: DensityOperator
     certificate: float  # sqrt(1 - probability)
+    achieved: float  # trace_distance(post_state, rho), at most the certificate
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,9 @@ def gentle_measure(rho: DensityOperator,
     by block as ``u^dagger (keep * (u F_a))``, with no Hermitian scan, no
     eigendecomposition and no dense operator.
 
-    A ``rho`` that keeps a factor ``F`` yields the post-state from the
-    branches ``sqrt(L) F / sqrt(p)``, with ``p = ||sqrt(L) F||_F^2``; a dense
-    ``rho`` is multiplied by the root from both sides.
+    The post-state is built from the branches ``sqrt(L) F / sqrt(p)`` of
+    ``rho``'s factor ``F``, with ``p = ||sqrt(L) F||_F^2``.  ``achieved`` is
+    the post-state's distance from ``rho``, the figure the certificate bounds.
     """
     if isinstance(operator, BlockProjector):
         if operator.dimension != rho.dimension:
@@ -143,25 +144,18 @@ def gentle_measure(rho: DensityOperator,
         if np.max(np.abs(lam - lam.conj().T)) > STATE_ATOL:
             raise StateError("operator is not Hermitian within tolerance")
         root = partial(np.matmul, _operator_root(hermitize(lam)))
-    if rho.factor is not None:
-        branches = root(rho.factor)
-        p = float(np.vdot(branches, branches).real)
-    else:
-        measured = root(root(rho.matrix).conj().T)  # sqrt(L) rho sqrt(L)
-        p = float(np.trace(measured).real)
+    branches = root(rho.factor)
+    p = float(np.vdot(branches, branches).real)
     if p <= 1e-14:
         raise StateError("measurement succeeds with probability 0")
-    if rho.factor is not None:
-        post = DensityOperator(rho.dimension, branches / math.sqrt(p), factored=True)
-    else:
-        post = DensityOperator(rho.dimension, measured / p)
+    post = DensityOperator(rho.dimension, branches / math.sqrt(p))
     certificate = math.sqrt(max(0.0, 1.0 - p))
     achieved = trace_distance(post, rho)
     if achieved > certificate + CHECK_ATOL:
         raise AssertionError(
             f"gentle-measurement certificate violated: {achieved} > {certificate}"
         )
-    return GentleMeasurement(p, post, certificate)
+    return GentleMeasurement(p, post, certificate, achieved)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +391,9 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
             a_bits = (np.arange(1 << n) >> (n - i)) & 1
             keep = out[None] == a_bits[:, None]
         outcome = gentle_measure(rho, BlockProjector(i, u, keep))
-        drift = trace_distance(outcome.post_state, sigma_1)
+        # measured on sigma_1 itself, the drift is the distance just certified
+        drift = (outcome.achieved if rho is sigma_1
+                 else trace_distance(outcome.post_state, sigma_1))
         extractions.append(BitExtraction(i, outcome.probability, drift,
                                          i * drift_step, True))
         overall *= outcome.probability

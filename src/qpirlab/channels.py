@@ -1,10 +1,10 @@
 """Quantum operations over named registers.
 
 Every op reports its ``kind`` (``isometry``, ``kraus-set`` or
-``measurement``), the registers it reads and writes, and any registers it
-creates.  :meth:`runtime.Ensemble.apply` is the one evolution engine: it
-hands its whole ``(B, dim)`` branch array to one ``apply_vectors(vectors,
-layout)`` call per op.  Every kernel takes that C-contiguous complex128
+``measurement``), the registers it touches (reads or may change) and any
+registers it creates.  :meth:`runtime.Ensemble.apply` is the one evolution
+engine: it hands its whole ``(B, dim)`` branch array to one
+``apply_vectors(vectors, layout)`` call per op.  Every kernel takes that C-contiguous complex128
 array of unnormalized branches and returns a ``(B', dim')`` one, with the
 output rows in the order ``for row in vectors: for outcome or matrix``.  A
 measurement or Kraus set multiplies branches; total squared norm is
@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import STATE_ATOL, check_cap, check_reduced_cap
+from .config import STATE_ATOL, check_cap
 from .states import (PureState, RegisterLayout, nonzero_rows, slot_weights, slots_from_front,
                      slots_to_front)
 
@@ -153,26 +153,14 @@ class ChannelOp:
     kind = "isometry"
 
     @property
-    def reads(self) -> tuple[str, ...]:
-        """Registers whose content the op depends on (including targets)."""
-        raise NotImplementedError
-
-    @property
-    def writes(self) -> tuple[str, ...]:
-        """Registers whose content the op may change."""
+    def touches(self) -> tuple[str, ...]:
+        """Registers the op reads or may change, each named once."""
         raise NotImplementedError
 
     @property
     def creates(self) -> tuple[tuple[str, int], ...]:
         """Fresh registers appended to the layout by this op."""
         return ()
-
-    @property
-    def touches(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for n in (*self.reads, *self.writes):
-            seen.setdefault(n)
-        return tuple(seen)
 
     def output_layout(self, layout: RegisterLayout) -> RegisterLayout:
         for name in self.touches:
@@ -187,22 +175,6 @@ class ChannelOp:
         """Apply to a ``(B, dim)`` array of unnormalized branches; returns a
         ``(B', dim')`` array and may multiply branches."""
         raise NotImplementedError
-
-    def dense_operators(self, layout: RegisterLayout) -> tuple[list[np.ndarray], tuple[str, ...]]:
-        """Materialize operator matrices over this op's registers.
-
-        Returns the matrices and the register order defining their basis
-        (big-endian concatenation of those registers' labels).  Guarded by
-        the reduced-dimension cap; intended for validation and small-system
-        work, not the simulation hot path.  This default serves the
-        isometries, which map each basis row to one output row;
-        ``MeasureOp`` and ``DenseOp`` override it.
-        """
-        regs = tuple(self.touches)
-        local = RegisterLayout(tuple((n, layout.width(n)) for n in regs))
-        check_reduced_cap(local.total_qubits + sum(w for _, w in self.creates))
-        cols = self.apply_vectors(np.eye(local.dim, dtype=np.complex128), local)
-        return [np.ascontiguousarray(cols.T)], regs + tuple(n for n, _ in self.creates)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -220,11 +192,7 @@ class HadamardOp(ChannelOp):
     register: str
 
     @property
-    def reads(self):
-        return (self.register,)
-
-    @property
-    def writes(self):
+    def touches(self):
         return (self.register,)
 
     def apply_vectors(self, vectors, layout):
@@ -256,6 +224,11 @@ def _apply_flip(self, vectors, layout):
     # vectors[:, perm] reads the int32 index in place but is column-major for
     # several rows; np.take gives C order but first copies the index to intp.
     return vectors[:, perm] if len(vectors) == 1 else np.take(vectors, perm, axis=1)
+
+
+def _distinct(*names) -> tuple[str, ...]:
+    """``names`` in order, each once: two qubits of an op may share a register."""
+    return tuple(dict.fromkeys(names))
 
 
 def _check_flips_no_control(op: "ChannelOp", flipped, controls) -> None:
@@ -309,14 +282,10 @@ class InnerProductCnotOp(ChannelOp):
         _check_flips_no_control(self, self.target, (self.source, self.mask_register))
 
     @property
-    def reads(self):
+    def touches(self):
         if self.mask_register is None:
             return (self.source, self.target)
-        return (self.source, self.mask_register, self.target)
-
-    @property
-    def writes(self):
-        return (self.target,)
+        return _distinct(self.source, self.mask_register, self.target)
 
     def _flip(self, idx, layout):
         total = layout.total_qubits
@@ -376,13 +345,9 @@ class SelectPhaseOp(ChannelOp):
     fixed_value: int = 0
 
     @property
-    def reads(self):
-        regs = tuple(dict.fromkeys(r for _, (r, _) in self.targets))
-        return regs if self.selector is None else (self.selector,) + regs
-
-    @property
-    def writes(self):
-        return tuple(dict.fromkeys(r for _, (r, _) in self.targets))
+    def touches(self):
+        regs = [r for _, (r, _) in self.targets]
+        return _distinct(*regs) if self.selector is None else _distinct(self.selector, *regs)
 
     def _build_sign(self, layout):
         idx = _index_array(layout.dim)
@@ -411,14 +376,9 @@ class SelectCnotOp(ChannelOp):
         _check_flips_no_control(self, tuple(self.target), [tuple(q) for _, q in self.sources])
 
     @property
-    def reads(self):
-        regs = tuple(dict.fromkeys(r for _, (r, _) in self.sources))
-        base = regs + (self.target[0],)
-        return base if self.selector is None else (self.selector,) + base
-
-    @property
-    def writes(self):
-        return (self.target[0],)
+    def touches(self):
+        regs = [r for _, (r, _) in self.sources] + [self.target[0]]
+        return _distinct(*regs) if self.selector is None else _distinct(self.selector, *regs)
 
     def _flip(self, idx, layout):
         par = _selected_bit(idx, layout, self.sources, self.selector, self.fixed_value)
@@ -445,12 +405,8 @@ class SelectFlipOp(ChannelOp):
         _check_flips_no_control(self, self.target[0], (self.selector,))
 
     @property
-    def reads(self):
+    def touches(self):
         return (self.selector, self.target[0])
-
-    @property
-    def writes(self):
-        return (self.target[0],)
 
     def _flip(self, idx, layout):
         total = layout.total_qubits
@@ -478,12 +434,8 @@ class CnotOp(ChannelOp):
         _check_flips_no_control(self, tuple(self.target), (tuple(self.control),))
 
     @property
-    def reads(self):
-        return (self.control[0], self.target[0])
-
-    @property
-    def writes(self):
-        return (self.target[0],)
+    def touches(self):
+        return _distinct(self.control[0], self.target[0])
 
     def _flip(self, idx, layout):
         total = layout.total_qubits
@@ -507,12 +459,8 @@ class CopyOp(ChannelOp):
         _check_flips_no_control(self, self.target, (self.source,))
 
     @property
-    def reads(self):
+    def touches(self):
         return (self.source, self.target)
-
-    @property
-    def writes(self):
-        return (self.target,)
 
     def _flip(self, idx, layout):
         if layout.width(self.source) != layout.width(self.target):
@@ -540,12 +488,8 @@ class SwapOp(ChannelOp):
     second: str
 
     @property
-    def reads(self):
-        return (self.first, self.second)
-
-    @property
-    def writes(self):
-        return (self.first, self.second)
+    def touches(self):
+        return _distinct(self.first, self.second)
 
     def _flip(self, idx, layout):
         if layout.width(self.first) != layout.width(self.second):
@@ -577,12 +521,10 @@ class RotateOp(ChannelOp):
             _check_flips_no_control(self, tuple(self.target), (tuple(self.control),))
 
     @property
-    def reads(self):
-        return (self.target[0],) if self.control is None else (self.control[0], self.target[0])
-
-    @property
-    def writes(self):
-        return (self.target[0],)
+    def touches(self):
+        if self.control is None:
+            return (self.target[0],)
+        return _distinct(self.control[0], self.target[0])
 
     def inverse(self) -> "RotateOp":
         return RotateOp(self.target, -self.theta, self.control)
@@ -635,11 +577,7 @@ class PrepareOp(ChannelOp):
         return cls(state.layout.registers, tuple(state.amplitudes))
 
     @property
-    def reads(self):
-        return ()
-
-    @property
-    def writes(self):
+    def touches(self):
         return ()
 
     @property
@@ -669,11 +607,7 @@ class MeasureOp(ChannelOp):
     kind = "measurement"
 
     @property
-    def reads(self):
-        return (self.register,)
-
-    @property
-    def writes(self):
+    def touches(self):
         return (self.register,)
 
     def apply_vectors(self, vectors, layout):
@@ -687,11 +621,6 @@ class MeasureOp(ChannelOp):
         view = out.reshape(len(out), 1 << slots[0], 1 << w, 1 << (total - slots[0] - w))
         view *= (np.arange(1 << w) == labels[:, None])[:, None, :, None]
         return out
-
-    def dense_operators(self, layout):
-        w = layout.width(self.register)
-        check_reduced_cap(w)
-        return [np.diag(row) for row in np.eye(1 << w, dtype=np.complex128)], (self.register,)
 
     def descriptor(self):
         return {"op": "measure", "register": self.register}
@@ -746,11 +675,7 @@ class DenseOp(ChannelOp):
         return self.operation_kind
 
     @property
-    def reads(self):
-        return self.registers
-
-    @property
-    def writes(self):
+    def touches(self):
         return self.registers
 
     @property
@@ -772,9 +697,6 @@ class DenseOp(ChannelOp):
             check_cap(total + knew, what="state")
         dest = slots + list(range(total, total + knew))
         return _apply_local(vectors, total, slots, np.stack(self.matrices), dest)
-
-    def dense_operators(self, layout):
-        return list(self.matrices), self.registers + tuple(n for n, _ in self.created)
 
     def descriptor(self):
         return {"op": "dense", "kind": self.operation_kind,

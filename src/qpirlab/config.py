@@ -41,7 +41,7 @@ class CapExceeded(Exception):
     """A register bill would exceed a configured qubit cap."""
 
 
-def check_cap(qubits: int, *, what: str = "state") -> None:
+def check_cap(qubits: int, *, what: str) -> None:
     limit = qubit_cap()
     if qubits > limit:
         raise CapExceeded(f"{what} needs {qubits} qubits, cap is {limit}")

@@ -10,11 +10,10 @@ halved convention, so the factor matters.
 For pure states the halved distance reduces to
 ``sqrt(1 - |<a|b>|^2)``.
 
-Density operators built from branch vectors (``gram_reduce``,
-``DensityOperator.from_pure`` / ``from_ensemble``) keep a factor ``F`` with
-``rho = F F^dagger`` when their rank is below half the dimension; eigenvalues
-at or below 1e-14 are cut, so at most rank x 1e-14 of trace is dropped.
-``trace_distance`` of two such operators works in the span of the factors.
+Every density operator keeps a compressed factor ``F`` with
+``rho = F F^dagger`` (see :class:`~qpirlab.states.DensityOperator`);
+eigenvalues at or below 1e-14 are cut, so at most rank x 1e-14 of trace is
+dropped.  ``trace_distance`` works in the span of the two factors.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ def gram_reduce(vectors: np.ndarray, layout: RegisterLayout, keep) -> DensityOpe
     The basis is the big-endian concatenation of the ``keep`` registers in
     the order given.  Each branch, viewed as a ``(2**k, rest)`` matrix, is a
     block of columns of one factor ``F`` with ``rho = F F^dagger``; no global
-    density operator is materialized, and a low-rank result keeps its factor
-    (see :class:`DensityOperator`).
+    density operator is materialized (see :class:`DensityOperator`).
     """
     keep_slots = layout.ordered_slots(keep)
     k = len(keep_slots)
@@ -56,7 +54,7 @@ def gram_reduce(vectors: np.ndarray, layout: RegisterLayout, keep) -> DensityOpe
     t = slots_to_front(vectors, layout.total_qubits, keep_slots)
     # F is (2**k, B * rest); branch b fills columns [b * rest, (b + 1) * rest)
     f = t.transpose(1, 0, 2).reshape(1 << k, -1)
-    return DensityOperator(1 << k, f, factored=True)
+    return DensityOperator(1 << k, f)
 
 
 def partial_trace(state: PureState, keep) -> DensityOperator:
@@ -65,23 +63,13 @@ def partial_trace(state: PureState, keep) -> DensityOperator:
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Halved trace distance between two density operators.
-
-    When both operands keep a factor (rank below half the dimension) and
-    their ranks sum to less than the dimension, the distance is taken in the
-    span of the two factors by :func:`ensemble_trace_distance`.  Otherwise
-    it is half the absolute eigenvalue sum of the dense difference, which is
-    also the reference the factored path is tested against.
-    """
+    """Halved trace distance between two density operators, taken in the
+    span of their factors by :func:`ensemble_trace_distance`."""
     if rho.dimension != sigma.dimension:
         raise StateError(
             f"dimension mismatch: {rho.dimension} vs {sigma.dimension}"
         )
-    fa, fb = rho.factor, sigma.factor
-    if fa is not None and fb is not None and fa.shape[1] + fb.shape[1] < rho.dimension:
-        return ensemble_trace_distance(fa.T, fb.T)
-    diff = hermitize(rho.matrix - sigma.matrix)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return ensemble_trace_distance(rho.factor.T, sigma.factor.T)
 
 
 def _as_vector(state) -> np.ndarray:

@@ -483,19 +483,8 @@ def build_counterexample(n: int) -> QpirInstance:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_output(layout: RegisterLayout, output_register: str | None) -> str:
-    if output_register is not None:
-        if not layout.has(output_register):
-            raise LayoutError(f"output register {output_register!r} absent from the final state")
-        return output_register
-    for cand in ("out", "f", "f2"):
-        if layout.has(cand):
-            return cand
-    raise LayoutError("F register absent from the final state")
-
-
 def decode_output(transcript: ExecutionTranscript, index: int = 1, *,
-                  output_register: str | None = None,
+                  output_register: str,
                   index_register: str | None = "idx") -> tuple[int, float]:
     """Standard-basis readout of the client's response register.
 
@@ -519,15 +508,16 @@ def decode_output(transcript: ExecutionTranscript, index: int = 1, *,
 
 
 def decode_distribution(transcript: ExecutionTranscript, *,
-                        output_register: str | None = None,
+                        output_register: str,
                         index_register: str | None = "idx") -> np.ndarray:
     """Joint outcome distribution over (index register, output bit).
 
     Shape (2**index_width, 2); without an index register, shape (1, 2).
     Computed once per transcript and kept on it, read-only.
     """
-    ens = transcript.final
-    out = _resolve_output(ens.layout, output_register)
+    ens, out = transcript.final, output_register
+    if not ens.layout.has(out):
+        raise LayoutError(f"output register {out!r} absent from the final state")
     index = index_register if index_register and ens.layout.has(index_register) else None
     dist = transcript.decoded.get((out, index))
     if dist is None:

@@ -11,8 +11,6 @@ has one axis per qubit slot, most significant first.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,99 +278,52 @@ class PureState:
         the given name order."""
         return marginal(self.amplitudes[None], self.layout, names)
 
-    # -- binary fixture format ----------------------------------------------
-
-    _MAGIC = b"QPST"
-
-    def to_bytes(self) -> bytes:
-        """Serialize: magic, u32 header length, JSON register table, then
-        little-endian f64 re/im pairs in amplitude order."""
-        header = json.dumps(
-            {"registers": [[n, w] for n, w in self.layout.registers]}
-        ).encode()
-        payload = np.empty(2 * self.layout.dim, dtype="<f8")
-        payload[0::2] = self.amplitudes.real
-        payload[1::2] = self.amplitudes.imag
-        return self._MAGIC + struct.pack("<I", len(header)) + header + payload.tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "PureState":
-        if blob[:4] != cls._MAGIC:
-            raise StateError("not a serialized pure state")
-        (hlen,) = struct.unpack("<I", blob[4:8])
-        header = json.loads(blob[8 : 8 + hlen])
-        layout = RegisterLayout(tuple((n, w) for n, w in header["registers"]))
-        raw = np.frombuffer(blob[8 + hlen :], dtype="<f8")
-        if raw.size != 2 * layout.dim:
-            raise StateError("payload size does not match layout")
-        return cls(layout, raw[0::2] + 1j * raw[1::2])
-
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize before eigen-solving, as (M + M^dagger) / 2."""
     return 0.5 * (m + m.conj().T)
 
 
-# Eigenvalues at or below this are dropped when a density operator is
-# compressed or split into branches.
+# Eigenvalues at or below this fraction of the trace are dropped when a
+# density operator's factor is compressed.
 _EIGEN_CUTOFF = 1e-14
 
 
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace matrix.
+    """Hermitian, positive semidefinite, unit-trace operator ``rho = F F^dagger``.
 
-    A dense ``matrix`` is checked for Hermiticity, unit trace and, by an
-    eigenvalue scan, positivity.  With ``factored=True``, ``matrix`` is
-    instead a ``(dimension, k)`` factor ``F`` whose columns are unnormalized
-    pure branches, and ``rho = F F^dagger`` is positive semidefinite by
-    construction; only its trace is checked.
-
-    A factor with fewer columns than the dimension is compressed once,
-    through the small Gram eigenproblem ``eigh(F^dagger F)``, to orthogonal
-    columns ``sqrt(lam) v``; eigenvalues at or below 1e-14 are dropped, so at
-    most rank x 1e-14 of trace is lost.  The compressed factor is kept as
-    ``factor`` when its rank is below ``dimension / 2``, and the dense
-    ``matrix`` is then formed only on first use.  Otherwise ``factor`` is
-    None and the matrix is dense from the start.
+    It is built from a ``(dimension, k)`` factor whose columns are
+    unnormalized pure branches, so it is positive semidefinite by
+    construction; only its trace is checked.  The factor is compressed once
+    to orthogonal columns ``sqrt(lam) v``, from the smaller of the two Gram
+    eigenproblems: ``eigh(F^dagger F)`` when ``k < dimension``, else
+    ``eigh(F F^dagger)``.  Eigenvalues at or below 1e-14 of the trace are
+    dropped, so at most rank x 1e-14 of trace is lost.  The compressed factor
+    is kept as ``factor``; the dense ``matrix`` is formed only on first use.
     """
 
     __slots__ = ("dimension", "factor", "_matrix")
 
-    def __init__(self, dimension: int, matrix, *, factored: bool = False):
-        m = np.asarray(matrix, dtype=np.complex128)
+    def __init__(self, dimension: int, factor):
+        m = np.asarray(factor, dtype=np.complex128)
         d = int(dimension)
-        self.dimension = d
-        self.factor = None
-        self._matrix = None
-        if factored:
-            if m.ndim != 2 or m.shape[0] != d:
-                raise StateError(f"factor has shape {m.shape}, expected ({d}, k)")
-            tr = float(np.vdot(m, m).real)
-            if abs(tr - 1.0) > STATE_ATOL:
-                raise StateError(f"trace {tr!r} is not 1 within {STATE_ATOL}")
-            if m.shape[1] < d:
-                evals, evecs = np.linalg.eigh(m.conj().T @ m)
-                keep = evals > _EIGEN_CUTOFF * tr
-                if 2 * np.count_nonzero(keep) < d:
-                    f = m @ evecs[:, keep] / np.sqrt(tr)
-                    f.flags.writeable = False
-                    self.factor = f
-                    return
-            m = hermitize(m @ m.conj().T) / tr
+        if m.ndim != 2 or m.shape[0] != d:
+            raise StateError(f"factor has shape {m.shape}, expected ({d}, k)")
+        tr = float(np.vdot(m, m).real)
+        if abs(tr - 1.0) > STATE_ATOL:
+            raise StateError(f"trace {tr!r} is not 1 within {STATE_ATOL}")
+        if m.shape[1] < d:
+            evals, evecs = np.linalg.eigh(m.conj().T @ m)
+            keep = evals > _EIGEN_CUTOFF * tr
+            f = m @ evecs[:, keep] / np.sqrt(tr)
         else:
-            if m.shape != (d, d):
-                raise StateError(f"matrix has shape {m.shape}, expected ({d}, {d})")
-            if np.max(np.abs(m - m.conj().T)) > STATE_ATOL:
-                raise StateError("matrix is not Hermitian within tolerance")
-            m = hermitize(m)
-            tr = float(np.trace(m).real)
-            if abs(tr - 1.0) > STATE_ATOL:
-                raise StateError(f"trace {tr!r} is not 1 within {STATE_ATOL}")
-            m /= tr
-            if np.min(np.linalg.eigvalsh(m)) < -STATE_ATOL:
-                raise StateError(f"matrix has an eigenvalue below -{STATE_ATOL}")
-        m.flags.writeable = False
-        self._matrix = m
+            evals, evecs = np.linalg.eigh(hermitize(m @ m.conj().T))
+            keep = evals > _EIGEN_CUTOFF * tr
+            f = evecs[:, keep] * np.sqrt(evals[keep] / tr)
+        f.flags.writeable = False
+        self.dimension = d
+        self.factor = f
+        self._matrix = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -385,13 +336,6 @@ class DensityOperator:
     def __repr__(self):
         return f"DensityOperator(dimension={self.dimension})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DensityOperator)
-            and self.dimension == other.dimension
-            and np.array_equal(self.matrix, other.matrix)
-        )
-
     @classmethod
     def from_pure(cls, state_or_vector) -> "DensityOperator":
         vec = getattr(state_or_vector, "amplitudes", state_or_vector)
@@ -399,7 +343,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dimension: int) -> "DensityOperator":
-        return cls(dimension, np.eye(dimension) / np.sqrt(dimension), factored=True)
+        return cls(dimension, np.eye(dimension) / np.sqrt(dimension))
 
     @classmethod
     def from_ensemble(cls, vectors) -> "DensityOperator":
@@ -408,18 +352,13 @@ class DensityOperator:
         vecs = np.asarray(vectors, dtype=np.complex128)
         if vecs.ndim != 2 or not len(vecs):
             raise StateError(f"branch array has shape {vecs.shape}, expected (B, dim)")
-        return cls(vecs.shape[1], np.ascontiguousarray(vecs.T), factored=True)
+        return cls(vecs.shape[1], np.ascontiguousarray(vecs.T))
 
     @property
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
     def branches(self) -> np.ndarray:
-        """``(k, dim)`` unnormalized pure branches ``sqrt(lam) v`` from the
-        eigenpairs with ``lam > 1e-14``; their outer products sum back to the
-        matrix."""
-        if self.factor is not None:
-            return np.ascontiguousarray(self.factor.T)
-        evals, evecs = np.linalg.eigh(self.matrix)
-        keep = evals > _EIGEN_CUTOFF
-        return np.ascontiguousarray((np.sqrt(evals[keep]) * evecs[:, keep]).T)
+        """``(k, dim)`` unnormalized pure branches ``sqrt(lam) v``, the
+        columns of ``factor``; their outer products sum back to the matrix."""
+        return np.ascontiguousarray(self.factor.T)

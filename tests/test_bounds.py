@@ -92,15 +92,13 @@ class TestGentleMeasurement:
             rho = random_density(rng, d, rank=rank)
             q = np.linalg.qr(rng.normal(size=(d, 20)) + 1j * rng.normal(size=(d, 20)))[0]
             proj = q @ q.conj().T
-            for state in (rho, DensityOperator(d, rho.matrix)):  # factored and dense
-                fast = gentle_measure(state, proj)
-                slow = gentle_measure(state, (1 - 1e-6) * proj)
-                assert slow.probability == pytest.approx((1 - 1e-6) * fast.probability,
-                                                         rel=1e-12)
-                np.testing.assert_allclose(fast.post_state.matrix, slow.post_state.matrix,
-                                           rtol=0, atol=1e-12)
-                want = proj @ rho.matrix @ proj / fast.probability
-                np.testing.assert_allclose(fast.post_state.matrix, want, rtol=0, atol=1e-12)
+            fast = gentle_measure(rho, proj)
+            slow = gentle_measure(rho, (1 - 1e-6) * proj)
+            assert slow.probability == pytest.approx((1 - 1e-6) * fast.probability, rel=1e-12)
+            np.testing.assert_allclose(fast.post_state.matrix, slow.post_state.matrix,
+                                       rtol=0, atol=1e-12)
+            want = proj @ rho.matrix @ proj / fast.probability
+            np.testing.assert_allclose(fast.post_state.matrix, want, rtol=0, atol=1e-12)
 
     def test_scaled_projector_post_state_is_exact(self, rng):
         # eigenvalues of 0.5 P within STATE_ATOL of 0 are snapped to 0, so no
@@ -212,9 +210,11 @@ class TestPgm:
             tr = inst.run(d, 1, keep_states=False)
             own = tr.ownership(tr.steps)
             b_regs = [n for n in tr.final.layout.names if own.get(n) == "B"]
-            by_bit2[d & 1].append(tr.final.reduced(b_regs).matrix)
-        ens = [(0.5, DensityOperator(8, 0.5 * (m[0] + m[1])))
-               for m in (by_bit2[0], by_bit2[1])]
+            by_bit2[d & 1].append(tr.final.reduced(b_regs))
+        # each hypothesis mixes its two databases evenly
+        ens = [(0.5, DensityOperator.from_ensemble(
+                    np.vstack([r.branches() for r in rs]) / np.sqrt(2)))
+               for rs in (by_bit2[0], by_bit2[1])]
         out = pgm(ens)
         assert out.p_lower == pytest.approx(0.5, abs=1e-9)
         assert out.p_upper == pytest.approx(0.5, abs=1e-9)
@@ -318,6 +318,16 @@ class TestExtractionAttack:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 52.2 * 2**20
+
+    def test_first_drift_is_the_certified_distance(self, monkeypatch):
+        # bit 1 is measured on sigma_1 itself, so gentle measurement has
+        # already computed its drift: 4 certificates and 3 further drifts
+        calls = []
+        inner = bounds.trace_distance
+        monkeypatch.setattr(bounds, "trace_distance",
+                            lambda rho, sigma: calls.append(None) or inner(rho, sigma))
+        extraction_attack(build_kerenidis(4), "coherent-reference")
+        assert len(calls) == 7
 
     def test_coherent_needs_quantum_path(self):
         inst = build_kerenidis(2, database=(0, 1))

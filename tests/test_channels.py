@@ -199,15 +199,6 @@ def test_rotate_and_inverse(rng):
     np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
 
 
-def test_dense_operators_of_structured_ops():
-    layout = RegisterLayout((("r", 2), ("q", 1)))
-    op = InnerProductCnotOp(source="r", target="q", mask="11")
-    mats, regs = op.dense_operators(layout)
-    assert regs == ("r", "q")
-    v = mats[0]
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(8), atol=1e-12)
-
-
 def test_descriptor_round_trip(rng):
     layout = RegisterLayout((("r", 2), ("q", 1)))
     ops = [

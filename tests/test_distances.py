@@ -9,6 +9,7 @@ from qpirlab.distances import (
     UhlmannPreconditionError,
     apply_side_unitary,
     ensemble_trace_distance,
+    gram_reduce,
     partial_trace,
     pure_trace_distance,
     purify,
@@ -18,6 +19,11 @@ from qpirlab.distances import (
 )
 from qpirlab.runtime import Ensemble
 from qpirlab.states import DensityOperator, PureState, RegisterLayout, StateError
+
+
+def dense_distance(a, b) -> float:
+    # the halved trace norm of the dense difference, independent of the span
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
 
 
 def bell(layout):
@@ -136,9 +142,23 @@ class TestTraceDistance:
                 ra, rb = rng.integers(1, d // 2, size=2)
                 a = random_density(rng, d, rank=int(ra))
                 b = random_density(rng, d, rank=int(rb))
-                assert a.factor is not None and b.factor is not None
-                want = trace_distance(DensityOperator(d, a.matrix), DensityOperator(d, b.matrix))
-                assert trace_distance(a, b) == pytest.approx(want, abs=1e-12)
+                assert trace_distance(a, b) == pytest.approx(dense_distance(a, b), abs=1e-12)
+
+    def test_full_span_and_wide_factors_match_dense_reference(self, rng):
+        # the two factors span the whole space: ranks summing to at least d,
+        # full rank, and a reduction whose factor has k > d columns
+        for d in (4, 16):
+            for ra, rb in ((d // 2, d // 2), (d - 1, 3), (d, 1), (d, d)):
+                a = random_density(rng, d, rank=ra)
+                b = random_density(rng, d, rank=rb)
+                assert trace_distance(a, b) == pytest.approx(dense_distance(a, b), abs=1e-12)
+        layout = RegisterLayout((("a", 2), ("b", 3)))
+        for _ in range(5):
+            vecs = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+            wide = gram_reduce(vecs / np.linalg.norm(vecs), layout, ["a"])  # k = 24 > d = 4
+            other = random_density(rng, 4, rank=int(rng.integers(1, 5)))
+            assert trace_distance(wide, other) == pytest.approx(dense_distance(wide, other),
+                                                                abs=1e-12)
 
 
 class TestPurify:

@@ -1,11 +1,9 @@
 """Slow reference for every op kind, built label by label from its definition.
 
-``ChannelOp.dense_operators`` is assembled by one ``apply_vectors`` call on
-the identity, so it cannot check a kernel.  The reference here never calls
-one: it walks every basis assignment of a layout with
-``RegisterLayout.basis_index`` and plain Python bit arithmetic, writes the
-op's matrix entry by entry, and the kernels are compared against it on
-seeded random layouts with shuffled register order.
+The reference never calls a kernel: it walks every basis assignment of a
+layout with ``RegisterLayout.basis_index`` and plain Python bit arithmetic,
+writes the op's matrix entry by entry, and the kernels are compared against
+it on seeded random layouts with shuffled register order.
 """
 
 import inspect
@@ -377,31 +375,3 @@ def test_ensemble_apply_hands_the_whole_batch_to_one_kernel_call(seed, monkeypat
         assert v.dtype == np.complex128 and v.flags.c_contiguous, op
         if op.kind == "isometry":
             assert len(v) == 3, op
-
-
-def _column_loop(op, layout):
-    # One basis vector at a time: the slow reference for the batched default.
-    regs = tuple(op.touches)
-    local = RegisterLayout(tuple((n, layout.width(n)) for n in regs))
-    cols = []
-    for b in range(local.dim):
-        vec = np.zeros((1, local.dim), dtype=np.complex128)
-        vec[0, b] = 1.0
-        out = op.apply_vectors(vec, local)
-        assert len(out) == 1, op
-        cols.append(out[0])
-    return np.stack(cols, axis=1)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_default_dense_operators_match_the_column_loop(seed):
-    rng = np.random.default_rng(9200 + seed)
-    layout = _layout(rng)
-    inheriting = [op for op in _ops(rng, layout) if "dense_operators" not in type(op).__dict__]
-    assert {type(op) for op in inheriting} == set(REFERENCE) - {MeasureOp, DenseOp}
-    for op in inheriting:
-        mats, regs = op.dense_operators(layout)
-        assert regs == tuple(op.touches) + tuple(n for n, _ in op.creates), op
-        assert len(mats) == 1 and mats[0].flags.c_contiguous, op
-        np.testing.assert_allclose(mats[0], _column_loop(op, layout), rtol=0, atol=1e-12,
-                                   err_msg=repr(op))

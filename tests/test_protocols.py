@@ -77,8 +77,8 @@ class TestKerenidis:
                 for i in range(1, n + 1):
                     tq = q.run(db, i, keep_states=False)
                     tc = c.run(index=i, keep_states=False)
-                    dq = decode_distribution(tq)
-                    dc = decode_distribution(tc)
+                    dq = decode_distribution(tq, output_register=q.output_register)
+                    dc = decode_distribution(tc, output_register=c.output_register)
                     assert np.max(np.abs(dq - dc)) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -112,7 +112,7 @@ class TestKerenidis:
         inst = build_kerenidis(2)
         db = (0, 1)
         tr = inst.run(input_state=inst.input_with_client(db, uniform_index_state(inst)))
-        joint = decode_distribution(tr)
+        joint = decode_distribution(tr, output_register=inst.output_register)
         for i in (1, 2):
             np.testing.assert_allclose(joint[i - 1],
                                        [0.5 * (db[i - 1] == 0), 0.5 * (db[i - 1] == 1)],
@@ -191,8 +191,8 @@ def test_decode_reduces_the_final_state_once(monkeypatch):
                         lambda self, names: calls.append(names) or inner(self, names))
     assert [inst.decode(tr, i)[0] for i in range(1, 5)] == [0, 1, 1, 0]
     assert calls == [("idx", "f")]
-    dist = decode_distribution(tr)
-    assert dist is decode_distribution(tr) and dist.shape == (4, 2)
+    dist = decode_distribution(tr, output_register="f")
+    assert dist is decode_distribution(tr, output_register="f") and dist.shape == (4, 2)
     with pytest.raises(ValueError, match="read-only"):
         dist[0, 0] = 1.0
     with pytest.raises(ValueError, match="out of range"):
