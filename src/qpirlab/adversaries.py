@@ -15,7 +15,8 @@ worst case on the standard set by design.
 The meter runs each database state twice, honestly and adversarially, on
 the purified index (the ``i-entangled`` input, whose reference ``refi``
 purifies the client's index), and steers both global states at every step
-to each test input's client state (:func:`steer`).  Following the paper's
+to each test input's client state (:func:`steer`), both taken first into
+one shared branch span (:func:`in_span`).  Following the paper's
 purification argument, the steering map acts only on that reference, which
 no program and no recovery touches, so it commutes with the protocol, the
 adversary, the recoveries (measurements included) and the discards: the
@@ -61,6 +62,7 @@ __all__ = [
     "purified_input",
     "steer",
     "steering",
+    "in_span",
     "purified_honest",
     "purification_attack",
     "gamma_family",
@@ -269,6 +271,48 @@ def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     return steering(ens)(client, reference)
 
 
+def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
+    """``ens`` and ``others`` in the coordinates of their branch span.
+
+    Steering acts only on :data:`PURIFIER`, so whatever is steered from
+    these ensembles lies in span{``v[b, i]``} (x) (reference registers),
+    where ``v[b, i]`` is branch ``b`` with :data:`PURIFIER` at label ``i``
+    (``others`` aligned to ``ens``'s register names).  One QR of those
+    columns, all ensembles together, gives an isometry ``Q`` and the
+    coordinates ``R``; rows of ``R`` (directions of ``Q``) whose squared
+    weight is at or below ``states.BRANCH_PRUNE`` are dropped, as light
+    branches are.  Each ensemble comes back over a register ``span`` (its
+    coordinates, zero-padded to a power of two) and :data:`PURIFIER`.  ``Q``
+    is shared, so :func:`steering` and :meth:`Ensemble.distance` give the
+    same figures on the result.  A run without :data:`PURIFIER` is returned
+    as it is.
+    """
+    lay = ens.layout
+    if not lay.has(PURIFIER):
+        return (ens, *others)
+    order = (PURIFIER, *(n for n in lay.names if n != PURIFIER))
+    labels = 1 << lay.width(PURIFIER)
+    blocks = []  # per ensemble, one row per (branch, label): the columns v[b, i]
+    for e in (ens, *others):
+        if sorted(e.layout.names) != sorted(lay.names):
+            raise LayoutError(f"registers {e.layout.names} do not match {lay.names}")
+        blocks.append(slots_to_front(e.vectors, lay.total_qubits, e.layout.ordered_slots(order))
+                      .reshape(-1, lay.dim // labels))
+    r = np.linalg.qr(np.concatenate(blocks).T, mode="r")
+    r = r[nonzero_rows((np.abs(r) ** 2).sum(axis=1))]
+    width = max(1, (len(r) - 1).bit_length())
+    coords = np.zeros((1 << width, r.shape[1]), dtype=np.complex128)
+    coords[:len(r)] = r
+    layout = RegisterLayout((("span", width), (PURIFIER, lay.width(PURIFIER))))
+    out = []
+    for c in np.split(coords, np.cumsum([len(b) for b in blocks])[:-1], axis=1):
+        # column (branch, label) -> amplitude (span, label) of that branch
+        b = c.shape[1] // labels
+        out.append(Ensemble(layout, c.reshape(1 << width, b, labels).swapaxes(0, 1)
+                            .reshape(b, layout.dim)))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # adversary constructors
 # ---------------------------------------------------------------------------
@@ -452,8 +496,9 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     is applied to the adversarial state and the result is compared globally
     with the honest state (the reference and client side ride along
     untouched).  Each database state is run once through the honest
-    protocol and once through the adversary, on the purified index; both
-    global states are then steered to each input's client state.
+    protocol and once through the adversary, on the purified index; at each
+    step both global states are taken into one branch span and steered to
+    each input's client state.
     """
     spec = instance.spec
     if adversary.recoveries is None:
@@ -476,6 +521,8 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
                     f"recovered registers {recovered.layout.names} do not match "
                     f"honest registers {target.layout.names} at step {t}"
                 )
+            # one client map steers both, so they share one span
+            target, recovered = in_span(target, recovered)
             states.append((t, steering(recovered), steering(target)))
         for ins in members:
             for t, recovered, target in states:

@@ -99,6 +99,10 @@ def _gather(idx: np.ndarray, total: int, slots) -> np.ndarray:
     return out
 
 
+# Entries the permutation cache holds before it evicts the least recently used.
+_CACHE_ENTRIES = 48
+
+
 class _ArrayCache:
     """LRU cache for per-(op, layout) permutation and sign arrays.
 
@@ -106,8 +110,7 @@ class _ArrayCache:
     index arithmetic is paid once per distinct (descriptor, layout) pair.
     """
 
-    def __init__(self, capacity: int = 48):
-        self.capacity = capacity
+    def __init__(self):
         self._store: dict = {}
 
     def get(self, op: "ChannelOp", layout: RegisterLayout, build):
@@ -116,7 +119,7 @@ class _ArrayCache:
         if hit is None:
             hit = build()
             hit.flags.writeable = False
-            while len(self._store) >= self.capacity:
+            while len(self._store) >= _CACHE_ENTRIES:
                 self._store.pop(next(iter(self._store)))
         self._store[key] = hit
         return hit

@@ -3,11 +3,17 @@
 Every figure here is a distance between server views.  The one definition
 of the view is :meth:`ExecutionTranscript.server_view`: at step ``t`` it is
 everything on the server's side plus the in-flight messages, keeping any
-reference registers.  One runner, ``_server_views``, takes the views at the
+reference registers.  One runner, ``_run_views``, takes the views at the
 even steps; one comparison, :meth:`Ensemble.distance`, aligns two views by
-register name and measures them.  Views are handled as low-rank ensembles
-(branch vectors componentized over the traced-out client side), so
-distances stay cheap even when the view itself is large.
+register name and measures them.  Views are low-rank ensembles (branch
+vectors componentized over the traced-out client side).  The lower bound
+also takes each view into its branch span before it steers
+(:func:`qpirlab.adversaries.in_span`, one QR per database state and step):
+everything steered from one run lies in that span tensored with the
+reference registers, so steering and every distance act on the span's few
+coordinates rather than the full view.  The certificates keep named views,
+because the theorem simulator applies inverted recovery ops by register
+name to the honest simulator's views.
 
 The runner executes a spec once per database state.  The paper's point is
 that a party may run a protocol on a purification of its input, and the
@@ -40,8 +46,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .adversaries import (Adversary, database_groups, purified_input, standard_inputs,
-                          steering)
+from .adversaries import (Adversary, database_groups, in_span, purified_input,
+                          standard_inputs, steering)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -91,13 +97,26 @@ def _even_steps(spec: ProtocolSpec) -> list[int]:
     return [st.t for st in spec.schedule if st.party == CLIENT]
 
 
+def _run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
+    """The server's view at each of ``steps`` in one run of ``spec`` over
+    ``database`` on the purified index."""
+    tr = execute(spec, purified_input(spec, database), probe_steps=steps, keep_states=False)
+    return {t: tr.server_view(t) for t in steps}
+
+
+def _steered(views: dict[int, Ensemble], clients) -> list[dict[int, Ensemble]]:
+    """``views`` steered to each ``(client state, reference names)`` of
+    ``clients``."""
+    steer = {t: steering(view) for t, view in views.items()}
+    return [{t: s(client, refs) for t, s in steer.items()} for client, refs in clients]
+
+
 def _server_views(spec: ProtocolSpec, database, clients, steps) -> list[dict[int, Ensemble]]:
     """The server's view at each of ``steps`` for each ``(client state,
-    reference names)`` of ``clients`` over ``database``: one run of ``spec``
-    on the purified index, its views steered to each client state."""
-    tr = execute(spec, purified_input(spec, database), probe_steps=steps, keep_states=False)
-    views = {t: steering(tr.server_view(t)) for t in steps}
-    return [{t: views[t](client, refs) for t in steps} for client, refs in clients]
+    reference names)`` of ``clients`` over ``database``, with its registers
+    named: one run of ``spec`` on the purified index, its views steered to
+    each client state."""
+    return _steered(_run_views(spec, database, steps), clients)
 
 
 @dataclass(frozen=True)
@@ -165,8 +184,9 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     last = len(instance.spec.schedule)
     rows: list[PrivacyRow] = []
     for members in database_groups(inputs):
-        views = _server_views(spec, members[0].database,
-                              [(ins.client, ins.reference) for ins in members], steps)
+        run = _run_views(spec, members[0].database, steps)
+        views = _steered({t: in_span(view)[0] for t, view in run.items()},
+                         [(ins.client, ins.reference) for ins in members])
         classes: dict[str, list] = {}
         for ins, view in zip(members, views):
             classes.setdefault(ins.marginal_key, []).append((ins.label, view))

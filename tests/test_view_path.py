@@ -1,19 +1,22 @@
 """The path from a test input to a privacy figure: the standard inputs, the
-view runner, the view distance, and the checks that reject inputs an
-analysis cannot honour."""
+view runner, the views in their branch span, the view distance, and the
+checks that reject inputs an analysis cannot honour."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qpirlab.adversaries import (client_variants, database_groups, purified_input,
-                                 standard_inputs, steer)
+from qpirlab import privacy, runtime
+from qpirlab.adversaries import (PURIFIER, client_variants, database_groups, in_span,
+                                 purified_input, standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
 from qpirlab.config import CapExceeded
 from qpirlab.distances import ensemble_trace_distance
-from qpirlab.privacy import _server_views
+from qpirlab.privacy import _server_views, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
-from qpirlab.states import LayoutError, RegisterLayout
+from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout
 
 
 def _aligned_by_hand(v, layout, names):
@@ -115,3 +118,103 @@ def test_extraction_rejects_a_database_other_than_the_built_in_one():
     inst = build_kerenidis(2, database=(0, 1))
     with pytest.raises(ValueError, match="database 10 disagrees with the database 01"):
         extraction_attack(inst, "classical-per-a", database=(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# views in their branch span, against the named views
+# ---------------------------------------------------------------------------
+
+
+def _random_ensemble(rng, layout, rows, scale=1.0):
+    v = rng.normal(size=(rows, layout.dim)) + 1j * rng.normal(size=(rows, layout.dim))
+    return Ensemble(layout, scale * v / np.linalg.norm(v))
+
+
+def _clients(rng, index_width):
+    """Pure and two-branch client states over an index and one reference."""
+    layout = RegisterLayout((("idx", index_width), ("refx", 1)))
+    return [_random_ensemble(rng, layout, rows) for rows in (1, 1, 2, 3)]
+
+
+def _pairwise(views):
+    return [a.distance(b) for a, b in combinations(views, 2)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_span_views_match_the_named_views(seed):
+    rng = np.random.default_rng(1200 + seed)
+    # 3 branches x 4 labels span 12 of the 32 other amplitudes: the span is
+    # padded to 16
+    ens = _random_ensemble(rng, RegisterLayout((("a", 2), (PURIFIER, 2), ("b", 3))), 3)
+    (span,) = in_span(ens)
+    assert span.layout.registers == (("span", 4), (PURIFIER, 2))
+    assert span.weight == pytest.approx(ens.weight, abs=1e-12)
+    clients = _clients(rng, 2)
+    named = [steer(ens, c, ("refx",)) for c in clients]
+    spanned = [steer(span, c, ("refx",)) for c in clients]
+    np.testing.assert_allclose(_pairwise(spanned), _pairwise(named), rtol=0, atol=1e-12)
+
+
+def test_one_span_serves_two_ensembles():
+    # as in the speciousness meter: the other ensemble's registers come in
+    # another order and are aligned by name before the one QR
+    rng = np.random.default_rng(1210)
+    regs = (("a", 2), (PURIFIER, 1), ("b", 2))
+    ens = _random_ensemble(rng, RegisterLayout(regs), 2)
+    other = _random_ensemble(rng, RegisterLayout(regs[::-1]), 3)
+    span_ens, span_other = in_span(ens, other)
+    assert span_ens.layout == span_other.layout
+    for c in _clients(rng, 1):
+        want = steer(ens, c, ("refx",)).distance(steer(other, c, ("refx",)))
+        got = steer(span_ens, c, ("refx",)).distance(steer(span_other, c, ("refx",)))
+        assert got == pytest.approx(want, abs=1e-12)
+    with pytest.raises(LayoutError):
+        in_span(ens, _random_ensemble(rng, RegisterLayout((("a", 2), (PURIFIER, 1), ("c", 2))), 1))
+
+
+def test_a_run_without_the_purifier_is_returned_as_is(rng):
+    ens = _random_ensemble(rng, RegisterLayout((("a", 2), ("b", 1))), 2)
+    other = _random_ensemble(rng, RegisterLayout((("b", 1), ("a", 2))), 1)
+    assert in_span(ens) == (ens,)
+    got = in_span(ens, other)
+    assert got[0] is ens and got[1] is other
+
+
+def test_dropped_directions_carry_at_most_the_prune_weight():
+    # Branch weights near 1e-20, so rounding (1e-36) sits far below the
+    # prune level: two directions carry the columns, two more carry only
+    # 1e-28 each, and those two are dropped.
+    rng = np.random.default_rng(1220)
+    layout = RegisterLayout((("a", 3), (PURIFIER, 1)))
+    v = np.zeros((2, 8, 2), dtype=complex)  # (branch, a, purifier label)
+    v[:, :2] = 1e-10 * (rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
+    v[:, 2:] = 1e-14 * (rng.normal(size=(2, 6, 2)) + 1j * rng.normal(size=(2, 6, 2)))
+    ens = Ensemble(layout, v.reshape(2, -1))
+    (span,) = in_span(ens)
+    kept = int(np.count_nonzero(
+        (np.abs(span.vectors.reshape(2, -1, 2)) ** 2).sum(axis=(0, 2))))
+    dropped = 4 - kept  # R has min(8 amplitudes, 4 columns) rows
+    assert (kept, dropped) == (2, 2)
+    assert 0 <= ens.weight - span.weight <= dropped * BRANCH_PRUNE
+
+
+def test_lower_bound_takes_one_span_per_database_and_step(monkeypatch):
+    executes, spans, distances, qrs = [], [], [], []
+
+    def counting(calls, module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(executes, privacy, "execute")
+    counting(spans, privacy, "in_span")
+    counting(distances, runtime, "ensemble_trace_distance")
+    counting(qrs, np.linalg, "qr")
+    report = privacy_lower_bound(build_kerenidis(4))
+    assert len(report.rows) == 528
+    # 16 databases x 3 even steps
+    assert (len(executes), len(spans), len(distances)) == (16, 48, 528)
+    assert len(qrs) == 48 + 528
