@@ -41,7 +41,6 @@ inheritance: per-kind instrumentation looks the method up in each class's
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -106,15 +105,16 @@ _CACHE_ENTRIES = 48
 class _ArrayCache:
     """LRU cache for per-(op, layout) permutation and sign arrays.
 
-    Structured ops are immutable and layouts repeat run after run, so the
-    index arithmetic is paid once per distinct (descriptor, layout) pair.
+    Structured ops are frozen dataclasses, hashed and compared by their
+    fields, and layouts repeat run after run, so the index arithmetic is
+    paid once per distinct (op, layout) pair.
     """
 
     def __init__(self):
         self._store: dict = {}
 
     def get(self, op: "ChannelOp", layout: RegisterLayout, build):
-        key = (json.dumps(op.descriptor(), sort_keys=True), layout.registers)
+        key = (op, layout.registers)
         hit = self._store.pop(key, None)
         if hit is None:
             hit = build()

@@ -6,14 +6,17 @@ everything on the server's side plus the in-flight messages, keeping any
 reference registers.  One runner, ``_run_views``, takes the views at the
 even steps; one comparison, :meth:`Ensemble.distance`, aligns two views by
 register name and measures them.  Views are low-rank ensembles (branch
-vectors componentized over the traced-out client side).  The lower bound
-also takes each view into its branch span before it steers
+vectors componentized over the traced-out client side).  Every figure
+takes its views into their branch span before it steers
 (:func:`qpirlab.adversaries.in_span`, one QR per database state and step):
 everything steered from one run lies in that span tensored with the
 reference registers, so steering and every distance act on the span's few
-coordinates rather than the full view.  The certificates keep named views,
-because the theorem simulator applies inverted recovery ops by register
-name to the honest simulator's views.
+coordinates rather than the full view.  A certificate puts its simulated
+view, tensored with the maximally mixed purifier, into the same span as
+the run's view; steered to a client state, it becomes the simulated view
+beside that client's reference marginal.  The simulators' own views stay
+named until then, because the theorem simulator applies inverted recovery
+ops by register name to the honest simulator's views.
 
 The runner executes a spec once per database state.  The paper's point is
 that a party may run a protocol on a purification of its input, and the
@@ -46,8 +49,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .adversaries import (Adversary, database_groups, in_span, purified_input,
-                          standard_inputs, steering)
+import numpy as np
+
+from .adversaries import (PURIFIER, Adversary, database_groups, in_span, purified_input,
+                          standard_inputs, steer, steering)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -70,7 +75,7 @@ from .runtime import (
     ProtocolSpec,
     execute,
 )
-from .states import PureState
+from .states import PureState, RegisterLayout
 
 __all__ = [
     "PrivacyRow",
@@ -102,21 +107,6 @@ def _run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
     ``database`` on the purified index."""
     tr = execute(spec, purified_input(spec, database), probe_steps=steps, keep_states=False)
     return {t: tr.server_view(t) for t in steps}
-
-
-def _steered(views: dict[int, Ensemble], clients) -> list[dict[int, Ensemble]]:
-    """``views`` steered to each ``(client state, reference names)`` of
-    ``clients``."""
-    steer = {t: steering(view) for t, view in views.items()}
-    return [{t: s(client, refs) for t, s in steer.items()} for client, refs in clients]
-
-
-def _server_views(spec: ProtocolSpec, database, clients, steps) -> list[dict[int, Ensemble]]:
-    """The server's view at each of ``steps`` for each ``(client state,
-    reference names)`` of ``clients`` over ``database``, with its registers
-    named: one run of ``spec`` on the purified index, its views steered to
-    each client state."""
-    return _steered(_run_views(spec, database, steps), clients)
 
 
 @dataclass(frozen=True)
@@ -185,10 +175,10 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     rows: list[PrivacyRow] = []
     for members in database_groups(inputs):
         run = _run_views(spec, members[0].database, steps)
-        views = _steered({t: in_span(view)[0] for t, view in run.items()},
-                         [(ins.client, ins.reference) for ins in members])
+        steers = {t: steering(in_span(view)[0]) for t, view in run.items()}
         classes: dict[str, list] = {}
-        for ins, view in zip(members, views):
+        for ins in members:
+            view = {t: s(ins.client, ins.reference) for t, s in steers.items()}
             classes.setdefault(ins.marginal_key, []).append((ins.label, view))
         for labelled in classes.values():
             for (la, va), (lb, vb) in combinations(labelled, 2):
@@ -211,35 +201,45 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
 # ---------------------------------------------------------------------------
 
 
-def _reference_marginal(state: PureState | Ensemble, reference) -> Ensemble | None:
-    if not reference:
-        return None
-    ens = Ensemble.from_pure(state) if isinstance(state, PureState) else state
-    drop = [n for n in ens.layout.names if n not in set(reference)]
-    return ens.traced(drop)
-
-
 def _database(instance: QpirInstance, db) -> PureState | None:
     return instance.database_state(db) if instance.database_register else None
 
 
-def _certificate(instance: QpirInstance, views, simulate):
+def _mixed_purifier(width: int) -> Ensemble:
+    """The maximally mixed :data:`PURIFIER`: one branch ``e_i / sqrt(L)`` per
+    label."""
+    labels = 1 << width
+    return Ensemble(RegisterLayout(((PURIFIER, width),)),
+                    np.eye(labels, dtype=np.complex128) / math.sqrt(labels))
+
+
+def _certificate(instance: QpirInstance, runs, simulate):
     """(eps, rows): the worst distance, over the anchored test inputs and the
-    even steps, between ``simulate(db, t)`` (tensored with the input's
-    reference marginal) and the input's server view.  ``views(db, clients)``
-    gives the views over database ``db`` for each ``(client state,
-    reference names)`` of ``clients``, as :func:`_server_views` does."""
+    even steps, between the simulated view ``simulate(db, t)``, beside the
+    input's reference marginal, and the input's server view.
+    ``runs(db)`` gives the server's views at the even steps of one run over
+    database ``db`` on the purified index, as :func:`_run_views` does.
+
+    The simulated view is tensored with the maximally mixed
+    :data:`PURIFIER` and taken into one branch span with the run's view.
+    Steered to a client state ``c``, it becomes the simulated view tensored
+    with ``c``'s marginal on its reference registers, so both sides are
+    steered and compared as the lower bound's views are."""
     steps = _even_steps(instance.spec)
     rows = []
     for members in database_groups(standard_inputs(instance)):
-        group = views(members[0].db, [(ins.client, ins.reference) for ins in members])
-        for ins, view in zip(members, group):
-            ref = _reference_marginal(ins.client, ins.reference)
-            for t in steps:
-                sim = simulate(ins.db, t)
-                if ref is not None:
-                    sim = sim.tensor(ref)
-                rows.append((ins.label, t, sim.distance(view[t])))
+        db = members[0].db
+        run = runs(db)
+        pairs = {}
+        for t in steps:
+            view, sim = run[t], simulate(db, t)
+            if view.layout.has(PURIFIER):
+                sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
+            pairs[t] = [steering(e) for e in in_span(view, sim)]
+        for ins in members:
+            for t, (actual, simulated) in pairs.items():
+                rows.append((ins.label, t, simulated(ins.client, ins.reference).distance(
+                    actual(ins.client, ins.reference))))
     eps = max((d for _, _, d in rows), default=0.0)
     return eps, rows
 
@@ -256,20 +256,19 @@ class HonestSimulator:
     def _key(db):
         return tuple(db) if isinstance(db, (tuple, list)) else db
 
-    def _run(self, db, clients) -> list[dict[int, Ensemble]]:
-        """The honest views over ``db`` for each of ``clients``, as
-        :func:`_server_views` gives them.  The simulator's own views (index
-        1) are steered from the same run and kept."""
+    def _run(self, db) -> dict[int, Ensemble]:
+        """The server's views at the even steps of one honest run over
+        ``db``, as :func:`_run_views` gives them.  The simulator's own views
+        (index 1) are steered from the same run and kept."""
         inst = self.instance
-        own, *views = _server_views(inst.spec, _database(inst, db),
-                                    [(inst.client_basis_state(1), ()), *clients],
-                                    _even_steps(inst.spec))
-        self._views[self._key(db)] = own
+        views = _run_views(inst.spec, _database(inst, db), _even_steps(inst.spec))
+        own = inst.client_basis_state(1)
+        self._views[self._key(db)] = {t: steer(v, own, ()) for t, v in views.items()}
         return views
 
     def view(self, db, t: int) -> Ensemble:
         if self._key(db) not in self._views:
-            self._run(db, [])
+            self._run(db)
         return self._views[self._key(db)][t]
 
     def epsilon_upper(self):
@@ -367,10 +366,8 @@ class TheoremSimulator:
         inst = self.instance
         adv_spec = self.adversary.modified_spec(inst.spec)
         steps = _even_steps(inst.spec)
-
-        def views(db, clients):
-            return _server_views(adv_spec, _database(inst, db), clients, steps)
-        return _certificate(inst, views, self.simulated_view)
+        return _certificate(inst, lambda db: _run_views(adv_spec, _database(inst, db), steps),
+                            self.simulated_view)
 
     def extract_anchor(self, db, client_state: PureState, t: int) -> PureState:
         """Re-extract the anchor from an arbitrary anchored pure input; used
@@ -403,14 +400,15 @@ class TheoremBoundRow:
                 "bound": self.bound, "ok": self.ok}
 
 
-def verify_theorem_bound(instance: QpirInstance, adversaries, *, x0=0,
+def verify_theorem_bound(instance: QpirInstance, adversaries, *,
                          tolerance: float = 1e-6) -> list[TheoremBoundRow]:
     """For each specious adversary: measure gamma, build the constructive
     simulator, measure its achieved anchored privacy error, and check it
     against eps_honest + 3 sqrt(2 gamma).  A gamma at or below
     :data:`FIGURE_TOL` counts as 0 in the bound; the row keeps the raw
-    ``gamma_hat``.  One honest simulator serves every adversary, so each
-    database's honest run is made once."""
+    ``gamma_hat``.  Each simulator takes its anchors from the run on
+    database 0, index 1.  One honest simulator serves every adversary, so
+    each database's honest run is made once."""
     from .adversaries import measure_speciousness
 
     honest = HonestSimulator(instance)
@@ -418,7 +416,7 @@ def verify_theorem_bound(instance: QpirInstance, adversaries, *, x0=0,
     rows = []
     for adv in adversaries:
         gamma = measure_speciousness(instance, adv).gamma_hat
-        sim = TheoremSimulator(honest, adv, x0)
+        sim = TheoremSimulator(honest, adv, 0)
         eps_hat, _ = sim.certify()
         # sqrt would lift QR noise in an exact recovery (1e-15) to 1e-7
         bound = eps_honest + 3.0 * math.sqrt(2.0 * (gamma if gamma > FIGURE_TOL else 0.0))

@@ -154,11 +154,10 @@ class QpirInstance:
         return Ensemble.from_pure(db_state).tensor(client_state)
 
     def run(self, db=None, index: int = 1, *, input_state=None,
-            keep_states: bool = True, probe_steps=()) -> ExecutionTranscript:
+            keep_states: bool = True) -> ExecutionTranscript:
         if input_state is None:
             input_state = self.basis_input(db, index)
-        return execute(self.spec, input_state, keep_states=keep_states,
-                       probe_steps=probe_steps)
+        return execute(self.spec, input_state, keep_states=keep_states)
 
     def decode(self, transcript: ExecutionTranscript, index: int = 1):
         return decode_output(transcript, index,

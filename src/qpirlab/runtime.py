@@ -347,14 +347,6 @@ class ExecutionTranscript:
     def steps(self) -> int:
         return len(self.ensembles)
 
-    @property
-    def m_a(self) -> int:
-        return communication(self.spec).m_a
-
-    @property
-    def m_b(self) -> int:
-        return communication(self.spec).m_b
-
     def ensemble(self, t: int) -> Ensemble:
         if not 1 <= t <= self.steps:
             raise IndexError(f"step {t} out of range 1..{self.steps}")
@@ -362,9 +354,6 @@ class ExecutionTranscript:
         if ens is None:
             raise StateError(f"step {t} was not retained (streaming run)")
         return ens
-
-    def purity(self, t: int) -> float:
-        return self.ensemble(t).purity()
 
     def ownership(self, t: int) -> dict[str, str]:
         """Owner tag of every register at step t; references are ``R``."""
@@ -391,9 +380,6 @@ class ExecutionTranscript:
         client = self.owned(t, CLIENT)
         ens = self.ensemble(t)
         return ens.traced(client) if client else ens
-
-    def reduced(self, t: int, names) -> DensityOperator:
-        return self.ensemble(t).reduced(names)
 
 
 def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None, *,

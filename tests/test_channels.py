@@ -319,3 +319,24 @@ def test_ops_reject_controlling_on_what_they_flip(make, name):
     # inside numpy, rather than name the op.
     with pytest.raises(ChannelError, match=rf"{name}.*'a'"):
         make()
+
+
+def test_permutation_cache_is_keyed_on_the_op_and_layout(monkeypatch):
+    from qpirlab import channels
+
+    cache = channels._ArrayCache()
+    monkeypatch.setattr(channels, "_perm_cache", cache)
+    layout = RegisterLayout((("a", 2), ("b", 2)))
+    v = np.arange(2 * layout.dim, dtype=np.complex128).reshape(2, -1)
+    # equal ops built apart, and one rebuilt from its descriptor, share one
+    # entry; another op or another layout gets its own
+    ops = [CopyOp("a", "b"), CopyOp("a", "b"),
+           op_from_descriptor(CopyOp("a", "b").descriptor())]
+    outs = [op.apply_vectors(v, layout) for op in ops]
+    assert len(cache._store) == 1
+    for out in outs[1:]:
+        np.testing.assert_array_equal(out, outs[0])
+    CopyOp("b", "a").apply_vectors(v, layout)
+    SelectPhaseOp(((0, ("b", 1)), (3, ("b", 0))), selector="a").apply_vectors(v, layout)
+    CopyOp("a", "b").apply_vectors(v, RegisterLayout((("b", 2), ("a", 2))))
+    assert len(cache._store) == 4

@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 
 from qpirlab.adversaries import (adversary_by_name, database_groups, measure_speciousness,
-                                 standard_inputs)
-from qpirlab.privacy import HonestSimulator, _server_views, privacy_lower_bound
+                                 standard_inputs, steer)
+from qpirlab.privacy import HonestSimulator, _run_views, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import CLIENT
 from qpirlab.states import RegisterLayout
@@ -272,11 +272,12 @@ def test_views_of_any_client_state_match_the_density_reference(rng):
     clients = [random_pure(rng, layout) for _ in range(2)]
     database = inst.database_state(2)
     steps = [st.t for st in inst.spec.schedule if st.party == CLIENT]
-    got = _server_views(inst.spec, database, [(c, ("refx", "refy")) for c in clients], steps)
-    for client, views in zip(clients, got):
+    run = _run_views(inst.spec, database, steps)
+    for client in clients:
         want, _ = _run(inst.spec, database, client)
         for t in steps:
-            rows = views[t].vectors
-            dims = [1 << w for _, w in views[t].layout.registers]
-            view = (views[t].layout.registers, (rows.T @ rows.conj()).reshape(dims + dims))
+            got = steer(run[t], client, ("refx", "refy"))
+            rows = got.vectors
+            dims = [1 << w for _, w in got.layout.registers]
+            view = (got.layout.registers, (rows.T @ rows.conj()).reshape(dims + dims))
             assert _distance(view, want[t]) <= TOL, t

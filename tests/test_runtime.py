@@ -37,7 +37,8 @@ def test_send_db_copy_baseline():
     tr = execute(spec, inp)
     probs = tr.final.probabilities(("m",))
     assert probs[0b10] == pytest.approx(1.0)
-    assert (tr.m_a, tr.m_b) == (2, 0)
+    bill = communication(tr.spec)
+    assert (bill.m_a, bill.m_b) == (2, 0)
 
 
 def test_shape_errors_report_step():
@@ -69,7 +70,7 @@ def test_reference_immunity_and_entangled_reference():
     ent = PureState.from_vector(layout, np.array([1, 0, 0, 1]) / np.sqrt(2))
     inp = inst.input_with_client(0b01, ent)
     tr = execute(inst.spec, inp)
-    marginals = [tr.reduced(t, ["ref"]).matrix for t in range(1, tr.steps + 1)]
+    marginals = [tr.ensemble(t).reduced(["ref"]).matrix for t in range(1, tr.steps + 1)]
     for m in marginals[1:]:
         assert np.max(np.abs(m - marginals[0])) <= 1e-10
     # reference marginal also matches the honest no-reference run's constant I/2
@@ -80,7 +81,7 @@ def test_purity_preserved_measurement_free():
     inst = build_kerenidis(2)
     tr = inst.run(0b01, 2)
     for t in range(1, tr.steps + 1):
-        assert tr.purity(t) == pytest.approx(1.0, abs=1e-9)
+        assert tr.ensemble(t).purity() == pytest.approx(1.0, abs=1e-9)
         assert tr.ensemble(t).is_pure
 
 
@@ -152,7 +153,7 @@ def test_determinism_bit_identical():
 
 def test_streaming_mode_keeps_probes_only():
     inst = build_kerenidis(2)
-    tr = inst.run(0b01, 1, keep_states=False, probe_steps=(2,))
+    tr = execute(inst.spec, inst.basis_input(0b01, 1), keep_states=False, probe_steps=(2,))
     assert tr.ensemble(2) is not None
     assert tr.ensemble(tr.steps) is not None
     with pytest.raises(Exception):

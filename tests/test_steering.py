@@ -26,13 +26,12 @@ from qpirlab.privacy import (
     HonestSimulator,
     TheoremSimulator,
     _even_steps,
-    _reference_marginal,
-    _server_views,
+    _run_views,
     privacy_lower_bound,
 )
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
-from qpirlab.states import RegisterLayout
+from qpirlab.states import PureState, RegisterLayout
 
 TOL = 1e-12
 
@@ -78,6 +77,15 @@ def _reference_rows(inst, spec, inputs, views):
             for t in steps:
                 rows.append((t, x_label, (la, lb), views[la][t].distance(views[lb][t])))
     return rows
+
+
+def _reference_marginal(state, reference):
+    """The marginal of ``state`` on its ``reference`` registers (``None``
+    without any)."""
+    if not reference:
+        return None
+    ens = Ensemble.from_pure(state) if isinstance(state, PureState) else state
+    return ens.traced([n for n in ens.layout.names if n not in reference])
 
 
 def _reference_certificate(inst, spec, simulate):
@@ -148,11 +156,11 @@ def test_steered_views_and_rows_match_the_per_input_loop(inst_name, adv_name):
     want_views = _reference_views(spec, inputs, steps)
 
     for members in database_groups(inputs):
-        got = _server_views(spec, members[0].database,
-                            [(ins.client, ins.reference) for ins in members], steps)
-        for ins, views in zip(members, got):
+        run = _run_views(spec, members[0].database, steps)
+        for ins in members:
             for t in steps:
-                assert views[t].distance(want_views[ins.label][t]) <= TOL, (ins.label, t)
+                got = steer(run[t], ins.client, ins.reference)
+                assert got.distance(want_views[ins.label][t]) <= TOL, (ins.label, t)
 
     for mode in ("anchored", "full") if full else ("anchored",):
         report = privacy_lower_bound(inst, adv, mode)
@@ -168,10 +176,11 @@ def test_inputs_without_an_index_register_are_not_steered():
         assert [ins.label.split(",")[-1] for ins in members] == ["i=1"]
         ins = members[0]
         steps = _even_steps(inst.spec)
-        (views,) = _server_views(inst.spec, ins.database, [(ins.client, ins.reference)], steps)
+        run = _run_views(inst.spec, ins.database, steps)
         tr = execute(inst.spec, ins.state)
         for t in steps:
-            np.testing.assert_array_equal(views[t].vectors, tr.server_view(t).vectors)
+            view = steer(run[t], ins.client, ins.reference)
+            np.testing.assert_array_equal(view.vectors, tr.server_view(t).vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +262,32 @@ def test_speciousness_runs_each_database_once_per_side(monkeypatch):
     # four classical databases and the superposed one, honest and adversarial
     assert len(calls) == 10
     assert len(set(calls)) == 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_steered_mixed_purifier_is_the_reference_marginal(seed):
+    """The certificates steer ``sim (x) mixed refi`` to each client state:
+    that gives ``sim`` beside the client's marginal on its references, here
+    for complex client ensembles with two references besides the index."""
+    rng = np.random.default_rng(1300 + seed)
+
+    def random_ensemble(layout, rows):
+        v = rng.normal(size=(rows, layout.dim)) + 1j * rng.normal(size=(rows, layout.dim))
+        return Ensemble(layout, v / np.linalg.norm(v))
+
+    sim = random_ensemble(RegisterLayout((("a", 2), ("b", 1))), 2)
+    mixed = sim.tensor(privacy._mixed_purifier(2))
+    for rows in (1, 2, 3):
+        client = random_ensemble(RegisterLayout((("idx", 2), ("refx", 1), ("refy", 2))), rows)
+        want = sim.tensor(_reference_marginal(client, ("refx", "refy")))
+        got = steer(mixed, client, ("refx", "refy"))
+        assert got.layout == want.layout
+        assert got.distance(want) <= TOL
+        np.testing.assert_allclose(got.reduced(got.layout.names).matrix,
+                                   want.reduced(want.layout.names).matrix, rtol=0, atol=TOL)
+    # a client without references steers it back to ``sim``
+    client = random_ensemble(RegisterLayout((("idx", 2),)), 2)
+    assert steer(mixed, client, ()).distance(sim) <= TOL
 
 
 @pytest.mark.parametrize("inst_name", ["k2", "cx2"])

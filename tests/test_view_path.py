@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from qpirlab import privacy, runtime
-from qpirlab.adversaries import (PURIFIER, client_variants, database_groups, in_span,
-                                 purified_input, standard_inputs, steer)
+from qpirlab.adversaries import (PURIFIER, adversary_by_name, client_variants, database_groups,
+                                 in_span, purified_input, standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
 from qpirlab.config import CapExceeded
 from qpirlab.distances import ensemble_trace_distance
-from qpirlab.privacy import _server_views, privacy_lower_bound
+from qpirlab.privacy import _run_views, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout
@@ -61,15 +61,15 @@ def test_server_views_match_a_run_that_keeps_every_step():
     steps = list(range(1, 2 * k2.spec.rounds + 1))
     for members in database_groups(standard_inputs(k2, superposed_db=True)):
         database = members[0].database
-        all_views = _server_views(k2.spec, database,
-                                  [(ins.client, ins.reference) for ins in members], steps)
+        run = _run_views(k2.spec, database, steps)
+        assert sorted(run) == steps
         kept = execute(k2.spec, purified_input(k2.spec, database))
-        for ins, views in zip(members, all_views):
-            assert sorted(views) == steps
+        for ins in members:
             for t in steps:
+                got = steer(run[t], ins.client, ins.reference)
                 want = steer(kept.server_view(t), ins.client, ins.reference)
-                assert views[t].layout == want.layout
-                np.testing.assert_array_equal(views[t].vectors, want.vectors)
+                assert got.layout == want.layout
+                np.testing.assert_array_equal(got.vectors, want.vectors)
 
 
 @pytest.mark.parametrize("build", [lambda: build_kerenidis(2), lambda: build_kerenidis(4),
@@ -198,23 +198,40 @@ def test_dropped_directions_carry_at_most_the_prune_weight():
     assert 0 <= ens.weight - span.weight <= dropped * BRANCH_PRUNE
 
 
+def _counting(monkeypatch, calls, module, name):
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_lower_bound_takes_one_span_per_database_and_step(monkeypatch):
     executes, spans, distances, qrs = [], [], [], []
-
-    def counting(calls, module, name):
-        inner = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-
-    counting(executes, privacy, "execute")
-    counting(spans, privacy, "in_span")
-    counting(distances, runtime, "ensemble_trace_distance")
-    counting(qrs, np.linalg, "qr")
+    _counting(monkeypatch, executes, privacy, "execute")
+    _counting(monkeypatch, spans, privacy, "in_span")
+    _counting(monkeypatch, distances, runtime, "ensemble_trace_distance")
+    _counting(monkeypatch, qrs, np.linalg, "qr")
     report = privacy_lower_bound(build_kerenidis(4))
     assert len(report.rows) == 528
     # 16 databases x 3 even steps
     assert (len(executes), len(spans), len(distances)) == (16, 48, 528)
     assert len(qrs) == 48 + 528
+
+
+def test_certificates_take_one_span_per_database_and_step(monkeypatch):
+    executes, spans = [], []
+    _counting(monkeypatch, executes, privacy, "execute")
+    _counting(monkeypatch, spans, privacy, "in_span")
+    privacy.HonestSimulator(build_kerenidis(4)).epsilon_upper()
+    # 16 databases x 3 even steps; the simulated view shares each run
+    assert (len(executes), len(spans)) == (16, 48)
+
+    k2 = build_kerenidis(2)
+    sim = privacy.TheoremSimulator(privacy.HonestSimulator(k2),
+                                   adversary_by_name(k2, "gamma-lossy:0.3"), 0)
+    spans.clear()
+    sim.certify()
+    # 4 databases x 2 even steps
+    assert len(spans) == 8
