@@ -21,6 +21,11 @@ purification argument, the steering map acts only on that reference, which
 no program and no recovery touches, so it commutes with the protocol, the
 adversary, the recoveries (measurements included) and the discards: the
 steered distances are those of separate runs.
+
+:func:`steer` is the one steering function and keeps no state; one
+comparison loop, :func:`steered_distances`, steers each pair of a step to
+every input and measures it, for the meter here and for both privacy
+certificates.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ __all__ = [
     "database_groups",
     "purified_input",
     "steer",
-    "steering",
     "in_span",
+    "steered_distances",
     "purified_honest",
     "purification_attack",
     "gamma_family",
@@ -225,38 +230,6 @@ def purified_input(spec: ProtocolSpec, database: PureState | None) -> PureState 
     return state
 
 
-def steering(ens: Ensemble):
-    """:func:`steer` of ``ens`` as a function of ``(client, reference)``.
-
-    :data:`PURIFIER` is moved to the front once, and every client state is
-    steered from that one copy, which the function keeps in place of
-    ``ens``.  A run without :data:`PURIFIER` had no index to purify, so it
-    is the run on every client state, and those must have no index either.
-    """
-    lay = ens.layout
-    purified = lay.has(PURIFIER)
-    unsteered = None if purified else ens
-    # (1, run branch, other slots, purifier label)
-    v = (slots_to_front(ens.vectors, lay.total_qubits, lay.slots([PURIFIER]))
-         .transpose(0, 2, 1)[None] if purified else None)
-
-    def steer_to(client: PureState | Ensemble, reference) -> Ensemble:
-        cl = client if isinstance(client, Ensemble) else Ensemble.from_pure(client)
-        index = [name for name in cl.layout.names if name not in reference]
-        if bool(index) != purified:
-            raise LayoutError(f"client registers {list(cl.layout.names)} with reference "
-                              f"{list(reference)} do not fit a run on {list(lay.names)}")
-        if not index:
-            return unsteered
-        c = slots_to_front(cl.vectors, cl.layout.total_qubits, cl.layout.slots(index))
-        # (client branch, run branch, other slots, reference label)
-        steered = math.sqrt(v.shape[3]) * (v @ c[:, None])
-        layout = lay.without([PURIFIER]).extended(cl.layout.without(index).registers)
-        rows = steered.reshape(-1, layout.dim)
-        return Ensemble(layout, rows[nonzero_rows((np.abs(rows) ** 2).sum(axis=1))])
-    return steer_to
-
-
 def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     """``ens``, taken from a run on :func:`purified_input`, as the run on
     ``client`` would give it.
@@ -266,9 +239,31 @@ def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     branches of ``ens`` with ``sqrt(n) sum_{i,r} c[i, r] |r><i|`` applied to
     :data:`PURIFIER`, which puts ``reference`` in its place (appended to the
     layout).  Branches left at zero weight are dropped, as a run drops them.
-    To steer one ``ens`` to many client states, use :func:`steering`.
+    ``ens`` is read with :data:`PURIFIER` last, which is a view of its
+    memory when it is already last, as in :func:`in_span`'s output.  A run
+    without :data:`PURIFIER` had no index to purify, so it is the run on
+    every client state, and those must have no index either.
     """
-    return steering(ens)(client, reference)
+    lay = ens.layout
+    cl = client if isinstance(client, Ensemble) else Ensemble.from_pure(client)
+    index = [name for name in cl.layout.names if name not in reference]
+    if bool(index) != lay.has(PURIFIER):
+        raise LayoutError(f"client registers {list(cl.layout.names)} with reference "
+                          f"{list(reference)} do not fit a run on {list(lay.names)}")
+    if not index:
+        return ens
+    others = tuple(r for r in lay.registers if r[0] != PURIFIER)
+    labels = 1 << lay.width(PURIFIER)
+    # (1, run branch, other slots, purifier label)
+    v = slots_to_front(ens.vectors, lay.total_qubits,
+                       lay.ordered_slots([*(n for n, _ in others), PURIFIER]))
+    v = v.reshape(len(ens.vectors), lay.dim // labels, labels)[None]
+    c = slots_to_front(cl.vectors, cl.layout.total_qubits, cl.layout.slots(index))
+    # (client branch, run branch, other slots, reference label)
+    steered = math.sqrt(labels) * (v @ c[:, None])
+    layout = RegisterLayout(others + tuple(r for r in cl.layout.registers if r[0] not in index))
+    rows = steered.reshape(-1, layout.dim)
+    return Ensemble(layout, rows[nonzero_rows((np.abs(rows) ** 2).sum(axis=1))])
 
 
 def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
@@ -283,7 +278,7 @@ def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
     weight is at or below ``states.BRANCH_PRUNE`` are dropped, as light
     branches are.  Each ensemble comes back over a register ``span`` (its
     coordinates, zero-padded to a power of two) and :data:`PURIFIER`.  ``Q``
-    is shared, so :func:`steering` and :meth:`Ensemble.distance` give the
+    is shared, so :func:`steer` and :meth:`Ensemble.distance` give the
     same figures on the result.  A run without :data:`PURIFIER` is returned
     as it is.
     """
@@ -311,6 +306,17 @@ def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
         out.append(Ensemble(layout, c.reshape(1 << width, b, labels).swapaxes(0, 1)
                             .reshape(b, layout.dim)))
     return tuple(out)
+
+
+def steered_distances(members, pairs) -> list[tuple[str, int, float]]:
+    """``(label, t, distance)`` for each input of ``members`` and each step
+    ``t`` of ``pairs``, which maps it to ``(a, b)``: the distance of ``b``
+    from ``a``, both steered to the input's client state.  Each pair comes
+    from one run on the purified index and lies in one branch span
+    (:func:`in_span`)."""
+    return [(ins.label, t, steer(b, ins.client, ins.reference).distance(
+                steer(a, ins.client, ins.reference)))
+            for ins in members for t, (a, b) in pairs.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +518,7 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
         run_input = purified_input(spec, members[0].database)
         honest = execute(spec, run_input)
         dishonest = execute(adv_spec, run_input)
-        states = []
+        pairs = {}
         for t, recovery in enumerate(adversary.recoveries, start=1):
             recovered = apply_recovery(dishonest, t, recovery)
             target = honest.ensemble(t)
@@ -521,14 +527,10 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
                     f"recovered registers {recovered.layout.names} do not match "
                     f"honest registers {target.layout.names} at step {t}"
                 )
-            # one client map steers both, so they share one span
-            target, recovered = in_span(target, recovered)
-            states.append((t, steering(recovered), steering(target)))
-        for ins in members:
-            for t, recovered, target in states:
-                d = recovered(ins.client, ins.reference).distance(
-                    target(ins.client, ins.reference))
-                rows.append((ins.label, t, d))
+            # one client map steers both, so they share one span; rebinding
+            # frees the full recovered state before the next step
+            pairs[t] = target, recovered = in_span(target, recovered)
+        rows += steered_distances(members, pairs)
     gamma_hat = max(d for _, _, d in rows) if rows else 0.0
     return SpeciousnessReport(
         adversary=adversary.name,

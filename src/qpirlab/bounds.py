@@ -12,7 +12,7 @@ hypotheses) or 1 from above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -336,7 +336,7 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
             dbpart = epr_pair_state("refdb", instance.database_register, n)
             client = instance.client_basis_state(i)
             state = dbpart.tensor(client) if client.layout.registers else dbpart
-        return execute(instance.spec, state, keep_states=False)
+        return execute(instance.spec, state, keep=())
 
     def correctness(final, i: int) -> float:
         """Probability that the decoder returns bit ``i`` of the database."""
@@ -432,10 +432,7 @@ class ChainRuleReport:
     consistent: bool
 
     def as_dict(self) -> dict:
-        return {"protocol": self.protocol, "n": self.n, "m_a": self.m_a,
-                "m_b": self.m_b, "entropy_drop": self.entropy_drop,
-                "ceiling": self.ceiling, "attack_success": self.attack_success,
-                "consistent": self.consistent}
+        return asdict(self)
 
 
 def chain_rule_check(instance: QpirInstance, trace: ReconstructionTrace) -> ChainRuleReport:

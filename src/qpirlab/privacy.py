@@ -40,19 +40,24 @@ Upper bounds come from explicit simulators: the honest-protocol simulator
 (rerun with the client input pinned to 1) and the specious-adversary
 simulator assembled from an extracted anchor state, the inverted purified
 recovery, and the honest simulator.  Both are scored by one certificate
-loop over the standard anchored inputs.
+loop over the standard anchored inputs, which compares each (run view,
+simulated view) pair through
+:func:`qpirlab.adversaries.steered_distances`, the speciousness meter's
+loop; the lower bound steers with :func:`qpirlab.adversaries.steer`
+directly, because its pairs are across inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .adversaries import (PURIFIER, Adversary, database_groups, in_span, purified_input,
-                          standard_inputs, steer, steering)
+from .adversaries import (PURIFIER, Adversary, database_groups, in_span,
+                          measure_speciousness, purified_input, standard_inputs, steer,
+                          steered_distances)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -105,7 +110,7 @@ def _even_steps(spec: ProtocolSpec) -> list[int]:
 def _run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
     """The server's view at each of ``steps`` in one run of ``spec`` over
     ``database`` on the purified index."""
-    tr = execute(spec, purified_input(spec, database), probe_steps=steps, keep_states=False)
+    tr = execute(spec, purified_input(spec, database), keep=steps)
     return {t: tr.server_view(t) for t in steps}
 
 
@@ -129,14 +134,7 @@ class PrivacyReport:
     adversary: str
     rows: tuple[PrivacyRow, ...]
     eps_lower: float
-    eps_upper: float | None = None
     target: float | None = None
-
-    def __post_init__(self):
-        if self.eps_upper is not None and self.eps_lower > self.eps_upper + 1e-9:
-            raise ValueError(
-                f"lower bound {self.eps_lower} exceeds upper bound {self.eps_upper}"
-            )
 
     @property
     def passed(self) -> bool | None:
@@ -175,10 +173,10 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     rows: list[PrivacyRow] = []
     for members in database_groups(inputs):
         run = _run_views(spec, members[0].database, steps)
-        steers = {t: steering(in_span(view)[0]) for t, view in run.items()}
+        spans = {t: in_span(view)[0] for t, view in run.items()}
         classes: dict[str, list] = {}
         for ins in members:
-            view = {t: s(ins.client, ins.reference) for t, s in steers.items()}
+            view = {t: steer(s, ins.client, ins.reference) for t, s in spans.items()}
             classes.setdefault(ins.marginal_key, []).append((ins.label, view))
         for labelled in classes.values():
             for (la, va), (lb, vb) in combinations(labelled, 2):
@@ -235,11 +233,8 @@ def _certificate(instance: QpirInstance, runs, simulate):
             view, sim = run[t], simulate(db, t)
             if view.layout.has(PURIFIER):
                 sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
-            pairs[t] = [steering(e) for e in in_span(view, sim)]
-        for ins in members:
-            for t, (actual, simulated) in pairs.items():
-                rows.append((ins.label, t, simulated(ins.client, ins.reference).distance(
-                    actual(ins.client, ins.reference))))
+            pairs[t] = view, sim = in_span(view, sim)
+        rows += steered_distances(members, pairs)
     eps = max((d for _, _, d in rows), default=0.0)
     return eps, rows
 
@@ -252,10 +247,6 @@ class HonestSimulator:
         self.instance = instance
         self._views: dict = {}  # database -> {even step: view}
 
-    @staticmethod
-    def _key(db):
-        return tuple(db) if isinstance(db, (tuple, list)) else db
-
     def _run(self, db) -> dict[int, Ensemble]:
         """The server's views at the even steps of one honest run over
         ``db``, as :func:`_run_views` gives them.  The simulator's own views
@@ -263,13 +254,13 @@ class HonestSimulator:
         inst = self.instance
         views = _run_views(inst.spec, _database(inst, db), _even_steps(inst.spec))
         own = inst.client_basis_state(1)
-        self._views[self._key(db)] = {t: steer(v, own, ()) for t, v in views.items()}
+        self._views[db] = {t: steer(v, own, ()) for t, v in views.items()}
         return views
 
     def view(self, db, t: int) -> Ensemble:
-        if self._key(db) not in self._views:
+        if db not in self._views:
             self._run(db)
-        return self._views[self._key(db)][t]
+        return self._views[db][t]
 
     def epsilon_upper(self):
         """Max distance between the simulated and the actual view over the
@@ -395,9 +386,7 @@ class TheoremBoundRow:
     ok: bool
 
     def as_dict(self) -> dict:
-        return {"adversary": self.adversary, "gamma_hat": self.gamma_hat,
-                "eps_hat": self.eps_hat, "eps_honest": self.eps_honest,
-                "bound": self.bound, "ok": self.ok}
+        return asdict(self)
 
 
 def verify_theorem_bound(instance: QpirInstance, adversaries, *,
@@ -409,8 +398,6 @@ def verify_theorem_bound(instance: QpirInstance, adversaries, *,
     ``gamma_hat``.  Each simulator takes its anchors from the run on
     database 0, index 1.  One honest simulator serves every adversary, so
     each database's honest run is made once."""
-    from .adversaries import measure_speciousness
-
     honest = HonestSimulator(instance)
     eps_honest, _ = honest.epsilon_upper()
     rows = []

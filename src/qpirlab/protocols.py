@@ -157,7 +157,7 @@ class QpirInstance:
             keep_states: bool = True) -> ExecutionTranscript:
         if input_state is None:
             input_state = self.basis_input(db, index)
-        return execute(self.spec, input_state, keep_states=keep_states)
+        return execute(self.spec, input_state, keep=None if keep_states else ())
 
     def decode(self, transcript: ExecutionTranscript, index: int = 1):
         return decode_output(transcript, index,

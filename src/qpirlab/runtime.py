@@ -383,12 +383,12 @@ class ExecutionTranscript:
 
 
 def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None, *,
-            keep_states: bool = True, probe_steps=()) -> ExecutionTranscript:
+            keep=None) -> ExecutionTranscript:
     """Run the protocol on an input over the declared input registers.
 
     The input may carry extra registers beyond the declared inputs; they are
-    treated as the untouched reference side.  With ``keep_states=False`` only
-    the final state and any ``probe_steps`` are retained.
+    treated as the untouched reference side.  ``keep`` names the steps whose
+    states are retained besides the last; ``None`` retains every step.
     """
     declared = dict((*spec.server.input_registers, *spec.client.input_registers))
 
@@ -411,7 +411,6 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
         check_cap(ens.layout.total_qubits + spec.setup.layout.total_qubits, what="state")
         ens = ens.tensor(Ensemble.from_pure(spec.setup))
 
-    probe = set(probe_steps)
     last = spec.schedule[-1]
     kept: list[Ensemble | None] = []
     for st in spec.schedule:
@@ -422,7 +421,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
                 raise ProtocolShapeError(
                     f"step {st.t} ({st.party}): {type(op).__name__} failed: {exc}"
                 ) from exc
-        kept.append(ens if keep_states or st.t in probe or st is last else None)
+        kept.append(ens if keep is None or st.t in keep or st is last else None)
     return ExecutionTranscript(spec, kept, refs)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qpirlab.adversaries import (
     purified_honest,
     purified_input,
     standard_inputs,
-    steering,
+    steer,
 )
 from qpirlab.channels import HadamardOp
 from qpirlab.distances import ensemble_trace_distance
@@ -210,8 +211,27 @@ def test_steering_refuses_a_client_that_does_not_fit_the_run(k2):
     plain = execute(k1.spec, purified_input(k1.spec, k1.database_state(1))).final
     no_index = client_variants(k1)[0][2]
     with pytest.raises(LayoutError, match="do not fit"):
-        steering(run)(no_index, ())
+        steer(run, no_index, ())
     with pytest.raises(LayoutError, match="do not fit"):
-        steering(plain)(k2.client_basis_state(1), ())
-    assert steering(plain)(no_index, ()) is plain
-    assert "refi" not in steering(run)(k2.client_basis_state(1), ()).layout.names
+        steer(plain, k2.client_basis_state(1), ())
+    assert steer(plain, no_index, ()) is plain
+    assert "refi" not in steer(run, k2.client_basis_state(1), ()).layout.names
+
+
+# The meter's tracemalloc peak below when this bound was set (Python 3.11,
+# numpy 2.4).  Taking the span only after the step loop, which keeps every
+# step's full recovered state alive, reads 22.7 MiB and fails it.
+_METER_PEAK_MIB = 19.19
+
+
+def test_meter_peak_memory_stays_at_one_step():
+    cx = build_counterexample(2)
+    adv = purified_honest(cx)
+    measure_speciousness(cx, adv)  # warm-up: caches and imports
+    tracemalloc.start()
+    try:
+        measure_speciousness(cx, adv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= 1.1 * _METER_PEAK_MIB

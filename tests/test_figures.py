@@ -20,3 +20,61 @@ def test_figures_prints_one_exact_figure_per_label():
                         "decode"}
     assert abs(figures["attack/k4/coherent-reference/overall"] - 1 / 8) <= 1e-12
     assert abs(figures["privacy/cx2-purified/anchored/eps_lower"] - 0.25) <= 1e-12
+
+
+FIGDIFF = SCRIPT.with_name("figdiff.py")
+
+
+def _figdiff(tmp_path, parent, change):
+    paths = []
+    for name, figures in (("parent", parent), ("change", change)):
+        path = tmp_path / name
+        path.write_text("".join(f"{label} {float(v).hex()}\n" for label, v in figures.items()))
+        paths.append(str(path))
+    res = subprocess.run([sys.executable, str(FIGDIFF), *paths], capture_output=True, text=True)
+    out, moved = {}, {}
+    for line in res.stdout.splitlines():
+        key, rest = line.split(" ", 1)
+        if key == "moved":
+            section, count = rest.split(" ", 1)
+            moved[section] = count
+        else:
+            out[key] = rest
+    return res.returncode, out, moved
+
+
+PARENT = {"privacy/a": 0.25, "privacy/b": 0.5, "specious/a": 1 / 3}
+
+
+def test_figdiff_passes_identical_prints(tmp_path):
+    code, out, moved = _figdiff(tmp_path, PARENT, PARENT)
+    assert code == 0
+    assert out["labels"] == "3" and out["bit-identical"] == "3"
+    assert out["largest"] == "0 -"
+    assert moved == {"privacy": "0 of 2", "specious": "0 of 1"}
+
+
+def test_figdiff_passes_a_move_within_tolerance(tmp_path):
+    code, out, moved = _figdiff(tmp_path, PARENT, dict(PARENT, **{"privacy/b": 0.5 + 2e-16}))
+    assert code == 0
+    assert out["bit-identical"] == "2"
+    assert moved == {"privacy": "1 of 2", "specious": "0 of 1"}
+    assert out["largest"].split() == ["2.22e-16", "privacy/b"]
+
+
+def test_figdiff_fails_a_move_beyond_tolerance(tmp_path):
+    change = dict(PARENT, **{"privacy/a": 0.25 + 1e-15, "specious/a": 0.5})
+    code, out, moved = _figdiff(tmp_path, PARENT, change)
+    assert code == 1
+    assert out["bit-identical"] == "1"
+    assert moved == {"privacy": "1 of 2", "specious": "1 of 1"}
+    assert out["largest"].split()[1] == "specious/a"
+
+
+def test_figdiff_fails_different_labels(tmp_path):
+    change = {"privacy/a": 0.25, "privacy/c": 0.5, "specious/a": 1 / 3}
+    code, out, _ = _figdiff(tmp_path, PARENT, change)
+    assert code == 1
+    assert out["only-in-parent"] == "1 privacy/b"
+    assert out["only-in-change"] == "1 privacy/c"
+    assert out["labels"] == "2" and out["bit-identical"] == "2"

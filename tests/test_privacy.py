@@ -15,8 +15,6 @@ from qpirlab.distances import pure_trace_distance
 from qpirlab.privacy import (
     FIGURE_TOL,
     HonestSimulator,
-    PrivacyReport,
-    PrivacyRow,
     TheoremSimulator,
     is_measurement_free,
     privacy_lower_bound,
@@ -76,12 +74,6 @@ class TestLowerBound:
         s = k2.spec.rounds
         for r in report.rows:
             assert r.required == (r.step // 2 <= s - 1)
-
-    def test_report_consistency_guard(self):
-        row = PrivacyRow(2, "x", ("a", "b"), 0.4, True)
-        with pytest.raises(ValueError):
-            PrivacyReport("anchored", "p", "honest", (row,), eps_lower=0.2,
-                          eps_upper=0.1)
 
 
 class TestHonestSimulator:

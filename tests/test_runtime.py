@@ -153,7 +153,7 @@ def test_determinism_bit_identical():
 
 def test_streaming_mode_keeps_probes_only():
     inst = build_kerenidis(2)
-    tr = execute(inst.spec, inst.basis_input(0b01, 1), keep_states=False, probe_steps=(2,))
+    tr = execute(inst.spec, inst.basis_input(0b01, 1), keep=(2,))
     assert tr.ensemble(2) is not None
     assert tr.ensemble(tr.steps) is not None
     with pytest.raises(Exception):

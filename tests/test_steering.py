@@ -61,7 +61,7 @@ def _adversary(inst, name):
 def _reference_views(spec, inputs, steps):
     out = {}
     for ins in inputs:
-        tr = execute(spec, ins.state, probe_steps=steps, keep_states=False)
+        tr = execute(spec, ins.state, keep=steps)
         out[ins.label] = {t: tr.server_view(t) for t in steps}
     return out
 

@@ -7,16 +7,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qpirlab import privacy, runtime
+from qpirlab import adversaries, privacy, runtime
 from qpirlab.adversaries import (PURIFIER, adversary_by_name, client_variants, database_groups,
                                  in_span, purified_input, standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
 from qpirlab.config import CapExceeded
 from qpirlab.distances import ensemble_trace_distance
-from qpirlab.privacy import _run_views, privacy_lower_bound
+from qpirlab.privacy import _even_steps, _run_views, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
-from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout
+from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout, slots_to_front
 
 
 def _aligned_by_hand(v, layout, names):
@@ -235,3 +235,32 @@ def test_certificates_take_one_span_per_database_and_step(monkeypatch):
     sim.certify()
     # 4 databases x 2 even steps
     assert len(spans) == 8
+
+
+def test_steer_reads_a_span_view_in_place(monkeypatch):
+    # in_span puts refi last, so steering reads the view's own memory
+    inst = build_kerenidis(4)
+    steps = _even_steps(inst.spec)
+    runs = [_run_views(inst.spec, inst.database_state(db), steps) for db in (0b0110, 0b1001)]
+    read = []
+
+    def recording(vectors, total, slots):
+        out = slots_to_front(vectors, total, slots)
+        read.append((vectors, out))
+        return out
+
+    monkeypatch.setattr(adversaries, "slots_to_front", recording)
+    client = inst.client_basis_state(3)
+    assert len(steps) == 3
+    for t in steps:
+        spans = in_span(runs[0][t], runs[1][t])
+        steered = []
+        for span in spans:
+            read.clear()
+            steered.append(steer(span, client, ()))
+            vectors, out = read[0]
+            assert vectors is span.vectors
+            assert np.shares_memory(out, span.vectors)
+        want = steer(runs[1][t], client, ()).distance(steer(runs[0][t], client, ()))
+        assert want > 0.5
+        assert steered[1].distance(steered[0]) == pytest.approx(want, abs=1e-12)
