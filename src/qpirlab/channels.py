@@ -37,17 +37,23 @@ concrete op class binds ``apply_vectors(self, vectors, layout)`` in its own
 class body (the XOR ops as ``apply_vectors = _apply_flip``), never by
 inheritance: per-kind instrumentation looks the method up in each class's
 ``__dict__``.
+
+The text form of an op is derived from its dataclass fields in one place:
+``descriptor()`` writes ``{"op": name}`` and then each field in declaration
+order, tuples as lists and the complex ``amplitudes`` / ``matrices`` as
+``[re, im]`` leaves; ``op_from_descriptor`` reverses it and rejects an
+unknown op, an unknown key or a missing required field by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .config import STATE_ATOL, check_cap
+from .config import STATE_ATOL, check_cap, qubit_cap
 from .states import (PureState, RegisterLayout, nonzero_rows, slot_weights, slots_from_front,
                      slots_to_front)
 
@@ -67,6 +73,8 @@ __all__ = [
     "PrepareOp",
     "MeasureOp",
     "op_from_descriptor",
+    "to_json_value",
+    "from_json_value",
 ]
 
 
@@ -107,11 +115,14 @@ class _ArrayCache:
 
     Structured ops are frozen dataclasses, hashed and compared by their
     fields, and layouts repeat run after run, so the index arithmetic is
-    paid once per distinct (op, layout) pair.
+    paid once per distinct (op, layout) pair.  It holds at most
+    ``_CACHE_ENTRIES`` arrays and at most ``16 << config.qubit_cap()``
+    bytes, one complex128 state at the cap.
     """
 
     def __init__(self):
         self._store: dict = {}
+        self._bytes = 0
 
     def get(self, op: "ChannelOp", layout: RegisterLayout, build):
         key = (op, layout.registers)
@@ -119,8 +130,11 @@ class _ArrayCache:
         if hit is None:
             hit = build()
             hit.flags.writeable = False
-            while len(self._store) >= _CACHE_ENTRIES:
-                self._store.pop(next(iter(self._store)))
+            limit = 16 << qubit_cap()
+            while self._store and (len(self._store) >= _CACHE_ENTRIES
+                                   or self._bytes + hit.nbytes > limit):
+                self._bytes -= self._store.pop(next(iter(self._store))).nbytes
+            self._bytes += hit.nbytes
         self._store[key] = hit
         return hit
 
@@ -180,7 +194,10 @@ class ChannelOp:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """The op's text form: ``{"op": name}``, then each field in declaration order."""
+        return {"op": _OP_NAMES[type(self)],
+                **{f.name: to_json_value(getattr(self, f.name), f.name in _COMPLEX_FIELDS)
+                   for f in fields(self)}}
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +226,6 @@ class HadamardOp(ChannelOp):
         # a register has at least one qubit, so `out` is a fresh array here
         out *= 0.5 ** (len(slots) // 2) * (1.0 / math.sqrt(2.0)) ** (len(slots) % 2)
         return out
-
-    def descriptor(self):
-        return {"op": "hadamard", "register": self.register}
 
 
 def _apply_flip(self, vectors, layout):
@@ -244,17 +258,23 @@ def _check_flips_no_control(op: "ChannelOp", flipped, controls) -> None:
         )
 
 
-def _selected_bit(idx, layout, table, selector, fixed_value):
+def _check_table(op: "ChannelOp", table, selector) -> None:
+    """Without a selector, a table holds the one entry that applies everywhere."""
+    if selector is None and len(table) != 1:
+        raise ChannelError(f"{type(op).__name__} without a selector needs exactly one "
+                           f"table entry, got {len(table)}")
+
+
+def _selected_bit(idx, layout, table, selector):
     """At each flat index, the bit of the ``(register, qubit)`` that
     ``table`` assigns to the selector's label; 0 for labels without an entry.
-    With ``selector=None`` the entry under ``fixed_value`` applies everywhere."""
+    With ``selector=None`` the table's one entry applies everywhere."""
     total = layout.total_qubits
-    table = dict(table)
     if selector is None:
-        reg, q = table[fixed_value]
+        ((_, (reg, q)),) = table
         return (idx >> _shift(total, layout.qubit(reg, q))) & 1
     shifts = np.full(1 << layout.width(selector), -1, dtype=np.int32)
-    for v, (reg, q) in table.items():
+    for v, (reg, q) in table:
         shifts[v] = _shift(total, layout.qubit(reg, q))
     sh = shifts[_gather(idx, total, layout.slots([selector]))]
     return np.where(sh >= 0, (idx >> np.maximum(sh, 0)) & 1, 0)
@@ -262,9 +282,9 @@ def _selected_bit(idx, layout, table, selector, fixed_value):
 
 @dataclass(frozen=True)
 class InnerProductCnotOp(ChannelOp):
-    """Flip a target qubit by the inner product (mod 2) of a source register
-    with either a classical bit mask or an equal-width slice of another
-    register.
+    """Flip qubit 0 of the target register by the inner product (mod 2) of a
+    source register with either a classical bit mask or an equal-width slice
+    of another register.
 
     Source qubit ``j`` pairs with mask character ``j`` (classical mask) or
     with qubit ``mask_offset + j`` of ``mask_register``.
@@ -275,7 +295,6 @@ class InnerProductCnotOp(ChannelOp):
     mask: str | None = None
     mask_register: str | None = None
     mask_offset: int = 0
-    target_qubit: int = 0
 
     def __post_init__(self):
         if (self.mask is None) == (self.mask_register is None):
@@ -294,27 +313,22 @@ class InnerProductCnotOp(ChannelOp):
         total = layout.total_qubits
         w = layout.width(self.source)
         src_slots = layout.slots([self.source])
+        tshift = _shift(total, layout.qubit(self.target, 0))
         if self.mask is not None:
             if len(self.mask) != w:
                 raise ChannelError(
                     f"mask length {len(self.mask)} != width {w} of {self.source!r}"
                 )
-        else:
-            mw = layout.width(self.mask_register)
-            if self.mask_offset < 0 or self.mask_offset + w > mw:
-                raise ChannelError(
-                    f"mask slice [{self.mask_offset}, {self.mask_offset + w}) "
-                    f"out of range for {self.mask_register!r} (width {mw})"
-                )
-        tshift = _shift(total, layout.qubit(self.target, self.target_qubit))
-        if self.mask is not None:
-            const = 0
-            for j, c in enumerate(self.mask):
-                if c == "1":
-                    const |= 1 << _shift(total, src_slots[j])
+            const = sum(1 << _shift(total, s) for s, c in zip(src_slots, self.mask) if c == "1")
             if const == 0:
                 return 0
             return (np.bitwise_count(idx & const).astype(np.int32) & 1) << tshift
+        mw = layout.width(self.mask_register)
+        if self.mask_offset < 0 or self.mask_offset + w > mw:
+            raise ChannelError(
+                f"mask slice [{self.mask_offset}, {self.mask_offset + w}) "
+                f"out of range for {self.mask_register!r} (width {mw})"
+            )
         moff = layout.offset(self.mask_register) + self.mask_offset
         par = np.zeros_like(idx)
         for j in range(w):
@@ -323,29 +337,21 @@ class InnerProductCnotOp(ChannelOp):
 
     apply_vectors = _apply_flip
 
-    def descriptor(self):
-        d = {"op": "inner-product-cnot", "source": self.source, "target": self.target,
-             "target_qubit": self.target_qubit}
-        if self.mask is not None:
-            d["mask"] = self.mask
-        else:
-            d["mask_register"] = self.mask_register
-            d["mask_offset"] = self.mask_offset
-        return d
-
 
 @dataclass(frozen=True)
 class SelectPhaseOp(ChannelOp):
     """Apply Z to a per-value chosen qubit, selected by a register's label.
 
     ``targets`` maps selector label -> (register, qubit).  Labels without an
-    entry get identity.  With ``selector=None`` the single entry under key
-    ``fixed_value`` is applied unconditionally.
+    entry get identity.  With ``selector=None`` the table holds one entry,
+    applied unconditionally.
     """
 
     targets: tuple[tuple[int, tuple[str, int]], ...]
     selector: str | None = None
-    fixed_value: int = 0
+
+    def __post_init__(self):
+        _check_table(self, self.targets, self.selector)
 
     @property
     def touches(self):
@@ -354,27 +360,23 @@ class SelectPhaseOp(ChannelOp):
 
     def _build_sign(self, layout):
         idx = _index_array(layout.dim)
-        return 1.0 - 2.0 * _selected_bit(idx, layout, self.targets, self.selector, self.fixed_value)
+        return 1.0 - 2.0 * _selected_bit(idx, layout, self.targets, self.selector)
 
     def apply_vectors(self, vectors, layout):
         return vectors * _perm_cache.get(self, layout, lambda: self._build_sign(layout))
 
-    def descriptor(self):
-        return {"op": "select-phase", "selector": self.selector,
-                "fixed_value": self.fixed_value,
-                "targets": [[v, [r, q]] for v, (r, q) in self.targets]}
-
 
 @dataclass(frozen=True)
 class SelectCnotOp(ChannelOp):
-    """CNOT into a fixed target from a per-value chosen source qubit."""
+    """CNOT into a fixed target from a per-value chosen source qubit; the
+    ``sources`` table reads as ``SelectPhaseOp.targets`` does."""
 
     sources: tuple[tuple[int, tuple[str, int]], ...]
     target: tuple[str, int]
     selector: str | None = None
-    fixed_value: int = 0
 
     def __post_init__(self):
+        _check_table(self, self.sources, self.selector)
         _check_flips_no_control(self, self.target[0], (self.selector,))
         _check_flips_no_control(self, tuple(self.target), [tuple(q) for _, q in self.sources])
 
@@ -384,15 +386,10 @@ class SelectCnotOp(ChannelOp):
         return _distinct(*regs) if self.selector is None else _distinct(self.selector, *regs)
 
     def _flip(self, idx, layout):
-        par = _selected_bit(idx, layout, self.sources, self.selector, self.fixed_value)
+        par = _selected_bit(idx, layout, self.sources, self.selector)
         return par << _shift(layout.total_qubits, layout.qubit(*self.target))
 
     apply_vectors = _apply_flip
-
-    def descriptor(self):
-        return {"op": "select-cnot", "selector": self.selector,
-                "fixed_value": self.fixed_value, "target": list(self.target),
-                "sources": [[v, [r, q]] for v, (r, q) in self.sources]}
 
 
 @dataclass(frozen=True)
@@ -421,10 +418,6 @@ class SelectFlipOp(ChannelOp):
 
     apply_vectors = _apply_flip
 
-    def descriptor(self):
-        return {"op": "select-flip", "selector": self.selector,
-                "bit_table": list(self.bit_table), "target": list(self.target)}
-
 
 @dataclass(frozen=True)
 class CnotOp(ChannelOp):
@@ -446,9 +439,6 @@ class CnotOp(ChannelOp):
         return par << _shift(total, layout.qubit(*self.target))
 
     apply_vectors = _apply_flip
-
-    def descriptor(self):
-        return {"op": "cnot", "control": list(self.control), "target": list(self.target)}
 
 
 @dataclass(frozen=True)
@@ -479,9 +469,6 @@ class CopyOp(ChannelOp):
 
     apply_vectors = _apply_flip
 
-    def descriptor(self):
-        return {"op": "copy", "source": self.source, "target": self.target}
-
 
 @dataclass(frozen=True)
 class SwapOp(ChannelOp):
@@ -506,9 +493,6 @@ class SwapOp(ChannelOp):
         return flip
 
     apply_vectors = _apply_flip
-
-    def descriptor(self):
-        return {"op": "swap", "first": self.first, "second": self.second}
 
 
 @dataclass(frozen=True)
@@ -542,10 +526,6 @@ class RotateOp(ChannelOp):
         m = np.eye(1 << len(slots), dtype=np.complex128)
         m[-2:, -2:] = [[c, -s], [s, c]]
         return _apply_local(vectors, layout.total_qubits, slots, m[None], slots)
-
-    def descriptor(self):
-        return {"op": "rotate", "target": list(self.target), "theta": self.theta,
-                "control": list(self.control) if self.control else None}
 
 
 @dataclass(frozen=True)
@@ -592,10 +572,6 @@ class PrepareOp(ChannelOp):
         check_cap(layout.total_qubits + sum(w for _, w in self.registers), what="state")
         return np.multiply.outer(vectors, prep).reshape(len(vectors), layout.dim * prep.size)
 
-    def descriptor(self):
-        return {"op": "prepare", "registers": [[n, w] for n, w in self.registers],
-                "amplitudes": [[z.real, z.imag] for z in map(complex, self.amplitudes)]}
-
 
 @dataclass(frozen=True)
 class MeasureOp(ChannelOp):
@@ -625,9 +601,6 @@ class MeasureOp(ChannelOp):
         view *= (np.arange(1 << w) == labels[:, None])[:, None, :, None]
         return out
 
-    def descriptor(self):
-        return {"op": "measure", "register": self.register}
-
 
 # ---------------------------------------------------------------------------
 # dense operator sets
@@ -641,14 +614,14 @@ class DenseOp(ChannelOp):
     The matrix basis is the big-endian concatenation of the listed registers'
     labels, inputs ordered as ``registers`` and outputs as ``registers``
     followed by ``created``.  A single matrix with orthonormal columns is an
-    isometry; several matrices form a Kraus set (``operation_kind``
-    distinguishes a measurement-operator set from a generic Kraus set).
+    isometry; several matrices form a Kraus set (``kind`` distinguishes a
+    measurement-operator set from a generic Kraus set).
     """
 
     matrices: tuple[np.ndarray, ...]
     registers: tuple[str, ...]
     created: tuple[tuple[str, int], ...] = ()
-    operation_kind: str = ""
+    kind: str = ""
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=np.complex128) for m in self.matrices)
@@ -660,7 +633,7 @@ class DenseOp(ChannelOp):
         comp = sum(m.conj().T @ m for m in mats)
         if np.max(np.abs(comp - np.eye(shape[1]))) > STATE_ATOL:
             raise ChannelError("operators are not complete: sum K^dagger K != I")
-        kind = self.operation_kind or ("isometry" if len(mats) == 1 else "kraus-set")
+        kind = self.kind or ("isometry" if len(mats) == 1 else "kraus-set")
         if kind not in ("isometry", "kraus-set", "measurement"):
             raise ChannelError(f"unknown operation kind {kind!r}")
         if kind == "isometry" and len(mats) != 1:
@@ -669,13 +642,9 @@ class DenseOp(ChannelOp):
         if len(set(names)) != len(names):
             raise ChannelError(f"DenseOp names a register twice: {tuple(names)!r}")
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "operation_kind", kind)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "registers", tuple(self.registers))
         object.__setattr__(self, "created", tuple(self.created))
-
-    @property
-    def kind(self):
-        return self.operation_kind
 
     @property
     def touches(self):
@@ -701,56 +670,55 @@ class DenseOp(ChannelOp):
         dest = slots + list(range(total, total + knew))
         return _apply_local(vectors, total, slots, np.stack(self.matrices), dest)
 
-    def descriptor(self):
-        return {"op": "dense", "kind": self.operation_kind,
-                "registers": list(self.registers),
-                "created": [[n, w] for n, w in self.created],
-                "matrices": [[[ [z.real, z.imag] for z in row] for row in m] for m in self.matrices]}
-
 
 # ---------------------------------------------------------------------------
-# descriptors
+# text form
 # ---------------------------------------------------------------------------
 
 
-_OP_CLASSES = {
-    "hadamard": lambda d: HadamardOp(d["register"]),
-    "inner-product-cnot": lambda d: InnerProductCnotOp(
-        source=d["source"], target=d["target"], mask=d.get("mask"),
-        mask_register=d.get("mask_register"), mask_offset=d.get("mask_offset", 0),
-        target_qubit=d.get("target_qubit", 0)),
-    "select-phase": lambda d: SelectPhaseOp(
-        targets=tuple((v, (r, q)) for v, (r, q) in d["targets"]),
-        selector=d.get("selector"), fixed_value=d.get("fixed_value", 0)),
-    "select-cnot": lambda d: SelectCnotOp(
-        sources=tuple((v, (r, q)) for v, (r, q) in d["sources"]),
-        target=tuple(d["target"]), selector=d.get("selector"),
-        fixed_value=d.get("fixed_value", 0)),
-    "select-flip": lambda d: SelectFlipOp(
-        selector=d["selector"], bit_table=tuple(d["bit_table"]),
-        target=tuple(d["target"])),
-    "cnot": lambda d: CnotOp(tuple(d["control"]), tuple(d["target"])),
-    "copy": lambda d: CopyOp(d["source"], d["target"]),
-    "swap": lambda d: SwapOp(d["first"], d["second"]),
-    "rotate": lambda d: RotateOp(tuple(d["target"]), d["theta"],
-                                 tuple(d["control"]) if d.get("control") else None),
-    "prepare": lambda d: PrepareOp(
-        tuple((n, w) for n, w in d["registers"]),
-        tuple(complex(re, im) for re, im in d["amplitudes"])),
-    "measure": lambda d: MeasureOp(d["register"]),
-    "dense": lambda d: DenseOp(
-        matrices=tuple(np.array([[complex(re, im) for re, im in row] for row in m])
-                       for m in d["matrices"]),
-        registers=tuple(d["registers"]),
-        created=tuple((n, w) for n, w in d["created"]),
-        operation_kind=d["kind"]),
-}
+def to_json_value(value, is_complex: bool):
+    """``value`` in the text form: tuples and arrays become lists and, where
+    ``is_complex``, every number a ``[re, im]`` leaf."""
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [to_json_value(v, is_complex) for v in value]
+    if is_complex:
+        z = complex(value)
+        return [z.real, z.imag]
+    return value
+
+
+def from_json_value(value, is_complex: bool):
+    """The inverse of :func:`to_json_value`: lists become tuples and, where
+    ``is_complex``, ``[re, im]`` leaves complex numbers."""
+    if not isinstance(value, list):
+        return value
+    if is_complex and value and not isinstance(value[0], list):
+        re, im = value
+        return complex(re, im)
+    return tuple(from_json_value(v, is_complex) for v in value)
+
+
+# The op name of each class in the text form, and the fields whose numbers
+# are complex there (``PrepareOp.amplitudes``, ``DenseOp.matrices``).
+_OPS = {"hadamard": HadamardOp, "inner-product-cnot": InnerProductCnotOp,
+        "select-phase": SelectPhaseOp, "select-cnot": SelectCnotOp,
+        "select-flip": SelectFlipOp, "cnot": CnotOp, "copy": CopyOp, "swap": SwapOp,
+        "rotate": RotateOp, "prepare": PrepareOp, "measure": MeasureOp, "dense": DenseOp}
+_OP_NAMES = {cls: name for name, cls in _OPS.items()}
+_COMPLEX_FIELDS = ("amplitudes", "matrices")
 
 
 def op_from_descriptor(d: dict) -> ChannelOp:
-    """Rebuild an operation from its serialized descriptor."""
-    try:
-        factory = _OP_CLASSES[d["op"]]
-    except KeyError:
-        raise ChannelError(f"unknown op descriptor {d.get('op')!r}") from None
-    return factory(d)
+    """Rebuild an operation from its text form.  An unknown op, an unknown
+    key or a missing field without a default raises :class:`ChannelError`."""
+    name = d.get("op")
+    cls = _OPS.get(name)
+    if cls is None:
+        raise ChannelError(f"unknown op {name!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = [k for k in d if k != "op" and k not in known]
+    missing = [k for k, f in known.items() if k not in d and f.default is MISSING]
+    if unknown or missing:
+        problem = f"has no field {unknown[0]!r}" if unknown else f"lacks field {missing[0]!r}"
+        raise ChannelError(f"op {name!r} {problem}")
+    return cls(**{k: from_json_value(d[k], k in _COMPLEX_FIELDS) for k in d if k != "op"})

@@ -23,7 +23,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .adversaries import adversary_by_name, measure_speciousness, gamma_family, purified_honest
+from .adversaries import (adversary_by_name, gamma_family, measure_speciousness,
+                          purification_attack, purified_honest)
 from .bounds import (
     chain_rule_check,
     epsilon_prime,
@@ -32,17 +33,16 @@ from .bounds import (
     nayak_bound,
     reconstruction_bound,
 )
+from .config import CapExceeded
 from .privacy import privacy_lower_bound, verify_theorem_bound
-from .protocols import build_baseline, build_counterexample, build_kerenidis
-from .runtime import communication
+from .protocols import build_baseline, build_counterexample, build_kerenidis, database_bits
+from .runtime import communication, spec_to_json
 from .states import PureState, RegisterLayout
 
 TOL = 1e-9
 
 
 def _build(protocol: str, n: int, cleanup: bool = False, database=None):
-    from .config import CapExceeded
-
     try:
         if protocol == "kerenidis":
             return build_kerenidis(n, cleanup=cleanup, database=database)
@@ -126,7 +126,7 @@ def correctness(protocol, n, cleanup, databases, seed, out, fmt):
     """Decode probability for every (database, index) pair."""
     rng = np.random.default_rng(seed)
     if databases is None and n <= 4:
-        dbs = [tuple((d >> (n - 1 - j)) & 1 for j in range(n)) for d in range(1 << n)]
+        dbs = [database_bits(d, n) for d in range(1 << n)]
         seed = None  # exhaustive: no database was drawn
     else:
         count = databases or 64
@@ -186,8 +186,6 @@ def privacy(protocol, n, adversary_name, mode, target, out, fmt):
 def spec_dump(protocol, n, cleanup, database, out):
     """Emit a protocol's register table and per-step operator descriptors in
     the serialized text form."""
-    from .runtime import spec_to_json
-
     db = tuple(int(b) for b in database) if database else None
     inst = _build(protocol, n, cleanup=cleanup, database=db)
     text = spec_to_json(inst.spec)
@@ -209,8 +207,6 @@ def attack():
 def purify(n, protocol, threshold, out, fmt):
     """Input-purification attack: asserts the purified server's view leaks
     the index (max pairwise view distance above the threshold)."""
-    from .adversaries import purification_attack
-
     inst = _build(protocol, n)
     adv = purification_attack(inst)
     report = privacy_lower_bound(inst, adv, "anchored")
@@ -311,11 +307,11 @@ def suite(which, sizes, out, fmt):
     for n in ns:
         # correctness, exhaustive
         for d in range(1 << n):
-            db = tuple((d >> (n - 1 - j)) & 1 for j in range(n))
+            db = database_bits(d, n)
             inst = build_kerenidis(n, database=db)
             tr = inst.run(index=1, keep_states=False) if n == 1 else inst.run(
                 input_state=PureState(
-                    RegisterLayout((("idx", inst.levels),)),
+                    RegisterLayout(((inst.index_register, inst.levels),)),
                     np.full(n, 1 / math.sqrt(n), dtype=complex)),
                 keep_states=False)
             for i in range(1, n + 1):
@@ -343,8 +339,6 @@ def suite(which, sizes, out, fmt):
 
     if 2 in ns:
         inst = build_kerenidis(2)
-        from .adversaries import purification_attack
-
         rep = privacy_lower_bound(inst, purification_attack(inst))
         adv_dist = max(r.distance for r in rep.rows)
         row(check="purification-attack", n=2, advantage=adv_dist,

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import ChannelOp, ChannelError, PrepareOp, op_from_descriptor
+from .channels import (ChannelOp, ChannelError, PrepareOp, from_json_value, op_from_descriptor,
+                       to_json_value)
 from .config import check_cap, check_reduced_cap
 from .distances import ensemble_trace_distance, gram_reduce
 from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, marginal,
@@ -454,7 +455,7 @@ def fold_setup_into_messages(spec: ProtocolSpec) -> ProtocolSpec:
 def _program_to_json(p: PartyProgram) -> dict:
     return {
         "party": p.party,
-        "input_registers": [[n, w] for n, w in p.input_registers],
+        "input_registers": to_json_value(p.input_registers, False),
         "setup_registers": list(p.setup_registers),
         "steps": [
             {"ops": [op.descriptor() for op in st.ops], "sends": list(st.sends)}
@@ -470,7 +471,7 @@ def _program_from_json(d: dict) -> PartyProgram:
             PartyStep(tuple(op_from_descriptor(o) for o in st["ops"]), tuple(st["sends"]))
             for st in d["steps"]
         ),
-        tuple((n, w) for n, w in d["input_registers"]),
+        from_json_value(d["input_registers"], False),
         tuple(d["setup_registers"]),
     )
 
@@ -485,8 +486,8 @@ def spec_to_json(spec: ProtocolSpec) -> str:
     }
     if spec.setup is not None:
         doc["setup"] = {
-            "registers": [[n, w] for n, w in spec.setup.layout.registers],
-            "amplitudes": [[z.real, z.imag] for z in spec.setup.amplitudes],
+            "registers": to_json_value(spec.setup.layout.registers, False),
+            "amplitudes": to_json_value(spec.setup.amplitudes, True),
         }
     return json.dumps(doc, indent=1)
 
@@ -495,8 +496,8 @@ def spec_from_json(text: str) -> ProtocolSpec:
     doc = json.loads(text)
     setup = None
     if doc["setup"] is not None:
-        layout = RegisterLayout(tuple((n, w) for n, w in doc["setup"]["registers"]))
-        amps = np.array([complex(re, im) for re, im in doc["setup"]["amplitudes"]])
+        layout = RegisterLayout(from_json_value(doc["setup"]["registers"], False))
+        amps = np.array(from_json_value(doc["setup"]["amplitudes"], True))
         setup = PureState(layout, amps)
     return ProtocolSpec(
         doc["rounds"],

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,10 @@ from qpirlab.channels import (
     SwapOp,
     op_from_descriptor,
 )
-from qpirlab.runtime import Ensemble
+from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
+from qpirlab.runtime import Ensemble, spec_from_json, spec_to_json
 from qpirlab.states import DensityOperator, PureState, RegisterLayout
+from test_kernel_reference import SEEDS, _layout, _ops
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -35,7 +38,7 @@ def test_hadamard_on_zero():
 def test_identity_kraus_on_density(rng):
     layout = RegisterLayout((("a", 2),))
     rho = DensityOperator.maximally_mixed(4)
-    op = DenseOp((np.eye(4),), ("a",), operation_kind="kraus-set")
+    op = DenseOp((np.eye(4),), ("a",), kind="kraus-set")
     out = Ensemble.from_density(layout, rho).apply(op).density()
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
@@ -145,7 +148,7 @@ def test_dense_isometry_validation():
 
 def test_dense_kraus_completeness_and_branching(rng):
     ks = random_kraus(rng, 2, 3)
-    op = DenseOp(tuple(ks), ("a",), operation_kind="kraus-set")
+    op = DenseOp(tuple(ks), ("a",), kind="kraus-set")
     s = random_pure(rng, RegisterLayout((("a", 1),)))
     out = Ensemble.from_pure(s).apply(op).density()
     assert isinstance(out, DensityOperator)
@@ -199,25 +202,79 @@ def test_rotate_and_inverse(rng):
     np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
 
 
-def test_descriptor_round_trip(rng):
-    layout = RegisterLayout((("r", 2), ("q", 1)))
-    ops = [
-        HadamardOp("r"),
-        InnerProductCnotOp(source="r", target="q", mask="10"),
-        SelectPhaseOp(targets=((0, ("q", 0)),), selector=None, fixed_value=0),
-        CnotOp(("r", 0), ("q", 0)),
-        PrepareOp.zeros((("z", 1),)),
-        MeasureOp("q"),
-        RotateOp(("q", 0), 0.3, control=("r", 1)),
+def _builder_specs():
+    """Both paths of the protocol with and without cleanup, the
+    counterexample and the baselines."""
+    db = {1: (1,), 2: (1, 0), 4: (1, 0, 1, 1), 8: (1, 0, 1, 1, 0, 0, 1, 0)}
+    return [
+        *(build_kerenidis(n, cleanup=c, database=d).spec
+          for n in (1, 2, 4) for c in (False, True) for d in (None, db[n])),
+        build_kerenidis(8, database=db[8]).spec,
+        build_counterexample(1).spec,
+        build_counterexample(2).spec,
+        *(build_baseline(kind, n, database=d).spec
+          for kind, n in (("send-db", 1), ("send-db", 2), ("send-index", 2))
+          for d in (None, db[n])),
     ]
-    s = random_pure(rng, layout)
-    for op in ops:
-        clone = op_from_descriptor(op.descriptor())
-        a = op.apply_vectors(s.amplitudes[None].copy(), layout)
-        b = clone.apply_vectors(s.amplitudes[None].copy(), layout)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            np.testing.assert_allclose(x, y, atol=1e-12)
+
+
+def _spec_ops(spec):
+    """Every op of ``spec`` in schedule order, with the layout it meets."""
+    setup = spec.setup.layout.registers if spec.setup is not None else ()
+    layout = RegisterLayout(spec.server.input_registers + spec.client.input_registers + setup)
+    for st in spec.schedule:
+        for op in st.step.ops:
+            yield op, layout
+            layout = op.output_layout(layout)
+
+
+def test_descriptor_round_trip():
+    # Every op the kernel reference draws and every op of the builder specs
+    # survives its text form through JSON: an equal descriptor and
+    # bit-identical kernel output.
+    cases = []
+    for seed in SEEDS:
+        rng = np.random.default_rng(9000 + seed)
+        layout = _layout(rng)
+        cases += [(op, layout) for op in _ops(rng, layout)]
+    for spec in _builder_specs():
+        assert spec_to_json(spec_from_json(spec_to_json(spec))) == spec_to_json(spec)
+        cases += list(_spec_ops(spec))
+    rng = np.random.default_rng(9200)
+    for op, layout in cases:
+        text = json.dumps(op.descriptor())
+        clone = op_from_descriptor(json.loads(text))
+        assert type(clone) is type(op) and json.dumps(clone.descriptor()) == text
+        if not isinstance(op, DenseOp):  # DenseOp compares by identity
+            assert clone == op
+        v = rng.normal(size=(1, layout.dim)) + 1j * rng.normal(size=(1, layout.dim))
+        assert np.array_equal(op.apply_vectors(v, layout), clone.apply_vectors(v, layout)), op
+
+
+@pytest.mark.parametrize("d,message", [
+    pytest.param({"op": "teleport"}, "unknown op 'teleport'", id="unknown-op"),
+    pytest.param({"op": "copy", "source": "a", "target": "b", "width": 1},
+                 "'copy' has no field 'width'", id="unknown-key"),
+    # a text that still carries a deleted option is rejected by name
+    pytest.param({"op": "inner-product-cnot", "source": "a", "target": "b", "mask": "1",
+                  "mask_register": None, "mask_offset": 0, "target_qubit": 0},
+                 "'inner-product-cnot' has no field 'target_qubit'", id="deleted-key"),
+    pytest.param({"op": "copy", "source": "a"}, "'copy' lacks field 'target'", id="missing-key"),
+])
+def test_op_from_descriptor_names_what_is_wrong(d, message):
+    with pytest.raises(ChannelError, match=message):
+        op_from_descriptor(d)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: SelectPhaseOp(((0, ("a", 0)), (1, ("a", 1)))), id="select-phase"),
+    pytest.param(lambda: SelectCnotOp(((0, ("a", 0)), (1, ("a", 1))), ("b", 0)),
+                 id="select-cnot"),
+    pytest.param(lambda: SelectCnotOp((), ("b", 0)), id="select-cnot-empty"),
+])
+def test_selectorless_table_holds_one_entry(make):
+    with pytest.raises(ChannelError, match="without a selector needs exactly one table entry"):
+        make()
 
 
 def test_cap_exceeded_on_prepare(monkeypatch):
@@ -340,3 +397,26 @@ def test_permutation_cache_is_keyed_on_the_op_and_layout(monkeypatch):
     SelectPhaseOp(((0, ("b", 1)), (3, ("b", 0))), selector="a").apply_vectors(v, layout)
     CopyOp("a", "b").apply_vectors(v, RegisterLayout((("b", 2), ("a", 2))))
     assert len(cache._store) == 4
+
+
+def test_permutation_cache_is_bounded_by_bytes(monkeypatch):
+    # At a 6-qubit cap the cache holds 16 << 6 = 1024 bytes: four 256-byte
+    # permutations of a 6-qubit layout, so a fifth evicts the least recently
+    # used.
+    from qpirlab import channels
+
+    monkeypatch.setenv("QPIRLAB_QUBIT_CAP", "6")
+    cache = channels._ArrayCache()
+    monkeypatch.setattr(channels, "_perm_cache", cache)
+    layout = RegisterLayout((("a", 3), ("b", 3)))
+    v = np.arange(layout.dim, dtype=np.complex128)[None]
+    ops = [CopyOp("a", "b"), CopyOp("b", "a"), SwapOp("a", "b"), SwapOp("b", "a"),
+           CnotOp(("a", 0), ("b", 0)), CnotOp(("a", 1), ("b", 1))]
+    for op in ops:
+        op.apply_vectors(v, layout)
+    ops[2].apply_vectors(v, layout)  # now the most recently used
+    CnotOp(("a", 2), ("b", 2)).apply_vectors(v, layout)
+    assert sum(a.nbytes for a in cache._store.values()) <= 16 << 6
+    assert [op for op, _ in cache._store] == [ops[4], ops[5], ops[2],
+                                              CnotOp(("a", 2), ("b", 2))]
+

@@ -77,12 +77,15 @@ def test_unknown_protocol(runner):
 
 
 def test_spec_dump_matches_golden(runner):
+    # n = 2 pins the text form of hadamard, select-phase, select-cnot and the
+    # register-mask inner-product-cnot besides n = 1's prepare and copy.
     from pathlib import Path
 
-    res = runner.invoke(main, ["spec", "--protocol", "kerenidis", "--n", "1"])
-    assert res.exit_code == 0
-    golden = Path(__file__).parent / "golden" / "kerenidis_n1.json"
-    assert res.output.strip() == golden.read_text().strip()
+    for n in (1, 2):
+        res = runner.invoke(main, ["spec", "--protocol", "kerenidis", "--n", str(n)])
+        assert res.exit_code == 0
+        golden = Path(__file__).parent / "golden" / f"kerenidis_n{n}.json"
+        assert res.output.strip() == golden.read_text().strip(), n
 
 
 def test_seed_fixes_randomized_fixtures(runner):

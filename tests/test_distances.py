@@ -110,7 +110,7 @@ class TestTraceDistance:
             rho = random_density(rng, 4)
             sigma = random_density(rng, 4)
             ks = random_kraus(rng, 4, 2)
-            op = DenseOp(tuple(ks), ("a",), operation_kind="kraus-set")
+            op = DenseOp(tuple(ks), ("a",), kind="kraus-set")
             d_before = trace_distance(rho, sigma)
             d_after = trace_distance(Ensemble.from_density(layout, rho).apply(op).density(),
                                      Ensemble.from_density(layout, sigma).apply(op).density())

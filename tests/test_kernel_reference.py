@@ -103,23 +103,25 @@ def _ip_cnot(op, layout):
                 m = _bit(a[op.mask_register], layout.width(op.mask_register), op.mask_offset + j)
             par ^= _bit(a[op.source], ws, j) & m
         if par:
-            a[op.target] = _flip(a[op.target], wt, op.target_qubit)
+            a[op.target] = _flip(a[op.target], wt, 0)
         return a
 
     return _permutation(layout, relabel)
 
 
-def _chosen_bit(a, layout, table, selector, fixed_value) -> int:
-    key = fixed_value if selector is None else a[selector]
-    if key not in dict(table):
+def _chosen_bit(a, layout, table, selector) -> int:
+    if selector is None:
+        ((_, (reg, q)),) = table
+    elif a[selector] in dict(table):
+        reg, q = dict(table)[a[selector]]
+    else:
         return 0
-    reg, q = dict(table)[key]
     return _bit(a[reg], layout.width(reg), q)
 
 
 def _select_phase(op, layout):
     def image(a):
-        bit = _chosen_bit(a, layout, op.targets, op.selector, op.fixed_value)
+        bit = _chosen_bit(a, layout, op.targets, op.selector)
         yield a, -1.0 if bit else 1.0
 
     return [_matrix(layout, layout, image)]
@@ -129,7 +131,7 @@ def _select_cnot(op, layout):
     reg, q = op.target
 
     def relabel(a):
-        if _chosen_bit(a, layout, op.sources, op.selector, op.fixed_value):
+        if _chosen_bit(a, layout, op.sources, op.selector):
             a[reg] = _flip(a[reg], layout.width(reg), q)
         return a
 
@@ -262,10 +264,11 @@ def _qubit(rng, layout, names):
     return reg, int(rng.integers(layout.width(reg)))
 
 
-def _table(rng, layout, selector, names, fixed_value):
-    """A selector table with some labels missing, or the single fixed entry."""
+def _table(rng, layout, selector, names):
+    """A selector table with some labels missing, or the one entry that a
+    selector-less op applies everywhere."""
     if selector is None:
-        return ((fixed_value, _qubit(rng, layout, names)),)
+        return ((1, _qubit(rng, layout, names)),)
     labels = [v for v in range(1 << layout.width(selector)) if rng.random() < 0.6]
     return tuple((v, _qubit(rng, layout, names)) for v in labels)
 
@@ -278,18 +281,16 @@ def _ops(rng, layout):
     kraus = random_kraus(rng, 1 << k, 2)
     return [
         HadamardOp(["a", "c", "d"][int(rng.integers(3))]),
-        InnerProductCnotOp(source="a", target="d", mask=mask,
-                           target_qubit=int(rng.integers(wd))),
+        InnerProductCnotOp(source="a", target="d", mask=mask),
         InnerProductCnotOp(source="a", target="c", mask="0" * wa),
         InnerProductCnotOp(source="a", target="c",
                            mask_register="d" if wd >= wa else "b",
-                           mask_offset=max(wd - wa, 0),
-                           target_qubit=int(rng.integers(k))),
-        SelectPhaseOp(targets=_table(rng, layout, None, ["a", "b", "d"], 1), fixed_value=1),
-        SelectPhaseOp(targets=_table(rng, layout, "c", ["a", "c", "d"], 0), selector="c"),
-        SelectCnotOp(sources=_table(rng, layout, None, ["a", "b"], 1),
-                     target=_qubit(rng, layout, ["d"]), fixed_value=1),
-        SelectCnotOp(sources=_table(rng, layout, "c", ["a", "b"], 0),
+                           mask_offset=max(wd - wa, 0)),
+        SelectPhaseOp(targets=_table(rng, layout, None, ["a", "b", "d"])),
+        SelectPhaseOp(targets=_table(rng, layout, "c", ["a", "c", "d"]), selector="c"),
+        SelectCnotOp(sources=_table(rng, layout, None, ["a", "b"]),
+                     target=_qubit(rng, layout, ["d"])),
+        SelectCnotOp(sources=_table(rng, layout, "c", ["a", "b"]),
                      target=_qubit(rng, layout, ["d"]), selector="c"),
         SelectFlipOp(selector="c", bit_table=tuple(int(b) for b in rng.integers(0, 2, 1 << k)),
                      target=_qubit(rng, layout, ["a", "d"])),
@@ -302,11 +303,11 @@ def _ops(rng, layout):
         PrepareOp((("p", 1), ("q", 1)), tuple(random_unitary(rng, 4)[:, 0])),
         MeasureOp(["a", "c", "d"][int(rng.integers(3))]),
         DenseOp((random_unitary(rng, 1 << (wa + k)),), ("c", "a")),
-        DenseOp(tuple(kraus), ("c",), operation_kind="kraus-set"),
+        DenseOp(tuple(kraus), ("c",), kind="kraus-set"),
         DenseOp((np.kron(random_unitary(rng, 1 << k), np.ones((2, 1)) / math.sqrt(2)),),
                 ("c",), created=(("e", 1),)),
         DenseOp(tuple(np.kron(km, np.array([[1.0], [0.0]])) for km in kraus),
-                ("c",), created=(("e", 1),), operation_kind="measurement"),
+                ("c",), created=(("e", 1),), kind="measurement"),
     ]
 
 
