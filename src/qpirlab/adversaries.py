@@ -160,8 +160,7 @@ def client_variants(instance: QpirInstance, kinds=("classical", "uniform", "enta
         for i in range(1, n + 1):
             out.append((f"i={i}", "plain", PureState.basis(layout, {reg: i - 1}), ()))
     if "uniform" in kinds:
-        out.append(("i-uniform", "plain",
-                    PureState(layout, np.full(n, 1 / math.sqrt(n), dtype=complex)), ()))
+        out.append(("i-uniform", "plain", instance.client_uniform_state(), ()))
     epr = epr_pair_state(reg, PURIFIER, width)
     if "entangled" in kinds:
         out.append(("i-entangled", "refmix", epr, (PURIFIER,)))

@@ -19,16 +19,22 @@ of :mod:`qpirlab.states`:
   ``vectors[:, idx ^ flip]`` through a cached index array;
 * diagonal sign: ``SelectPhaseOp`` multiplies by a cached +-1 array;
 * local matrices, ``_apply_local``: ``HadamardOp``, ``RotateOp`` and
-  ``DenseOp`` bring their qubits' axes to the front with
-  ``states.slots_to_front``, apply one ``np.matmul`` to the resulting
-  ``(B, 2**k, rest)`` array and move the axes back.  ``DenseOp`` covers
-  anything else (general isometries, Kraus sets, measurement operator sets),
-  embedded as identity on untouched registers.  ``HadamardOp`` multiplies by
-  ``H`` or ``H (x) H`` with exact +-1 entries, two qubits at a time, and
-  scales once: each output then sums at most four exact products, so equal
-  amplitudes that cancel give exact zeros.  A normalized matrix, or one
-  ``2**w``-term sum, leaves ~1e-17 dust there, which costs the analyses' QR
-  and eigh work and moves figures that go through an Uhlmann completion.
+  ``DenseOp`` multiply a ``2**k``-square matrix into their qubits.  When the
+  slots are contiguous and ascending and written back in place, as a single
+  register's always are, the product runs on the ``(B * pre, 2**k, post)``
+  reshape of the branch array, a view, so the output is the only new array:
+  one GEMM against ``kron(m, I_post)`` for a short trailing ``post``, one
+  broadcast ``np.matmul`` otherwise.  Other slot orders, and ``DenseOp``'s
+  Kraus sets and created registers, bring the axes to the front with
+  ``states.slots_to_front``, apply one ``np.matmul`` and move them back.
+  ``DenseOp`` covers anything else (general isometries, Kraus sets,
+  measurement operator sets), embedded as identity on untouched registers.
+  ``HadamardOp`` multiplies by ``H`` (entries +-1) or ``H (x) H / 2``
+  (entries +-1/2), two qubits at a time, and scales an odd width once by
+  ``1/sqrt(2)``: each output then sums at most four exact products, so
+  equal amplitudes that cancel give exact zeros.  A normalized matrix, or
+  one ``2**w``-term sum, leaves ~1e-17 dust there, which costs the analyses'
+  QR and eigh work and moves figures that go through an Uhlmann completion.
 
 ``PrepareOp`` applies an outer product, and ``MeasureOp`` repeats each
 branch once per observed label and zeroes the other labels in place.  An op
@@ -42,12 +48,16 @@ The text form of an op is derived from its dataclass fields in one place:
 ``descriptor()`` writes ``{"op": name}`` and then each field in declaration
 order, tuples as lists and the complex ``amplitudes`` / ``matrices`` as
 ``[re, im]`` leaves; ``op_from_descriptor`` reverses it and rejects an
-unknown op, an unknown key or a missing required field by name.
+unknown op, an unknown key, a missing required field or a value whose type
+or shape does not match its field's annotation, naming the op and the key.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import types
+import typing
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
@@ -142,13 +152,36 @@ class _ArrayCache:
 _perm_cache = _ArrayCache()
 
 
+# Largest ``d * post`` (the block and its trailing size) that the view
+# product takes as one GEMM against ``kron(m, I_post)``.  On a 20-qubit
+# vector with one BLAS thread the GEMM beat the broadcast matmul up to 32 and
+# lost from 64 up, where its ``post``-fold redundant work outweighs the
+# broadcast's per-block BLAS calls (grid in CHANGES.md).
+_GEMM_WIDTH = 32
+
+
 def _apply_local(vectors, total, slots, matrices, dest):
     """The local-matrix kernel: apply each matrix of the ``(m, dout, din)``
     stack ``matrices`` to the qubit ``slots`` of every branch, with the
     matrix basis big-endian in the given slot order, and return the output
     row bits at ``dest``, which may name slots appended past ``total``.
     Outputs are branch-major, one per (branch, matrix); with several
-    matrices, outputs at or below ``states.BRANCH_PRUNE`` are dropped."""
+    matrices, outputs at or below ``states.BRANCH_PRUNE`` are dropped.
+
+    One matrix on contiguous, ascending slots written back in place (any
+    single register) multiplies the ``(B * pre, d, post)`` reshape of the
+    input, a view: as one GEMM with ``kron(m, I_post)`` while
+    ``d * post <= _GEMM_WIDTH``, else as one broadcast ``np.matmul``.  The
+    output is then the only new array.  Other slot orders move the slots to
+    the front, multiply and move them back."""
+    first, w = slots[0], len(slots)
+    if len(matrices) == 1 and dest == slots == list(range(first, first + w)):
+        d, post = 1 << w, 1 << (total - first - w)
+        if d * post <= _GEMM_WIDTH:
+            out = vectors.reshape(-1, d * post) @ np.kron(matrices[0], np.eye(post)).T
+        else:
+            out = np.matmul(matrices[0], vectors.reshape(-1, d, post))
+        return out.reshape(len(vectors), -1)
     # (B, m, dout, rest): one block per (branch, matrix), branch-major
     blocks = np.matmul(matrices, slots_to_front(vectors, total, slots)[:, None])
     if len(matrices) > 1:
@@ -158,10 +191,12 @@ def _apply_local(vectors, total, slots, matrices, dest):
     return slots_from_front(blocks, dest)
 
 
-# sqrt(2) H and 2 H (x) H with exact +-1 entries, as (1, d, d) stacks for
-# _apply_local (see the module docstring for why not a normalized matrix).
+# H with exact +-1 entries and H (x) H / 2 with exact +-1/2 entries, as
+# (1, d, d) stacks for _apply_local (see the module docstring for why not a
+# normalized matrix).  A pair's 1/2 is a power of two, so scaling inside the
+# product rounds nothing; only an odd width's last qubit leaves a 1/sqrt(2).
 _H_SIGNS = np.array([[1, 1], [1, -1]], dtype=np.complex128)
-_HADAMARD_SIGNS = {1: _H_SIGNS[None], 2: np.kron(_H_SIGNS, _H_SIGNS)[None]}
+_HADAMARD_SIGNS = {1: _H_SIGNS[None], 2: np.kron(_H_SIGNS, _H_SIGNS)[None] / 2}
 
 
 class ChannelOp:
@@ -223,8 +258,8 @@ class HadamardOp(ChannelOp):
         for k in range(0, len(slots), 2):
             pair = slots[k:k + 2]
             out = _apply_local(out, layout.total_qubits, pair, _HADAMARD_SIGNS[len(pair)], pair)
-        # a register has at least one qubit, so `out` is a fresh array here
-        out *= 0.5 ** (len(slots) // 2) * (1.0 / math.sqrt(2.0)) ** (len(slots) % 2)
+        if len(slots) % 2:
+            out *= 1.0 / math.sqrt(2.0)  # `out` is the last product's fresh array
         return out
 
 
@@ -708,9 +743,38 @@ _OP_NAMES = {cls: name for name, cls in _OPS.items()}
 _COMPLEX_FIELDS = ("amplitudes", "matrices")
 
 
+# The number type each scalar field hint admits; bool, a JSON ``true``, is
+# never a number here.
+_NUMBERS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a decoded text-form value has the type and shape of a field's
+    type hint (``str``, ``int``, ``float``, ``complex``, ``None``, unions,
+    fixed and ``...`` tuples; an ``np.ndarray`` matrix arrives as nested
+    tuples)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if hint is type(None):
+        return value is None
+    if hint is np.ndarray:  # a matrix; a ragged one raises ValueError
+        return np.asarray(value, dtype=np.complex128).ndim == 2
+    if hint in _NUMBERS:
+        return isinstance(value, _NUMBERS[hint]) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 def op_from_descriptor(d: dict) -> ChannelOp:
     """Rebuild an operation from its text form.  An unknown op, an unknown
-    key or a missing field without a default raises :class:`ChannelError`."""
+    key, a missing field without a default or a value whose type or shape
+    does not match its field raises :class:`ChannelError`."""
     name = d.get("op")
     cls = _OPS.get(name)
     if cls is None:
@@ -721,4 +785,16 @@ def op_from_descriptor(d: dict) -> ChannelOp:
     if unknown or missing:
         problem = f"has no field {unknown[0]!r}" if unknown else f"lacks field {missing[0]!r}"
         raise ChannelError(f"op {name!r} {problem}")
-    return cls(**{k: from_json_value(d[k], k in _COMPLEX_FIELDS) for k in d if k != "op"})
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for k, text in d.items():
+        if k == "op":
+            continue
+        try:
+            values[k] = from_json_value(text, k in _COMPLEX_FIELDS)
+            fits = _fits(values[k], hints[k])
+        except (TypeError, ValueError):  # a bad [re, im] leaf or a ragged matrix
+            fits = False
+        if not fits:
+            raise ChannelError(f"op {name!r} field {k!r} is not {known[k].type}: {text!r}")
+    return cls(**values)

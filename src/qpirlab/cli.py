@@ -37,7 +37,6 @@ from .config import CapExceeded
 from .privacy import privacy_lower_bound, verify_theorem_bound
 from .protocols import build_baseline, build_counterexample, build_kerenidis, database_bits
 from .runtime import communication, spec_to_json
-from .states import PureState, RegisterLayout
 
 TOL = 1e-9
 
@@ -135,17 +134,8 @@ def correctness(protocol, n, cleanup, databases, seed, out, fmt):
     for db in dbs:
         inst = _build(protocol, n, cleanup=cleanup,
                       database=db if protocol != "counterexample" else None)
-        if inst.index_register is not None:
-            idx_state = PureState(
-                RegisterLayout(((inst.index_register, inst.levels),)),
-                np.full(n, 1 / math.sqrt(n), dtype=complex))
-            if inst.database_register is not None:
-                state = inst.input_with_client(db, idx_state)
-            else:
-                state = idx_state
-            tr = inst.run(input_state=state, keep_states=False)
-        else:
-            tr = inst.run(db if inst.database_register else None, 1, keep_states=False)
+        tr = inst.run(input_state=inst.input_with_client(db, inst.client_uniform_state()),
+                      keep_states=False)
         for i in range(1, n + 1):
             bit, prob = inst.decode(tr, i)
             ok = bit == db[i - 1] and prob >= 1 - TOL
@@ -309,11 +299,7 @@ def suite(which, sizes, out, fmt):
         for d in range(1 << n):
             db = database_bits(d, n)
             inst = build_kerenidis(n, database=db)
-            tr = inst.run(index=1, keep_states=False) if n == 1 else inst.run(
-                input_state=PureState(
-                    RegisterLayout(((inst.index_register, inst.levels),)),
-                    np.full(n, 1 / math.sqrt(n), dtype=complex)),
-                keep_states=False)
+            tr = inst.run(input_state=inst.client_uniform_state(), keep_states=False)
             for i in range(1, n + 1):
                 bit, prob = inst.decode(tr, i)
                 row(check="correctness", n=n, db="".join(map(str, db)), i=i,

@@ -126,6 +126,14 @@ class QpirInstance:
             {self.index_register: index - 1},
         )
 
+    def client_uniform_state(self) -> PureState:
+        """The uniform superposition of the indices 1..n on the index
+        register; with n = 1 the register is elided and the state is empty."""
+        if self.index_register is None:
+            return self.client_basis_state(1)
+        return PureState(RegisterLayout(((self.index_register, self.levels),)),
+                         np.full(self.n, 1 / math.sqrt(self.n), dtype=np.complex128))
+
     def basis_input(self, db=None, index: int = 1) -> PureState:
         """Product input |db> (x) |i>, dropping elided registers."""
         parts = []

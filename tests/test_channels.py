@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_kraus, random_pure, random_unitary
+from qpirlab import channels
 from qpirlab.channels import (
     ChannelError,
     CnotOp,
@@ -23,7 +24,7 @@ from qpirlab.channels import (
 )
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, spec_from_json, spec_to_json
-from qpirlab.states import DensityOperator, PureState, RegisterLayout
+from qpirlab.states import DensityOperator, PureState, RegisterLayout, slots_to_front
 from test_kernel_reference import SEEDS, _layout, _ops
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -260,6 +261,31 @@ def test_descriptor_round_trip():
                   "mask_register": None, "mask_offset": 0, "target_qubit": 0},
                  "'inner-product-cnot' has no field 'target_qubit'", id="deleted-key"),
     pytest.param({"op": "copy", "source": "a"}, "'copy' lacks field 'target'", id="missing-key"),
+    # ill-typed or ill-shaped values, which used to fail only when applied
+    pytest.param({"op": "inner-product-cnot", "source": "a", "target": "b",
+                  "mask_register": "m", "mask_offset": "1"},
+                 "'inner-product-cnot' field 'mask_offset' is not int", id="mask-offset-str"),
+    pytest.param({"op": "inner-product-cnot", "source": "a", "target": "b",
+                  "mask_register": "m", "mask_offset": True},
+                 "'inner-product-cnot' field 'mask_offset' is not int", id="mask-offset-bool"),
+    pytest.param({"op": "rotate", "target": ["t", 0], "theta": 0.3, "control": ["c"]},
+                 r"'rotate' field 'control' is not tuple\[str, int\] \| None", id="control-short"),
+    pytest.param({"op": "rotate", "target": ["t", 0], "theta": 0.3, "control": [0, "c"]},
+                 "'rotate' field 'control'", id="control-swapped"),
+    pytest.param({"op": "rotate", "target": ["t", 0], "theta": 0.3, "control": "c"},
+                 "'rotate' field 'control'", id="control-str"),
+    pytest.param({"op": "cnot", "control": ["a", 0], "target": "b"},
+                 "'cnot' field 'target'", id="cnot-target-str"),
+    pytest.param({"op": "select-flip", "selector": "s", "bit_table": [0, 1.5],
+                  "target": ["t", 0]}, "'select-flip' field 'bit_table'", id="bit-table-float"),
+    pytest.param({"op": "prepare", "registers": [["p", 1]], "amplitudes": [[1, 0, 0], [0, 0]]},
+                 "'prepare' field 'amplitudes'", id="amplitude-not-re-im"),
+    pytest.param({"op": "prepare", "registers": [["p", 1]], "amplitudes": [["1", 0], [0, 0]]},
+                 "'prepare' field 'amplitudes'", id="amplitude-str"),
+    pytest.param({"op": "dense", "matrices": [[[[1, 0]], [[0, 0], [1, 0]]]], "registers": ["a"]},
+                 "'dense' field 'matrices'", id="ragged-matrix"),
+    pytest.param({"op": "dense", "matrices": [[[1, 0], [0, 0]]], "registers": ["a"]},
+                 "'dense' field 'matrices'", id="matrix-as-vector"),
 ])
 def test_op_from_descriptor_names_what_is_wrong(d, message):
     with pytest.raises(ChannelError, match=message):
@@ -310,16 +336,19 @@ def test_measure_peak_memory_stays_near_its_output(rng):
 
 
 @pytest.mark.parametrize("regs,op,ratio", [
-    ((("hi", 8), ("r", 2), ("lo", 6)), HadamardOp("r"), 2.0),
+    ((("hi", 8), ("r", 2), ("lo", 6)), HadamardOp("r"), 1.0),
     # two 2-qubit products: the first one's output is live during the second
-    ((("hi", 8), ("r", 4), ("lo", 4)), HadamardOp("r"), 3.0),
-    ((("hi", 8), ("c", 1), ("t", 1), ("lo", 6)), RotateOp(("t", 0), 0.3, ("c", 0)), 2.0),
-    ((("hi", 8), ("a", 2), ("lo", 6)), DenseOp((np.eye(4)[::-1],), ("a",)), 2.0),
+    ((("hi", 8), ("r", 4), ("lo", 4)), HadamardOp("r"), 2.0),
+    ((("hi", 8), ("c", 1), ("t", 1), ("lo", 6)), RotateOp(("t", 0), 0.3, ("c", 0)), 1.0),
+    ((("hi", 8), ("a", 2), ("lo", 6)), DenseOp((np.eye(4)[::-1],), ("a",)), 1.0),
+    # control and target apart: the move path's copies
+    ((("hi", 8), ("c", 1), ("m", 1), ("t", 1), ("lo", 5)), RotateOp(("t", 0), 0.3, ("c", 0)), 2.0),
 ])
 def test_local_kernel_peak_memory(rng, regs, op, ratio):
-    # Per product on a 16-qubit state, the front-moved copy and the product
-    # are live together, then the product and its moved-back copy: twice the
-    # output.
+    # On a 16-qubit state, a product on contiguous ascending slots reads a
+    # reshaped view of the input, so its output is the only new array.  The
+    # move path holds the front-moved copy and the product, then the product
+    # and its moved-back copy: twice the output.
     layout = RegisterLayout(regs)
     vectors = random_pure(rng, layout).amplitudes[None].copy()
     tracemalloc.start()
@@ -332,13 +361,28 @@ def test_local_kernel_peak_memory(rng, regs, op, ratio):
     assert peak <= 1.01 * ratio * out.nbytes
 
 
+def _hadamard_by_moved_pairs(vectors, layout):
+    # HadamardOp's products with each pair's slots named in reverse order,
+    # which takes the kernel's move path; H (x) H is the same after the swap.
+    slots = layout.slots(["r"])
+    for k in range(0, len(slots), 2):
+        pair = slots[k:k + 2][::-1]
+        vectors = channels._apply_local(vectors, layout.total_qubits, pair,
+                                        channels._HADAMARD_SIGNS[len(pair)], pair)
+    return vectors * (1.0 / np.sqrt(2.0)) ** (len(slots) % 2)
+
+
 @pytest.mark.parametrize("w", [1, 2, 3, 4])
-@pytest.mark.parametrize("place", ["high", "middle", "low"])
-def test_hadamard_twice_keeps_exact_zeros(rng, w, place):
+@pytest.mark.parametrize("place", ["high", "middle", "low", "above-low", "moved"])
+def test_hadamard_twice_keeps_exact_zeros(rng, w, place, monkeypatch):
     # Each setting of the other qubits of a 16-qubit state holds one label of
     # the register, or nothing.  H then H sums equal terms that cancel, so a
     # rounded product or partial sum would leave dust where a zero belongs.
-    before = {"high": 0, "middle": (16 - w) // 2, "low": 16 - w}[place]
+    # "high" and "middle" take the broadcast form; "low" and "above-low"
+    # (three qubits below the register) end on the GEMM form against
+    # kron(m, I_post); "moved" takes the move path for every pair.
+    before = {"high": 0, "middle": (16 - w) // 2, "low": 16 - w, "above-low": 13 - w,
+              "moved": (16 - w) // 2}[place]
     regs = tuple((n, k) for n, k in (("a", before), ("r", w), ("b", 16 - w - before)) if k)
     layout = RegisterLayout(regs)
     rest = layout.dim >> w
@@ -348,8 +392,15 @@ def test_hadamard_twice_keeps_exact_zeros(rng, w, place):
     t[np.arange(1 << before)[:, None], rng.integers(0, 1 << w, size=t[:, 0].shape),
       np.arange(rest >> before)] = amps.reshape(1 << before, -1)
     vectors = t.reshape(1, -1)
-    op = HadamardOp("r")
-    twice = op.apply_vectors(op.apply_vectors(vectors, layout), layout)
+    moves = []
+    monkeypatch.setattr(channels, "slots_to_front",
+                        lambda *a: moves.append(a[2]) or slots_to_front(*a))
+    if place == "moved":
+        apply = _hadamard_by_moved_pairs
+    else:
+        apply = HadamardOp("r").apply_vectors
+    twice = apply(apply(vectors, layout), layout)
+    assert bool(moves) == (place == "moved" and w > 1)
     np.testing.assert_array_equal(twice == 0, vectors == 0)
     np.testing.assert_allclose(twice, vectors, rtol=0, atol=1e-14)
 

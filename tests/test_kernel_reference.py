@@ -376,3 +376,65 @@ def test_ensemble_apply_hands_the_whole_batch_to_one_kernel_call(seed, monkeypat
         assert v.dtype == np.complex128 and v.flags.c_contiguous, op
         if op.kind == "isometry":
             assert len(v) == 3, op
+
+
+# ---------------------------------------------------------------------------
+# each product form of the local-matrix kernel
+# ---------------------------------------------------------------------------
+
+
+def _regs(*regs) -> RegisterLayout:
+    return RegisterLayout(tuple((n, w) for n, w in regs if w))
+
+
+def _check_against_reference(op, layout, rows, rng):
+    vectors = rng.normal(size=(rows, layout.dim)) + 1j * rng.normal(size=(rows, layout.dim))
+    mats = REFERENCE[type(op)](op, layout)
+    got = op.apply_vectors(vectors, layout)
+    want = np.array([m @ v for v in vectors for m in mats])
+    assert got.shape == want.shape, op
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=repr(op))
+
+
+POSTS = [1, 2, 8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_block_sizes_span_both_view_forms(w):
+    # the GEMM form up to channels._GEMM_WIDTH, the broadcast form above it
+    sizes = [(1 << w) * post for post in POSTS]
+    assert min(sizes) <= channels._GEMM_WIDTH < max(sizes)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("post", POSTS)
+@pytest.mark.parametrize("w", [1, 2])
+def test_contiguous_block_matches_reference(w, post, rows):
+    rng = np.random.default_rng(9300 + 10 * w + post + rows)
+    layout = _regs(("hi", 1), ("r", w), ("lo", post.bit_length() - 1))
+    for op in (HadamardOp("r"), DenseOp((random_unitary(rng, 1 << w),), ("r",))):
+        _check_against_reference(op, layout, rows, rng)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("regs,control,target", [
+    pytest.param((("hi", 1), ("c", 1), ("t", 1), ("lo", 3)), ("c", 0), ("t", 0), id="right-before"),
+    pytest.param((("hi", 1), ("q", 2), ("lo", 5)), ("q", 0), ("q", 1), id="right-before-one-register"),
+    pytest.param((("hi", 1), ("t", 1), ("c", 1), ("lo", 3)), ("c", 0), ("t", 0), id="right-after"),
+    pytest.param((("c", 1), ("m", 2), ("t", 1), ("lo", 2)), ("c", 0), ("t", 0), id="apart"),
+])
+def test_controlled_rotate_matches_reference(regs, control, target, rows):
+    rng = np.random.default_rng(9400 + rows)
+    layout = RegisterLayout(regs)
+    _check_against_reference(RotateOp(target, 0.7, control), layout, rows, rng)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("registers", [("a",), ("a", "b"), ("b", "a")])
+@pytest.mark.parametrize("count", [1, 3], ids=["one-matrix", "kraus-set"])
+def test_dense_op_matches_reference(registers, count, rows):
+    rng = np.random.default_rng(9500 + 10 * count + rows)
+    layout = RegisterLayout((("hi", 1), ("a", 1), ("b", 2), ("lo", 2)))
+    d = 1 << sum(layout.width(r) for r in registers)
+    mats = [random_unitary(rng, d)] if count == 1 else random_kraus(rng, d, count)
+    _check_against_reference(DenseOp(tuple(mats), registers), layout, rows, rng)

@@ -23,11 +23,21 @@ def all_databases(n):
     return [tuple((d >> (n - 1 - j)) & 1 for j in range(n)) for d in range(1 << n)]
 
 
-def uniform_index_state(inst):
-    return PureState(
-        RegisterLayout(((inst.index_register, inst.levels),)),
-        np.full(inst.n, 1 / math.sqrt(inst.n), dtype=complex),
-    )
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_client_uniform_state(n):
+    inst = build_kerenidis(n, database=(0,) * n)
+    state = inst.client_uniform_state()
+    if n == 1:  # the index register is elided
+        assert state.layout.registers == () and state.amplitudes.tolist() == [1]
+        return
+    # bit for bit the state the callers wrote out by hand
+    by_hand = PureState(RegisterLayout(((inst.index_register, inst.levels),)),
+                        np.full(n, 1 / math.sqrt(n), dtype=complex))
+    assert state.layout == by_hand.layout
+    assert np.array_equal(state.amplitudes, by_hand.amplitudes)
+    np.testing.assert_allclose(state.probabilities([inst.index_register]), 1 / n, rtol=1e-15)
+    tr = inst.run(input_state=state, keep_states=False)
+    assert [inst.decode(tr, i) == (0, pytest.approx(1.0)) for i in range(1, n + 1)] == [True] * n
 
 
 class TestKerenidis:
@@ -111,7 +121,7 @@ class TestKerenidis:
         # joint (idx, F) outcomes match the classical mixture of fixed-index runs
         inst = build_kerenidis(2)
         db = (0, 1)
-        tr = inst.run(input_state=inst.input_with_client(db, uniform_index_state(inst)))
+        tr = inst.run(input_state=inst.input_with_client(db, inst.client_uniform_state()))
         joint = decode_distribution(tr, output_register=inst.output_register)
         for i in (1, 2):
             np.testing.assert_allclose(joint[i - 1],
@@ -184,7 +194,7 @@ def test_decode_requires_output_register():
 
 def test_decode_reduces_the_final_state_once(monkeypatch):
     inst = build_kerenidis(4, database=(0, 1, 1, 0))
-    tr = inst.run(input_state=uniform_index_state(inst), keep_states=False)
+    tr = inst.run(input_state=inst.client_uniform_state(), keep_states=False)
     calls = []
     inner = Ensemble.probabilities
     monkeypatch.setattr(Ensemble, "probabilities",
