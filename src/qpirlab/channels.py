@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import STATE_ATOL, check_cap, qubit_cap
+from .config import STATE_ATOL, check_branches, check_cap, qubit_cap
 from .states import (PureState, RegisterLayout, nonzero_rows, slot_weights, slots_from_front,
                      slots_to_front)
 
@@ -628,6 +628,7 @@ class MeasureOp(ChannelOp):
         total = layout.total_qubits
         slots = layout.slots([self.register])
         rows, labels = nonzero_rows(slot_weights(vectors, total, slots))
+        check_branches(len(rows), layout.dim, what=f"measurement of {self.register!r}")
         # A register's slots are contiguous: view each output row as (before,
         # label, after) and zero the other labels in place (peak = output).
         out = vectors[rows]

@@ -47,6 +47,15 @@ def check_cap(qubits: int, *, what: str) -> None:
         raise CapExceeded(f"{what} needs {qubits} qubits, cap is {limit}")
 
 
+def check_branches(rows: int, dim: int, *, what: str) -> None:
+    """A ``(rows, dim)`` branch array may hold at most as many amplitudes as
+    one state at the qubit cap, ``2**qubit_cap()``."""
+    limit = qubit_cap()
+    if rows * dim > 1 << limit:
+        raise CapExceeded(f"{what} needs {rows} branches x {dim} amplitudes, "
+                          f"past 2**{limit} at cap {limit}")
+
+
 def check_reduced_cap(qubits: int) -> None:
     limit = reduced_cap()
     if qubits > limit:

@@ -11,9 +11,12 @@ For pure states the halved distance reduces to
 ``sqrt(1 - |<a|b>|^2)``.
 
 Every density operator keeps a compressed factor ``F`` with
-``rho = F F^dagger`` (see :class:`~qpirlab.states.DensityOperator`);
-eigenvalues at or below 1e-14 are cut, so at most rank x 1e-14 of trace is
-dropped.  ``trace_distance`` works in the span of the two factors.
+``rho = F F^dagger`` (see :class:`~qpirlab.states.DensityOperator`),
+compressed one support component at a time; eigenvalues at or below 1e-14
+are cut, so at most rank x 1e-14 of trace is dropped.  ``trace_distance``
+splits ``[F G]`` the same way: ``rho - sigma`` is block-diagonal over the
+components of that pair's nonzero pattern, so the distance is a sum over
+components, each taken in the span of its block's columns.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import math
 import numpy as np
 
 from .config import check_reduced_cap
-from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, hermitize,
-                     slots_to_front)
+from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, _blocks,
+                     _support_blocks, hermitize, slots_to_front)
 
 __all__ = [
     "partial_trace",
@@ -63,13 +66,29 @@ def partial_trace(state: PureState, keep) -> DensityOperator:
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Halved trace distance between two density operators, taken in the
-    span of their factors by :func:`ensemble_trace_distance`."""
+    """Halved trace distance between two density operators.
+
+    ``rho - sigma = W S W^dagger`` with ``W = [F G]`` the two factors side by
+    side and ``S`` the column signs (+1 for ``F``, -1 for ``G``).  The
+    difference is block-diagonal over the connected components of ``W``'s
+    nonzero pattern, so the distance is the sum over components of half the
+    absolute eigenvalues of ``R S R^dagger``, with ``R`` the QR factor of the
+    component's block of ``W``, as in :func:`ensemble_trace_distance`.
+    Components of one shape share one stacked ``qr`` and ``eigvalsh``; a
+    ``W`` with no zero entry is one component.
+    """
     if rho.dimension != sigma.dimension:
         raise StateError(
             f"dimension mismatch: {rho.dimension} vs {sigma.dimension}"
         )
-    return ensemble_trace_distance(rho.factor.T, sigma.factor.T)
+    w = np.hstack([rho.factor, sigma.factor])
+    signs = np.repeat([1.0, -1.0], [rho.factor.shape[1], sigma.factor.shape[1]])
+    total = 0.0
+    for rows, cols in _support_blocks(w):
+        r = np.linalg.qr(_blocks(w, rows, cols), mode="r")
+        g = hermitize((r * signs[cols][:, None, :]) @ r.conj().mT)
+        total += float(np.sum(np.abs(np.linalg.eigvalsh(g))))
+    return 0.5 * total
 
 
 def _as_vector(state) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import (ChannelOp, ChannelError, PrepareOp, from_json_value, op_from_descriptor,
                        to_json_value)
-from .config import check_cap, check_reduced_cap
+from .config import check_branches, check_cap, check_reduced_cap
 from .distances import ensemble_trace_distance, gram_reduce
 from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, marginal,
                      nonzero_rows, slots_to_front)
@@ -275,6 +275,8 @@ class Ensemble:
         """Product ensemble; ``other``'s registers are appended to the layout
         and the branches are ``a (x) b for a in self for b in other``."""
         layout = self.layout.extended(other.layout.registers)
+        check_branches(len(self.vectors) * len(other.vectors), layout.dim,
+                       what=f"tensor with {other.layout.names}")
         prod = self.vectors[:, None, :, None] * other.vectors[None, :, None, :]
         return Ensemble(layout, prod.reshape(-1, layout.dim))
 
@@ -296,7 +298,9 @@ class Ensemble:
         one branch per (branch, discarded label) pair above
         ``states.BRANCH_PRUNE``."""
         t = slots_to_front(self.vectors, self.layout.total_qubits, self.layout.slots(names))
-        kept = t[nonzero_rows((np.abs(t) ** 2).sum(axis=2))]
+        rows = nonzero_rows((np.abs(t) ** 2).sum(axis=2))
+        check_branches(len(rows[0]), t.shape[2], what=f"tracing out {tuple(names)}")
+        kept = t[rows]
         return Ensemble(self.layout.without(names), kept)
 
     def aligned_vectors(self, names) -> np.ndarray:

@@ -280,8 +280,66 @@ class PureState:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Symmetrize before eigen-solving, as (M + M^dagger) / 2."""
-    return 0.5 * (m + m.conj().T)
+    """Symmetrize before eigen-solving, as (M + M^dagger) / 2, over the last
+    two axes of a matrix or a stack of matrices."""
+    return 0.5 * (m + m.conj().mT)
+
+
+def _support_blocks(f: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected components of the nonzero pattern of a ``(d, k)``
+    array, grouped by shape.
+
+    Row ``i`` and column ``j`` are linked when ``f[i, j] != 0``; all-zero rows
+    and columns belong to no component.  Each group is a pair of index arrays
+    ``(rows, cols)`` of shapes ``(n, r)`` and ``(n, c)`` for its ``n``
+    components of ``r`` rows and ``c`` columns: line ``m`` of each holds the
+    ascending row and column indices of component ``m``, and the components
+    are ordered by first row.  An array with no zero entry is one component.
+    """
+    nz = f != 0
+    if nz.all():
+        return [(np.arange(f.shape[0])[None], np.arange(f.shape[1])[None])]
+    ri, ci = np.nonzero(nz)
+    if not len(ri):
+        return []
+    # Entry e links compact row ri[e] and compact column ci[e]; the entries
+    # come row by row, and by_col lists them column by column.
+    rows, ri = np.unique(ri, return_inverse=True)
+    cols, ci = np.unique(ci, return_inverse=True)
+    by_col = np.argsort(ci, kind="stable")
+    ri_by_col = ri[by_col]
+    row_seg = np.flatnonzero(np.diff(ri, prepend=-1))
+    col_seg = np.flatnonzero(np.diff(ci[by_col], prepend=-1))
+    # Min-label propagation: every row takes the least label of the rows it
+    # shares a column with, then jumps to its label's own label, until no
+    # label moves; a label is then the first row of its component.
+    lab = np.arange(len(rows))
+    while True:
+        col_lab = np.minimum.reduceat(lab[ri_by_col], col_seg)
+        new = np.minimum.reduceat(col_lab[ci], row_seg)
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    row_order, col_order = np.argsort(lab, kind="stable"), np.argsort(col_lab, kind="stable")
+    _, row_first, r_count = np.unique(lab[row_order], return_index=True, return_counts=True)
+    _, col_first, c_count = np.unique(col_lab[col_order], return_index=True, return_counts=True)
+    shapes, group = np.unique(r_count * (len(cols) + 1) + c_count, return_inverse=True)
+    out = []
+    for g, shape in enumerate(shapes):
+        r, c = divmod(int(shape), len(cols) + 1)
+        members = np.flatnonzero(group == g)
+        out.append((rows[row_order[row_first[members, None] + np.arange(r)]],
+                    cols[col_order[col_first[members, None] + np.arange(c)]]))
+    return out
+
+
+def _blocks(f: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The ``(n, r, c)`` stack of one :func:`_support_blocks` group of ``f``;
+    a view of ``f`` when the group is one component covering it."""
+    if rows.shape == (1, f.shape[0]) and cols.shape == (1, f.shape[1]):
+        return f[None]
+    return f[rows[:, :, None], cols[:, None, :]]
 
 
 # Eigenvalues at or below this fraction of the trace are dropped when a
@@ -294,12 +352,18 @@ class DensityOperator:
 
     It is built from a ``(dimension, k)`` factor whose columns are
     unnormalized pure branches, so it is positive semidefinite by
-    construction; only its trace is checked.  The factor is compressed once
-    to orthogonal columns ``sqrt(lam) v``, from the smaller of the two Gram
-    eigenproblems: ``eigh(F^dagger F)`` when ``k < dimension``, else
-    ``eigh(F F^dagger)``.  Eigenvalues at or below 1e-14 of the trace are
-    dropped, so at most rank x 1e-14 of trace is lost.  The compressed factor
-    is kept as ``factor``; the dense ``matrix`` is formed only on first use.
+    construction; only its trace is checked.  Exact zeros in the factor are
+    structure: ``rho`` is block-diagonal over the connected components of
+    the factor's nonzero pattern (rows and columns linked by a nonzero
+    entry), and the factor is compressed one component at a time, to
+    orthogonal columns ``sqrt(lam) v``, from the smaller of the two Gram
+    eigenproblems of the component's ``(r, c)`` block: ``eigh(B^dagger B)``
+    when ``c < r``, else ``eigh(B B^dagger)``.  Components of one shape share
+    one stacked ``eigh``.  Eigenvalues at or below 1e-14 of the whole trace
+    are dropped, so at most rank x 1e-14 of trace is lost.  The compressed
+    ``factor`` holds exact zeros off each component's rows; a factor with no
+    zero entry is one component.  The dense ``matrix`` is formed only on
+    first use.
     """
 
     __slots__ = ("dimension", "factor", "_matrix")
@@ -312,14 +376,26 @@ class DensityOperator:
         tr = float(np.vdot(m, m).real)
         if abs(tr - 1.0) > STATE_ATOL:
             raise StateError(f"trace {tr!r} is not 1 within {STATE_ATOL}")
-        if m.shape[1] < d:
-            evals, evecs = np.linalg.eigh(m.conj().T @ m)
+        # Per group: the rows of each kept column, and the column's entries.
+        places, columns = [], []
+        for rows, cols in _support_blocks(m):
+            b = _blocks(m, rows, cols)
+            wide = cols.shape[1] >= rows.shape[1]
+            evals, evecs = np.linalg.eigh(hermitize(b @ b.conj().mT) if wide else b.conj().mT @ b)
             keep = evals > _EIGEN_CUTOFF * tr
-            f = m @ evecs[:, keep] / np.sqrt(tr)
-        else:
-            evals, evecs = np.linalg.eigh(hermitize(m @ m.conj().T))
-            keep = evals > _EIGEN_CUTOFF * tr
-            f = evecs[:, keep] * np.sqrt(evals[keep] / tr)
+            # eigh sorts ascending, so each component keeps a suffix
+            first = keep.shape[1] - int(keep.sum(axis=1).max())
+            v = evecs[..., first:]
+            kept = (v * np.sqrt(np.where(keep, evals, 0.0)[:, None, first:] / tr) if wide
+                    else b @ v / np.sqrt(tr))
+            comp, j = np.nonzero(keep[:, first:])
+            places.append(rows[comp])
+            columns.append(kept.mT[comp, j])
+        f = np.zeros((d, sum(len(p) for p in places)), dtype=np.complex128)
+        at = 0
+        for p, c in zip(places, columns):
+            f[p, np.arange(at, at + len(p))[:, None]] = c
+            at += len(p)
         f.flags.writeable = False
         self.dimension = d
         self.factor = f

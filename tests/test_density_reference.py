@@ -19,6 +19,16 @@ Scope: runs of at most 11 qubits, where ``rho`` has 2,048^2 entries
 ``build_kerenidis(2)``, the index reference included.  The purification
 attack on ``build_kerenidis(2)`` (13 qubits) and the purified counterexample
 at n = 2 (16 qubits) are out of reach.
+
+The reconstruction attack has its own reference at the end of the module.
+Its runs are measurement-free and start from a pure input, so each run is
+one ket, one axis per register, and each op is one ``np.einsum`` of its
+single operator into that ket.  Every state the attack measures is a dense
+matrix, each Uhlmann unitary comes from an SVD of the dense overlap, and
+each bit is measured as ``sqrt(L) rho sqrt(L) / p`` with ``L`` the dense
+projector.  It covers ``build_kerenidis(1)`` and ``build_kerenidis(2)`` (10
+qubits with the reference), in ``coherent-reference`` mode and in
+``classical-per-a`` mode on every database.
 """
 
 from functools import cache
@@ -29,8 +39,9 @@ import pytest
 
 from qpirlab.adversaries import (adversary_by_name, database_groups, measure_speciousness,
                                  standard_inputs, steer)
+from qpirlab.bounds import extraction_attack
 from qpirlab.privacy import HonestSimulator, _run_views, privacy_lower_bound
-from qpirlab.protocols import build_counterexample, build_kerenidis
+from qpirlab.protocols import build_counterexample, build_kerenidis, database_bits, epr_pair_state
 from qpirlab.runtime import CLIENT
 from qpirlab.states import RegisterLayout
 from conftest import random_pure
@@ -281,3 +292,134 @@ def test_views_of_any_client_state_match_the_density_reference(rng):
             dims = [1 << w for _, w in got.layout.registers]
             view = (got.layout.registers, (rows.T @ rows.conj()).reshape(dims + dims))
             assert _distance(view, want[t]) <= TOL, t
+
+
+# ---------------------------------------------------------------------------
+# the reconstruction attack: one ket per run
+# ---------------------------------------------------------------------------
+
+
+def _evolve(spec, state):
+    """The final ``(registers, ket)`` of a measurement-free run on a pure
+    input; each op's one operator is applied by ``np.einsum`` over its
+    registers, and the registers it creates are appended."""
+    regs, ket = (), np.ones((), dtype=complex)
+    for part in (state, spec.setup):
+        if part is not None and part.layout.registers:
+            regs += part.layout.registers
+            ket = np.multiply.outer(ket, part.amplitudes.reshape([1 << w for _, w in
+                                                                  part.layout.registers]))
+    for st in spec.schedule:
+        for op in st.step.ops:
+            names = [n for n, _ in regs]
+            sub = RegisterLayout(tuple((n, dict(regs)[n]) for n in op.touches))
+            new = tuple(op.creates)
+            n, k = len(names), len(sub.registers)
+            pos = [names.index(r) for r in sub.names]
+            (mat,) = REFERENCE[type(op)](op, sub)
+            kt = mat.reshape([1 << w for _, w in sub.registers + new]
+                             + [1 << w for _, w in sub.registers])
+            o = list(range(n, n + k + len(new)))
+            out = [o[pos.index(i)] if i in pos else i for i in range(n)] + o[k:]
+            regs, ket = regs + new, np.einsum(kt, o + pos, ket, list(range(n)), out)
+    return regs, ket
+
+
+def _rows(run, names):
+    """The ket as a matrix: rows over ``names`` big-endian in that order,
+    columns over the other registers in layout order."""
+    regs, ket = run
+    order = [n for n, _ in regs]
+    rest = [n for n in order if n not in names]
+    axes = [order.index(n) for n in list(names) + rest]
+    dim = int(np.prod([1 << dict(regs)[n] for n in names], dtype=int))
+    return ket.transpose(axes).reshape(dim, -1)
+
+
+def _half_norm(diff) -> float:
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def _root(lam):
+    """sqrt(L) of a dense projector: its eigenvalues are rounded to the 0 or
+    1 they stand for, since the root of eigen-noise 1e-17 is 3e-9."""
+    evals, evecs = np.linalg.eigh(lam)
+    assert np.all(np.abs(evals - np.round(evals)) <= 1e-10) and set(np.round(evals)) <= {0, 1}
+    return (evecs * np.sqrt(np.round(evals))) @ evecs.conj().T
+
+
+def _attack_reference(inst, mode, db=None):
+    """``(probabilities, drifts, delta, epsilon, overall)`` of the attack."""
+    n, spec = inst.n, inst.spec
+    owner = spec.schedule[-1].owner
+
+    def run(i):
+        if mode == "classical-per-a":
+            return _evolve(spec, inst.basis_input(db, i))
+        client = inst.client_basis_state(i)
+        dbpart = epr_pair_state("refdb", inst.database_register, n)
+        return _evolve(spec, dbpart.tensor(client) if client.layout.registers else dbpart)
+
+    runs = [run(i) for i in range(1, n + 1)]
+    regs = runs[0][0]
+    client = [name for name, _ in regs if owner.get(name) == CLIENT]
+    server = [name for name, _ in regs if name not in client]
+    held = client if mode == "classical-per-a" else ["refdb"] + client
+    labels = np.indices([1 << dict(regs)[name] for name in held]).reshape(len(held), -1)
+    out = labels[held.index(inst.output_register)]
+
+    # the database bit i that a database label (or the classical database) holds
+    def bit(i):
+        if mode == "classical-per-a":
+            return np.full(out.shape, database_bits(db, n)[i - 1])
+        return np.array([database_bits(int(a), n)[i - 1] for a in labels[0]])
+
+    correct = [float(np.sum(np.abs(_rows(r, held)) ** 2, axis=1) @ (out == bit(i)))
+               for i, r in enumerate(runs, start=1)]
+    views = [_rows(r, server) @ _rows(r, server).conj().T for r in runs]
+    eps = max((_half_norm(views[0] - v) / 2 for v in views[1:]), default=0.0)
+
+    # Uhlmann: U maximizes |<run 1| (I (x) U) |run i>| = |tr(U X)|, with
+    # X = Psi^T Phi^* over (server, client) splits; U = V W^dagger from
+    # X = W S V^dagger.
+    phi = _rows(runs[0], server)
+    unitaries = [np.eye(phi.shape[1])]
+    for r in runs[1:]:
+        w, s, vh = np.linalg.svd(_rows(r, server).T @ phi.conj())
+        assert np.sum(s) > 1e-12
+        unitaries.append(vh.conj().T @ w.conj().T)
+
+    m = _rows(runs[0], held)
+    sigma = rho = m @ m.conj().T
+    probabilities, drifts = [], []
+    for i, u in enumerate(unitaries, start=1):
+        # the client's registers (the last ones in ``held``) are rotated by U
+        blocks = len(out) // len(u)
+        rot = np.kron(np.eye(blocks), u)
+        lam = rot.conj().T @ np.diag((out == bit(i)).astype(float)) @ rot
+        root = _root(lam)
+        p = float(np.trace(lam @ rho).real)
+        rho = root @ rho @ root / p
+        probabilities.append(p)
+        drifts.append(_half_norm(rho - sigma))
+    return probabilities, drifts, max(0.0, 1.0 - min(correct)), eps, float(np.prod(probabilities))
+
+
+ATTACKS = ([("k1", "coherent-reference", None), ("k2", "coherent-reference", None)]
+           + [("k1", "classical-per-a", db) for db in range(2)]
+           + [("k2", "classical-per-a", db) for db in range(4)])
+
+
+@pytest.mark.parametrize("inst_name,mode,db", ATTACKS)
+def test_reconstruction_attack_matches_the_density_reference(inst_name, mode, db):
+    inst = _instance(inst_name)
+    trace = extraction_attack(inst, mode, database=db)
+    probabilities, drifts, delta, eps, overall = _attack_reference(inst, mode, db)
+    assert len(trace.bits) == inst.n
+    for b, p, drift in zip(trace.bits, probabilities, drifts):
+        assert b.premise_ok
+        assert abs(b.probability - p) <= TOL, (b.index, b.probability, p)
+        assert abs(b.drift - drift) <= TOL, (b.index, b.drift, drift)
+    assert abs(trace.delta - delta) <= TOL
+    assert abs(trace.epsilon - eps) <= TOL
+    assert abs(trace.overall - overall) <= TOL

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +160,55 @@ class TestTraceDistance:
             other = random_density(rng, 4, rank=int(rng.integers(1, 5)))
             assert trace_distance(wide, other) == pytest.approx(dense_distance(wide, other),
                                                                 abs=1e-12)
+
+
+class TestBlockDistance:
+    """trace_distance sums over the components of ``[F G]``'s support."""
+
+    @staticmethod
+    def on_rows(rng, d, blocks):
+        # a density operator from (rows, columns) blocks of random entries
+        f = np.zeros((d, sum(k for _, k in blocks)), dtype=np.complex128)
+        at = 0
+        for rows, k in blocks:
+            f[rows, at:at + k] = rng.normal(size=(len(rows), k)) + 1j * rng.normal(size=(len(rows), k))
+            at += k
+        return DensityOperator(d, f / np.linalg.norm(f))
+
+    def test_block_in_only_one_operator(self, rng):
+        for _ in range(5):
+            a = self.on_rows(rng, 12, [([0, 1, 2], 2), ([5, 6], 3)])
+            b = self.on_rows(rng, 12, [([0, 1, 2], 1), ([9, 10], 2)])
+            assert trace_distance(a, b) == pytest.approx(dense_distance(a, b), abs=1e-12)
+
+    def test_blocks_overlapping_across_the_two(self, rng):
+        for _ in range(5):
+            a = self.on_rows(rng, 12, [([0, 1, 2, 3], 2), ([8], 1)])
+            b = self.on_rows(rng, 12, [([2, 3, 4, 5], 3), ([8, 9], 1)])
+            assert trace_distance(a, b) == pytest.approx(dense_distance(a, b), abs=1e-12)
+
+    def test_same_shape_blocks_with_other_signs(self, rng):
+        # two (2, 3) components of [F G]: signs (+, +, -) and (+, -, -)
+        for _ in range(5):
+            a = self.on_rows(rng, 8, [([0, 1], 2), ([4, 5], 1)])
+            b = self.on_rows(rng, 8, [([0, 1], 1), ([4, 5], 2)])
+            assert trace_distance(a, b) == pytest.approx(dense_distance(a, b), abs=1e-12)
+
+    def test_both_dense(self, rng):
+        for d, ra, rb in ((8, 3, 2), (16, 16, 5)):
+            a, b = random_density(rng, d, rank=ra), random_density(rng, d, rank=rb)
+            assert trace_distance(a, b) == pytest.approx(dense_distance(a, b), abs=1e-12)
+
+    def test_maximally_mixed_compares_fast(self):
+        mixed = DensityOperator.maximally_mixed(1024)
+        basis = DensityOperator.from_pure(np.eye(1024)[0])
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            d = trace_distance(mixed, basis)
+            best = min(best, time.perf_counter() - start)
+        assert d == pytest.approx(1023 / 1024, abs=1e-12)
+        assert best < 0.05, best
 
 
 class TestPurify:

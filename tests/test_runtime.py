@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_pure
 from qpirlab.adversaries import standard_inputs
-from qpirlab.channels import CopyOp, HadamardOp, PrepareOp
+from qpirlab.channels import CopyOp, HadamardOp, MeasureOp, PrepareOp
+from qpirlab.config import CapExceeded
 from qpirlab.distances import trace_distance
 from qpirlab.protocols import build_kerenidis, epr_pair_state
 from qpirlab.runtime import (
@@ -331,3 +332,25 @@ def test_reduced_and_probabilities_reject_repeated_names():
     for call in (ens.reduced, ens.probabilities):
         with pytest.raises(LayoutError, match=r"\('a', 'a'\)"):
             call(["a", "a"])
+
+
+def test_branch_arrays_stay_within_the_qubit_cap(monkeypatch):
+    # At a 6-qubit cap a branch array holds at most 2**6 amplitudes: one
+    # 6-qubit state, or eight branches of 3 qubits.
+    monkeypatch.setenv("QPIRLAB_QUBIT_CAP", "6")
+    layout = RegisterLayout((("a", 3), ("b", 3)))
+    uniform = Ensemble.from_pure(PureState(layout, np.full(64, 1 / 8)))
+    basis = Ensemble.from_pure(PureState.basis(layout))
+    assert len(basis.apply(MeasureOp("a")).vectors) == 1
+    with pytest.raises(CapExceeded, match="measurement of 'a' needs 8 branches x 64"):
+        uniform.apply(MeasureOp("a"))
+
+    assert len(uniform.traced(["a"]).vectors) == 8  # 8 x 8 amplitudes fit
+    two = Ensemble(layout, np.vstack([uniform.vectors, basis.vectors]) / np.sqrt(2))
+    with pytest.raises(CapExceeded, match=r"tracing out \('a',\) needs 9 branches x 8"):
+        two.traced(["a"])
+
+    c = Ensemble.from_pure(PureState.basis(RegisterLayout((("c", 3),))))
+    assert c.tensor(basis.traced(["b"])).vectors.shape == (1, 64)
+    with pytest.raises(CapExceeded, match=r"tensor with \('c',\) needs 8 branches x 64"):
+        uniform.traced(["b"]).tensor(c)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from qpirlab.states import (
     PureState,
     RegisterLayout,
     StateError,
+    _support_blocks,
+    hermitize,
 )
 
 
@@ -96,3 +100,75 @@ def test_factor_compresses_repeated_branches(rng):
     assert rho.factor.shape == (8, 2)
     back = sum(np.outer(b, b.conj()) for b in rho.branches())
     np.testing.assert_allclose(back, rho.matrix, rtol=0, atol=1e-14)
+
+
+def block_factor(rng):
+    """A (12, 9) factor with three blocks and three zero columns: rows 0-2
+    on columns 0 and 4 (tall), rows 5-6 on columns 1, 2 and 7 (wide, rank 2)
+    and row 9 on column 8."""
+    f = np.zeros((12, 9), dtype=np.complex128)
+    for rows, cols in (([0, 1, 2], [0, 4]), ([5, 6], [1, 2, 7]), ([9], [8])):
+        f[np.ix_(rows, cols)] = (rng.normal(size=(len(rows), len(cols)))
+                                 + 1j * rng.normal(size=(len(rows), len(cols))))
+    return f / np.linalg.norm(f)
+
+
+def test_support_blocks_are_the_components_grouped_by_shape(rng):
+    f = block_factor(rng)
+    f[[3, 4], 3] = 0.1  # a fourth block, rows 3-4 on column 3
+    f[[10, 11], 5] = 0.2  # and a fifth of the same (2, 1) shape
+    groups = {(r.shape[1], c.shape[1]): (r.tolist(), c.tolist()) for r, c in _support_blocks(f)}
+    assert groups == {(3, 2): ([[0, 1, 2]], [[0, 4]]), (2, 3): ([[5, 6]], [[1, 2, 7]]),
+                      (1, 1): ([[9]], [[8]]), (2, 1): ([[3, 4], [10, 11]], [[3], [5]])}
+    # a staircase is one component however long the chain of links
+    stair = np.eye(64, 63) + np.eye(64, 63, -1)
+    ((rows, cols),) = _support_blocks(stair[::-1])
+    assert rows.tolist() == [list(range(64))] and cols.tolist() == [list(range(63))]
+    dense = rng.normal(size=(5, 7))
+    ((rows, cols),) = _support_blocks(dense)
+    assert rows.tolist() == [list(range(5))] and cols.tolist() == [list(range(7))]
+
+
+def test_block_factor_compresses_per_component(rng):
+    f = block_factor(rng)
+    rho = DensityOperator(12, f)
+    dense = f @ f.conj().T
+    np.testing.assert_allclose(rho.matrix, dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(rho.matrix), np.linalg.eigvalsh(dense),
+                               rtol=0, atol=1e-12)
+    # rank 2 + 2 + 1, and every column lives on the rows of one block
+    assert rho.factor.shape == (12, 5)
+    support = [frozenset(np.flatnonzero(col)) for col in rho.factor.T]
+    assert sorted(map(sorted, support)) == [[0, 1, 2]] * 2 + [[5, 6]] * 2 + [[9]]
+    assert not rho.factor[[3, 4, 7, 8, 10, 11]].any()
+
+
+def test_dense_factor_keeps_the_one_component_rule(rng):
+    # a factor with no zero entry is one component: the factor is the one
+    # the smaller Gram eigenproblem of the whole factor gives, bit for bit
+    for d, k in ((16, 5), (16, 40), (8, 8)):
+        m = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+        m /= np.linalg.norm(m)
+        rho = DensityOperator(d, m)
+        tr = float(np.vdot(m, m).real)
+        if k < d:
+            evals, evecs = np.linalg.eigh(m.conj().T @ m)
+            keep = evals > 1e-14 * tr
+            want = m @ evecs[:, keep] / np.sqrt(tr)
+        else:
+            evals, evecs = np.linalg.eigh(hermitize(m @ m.conj().T))
+            keep = evals > 1e-14 * tr
+            want = evecs[:, keep] * np.sqrt(evals[keep] / tr)
+        assert rho.factor.shape == (d, min(k, d))
+        np.testing.assert_array_equal(rho.factor, want)
+
+
+def test_maximally_mixed_compresses_fast():
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        rho = DensityOperator.maximally_mixed(1024)
+        best = min(best, time.perf_counter() - start)
+    assert rho.factor.shape == (1024, 1024)
+    assert np.array_equal(rho.factor, np.eye(1024) / 32)
+    assert best < 0.05, best
