@@ -2,20 +2,21 @@
 
 For each seed, runs ``perfbench/run.py --trace 0`` once from each checkout,
 the parent first on odd seeds and the change first on even ones, and reads
-the last line of each run's output as its JSON result.  The end-to-end
-metrics and the direction in which each is better come from the change's
-``BENCHMARK.json``.
+the last line of each run's output as its JSON result.  The run length, the
+end-to-end metrics and the direction in which each is better come from the
+change's ``BENCHMARK.json``.
 
 Writes ``BENCH_<workload>.json`` into ``--out`` (default: this repository)
 with both checkouts' revisions, the seeds, each pair's end-to-end metrics,
 and per metric the two medians, the parent's quartiles and how many pairs
 the change won.  It also says whether the claim rule holds: at least
 ``MIN_PAIRS`` pairs, every run correct with no failed task, and no seed
-already recorded in a ``BENCH_*.json`` of ``--out``.  The script claims
-nothing itself.
+already recorded in a ``BENCH_*.json`` of ``--out``.  The recorded seeds
+only grow: a rerun keeps the seeds of the file it replaces as
+``earlier_seeds``.  The script claims nothing itself.
 
 Usage: python scripts/pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B
-       [--seconds 15] [--out DIR]
+       [--out DIR]
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ def revision(checkout: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else str(checkout)
 
 
-def recorded_seeds(out: Path) -> set[int]:
-    """Every ``seed`` value and ``seeds`` entry in the ``BENCH_*.json`` of ``out``."""
+def recorded_seeds(paths) -> set[int]:
+    """Every ``seed`` value and ``seeds`` or ``earlier_seeds`` entry in the
+    JSON files ``paths``."""
     found: set[int] = set()
 
     def walk(node):
@@ -56,7 +58,7 @@ def recorded_seeds(out: Path) -> set[int]:
             for key, value in node.items():
                 if key == "seed" and isinstance(value, int):
                     found.add(value)
-                elif key == "seeds" and isinstance(value, list):
+                elif key in ("seeds", "earlier_seeds") and isinstance(value, list):
                     found.update(v for v in value if isinstance(v, int))
                 else:
                     walk(value)
@@ -64,7 +66,7 @@ def recorded_seeds(out: Path) -> set[int]:
             for value in node:
                 walk(value)
 
-    for path in sorted(out.glob("BENCH_*.json")):
+    for path in paths:
         walk(json.loads(path.read_text()))
     return found
 
@@ -97,11 +99,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 
 def record(parent_dir: Path, change_dir: Path, workload: str, seeds: list[int],
-           seconds: int, out: Path) -> dict:
+           out: Path) -> dict:
     """Run the pairs and write ``out / BENCH_<workload>.json``; returns its content."""
     bench = json.loads((change_dir / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    reused = sorted(recorded_seeds(out) & set(seeds))
+    seconds = bench["run_seconds"]
+    reused = sorted(recorded_seeds(sorted(out.glob("BENCH_*.json"))) & set(seeds))
+    target = out / f"BENCH_{workload}.json"
+    earlier = sorted(recorded_seeds([target])) if target.exists() else []
     sides = {"parent": parent_dir, "change": change_dir}
     pairs, all_correct = [], True
     for seed in seeds:
@@ -122,13 +127,14 @@ def record(parent_dir: Path, change_dir: Path, workload: str, seeds: list[int],
         "parent": revision(parent_dir),
         "change": revision(change_dir),
         "seeds": seeds,
+        "earlier_seeds": earlier,
         "claim_rule": {"pairs": len(pairs), "min_pairs": MIN_PAIRS, "reused_seeds": reused,
                        "all_correct": all_correct,
                        "holds": len(pairs) >= MIN_PAIRS and not reused and all_correct},
         "summary": summarize(pairs, better),
         "pairs": pairs,
     }
-    (out / f"BENCH_{workload}.json").write_text(dump(doc))
+    target.write_text(dump(doc))
     return doc
 
 
@@ -150,11 +156,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=seed_range)
-    ap.add_argument("--seconds", type=int, default=15)
     ap.add_argument("--out", type=Path, default=REPO)
     args = ap.parse_args(argv)
     doc = record(args.parent.resolve(), args.change.resolve(), args.workload, args.seeds,
-                 args.seconds, args.out)
+                 args.out)
     for name, s in doc["summary"].items():
         print(f"{name}: {s['parent_median']:.4g} -> {s['change_median']:.4g} "
               f"(parent quartiles {s['parent_quartiles'][0]:.4g}-{s['parent_quartiles'][1]:.4g}), "

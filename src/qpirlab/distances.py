@@ -83,12 +83,7 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
         )
     w = np.hstack([rho.factor, sigma.factor])
     signs = np.repeat([1.0, -1.0], [rho.factor.shape[1], sigma.factor.shape[1]])
-    total = 0.0
-    for rows, cols in _support_blocks(w):
-        r = np.linalg.qr(_blocks(w, rows, cols), mode="r")
-        g = hermitize((r * signs[cols][:, None, :]) @ r.conj().mT)
-        total += float(np.sum(np.abs(np.linalg.eigvalsh(g))))
-    return 0.5 * total
+    return sum(_span_distance(_blocks(w, rows, cols), signs[cols]) for rows, cols in _support_blocks(w))
 
 
 def _as_vector(state) -> np.ndarray:
@@ -118,9 +113,19 @@ def ensemble_trace_distance(vectors_a, vectors_b) -> float:
     if len(a) + len(b) == 0:
         return 0.0
     w = np.vstack([m for m in (a, b) if len(m)]).T
-    signs = np.repeat([1.0, -1.0], [len(a), len(b)])
+    return _span_distance(w, np.repeat([1.0, -1.0], [len(a), len(b)]))
+
+
+def _span_distance(w: np.ndarray, signs: np.ndarray) -> float:
+    """Halved trace norm of ``W S W^dagger``, summed over a stack of ``W``.
+
+    ``W`` is a ``(..., d, k)`` matrix or stack of matrices and ``signs`` the
+    matching ``(..., k)`` diagonal of ``S``.  The norm is taken in the span of
+    ``W``'s columns: with ``R`` the QR factor of ``W``, it is the sum of the
+    absolute eigenvalues of ``R S R^dagger``.
+    """
     r = np.linalg.qr(w, mode="r")
-    g = hermitize((r * signs) @ r.conj().T)
+    g = hermitize((r * signs[..., None, :]) @ r.conj().mT)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(g))))
 
 

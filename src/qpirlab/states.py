@@ -297,30 +297,29 @@ def _support_blocks(f: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     are ordered by first row.  An array with no zero entry is one component.
     """
     nz = f != 0
+    d, k = nz.shape
     if nz.all():
-        return [(np.arange(f.shape[0])[None], np.arange(f.shape[1])[None])]
-    ri, ci = np.nonzero(nz)
-    if not len(ri):
-        return []
-    # Entry e links compact row ri[e] and compact column ci[e]; the entries
-    # come row by row, and by_col lists them column by column.
-    rows, ri = np.unique(ri, return_inverse=True)
-    cols, ci = np.unique(ci, return_inverse=True)
-    by_col = np.argsort(ci, kind="stable")
-    ri_by_col = ri[by_col]
-    row_seg = np.flatnonzero(np.diff(ri, prepend=-1))
-    col_seg = np.flatnonzero(np.diff(ci[by_col], prepend=-1))
-    # Min-label propagation: every row takes the least label of the rows it
-    # shares a column with, then jumps to its label's own label, until no
-    # label moves; a label is then the first row of its component.
-    lab = np.arange(len(rows))
+        return [(np.arange(d)[None], np.arange(k)[None])]
+    # Min-label propagation over the boolean support, by masked reductions
+    # that allocate nothing per entry: every column takes the least label of
+    # its rows, every row the least label of its columns and then its
+    # label's own label, until no label moves; a label is then the first row
+    # of its component.  The initial value d marks a line with no nonzero.
+    lab = np.arange(d)
     while True:
-        col_lab = np.minimum.reduceat(lab[ri_by_col], col_seg)
-        new = np.minimum.reduceat(col_lab[ci], row_seg)
+        col_lab = np.minimum.reduce(np.broadcast_to(lab[:, None], nz.shape), axis=0,
+                                    where=nz, initial=d)
+        row_min = np.minimum.reduce(np.broadcast_to(col_lab, nz.shape), axis=1,
+                                    where=nz, initial=d)
+        new = np.minimum(row_min, lab)
         new = new[new]
         if np.array_equal(new, lab):
             break
         lab = new
+    rows, cols = np.flatnonzero(row_min < d), np.flatnonzero(col_lab < d)
+    if not len(rows):
+        return []
+    lab, col_lab = lab[rows], col_lab[cols]
     row_order, col_order = np.argsort(lab, kind="stable"), np.argsort(col_lab, kind="stable")
     _, row_first, r_count = np.unique(lab[row_order], return_index=True, return_counts=True)
     _, col_first, c_count = np.unique(col_lab[col_order], return_index=True, return_counts=True)
@@ -340,6 +339,14 @@ def _blocks(f: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if rows.shape == (1, f.shape[0]) and cols.shape == (1, f.shape[1]):
         return f[None]
     return f[rows[:, :, None], cols[:, None, :]]
+
+
+def _gram_eigh(b: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Whether an ``(n, r, c)`` block stack is wide (``c >= r``), and the
+    ascending eigenpairs of its smaller Gram: ``B B^dagger`` when wide, else
+    ``B^dagger B``."""
+    wide = b.shape[2] >= b.shape[1]
+    return (wide, *np.linalg.eigh(hermitize(b @ b.conj().mT) if wide else b.conj().mT @ b))
 
 
 # Eigenvalues at or below this fraction of the trace are dropped when a
@@ -376,26 +383,35 @@ class DensityOperator:
         tr = float(np.vdot(m, m).real)
         if abs(tr - 1.0) > STATE_ATOL:
             raise StateError(f"trace {tr!r} is not 1 within {STATE_ATOL}")
-        # Per group: the rows of each kept column, and the column's entries.
-        places, columns = [], []
-        for rows, cols in _support_blocks(m):
-            b = _blocks(m, rows, cols)
-            wide = cols.shape[1] >= rows.shape[1]
-            evals, evecs = np.linalg.eigh(hermitize(b @ b.conj().mT) if wide else b.conj().mT @ b)
-            keep = evals > _EIGEN_CUTOFF * tr
+        # Every group's eigenpairs first, for the count of kept columns; then
+        # its kept columns sqrt(lam) v, written straight into the factor.
+        cut = _EIGEN_CUTOFF * tr
+        solved = [(rows, cols, *_gram_eigh(_blocks(m, rows, cols)))
+                  for rows, cols in _support_blocks(m)]
+        f, at = None, 0
+        for rows, cols, wide, evals, evecs in solved:
+            keep = evals > cut
+            counts = keep.sum(axis=1)
             # eigh sorts ascending, so each component keeps a suffix
-            first = keep.shape[1] - int(keep.sum(axis=1).max())
+            first = keep.shape[1] - int(counts.max())
             v = evecs[..., first:]
             kept = (v * np.sqrt(np.where(keep, evals, 0.0)[:, None, first:] / tr) if wide
-                    else b @ v / np.sqrt(tr))
-            comp, j = np.nonzero(keep[:, first:])
-            places.append(rows[comp])
-            columns.append(kept.mT[comp, j])
-        f = np.zeros((d, sum(len(p) for p in places)), dtype=np.complex128)
-        at = 0
-        for p, c in zip(places, columns):
-            f[p, np.arange(at, at + len(p))[:, None]] = c
-            at += len(p)
+                    else _blocks(m, rows, cols) @ v / np.sqrt(tr))
+            if rows.shape == (1, d):
+                # one component on every row: its kept columns are the factor
+                f = kept[0]
+                break
+            if f is None:
+                # allocated once the first block stack is freed
+                total = sum(int((e > cut).sum()) for *_, e, _ in solved)
+                f = np.zeros((d, total), dtype=np.complex128)
+            # component i's columns go to f[rows[i], offset[i] + (0..counts[i])]
+            offset = at + np.cumsum(counts) - counts
+            for c in np.unique(counts[counts > 0]):
+                members = np.flatnonzero(counts == c)
+                part = kept if len(members) == len(counts) else kept[members, :, kept.shape[2] - c:]
+                f[rows[members, :, None], offset[members, None, None] + np.arange(c)] = part
+            at += int(counts.sum())
         f.flags.writeable = False
         self.dimension = d
         self.factor = f

@@ -24,7 +24,8 @@ print(json.dumps({"correct": seed != 99, "attempted": 5, "failed": 0,
                   "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}))
 '''
 
-BENCHMARK = {"end_to_end": [{"name": "setup_s", "better": "lower"},
+BENCHMARK = {"run_seconds": 2,
+             "end_to_end": [{"name": "setup_s", "better": "lower"},
                             {"name": "task_s.p50", "better": "lower"},
                             {"name": "task_s.tail", "better": "lower"},
                             {"name": "tasks_per_s", "better": "higher"},
@@ -44,7 +45,7 @@ def _checkouts(tmp_path):
 def _pairs(tmp_path, out, seeds):
     res = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "parent"),
                           str(tmp_path / "change"), "--workload", "w", "--seeds", seeds,
-                          "--seconds", "2", "--out", str(out)],
+                          "--out", str(out)],
                          capture_output=True, text=True, check=True)
     return res.stdout, json.loads((out / "BENCH_w.json").read_text())
 
@@ -61,7 +62,8 @@ def test_pairs_alternate_and_record_every_metric(tmp_path):
         assert second[0] == ("change" if seed % 2 else "parent")
     assert all(line.split()[2:] == ["w", "2", "0"] for line in order)
 
-    assert doc["seeds"] == list(range(1, 11))
+    assert doc["seeds"] == list(range(1, 11)) and doc["earlier_seeds"] == []
+    assert "--seconds 2 " in doc["command"]
     assert [p["seed"] for p in doc["pairs"]] == doc["seeds"]
     assert doc["pairs"][0]["first"] == "parent" and doc["pairs"][1]["first"] == "change"
     assert abs(doc["pairs"][3]["parent"]["task_s.p50"] - 0.54) < 1e-12
@@ -97,6 +99,18 @@ def test_claim_rule_needs_ten_pairs_unused_seeds_and_correct_runs(tmp_path):
     assert doc["claim_rule"]["reused_seeds"] == []
     assert not doc["claim_rule"]["all_correct"] and not doc["claim_rule"]["holds"]
     assert doc["pairs"][-1]["change_run"]["correct"] is False
+
+
+def test_a_rerun_keeps_the_seeds_of_the_record_it_replaces(tmp_path):
+    out = _checkouts(tmp_path)
+    _pairs(tmp_path, out, "1-3")
+    _, doc = _pairs(tmp_path, out, "3-4")
+    assert doc["seeds"] == [3, 4] and doc["earlier_seeds"] == [1, 2, 3]
+    assert doc["claim_rule"]["reused_seeds"] == [3]
+    # seeds 1 and 2 are no longer this record's own, and still count as used
+    _, doc = _pairs(tmp_path, out, "1-2")
+    assert doc["earlier_seeds"] == [1, 2, 3, 4]
+    assert doc["claim_rule"]["reused_seeds"] == [1, 2]
 
 
 def test_a_failing_run_stops_the_pairs(tmp_path):

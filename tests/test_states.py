@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,25 @@ def test_dense_factor_keeps_the_one_component_rule(rng):
             want = evecs[:, keep] * np.sqrt(evals[keep] / tr)
         assert rho.factor.shape == (d, min(k, d))
         np.testing.assert_array_equal(rho.factor, want)
+
+
+def test_kept_columns_are_written_straight_into_the_factor(rng):
+    # one component on every row, with and without scattered zeros: no copy
+    # of the kept columns beside the factor, so the peak stays below 1.5
+    # times the compressed factor's bytes (the one-Gram rule of a factor
+    # with no zero entry peaks at 1.5)
+    m = rng.normal(size=(512, 128)) + 1j * rng.normal(size=(512, 128))
+    for zeros in (0.0, 0.1):
+        f = np.where(rng.random(m.shape) < zeros, 0, m)
+        f /= np.linalg.norm(f)
+        tracemalloc.start()
+        try:
+            rho = DensityOperator(512, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.factor.shape == (512, 128)
+        assert peak < 1.5 * rho.factor.nbytes, (zeros, peak / rho.factor.nbytes)
 
 
 def test_maximally_mixed_compresses_fast():
