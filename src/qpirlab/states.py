@@ -407,7 +407,8 @@ class DensityOperator:
                 f = np.zeros((d, total), dtype=np.complex128)
             # component i's columns go to f[rows[i], offset[i] + (0..counts[i])]
             offset = at + np.cumsum(counts) - counts
-            for c in np.unique(counts[counts > 0]):
+            # a set, not np.unique: np.unique imports numpy.ma on first use
+            for c in set(counts.tolist()) - {0}:
                 members = np.flatnonzero(counts == c)
                 part = kept if len(members) == len(counts) else kept[members, :, kept.shape[2] - c:]
                 f[rows[members, :, None], offset[members, None, None] + np.arange(c)] = part
