@@ -83,7 +83,8 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
         )
     w = np.hstack([rho.factor, sigma.factor])
     signs = np.repeat([1.0, -1.0], [rho.factor.shape[1], sigma.factor.shape[1]])
-    return sum(_span_distance(_blocks(w, rows, cols), signs[cols]) for rows, cols in _support_blocks(w))
+    return sum(_span_distance(_blocks(w, rows, cols), signs[cols])
+               for rows, cols in _support_blocks(w))
 
 
 def _as_vector(state) -> np.ndarray:
