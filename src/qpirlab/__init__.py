@@ -14,7 +14,6 @@ from .channels import (
 from .distances import (
     partial_trace,
     pure_trace_distance,
-    purify,
     trace_distance,
     trace_in_extraction,
     uhlmann_unitary,

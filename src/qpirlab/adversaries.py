@@ -22,10 +22,14 @@ no program and no recovery touches, so it commutes with the protocol, the
 adversary, the recoveries (measurements included) and the discards: the
 steered distances are those of separate runs.
 
-:func:`steer` is the one steering function and keeps no state; one
-comparison loop, :func:`steered_distances`, steers each pair of a step to
-every input and measures it, for the meter here and for both privacy
-certificates.
+:func:`steer` is the one steering function and keeps no state.  It is a
+client matrix, formed from the input's client state, times the run's
+branches; :func:`steered_rows` forms each input's matrix once and takes one
+product per input for all the views of one shape.  One comparison loop,
+:func:`steered_distances`, serves the meter here and both privacy
+certificates: it takes every database group of a figure, steers each step's
+pair to every input and measures all the pairs together, one stacked QR per
+``[b a]`` shape (:func:`~qpirlab.distances.paired_distances`).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .channels import (
     SwapOp,
 )
 from .config import CapExceeded
+from .distances import paired_distances
 from .protocols import QpirInstance, epr_pair_state
 from .runtime import (
     SERVER,
@@ -67,6 +72,7 @@ __all__ = [
     "purified_input",
     "steer",
     "in_span",
+    "steered_rows",
     "steered_distances",
     "purified_honest",
     "purification_attack",
@@ -243,26 +249,80 @@ def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     without :data:`PURIFIER` had no index to purify, so it is the run on
     every client state, and those must have no index either.
     """
-    lay = ens.layout
+    rest, c = _client_matrix(client, reference, (ens.layout,))
+    if c is None:
+        return ens
+    others, v = _purifier_last(ens)
+    rows, weights = _product(v, c)
+    return Ensemble(RegisterLayout(others + rest), rows[nonzero_rows(weights)])
+
+
+def _client_matrix(client: PureState | Ensemble, reference, layouts):
+    """``(rest, c)``: the ``reference`` registers of ``client`` in its
+    layout order, and its branches as matrices ``c[k, i, r]`` over the index
+    label ``i`` and the reference label ``r`` (``None`` without an index).
+    Raises unless every run layout of ``layouts`` has :data:`PURIFIER`
+    exactly when the client has an index."""
     cl = client if isinstance(client, Ensemble) else Ensemble.from_pure(client)
     index = [name for name in cl.layout.names if name not in reference]
-    if bool(index) != lay.has(PURIFIER):
-        raise LayoutError(f"client registers {list(cl.layout.names)} with reference "
-                          f"{list(reference)} do not fit a run on {list(lay.names)}")
+    for lay in layouts:
+        if bool(index) != lay.has(PURIFIER):
+            raise LayoutError(f"client registers {list(cl.layout.names)} with reference "
+                              f"{list(reference)} do not fit a run on {list(lay.names)}")
+    rest = tuple(r for r in cl.layout.registers if r[0] not in index)
     if not index:
-        return ens
+        return rest, None
+    return rest, slots_to_front(cl.vectors, cl.layout.total_qubits, cl.layout.slots(index))
+
+
+def _purifier_last(ens: Ensemble):
+    """``(others, v)``: the registers of ``ens`` but :data:`PURIFIER`, and
+    its branches as ``v[b, s, i]`` over those registers' label ``s`` and the
+    :data:`PURIFIER` label ``i``."""
+    lay = ens.layout
     others = tuple(r for r in lay.registers if r[0] != PURIFIER)
     labels = 1 << lay.width(PURIFIER)
-    # (1, run branch, other slots, purifier label)
     v = slots_to_front(ens.vectors, lay.total_qubits,
                        lay.ordered_slots([*(n for n, _ in others), PURIFIER]))
-    v = v.reshape(len(ens.vectors), lay.dim // labels, labels)[None]
-    c = slots_to_front(cl.vectors, cl.layout.total_qubits, cl.layout.slots(index))
-    # (client branch, run branch, other slots, reference label)
-    steered = math.sqrt(labels) * (v @ c[:, None])
-    layout = RegisterLayout(others + tuple(r for r in cl.layout.registers if r[0] not in index))
-    rows = steered.reshape(-1, layout.dim)
-    return Ensemble(layout, rows[nonzero_rows((np.abs(rows) ** 2).sum(axis=1))])
+    return others, v.reshape(len(ens.vectors), lay.dim // labels, labels)
+
+
+def _product(v: np.ndarray, c: np.ndarray):
+    """The run branches ``v[b, s, i]`` steered by the client matrices
+    ``c[k, i, r]``: the rows ``(k, b)`` over ``(s, r)`` as a ``(K, B, S R)``
+    array, and their squared norms."""
+    rows = (math.sqrt(v.shape[-1]) * (v @ c[:, None])).reshape(len(c), len(v), -1)
+    return rows, (np.abs(rows) ** 2).sum(axis=-1)
+
+
+def steered_rows(views, members) -> list[list[np.ndarray]]:
+    """``out[m][j]``: the branch array of ``steer(views[j], ins.client,
+    ins.reference)`` for the ``m``-th input ``ins`` of ``members``.
+
+    Each input's client matrix is formed once, and the views whose branches
+    have one shape (read with :data:`PURIFIER` last) are steered by one
+    product per input, then pruned view by view as :func:`steer` prunes."""
+    shapes: dict[tuple, list] = {}  # (other labels, purifier labels) -> [(view index, v)]
+    for j, view in enumerate(views):
+        if view.layout.has(PURIFIER):
+            v = _purifier_last(view)[1]
+            shapes.setdefault(v.shape[1:], []).append((j, v))
+    # per shape: the view indices, their first rows in the stack, the stack
+    stacks = [([j for j, _ in group], np.cumsum([0] + [len(v) for _, v in group]),
+               np.concatenate([v for _, v in group])) for group in shapes.values()]
+    out = []
+    for ins in members:
+        _, c = _client_matrix(ins.client, ins.reference, [view.layout for view in views])
+        if c is None:
+            out.append([view.vectors for view in views])
+            continue
+        rows = [None] * len(views)
+        for js, starts, stack in stacks:
+            steered, weights = _product(stack, c)
+            for j, lo, hi in zip(js, starts, starts[1:]):
+                rows[j] = steered[:, lo:hi][nonzero_rows(weights[:, lo:hi])]
+        out.append(rows)
+    return out
 
 
 def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
@@ -286,12 +346,8 @@ def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
         return (ens, *others)
     order = (PURIFIER, *(n for n in lay.names if n != PURIFIER))
     labels = 1 << lay.width(PURIFIER)
-    blocks = []  # per ensemble, one row per (branch, label): the columns v[b, i]
-    for e in (ens, *others):
-        if sorted(e.layout.names) != sorted(lay.names):
-            raise LayoutError(f"registers {e.layout.names} do not match {lay.names}")
-        blocks.append(slots_to_front(e.vectors, lay.total_qubits, e.layout.ordered_slots(order))
-                      .reshape(-1, lay.dim // labels))
+    # per ensemble, one row per (branch, label): the columns v[b, i]
+    blocks = [e.aligned_vectors(order).reshape(-1, lay.dim // labels) for e in (ens, *others)]
     r = np.linalg.qr(np.concatenate(blocks).T, mode="r")
     r = r[nonzero_rows((np.abs(r) ** 2).sum(axis=1))]
     width = max(1, (len(r) - 1).bit_length())
@@ -307,15 +363,24 @@ def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
     return tuple(out)
 
 
-def steered_distances(members, pairs) -> list[tuple[str, int, float]]:
-    """``(label, t, distance)`` for each input of ``members`` and each step
-    ``t`` of ``pairs``, which maps it to ``(a, b)``: the distance of ``b``
-    from ``a``, both steered to the input's client state.  Each pair comes
-    from one run on the purified index and lies in one branch span
-    (:func:`in_span`)."""
-    return [(ins.label, t, steer(b, ins.client, ins.reference).distance(
-                steer(a, ins.client, ins.reference)))
-            for ins in members for t, (a, b) in pairs.items()]
+def steered_distances(groups) -> list[tuple[str, int, float]]:
+    """``(label, t, distance)`` for each ``(members, pairs)`` of ``groups``,
+    each input of ``members`` and each step ``t`` of ``pairs``, which maps it
+    to ``(a, b)``: the distance of ``b`` from ``a`` (aligned to ``b`` by
+    register name), both steered to the input's client state.  Each pair
+    comes from one run on the purified index and lies in one branch span
+    (:func:`in_span`).  Every comparison of every group is measured in one
+    :func:`~qpirlab.distances.paired_distances` call."""
+    keys, pairs_of_rows = [], []
+    for members, pairs in groups:
+        views = []
+        for a, b in pairs.values():
+            views += [b, Ensemble(b.layout, a.aligned_vectors(b.layout.names))]
+        for ins, rows in zip(members, steered_rows(views, members)):
+            for k, t in enumerate(pairs):
+                keys.append((ins.label, t))
+                pairs_of_rows.append((rows[2 * k], rows[2 * k + 1]))
+    return [(label, t, d) for (label, t), d in zip(keys, paired_distances(pairs_of_rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +577,7 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
         raise ProtocolShapeError("one recovery per global step is required")
     inputs = standard_inputs(instance, superposed_db=instance.database_register is not None)
     adv_spec = adversary.modified_spec(spec)
-    rows = []
+    groups = []
     for members in database_groups(inputs):
         run_input = purified_input(spec, members[0].database)
         honest = execute(spec, run_input)
@@ -529,7 +594,8 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
             # one client map steers both, so they share one span; rebinding
             # frees the full recovered state before the next step
             pairs[t] = target, recovered = in_span(target, recovered)
-        rows += steered_distances(members, pairs)
+        groups.append((members, pairs))
+    rows = steered_distances(groups)
     gamma_hat = max(d for _, _, d in rows) if rows else 0.0
     return SpeciousnessReport(
         adversary=adversary.name,

@@ -1,4 +1,4 @@
-"""Distances, purifications and closeness lemmas used by the analyses.
+"""Distances and closeness lemmas used by the analyses.
 
 Trace-norm convention: throughout this package the trace distance is the
 HALVED norm, ``D(rho, sigma) = (1/2) tr sqrt((rho-sigma)^dagger (rho-sigma))``,
@@ -35,7 +35,7 @@ __all__ = [
     "trace_distance",
     "pure_trace_distance",
     "ensemble_trace_distance",
-    "purify",
+    "paired_distances",
     "uhlmann_unitary",
     "UhlmannPreconditionError",
     "trace_in_extraction",
@@ -83,7 +83,7 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
         )
     w = np.hstack([rho.factor, sigma.factor])
     signs = np.repeat([1.0, -1.0], [rho.factor.shape[1], sigma.factor.shape[1]])
-    return sum(_span_distance(_blocks(w, rows, cols), signs[cols])
+    return sum(float(np.sum(_half_spectrum(_blocks(w, rows, cols), signs[cols])))
                for rows, cols in _support_blocks(w))
 
 
@@ -104,58 +104,52 @@ def pure_trace_distance(a, b) -> float:
     return math.sqrt(max(0.0, 1.0 - min(ov, 1.0) ** 2))
 
 
-def ensemble_trace_distance(vectors_a, vectors_b) -> float:
+def ensemble_trace_distance(vectors_a, vectors_b):
     """Halved trace distance between sum(a a^dagger) and sum(b b^dagger).
 
     Works in the span of the branch vectors, so it stays cheap for low-rank
-    states over large layouts.
+    states over large layouts.  Two ``(B, d)`` branch arrays give a float;
+    stacks ``(K, n_a, d)`` and ``(K, n_b, d)`` give the ``K`` figures of
+    their matching pairs, from one stacked ``qr`` and ``eigvalsh``, each
+    equal to the figure of its pair alone.
     """
     a, b = (np.asarray(v, dtype=np.complex128) for v in (vectors_a, vectors_b))
+    if a.ndim == 3:
+        return _half_spectrum(np.concatenate([a, b], axis=1).mT,
+                              np.repeat([1.0, -1.0], [a.shape[1], b.shape[1]])).sum(axis=-1)
     if len(a) + len(b) == 0:
         return 0.0
     w = np.vstack([m for m in (a, b) if len(m)]).T
-    return _span_distance(w, np.repeat([1.0, -1.0], [len(a), len(b)]))
+    return float(np.sum(_half_spectrum(w, np.repeat([1.0, -1.0], [len(a), len(b)]))))
 
 
-def _span_distance(w: np.ndarray, signs: np.ndarray) -> float:
-    """Halved trace norm of ``W S W^dagger``, summed over a stack of ``W``.
+def paired_distances(pairs) -> list[float]:
+    """``ensemble_trace_distance(x, y)`` for each ``(x, y)`` branch-array
+    pair of ``pairs``, in order: pairs with the same two shapes are measured
+    in one stacked call."""
+    by_shape: dict[tuple, list[int]] = {}
+    for k, (x, y) in enumerate(pairs):
+        by_shape.setdefault((x.shape, y.shape), []).append(k)
+    out = np.empty(len(pairs))
+    for ks in by_shape.values():
+        out[ks] = ensemble_trace_distance(np.stack([pairs[k][0] for k in ks]),
+                                          np.stack([pairs[k][1] for k in ks]))
+    return out.tolist()
+
+
+def _half_spectrum(w: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Half the absolute eigenvalues of ``W S W^dagger``, per matrix of a
+    stack; each matrix's sum is its halved trace norm.
 
     ``W`` is a ``(..., d, k)`` matrix or stack of matrices and ``signs`` the
-    matching ``(..., k)`` diagonal of ``S``.  The norm is taken in the span of
-    ``W``'s columns: with ``R`` the QR factor of ``W``, it is the sum of the
-    absolute eigenvalues of ``R S R^dagger``.
+    matching ``(..., k)`` diagonal of ``S``.  The eigenvalues are taken in
+    the span of ``W``'s columns: with ``R`` the QR factor of ``W``, they are
+    those of ``R S R^dagger``.  The caller sums them, per matrix or over a
+    whole stack.
     """
     r = np.linalg.qr(w, mode="r")
     g = hermitize((r * signs[..., None, :]) @ r.conj().mT)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(g))))
-
-
-_RANK_TOL = 1e-12
-
-
-def purify(rho: DensityOperator) -> PureState:
-    """A purification of ``rho`` by eigendecomposition, over the registers
-    ``system`` and ``purifier``.
-
-    The purifying register has width ``ceil(log2(rank))`` and is omitted
-    entirely for rank-one states (layouts do not carry width-0 registers).
-    """
-    n_sys = rho.dimension.bit_length() - 1
-    if 1 << n_sys != rho.dimension:
-        raise StateError(f"dimension {rho.dimension} is not a power of two")
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    rank = max(1, int(np.sum(evals > _RANK_TOL)))
-    width = max(1, rank - 1).bit_length() if rank > 1 else 0
-    if width == 0:
-        layout = RegisterLayout((("system", n_sys),))
-        return PureState.from_vector(layout, evecs[:, 0], normalize=True)
-    layout = RegisterLayout((("system", n_sys), ("purifier", width)))
-    amps = np.zeros((rho.dimension, 1 << width), dtype=np.complex128)
-    for j in range(rank):
-        amps[:, j] = math.sqrt(max(evals[j], 0.0)) * evecs[:, j]
-    return PureState.from_vector(layout, amps.reshape(-1), normalize=True)
+    return 0.5 * np.abs(np.linalg.eigvalsh(g))
 
 
 class UhlmannPreconditionError(ValueError):

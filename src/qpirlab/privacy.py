@@ -4,8 +4,9 @@ Every figure here is a distance between server views.  The one definition
 of the view is :meth:`ExecutionTranscript.server_view`: at step ``t`` it is
 everything on the server's side plus the in-flight messages, keeping any
 reference registers.  One runner, ``_run_views``, takes the views at the
-even steps; one comparison, :meth:`Ensemble.distance`, aligns two views by
-register name and measures them.  Views are low-rank ensembles (branch
+even steps; two views are compared as :meth:`Ensemble.distance` compares
+them, aligned by register name and measured in the span of their branches.
+Views are low-rank ensembles (branch
 vectors componentized over the traced-out client side).  Every figure
 takes its views into their branch span before it steers
 (:func:`qpirlab.adversaries.in_span`, one QR per database state and step):
@@ -43,8 +44,10 @@ recovery, and the honest simulator.  Both are scored by one certificate
 loop over the standard anchored inputs, which compares each (run view,
 simulated view) pair through
 :func:`qpirlab.adversaries.steered_distances`, the speciousness meter's
-loop; the lower bound steers with :func:`qpirlab.adversaries.steer`
-directly, because its pairs are across inputs.
+loop; the lower bound's pairs are across inputs, so it steers its views with
+:func:`qpirlab.adversaries.steered_rows` and pairs them itself.  Every
+figure measures all its pairs, over every database group, in one
+:func:`qpirlab.distances.paired_distances` call.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import numpy as np
 
 from .adversaries import (PURIFIER, Adversary, database_groups, in_span,
                           measure_speciousness, purified_input, standard_inputs, steer,
-                          steered_distances)
+                          steered_distances, steered_rows)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -70,7 +73,7 @@ from .channels import (
     SelectPhaseOp,
     SwapOp,
 )
-from .distances import trace_in_extraction
+from .distances import paired_distances, trace_in_extraction
 from .protocols import QpirInstance
 from .runtime import (
     CLIENT,
@@ -170,19 +173,20 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     inputs = standard_inputs(instance, superposed_db=(mode == "full"))
     steps = _even_steps(instance.spec)
     last = len(instance.spec.schedule)
-    rows: list[PrivacyRow] = []
+    keys, pairs_of_rows = [], []
     for members in database_groups(inputs):
         run = _run_views(spec, members[0].database, steps)
-        spans = {t: in_span(view)[0] for t, view in run.items()}
+        spans = [in_span(run[t])[0] for t in steps]
         classes: dict[str, list] = {}
-        for ins in members:
-            view = {t: steer(s, ins.client, ins.reference) for t, s in spans.items()}
-            classes.setdefault(ins.marginal_key, []).append((ins.label, view))
+        for ins, rows in zip(members, steered_rows(spans, members)):
+            classes.setdefault(ins.marginal_key, []).append((ins.label, rows))
         for labelled in classes.values():
-            for (la, va), (lb, vb) in combinations(labelled, 2):
-                for t in steps:
-                    rows.append(PrivacyRow(t, members[0].x_label, (la, lb),
-                                           va[t].distance(vb[t]), required=(t < last)))
+            for (la, ra), (lb, rb) in combinations(labelled, 2):
+                for t, a, b in zip(steps, ra, rb):
+                    keys.append((t, members[0].x_label, (la, lb)))
+                    pairs_of_rows.append((a, b))
+    rows = [PrivacyRow(t, x_label, pair, d, required=(t < last))
+            for (t, x_label, pair), d in zip(keys, paired_distances(pairs_of_rows))]
     eps_lower = max((r.distance for r in rows), default=0.0) / 2.0
     return PrivacyReport(
         mode=mode,
@@ -224,7 +228,7 @@ def _certificate(instance: QpirInstance, runs, simulate):
     with ``c``'s marginal on its reference registers, so both sides are
     steered and compared as the lower bound's views are."""
     steps = _even_steps(instance.spec)
-    rows = []
+    groups = []
     for members in database_groups(standard_inputs(instance)):
         db = members[0].db
         run = runs(db)
@@ -234,7 +238,8 @@ def _certificate(instance: QpirInstance, runs, simulate):
             if view.layout.has(PURIFIER):
                 sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
             pairs[t] = view, sim = in_span(view, sim)
-        rows += steered_distances(members, pairs)
+        groups.append((members, pairs))
+    rows = steered_distances(groups)
     eps = max((d for _, _, d in rows), default=0.0)
     return eps, rows
 

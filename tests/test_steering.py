@@ -11,16 +11,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qpirlab import adversaries, privacy
+from qpirlab import adversaries, distances, privacy
 from qpirlab.adversaries import (
     adversary_by_name,
     apply_recovery,
     database_groups,
+    in_span,
     measure_speciousness,
     purified_honest,
     purified_input,
     standard_inputs,
     steer,
+    steered_rows,
 )
 from qpirlab.privacy import (
     HonestSimulator,
@@ -29,7 +31,7 @@ from qpirlab.privacy import (
     _run_views,
     privacy_lower_bound,
 )
-from qpirlab.protocols import build_counterexample, build_kerenidis
+from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import PureState, RegisterLayout
 
@@ -305,3 +307,89 @@ def test_steering_reaches_any_client_state(inst_name, rng):
     for t in range(1, steered.steps + 1):
         got = steer(steered.ensemble(t), client, ("refx",))
         assert got.distance(direct.ensemble(t)) <= TOL, t
+
+
+# ---------------------------------------------------------------------------
+# the stacked comparison loop against the per-pair loop
+# ---------------------------------------------------------------------------
+
+
+def _per_pair_steered_distances(groups):
+    # each pair steered on its own, then one Ensemble.distance per pair
+    return [(ins.label, t, steer(b, ins.client, ins.reference).distance(
+                steer(a, ins.client, ins.reference)))
+            for members, pairs in groups for ins in members for t, (a, b) in pairs.items()]
+
+
+def _per_view_steered(views, members):
+    return [[steer(view, ins.client, ins.reference) for view in views] for ins in members]
+
+
+def _per_pair_distances(pairs):
+    return [x.distance(y) for x, y in pairs]
+
+
+def _figures(inst, adv):
+    honest = HonestSimulator(inst)
+    modes = ("anchored", "full") if inst.database_register is not None else ("anchored",)
+    figures = {"meter": lambda: list(measure_speciousness(inst, adv).rows)}
+    for mode in modes:
+        figures[f"lower bound {mode}"] = lambda mode=mode: [
+            (r.step, r.x_label, r.pair, r.distance)
+            for r in privacy_lower_bound(inst, adv, mode).rows]
+    figures["honest certificate"] = lambda: honest.epsilon_upper()[1]
+    figures["theorem certificate"] = lambda: TheoremSimulator(honest, adv, 0).certify()[1]
+    return figures
+
+
+STACKED_CASES = [(name, adv) for name in ("k1", "k2")
+                 for adv in ("honest-purified", "gamma-lossy:0.3", "purify-db")]
+STACKED_CASES.append(("send-db-1", "honest-purified"))
+
+
+@pytest.mark.parametrize("inst_name,adv_name", STACKED_CASES)
+def test_stacked_figures_equal_the_per_pair_loop(monkeypatch, inst_name, adv_name):
+    # send-db n=1 has no index register, so its runs carry no refi
+    inst = build_baseline("send-db", 1) if inst_name == "send-db-1" else _instance(inst_name)
+    adv = _adversary(inst, adv_name)
+    stacks = []
+    inner = distances.ensemble_trace_distance
+
+    def counted(a, b):
+        stacks.append(len(a))
+        return inner(a, b)
+    monkeypatch.setattr(distances, "ensemble_trace_distance", counted)
+    got = {}
+    for name, figure in _figures(inst, adv).items():
+        stacks.clear()
+        got[name] = figure()
+        assert sum(stacks) == len(got[name]), name  # every pair in one stack
+        if inst_name == "k2" and name == "meter":
+            assert len(stacks) > 1  # the meter's pairs come in several [b a] shapes
+    monkeypatch.setattr(adversaries, "steered_distances", _per_pair_steered_distances)
+    monkeypatch.setattr(privacy, "steered_distances", _per_pair_steered_distances)
+    monkeypatch.setattr(privacy, "steered_rows", _per_view_steered)
+    monkeypatch.setattr(privacy, "paired_distances", _per_pair_distances)
+    want = {name: figure() for name, figure in _figures(inst, adv).items()}
+    assert got.keys() == want.keys()
+    for name in got:
+        assert len(got[name]) == len(want[name]), name
+        assert got[name] == want[name], name
+
+
+def test_stacked_steering_prunes_as_steer_does():
+    k2 = build_kerenidis(2)
+    steps = _even_steps(k2.spec)
+    members = database_groups(standard_inputs(k2))[0]
+    run = _run_views(k2.spec, members[0].database, steps)
+    spans = [in_span(run[t])[0] for t in steps]
+    pruned = 0
+    for ins, rows in zip(members, steered_rows(spans, members)):
+        for span, got in zip(spans, rows):
+            want = steer(span, ins.client, ins.reference).vectors
+            np.testing.assert_array_equal(got, want)
+            client = ins.client if isinstance(ins.client, Ensemble) else Ensemble.from_pure(
+                ins.client)
+            pruned += len(client.vectors) * len(span.vectors) - len(want)
+    # a classical index leaves some run branches at zero weight
+    assert pruned > 0

@@ -7,9 +7,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qpirlab import adversaries, privacy, runtime
+from qpirlab import adversaries, privacy
+from qpirlab import distances as distances_module
 from qpirlab.adversaries import (PURIFIER, adversary_by_name, client_variants, database_groups,
-                                 in_span, purified_input, standard_inputs, steer)
+                                 in_span, measure_speciousness, purified_honest, purified_input,
+                                 standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
 from qpirlab.config import CapExceeded
 from qpirlab.distances import ensemble_trace_distance
@@ -211,13 +213,33 @@ def test_lower_bound_takes_one_span_per_database_and_step(monkeypatch):
     executes, spans, distances, qrs = [], [], [], []
     _counting(monkeypatch, executes, privacy, "execute")
     _counting(monkeypatch, spans, privacy, "in_span")
-    _counting(monkeypatch, distances, runtime, "ensemble_trace_distance")
+    _counting(monkeypatch, distances, distances_module, "ensemble_trace_distance")
     _counting(monkeypatch, qrs, np.linalg, "qr")
     report = privacy_lower_bound(build_kerenidis(4))
     assert len(report.rows) == 528
     # 16 databases x 3 even steps
-    assert (len(executes), len(spans), len(distances)) == (16, 48, 528)
-    assert len(qrs) == 48 + 528
+    assert (len(executes), len(spans)) == (16, 48)
+    # the 528 comparisons come in 3 [a b] shapes, one stacked call each
+    assert len(distances) == 3
+    assert len(qrs) == 48 + 3
+
+
+def test_meter_takes_one_span_per_database_and_step(monkeypatch):
+    executes, spans, distances, qrs = [], [], [], []
+    _counting(monkeypatch, executes, adversaries, "execute")
+    _counting(monkeypatch, spans, adversaries, "in_span")
+    _counting(monkeypatch, distances, distances_module, "ensemble_trace_distance")
+    _counting(monkeypatch, qrs, np.linalg, "qr")
+    cx = build_counterexample(2)
+    report = measure_speciousness(cx, purified_honest(cx))
+    # 4 classical databases with 5 inputs each and the superposed one with 3,
+    # at 8 steps
+    assert len(report.rows) == 184
+    # an honest and an adversarial run per database state; 5 states x 8 steps
+    assert (len(executes), len(spans)) == (10, 40)
+    # the 184 comparisons come in 3 [b a] shapes, one stacked call each
+    assert len(distances) == 3
+    assert len(qrs) == 40 + 3
 
 
 def test_certificates_take_one_span_per_database_and_step(monkeypatch):
@@ -258,8 +280,8 @@ def test_steer_reads_a_span_view_in_place(monkeypatch):
         for span in spans:
             read.clear()
             steered.append(steer(span, client, ()))
-            vectors, out = read[0]
-            assert vectors is span.vectors
+            # the client matrix is read too; one read is the view's own
+            (out,) = [out for vectors, out in read if vectors is span.vectors]
             assert np.shares_memory(out, span.vectors)
         want = steer(runs[1][t], client, ()).distance(steer(runs[0][t], client, ()))
         assert want > 0.5
