@@ -46,6 +46,8 @@ def _instance(name):
         "k2-classical": lambda: build_kerenidis(2, database=(1, 0)),
         "k4-classical": lambda: build_kerenidis(4, database=(0, 1, 1, 0)),
         "cx2": lambda: build_counterexample(2),
+        # no index register, so its runs carry no refi
+        "send-db-1": lambda: build_baseline("send-db", 1),
     }[name]()
 
 
@@ -349,8 +351,7 @@ STACKED_CASES.append(("send-db-1", "honest-purified"))
 
 @pytest.mark.parametrize("inst_name,adv_name", STACKED_CASES)
 def test_stacked_figures_equal_the_per_pair_loop(monkeypatch, inst_name, adv_name):
-    # send-db n=1 has no index register, so its runs carry no refi
-    inst = build_baseline("send-db", 1) if inst_name == "send-db-1" else _instance(inst_name)
+    inst = _instance(inst_name)
     adv = _adversary(inst, adv_name)
     stacks = []
     inner = distances.ensemble_trace_distance
