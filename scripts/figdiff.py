@@ -2,7 +2,7 @@
 
 Prints the label count, how many figures are bit-identical, the largest
 difference with its label, and per section (the label up to its first
-``/``) how many figures moved.  Exits 1 when the two prints have different
+``/``) how many figures moved and the largest difference with its label.  Exits 1 when the two prints have different
 labels or a figure moved by more than ``privacy.FIGURE_TOL``, else 0.
 
 Usage: python scripts/figdiff.py PARENT CHANGE
@@ -29,6 +29,12 @@ def read(path: str) -> dict[str, str]:
     return out
 
 
+def worse(diff: float, worst: float) -> bool:
+    """Whether ``diff`` replaces ``worst`` as the largest difference; a NaN
+    on either side of a figure counts as the worst and stays it."""
+    return not math.isnan(worst) and not diff <= worst
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
@@ -42,21 +48,26 @@ def main(argv: list[str]) -> int:
     common = [label for label in parent if label in change]
     sections = Counter(label.split("/")[0] for label in common)
     moved = Counter()
-    worst, worst_label = 0.0, "-"
+    worst = {section: (0.0, "-") for section in sections}  # section -> (difference, label)
     for label in common:
         if parent[label] == change[label]:
             continue
-        moved[label.split("/")[0]] += 1
+        section = label.split("/")[0]
+        moved[section] += 1
         diff = abs(float.fromhex(parent[label]) - float.fromhex(change[label]))
-        # a NaN on either side counts as the worst and stays it
-        if not math.isnan(worst) and not diff <= worst:
-            worst, worst_label = diff, label
+        if worse(diff, worst[section][0]):
+            worst[section] = (diff, label)
+    largest = (0.0, "-")
+    for entry in worst.values():
+        if worse(entry[0], largest[0]):
+            largest = entry
     print(f"labels {len(common)}")
     print(f"bit-identical {len(common) - sum(moved.values())}")
-    print(f"largest {worst:.3g} {worst_label}")
+    print(f"largest {largest[0]:.3g} {largest[1]}")
     for section, count in sections.items():
-        print(f"moved {section} {moved[section]} of {count}")
-    return 1 if only["parent"] or only["change"] or not worst <= FIGURE_TOL else 0
+        diff, label = worst[section]
+        print(f"moved {section} {moved[section]} of {count} largest {diff:.3g} {label}")
+    return 1 if only["parent"] or only["change"] or not largest[0] <= FIGURE_TOL else 0
 
 
 if __name__ == "__main__":

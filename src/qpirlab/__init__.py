@@ -58,14 +58,11 @@ from .privacy import (
     verify_theorem_bound,
 )
 from .bounds import (
-    GuessingBracket,
     chain_rule_check,
     epsilon_prime,
     extraction_attack,
     gentle_measure,
-    helstrom,
     nayak_bound,
-    pgm,
     reconstruction_bound,
 )
 

@@ -333,7 +333,11 @@ def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
     where ``v[b, i]`` is branch ``b`` with :data:`PURIFIER` at label ``i``
     (``others`` aligned to ``ens``'s register names).  One QR of those
     columns, all ensembles together, gives an isometry ``Q`` and the
-    coordinates ``R``; rows of ``R`` (directions of ``Q``) whose squared
+    coordinates ``R``.  The QR runs over the support only: the amplitudes
+    that are nonzero in some column.  A zero row of the column matrix ``A``
+    changes nothing, since ``A = P^T [A'; 0]`` makes the ``R`` of ``A'`` a
+    set of coordinates of the same span; an ``A`` with no zero row is
+    factored as it is.  Rows of ``R`` (directions of ``Q``) whose squared
     weight is at or below ``states.BRANCH_PRUNE`` are dropped, as light
     branches are.  Each ensemble comes back over a register ``span`` (its
     coordinates, zero-padded to a power of two) and :data:`PURIFIER`.  ``Q``
@@ -348,7 +352,9 @@ def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
     labels = 1 << lay.width(PURIFIER)
     # per ensemble, one row per (branch, label): the columns v[b, i]
     blocks = [e.aligned_vectors(order).reshape(-1, lay.dim // labels) for e in (ens, *others)]
-    r = np.linalg.qr(np.concatenate(blocks).T, mode="r")
+    # the support: the amplitudes nonzero in some column of some ensemble
+    support = np.logical_or.reduce([b.any(axis=0) for b in blocks])
+    r = np.linalg.qr(np.concatenate([b[:, support] for b in blocks]).T, mode="r")
     r = r[nonzero_rows((np.abs(r) ** 2).sum(axis=1))]
     width = max(1, (len(r) - 1).bit_length())
     coords = np.zeros((1 << width, r.shape[1]), dtype=np.complex128)

@@ -1,13 +1,5 @@
-"""Gentle measurement, state discrimination, the database-reconstruction
-attack, and the closed-form communication bounds.
-
-Conditional min-entropy appears only through its operational face: the
-optimal probability of guessing a classical value from a quantum side
-register.  Exact multi-hypothesis optima would need semidefinite
-programming, so guessing probabilities are bracketed instead: an explicit
-measurement (pretty-good or trivial) from below, Helstrom (exact for two
-hypotheses) or 1 from above.
-"""
+"""Gentle measurement, the database-reconstruction attack, the chain-rule
+consistency check and the closed-form communication bounds."""
 
 from __future__ import annotations
 
@@ -30,12 +22,9 @@ from .runtime import (
 from .states import DensityOperator, StateError, hermitize
 
 __all__ = [
-    "GuessingBracket",
     "GentleMeasurement",
     "BlockProjector",
     "gentle_measure",
-    "helstrom",
-    "pgm",
     "BitExtraction",
     "ReconstructionTrace",
     "extraction_attack",
@@ -156,84 +145,6 @@ def gentle_measure(rho: DensityOperator,
             f"gentle-measurement certificate violated: {achieved} > {certificate}"
         )
     return GentleMeasurement(p, post, certificate, achieved)
-
-
-# ---------------------------------------------------------------------------
-# guessing-probability brackets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GuessingBracket:
-    """Lower/upper bracket on the optimal guessing probability.
-
-    The lower bound is achieved by an explicit measurement; the implied
-    min-entropy bracket is [-log2 upper, -log2 lower].
-    """
-
-    hypotheses: int
-    p_lower: float
-    p_upper: float
-    max_prior: float
-    measurement: tuple[np.ndarray, ...] = ()
-
-    def __post_init__(self):
-        if not (0.0 < self.p_lower <= self.p_upper + CHECK_ATOL):
-            raise ValueError(f"bracket [{self.p_lower}, {self.p_upper}] is malformed")
-        if self.p_upper > 1.0 + CHECK_ATOL:
-            raise ValueError("upper bound exceeds 1")
-        if self.max_prior > self.p_lower + CHECK_ATOL:
-            raise ValueError("guessing below the best prior is never optimal")
-
-    @property
-    def h_min_bracket(self) -> tuple[float, float]:
-        return (-math.log2(min(self.p_upper, 1.0)), -math.log2(self.p_lower))
-
-
-def helstrom(p0: float, rho0: DensityOperator, p1: float, rho1: DensityOperator) -> GuessingBracket:
-    """Exact binary discrimination: 1/2 + T(p0 rho0 - p1 rho1) with T the
-    halved trace norm; the bracket collapses and carries the achieving
-    projective measurement (positive eigenspace guesses hypothesis 0)."""
-    if abs(p0 + p1 - 1.0) > CHECK_ATOL:
-        raise ValueError("priors must sum to 1")
-    if rho0.dimension != rho1.dimension:
-        raise StateError("dimension mismatch")
-    diff = hermitize(p0 * rho0.matrix - p1 * rho1.matrix)
-    evals, evecs = np.linalg.eigh(diff)
-    p_guess = 0.5 + 0.5 * float(np.sum(np.abs(evals)))
-    pos = evecs[:, evals >= 0]
-    proj0 = pos @ pos.conj().T
-    proj1 = np.eye(rho0.dimension) - proj0
-    return GuessingBracket(2, p_guess, p_guess, max(p0, p1), (proj0, proj1))
-
-
-def pgm(ensemble) -> GuessingBracket:
-    """Pretty-good-measurement bracket for an ensemble of (prior, state).
-
-    Lower: the better of the PGM success probability and the trivial
-    best-prior guess (both explicit strategies).  Upper: Helstrom when the
-    ensemble is binary, else the trivial 1.
-    """
-    ens = [(float(p), rho) for p, rho in ensemble]
-    if abs(sum(p for p, _ in ens) - 1.0) > CHECK_ATOL:
-        raise ValueError("priors must sum to 1")
-    dim = ens[0][1].dimension
-    avg = np.zeros((dim, dim), dtype=np.complex128)
-    for p, rho in ens:
-        avg += p * rho.matrix
-    evals, evecs = np.linalg.eigh(hermitize(avg))
-    inv_sqrt = np.where(evals > 1e-12, 1.0 / np.sqrt(np.clip(evals, 1e-300, None)), 0.0)
-    s = (evecs * inv_sqrt) @ evecs.conj().T
-    povm = tuple(s @ (p * rho.matrix) @ s for p, rho in ens)
-    success = float(sum(p * np.real(np.trace(e @ rho.matrix))
-                        for e, (p, rho) in zip(povm, ens)))
-    max_prior = max(p for p, _ in ens)
-    lower = max(success, max_prior)
-    if len(ens) == 2:
-        upper = helstrom(ens[0][0], ens[0][1], ens[1][0], ens[1][1]).p_upper
-    else:
-        upper = 1.0
-    return GuessingBracket(len(ens), min(lower, upper), upper, max_prior, povm)
 
 
 # ---------------------------------------------------------------------------

@@ -108,15 +108,16 @@ def ensemble_trace_distance(vectors_a, vectors_b):
     """Halved trace distance between sum(a a^dagger) and sum(b b^dagger).
 
     Works in the span of the branch vectors, so it stays cheap for low-rank
-    states over large layouts.  Two ``(B, d)`` branch arrays give a float;
-    stacks ``(K, n_a, d)`` and ``(K, n_b, d)`` give the ``K`` figures of
-    their matching pairs, from one stacked ``qr`` and ``eigvalsh``, each
-    equal to the figure of its pair alone.
+    states over large layouts.  Two ``(B, d)`` branch arrays give a float.
+    A stack of ``K`` pairs is given as one ``(K, n_a + n_b, d)`` array of
+    their ``[a b]`` rows and the count ``n_a``; it gives the ``K`` figures,
+    from one stacked ``qr`` and ``eigvalsh``, each equal to the figure of its
+    pair alone.
     """
+    if isinstance(vectors_b, int):  # a stack of [a b] rows and n_a
+        signs = np.repeat([1.0, -1.0], [vectors_b, vectors_a.shape[1] - vectors_b])
+        return _half_spectrum(vectors_a.mT, signs).sum(axis=-1)
     a, b = (np.asarray(v, dtype=np.complex128) for v in (vectors_a, vectors_b))
-    if a.ndim == 3:
-        return _half_spectrum(np.concatenate([a, b], axis=1).mT,
-                              np.repeat([1.0, -1.0], [a.shape[1], b.shape[1]])).sum(axis=-1)
     if len(a) + len(b) == 0:
         return 0.0
     w = np.vstack([m for m in (a, b) if len(m)]).T
@@ -125,15 +126,17 @@ def ensemble_trace_distance(vectors_a, vectors_b):
 
 def paired_distances(pairs) -> list[float]:
     """``ensemble_trace_distance(x, y)`` for each ``(x, y)`` branch-array
-    pair of ``pairs``, in order: pairs with the same two shapes are measured
-    in one stacked call."""
+    pair of ``pairs``, in order: the pairs with the same two shapes are
+    written into one ``[x y]`` stack and measured in one call."""
     by_shape: dict[tuple, list[int]] = {}
     for k, (x, y) in enumerate(pairs):
         by_shape.setdefault((x.shape, y.shape), []).append(k)
     out = np.empty(len(pairs))
-    for ks in by_shape.values():
-        out[ks] = ensemble_trace_distance(np.stack([pairs[k][0] for k in ks]),
-                                          np.stack([pairs[k][1] for k in ks]))
+    for ((n_x, d), (n_y, _)), ks in by_shape.items():
+        stack = np.empty((len(ks), n_x + n_y, d), dtype=np.complex128)
+        for rows, k in zip(stack, ks):
+            rows[:n_x], rows[n_x:] = pairs[k]
+        out[ks] = ensemble_trace_distance(stack, n_x)
     return out.tolist()
 
 

@@ -8,16 +8,13 @@ from conftest import random_density
 from qpirlab import bounds
 from qpirlab.bounds import (
     BlockProjector,
-    GuessingBracket,
     binary_entropy,
     chain_rule_check,
     epsilon_prime,
     extraction_attack,
     gentle_measure,
-    helstrom,
     nayak_argument,
     nayak_bound,
-    pgm,
     reconstruction_bound,
 )
 from qpirlab.distances import trace_distance
@@ -143,81 +140,6 @@ class TestBlockProjector:
         proj = BlockProjector(1, np.eye(2), np.array([[False, True]]))
         with pytest.raises(StateError, match="probability 0"):
             gentle_measure(ket([1, 0]), proj)
-
-
-class TestHelstrom:
-    def test_orthogonal_pure(self):
-        out = helstrom(0.5, ket([1, 0]), 0.5, ket([0, 1]))
-        assert out.p_lower == pytest.approx(1.0)
-
-    def test_identical_states(self, rng):
-        rho = random_density(rng, 4)
-        out = helstrom(0.7, rho, 0.3, rho)
-        assert out.p_lower == pytest.approx(0.7)
-
-    def test_zero_vs_plus(self):
-        out = helstrom(0.5, ket([1, 0]), 0.5, ket([2**-0.5, 2**-0.5]))
-        assert out.p_lower == pytest.approx(0.5 + 0.5 / math.sqrt(2), abs=1e-9)
-
-    def test_measurement_achieves_value(self, rng):
-        r0, r1 = random_density(rng, 4), random_density(rng, 4)
-        out = helstrom(0.4, r0, 0.6, r1)
-        p0, p1 = out.measurement
-        achieved = 0.4 * np.real(np.trace(p0 @ r0.matrix)) + 0.6 * np.real(np.trace(p1 @ r1.matrix))
-        assert achieved == pytest.approx(out.p_lower, abs=1e-10)
-
-
-class TestPgm:
-    def test_orthogonal_ensemble(self):
-        out = pgm([(0.5, ket([1, 0])), (0.5, ket([0, 1]))])
-        assert out.p_lower == pytest.approx(1.0)
-
-    def test_identical_states_uniform(self, rng):
-        rho = random_density(rng, 4)
-        m = 4
-        out = pgm([(1 / m, rho)] * m)
-        assert out.p_lower == pytest.approx(1 / m, abs=1e-10)
-
-    def test_skewed_priors_never_below_best_prior(self, rng):
-        rho = random_density(rng, 2)
-        out = pgm([(0.6, rho), (0.2, rho), (0.2, rho)])
-        assert out.p_lower == pytest.approx(0.6)
-
-    def test_bracket_sanity_random(self, rng):
-        for _ in range(30):
-            priors = rng.dirichlet(np.ones(3))
-            ens = [(priors[k], random_density(rng, 4, rank=2)) for k in range(3)]
-            out = pgm(ens)
-            assert out.max_prior <= out.p_lower + 1e-9
-            assert out.p_lower <= out.p_upper + 1e-9
-            lo, hi = out.h_min_bracket
-            assert lo <= hi + 1e-9
-
-    def test_pgm_below_helstrom_on_binary(self, rng):
-        for _ in range(20):
-            p = rng.uniform(0.2, 0.8)
-            ens = [(p, random_density(rng, 4, rank=2)), (1 - p, random_density(rng, 4, rank=2))]
-            bracket = pgm(ens)
-            exact = helstrom(*ens[0], *ens[1])
-            assert bracket.p_lower <= exact.p_lower + 1e-9
-
-    def test_kerenidis_client_view_second_bit(self):
-        # the client's run-1 state depends only on the queried bit, so the
-        # unqueried bit is information-theoretically a coin flip
-        inst = build_kerenidis(2)
-        by_bit2 = {0: [], 1: []}
-        for d in range(4):
-            tr = inst.run(d, 1, keep_states=False)
-            own = tr.ownership(tr.steps)
-            b_regs = [n for n in tr.final.layout.names if own.get(n) == "B"]
-            by_bit2[d & 1].append(tr.final.reduced(b_regs))
-        # each hypothesis mixes its two databases evenly
-        ens = [(0.5, DensityOperator.from_ensemble(
-                    np.vstack([r.branches() for r in rs]) / np.sqrt(2)))
-               for rs in (by_bit2[0], by_bit2[1])]
-        out = pgm(ens)
-        assert out.p_lower == pytest.approx(0.5, abs=1e-9)
-        assert out.p_upper == pytest.approx(0.5, abs=1e-9)
 
 
 class TestExtractionAttack:
@@ -395,10 +317,3 @@ class TestClosedForms:
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == pytest.approx(1.0)
-
-
-def test_bracket_validation():
-    with pytest.raises(ValueError):
-        GuessingBracket(2, 0.6, 0.4, 0.5)
-    with pytest.raises(ValueError):
-        GuessingBracket(2, 0.3, 0.5, 0.4)  # below the best prior

@@ -20,8 +20,28 @@ Scope: runs of at most 11 qubits, where ``rho`` has 2,048^2 entries
 attack on ``build_kerenidis(2)`` (13 qubits) and the purified counterexample
 at n = 2 (16 qubits) are out of reach.
 
-The reconstruction attack has its own reference at the end of the module.
-Its runs are measurement-free and start from a pure input, so each run is
+The theorem certificate and ``verify_theorem_bound`` have their own
+reference in the last section of the module, on measurement-free runs, so each
+branch of an input is one ket.  Each op is one ``np.einsum`` of its single
+operator into the ket.  The anchor is the recovered run on (x0 = 0,
+i = 1), its honest registers projected onto the honest run's ket and the
+rest renormalized.  The simulated view is the anchor (x) the honest run on
+(db, i = 1), with the recovery ops applied in reverse order as
+``K^dagger``, and the client's registers traced out.  The meter's gamma
+compares each recovered global state with the honest one as dense
+matrices.  It covers ``build_kerenidis(1)`` with ``honest-purified``,
+``purify-db``, ``gamma:0.3`` and ``gamma-lossy:0.3``, and
+``build_kerenidis(2)`` with ``honest-purified``, ``gamma:0.3`` and
+``gamma-lossy:0.3``.  These recoveries are single ops or ops on distinct
+ancillas, which commute, so ``build_kerenidis(1)`` also runs a test-local
+adversary whose recovery ops do not commute (a Hadamard after each
+rotation).  ``purify-db`` on ``build_kerenidis(2)`` runs on 12 qubits (13
+with the index reference) and its server views on up to 10; its
+certificate reference takes about as long as the rest of this module, so
+it is left out.
+
+The reconstruction attack has its own reference before that section.  Its
+runs are measurement-free and start from a pure input, so each run is
 one ket, one axis per register, and each op is one ``np.einsum`` of its
 single operator into that ket.  Every state the attack measures is a dense
 matrix, each Uhlmann unitary comes from an SVD of the dense overlap, and
@@ -31,16 +51,20 @@ qubits with the reference), in ``coherent-reference`` mode and in
 ``classical-per-a`` mode on every database.
 """
 
+import math
+from dataclasses import replace
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from qpirlab.adversaries import (adversary_by_name, database_groups, measure_speciousness,
-                                 standard_inputs, steer)
+from qpirlab.adversaries import (adversary_by_name, database_groups, gamma_family,
+                                 measure_speciousness, standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
-from qpirlab.privacy import HonestSimulator, _run_views, privacy_lower_bound
+from qpirlab.channels import HadamardOp
+from qpirlab.privacy import (FIGURE_TOL, HonestSimulator, TheoremSimulator, _run_views,
+                             privacy_lower_bound, verify_theorem_bound)
 from qpirlab.protocols import build_counterexample, build_kerenidis, database_bits, epr_pair_state
 from qpirlab.runtime import CLIENT
 from qpirlab.states import RegisterLayout
@@ -174,9 +198,27 @@ def _instance(name):
     return INSTANCES[name]()
 
 
+def _hadamard_after_rotation(inst, theta):
+    """``gamma:theta`` with a Hadamard on each ancilla after its rotation.
+    The recovery undoes the Hadamard first, so its two ops per ancilla do
+    not commute and their order shows in the theorem certificate."""
+    adv = gamma_family(inst, theta)
+    steps = tuple(replace(step, ops=step.ops + (HadamardOp(step.ops[-1].target[0]),))
+                  for step in adv.program.steps)
+    recoveries = tuple(replace(rec, ops=tuple(op for a, undo in zip(rec.discard, rec.ops)
+                                              for op in (HadamardOp(a), undo)))
+                       for rec in adv.recoveries)
+    return replace(adv, name=f"gamma-hadamard:{theta}",
+                   program=replace(adv.program, steps=steps), recoveries=recoveries)
+
+
 def _adversary(inst_name, adv_name):
     inst = _instance(inst_name)
-    return None if adv_name is None else adversary_by_name(inst, adv_name)
+    if adv_name is None:
+        return None
+    if adv_name.startswith("gamma-hadamard:"):
+        return _hadamard_after_rotation(inst, float(adv_name.split(":")[1]))
+    return adversary_by_name(inst, adv_name)
 
 
 @cache
@@ -204,7 +246,8 @@ def _reference(inst_name, adv_name):
 @pytest.fixture(autouse=True, scope="module")
 def _free_the_references():
     yield
-    _reference.cache_clear()
+    for cached in (_reference, _honest_certificate, _meter, _theorem_certificate):
+        cached.cache_clear()
 
 
 CASES = [("k1", None), ("k2", None), ("cx1", None), ("k2", LOSSY)]
@@ -235,25 +278,37 @@ def test_privacy_rows_match_the_density_reference(inst_name, adv_name, mode):
     assert abs(report.eps_lower - max(want.values(), default=0.0) / 2) <= TOL
 
 
-@pytest.mark.parametrize("inst_name", ["k1", "k2", "cx1"])
-def test_honest_certificate_matches_the_density_reference(inst_name):
+def _reference_marginal(ins):
+    """The input's client state on its reference registers, or ``None``."""
+    if not ins.reference:
+        return None
+    client = _density([(ins.client.layout, _branches(ins.client))])
+    return _traced(client, set(ins.client.layout.names) - set(ins.reference))
+
+
+@cache
+def _honest_certificate(inst_name):
+    """``{(input label, t): distance}`` of the honest certificate."""
     inst = _instance(inst_name)
     ref = _reference(inst_name, None)
-    eps, rows = HonestSimulator(inst).epsilon_upper()
     want = {}
     for members in database_groups(standard_inputs(inst)):
         # the simulator's view is the honest one on index 1
         own = ref[members[0].label][0]
         assert members[0].label.endswith("i=1")
         for ins in members:
-            views = ref[ins.label][0]
-            marginal = None
-            if ins.reference:
-                client = _density([(ins.client.layout, _branches(ins.client))])
-                marginal = _traced(client, set(ins.client.layout.names) - set(ins.reference))
-            for t, view in views.items():
+            marginal = _reference_marginal(ins)
+            for t, view in ref[ins.label][0].items():
                 sim = own[t] if marginal is None else _kron(own[t], marginal)
                 want[(ins.label, t)] = _distance(sim, view)
+    return want
+
+
+@pytest.mark.parametrize("inst_name", ["k1", "k2", "cx1"])
+def test_honest_certificate_matches_the_density_reference(inst_name):
+    inst = _instance(inst_name)
+    eps, rows = HonestSimulator(inst).epsilon_upper()
+    want = _honest_certificate(inst_name)
     got = {(label, t): d for label, t, d in rows}
     assert got.keys() == want.keys()
     for key, d in want.items():
@@ -299,30 +354,47 @@ def test_views_of_any_client_state_match_the_density_reference(rng):
 # ---------------------------------------------------------------------------
 
 
-def _evolve(spec, state):
-    """The final ``(registers, ket)`` of a measurement-free run on a pure
-    input; each op's one operator is applied by ``np.einsum`` over its
-    registers, and the registers it creates are appended."""
+def _ket_apply(run, op, adjoint=False):
+    """``K |psi>`` (or ``K^dagger |psi>``) for an op with one operator, by
+    ``np.einsum`` over its registers; the registers it creates are
+    appended."""
+    regs, ket = run
+    names = [n for n, _ in regs]
+    sub = RegisterLayout(tuple((n, dict(regs)[n]) for n in op.touches))
+    new = tuple(op.creates)
+    n, k = len(names), len(sub.registers)
+    pos = [names.index(r) for r in sub.names]
+    (mat,) = REFERENCE[type(op)](op, sub)
+    if adjoint:
+        assert not new
+        mat = mat.conj().T
+    kt = mat.reshape([1 << w for _, w in sub.registers + new]
+                     + [1 << w for _, w in sub.registers])
+    o = list(range(n, n + k + len(new)))
+    out = [o[pos.index(i)] if i in pos else i for i in range(n)] + o[k:]
+    return regs + new, np.einsum(kt, o + pos, ket, list(range(n)), out)
+
+
+def _kets(spec, parts):
+    """``{t: (registers, ket)}`` after each step of a measurement-free run
+    on the product of the ``(registers, amplitudes)`` parts."""
     regs, ket = (), np.ones((), dtype=complex)
-    for part in (state, spec.setup):
-        if part is not None and part.layout.registers:
-            regs += part.layout.registers
-            ket = np.multiply.outer(ket, part.amplitudes.reshape([1 << w for _, w in
-                                                                  part.layout.registers]))
+    for part, amplitudes in parts:
+        regs += part
+        ket = np.multiply.outer(ket, amplitudes.reshape([1 << w for _, w in part]))
+    out = {}
     for st in spec.schedule:
         for op in st.step.ops:
-            names = [n for n, _ in regs]
-            sub = RegisterLayout(tuple((n, dict(regs)[n]) for n in op.touches))
-            new = tuple(op.creates)
-            n, k = len(names), len(sub.registers)
-            pos = [names.index(r) for r in sub.names]
-            (mat,) = REFERENCE[type(op)](op, sub)
-            kt = mat.reshape([1 << w for _, w in sub.registers + new]
-                             + [1 << w for _, w in sub.registers])
-            o = list(range(n, n + k + len(new)))
-            out = [o[pos.index(i)] if i in pos else i for i in range(n)] + o[k:]
-            regs, ket = regs + new, np.einsum(kt, o + pos, ket, list(range(n)), out)
-    return regs, ket
+            regs, ket = _ket_apply((regs, ket), op)
+        out[st.t] = regs, ket
+    return out
+
+
+def _evolve(spec, state):
+    """The final ``(registers, ket)`` of a measurement-free run on a pure
+    input."""
+    parts = [(s.layout.registers, s.amplitudes) for s in (state, spec.setup) if s is not None]
+    return _kets(spec, parts)[spec.schedule[-1].t]
 
 
 def _rows(run, names):
@@ -423,3 +495,147 @@ def test_reconstruction_attack_matches_the_density_reference(inst_name, mode, db
     assert abs(trace.delta - delta) <= TOL
     assert abs(trace.epsilon - eps) <= TOL
     assert abs(trace.overall - overall) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# the theorem certificate: one ket per input branch
+# ---------------------------------------------------------------------------
+
+
+def _runs(spec, database, client):
+    """Per branch of ``client``: the ``{t: (registers, ket)}`` of the run on
+    ``database`` (x) that branch."""
+    states = [s for s in (database, client, spec.setup) if s is not None]
+    return [_kets(spec, [(s.layout.registers, row) for s, row in zip(states, rows)])
+            for rows in product(*(_branches(s) for s in states))]
+
+
+def _mixed(kets, names):
+    """The branch kets summed as a density on ``names``, the other registers
+    traced out."""
+    regs = dict(kets[0][0])
+    rho = sum(m @ m.conj().T for m in (_rows(k, names) for k in kets))
+    dims = [1 << regs[n] for n in names]
+    return tuple((n, regs[n]) for n in names), rho.reshape(dims + dims)
+
+
+def _server_names(st, regs):
+    return [n for n, _ in regs if st.owner.get(n) != CLIENT]
+
+
+def _database_of(inst, db):
+    return inst.database_state(db) if inst.database_register else None
+
+
+@cache
+def _meter(inst_name, adv_name):
+    """``{(input label, t): distance}`` of the speciousness meter: the
+    recovered global state (recovery ops applied to each branch ket, the
+    discards traced) against the honest one, on every standard input."""
+    inst, adv = _instance(inst_name), _adversary(inst_name, adv_name)
+    adv_spec = adv.modified_spec(inst.spec)
+    out = {}
+    for ins in standard_inputs(inst, superposed_db=inst.database_register is not None):
+        honest = _runs(inst.spec, ins.database, ins.client)
+        attacked = _runs(adv_spec, ins.database, ins.client)
+        for st in inst.spec.schedule:
+            recovery = adv.recoveries[st.t - 1]
+            kept = [n for n, _ in honest[0][st.t][0]]
+            recovered = []
+            for run in attacked:
+                state = run[st.t]
+                for op in recovery.ops:
+                    state = _ket_apply(state, op)
+                assert {n for n, _ in state[0]} - set(recovery.discard) == set(kept)
+                recovered.append(state)
+            out[(ins.label, st.t)] = _distance(_mixed(recovered, kept),
+                                               _mixed([run[st.t] for run in honest], kept))
+    return out
+
+
+def _anchor(adv, honest, attacked, t):
+    """The anchor at step ``t`` as ``(registers, ket)``, or ``None`` when the
+    recovery discards nothing: the recovered run on (x0 = 0, i = 1) with the
+    honest run's registers projected onto the honest ket, renormalized."""
+    recovery = adv.recoveries[t - 1]
+    if not recovery.discard:
+        return None
+    state = attacked[t]
+    for op in recovery.ops:
+        state = _ket_apply(state, op)
+    names = [n for n, _ in honest[t][0]]
+    rest = tuple(r for r in state[0] if r[0] not in names)
+    assert {n for n, _ in rest} == set(recovery.discard)
+    left = _rows(honest[t], names)[:, 0].conj() @ _rows(state, names)
+    return rest, (left / np.linalg.norm(left)).reshape([1 << w for _, w in rest])
+
+
+@cache
+def _theorem_certificate(inst_name, adv_name):
+    """``{(input label, t): distance}`` of ``TheoremSimulator(...,
+    x0=0).certify()``: per anchored input and even step, the simulated view
+    beside the input's reference marginal against the adversary's view.
+    The simulated view is the anchor (x) the honest run on (db, i = 1), with
+    the recovery ops applied in reverse order as ``K^dagger`` and the
+    client's registers traced out."""
+    inst, adv = _instance(inst_name), _adversary(inst_name, adv_name)
+    adv_spec = adv.modified_spec(inst.spec)
+    even = [st for st in inst.spec.schedule if st.party == CLIENT]
+    first = (_database_of(inst, 0), inst.client_basis_state(1))
+    (honest,), (attacked,) = _runs(inst.spec, *first), _runs(adv_spec, *first)
+    anchors = {st.t: _anchor(adv, honest, attacked, st.t) for st in even}
+    out = {}
+    for members in database_groups(standard_inputs(inst)):
+        (own,) = _runs(inst.spec, _database_of(inst, members[0].db), inst.client_basis_state(1))
+        sims = {}
+        for st in even:
+            state = own[st.t]
+            if anchors[st.t] is not None:
+                (ra, ka), (rs, ks) = anchors[st.t], state
+                state = ra + rs, np.multiply.outer(ka, ks)
+                for op in reversed(adv.recoveries[st.t - 1].ops):
+                    state = _ket_apply(state, op, adjoint=True)
+            sims[st.t] = _mixed([state], _server_names(st, state[0]))
+        for ins in members:
+            runs = _runs(adv_spec, ins.database, ins.client)
+            marginal = _reference_marginal(ins)
+            for st in even:
+                kets = [run[st.t] for run in runs]
+                view = _mixed(kets, _server_names(st, kets[0][0]))
+                sim = sims[st.t] if marginal is None else _kron(sims[st.t], marginal)
+                out[(ins.label, st.t)] = _distance(sim, view)
+    return out
+
+
+THEOREM_CASES = {"k1": ("honest-purified", "purify-db", "gamma:0.3", LOSSY, "gamma-hadamard:0.3"),
+                 "k2": ("honest-purified", "gamma:0.3", LOSSY)}
+
+
+@pytest.mark.parametrize("inst_name,adv_name", [(inst, adv) for inst, advs in
+                                                THEOREM_CASES.items() for adv in advs])
+def test_theorem_certificate_matches_the_density_reference(inst_name, adv_name):
+    inst = _instance(inst_name)
+    sim = TheoremSimulator(HonestSimulator(inst), _adversary(inst_name, adv_name), 0)
+    eps, rows = sim.certify()
+    want = _theorem_certificate(inst_name, adv_name)
+    got = {(label, t): d for label, t, d in rows}
+    assert got.keys() == want.keys()
+    for key, d in want.items():
+        assert abs(got[key] - d) <= TOL, (key, got[key], d)
+    assert abs(eps - max(want.values())) <= TOL
+
+
+@pytest.mark.parametrize("inst_name", sorted(THEOREM_CASES))
+def test_theorem_bound_rows_match_the_density_reference(inst_name):
+    names = THEOREM_CASES[inst_name]
+    rows = verify_theorem_bound(_instance(inst_name),
+                                [_adversary(inst_name, name) for name in names])
+    eps_honest = max(_honest_certificate(inst_name).values())
+    assert [row.adversary for row in rows] == list(names)
+    for row, name in zip(rows, names):
+        gamma = max(_meter(inst_name, name).values())
+        bound = eps_honest + 3 * math.sqrt(2 * (gamma if gamma > FIGURE_TOL else 0.0))
+        want = {"gamma_hat": gamma, "eps_hat": max(_theorem_certificate(inst_name, name).values()),
+                "eps_honest": eps_honest, "bound": bound}
+        for field, value in want.items():
+            assert abs(getattr(row, field) - value) <= TOL, (name, field, getattr(row, field), value)

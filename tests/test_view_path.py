@@ -200,6 +200,101 @@ def test_dropped_directions_carry_at_most_the_prune_weight():
     assert 0 <= ens.weight - span.weight <= dropped * BRANCH_PRUNE
 
 
+def _recording_qr(monkeypatch):
+    """Record the input of every ``np.linalg.qr`` call."""
+    inner, inputs = np.linalg.qr, []
+
+    def recorded(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return inner(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    return inputs
+
+
+def _columns(views):
+    """The column matrix ``[v[b, i]]`` of ``views`` over their other
+    amplitudes, and the coordinates of the same columns in span views."""
+    lay = views[0].layout
+    order = (PURIFIER, *(n for n in lay.names if n != PURIFIER))
+    return np.concatenate([v.aligned_vectors(order).reshape(-1, lay.dim // 2 ** lay.width(PURIFIER))
+                           for v in views]).T
+
+
+def _span_coordinates(spans):
+    labels = 2 ** spans[0].layout.width(PURIFIER)
+    return np.concatenate([s.vectors.reshape(len(s.vectors), -1, labels).swapaxes(0, 1)
+                           .reshape(s.vectors.shape[1] // labels, -1) for s in spans], axis=1)
+
+
+def test_dense_columns_factor_as_a_plain_qr(monkeypatch):
+    # no amplitude is zero in every column, so in_span factors the column
+    # matrix as it is and R is bit for bit that of np.linalg.qr
+    rng = np.random.default_rng(1230)
+    regs = (("a", 2), (PURIFIER, 1), ("b", 2))
+    views = [_random_ensemble(rng, RegisterLayout(regs), 3),
+             _random_ensemble(rng, RegisterLayout(regs[::-1]), 2)]
+    a = _columns(views)
+    want = np.linalg.qr(a, mode="r")
+    inputs = _recording_qr(monkeypatch)
+    spans = in_span(*views)
+    (got_input,) = inputs
+    np.testing.assert_array_equal(got_input, a)
+    coords = _span_coordinates(spans)
+    assert len(coords) == 16 and np.all(coords[len(want):] == 0)
+    np.testing.assert_array_equal(coords[:len(want)], want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_zero_amplitudes_leave_the_span_as_the_full_qr_gives_it(monkeypatch, seed):
+    # Amplitude rows zero in every column of both views are interleaved
+    # among rows that one view or both fill; the QR runs on the filled rows
+    # only and gives coordinates of the same span.
+    rng = np.random.default_rng(1240 + seed)
+    layout = RegisterLayout((("a", 3), (PURIFIER, 1), ("b", 2)))
+    views = []
+    for rows, zero in ((3, [0, 2, 3, 5, 9, 12, 14, 17, 20, 26, 27, 31]),
+                       (2, [0, 1, 3, 5, 8, 9, 12, 17, 20, 23, 27, 31])):
+        v = rng.normal(size=(rows, 8, 2, 4)) + 1j * rng.normal(size=(rows, 8, 2, 4))
+        a_label, b_label = np.divmod(zero, 4)  # other amplitude 4 a + b
+        v[:, a_label, :, b_label] = 0
+        views.append(Ensemble(layout, (v / np.linalg.norm(v)).reshape(rows, -1)))
+    a = _columns(views)
+    support = np.flatnonzero(np.any(a != 0, axis=1))
+    assert 0 < len(support) < len(a)
+    inputs = _recording_qr(monkeypatch)
+    spans = in_span(*views)
+    (got_input,) = inputs
+    np.testing.assert_array_equal(got_input, a[support])
+    coords = _span_coordinates(spans)
+    full = np.linalg.qr(a, mode="r")
+    gram = coords.conj().T @ coords
+    np.testing.assert_allclose(gram, full.conj().T @ full, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gram, a.conj().T @ a, rtol=0, atol=1e-12)
+    for c in _clients(rng, 1):
+        want = steer(views[0], c, ("refx",)).distance(steer(views[1], c, ("refx",)))
+        got = steer(spans[0], c, ("refx",)).distance(steer(spans[1], c, ("refx",)))
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_an_all_zero_view_has_an_empty_span():
+    layout = RegisterLayout((("a", 2), (PURIFIER, 1), ("b", 1)))
+    zero = Ensemble(layout, np.zeros((2, layout.dim), dtype=complex))
+    spans = in_span(zero, Ensemble(layout, np.zeros((1, layout.dim), dtype=complex)))
+    assert [s.vectors.shape for s in spans] == [(2, 4), (1, 4)]
+    assert all(s.layout.registers == (("span", 1), (PURIFIER, 1)) for s in spans)
+    assert all(s.weight == 0.0 for s in spans)
+
+
+def test_lower_bound_spans_factor_their_support(monkeypatch):
+    # a classical database leaves 8 of the 512 other amplitudes of each
+    # span's columns nonzero, so each span's QR runs on at most 8 rows
+    inputs = _recording_qr(monkeypatch)
+    privacy_lower_bound(build_kerenidis(4))
+    spans = [a for a in inputs if a.ndim == 2]
+    assert len(spans) == 48
+    assert max(len(a) for a in spans) <= 8
+
+
 def _counting(monkeypatch, calls, module, name):
     inner = getattr(module, name)
 
