@@ -2,8 +2,9 @@
 
 Prints the label count, how many figures are bit-identical, the largest
 difference with its label, and per section (the label up to its first
-``/``) how many figures moved and the largest difference with its label.  Exits 1 when the two prints have different
-labels or a figure moved by more than ``privacy.FIGURE_TOL``, else 0.
+``/``) how many figures moved and the section's largest difference with
+its label.  Exits 1 when the two prints have different labels or a figure
+moved by more than ``privacy.FIGURE_TOL``, else 0.
 
 Usage: python scripts/figdiff.py PARENT CHANGE
 """

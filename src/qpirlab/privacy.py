@@ -9,8 +9,8 @@ them, aligned by register name and measured in the span of their branches.
 Views are low-rank ensembles (branch
 vectors componentized over the traced-out client side).  Every figure
 takes its views into their branch span before it steers
-(:func:`qpirlab.adversaries.in_span`, one QR per database state and step):
-everything steered from one run lies in that span tensored with the
+(:func:`qpirlab.adversaries.in_span`, one QR per database state and step,
+over the amplitudes that are nonzero in some view): everything steered from one run lies in that span tensored with the
 reference registers, so steering and every distance act on the span's few
 coordinates rather than the full view.  A certificate puts its simulated
 view, tensored with the maximally mixed purifier, into the same span as

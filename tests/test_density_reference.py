@@ -638,4 +638,5 @@ def test_theorem_bound_rows_match_the_density_reference(inst_name):
         want = {"gamma_hat": gamma, "eps_hat": max(_theorem_certificate(inst_name, name).values()),
                 "eps_honest": eps_honest, "bound": bound}
         for field, value in want.items():
-            assert abs(getattr(row, field) - value) <= TOL, (name, field, getattr(row, field), value)
+            got = getattr(row, field)
+            assert abs(got - value) <= TOL, (name, field, got, value)

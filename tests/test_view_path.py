@@ -213,14 +213,15 @@ def _recording_qr(monkeypatch):
 
 def _columns(views):
     """The column matrix ``[v[b, i]]`` of ``views`` over their other
-    amplitudes, and the coordinates of the same columns in span views."""
+    amplitudes, in the order ``in_span`` takes them."""
     lay = views[0].layout
     order = (PURIFIER, *(n for n in lay.names if n != PURIFIER))
-    return np.concatenate([v.aligned_vectors(order).reshape(-1, lay.dim // 2 ** lay.width(PURIFIER))
-                           for v in views]).T
+    others = lay.dim // 2 ** lay.width(PURIFIER)
+    return np.concatenate([v.aligned_vectors(order).reshape(-1, others) for v in views]).T
 
 
 def _span_coordinates(spans):
+    """The coordinates of the same columns in the span views."""
     labels = 2 ** spans[0].layout.width(PURIFIER)
     return np.concatenate([s.vectors.reshape(len(s.vectors), -1, labels).swapaxes(0, 1)
                            .reshape(s.vectors.shape[1] // labels, -1) for s in spans], axis=1)
