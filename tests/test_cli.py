@@ -77,15 +77,25 @@ def test_unknown_protocol(runner):
 
 
 def test_spec_dump_matches_golden(runner):
-    # n = 2 pins the text form of hadamard, select-phase, select-cnot and the
-    # register-mask inner-product-cnot besides n = 1's prepare and copy.
     from pathlib import Path
 
-    for n in (1, 2):
-        res = runner.invoke(main, ["spec", "--protocol", "kerenidis", "--n", str(n)])
-        assert res.exit_code == 0
-        golden = Path(__file__).parent / "golden" / f"kerenidis_n{n}.json"
-        assert res.output.strip() == golden.read_text().strip(), n
+    goldens = {
+        # n = 2 pins the text form of hadamard, select-phase, select-cnot and
+        # the register-mask inner-product-cnot besides n = 1's prepare and copy.
+        "kerenidis_n1": ["--n", "1"],
+        "kerenidis_n2": ["--n", "2"],
+        # the cleanup rewind, the classical masks, the chained counterexample
+        # with its measurement, and a baseline with an idle step
+        "kerenidis_n4_cleanup": ["--n", "4", "--cleanup"],
+        "kerenidis_n2_db10": ["--n", "2", "--database", "10"],
+        "counterexample_n2": ["--protocol", "counterexample", "--n", "2"],
+        "send-index_n2": ["--protocol", "send-index", "--n", "2"],
+    }
+    for golden, args in goldens.items():
+        res = runner.invoke(main, ["spec", *args])
+        assert res.exit_code == 0, golden
+        text = (Path(__file__).parent / "golden" / f"{golden}.json").read_text()
+        assert res.output.strip() == text.strip(), golden
 
 
 def test_seed_fixes_randomized_fixtures(runner):
