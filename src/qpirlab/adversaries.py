@@ -160,7 +160,7 @@ def client_variants(instance: QpirInstance, kinds=("classical", "uniform", "enta
     n, reg, width = instance.n, instance.index_register, instance.levels
     out = []
     if reg is None:
-        return [("i=1", "plain", PureState(RegisterLayout(()), np.ones(1, dtype=complex)), ())]
+        return [("i=1", "plain", instance.client_basis_state(1), ())]
     layout = RegisterLayout(((reg, width),))
     if "classical" in kinds:
         for i in range(1, n + 1):

@@ -703,6 +703,8 @@ class DenseOp(ChannelOp):
             )
         if knew:
             check_cap(total + knew, what="state")
+        check_branches(len(vectors) * len(self.matrices), 1 << (total + knew),
+                       what=f"{self.kind} on {self.registers!r}")
         dest = slots + list(range(total, total + knew))
         return _apply_local(vectors, total, slots, np.stack(self.matrices), dest)
 

@@ -104,30 +104,24 @@ def pure_trace_distance(a, b) -> float:
     return math.sqrt(max(0.0, 1.0 - min(ov, 1.0) ** 2))
 
 
-def ensemble_trace_distance(vectors_a, vectors_b):
-    """Halved trace distance between sum(a a^dagger) and sum(b b^dagger).
+def ensemble_trace_distance(stack: np.ndarray, n_a: int) -> np.ndarray:
+    """Halved trace distances between sum(a a^dagger) and sum(b b^dagger)
+    for a stack of ``K`` pairs, given as one ``(K, n_a + n_b, d)`` array of
+    their ``[a b]`` rows and the count ``n_a``.
 
     Works in the span of the branch vectors, so it stays cheap for low-rank
-    states over large layouts.  Two ``(B, d)`` branch arrays give a float.
-    A stack of ``K`` pairs is given as one ``(K, n_a + n_b, d)`` array of
-    their ``[a b]`` rows and the count ``n_a``; it gives the ``K`` figures,
-    from one stacked ``qr`` and ``eigvalsh``, each equal to the figure of its
-    pair alone.
+    states over large layouts: the ``K`` figures come from one stacked
+    ``qr`` and ``eigvalsh``, each equal to the figure of its pair alone.
     """
-    if isinstance(vectors_b, int):  # a stack of [a b] rows and n_a
-        signs = np.repeat([1.0, -1.0], [vectors_b, vectors_a.shape[1] - vectors_b])
-        return _half_spectrum(vectors_a.mT, signs).sum(axis=-1)
-    a, b = (np.asarray(v, dtype=np.complex128) for v in (vectors_a, vectors_b))
-    if len(a) + len(b) == 0:
-        return 0.0
-    w = np.vstack([m for m in (a, b) if len(m)]).T
-    return float(np.sum(_half_spectrum(w, np.repeat([1.0, -1.0], [len(a), len(b)]))))
+    signs = np.repeat([1.0, -1.0], [n_a, stack.shape[1] - n_a])
+    return _half_spectrum(stack.mT, signs).sum(axis=-1)
 
 
 def paired_distances(pairs) -> list[float]:
-    """``ensemble_trace_distance(x, y)`` for each ``(x, y)`` branch-array
-    pair of ``pairs``, in order: the pairs with the same two shapes are
-    written into one ``[x y]`` stack and measured in one call."""
+    """The halved trace distance between sum(x x^dagger) and
+    sum(y y^dagger) for each ``(x, y)`` pair of ``(B, d)`` branch arrays of
+    ``pairs``, in order: the pairs with the same two shapes are written into
+    one ``[x y]`` stack and measured in one :func:`ensemble_trace_distance`."""
     by_shape: dict[tuple, list[int]] = {}
     for k, (x, y) in enumerate(pairs):
         by_shape.setdefault((x.shape, y.shape), []).append(k)

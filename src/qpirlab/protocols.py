@@ -17,6 +17,12 @@ so superposed databases evolve coherently; the classical fast path bakes the
 database into gate masks and drops ``db`` from the layout.  Client gates are
 always controlled on ``idx``, so superposed or reference-entangled indices
 run in superposition.
+
+Every builder writes one alternating list of global steps, the server's
+first, in the order :attr:`ProtocolSpec.schedule` walks them.  The cleanup
+rewind undoes the earlier steps in reverse, the counterexample concatenates
+two forward runs, and one constructor splits the list by parity into the two
+party programs over the EPR setup.
 """
 
 from __future__ import annotations
@@ -136,20 +142,9 @@ class QpirInstance:
 
     def basis_input(self, db=None, index: int = 1) -> PureState:
         """Product input |db> (x) |i>, dropping elided registers."""
-        parts = []
-        if self.database_register is not None:
-            if db is None:
-                raise ValueError("this instance needs a database input")
-            parts.append(self.database_state(db))
-        client = self.client_basis_state(index)
-        if client.layout.registers:
-            parts.append(client)
-        if not parts:
-            return PureState(RegisterLayout(()), np.ones(1, dtype=np.complex128))
-        state = parts[0]
-        for p in parts[1:]:
-            state = state.tensor(p)
-        return state
+        if self.database_register is not None and db is None:
+            raise ValueError("this instance needs a database input")
+        return self.input_with_client(db, self.client_basis_state(index))
 
     def input_with_client(self, db, client_state: PureState | Ensemble):
         """Input from a database plus an arbitrary client-side state (which
@@ -178,23 +173,15 @@ class QpirInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Assembly:
-    server_ops: list[list[ChannelOp]]
-    server_sends: list[tuple[str, ...]]
-    client_ops: list[list[ChannelOp]]
-    client_sends: list[tuple[str, ...]]
-    setup_pairs: list[tuple[str, str, int]]
-    f_name: str
-
-
 def _assemble_pi(n: int, *, db_register: str | None, db: tuple[int, ...] | None,
-                 index_register: str | None, tag: str = "", create_shuttle: bool = True) -> _Assembly:
-    """Per-round op lists for one forward execution of the recursive protocol.
+                 index_register: str | None, tag: str, create_shuttle: bool = True):
+    """One forward execution of the recursive protocol as alternating global
+    steps, the server's first; returns ``(steps, pairs, output)`` with the
+    pre-shared ``(server half, client half, width)`` pairs.
 
     ``db_register`` selects the quantum-database path (gates controlled on
     that register); ``db`` the classical fast path (masks baked in).  The
-    shuttle registers q0/q1 are created in the first server round unless the
+    shuttle registers q0/q1 are created in the first server step unless the
     caller already owns them from a previous execution.
     """
     if n & (n - 1) or n < 1:
@@ -206,11 +193,10 @@ def _assemble_pi(n: int, *, db_register: str | None, db: tuple[int, ...] | None,
 
     if n == 1:
         if db_register is not None:
-            ops: list[ChannelOp] = [PrepareOp.zeros(((f_name, 1),)), CopyOp(db_register, f_name)]
+            ops = (PrepareOp.zeros(((f_name, 1),)), CopyOp(db_register, f_name))
         else:
-            amps = (0.0, 1.0) if db[0] else (1.0, 0.0)
-            ops = [PrepareOp(((f_name, 1),), amps)]
-        return _Assembly([ops], [(f_name,)], [[]], [()], [], f_name)
+            ops = (PrepareOp(((f_name, 1),), (0.0, 1.0) if db[0] else (1.0, 0.0)),)
+        return [PartyStep(ops, (f_name,)), PartyStep()], [], f_name
 
     if index_register is None:
         raise ValueError("n >= 2 requires an index register")
@@ -222,30 +208,30 @@ def _assemble_pi(n: int, *, db_register: str | None, db: tuple[int, ...] | None,
         return f"r{tag}{k}c"
 
     widths = [n >> k for k in range(1, levels + 1)]
-    setup_pairs = [(r(k), rc(k), widths[k - 1]) for k in range(1, levels + 1)]
+    pairs = [(r(k), rc(k), widths[k - 1]) for k in range(1, levels + 1)]
 
-    def ip_pair(level: int) -> list[ChannelOp]:
+    def ip_pair(level: int) -> tuple[ChannelOp, ...]:
         w = widths[level - 1]
         if level == 1:
             if db_register is not None:
-                return [
+                return (
                     InnerProductCnotOp(source=r(1), target="q0",
                                        mask_register=db_register, mask_offset=0),
                     InnerProductCnotOp(source=r(1), target="q1",
                                        mask_register=db_register, mask_offset=w),
-                ]
+                )
             half0 = "".join(str(b) for b in db[:w])
             half1 = "".join(str(b) for b in db[w:])
-            return [
+            return (
                 InnerProductCnotOp(source=r(1), target="q0", mask=half0),
                 InnerProductCnotOp(source=r(1), target="q1", mask=half1),
-            ]
-        return [
+            )
+        return (
             InnerProductCnotOp(source=r(level), target="q0",
                                mask_register=r(level - 1), mask_offset=0),
             InnerProductCnotOp(source=r(level), target="q1",
                                mask_register=r(level - 1), mask_offset=w),
-        ]
+        )
 
     def z_select(level: int) -> ChannelOp:
         table = tuple(
@@ -259,50 +245,48 @@ def _assemble_pi(n: int, *, db_register: str | None, db: tuple[int, ...] | None,
         table = tuple((v, (rc(level), v & (w - 1))) for v in range(n))
         return SelectCnotOp(sources=table, target=(f_name, 0), selector=index_register)
 
-    server_ops: list[list[ChannelOp]] = []
-    server_sends: list[tuple[str, ...]] = []
-    client_ops: list[list[ChannelOp]] = []
-    client_sends: list[tuple[str, ...]] = []
-
-    first: list[ChannelOp] = []
-    if create_shuttle:
-        first.append(PrepareOp.zeros((("q0", 1), ("q1", 1))))
-    first.extend(ip_pair(1))
-    server_ops.append(first)
-    server_sends.append(("q0", "q1"))
-    client_ops.append([z_select(1)])
-    client_sends.append(("q0", "q1"))
-
+    shuttle = ("q0", "q1")
+    create = (PrepareOp.zeros((("q0", 1), ("q1", 1))),) if create_shuttle else ()
+    steps = [PartyStep(create + ip_pair(1), shuttle), PartyStep((z_select(1),), shuttle)]
     for k in range(2, levels + 1):
-        server_ops.append(ip_pair(k - 1) + [HadamardOp(r(k - 1))] + ip_pair(k))
-        server_sends.append(("q0", "q1"))
-        client_ops.append([HadamardOp(rc(k - 1)), z_select(k)])
-        client_sends.append(("q0", "q1"))
-
-    server_ops.append(
-        ip_pair(levels)
-        + [HadamardOp(r(levels)), PrepareOp.zeros(((f_name, 1),)), CopyOp(r(levels), f_name)]
-    )
-    server_sends.append((f_name,))
-    client_ops.append(
-        [HadamardOp(rc(levels))] + [correction(k) for k in range(levels, 0, -1)]
-    )
-    client_sends.append(())
-
-    return _Assembly(server_ops, server_sends, client_ops, client_sends,
-                     setup_pairs, f_name)
+        steps += [PartyStep(ip_pair(k - 1) + (HadamardOp(r(k - 1)),) + ip_pair(k), shuttle),
+                  PartyStep((HadamardOp(rc(k - 1)), z_select(k)), shuttle)]
+    steps += [
+        PartyStep(ip_pair(levels) + (HadamardOp(r(levels)), PrepareOp.zeros(((f_name, 1),)),
+                                     CopyOp(r(levels), f_name)), (f_name,)),
+        PartyStep((HadamardOp(rc(levels)),) + tuple(correction(k) for k in range(levels, 0, -1))),
+    ]
+    return steps, pairs, f_name
 
 
-def _non_prepare(ops) -> list[ChannelOp]:
-    return [op for op in ops if not isinstance(op, PrepareOp)]
+def _undone(step: PartyStep) -> tuple[ChannelOp, ...]:
+    """The step's ops in reverse, without its preparations: every other op
+    the builders emit is its own inverse."""
+    return tuple(reversed([op for op in step.ops if not isinstance(op, PrepareOp)]))
 
 
-def _setup_state(pairs) -> PureState | None:
-    state = None
+def _instance(name: str, n: int, bits, steps, pairs, output: str, flags: str) -> QpirInstance:
+    """Split alternating global steps (the server's first) into the two party
+    programs over the EPR setup of ``pairs``.  ``bits`` is the classical
+    database, or ``None`` for the quantum register ``db``."""
+    levels = n.bit_length() - 1
+    db = "db" if bits is None else None
+    idx = "idx" if levels >= 1 else None
+    setup = None
     for ra, rb, w in pairs:
         part = epr_pair_state(ra, rb, w)
-        state = part if state is None else state.tensor(part)
-    return state
+        setup = part if setup is None else setup.tensor(part)
+    spec = ProtocolSpec(
+        len(steps) // 2,
+        PartyProgram(SERVER, tuple(steps[0::2]), ((db, n),) if db else (),
+                     tuple(p[0] for p in pairs)),
+        PartyProgram(CLIENT, tuple(steps[1::2]), ((idx, levels),) if idx else (),
+                     tuple(p[1] for p in pairs)),
+        setup,
+        name=f"{name}(n={n}{flags})",
+    )
+    return QpirInstance(name=name, n=n, levels=levels, spec=spec, database_register=db,
+                        index_register=idx, output_register=output, classical_database=bits)
 
 
 def build_kerenidis(n: int, cleanup: bool = False, database=None) -> QpirInstance:
@@ -316,72 +300,26 @@ def build_kerenidis(n: int, cleanup: bool = False, database=None) -> QpirInstanc
     """
     if n < 1 or n & (n - 1):
         raise ValueError(f"database size {n} is not a power of two")
-    levels = n.bit_length() - 1
     quantum = database is None
     bits = None if quantum else database_bits(database, n)
-    asm = _assemble_pi(
-        n,
-        db_register="db" if quantum else None,
-        db=bits,
-        index_register="idx" if levels >= 1 else None,
-        tag="",
-    )
-
-    server_ops = [list(ops) for ops in asm.server_ops]
-    server_sends = list(asm.server_sends)
-    client_ops = [list(ops) for ops in asm.client_ops]
-    client_sends = list(asm.client_sends)
-
-    output = asm.f_name
+    steps, pairs, output = _assemble_pi(
+        n, db_register="db" if quantum else None, db=bits,
+        index_register="idx" if n >= 2 else None, tag="")
     if cleanup:
-        base = levels + 1
-        # merge copy-out and un-correction into the last forward client round
-        last = client_ops[base - 1]
-        client_ops[base - 1] = (
-            last
-            + [PrepareOp.zeros((("out", 1),)), CopyOp(asm.f_name, "out")]
-            + list(reversed(_non_prepare(last)))
-        )
-        client_sends[base - 1] = (asm.f_name,)
-        for j in range(1, base + 1):
-            src = base - j  # forward server round index (0-based) being undone
-            server_ops.append(list(reversed(_non_prepare(server_ops[src]))))
-            server_sends.append(client_sends[src - 1] if src >= 1 else ())
-            if j < base:
-                bsrc = base - 1 - j  # forward client round being undone
-                client_ops.append(list(reversed(_non_prepare(client_ops[bsrc]))))
-                client_sends.append(server_sends[bsrc])
-            else:
-                client_ops.append([])
-                client_sends.append(())
+        *fwd, last = steps
+        # the last client step copies the output out, then undoes itself; the
+        # rewind undoes every earlier step in reverse, each sending what the
+        # step before it sent
+        copy_out = (PrepareOp.zeros((("out", 1),)), CopyOp(output, "out"))
+        steps = fwd + [PartyStep(last.ops + copy_out + _undone(last), (output,))]
+        steps += [PartyStep(_undone(st), before.sends)
+                  for before, st in zip([PartyStep()] + fwd, fwd)][::-1] + [PartyStep()]
         output = "out"
-
-    rounds = len(server_ops)
-    input_a = (("db", n),) if quantum else ()
-    input_b = (("idx", levels),) if levels >= 1 else ()
-    setup = _setup_state(asm.setup_pairs)
-    spec = ProtocolSpec(
-        rounds,
-        PartyProgram(SERVER, tuple(PartyStep(tuple(o), tuple(s))
-                                   for o, s in zip(server_ops, server_sends)),
-                     input_a, tuple(p[0] for p in asm.setup_pairs)),
-        PartyProgram(CLIENT, tuple(PartyStep(tuple(o), tuple(s))
-                                   for o, s in zip(client_ops, client_sends)),
-                     input_b, tuple(p[1] for p in asm.setup_pairs)),
-        setup,
-        name=f"kerenidis(n={n}{', cleanup' if cleanup else ''}{', classical' if not quantum else ''})",
-    )
-    check_cap(sum(spec.validate().values()), what=f"protocol {spec.name} register bill")
-    return QpirInstance(
-        name="kerenidis",
-        n=n,
-        levels=levels,
-        spec=spec,
-        database_register="db" if quantum else None,
-        index_register="idx" if levels >= 1 else None,
-        output_register=output,
-        classical_database=bits,
-    )
+    inst = _instance("kerenidis", n, bits, steps, pairs, output,
+                     (", cleanup" if cleanup else "") + ("" if quantum else ", classical"))
+    check_cap(sum(inst.spec.validate().values()),
+              what=f"protocol {inst.spec.name} register bill")
+    return inst
 
 
 def build_baseline(kind: str, n: int, database=None) -> QpirInstance:
@@ -392,55 +330,33 @@ def build_baseline(kind: str, n: int, database=None) -> QpirInstance:
     levels = n.bit_length() - 1
     quantum = database is None
     bits = None if quantum else database_bits(database, n)
-    input_a = (("db", n),) if quantum else ()
-    input_b = (("idx", levels),) if levels >= 1 else ()
+    f = PrepareOp.zeros((("f", 1),))
 
     if kind == "send-db":
         if quantum:
-            a1 = [PrepareOp.zeros((("m", n),)), CopyOp("db", "m")]
+            ship = (PrepareOp.zeros((("m", n),)), CopyOp("db", "m"))
         else:
             vec = np.zeros(1 << n, dtype=np.complex128)
             vec[database_label(bits)] = 1.0
-            a1 = [PrepareOp((("m", n),), tuple(vec))]
-        sources = tuple((v, ("m", v)) for v in range(n))
-        b1 = [PrepareOp.zeros((("f", 1),)),
-              SelectCnotOp(sources=sources, target=("f", 0),
-                           selector="idx" if levels >= 1 else None)]
-        spec = ProtocolSpec(
-            1,
-            PartyProgram(SERVER, (PartyStep(tuple(a1), ("m",)),), input_a, ()),
-            PartyProgram(CLIENT, (PartyStep(tuple(b1), ()),), input_b, ()),
-            None,
-            name=f"send-db(n={n})",
-        )
+            ship = (PrepareOp((("m", n),), tuple(vec)),)
+        read = SelectCnotOp(sources=tuple((v, ("m", v)) for v in range(n)), target=("f", 0),
+                            selector="idx" if levels >= 1 else None)
+        steps = [PartyStep(ship, ("m",)), PartyStep((f, read))]
     elif kind == "send-index":
         if levels < 1:
             raise ValueError("send-index needs n >= 2")
-        b1 = [PrepareOp.zeros((("ic", levels),)), CopyOp("idx", "ic")]
         if quantum:
-            a2 = [PrepareOp.zeros((("f", 1),)),
-                  SelectCnotOp(sources=tuple((v, ("db", v)) for v in range(n)),
-                               target=("f", 0), selector="ic")]
+            answer = SelectCnotOp(sources=tuple((v, ("db", v)) for v in range(n)),
+                                  target=("f", 0), selector="ic")
         else:
-            a2 = [PrepareOp.zeros((("f", 1),)),
-                  SelectFlipOp(selector="ic", bit_table=tuple(bits), target=("f", 0))]
-        spec = ProtocolSpec(
-            2,
-            PartyProgram(SERVER, (PartyStep((), ()), PartyStep(tuple(a2), ("f",))),
-                         input_a, ()),
-            PartyProgram(CLIENT, (PartyStep(tuple(b1), ("ic",)), PartyStep((), ())),
-                         input_b, ()),
-            None,
-            name=f"send-index(n={n})",
-        )
+            answer = SelectFlipOp(selector="ic", bit_table=tuple(bits), target=("f", 0))
+        steps = [PartyStep(),
+                 PartyStep((PrepareOp.zeros((("ic", levels),)), CopyOp("idx", "ic")), ("ic",)),
+                 PartyStep((f, answer), ("f",)),
+                 PartyStep()]
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    return QpirInstance(
-        name=kind, n=n, levels=levels, spec=spec,
-        database_register="db" if quantum else None,
-        index_register="idx" if levels >= 1 else None,
-        output_register="f", classical_database=bits,
-    )
+    return _instance(kind, n, bits, steps, [], "f", "")
 
 
 def build_counterexample(n: int) -> QpirInstance:
@@ -451,38 +367,13 @@ def build_counterexample(n: int) -> QpirInstance:
     """
     if n not in (1, 2):
         raise ValueError("the counterexample is built for n in {1, 2}")
-    levels = n.bit_length() - 1
-    idx = "idx" if levels >= 1 else None
-    asm1 = _assemble_pi(n, db_register="dbm", db=None, index_register=idx, tag="1")
-    asm2 = _assemble_pi(n, db_register="db", db=None, index_register=idx, tag="2",
-                        create_shuttle=(n == 1))
-
-    gen = [PrepareOp.zeros((("dbm", n),)), HadamardOp("dbm"), MeasureOp("dbm")]
-    server_ops = [gen + list(asm1.server_ops[0])] + [list(o) for o in asm1.server_ops[1:]]
-    server_ops += [list(o) for o in asm2.server_ops]
-    server_sends = list(asm1.server_sends) + list(asm2.server_sends)
-    client_ops = [list(o) for o in asm1.client_ops] + [list(o) for o in asm2.client_ops]
-    client_sends = list(asm1.client_sends) + list(asm2.client_sends)
-
-    pairs = asm1.setup_pairs + asm2.setup_pairs
-    rounds = len(server_ops)
-    spec = ProtocolSpec(
-        rounds,
-        PartyProgram(SERVER, tuple(PartyStep(tuple(o), tuple(s))
-                                   for o, s in zip(server_ops, server_sends)),
-                     (("db", n),), tuple(p[0] for p in pairs)),
-        PartyProgram(CLIENT, tuple(PartyStep(tuple(o), tuple(s))
-                                   for o, s in zip(client_ops, client_sends)),
-                     (("idx", levels),) if levels >= 1 else (),
-                     tuple(p[1] for p in pairs)),
-        _setup_state(pairs),
-        name=f"counterexample(n={n})",
-    )
-    return QpirInstance(
-        name="counterexample", n=n, levels=levels, spec=spec, database_register="db",
-        index_register=idx, output_register=asm2.f_name,
-        classical_database=None,
-    )
+    idx = "idx" if n >= 2 else None
+    steps1, pairs1, _ = _assemble_pi(n, db_register="dbm", db=None, index_register=idx, tag="1")
+    steps2, pairs2, output = _assemble_pi(n, db_register="db", db=None, index_register=idx,
+                                          tag="2", create_shuttle=(n == 1))
+    gen = (PrepareOp.zeros((("dbm", n),)), HadamardOp("dbm"), MeasureOp("dbm"))
+    steps = [PartyStep(gen + steps1[0].ops, steps1[0].sends)] + steps1[1:] + steps2
+    return _instance("counterexample", n, None, steps, pairs1 + pairs2, output, "")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from .channels import (ChannelOp, ChannelError, PrepareOp, from_json_value, op_from_descriptor,
                        to_json_value)
 from .config import check_branches, check_cap, check_reduced_cap
-from .distances import ensemble_trace_distance, gram_reduce
+from .distances import gram_reduce, paired_distances
 from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, marginal,
                      nonzero_rows, slots_to_front)
 
@@ -325,7 +325,7 @@ class Ensemble:
     def distance(self, other: "Ensemble") -> float:
         """Halved trace distance to ``other``, whose registers are aligned
         to this layout's order by name."""
-        return ensemble_trace_distance(self.vectors, other.aligned_vectors(self.layout.names))
+        return paired_distances([(self.vectors, other.aligned_vectors(self.layout.names))])[0]
 
 
 # ---------------------------------------------------------------------------

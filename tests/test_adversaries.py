@@ -18,7 +18,7 @@ from qpirlab.adversaries import (
     steer,
 )
 from qpirlab.channels import HadamardOp
-from qpirlab.distances import ensemble_trace_distance
+from qpirlab.distances import paired_distances
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import ProtocolShapeError, execute
 from qpirlab.states import LayoutError
@@ -50,9 +50,9 @@ class TestPurifiedHonest:
         dishonest = adv.run(k2.spec, inp)
         t = honest.steps
         recovered = apply_recovery(dishonest, t, adv.recoveries[t - 1])
-        d = ensemble_trace_distance(
+        d, = paired_distances([(
             recovered.aligned_vectors(honest.ensemble(t).layout.names),
-            honest.ensemble(t).vectors)
+            honest.ensemble(t).vectors)])
         assert d <= 1e-10
 
     def test_counterexample_purification_is_zero_specious(self):
@@ -101,7 +101,7 @@ class TestPurificationAttack:
             h = execute(k2.spec, k2.basis_input(x, 1))
             honest_vectors.extend(0.5 * v for v in
                                   h.ensemble(t).aligned_vectors(attacked.layout.names))
-        assert ensemble_trace_distance(attacked.vectors, honest_vectors) <= 1e-9
+        assert paired_distances([(attacked.vectors, np.array(honest_vectors))])[0] <= 1e-9
 
     def test_needs_quantum_database(self):
         inst = build_kerenidis(2, database=(0, 1))
@@ -180,9 +180,9 @@ def test_purification_consistency_at_register_level(k2):
         dishonest = adv.run(k2.spec, inp)
         t = honest.steps
         traced = dishonest.ensemble(t).traced(adv.extra_registers)
-        d = ensemble_trace_distance(
+        d, = paired_distances([(
             traced.aligned_vectors(honest.ensemble(t).layout.names),
-            honest.ensemble(t).vectors)
+            honest.ensemble(t).vectors)])
         # anchored inputs keep the ancillas unentangled for these families
         assert d <= max(gamma, 1e-9) + 1e-9
 

@@ -313,6 +313,18 @@ def test_cap_exceeded_on_prepare(monkeypatch):
         Ensemble.from_pure(s).apply(PrepareOp.zeros((("b", 2),)))
 
 
+def test_kraus_branches_are_capped(monkeypatch, rng):
+    # m Kraus matrices make m branches of every input branch: at the cap, one
+    # 6-qubit branch may not become two, while an isometry still applies.
+    monkeypatch.setenv("QPIRLAB_QUBIT_CAP", "6")
+    from qpirlab.config import CapExceeded
+
+    s = Ensemble.from_pure(random_pure(rng, RegisterLayout((("a", 1), ("b", 5)))))
+    with pytest.raises(CapExceeded, match="2 branches x 64 amplitudes"):
+        s.apply(DenseOp(tuple(random_kraus(rng, 2, 2)), ("a",), kind="kraus-set"))
+    assert len(s.apply(DenseOp((H,), ("a",))).vectors) == 1
+
+
 def test_malformed_op_rejected():
     bad = np.array([[1.0, 0.4], [0.0, 0.6]])
     with pytest.raises(ChannelError):

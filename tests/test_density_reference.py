@@ -4,13 +4,18 @@ The other slow references share code with the paths they check: the
 per-input loop in ``test_steering.py`` still runs ``execute``, the branch
 ensembles and the QR distance.  This one shares none of it.
 
-- Each test input runs on its own, with no steering.  Its state is one
-  global density tensor, one ket and one bra axis per register.
+- Each test input runs on its own, with no steering.  On a protocol that
+  measures (the counterexample), its state is one global density tensor,
+  one ket and one bra axis per register.
 - Each op is applied as ``sum_K K rho K^dagger`` by ``np.einsum`` over that
   op's registers only.  The ``K`` are built on the op's own registers, entry
   by entry, by the builders of ``test_kernel_reference.py``.
 - The server's view at step ``t`` is an ``np.einsum`` partial trace over the
   registers that ``spec.schedule`` gives to the client at ``t``.
+- A measurement-free protocol runs each branch of an input as one ket, as in
+  the theorem section below, and its view at ``t`` is the sum over branches
+  of the ket, reshaped to rows over the server's registers, times its
+  adjoint; its speciousness is that section's meter.
 - A distance is half the absolute eigenvalue sum of the dense difference.
 
 Scope: runs of at most 11 qubits, where ``rho`` has 2,048^2 entries
@@ -62,7 +67,7 @@ import pytest
 from qpirlab.adversaries import (adversary_by_name, database_groups, gamma_family,
                                  measure_speciousness, standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
-from qpirlab.channels import HadamardOp
+from qpirlab.channels import HadamardOp, MeasureOp
 from qpirlab.privacy import (FIGURE_TOL, HonestSimulator, TheoremSimulator, _run_views,
                              privacy_lower_bound, verify_theorem_bound)
 from qpirlab.protocols import build_counterexample, build_kerenidis, database_bits, epr_pair_state
@@ -226,11 +231,22 @@ def _reference(inst_name, adv_name):
     """Over every standard input, the superposed database included:
     ``{input label: (views, distances)}``.  With an adversary, ``distances``
     holds the speciousness at each step, the recovered global state against
-    the honest one; without, it is empty.  Global states are not kept."""
+    the honest one; without, it is empty.  Global states are not kept.  A
+    protocol that measures runs as density tensors; any other as kets."""
     inst = _instance(inst_name)
     adv = _adversary(inst_name, adv_name)
     inputs = standard_inputs(inst, superposed_db=inst.database_register is not None)
     out = {}
+    if not any(isinstance(op, MeasureOp) for st in inst.spec.schedule for op in st.step.ops):
+        # measurement-free: one ket per input branch, and the meter's figures
+        spec = inst.spec if adv is None else adv.modified_spec(inst.spec)
+        meter = {} if adv is None else _meter(inst_name, adv_name)
+        for ins in inputs:
+            runs = _runs(spec, ins.database, ins.client)
+            views = {st.t: _mixed([run[st.t] for run in runs], _server_names(st, runs[0][st.t][0]))
+                     for st in spec.schedule if st.party == CLIENT}
+            out[ins.label] = views, {t: d for (label, t), d in meter.items() if label == ins.label}
+        return out
     for ins in inputs:
         if adv is None:
             views, _ = _run(inst.spec, ins.database, ins.client)

@@ -9,8 +9,8 @@ from qpirlab.channels import DenseOp
 from qpirlab.distances import (
     UhlmannPreconditionError,
     apply_side_unitary,
-    ensemble_trace_distance,
     gram_reduce,
+    paired_distances,
     partial_trace,
     pure_trace_distance,
     trace_distance,
@@ -132,8 +132,8 @@ class TestTraceDistance:
             eb, vb = np.linalg.eigh(rb.matrix)
             vecs_a = [np.sqrt(max(l, 0)) * va[:, i] for i, l in enumerate(ea) if l > 1e-14]
             vecs_b = [np.sqrt(max(l, 0)) * vb[:, i] for i, l in enumerate(eb) if l > 1e-14]
-            assert ensemble_trace_distance(vecs_a, vecs_b) == pytest.approx(
-                trace_distance(ra, rb), abs=1e-10)
+            got, = paired_distances([(np.array(vecs_a), np.array(vecs_b))])
+            assert got == pytest.approx(trace_distance(ra, rb), abs=1e-10)
 
 
     def test_factored_matches_dense_reference(self, rng):

@@ -233,7 +233,7 @@ def test_mixed_input_via_ensemble():
 def test_mixed_input_from_density_matches_branch_mixture():
     # eigendecomposition into pure branches is the only evolution engine
     from qpirlab.states import DensityOperator
-    from qpirlab.distances import ensemble_trace_distance
+    from qpirlab.distances import paired_distances
 
     inst = build_kerenidis(2)
     layout = RegisterLayout((("idx", 1),))
@@ -245,7 +245,7 @@ def test_mixed_input_from_density_matches_branch_mixture():
         run = inst.run(0b01, i)
         parts.extend(np.sqrt(w) * v for v in
                      run.final.aligned_vectors(tr.final.layout.names))
-    assert ensemble_trace_distance(tr.final.vectors, parts) <= 1e-10
+    assert paired_distances([(tr.final.vectors, np.array(parts))])[0] <= 1e-10
 
 
 def test_missing_input_register():

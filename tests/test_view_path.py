@@ -14,7 +14,7 @@ from qpirlab.adversaries import (PURIFIER, adversary_by_name, client_variants, d
                                  standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
 from qpirlab.config import CapExceeded
-from qpirlab.distances import ensemble_trace_distance
+from qpirlab.distances import paired_distances
 from qpirlab.privacy import _even_steps, _run_views, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
@@ -39,7 +39,8 @@ def test_ensemble_distance_aligns_the_other_view_by_name(seed):
     a = random_ensemble(RegisterLayout(tuple(regs[i] for i in rng.permutation(3))), 3)
     b = random_ensemble(RegisterLayout(tuple(regs[i] for i in rng.permutation(3))), 2)
     by_hand = [_aligned_by_hand(v, b.layout, a.layout.names) for v in b.vectors]
-    assert a.distance(b) == pytest.approx(ensemble_trace_distance(a.vectors, by_hand), abs=1e-12)
+    assert a.distance(b) == pytest.approx(paired_distances([(a.vectors, np.array(by_hand))])[0],
+                                          abs=1e-12)
     assert a.distance(a) <= 1e-12
 
     other = random_ensemble(RegisterLayout((("x", 2), ("y", 1), ("w", 2))), 1)
@@ -47,14 +48,10 @@ def test_ensemble_distance_aligns_the_other_view_by_name(seed):
         a.distance(other)
 
 
-def test_ensemble_trace_distance_takes_rows_or_arrays(rng):
-    assert ensemble_trace_distance([], []) == 0.0
-    assert ensemble_trace_distance(np.zeros((0, 8)), np.zeros((0, 8))) == 0.0
-    a = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+def test_paired_distances_of_empty_and_one_sided_pairs(rng):
+    assert paired_distances([(np.zeros((0, 8)), np.zeros((0, 8)))]) == [0.0]
     b = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-    assert ensemble_trace_distance(list(a), list(b)) == ensemble_trace_distance(a, b)
-    one_sided = ensemble_trace_distance(np.zeros((0, 8)), b)
-    assert ensemble_trace_distance([], list(b)) == one_sided
+    one_sided, = paired_distances([(np.zeros((0, 8)), b)])
     assert one_sided == pytest.approx(0.5 * np.vdot(b, b).real, abs=1e-12)
 
 
