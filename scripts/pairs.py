@@ -6,14 +6,16 @@ the last line of each run's output as its JSON result.  The run length, the
 end-to-end metrics and the direction in which each is better come from the
 change's ``BENCHMARK.json``.
 
-Writes ``BENCH_<workload>.json`` into ``--out`` (default: this repository)
-with both checkouts' revisions, the seeds, each pair's end-to-end metrics,
-and per metric the two medians, the parent's quartiles and how many pairs
-the change won.  It also says whether the claim rule holds: at least
+Appends one record to ``BENCH_<workload>.json`` in ``--out`` (default: this
+repository), a JSON list of records, one per run of this script: both
+checkouts' revisions, the seeds, each pair's end-to-end metrics, and per
+metric the two medians, the parent's quartiles and how many pairs the change
+won.  The record also says whether the claim rule holds: at least
 ``MIN_PAIRS`` pairs, every run correct with no failed task, and no seed
-already recorded in a ``BENCH_*.json`` of ``--out``.  The recorded seeds
-only grow: a rerun keeps the seeds of the file it replaces as
-``earlier_seeds``.  The script claims nothing itself.
+already recorded in any record of a ``BENCH_*.json`` of ``--out``.  Earlier
+records stay byte for byte (a file holding one record, as this script once
+wrote, becomes a list with that record first), and ``earlier_seeds`` lists
+the seeds the file held before.  The script claims nothing itself.
 
 Usage: python scripts/pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B
        [--out DIR]
@@ -100,7 +102,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def record(parent_dir: Path, change_dir: Path, workload: str, seeds: list[int],
            out: Path) -> dict:
-    """Run the pairs and write ``out / BENCH_<workload>.json``; returns its content."""
+    """Run the pairs and append their record to ``out / BENCH_<workload>.json``;
+    returns the record."""
     bench = json.loads((change_dir / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
@@ -134,8 +137,20 @@ def record(parent_dir: Path, change_dir: Path, workload: str, seeds: list[int],
         "summary": summarize(pairs, better),
         "pairs": pairs,
     }
-    target.write_text(dump(doc))
+    target.write_text(appended(target.read_text() if target.exists() else None, dump(doc)))
     return doc
+
+
+def appended(text: str | None, record: str) -> str:
+    """The text of a record list with ``record`` added last; ``text`` is the
+    list so far, a lone record, or ``None``.  Earlier records keep their
+    text."""
+    if text is None:
+        return "[\n" + record.rstrip("\n") + "\n]\n"
+    body = text.rstrip()
+    if isinstance(json.loads(body), dict):
+        body = "[\n" + body + "\n]"
+    return body[:-1].rstrip() + ",\n" + record.rstrip("\n") + "\n]\n"
 
 
 def dump(doc: dict) -> str:

@@ -16,7 +16,12 @@ The meter runs each database state twice, honestly and adversarially, on
 the purified index (the ``i-entangled`` input, whose reference ``refi``
 purifies the client's index), and steers both global states at every step
 to each test input's client state (:func:`steer`), both taken first into
-one shared branch span (:func:`in_span`).  Following the paper's
+one shared branch span (:func:`in_span`).  Where no op of either spec or of
+the recoveries may relabel the database register (:func:`reads_only`), the
+classical databases are the label blocks of one run on their sum
+(:func:`shared_input`, :func:`database_block`), so each side runs once for
+all of them; only the purification attack and the superposed database run
+on their own.  Following the paper's
 purification argument, the steering map acts only on that reference, which
 no program and no recovery touches, so it commutes with the protocol, the
 adversary, the recoveries (measurements included) and the discards: the
@@ -70,6 +75,9 @@ __all__ = [
     "standard_inputs",
     "database_groups",
     "purified_input",
+    "reads_only",
+    "shared_input",
+    "database_block",
     "steer",
     "in_span",
     "steered_rows",
@@ -233,6 +241,48 @@ def purified_input(spec: ProtocolSpec, database: PureState | None) -> PureState 
         epr = epr_pair_state(name, PURIFIER, width)
         state = epr if state is None else state.tensor(epr)
     return state
+
+
+def reads_only(register: str, specs, ops) -> bool:
+    """Whether the runs of ``specs``, with ``ops`` applied after them, keep
+    every label of ``register`` apart: no op may relabel it
+    (:attr:`~qpirlab.channels.ChannelOp.relabels`; controls, selectors,
+    sources and masks only read) and no step sends it, so it stays in the
+    server's view.  Then every op acts on each label block of ``register``
+    alone, and the runs on all classical databases are the blocks
+    (:func:`database_block`) of one run on their sum (:func:`shared_input`)."""
+    steps = [st.step for spec in specs for st in spec.schedule]
+    every_op = [*(op for step in steps for op in step.ops), *ops]
+    return (all(register not in op.relabels for op in every_op)
+            and all(register not in step.sends for step in steps))
+
+
+def shared_input(spec: ProtocolSpec, register: str, width: int) -> Ensemble:
+    """The unnormalized sum over every classical label ``x`` of the
+    database ``register`` of the run input :func:`purified_input` gives
+    ``|x>``: ``sum_x |x>``, with no ``2**(-width/2)``, beside the purified
+    index.  Its ``register = x`` block is that input bit for bit."""
+    ones = Ensemble(RegisterLayout(((register, width),)),
+                    np.ones((1, 1 << width), dtype=np.complex128))
+    index = purified_input(spec, None)
+    return ones if index is None else ones.tensor(Ensemble.from_pure(index))
+
+
+def database_block(ens: Ensemble, register: str, label: int) -> Ensemble:
+    """The ``register = label`` block of ``ens``: every other label of
+    ``register`` zeroed, and the rows whose squared norm is then at or
+    below ``states.BRANCH_PRUNE`` dropped, the others kept in order.  Taken
+    from a run on :func:`shared_input` of a spec that only reads
+    ``register`` (:func:`reads_only`), it is bit for bit the same run on
+    ``|label>`` alone: each op acted on each block as on that block alone,
+    and a row the run on ``|label>`` pruned carries no more weight here."""
+    lay = ens.layout
+    first, width = lay.offset(register), lay.width(register)
+    block = ens.vectors.reshape(len(ens.vectors), 1 << first, 1 << width, -1)[:, :, label]
+    (rows,) = nonzero_rows((np.abs(block) ** 2).sum(axis=(1, 2)))
+    out = np.zeros((len(rows), 1 << first, 1 << width, block.shape[-1]), dtype=np.complex128)
+    out[:, :, label] = block[rows]
+    return Ensemble(lay, out.reshape(len(rows), lay.dim))
 
 
 def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
@@ -575,20 +625,38 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     protocol and once through the adversary, on the purified index; at each
     step both global states are taken into one branch span and steered to
     each input's client state.
+
+    When the honest spec, the adversarial spec and the recovery ops only
+    read the database register (:func:`reads_only`), every classical
+    database shares one honest and one adversarial run on the sum of their
+    inputs (:func:`shared_input`), and one recovery per step: each
+    database's pair is its block (:func:`database_block`) of the step's two
+    shared states, bit for bit the states of its own runs.  The superposed
+    database, and every database of an adversary that relabels the
+    register (the purification attack), run on their own.
     """
     spec = instance.spec
     if adversary.recoveries is None:
         raise ProtocolShapeError(f"adversary {adversary.name} ships no recovery operators")
     if len(adversary.recoveries) != len(spec.schedule):
         raise ProtocolShapeError("one recovery per global step is required")
-    inputs = standard_inputs(instance, superposed_db=instance.database_register is not None)
+    db = instance.database_register
+    inputs = standard_inputs(instance, superposed_db=db is not None)
+    groups = database_groups(inputs)
+    pairs = [{} for _ in groups]  # per group: step -> (honest, recovered) in one span
     adv_spec = adversary.modified_spec(spec)
-    groups = []
-    for members in database_groups(inputs):
-        run_input = purified_input(spec, members[0].database)
+    recovery_ops = [op for recovery in adversary.recoveries for op in recovery.ops]
+    shared = []
+    if db is not None and reads_only(db, (spec, adv_spec), recovery_ops):
+        shared = [g for g, members in enumerate(groups) if members[0].db is not None]
+    runs = []  # (run input, [(group, its db label in a shared run, else None)])
+    if shared:
+        runs.append((shared_input(spec, db, instance.n), [(g, groups[g][0].db) for g in shared]))
+    runs += [(purified_input(spec, members[0].database), [(g, None)])
+             for g, members in enumerate(groups) if g not in shared]
+    for run_input, blocks in runs:
         honest = execute(spec, run_input)
         dishonest = execute(adv_spec, run_input)
-        pairs = {}
         for t, recovery in enumerate(adversary.recoveries, start=1):
             recovered = apply_recovery(dishonest, t, recovery)
             target = honest.ensemble(t)
@@ -597,11 +665,13 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
                     f"recovered registers {recovered.layout.names} do not match "
                     f"honest registers {target.layout.names} at step {t}"
                 )
-            # one client map steers both, so they share one span; rebinding
-            # frees the full recovered state before the next step
-            pairs[t] = target, recovered = in_span(target, recovered)
-        groups.append((members, pairs))
-    rows = steered_distances(groups)
+            # one client map steers both, so they share one span
+            for g, x in blocks:
+                pairs[g][t] = (in_span(target, recovered) if x is None else
+                               in_span(database_block(target, db, x),
+                                       database_block(recovered, db, x)))
+            del recovered  # the full state goes before the next step's is formed
+    rows = steered_distances(list(zip(groups, pairs)))
     gamma_hat = max(d for _, _, d in rows) if rows else 0.0
     return SpeciousnessReport(
         adversary=adversary.name,

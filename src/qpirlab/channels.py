@@ -1,8 +1,12 @@
 """Quantum operations over named registers.
 
 Every op reports its ``kind`` (``isometry``, ``kraus-set`` or
-``measurement``), the registers it touches (reads or may change) and any
-registers it creates.  :meth:`runtime.Ensemble.apply` is the one evolution
+``measurement``), the registers it touches (reads or may change), the
+registers it may relabel and any registers it creates.  A flip op relabels
+its flipped register (a swap both of its registers), a Hadamard, rotate or
+dense op its target registers, and a phase, measurement or preparation
+none: it commutes with the label projectors of every register it does not
+relabel.  :meth:`runtime.Ensemble.apply` is the one evolution
 engine: it hands its whole ``(B, dim)`` branch array to one
 ``apply_vectors(vectors, layout)`` call per op.  Every kernel takes that C-contiguous complex128
 array of unnormalized branches and returns a ``(B', dim')`` one, with the
@@ -210,6 +214,14 @@ class ChannelOp:
         raise NotImplementedError
 
     @property
+    def relabels(self) -> tuple[str, ...]:
+        """Registers whose label the op may change: a basis state with label
+        ``l`` there may go to one with another label.  The op commutes with
+        the label projectors of every other register, which it at most reads
+        (controls, selectors, sources and masks)."""
+        raise NotImplementedError
+
+    @property
     def creates(self) -> tuple[tuple[str, int], ...]:
         """Fresh registers appended to the layout by this op."""
         return ()
@@ -248,6 +260,10 @@ class HadamardOp(ChannelOp):
 
     @property
     def touches(self):
+        return (self.register,)
+
+    @property
+    def relabels(self):
         return (self.register,)
 
     def apply_vectors(self, vectors, layout):
@@ -344,6 +360,10 @@ class InnerProductCnotOp(ChannelOp):
             return (self.source, self.target)
         return _distinct(self.source, self.mask_register, self.target)
 
+    @property
+    def relabels(self):
+        return (self.target,)
+
     def _flip(self, idx, layout):
         total = layout.total_qubits
         w = layout.width(self.source)
@@ -393,6 +413,10 @@ class SelectPhaseOp(ChannelOp):
         regs = [r for _, (r, _) in self.targets]
         return _distinct(*regs) if self.selector is None else _distinct(self.selector, *regs)
 
+    @property
+    def relabels(self):
+        return ()
+
     def _build_sign(self, layout):
         idx = _index_array(layout.dim)
         return 1.0 - 2.0 * _selected_bit(idx, layout, self.targets, self.selector)
@@ -420,6 +444,10 @@ class SelectCnotOp(ChannelOp):
         regs = [r for _, (r, _) in self.sources] + [self.target[0]]
         return _distinct(*regs) if self.selector is None else _distinct(self.selector, *regs)
 
+    @property
+    def relabels(self):
+        return (self.target[0],)
+
     def _flip(self, idx, layout):
         par = _selected_bit(idx, layout, self.sources, self.selector)
         return par << _shift(layout.total_qubits, layout.qubit(*self.target))
@@ -442,6 +470,10 @@ class SelectFlipOp(ChannelOp):
     @property
     def touches(self):
         return (self.selector, self.target[0])
+
+    @property
+    def relabels(self):
+        return (self.target[0],)
 
     def _flip(self, idx, layout):
         total = layout.total_qubits
@@ -468,6 +500,10 @@ class CnotOp(ChannelOp):
     def touches(self):
         return _distinct(self.control[0], self.target[0])
 
+    @property
+    def relabels(self):
+        return (self.target[0],)
+
     def _flip(self, idx, layout):
         total = layout.total_qubits
         par = (idx >> _shift(total, layout.qubit(*self.control))) & 1
@@ -489,6 +525,10 @@ class CopyOp(ChannelOp):
     @property
     def touches(self):
         return (self.source, self.target)
+
+    @property
+    def relabels(self):
+        return (self.target,)
 
     def _flip(self, idx, layout):
         if layout.width(self.source) != layout.width(self.target):
@@ -515,6 +555,10 @@ class SwapOp(ChannelOp):
     @property
     def touches(self):
         return _distinct(self.first, self.second)
+
+    @property
+    def relabels(self):
+        return self.touches
 
     def _flip(self, idx, layout):
         if layout.width(self.first) != layout.width(self.second):
@@ -547,6 +591,10 @@ class RotateOp(ChannelOp):
         if self.control is None:
             return (self.target[0],)
         return _distinct(self.control[0], self.target[0])
+
+    @property
+    def relabels(self):
+        return (self.target[0],)
 
     def inverse(self) -> "RotateOp":
         return RotateOp(self.target, -self.theta, self.control)
@@ -599,6 +647,10 @@ class PrepareOp(ChannelOp):
         return ()
 
     @property
+    def relabels(self):
+        return ()
+
+    @property
     def creates(self):
         return tuple(self.registers)
 
@@ -623,6 +675,10 @@ class MeasureOp(ChannelOp):
     @property
     def touches(self):
         return (self.register,)
+
+    @property
+    def relabels(self):
+        return ()
 
     def apply_vectors(self, vectors, layout):
         total = layout.total_qubits
@@ -684,6 +740,10 @@ class DenseOp(ChannelOp):
 
     @property
     def touches(self):
+        return self.registers
+
+    @property
+    def relabels(self):
         return self.registers
 
     @property

@@ -177,8 +177,9 @@ def uhlmann_unitary(phi: PureState, psi: PureState, side) -> np.ndarray:
 
     Rank-deficient overlaps are completed to a full unitary through the
     singular-value decomposition, which pairs the orthogonal complements in
-    descending singular-value order; any completion satisfies the bound and
-    this one is deterministic.
+    descending singular-value order.  Any completion satisfies the bound;
+    this one pairs whatever bases of the null spaces LAPACK returns, which
+    are not unique and may differ across LAPACK builds.
     """
     mat_phi, a_names, b_names = _split_matrix(phi, side)
     psi_aligned = psi.reordered(a_names + b_names)

@@ -3,26 +3,36 @@
 Every figure here is a distance between server views.  The one definition
 of the view is :meth:`ExecutionTranscript.server_view`: at step ``t`` it is
 everything on the server's side plus the in-flight messages, keeping any
-reference registers.  One runner, ``_run_views``, takes the views at the
-even steps; two views are compared as :meth:`Ensemble.distance` compares
-them, aligned by register name and measured in the span of their branches.
-Views are low-rank ensembles (branch
-vectors componentized over the traced-out client side).  Every figure
-takes its views into their branch span before it steers
+reference registers.  One runner, ``_each_view``, takes the views at the
+even steps, from one run per database (``_run_views``) or from one run
+shared by the classical databases; two views are compared as
+:meth:`Ensemble.distance` compares them, aligned by register name and
+measured in the span of their branches.  Views are low-rank ensembles
+(branch vectors componentized over the traced-out client side). Every
+figure takes its views into their branch span before it steers
 (:func:`qpirlab.adversaries.in_span`, one QR per database state and step,
-over the amplitudes that are nonzero in some view): everything steered from one run lies in that span tensored with the
-reference registers, so steering and every distance act on the span's few
-coordinates rather than the full view.  A certificate puts its simulated
-view, tensored with the maximally mixed purifier, into the same span as
-the run's view; steered to a client state, it becomes the simulated view
-beside that client's reference marginal.  The simulators' own views stay
-named until then, because the theorem simulator applies inverted recovery
-ops by register name to the honest simulator's views.
+over the amplitudes that are nonzero in some view): everything steered from
+one run lies in that span tensored with the reference registers, so
+steering and every distance act on the span's few coordinates rather than
+the full view.  A certificate puts its simulated view, tensored with the
+maximally mixed purifier, into the same span as the run's view; steered to
+a client state, it becomes the simulated view beside that client's
+reference marginal.  The simulators' own views stay named until then,
+because the theorem simulator applies inverted recovery ops by register
+name to the honest simulator's views.
 
-The runner executes a spec once per database state.  The paper's point is
-that a party may run a protocol on a purification of its input, and the
-same holds for the test inputs: in the ``i-entangled`` input the index is
-purified by a reference ``refi`` that neither program touches.  Applying
+The runner executes a spec once per database state.  A spec that only reads
+the database register (no op relabels it,
+:func:`qpirlab.adversaries.reads_only`) acts on each label block of it
+alone, so every classical database is one block of a single run on their
+unnormalized sum, and each figure makes that one run (:func:`_each_view`);
+only a spec that relabels the database (the purification attack) and the
+superposed database run on their own.
+
+The paper's point is that a party may run a protocol on a purification
+of its input, and the same holds for the test inputs: in the
+``i-entangled`` input the index is purified by a reference ``refi`` that
+neither program touches.  Applying
 ``sqrt(n) sum_{i,r} c[i, r] |r><i|`` to ``refi`` turns that input into any
 client state ``c`` over the index and its references (one map per branch of
 ``c``).  The map acts only on a register no party holds, so it commutes
@@ -58,9 +68,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversaries import (PURIFIER, Adversary, database_groups, in_span,
-                          measure_speciousness, purified_input, standard_inputs, steer,
-                          steered_distances, steered_rows)
+from .adversaries import (PURIFIER, Adversary, database_block, database_groups, in_span,
+                          measure_speciousness, purified_input, reads_only, shared_input,
+                          standard_inputs, steer, steered_distances, steered_rows)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -115,6 +125,37 @@ def _run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
     ``database`` on the purified index."""
     tr = execute(spec, purified_input(spec, database), keep=steps)
     return {t: tr.server_view(t) for t in steps}
+
+
+def _each_view(spec: ProtocolSpec, instance: QpirInstance, groups, each) -> None:
+    """``each(g, t, view)`` for every database group ``groups[g]`` and even
+    step ``t``: the server's view at ``t`` of the run of ``spec`` over the
+    group's database on the purified index, as :func:`_run_views` gives it.
+
+    When ``spec`` only reads the database register (:func:`reads_only`),
+    the classical databases share one run on the sum of their inputs
+    (:func:`shared_input`), step-major: each step's shared view is formed
+    once, each group gets its database's block of it
+    (:func:`database_block`, bit for bit its own run's view), and the shared
+    view is released before the next step.  The other groups (the superposed
+    database, a built-in database, or every database of a spec that
+    relabels the register) run one by one through :func:`_run_views`."""
+    steps = _even_steps(instance.spec)
+    db = instance.database_register
+    shared = []
+    if db is not None and reads_only(db, (spec,), ()):
+        shared = [g for g, members in enumerate(groups) if members[0].db is not None]
+    if shared:
+        tr = execute(spec, shared_input(spec, db, instance.n), keep=steps)
+        for t in steps:
+            view = tr.server_view(t)
+            for g in shared:
+                each(g, t, database_block(view, db, groups[g][0].db))
+            del view
+    for g, members in enumerate(groups):
+        if g not in shared:
+            for t, view in _run_views(spec, members[0].database, steps).items():
+                each(g, t, view)
 
 
 @dataclass(frozen=True)
@@ -173,12 +214,13 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     inputs = standard_inputs(instance, superposed_db=(mode == "full"))
     steps = _even_steps(instance.spec)
     last = len(instance.spec.schedule)
+    groups = database_groups(inputs)
+    spans = [[] for _ in groups]  # per group, one span view per even step
+    _each_view(spec, instance, groups, lambda g, t, view: spans[g].append(in_span(view)[0]))
     keys, pairs_of_rows = [], []
-    for members in database_groups(inputs):
-        run = _run_views(spec, members[0].database, steps)
-        spans = [in_span(run[t])[0] for t in steps]
+    for members, group_spans in zip(groups, spans):
         classes: dict[str, list] = {}
-        for ins, rows in zip(members, steered_rows(spans, members)):
+        for ins, rows in zip(members, steered_rows(group_spans, members)):
             classes.setdefault(ins.marginal_key, []).append((ins.label, rows))
         for labelled in classes.values():
             for (la, ra), (lb, rb) in combinations(labelled, 2):
@@ -203,10 +245,6 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
 # ---------------------------------------------------------------------------
 
 
-def _database(instance: QpirInstance, db) -> PureState | None:
-    return instance.database_state(db) if instance.database_register else None
-
-
 def _mixed_purifier(width: int) -> Ensemble:
     """The maximally mixed :data:`PURIFIER`: one branch ``e_i / sqrt(L)`` per
     label."""
@@ -215,31 +253,29 @@ def _mixed_purifier(width: int) -> Ensemble:
                     np.eye(labels, dtype=np.complex128) / math.sqrt(labels))
 
 
-def _certificate(instance: QpirInstance, runs, simulate):
+def _certificate(instance: QpirInstance, spec: ProtocolSpec, simulate):
     """(eps, rows): the worst distance, over the anchored test inputs and the
-    even steps, between the simulated view ``simulate(db, t)``, beside the
-    input's reference marginal, and the input's server view.
-    ``runs(db)`` gives the server's views at the even steps of one run over
-    database ``db`` on the purified index, as :func:`_run_views` does.
+    even steps, between the simulated view ``simulate(db, t, view)``, beside
+    the input's reference marginal, and the input's server view ``view`` in
+    the run of ``spec`` over database ``db`` on the purified index (as
+    :func:`_each_view` gives it).
 
     The simulated view is tensored with the maximally mixed
     :data:`PURIFIER` and taken into one branch span with the run's view.
     Steered to a client state ``c``, it becomes the simulated view tensored
     with ``c``'s marginal on its reference registers, so both sides are
     steered and compared as the lower bound's views are."""
-    steps = _even_steps(instance.spec)
-    groups = []
-    for members in database_groups(standard_inputs(instance)):
-        db = members[0].db
-        run = runs(db)
-        pairs = {}
-        for t in steps:
-            view, sim = run[t], simulate(db, t)
-            if view.layout.has(PURIFIER):
-                sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
-            pairs[t] = view, sim = in_span(view, sim)
-        groups.append((members, pairs))
-    rows = steered_distances(groups)
+    groups = database_groups(standard_inputs(instance))
+    pairs = [{} for _ in groups]  # per group: even step -> (view, sim) in one span
+
+    def each(g, t, view):
+        sim = simulate(groups[g][0].db, t, view)
+        if view.layout.has(PURIFIER):
+            sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
+        pairs[g][t] = in_span(view, sim)
+
+    _each_view(spec, instance, groups, each)
+    rows = steered_distances(list(zip(groups, pairs)))
     eps = max((d for _, _, d in rows), default=0.0)
     return eps, rows
 
@@ -252,26 +288,30 @@ class HonestSimulator:
         self.instance = instance
         self._views: dict = {}  # database -> {even step: view}
 
-    def _run(self, db) -> dict[int, Ensemble]:
-        """The server's views at the even steps of one honest run over
-        ``db``, as :func:`_run_views` gives them.  The simulator's own views
-        (index 1) are steered from the same run and kept."""
-        inst = self.instance
-        views = _run_views(inst.spec, _database(inst, db), _even_steps(inst.spec))
-        own = inst.client_basis_state(1)
-        self._views[db] = {t: steer(v, own, ()) for t, v in views.items()}
-        return views
+    def _keep(self, db, t: int, view: Ensemble) -> Ensemble:
+        """Keep and return the simulator's own view (index 1) of database
+        ``db`` at step ``t``, steered from ``view``, the server's view in the
+        honest run on the purified index."""
+        own = steer(view, self.instance.client_basis_state(1), ())
+        self._views.setdefault(db, {})[t] = own
+        return own
 
     def view(self, db, t: int) -> Ensemble:
+        """The simulated view; an unseen database runs every database, with
+        the classical ones in one shared run (:func:`_each_view`)."""
         if db not in self._views:
-            self._run(db)
+            inst = self.instance
+            groups = database_groups(standard_inputs(inst))
+            _each_view(inst.spec, inst, groups,
+                       lambda g, t, view: self._keep(groups[g][0].db, t, view))
         return self._views[db][t]
 
     def epsilon_upper(self):
         """Max distance between the simulated and the actual view over the
-        test inputs; returns (eps_upper, rows).  One honest run per database
-        gives both sides."""
-        return _certificate(self.instance, self._run, self.view)
+        test inputs; returns (eps_upper, rows).  One honest run gives both
+        sides: the classical databases share it, and every database's views
+        are kept for :meth:`view`."""
+        return _certificate(self.instance, self.instance.spec, self._keep)
 
 
 _SELF_INVERSE = (HadamardOp, InnerProductCnotOp, SelectPhaseOp, SelectCnotOp,
@@ -359,11 +399,8 @@ class TheoremSimulator:
     def certify(self):
         """(eps_hat, rows): worst distance between the simulator output and
         the adversary's actual view across anchored test inputs and steps."""
-        inst = self.instance
-        adv_spec = self.adversary.modified_spec(inst.spec)
-        steps = _even_steps(inst.spec)
-        return _certificate(inst, lambda db: _run_views(adv_spec, _database(inst, db), steps),
-                            self.simulated_view)
+        return _certificate(self.instance, self.adversary.modified_spec(self.instance.spec),
+                            lambda db, t, _: self.simulated_view(db, t))
 
     def extract_anchor(self, db, client_state: PureState, t: int) -> PureState:
         """Re-extract the anchor from an arbitrary anchored pure input; used

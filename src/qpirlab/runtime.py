@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import (ChannelOp, ChannelError, PrepareOp, from_json_value, op_from_descriptor,
                        to_json_value)
-from .config import check_branches, check_cap, check_reduced_cap
+from .config import CapExceeded, check_branches, check_cap, check_reduced_cap
 from .distances import gram_reduce, paired_distances
 from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, marginal,
                      nonzero_rows, slots_to_front)
@@ -393,7 +393,10 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
 
     The input may carry extra registers beyond the declared inputs; they are
     treated as the untouched reference side.  ``keep`` names the steps whose
-    states are retained besides the last; ``None`` retains every step.
+    states are retained besides the last; ``None`` retains every step.  An
+    op that fails raises :class:`ProtocolShapeError`, and one that breaks a
+    resource cap raises :class:`~qpirlab.config.CapExceeded` again; either
+    names the step, the party, the op and its registers (or the setup).
     """
     declared = dict((*spec.server.input_registers, *spec.client.input_registers))
 
@@ -413,8 +416,11 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
             )
     refs = tuple(n for n in ens.layout.names if n not in declared)
     if spec.setup is not None:
-        check_cap(ens.layout.total_qubits + spec.setup.layout.total_qubits, what="state")
-        ens = ens.tensor(Ensemble.from_pure(spec.setup))
+        try:
+            check_cap(ens.layout.total_qubits + spec.setup.layout.total_qubits, what="state")
+            ens = ens.tensor(Ensemble.from_pure(spec.setup))
+        except CapExceeded as exc:
+            raise CapExceeded(f"setup {list(spec.setup.layout.names)}: {exc}") from exc
 
     last = spec.schedule[-1]
     kept: list[Ensemble | None] = []
@@ -422,10 +428,12 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
         for op in st.step.ops:
             try:
                 ens = ens.apply(op)
-            except (ChannelError, LayoutError, StateError) as exc:
-                raise ProtocolShapeError(
-                    f"step {st.t} ({st.party}): {type(op).__name__} failed: {exc}"
-                ) from exc
+            except (ChannelError, LayoutError, StateError, CapExceeded) as exc:
+                where = (f"step {st.t} ({st.party}): {type(op).__name__} on "
+                         f"{[*op.touches, *(n for n, _ in op.creates)]}")
+                if isinstance(exc, CapExceeded):
+                    raise CapExceeded(f"{where}: {exc}") from exc
+                raise ProtocolShapeError(f"{where} failed: {exc}") from exc
         kept.append(ens if keep is None or st.t in keep or st is last else None)
     return ExecutionTranscript(spec, kept, refs)
 

@@ -438,3 +438,29 @@ def test_dense_op_matches_reference(registers, count, rows):
     d = 1 << sum(layout.width(r) for r in registers)
     mats = [random_unitary(rng, d)] if count == 1 else random_kraus(rng, d, count)
     _check_against_reference(DenseOp(tuple(mats), registers), layout, rows, rng)
+
+
+def _labels(layout, name) -> np.ndarray:
+    """The label of ``name`` at each basis index of ``layout``."""
+    return np.array([a[name] for a in _assignments(layout)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ops_commute_with_the_labels_they_do_not_relabel(seed):
+    """Every register an op does not declare in ``relabels`` keeps its label:
+    each of the op's operators commutes with that register's label
+    projectors, so its entries between two different labels are exact
+    zeros (on the output side the label sits beside the created registers).
+    A declared register is one the op touches; it may keep its label too,
+    as under an all-zero mask."""
+    rng = np.random.default_rng(9200 + seed)
+    layout = _layout(rng)
+    for op in _ops(rng, layout):
+        assert set(op.relabels) <= set(op.touches), op
+        out_layout = op.output_layout(layout)
+        for name in layout.names:
+            if name in op.relabels:
+                continue
+            moved = _labels(out_layout, name)[:, None] != _labels(layout, name)[None, :]
+            for m in REFERENCE[type(op)](op, layout):
+                assert not np.any(m[moved]), (op, name)

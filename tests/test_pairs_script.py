@@ -42,12 +42,13 @@ def _checkouts(tmp_path):
     return out
 
 
-def _pairs(tmp_path, out, seeds):
+def _pairs(tmp_path, out, seeds, workload="w"):
+    """Run the script; its output and the record it appended."""
     res = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "parent"),
-                          str(tmp_path / "change"), "--workload", "w", "--seeds", seeds,
+                          str(tmp_path / "change"), "--workload", workload, "--seeds", seeds,
                           "--out", str(out)],
                          capture_output=True, text=True, check=True)
-    return res.stdout, json.loads((out / "BENCH_w.json").read_text())
+    return res.stdout, json.loads((out / f"BENCH_{workload}.json").read_text())[-1]
 
 
 def test_pairs_alternate_and_record_every_metric(tmp_path):
@@ -101,16 +102,30 @@ def test_claim_rule_needs_ten_pairs_unused_seeds_and_correct_runs(tmp_path):
     assert doc["pairs"][-1]["change_run"]["correct"] is False
 
 
-def test_a_rerun_keeps_the_seeds_of_the_record_it_replaces(tmp_path):
+def test_a_rerun_keeps_every_earlier_record_byte_for_byte(tmp_path):
     out = _checkouts(tmp_path)
+    bench = out / "BENCH_w.json"
     _pairs(tmp_path, out, "1-3")
+    before = bench.read_text()
     _, doc = _pairs(tmp_path, out, "3-4")
-    assert doc["seeds"] == [3, 4] and doc["earlier_seeds"] == [1, 2, 3]
-    assert doc["claim_rule"]["reused_seeds"] == [3]
-    # seeds 1 and 2 are no longer this record's own, and still count as used
+    after = bench.read_text()
+    # the list so far, up to its closing bracket, is the start of the new text
+    assert after.startswith(before.rstrip()[:-1].rstrip() + ",\n")
+    assert [r["seeds"] for r in json.loads(after)] == [[1, 2, 3], [3, 4]]
+    assert doc["earlier_seeds"] == [1, 2, 3] and doc["claim_rule"]["reused_seeds"] == [3]
     _, doc = _pairs(tmp_path, out, "1-2")
-    assert doc["earlier_seeds"] == [1, 2, 3, 4]
-    assert doc["claim_rule"]["reused_seeds"] == [1, 2]
+    assert json.loads(bench.read_text())[:2] == json.loads(after)
+    assert doc["earlier_seeds"] == [1, 2, 3, 4] and doc["claim_rule"]["reused_seeds"] == [1, 2]
+
+    # a file holding one record, as the script once wrote, keeps it first
+    lone = after[2:after.index("\n}") + 2] + "\n"
+    assert json.loads(lone)["seeds"] == [1, 2, 3]
+    (out / "BENCH_v.json").write_text(lone)
+    _, doc = _pairs(tmp_path, out, "5", workload="v")
+    text = (out / "BENCH_v.json").read_text()
+    assert text.startswith("[\n" + lone.rstrip() + ",\n")
+    assert [r["seeds"] for r in json.loads(text)] == [[1, 2, 3], [5]]
+    assert doc["earlier_seeds"] == [1, 2, 3]
 
 
 def test_a_failing_run_stops_the_pairs(tmp_path):

@@ -173,8 +173,8 @@ class TestTheoremBound:
         assert row.bound == pytest.approx(float.fromhex("0x1.cb12edecfe42cp-2"), abs=1e-12)
 
     def test_honest_runs_are_shared_across_adversaries(self, k2, monkeypatch):
-        # 4 databases for the honest certificate, whose views every
-        # adversary's simulator reuses, plus one x0 reference run each
+        # one run of the 4 databases for the honest certificate, whose views
+        # every adversary's simulator reuses, plus one x0 reference run each
         from qpirlab import privacy
 
         inner, calls = privacy.execute, []
@@ -184,7 +184,7 @@ class TestTheoremBound:
             return inner(spec, *args, **kwargs)
         monkeypatch.setattr(privacy, "execute", counted)
         verify_theorem_bound(k2, [gamma_family(k2, t, lossy=True) for t in (0.1, 0.2, 0.4)])
-        assert calls.count(k2.spec.name) == 7
+        assert calls.count(k2.spec.name) == 4
 
     def test_sandwich_lower_vs_certified(self, k2):
         adv = gamma_family(k2, 0.4, lossy=True)

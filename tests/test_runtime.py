@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_pure
-from qpirlab.adversaries import standard_inputs
+from qpirlab.adversaries import measure_speciousness, purified_honest, standard_inputs
 from qpirlab.channels import CopyOp, HadamardOp, MeasureOp, PrepareOp
 from qpirlab.config import CapExceeded
 from qpirlab.distances import trace_distance
-from qpirlab.protocols import build_kerenidis, epr_pair_state
+from qpirlab.protocols import build_counterexample, build_kerenidis, epr_pair_state
 from qpirlab.runtime import (
     Ensemble,
     PartyProgram,
@@ -48,6 +48,21 @@ def test_shape_errors_report_step():
     bad_client = PartyProgram("B", (PartyStep((HadamardOp("db"),), ()),), ())
     with pytest.raises(ProtocolShapeError, match="step 2"):
         ProtocolSpec(1, server, bad_client, None)
+
+
+def test_a_cap_error_names_the_step_the_op_and_its_registers(monkeypatch):
+    # 2 db + 2 idx/refi + 4 setup qubits fit a cap of 9; the first server
+    # step prepares the 2-qubit dbm, which does not
+    cx = build_counterexample(2)
+    adv = purified_honest(cx)
+    monkeypatch.setenv("QPIRLAB_QUBIT_CAP", "9")
+    with pytest.raises(CapExceeded, match=r"^step 1 \(A\): PrepareOp on \['dbm'\]: "
+                                          r"layout needs 10 qubits, cap is 9$"):
+        measure_speciousness(cx, adv)
+    monkeypatch.setenv("QPIRLAB_QUBIT_CAP", "7")
+    with pytest.raises(CapExceeded, match=r"^setup \['r11', 'r11c', 'r21', 'r21c'\]: "
+                                          r"state needs 8 qubits, cap is 7$"):
+        measure_speciousness(cx, adv)
 
 
 def test_send_of_unowned_register_rejected():

@@ -1,10 +1,13 @@
-"""Steering against the per-input loop.
+"""Steering against the per-input loop, and the shared run against the
+per-database runs.
 
 Every analysis runs each database state once, on the purified index, and
 steers the result to each test input's client state.  The slow reference
 here runs every test input on its own, as the analyses did before: views,
 privacy rows, both certificates and the speciousness rows must agree with
-it to 1e-12."""
+it to 1e-12.  Where the specs only read the database register, the
+classical databases are the blocks of one shared run; their views, states
+and every figure row must equal those of one run per database bit for bit."""
 
 from itertools import combinations
 
@@ -15,11 +18,15 @@ from qpirlab import adversaries, distances, privacy
 from qpirlab.adversaries import (
     adversary_by_name,
     apply_recovery,
+    database_block,
     database_groups,
     in_span,
     measure_speciousness,
+    purification_attack,
     purified_honest,
     purified_input,
+    reads_only,
+    shared_input,
     standard_inputs,
     steer,
     steered_rows,
@@ -29,6 +36,7 @@ from qpirlab.privacy import (
     TheoremSimulator,
     _even_steps,
     _run_views,
+    is_measurement_free,
     privacy_lower_bound,
 )
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
@@ -245,27 +253,120 @@ def _count_calls(monkeypatch, module):
     return calls
 
 
-def test_privacy_lower_bound_runs_each_database_once(monkeypatch):
+def test_privacy_lower_bound_runs_every_classical_database_in_one_execute(monkeypatch):
     calls = _count_calls(monkeypatch, privacy)
     report = privacy_lower_bound(build_kerenidis(4))
-    assert len(calls) == 16
+    # the 16 databases are the db blocks of one run
+    assert len(calls) == 1
     assert len(report.rows) == 528
 
 
-def test_honest_certificate_runs_each_database_once(monkeypatch):
-    # the simulated view (index 1) and the actual views share each run
+def test_honest_certificate_runs_every_classical_database_in_one_execute(monkeypatch):
+    # the simulated view (index 1) and the actual views share the one run
     calls = _count_calls(monkeypatch, privacy)
     HonestSimulator(build_kerenidis(4)).epsilon_upper()
-    assert len(calls) == 16
+    assert len(calls) == 1
 
 
-def test_speciousness_runs_each_database_once_per_side(monkeypatch):
+def test_speciousness_runs_the_classical_databases_once_per_side(monkeypatch):
     inst = build_counterexample(2)
     calls = _count_calls(monkeypatch, adversaries)
     measure_speciousness(inst, purified_honest(inst))
-    # four classical databases and the superposed one, honest and adversarial
-    assert len(calls) == 10
+    # one honest and one adversarial run for the four classical databases,
+    # and the same for the superposed one
+    assert len(calls) == 4
     assert len(set(calls)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the shared run against one run per database
+# ---------------------------------------------------------------------------
+
+SHARED_CASES = [("k2", None), ("k4", None), ("cx2", None), ("cx2", "honest-purified"),
+                ("k2", "gamma-lossy:0.3")]
+
+
+@pytest.mark.parametrize("inst_name,adv_name", SHARED_CASES)
+def test_database_blocks_are_the_per_database_runs(inst_name, adv_name):
+    inst = _instance(inst_name)
+    adv = _adversary(inst, adv_name)
+    spec = inst.spec if adv is None else adv.modified_spec(inst.spec)
+    db, steps = inst.database_register, _even_steps(inst.spec)
+    assert reads_only(db, (spec,), ())
+    shared = execute(spec, shared_input(spec, db, inst.n))
+    for x in range(1 << inst.n):
+        views = _run_views(spec, inst.database_state(x), steps)
+        own = execute(spec, purified_input(spec, inst.database_state(x)))
+        for t in range(1, shared.steps + 1):
+            pairs = [(database_block(shared.ensemble(t), db, x), own.ensemble(t))]
+            if t in steps:
+                pairs.append((database_block(shared.server_view(t), db, x), views[t]))
+            if adv is not None:
+                recovery = adv.recoveries[t - 1]
+                pairs.append((database_block(apply_recovery(shared, t, recovery), db, x),
+                              apply_recovery(own, t, recovery)))
+            for got, want in pairs:
+                assert got.layout == want.layout
+                assert got.vectors.shape == want.vectors.shape, (x, t)
+                assert np.array_equal(got.vectors, want.vectors), (x, t)
+
+
+def _shared_figures(inst, adv):
+    """Every figure row of ``inst``: the lower bound in both modes, honest
+    and against ``adv``, both certificates and the meter."""
+    honest = HonestSimulator(inst)
+    out = {}
+    for a in (None, adv):
+        for mode in ("anchored", "full"):
+            out[f"lower bound {mode} {a and a.name}"] = [
+                (r.step, r.x_label, r.pair, r.distance)
+                for r in privacy_lower_bound(inst, a, mode).rows]
+    out["honest certificate"] = honest.epsilon_upper()[1]
+    if is_measurement_free(inst.spec):
+        out["theorem certificate"] = TheoremSimulator(honest, adv, 0).certify()[1]
+    out["meter"] = list(measure_speciousness(inst, adv).rows)
+    return out
+
+
+@pytest.mark.parametrize("inst_name,adv_name", SHARED_CASES)
+def test_shared_figures_equal_the_per_database_runs(monkeypatch, inst_name, adv_name):
+    inst = _instance(inst_name)
+    adv = _adversary(inst, adv_name or "honest-purified")
+    privacy_calls = _count_calls(monkeypatch, privacy)
+    meter_calls = _count_calls(monkeypatch, adversaries)
+    got = _shared_figures(inst, adv)
+    shared = len(privacy_calls), len(meter_calls)
+    privacy_calls.clear()
+    meter_calls.clear()
+    # the reference: every database group runs on its own
+    for module in (privacy, adversaries):
+        monkeypatch.setattr(module, "reads_only", lambda *args: False)
+    want = _shared_figures(inst, adv)
+    assert len(privacy_calls) > shared[0] and len(meter_calls) > shared[1]
+    assert got.keys() == want.keys()
+    for name in got:
+        assert len(got[name]) == len(want[name]) > 0, name
+        assert got[name] == want[name], name
+
+
+def test_purify_db_and_the_superposed_database_run_on_their_own(monkeypatch):
+    k2 = build_kerenidis(2)
+    attack = purification_attack(k2)
+    # the attack swaps db aside and puts it in superposition
+    assert not reads_only("db", (attack.modified_spec(k2.spec),), ())
+    assert not reads_only("db", (), attack.recoveries[0].ops)
+    calls = _count_calls(monkeypatch, privacy)
+    privacy_lower_bound(k2, attack, "full")
+    assert len(calls) == 5  # four classical databases and x=+, one run each
+    calls.clear()
+    privacy_lower_bound(k2, None, "full")
+    assert len(calls) == 2  # the classical databases together, and x=+
+    calls = _count_calls(monkeypatch, adversaries)
+    measure_speciousness(k2, attack)
+    assert len(calls) == 10  # five database states, honest and adversarial
+    calls.clear()
+    measure_speciousness(k2, adversary_by_name(k2, "gamma-lossy:0.3"))
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -310,8 +310,8 @@ def test_lower_bound_takes_one_span_per_database_and_step(monkeypatch):
     _counting(monkeypatch, qrs, np.linalg, "qr")
     report = privacy_lower_bound(build_kerenidis(4))
     assert len(report.rows) == 528
-    # 16 databases x 3 even steps
-    assert (len(executes), len(spans)) == (16, 48)
+    # 16 databases x 3 even steps, the databases' views blocks of one run
+    assert (len(executes), len(spans)) == (1, 48)
     # the 528 comparisons come in 3 [a b] shapes, one stacked call each
     assert len(distances) == 3
     assert len(qrs) == 48 + 3
@@ -328,8 +328,9 @@ def test_meter_takes_one_span_per_database_and_step(monkeypatch):
     # 4 classical databases with 5 inputs each and the superposed one with 3,
     # at 8 steps
     assert len(report.rows) == 184
-    # an honest and an adversarial run per database state; 5 states x 8 steps
-    assert (len(executes), len(spans)) == (10, 40)
+    # an honest and an adversarial run for the 4 classical databases
+    # together and for the superposed one; 5 database states x 8 steps
+    assert (len(executes), len(spans)) == (4, 40)
     # the 184 comparisons come in 3 [b a] shapes, one stacked call each
     assert len(distances) == 3
     assert len(qrs) == 40 + 3
@@ -340,8 +341,9 @@ def test_certificates_take_one_span_per_database_and_step(monkeypatch):
     _counting(monkeypatch, executes, privacy, "execute")
     _counting(monkeypatch, spans, privacy, "in_span")
     privacy.HonestSimulator(build_kerenidis(4)).epsilon_upper()
-    # 16 databases x 3 even steps; the simulated view shares each run
-    assert (len(executes), len(spans)) == (16, 48)
+    # 16 databases x 3 even steps, all in one run; the simulated view
+    # shares it
+    assert (len(executes), len(spans)) == (1, 48)
 
     k2 = build_kerenidis(2)
     sim = privacy.TheoremSimulator(privacy.HonestSimulator(k2),
