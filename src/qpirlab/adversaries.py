@@ -17,7 +17,7 @@ the purified index (the ``i-entangled`` input, whose reference ``refi``
 purifies the client's index), and steers both global states at every step
 to each test input's client state (:func:`steer`), both taken first into
 one shared branch span (:func:`in_span`).  Where no op of either spec or of
-the recoveries may relabel the database register (:func:`reads_only`), the
+the recoveries may relabel the database register (:func:`shared_groups`), the
 classical databases are the label blocks of one run on their sum
 (:func:`shared_input`, :func:`database_block`), so each side runs once for
 all of them; only the purification attack and the superposed database run
@@ -75,7 +75,7 @@ __all__ = [
     "standard_inputs",
     "database_groups",
     "purified_input",
-    "reads_only",
+    "shared_groups",
     "shared_input",
     "database_block",
     "steer",
@@ -243,18 +243,24 @@ def purified_input(spec: ProtocolSpec, database: PureState | None) -> PureState 
     return state
 
 
-def reads_only(register: str, specs, ops) -> bool:
-    """Whether the runs of ``specs``, with ``ops`` applied after them, keep
-    every label of ``register`` apart: no op may relabel it
+def shared_groups(instance: QpirInstance, groups, specs, ops) -> list[int]:
+    """The indices of the database ``groups`` whose runs of ``specs`` (with
+    ``ops`` applied after them) are blocks of one shared run: every
+    classical database, when no op may relabel the database register
     (:attr:`~qpirlab.channels.ChannelOp.relabels`; controls, selectors,
     sources and masks only read) and no step sends it, so it stays in the
-    server's view.  Then every op acts on each label block of ``register``
-    alone, and the runs on all classical databases are the blocks
-    (:func:`database_block`) of one run on their sum (:func:`shared_input`)."""
+    server's view; else none.  Then every op acts on each label block of the
+    register alone, and the run of a classical database is its block
+    (:func:`database_block`) of one run on their sum (:func:`shared_input`).
+    The superposed database, a built-in one and every database of a spec
+    that relabels the register (the purification attack) run on their own."""
+    db = instance.database_register
     steps = [st.step for spec in specs for st in spec.schedule]
     every_op = [*(op for step in steps for op in step.ops), *ops]
-    return (all(register not in op.relabels for op in every_op)
-            and all(register not in step.sends for step in steps))
+    if (db is None or any(db in op.relabels for op in every_op)
+            or any(db in step.sends for step in steps)):
+        return []
+    return [g for g, members in enumerate(groups) if members[0].db is not None]
 
 
 def shared_input(spec: ProtocolSpec, register: str, width: int) -> Ensemble:
@@ -273,7 +279,7 @@ def database_block(ens: Ensemble, register: str, label: int) -> Ensemble:
     ``register`` zeroed, and the rows whose squared norm is then at or
     below ``states.BRANCH_PRUNE`` dropped, the others kept in order.  Taken
     from a run on :func:`shared_input` of a spec that only reads
-    ``register`` (:func:`reads_only`), it is bit for bit the same run on
+    ``register`` (:func:`shared_groups`), it is bit for bit the same run on
     ``|label>`` alone: each op acted on each block as on that block alone,
     and a row the run on ``|label>`` pruned carries no more weight here."""
     lay = ens.layout
@@ -627,7 +633,7 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     each input's client state.
 
     When the honest spec, the adversarial spec and the recovery ops only
-    read the database register (:func:`reads_only`), every classical
+    read the database register (:func:`shared_groups`), every classical
     database shares one honest and one adversarial run on the sum of their
     inputs (:func:`shared_input`), and one recovery per step: each
     database's pair is its block (:func:`database_block`) of the step's two
@@ -645,10 +651,8 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     groups = database_groups(inputs)
     pairs = [{} for _ in groups]  # per group: step -> (honest, recovered) in one span
     adv_spec = adversary.modified_spec(spec)
-    recovery_ops = [op for recovery in adversary.recoveries for op in recovery.ops]
-    shared = []
-    if db is not None and reads_only(db, (spec, adv_spec), recovery_ops):
-        shared = [g for g, members in enumerate(groups) if members[0].db is not None]
+    shared = shared_groups(instance, groups, (spec, adv_spec),
+                           [op for recovery in adversary.recoveries for op in recovery.ops])
     runs = []  # (run input, [(group, its db label in a shared run, else None)])
     if shared:
         runs.append((shared_input(spec, db, instance.n), [(g, groups[g][0].db) for g in shared]))

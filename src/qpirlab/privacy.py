@@ -23,7 +23,7 @@ name to the honest simulator's views.
 
 The runner executes a spec once per database state.  A spec that only reads
 the database register (no op relabels it,
-:func:`qpirlab.adversaries.reads_only`) acts on each label block of it
+:func:`qpirlab.adversaries.shared_groups`) acts on each label block of it
 alone, so every classical database is one block of a single run on their
 unnormalized sum, and each figure makes that one run (:func:`_each_view`);
 only a spec that relabels the database (the purification attack) and the
@@ -69,7 +69,7 @@ from itertools import combinations
 import numpy as np
 
 from .adversaries import (PURIFIER, Adversary, database_block, database_groups, in_span,
-                          measure_speciousness, purified_input, reads_only, shared_input,
+                          measure_speciousness, purified_input, shared_groups, shared_input,
                           standard_inputs, steer, steered_distances, steered_rows)
 from .channels import (
     ChannelOp,
@@ -132,7 +132,7 @@ def _each_view(spec: ProtocolSpec, instance: QpirInstance, groups, each) -> None
     step ``t``: the server's view at ``t`` of the run of ``spec`` over the
     group's database on the purified index, as :func:`_run_views` gives it.
 
-    When ``spec`` only reads the database register (:func:`reads_only`),
+    When ``spec`` only reads the database register (:func:`shared_groups`),
     the classical databases share one run on the sum of their inputs
     (:func:`shared_input`), step-major: each step's shared view is formed
     once, each group gets its database's block of it
@@ -142,9 +142,7 @@ def _each_view(spec: ProtocolSpec, instance: QpirInstance, groups, each) -> None
     relabels the register) run one by one through :func:`_run_views`."""
     steps = _even_steps(instance.spec)
     db = instance.database_register
-    shared = []
-    if db is not None and reads_only(db, (spec,), ()):
-        shared = [g for g, members in enumerate(groups) if members[0].db is not None]
+    shared = shared_groups(instance, groups, (spec,), ())
     if shared:
         tr = execute(spec, shared_input(spec, db, instance.n), keep=steps)
         for t in steps:

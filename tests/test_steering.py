@@ -25,7 +25,7 @@ from qpirlab.adversaries import (
     purification_attack,
     purified_honest,
     purified_input,
-    reads_only,
+    shared_groups,
     shared_input,
     standard_inputs,
     steer,
@@ -292,7 +292,9 @@ def test_database_blocks_are_the_per_database_runs(inst_name, adv_name):
     adv = _adversary(inst, adv_name)
     spec = inst.spec if adv is None else adv.modified_spec(inst.spec)
     db, steps = inst.database_register, _even_steps(inst.spec)
-    assert reads_only(db, (spec,), ())
+    groups = database_groups(standard_inputs(inst, superposed_db=True))
+    # every classical database shares the run, the superposed one does not
+    assert shared_groups(inst, groups, (spec,), ()) == list(range(1 << inst.n))
     shared = execute(spec, shared_input(spec, db, inst.n))
     for x in range(1 << inst.n):
         views = _run_views(spec, inst.database_state(x), steps)
@@ -340,7 +342,7 @@ def test_shared_figures_equal_the_per_database_runs(monkeypatch, inst_name, adv_
     meter_calls.clear()
     # the reference: every database group runs on its own
     for module in (privacy, adversaries):
-        monkeypatch.setattr(module, "reads_only", lambda *args: False)
+        monkeypatch.setattr(module, "shared_groups", lambda *args: [])
     want = _shared_figures(inst, adv)
     assert len(privacy_calls) > shared[0] and len(meter_calls) > shared[1]
     assert got.keys() == want.keys()
@@ -353,8 +355,10 @@ def test_purify_db_and_the_superposed_database_run_on_their_own(monkeypatch):
     k2 = build_kerenidis(2)
     attack = purification_attack(k2)
     # the attack swaps db aside and puts it in superposition
-    assert not reads_only("db", (attack.modified_spec(k2.spec),), ())
-    assert not reads_only("db", (), attack.recoveries[0].ops)
+    groups = database_groups(standard_inputs(k2, superposed_db=True))
+    assert shared_groups(k2, groups, (attack.modified_spec(k2.spec),), ()) == []
+    assert shared_groups(k2, groups, (k2.spec,), attack.recoveries[0].ops) == []
+    assert shared_groups(k2, groups, (k2.spec,), ()) == [0, 1, 2, 3]
     calls = _count_calls(monkeypatch, privacy)
     privacy_lower_bound(k2, attack, "full")
     assert len(calls) == 5  # four classical databases and x=+, one run each
