@@ -16,16 +16,16 @@ The meter runs each database state twice, honestly and adversarially, on
 the purified index (the ``i-entangled`` input, whose reference ``refi``
 purifies the client's index), and steers both global states at every step
 to each test input's client state (:func:`steer`), both taken first into
-one shared branch span (:func:`in_span`).  Where no op of either spec or of
-the recoveries may relabel the database register (:func:`shared_groups`), the
-classical databases are the label blocks of one run on their sum
-(:func:`shared_input`, :func:`database_block`), so each side runs once for
-all of them; only the purification attack and the superposed database run
-on their own.  Following the paper's
-purification argument, the steering map acts only on that reference, which
-no program and no recovery touches, so it commutes with the protocol, the
-adversary, the recoveries (measurements included) and the discards: the
-steered distances are those of separate runs.
+one shared branch span (:func:`in_span`).  :func:`database_runs` is the one
+place that decides which runs a figure makes: where no op of the specs or of
+the recoveries may relabel the database register (:func:`shared_groups`),
+the classical databases are the label blocks (:func:`database_block`) of
+one run on their sum, so each side runs once for all of them; only the
+purification attack and the superposed database run on their own.
+Following the paper's purification argument, the steering map acts only on
+that reference, which no program and no recovery touches, so it commutes
+with the protocol, the adversary, the recoveries (measurements included)
+and the discards: the steered distances are those of separate runs.
 
 :func:`steer` is the one steering function and keeps no state.  It is a
 client matrix, formed from the input's client state, times the run's
@@ -76,7 +76,7 @@ __all__ = [
     "database_groups",
     "purified_input",
     "shared_groups",
-    "shared_input",
+    "database_runs",
     "database_block",
     "steer",
     "in_span",
@@ -169,10 +169,9 @@ def client_variants(instance: QpirInstance, kinds=("classical", "uniform", "enta
     out = []
     if reg is None:
         return [("i=1", "plain", instance.client_basis_state(1), ())]
-    layout = RegisterLayout(((reg, width),))
     if "classical" in kinds:
         for i in range(1, n + 1):
-            out.append((f"i={i}", "plain", PureState.basis(layout, {reg: i - 1}), ()))
+            out.append((f"i={i}", "plain", instance.client_basis_state(i), ()))
     if "uniform" in kinds:
         out.append(("i-uniform", "plain", instance.client_uniform_state(), ()))
     epr = epr_pair_state(reg, PURIFIER, width)
@@ -251,7 +250,7 @@ def shared_groups(instance: QpirInstance, groups, specs, ops) -> list[int]:
     sources and masks only read) and no step sends it, so it stays in the
     server's view; else none.  Then every op acts on each label block of the
     register alone, and the run of a classical database is its block
-    (:func:`database_block`) of one run on their sum (:func:`shared_input`).
+    (:func:`database_block`) of one run on their sum (:func:`database_runs`).
     The superposed database, a built-in one and every database of a spec
     that relabels the register (the purification attack) run on their own."""
     db = instance.database_register
@@ -263,25 +262,41 @@ def shared_groups(instance: QpirInstance, groups, specs, ops) -> list[int]:
     return [g for g, members in enumerate(groups) if members[0].db is not None]
 
 
-def shared_input(spec: ProtocolSpec, register: str, width: int) -> Ensemble:
-    """The unnormalized sum over every classical label ``x`` of the
-    database ``register`` of the run input :func:`purified_input` gives
-    ``|x>``: ``sum_x |x>``, with no ``2**(-width/2)``, beside the purified
-    index.  Its ``register = x`` block is that input bit for bit."""
-    ones = Ensemble(RegisterLayout(((register, width),)),
-                    np.ones((1, 1 << width), dtype=np.complex128))
-    index = purified_input(spec, None)
-    return ones if index is None else ones.tensor(Ensemble.from_pure(index))
+def database_runs(instance: QpirInstance, groups, specs, ops) -> list[tuple]:
+    """How the database ``groups`` are run through ``specs`` (with ``ops``
+    applied after them): ``[(run input, [(g, x)])]``, where group ``g``'s
+    run is the ``x`` block (:func:`database_block`) of the run on that
+    input.
+
+    First, when :func:`shared_groups` lists any, one run on the
+    unnormalized sum ``sum_x |x>`` of the classical databases, with no
+    ``2**(-n/2)``, beside the purified index: its ``db = x`` block is the
+    input :func:`purified_input` gives ``|x>``, bit for bit, and each
+    listed group reads the block of its database.  Then one run per other
+    group on its :func:`purified_input`, read whole (``x = None``)."""
+    spec, db = specs[0], instance.database_register
+    shared = shared_groups(instance, groups, specs, ops)
+    runs = []
+    if shared:
+        ones = Ensemble(RegisterLayout(((db, instance.n),)),
+                        np.ones((1, 1 << instance.n), dtype=np.complex128))
+        index = purified_input(spec, None)
+        runs.append((ones if index is None else ones.tensor(Ensemble.from_pure(index)),
+                     [(g, groups[g][0].db) for g in shared]))
+    return runs + [(purified_input(spec, members[0].database), [(g, None)])
+                   for g, members in enumerate(groups) if g not in shared]
 
 
-def database_block(ens: Ensemble, register: str, label: int) -> Ensemble:
+def database_block(ens: Ensemble, register: str | None, label: int | None) -> Ensemble:
     """The ``register = label`` block of ``ens``: every other label of
     ``register`` zeroed, and the rows whose squared norm is then at or
     below ``states.BRANCH_PRUNE`` dropped, the others kept in order.  Taken
-    from a run on :func:`shared_input` of a spec that only reads
-    ``register`` (:func:`shared_groups`), it is bit for bit the same run on
-    ``|label>`` alone: each op acted on each block as on that block alone,
-    and a row the run on ``|label>`` pruned carries no more weight here."""
+    from the shared run of :func:`database_runs`, it is bit for bit the
+    same run on ``|label>`` alone: each op acted on each block as on that
+    block alone, and a row the run on ``|label>`` pruned carries no more
+    weight here.  ``label=None`` (a run of its own) is ``ens`` itself."""
+    if label is None:
+        return ens
     lay = ens.layout
     first, width = lay.offset(register), lay.width(register)
     block = ens.vectors.reshape(len(ens.vectors), 1 << first, 1 << width, -1)[:, :, label]
@@ -589,9 +604,6 @@ class SpeciousnessReport:
     inputs: tuple[str, ...]
     notes: str = ""
 
-    def max_for_input(self, label: str) -> float:
-        return max(d for lbl, _, d in self.rows if lbl == label)
-
 
 def apply_recovery(transcript: ExecutionTranscript, t: int, recovery: Recovery) -> Ensemble:
     """The recovered global state at step t (discards traced out)."""
@@ -627,19 +639,15 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     has a database register) is compared at every step: the step-t recovery
     is applied to the adversarial state and the result is compared globally
     with the honest state (the reference and client side ride along
-    untouched).  Each database state is run once through the honest
-    protocol and once through the adversary, on the purified index; at each
-    step both global states are taken into one branch span and steered to
-    each input's client state.
-
-    When the honest spec, the adversarial spec and the recovery ops only
-    read the database register (:func:`shared_groups`), every classical
-    database shares one honest and one adversarial run on the sum of their
-    inputs (:func:`shared_input`), and one recovery per step: each
-    database's pair is its block (:func:`database_block`) of the step's two
-    shared states, bit for bit the states of its own runs.  The superposed
-    database, and every database of an adversary that relabels the
-    register (the purification attack), run on their own.
+    untouched).  The runs are those :func:`database_runs` plans for the
+    honest spec, the adversarial spec and the recovery ops: each run input
+    goes once through the honest protocol and once through the adversary,
+    and at each step the recovery is applied once.  Each database group's
+    pair is its block (:func:`database_block`) of the step's two states,
+    bit for bit the states of its own runs on the purified index (the
+    shared run of every classical database, where no op relabels the
+    register), taken into one branch span and steered to each input's
+    client state.  The register-name check runs on every run's states.
     """
     spec = instance.spec
     if adversary.recoveries is None:
@@ -651,14 +659,8 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     groups = database_groups(inputs)
     pairs = [{} for _ in groups]  # per group: step -> (honest, recovered) in one span
     adv_spec = adversary.modified_spec(spec)
-    shared = shared_groups(instance, groups, (spec, adv_spec),
-                           [op for recovery in adversary.recoveries for op in recovery.ops])
-    runs = []  # (run input, [(group, its db label in a shared run, else None)])
-    if shared:
-        runs.append((shared_input(spec, db, instance.n), [(g, groups[g][0].db) for g in shared]))
-    runs += [(purified_input(spec, members[0].database), [(g, None)])
-             for g, members in enumerate(groups) if g not in shared]
-    for run_input, blocks in runs:
+    recovery_ops = [op for recovery in adversary.recoveries for op in recovery.ops]
+    for run_input, blocks in database_runs(instance, groups, (spec, adv_spec), recovery_ops):
         honest = execute(spec, run_input)
         dishonest = execute(adv_spec, run_input)
         for t, recovery in enumerate(adversary.recoveries, start=1):
@@ -671,9 +673,8 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
                 )
             # one client map steers both, so they share one span
             for g, x in blocks:
-                pairs[g][t] = (in_span(target, recovered) if x is None else
-                               in_span(database_block(target, db, x),
-                                       database_block(recovered, db, x)))
+                pairs[g][t] = in_span(database_block(target, db, x),
+                                      database_block(recovered, db, x))
             del recovered  # the full state goes before the next step's is formed
     rows = steered_distances(list(zip(groups, pairs)))
     gamma_hat = max(d for _, _, d in rows) if rows else 0.0

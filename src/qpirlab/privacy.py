@@ -4,10 +4,9 @@ Every figure here is a distance between server views.  The one definition
 of the view is :meth:`ExecutionTranscript.server_view`: at step ``t`` it is
 everything on the server's side plus the in-flight messages, keeping any
 reference registers.  One runner, ``_each_view``, takes the views at the
-even steps, from one run per database (``_run_views``) or from one run
-shared by the classical databases; two views are compared as
-:meth:`Ensemble.distance` compares them, aligned by register name and
-measured in the span of their branches.  Views are low-rank ensembles
+even steps of the runs :func:`qpirlab.adversaries.database_runs` plans;
+two views are compared as :meth:`Ensemble.distance` compares them, aligned
+by register name and measured in the span of their branches.  Views are low-rank ensembles
 (branch vectors componentized over the traced-out client side). Every
 figure takes its views into their branch span before it steers
 (:func:`qpirlab.adversaries.in_span`, one QR per database state and step,
@@ -21,13 +20,14 @@ reference marginal.  The simulators' own views stay named until then,
 because the theorem simulator applies inverted recovery ops by register
 name to the honest simulator's views.
 
-The runner executes a spec once per database state.  A spec that only reads
-the database register (no op relabels it,
-:func:`qpirlab.adversaries.shared_groups`) acts on each label block of it
-alone, so every classical database is one block of a single run on their
-unnormalized sum, and each figure makes that one run (:func:`_each_view`);
-only a spec that relabels the database (the purification attack) and the
-superposed database run on their own.
+The runner makes the runs of one plan,
+:func:`qpirlab.adversaries.database_runs`, which the speciousness meter
+follows too.  A spec that only reads the database register (no op relabels
+it) acts on each label block of it alone, so every classical database is
+one block of a single run on their unnormalized sum, and each figure makes
+that one run; only a spec that relabels the database (the purification
+attack) and the superposed database run on their own.  ``_run_views``, one
+run per database, is the reference the tests hold every view to.
 
 The paper's point is that a party may run a protocol on a purification
 of its input, and the same holds for the test inputs: in the
@@ -68,9 +68,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversaries import (PURIFIER, Adversary, database_block, database_groups, in_span,
-                          measure_speciousness, purified_input, shared_groups, shared_input,
-                          standard_inputs, steer, steered_distances, steered_rows)
+from .adversaries import (PURIFIER, Adversary, database_block, database_groups, database_runs,
+                          in_span, measure_speciousness, purified_input, standard_inputs, steer,
+                          steered_distances, steered_rows)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -122,7 +122,8 @@ def _even_steps(spec: ProtocolSpec) -> list[int]:
 
 def _run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
     """The server's view at each of ``steps`` in one run of ``spec`` over
-    ``database`` on the purified index."""
+    ``database`` on the purified index: the per-database reference that
+    every view :func:`_each_view` gives equals."""
     tr = execute(spec, purified_input(spec, database), keep=steps)
     return {t: tr.server_view(t) for t in steps}
 
@@ -132,28 +133,19 @@ def _each_view(spec: ProtocolSpec, instance: QpirInstance, groups, each) -> None
     step ``t``: the server's view at ``t`` of the run of ``spec`` over the
     group's database on the purified index, as :func:`_run_views` gives it.
 
-    When ``spec`` only reads the database register (:func:`shared_groups`),
-    the classical databases share one run on the sum of their inputs
-    (:func:`shared_input`), step-major: each step's shared view is formed
-    once, each group gets its database's block of it
-    (:func:`database_block`, bit for bit its own run's view), and the shared
-    view is released before the next step.  The other groups (the superposed
-    database, a built-in database, or every database of a spec that
-    relabels the register) run one by one through :func:`_run_views`."""
+    The runs are those :func:`database_runs` plans, step-major: each step's
+    view of a run is formed once, each group gets its block of it
+    (:func:`database_block`, bit for bit its own run's view), and the view
+    is released before the next step."""
     steps = _even_steps(instance.spec)
     db = instance.database_register
-    shared = shared_groups(instance, groups, (spec,), ())
-    if shared:
-        tr = execute(spec, shared_input(spec, db, instance.n), keep=steps)
+    for run_input, blocks in database_runs(instance, groups, (spec,), ()):
+        tr = execute(spec, run_input, keep=steps)
         for t in steps:
             view = tr.server_view(t)
-            for g in shared:
-                each(g, t, database_block(view, db, groups[g][0].db))
+            for g, x in blocks:
+                each(g, t, database_block(view, db, x))
             del view
-    for g, members in enumerate(groups):
-        if g not in shared:
-            for t, view in _run_views(spec, members[0].database, steps).items():
-                each(g, t, view)
 
 
 @dataclass(frozen=True)
@@ -285,6 +277,15 @@ class HonestSimulator:
     def __init__(self, instance: QpirInstance):
         self.instance = instance
         self._views: dict = {}  # database -> {even step: view}
+        self._references: dict = {}  # x0 -> the honest run on (x0, i=1)
+
+    def reference_run(self, x0) -> ExecutionTranscript:
+        """The honest run on the reference input ``(x0, i=1)``, made once
+        per ``x0``; every theorem simulator built on this one reads it."""
+        if x0 not in self._references:
+            inst = self.instance
+            self._references[x0] = execute(inst.spec, inst.basis_input(x0, 1))
+        return self._references[x0]
 
     def _keep(self, db, t: int, view: Ensemble) -> Ensemble:
         """Keep and return the simulator's own view (index 1) of database
@@ -341,7 +342,8 @@ class TheoremSimulator:
     recovery applied to (anchor tensor honest-simulator output).
 
     ``honest`` is the honest simulator of the instance; simulators of
-    several adversaries may share it, and with it its honest runs.
+    several adversaries may share it, and with it its honest runs: the
+    reference run (:meth:`HonestSimulator.reference_run`) and the views.
     """
 
     def __init__(self, honest: HonestSimulator, adversary: Adversary, x0):
@@ -356,9 +358,8 @@ class TheoremSimulator:
         self.honest = honest
         self.anchors: dict[int, PureState | None] = {}
         self.extraction_bounds: dict[int, float] = {}
-        inp = instance.basis_input(x0, 1)
-        honest_tr = execute(instance.spec, inp)
-        adv_tr = adversary.run(instance.spec, inp)
+        honest_tr = honest.reference_run(x0)
+        adv_tr = adversary.run(instance.spec, instance.basis_input(x0, 1))
         for t in _even_steps(instance.spec):
             self.anchors[t], self.extraction_bounds[t] = self._extract(honest_tr, adv_tr, t)
 
@@ -399,16 +400,6 @@ class TheoremSimulator:
         the adversary's actual view across anchored test inputs and steps."""
         return _certificate(self.instance, self.adversary.modified_spec(self.instance.spec),
                             lambda db, t, _: self.simulated_view(db, t))
-
-    def extract_anchor(self, db, client_state: PureState, t: int) -> PureState:
-        """Re-extract the anchor from an arbitrary anchored pure input; used
-        to check that one anchor serves every input."""
-        if not self.adversary.recoveries[t - 1].discard:
-            raise ProtocolShapeError("this adversary has no private registers")
-        inp = self.instance.input_with_client(db, client_state)
-        honest_tr = execute(self.instance.spec, inp)
-        adv_tr = self.adversary.run(self.instance.spec, inp)
-        return self._extract(honest_tr, adv_tr, t)[0]
 
 
 # The lab's figure tolerance: a computed distance at or below it is a

@@ -248,12 +248,6 @@ class Ensemble:
     def from_pure(cls, state: PureState) -> "Ensemble":
         return cls(state.layout, state.amplitudes[None])
 
-    @classmethod
-    def from_density(cls, layout: RegisterLayout, rho: DensityOperator) -> "Ensemble":
-        if rho.dimension != layout.dim:
-            raise StateError("density operator does not match the layout")
-        return cls(layout, rho.branches())
-
     @property
     def weight(self) -> float:
         return float(np.vdot(self.vectors, self.vectors).real)

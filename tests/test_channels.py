@@ -40,7 +40,7 @@ def test_identity_kraus_on_density(rng):
     layout = RegisterLayout((("a", 2),))
     rho = DensityOperator.maximally_mixed(4)
     op = DenseOp((np.eye(4),), ("a",), kind="kraus-set")
-    out = Ensemble.from_density(layout, rho).apply(op).density()
+    out = Ensemble(layout, rho.branches()).apply(op).density()
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
 

@@ -21,7 +21,7 @@ from qpirlab.privacy import (
     verify_theorem_bound,
 )
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
-from qpirlab.runtime import Ensemble, ProtocolShapeError
+from qpirlab.runtime import Ensemble, ProtocolShapeError, execute
 from qpirlab.states import PureState, RegisterLayout
 
 
@@ -123,7 +123,8 @@ class TestTheoremSimulator:
             for state in (PureState.basis(layout, {"idx": 0}),
                           PureState.basis(layout, {"idx": 1}),
                           PureState.from_vector(layout, np.array([1, 1]) / np.sqrt(2))):
-                sigma = sim.extract_anchor(x, state, t)
+                inp = k2.input_with_client(x, state)
+                sigma, _ = sim._extract(execute(k2.spec, inp), adv.run(k2.spec, inp), t)
                 assert pure_trace_distance(base, sigma) <= 2 * math.sqrt(2 * gamma) + 1e-8
 
     def test_simulated_view_is_the_server_view_layout(self, k2):
@@ -174,7 +175,8 @@ class TestTheoremBound:
 
     def test_honest_runs_are_shared_across_adversaries(self, k2, monkeypatch):
         # one run of the 4 databases for the honest certificate, whose views
-        # every adversary's simulator reuses, plus one x0 reference run each
+        # every adversary's simulator reuses, plus one x0 reference run that
+        # the honest simulator keeps for all of them
         from qpirlab import privacy
 
         inner, calls = privacy.execute, []
@@ -184,7 +186,7 @@ class TestTheoremBound:
             return inner(spec, *args, **kwargs)
         monkeypatch.setattr(privacy, "execute", counted)
         verify_theorem_bound(k2, [gamma_family(k2, t, lossy=True) for t in (0.1, 0.2, 0.4)])
-        assert calls.count(k2.spec.name) == 4
+        assert calls.count(k2.spec.name) == 2
 
     def test_sandwich_lower_vs_certified(self, k2):
         adv = gamma_family(k2, 0.4, lossy=True)

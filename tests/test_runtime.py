@@ -253,7 +253,7 @@ def test_mixed_input_from_density_matches_branch_mixture():
     inst = build_kerenidis(2)
     layout = RegisterLayout((("idx", 1),))
     rho = DensityOperator.from_ensemble(np.diag(np.sqrt([0.3, 0.7])))
-    ens = Ensemble.from_density(layout, rho)
+    ens = Ensemble(layout, rho.branches())
     tr = execute(inst.spec, inst.input_with_client(0b01, ens))
     parts = []
     for w, i in ((0.3, 1), (0.7, 2)):

@@ -20,13 +20,13 @@ from qpirlab.adversaries import (
     apply_recovery,
     database_block,
     database_groups,
+    database_runs,
     in_span,
     measure_speciousness,
     purification_attack,
     purified_honest,
     purified_input,
     shared_groups,
-    shared_input,
     standard_inputs,
     steer,
     steered_rows,
@@ -295,7 +295,7 @@ def test_database_blocks_are_the_per_database_runs(inst_name, adv_name):
     groups = database_groups(standard_inputs(inst, superposed_db=True))
     # every classical database shares the run, the superposed one does not
     assert shared_groups(inst, groups, (spec,), ()) == list(range(1 << inst.n))
-    shared = execute(spec, shared_input(spec, db, inst.n))
+    shared = execute(spec, database_runs(inst, groups, (spec,), ())[0][0])
     for x in range(1 << inst.n):
         views = _run_views(spec, inst.database_state(x), steps)
         own = execute(spec, purified_input(spec, inst.database_state(x)))
@@ -341,8 +341,7 @@ def test_shared_figures_equal_the_per_database_runs(monkeypatch, inst_name, adv_
     privacy_calls.clear()
     meter_calls.clear()
     # the reference: every database group runs on its own
-    for module in (privacy, adversaries):
-        monkeypatch.setattr(module, "shared_groups", lambda *args: [])
+    monkeypatch.setattr(adversaries, "shared_groups", lambda *args: [])
     want = _shared_figures(inst, adv)
     assert len(privacy_calls) > shared[0] and len(meter_calls) > shared[1]
     assert got.keys() == want.keys()
@@ -371,6 +370,34 @@ def test_purify_db_and_the_superposed_database_run_on_their_own(monkeypatch):
     calls.clear()
     measure_speciousness(k2, adversary_by_name(k2, "gamma-lossy:0.3"))
     assert len(calls) == 4
+
+
+def test_database_runs_plan_one_shared_run_then_each_other_group_alone():
+    k2 = build_kerenidis(2)
+    db = k2.database_register
+    groups = database_groups(standard_inputs(k2, superposed_db=True))
+    (shared, blocks), (plus, plus_blocks) = database_runs(k2, groups, (k2.spec,), ())
+    assert blocks == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    assert plus_blocks == [(4, None)] and groups[4][0].x_label == "x=+"
+    # each block of the shared input is the purified input of its database
+    for _, x in blocks:
+        want = purified_input(k2.spec, k2.database_state(x))
+        got = database_block(shared, db, x)
+        assert got.layout == want.layout
+        assert np.array_equal(got.vectors, want.amplitudes[None])
+    want = purified_input(k2.spec, groups[4][0].database)
+    assert plus.layout == want.layout and np.array_equal(plus.amplitudes, want.amplitudes)
+    # the purification attack relabels db: every group runs alone
+    attack = purification_attack(k2)
+    runs = database_runs(k2, groups, (k2.spec, attack.modified_spec(k2.spec)),
+                         [op for recovery in attack.recoveries for op in recovery.ops])
+    assert [blocks for _, blocks in runs] == [[(g, None)] for g in range(5)]
+    # a built-in database is one group, run whole
+    builtin = build_kerenidis(2, database=(1, 0))
+    (run,) = database_runs(builtin, database_groups(standard_inputs(builtin)),
+                           (builtin.spec,), ())
+    assert run[1] == [(0, None)]
+    assert database_block(shared, db, None) is shared
 
 
 @pytest.mark.parametrize("seed", range(3))
