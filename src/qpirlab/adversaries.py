@@ -16,12 +16,14 @@ The meter runs each database state twice, honestly and adversarially, on
 the purified index (the ``i-entangled`` input, whose reference ``refi``
 purifies the client's index), and steers both global states at every step
 to each test input's client state (:func:`steer`), both taken first into
-one shared branch span (:func:`in_span`).  :func:`database_runs` is the one
-place that decides which runs a figure makes: where no op of the specs or of
-the recoveries may relabel the database register (:func:`shared_groups`),
-the classical databases are the label blocks (:func:`database_block`) of
-one run on their sum, so each side runs once for all of them; only the
-purification attack and the superposed database run on their own.
+one shared branch span.  :func:`database_runs` is the one place that
+decides which runs a figure makes: where no op of the specs or of the
+recoveries may relabel the database register (:func:`shared_groups`), the
+classical databases are the label blocks (:func:`database_block`) of one
+run on their sum, so each side runs once for all of them; only the
+purification attack and the superposed database run on their own.  The
+spans of every block of a step come from one move of each of the step's
+states (:func:`block_spans`), with no named copy of any block.
 Following the paper's purification argument, the steering map acts only on
 that reference, which no program and no recovery touches, so it commutes
 with the protocol, the adversary, the recoveries (measurements included)
@@ -79,6 +81,7 @@ __all__ = [
     "database_runs",
     "database_block",
     "steer",
+    "block_spans",
     "in_span",
     "steered_rows",
     "steered_distances",
@@ -294,16 +297,25 @@ def database_block(ens: Ensemble, register: str | None, label: int | None) -> En
     from the shared run of :func:`database_runs`, it is bit for bit the
     same run on ``|label>`` alone: each op acted on each block as on that
     block alone, and a row the run on ``|label>`` pruned carries no more
-    weight here.  ``label=None`` (a run of its own) is ``ens`` itself."""
+    weight here.  ``label=None`` (a run of its own) is ``ens`` itself.  The
+    certificates' simulators need it named; spans read it in place
+    (:func:`block_spans`)."""
     if label is None:
         return ens
+    block, rows = _block_rows(ens, register, label)
+    out = np.zeros((len(rows), block.shape[1], 1 << ens.layout.width(register), block.shape[2]),
+                   dtype=np.complex128)
+    out[:, :, label] = block[rows]
+    return Ensemble(ens.layout, out.reshape(len(rows), ens.layout.dim))
+
+
+def _block_rows(ens: Ensemble, register: str, label: int):
+    """The ``register = label`` block of ``ens``, a ``(B, before, after)``
+    view, and the rows :func:`database_block` keeps of it."""
     lay = ens.layout
     first, width = lay.offset(register), lay.width(register)
     block = ens.vectors.reshape(len(ens.vectors), 1 << first, 1 << width, -1)[:, :, label]
-    (rows,) = nonzero_rows((np.abs(block) ** 2).sum(axis=(1, 2)))
-    out = np.zeros((len(rows), 1 << first, 1 << width, block.shape[-1]), dtype=np.complex128)
-    out[:, :, label] = block[rows]
-    return Ensemble(lay, out.reshape(len(rows), lay.dim))
+    return block, nonzero_rows((np.abs(block) ** 2).sum(axis=(1, 2)))[0]
 
 
 def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
@@ -396,48 +408,60 @@ def steered_rows(views, members) -> list[list[np.ndarray]]:
     return out
 
 
-def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
-    """``ens`` and ``others`` in the coordinates of their branch span.
+def block_spans(ensembles, register: str | None, labels) -> list[tuple[Ensemble, ...]]:
+    """For each ``x`` of ``labels``, the ``register = x`` blocks of
+    ``ensembles`` (:func:`database_block`; ``x = None``: whole) in the
+    coordinates of their branch span.
 
-    Steering acts only on :data:`PURIFIER`, so whatever is steered from
-    these ensembles lies in span{``v[b, i]``} (x) (reference registers),
-    where ``v[b, i]`` is branch ``b`` with :data:`PURIFIER` at label ``i``
-    (``others`` aligned to ``ens``'s register names).  One QR of those
-    columns, all ensembles together, gives an isometry ``Q`` and the
-    coordinates ``R``.  The QR runs over the support only: the amplitudes
-    that are nonzero in some column.  A zero row of the column matrix ``A``
-    changes nothing, since ``A = P^T [A'; 0]`` makes the ``R`` of ``A'`` a
-    set of coordinates of the same span; an ``A`` with no zero row is
-    factored as it is.  Rows of ``R`` (directions of ``Q``) whose squared
-    weight is at or below ``states.BRANCH_PRUNE`` are dropped, as light
-    branches are.  Each ensemble comes back over a register ``span`` (its
-    coordinates, zero-padded to a power of two) and :data:`PURIFIER`.  ``Q``
-    is shared, so :func:`steer` and :meth:`Ensemble.distance` give the
-    same figures on the result.  A run without :data:`PURIFIER` is returned
-    as it is.
+    Whatever is steered from a block lies in span{``v[b, i]``} (x)
+    (reference registers), ``v[b, i]`` being branch ``b`` at
+    :data:`PURIFIER` label ``i``.  Each ensemble is moved once,
+    :data:`PURIFIER` first and the others in the first one's register
+    order, and a block is a strided view of that move less the rows
+    :func:`database_block` drops.  Per label, one QR of all the blocks'
+    columns over their support (the amplitudes nonzero in some column;
+    since ``A = P^T [A'; 0]``, the ``R`` of ``A'`` holds coordinates of the
+    same span, and an ``A`` with no zero row is factored as it is) gives the
+    coordinates ``R``, less its rows at or below ``states.BRANCH_PRUNE``.
+    Each block comes back over ``span`` (``R``'s rows, zero-padded to a
+    power of two) and :data:`PURIFIER`, in one shared basis, so :func:`steer`
+    and :meth:`Ensemble.distance` give the same figures on the result.
+    Without :data:`PURIFIER`, the blocks are :func:`database_block`'s.
     """
-    lay = ens.layout
+    lay = ensembles[0].layout
     if not lay.has(PURIFIER):
-        return (ens, *others)
-    order = (PURIFIER, *(n for n in lay.names if n != PURIFIER))
-    labels = 1 << lay.width(PURIFIER)
-    # per ensemble, one row per (branch, label): the columns v[b, i]
-    blocks = [e.aligned_vectors(order).reshape(-1, lay.dim // labels) for e in (ens, *others)]
-    # the support: the amplitudes nonzero in some column of some ensemble
-    support = np.logical_or.reduce([b.any(axis=0) for b in blocks])
-    r = np.linalg.qr(np.concatenate([b[:, support] for b in blocks]).T, mode="r")
-    r = r[nonzero_rows((np.abs(r) ** 2).sum(axis=1))]
-    width = max(1, (len(r) - 1).bit_length())
-    coords = np.zeros((1 << width, r.shape[1]), dtype=np.complex128)
-    coords[:len(r)] = r
-    layout = RegisterLayout((("span", width), (PURIFIER, lay.width(PURIFIER))))
+        return [tuple(database_block(e, register, x) for e in ensembles) for x in labels]
+    others, labels_i = lay.without((PURIFIER,)), 1 << lay.width(PURIFIER)
+    moved = [e.aligned_vectors((PURIFIER, *others.names)) for e in ensembles]
     out = []
-    for c in np.split(coords, np.cumsum([len(b) for b in blocks])[:-1], axis=1):
+    for x in labels:
+        # per ensemble, one row per (branch, label): the columns v[b, i]
+        blocks = [v.reshape(-1, others.dim) for v in moved]
+        if x is not None:
+            # (branch, purifier label, registers before `register`, its label, after)
+            split = (labels_i, 1 << others.offset(register), 1 << others.width(register), -1)
+            blocks = [v.reshape(len(v), *split)[_block_rows(e, register, x)[1], :, :, x]
+                      .reshape(-1, others.dim >> others.width(register))
+                      for e, v in zip(ensembles, moved)]
+        support = np.logical_or.reduce([b.any(axis=0) for b in blocks])
+        r = np.linalg.qr(np.concatenate([b[:, support] for b in blocks]).T, mode="r")
+        r = r[nonzero_rows((np.abs(r) ** 2).sum(axis=1))]
+        width = max(1, (len(r) - 1).bit_length())
+        coords = np.zeros((1 << width, r.shape[1]), dtype=np.complex128)
+        coords[:len(r)] = r
+        layout = RegisterLayout((("span", width), (PURIFIER, lay.width(PURIFIER))))
         # column (branch, label) -> amplitude (span, label) of that branch
-        b = c.shape[1] // labels
-        out.append(Ensemble(layout, c.reshape(1 << width, b, labels).swapaxes(0, 1)
-                            .reshape(b, layout.dim)))
-    return tuple(out)
+        out.append(tuple(Ensemble(layout, c.reshape(1 << width, -1, labels_i).swapaxes(0, 1)
+                                  .reshape(-1, layout.dim))
+                         for c in np.split(coords, np.cumsum([len(b) for b in blocks])[:-1],
+                                           axis=1)))
+    return out
+
+
+def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
+    """``ens`` and ``others`` whole in the coordinates of their branch span
+    (:func:`block_spans`); a run without :data:`PURIFIER` as it is."""
+    return block_spans((ens, *others), None, (None,))[0]
 
 
 def steered_distances(groups) -> list[tuple[str, int, float]]:
@@ -642,12 +666,12 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     untouched).  The runs are those :func:`database_runs` plans for the
     honest spec, the adversarial spec and the recovery ops: each run input
     goes once through the honest protocol and once through the adversary,
-    and at each step the recovery is applied once.  Each database group's
-    pair is its block (:func:`database_block`) of the step's two states,
-    bit for bit the states of its own runs on the purified index (the
-    shared run of every classical database, where no op relabels the
-    register), taken into one branch span and steered to each input's
-    client state.  The register-name check runs on every run's states.
+    and at each step the recovery is applied once.  The step's two states
+    (``target`` and ``recovered``) go once, with every database group's
+    label, to :func:`block_spans`: each group's pair is its block of them
+    (bit for bit the states of its own runs on the purified index) in one
+    branch span, then steered to each input's client state.  The
+    register-name check runs on every run's states.
     """
     spec = instance.spec
     if adversary.recoveries is None:
@@ -672,9 +696,9 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
                     f"honest registers {target.layout.names} at step {t}"
                 )
             # one client map steers both, so they share one span
-            for g, x in blocks:
-                pairs[g][t] = in_span(database_block(target, db, x),
-                                      database_block(recovered, db, x))
+            spans = block_spans((target, recovered), db, [x for _, x in blocks])
+            for (g, _), pair in zip(blocks, spans):
+                pairs[g][t] = pair
             del recovered  # the full state goes before the next step's is formed
     rows = steered_distances(list(zip(groups, pairs)))
     gamma_hat = max(d for _, _, d in rows) if rows else 0.0

@@ -3,31 +3,30 @@
 Every figure here is a distance between server views.  The one definition
 of the view is :meth:`ExecutionTranscript.server_view`: at step ``t`` it is
 everything on the server's side plus the in-flight messages, keeping any
-reference registers.  One runner, ``_each_view``, takes the views at the
-even steps of the runs :func:`qpirlab.adversaries.database_runs` plans;
-two views are compared as :meth:`Ensemble.distance` compares them, aligned
-by register name and measured in the span of their branches.  Views are low-rank ensembles
-(branch vectors componentized over the traced-out client side). Every
-figure takes its views into their branch span before it steers
-(:func:`qpirlab.adversaries.in_span`, one QR per database state and step,
-over the amplitudes that are nonzero in some view): everything steered from
-one run lies in that span tensored with the reference registers, so
-steering and every distance act on the span's few coordinates rather than
-the full view.  A certificate puts its simulated view, tensored with the
-maximally mixed purifier, into the same span as the run's view; steered to
-a client state, it becomes the simulated view beside that client's
-reference marginal.  The simulators' own views stay named until then,
-because the theorem simulator applies inverted recovery ops by register
-name to the honest simulator's views.
+reference registers.  One runner, ``_each_view``, makes the runs of one
+plan, :func:`qpirlab.adversaries.database_runs` (the speciousness meter
+follows it too), and forms each even step's view of a run once.  A spec
+that only reads the database register acts on each label block of it
+alone, so every classical database is one ``db = x`` block of a single run
+on their unnormalized sum; only a spec that relabels the database (the
+purification attack) and the superposed database run on their own.
+``_run_views``, one run per database, is the reference the tests hold
+every view to.
 
-The runner makes the runs of one plan,
-:func:`qpirlab.adversaries.database_runs`, which the speciousness meter
-follows too.  A spec that only reads the database register (no op relabels
-it) acts on each label block of it alone, so every classical database is
-one block of a single run on their unnormalized sum, and each figure makes
-that one run; only a spec that relabels the database (the purification
-attack) and the superposed database run on their own.  ``_run_views``, one
-run per database, is the reference the tests hold every view to.
+Views are low-rank ensembles (branch vectors componentized over the
+traced-out client side).  Everything steered from one database's view lies
+in its branch span tensored with the reference registers, so every figure
+takes its views into that span (one QR over the amplitudes nonzero in the
+view) and steers and compares them on the span's few coordinates.  The
+lower bound reads the spans of all the databases of a step from one move
+of the step's view (:func:`qpirlab.adversaries.block_spans`).  A
+certificate names each database's view
+(:func:`qpirlab.adversaries.database_block`), because the theorem
+simulator applies inverted recovery ops by register name to the honest
+simulator's views, and puts its simulated view, tensored with the
+maximally mixed purifier, into the same span
+(:func:`qpirlab.adversaries.in_span`); steered to a client state, it
+becomes the simulated view beside that client's reference marginal.
 
 The paper's point is that a party may run a protocol on a purification
 of its input, and the same holds for the test inputs: in the
@@ -68,9 +67,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversaries import (PURIFIER, Adversary, database_block, database_groups, database_runs,
-                          in_span, measure_speciousness, purified_input, standard_inputs, steer,
-                          steered_distances, steered_rows)
+from .adversaries import (PURIFIER, Adversary, block_spans, database_block, database_groups,
+                          database_runs, in_span, measure_speciousness, purified_input,
+                          standard_inputs, steer, steered_distances, steered_rows)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -129,23 +128,16 @@ def _run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
 
 
 def _each_view(spec: ProtocolSpec, instance: QpirInstance, groups, each) -> None:
-    """``each(g, t, view)`` for every database group ``groups[g]`` and even
-    step ``t``: the server's view at ``t`` of the run of ``spec`` over the
-    group's database on the purified index, as :func:`_run_views` gives it.
-
-    The runs are those :func:`database_runs` plans, step-major: each step's
-    view of a run is formed once, each group gets its block of it
-    (:func:`database_block`, bit for bit its own run's view), and the view
-    is released before the next step."""
+    """``each(t, view, blocks)`` for each run that :func:`database_runs`
+    plans for ``groups`` and each even step ``t``: the server's view, and
+    ``[(g, x)]`` such that group ``g``'s view (as :func:`_run_views` gives
+    it) is the ``x`` block of ``view`` (:func:`database_block`).  Each view
+    is formed once and released before the next, and the run on return."""
     steps = _even_steps(instance.spec)
-    db = instance.database_register
     for run_input, blocks in database_runs(instance, groups, (spec,), ()):
         tr = execute(spec, run_input, keep=steps)
         for t in steps:
-            view = tr.server_view(t)
-            for g, x in blocks:
-                each(g, t, database_block(view, db, x))
-            del view
+            each(t, tr.server_view(t), blocks)
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,12 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     last = len(instance.spec.schedule)
     groups = database_groups(inputs)
     spans = [[] for _ in groups]  # per group, one span view per even step
-    _each_view(spec, instance, groups, lambda g, t, view: spans[g].append(in_span(view)[0]))
+    db = instance.database_register
+
+    def each(t, view, blocks):  # every group's span of the step from one move
+        for (g, _), (span,) in zip(blocks, block_spans((view,), db, [x for _, x in blocks])):
+            spans[g].append(span)
+    _each_view(spec, instance, groups, each)
     keys, pairs_of_rows = [], []
     for members, group_spans in zip(groups, spans):
         classes: dict[str, list] = {}
@@ -258,11 +255,13 @@ def _certificate(instance: QpirInstance, spec: ProtocolSpec, simulate):
     groups = database_groups(standard_inputs(instance))
     pairs = [{} for _ in groups]  # per group: even step -> (view, sim) in one span
 
-    def each(g, t, view):
-        sim = simulate(groups[g][0].db, t, view)
-        if view.layout.has(PURIFIER):
-            sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
-        pairs[g][t] = in_span(view, sim)
+    def each(t, run_view, blocks):
+        for g, x in blocks:
+            view = database_block(run_view, instance.database_register, x)
+            sim = simulate(groups[g][0].db, t, view)
+            if view.layout.has(PURIFIER):
+                sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
+            pairs[g][t] = in_span(view, sim)
 
     _each_view(spec, instance, groups, each)
     rows = steered_distances(list(zip(groups, pairs)))
@@ -301,8 +300,11 @@ class HonestSimulator:
         if db not in self._views:
             inst = self.instance
             groups = database_groups(standard_inputs(inst))
-            _each_view(inst.spec, inst, groups,
-                       lambda g, t, view: self._keep(groups[g][0].db, t, view))
+
+            def keep(t, view, blocks):
+                for g, x in blocks:
+                    self._keep(groups[g][0].db, t, database_block(view, inst.database_register, x))
+            _each_view(inst.spec, inst, groups, keep)
         return self._views[db][t]
 
     def epsilon_upper(self):

@@ -19,6 +19,7 @@ from qpirlab.adversaries import (
 )
 from qpirlab.channels import HadamardOp
 from qpirlab.distances import paired_distances
+from qpirlab.privacy import privacy_lower_bound
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import ProtocolShapeError, execute
 from qpirlab.states import LayoutError
@@ -236,3 +237,22 @@ def test_meter_peak_memory_stays_at_one_step():
     finally:
         tracemalloc.stop()
     assert peak / 2**20 <= 1.1 * _METER_PEAK_MIB
+
+
+# The lower bound's tracemalloc peak on kerenidis n = 4 when this bound was
+# set (Python 3.11, numpy 2.4), with the zero-filled block of each database
+# taken one by one; reading every block of a step from one move gives 9.55
+# MiB.  Holding the run through the comparisons reads 13.55 MiB and fails it.
+_LOWER_BOUND_PEAK_MIB = 9.57
+
+
+def test_lower_bound_peak_memory_releases_the_run_before_comparing():
+    k4 = build_kerenidis(4)
+    privacy_lower_bound(k4)  # warm-up: caches and imports
+    tracemalloc.start()
+    try:
+        privacy_lower_bound(k4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= 1.1 * _LOWER_BOUND_PEAK_MIB

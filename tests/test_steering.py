@@ -17,7 +17,9 @@ import pytest
 from qpirlab import adversaries, distances, privacy
 from qpirlab.adversaries import (
     adversary_by_name,
+    PURIFIER,
     apply_recovery,
+    block_spans,
     database_block,
     database_groups,
     database_runs,
@@ -398,6 +400,79 @@ def test_database_runs_plan_one_shared_run_then_each_other_group_alone():
                            (builtin.spec,), ())
     assert run[1] == [(0, None)]
     assert database_block(shared, db, None) is shared
+
+
+# ---------------------------------------------------------------------------
+# the spans of a step's blocks from one move, against the named blocks
+# ---------------------------------------------------------------------------
+
+
+def _assert_block_spans_are_those_of_the_named_blocks(ensembles, db, labels):
+    """``block_spans`` of ``ensembles`` equals, label by label, ``in_span``
+    of their named blocks (``database_block``), bit for bit; returns it."""
+    got = block_spans(ensembles, db, labels)
+    assert len(got) == len(labels)
+    for x, spans in zip(labels, got):
+        want = in_span(*(database_block(e, db, x) for e in ensembles))
+        assert len(spans) == len(want) == len(ensembles)
+        for g, w in zip(spans, want):
+            assert g.layout == w.layout
+            assert g.vectors.shape == w.vectors.shape, x
+            assert np.array_equal(g.vectors, w.vectors), x
+    return got
+
+
+@pytest.mark.parametrize("inst_name", ["k1", "k2", "k4"])
+def test_lower_bound_block_spans_are_those_of_the_named_blocks(inst_name):
+    # full mode: the shared run's blocks and the superposed database's own
+    # run, read whole (x = None); k1 has no index, so its runs carry no refi
+    inst = _instance(inst_name)
+    db, steps = inst.database_register, _even_steps(inst.spec)
+    runs = database_runs(inst, database_groups(standard_inputs(inst, superposed_db=True)),
+                         (inst.spec,), ())
+    assert [x for _, blocks in runs for _, x in blocks] == [*range(1 << inst.n), None]
+    for run_input, blocks in runs:
+        tr = execute(inst.spec, run_input, keep=steps)
+        for t in steps:
+            view = tr.server_view(t)
+            assert view.layout.has(PURIFIER) == (inst_name != "k1")
+            _assert_block_spans_are_those_of_the_named_blocks((view,), db,
+                                                              [x for _, x in blocks])
+
+
+def test_meter_block_spans_are_those_of_the_named_blocks():
+    cx = build_counterexample(2)
+    adv = purified_honest(cx)
+    spec, adv_spec = cx.spec, adv.modified_spec(cx.spec)
+    ops = [op for recovery in adv.recoveries for op in recovery.ops]
+    groups = database_groups(standard_inputs(cx, superposed_db=True))
+    runs = database_runs(cx, groups, (spec, adv_spec), ops)
+    assert [x for _, blocks in runs for _, x in blocks] == [0, 1, 2, 3, None]
+    for run_input, blocks in runs:
+        honest, dishonest = execute(spec, run_input), execute(adv_spec, run_input)
+        for t, recovery in enumerate(adv.recoveries, start=1):
+            pair = (honest.ensemble(t), apply_recovery(dishonest, t, recovery))
+            _assert_block_spans_are_those_of_the_named_blocks(pair, cx.database_register,
+                                                              [x for _, x in blocks])
+
+
+def test_a_block_with_no_weight_has_empty_spans():
+    # label 2 of db is zero in every branch, and branch 1 is lighter than the
+    # prune level in label 1, so its rows are dropped there; the other
+    # ensemble comes in another register order and is aligned by name
+    rng = np.random.default_rng(1250)
+    regs = (("db", 2), (PURIFIER, 1), ("a", 2))
+    ensembles = []
+    for layout, rows in ((RegisterLayout(regs), 3), (RegisterLayout(regs[::-1]), 2)):
+        v = rng.normal(size=(rows, 4, 2, 4)) + 1j * rng.normal(size=(rows, 4, 2, 4))
+        v[:, 2] = 0
+        v[1, 1] = 1e-14
+        ens = Ensemble(RegisterLayout(regs), v.reshape(rows, -1))
+        ensembles.append(Ensemble(layout, ens.aligned_vectors(layout.names)))
+    got = _assert_block_spans_are_those_of_the_named_blocks(ensembles, "db", [0, 1, 2, 3])
+    assert [[len(s.vectors) for s in spans] for spans in got] == [[3, 2], [2, 1], [0, 0], [3, 2]]
+    assert all(s.layout.registers == (("span", 1), (PURIFIER, 1)) and s.weight == 0.0
+               for s in got[2])
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,0 +1,38 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trajectory.py"
+
+
+def _record(change, medians, pairs):
+    """A synthetic ``scripts/pairs.py`` record with ``pairs`` pairs."""
+    return {"workload": "w", "parent": "p" + change, "change": change, "seeds": list(range(pairs)),
+            "summary": {name: {"better": "lower", "parent_median": 2 * value,
+                               "change_median": value} for name, value in medians.items()},
+            "pairs": [{"seed": s} for s in range(pairs)]}
+
+
+def test_trajectory_prints_each_records_change_medians_and_edits_nothing(tmp_path):
+    first = _record("aaa1111", {"task_s.p50": 0.25, "peak_rss_mb": 70.0}, 4)
+    second = _record("bbb2222", {"task_s.p50": 0.125, "peak_rss_mb": 71.5}, 10)
+    other = dict(_record("ccc3333", {"task_s.p50": 1.5}, 2), workload="v")
+    files = {"BENCH_w.json": json.dumps([first, second], indent=1),
+             "BENCH_v.json": json.dumps([other]),
+             "BENCH_kernels.json": json.dumps({"rows": [1, 2]}),
+             "notes.json": json.dumps([{"workload": "x"}])}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    res = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)], capture_output=True,
+                         text=True, check=True)
+    # workloads in file-name order, records in the order they were appended
+    assert res.stdout.splitlines() == [
+        "v",
+        "  ccc3333 2 pairs task_s.p50=1.5",
+        "w",
+        "  aaa1111 4 pairs task_s.p50=0.25 peak_rss_mb=70",
+        "  bbb2222 10 pairs task_s.p50=0.125 peak_rss_mb=71.5",
+        "skipped BENCH_kernels.json: not a list of pairs records",
+    ]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == files

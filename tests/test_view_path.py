@@ -302,16 +302,28 @@ def _counting(monkeypatch, calls, module, name):
     monkeypatch.setattr(module, name, counted)
 
 
+def _counting_spans(monkeypatch, spans, module):
+    """Record, per call of ``module.block_spans``, how many spans it returns."""
+    inner = module.block_spans
+
+    def counted(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        spans.append(len(out))
+        return out
+    monkeypatch.setattr(module, "block_spans", counted)
+
+
 def test_lower_bound_takes_one_span_per_database_and_step(monkeypatch):
     executes, spans, distances, qrs = [], [], [], []
     _counting(monkeypatch, executes, privacy, "execute")
-    _counting(monkeypatch, spans, privacy, "in_span")
+    _counting_spans(monkeypatch, spans, privacy)
     _counting(monkeypatch, distances, distances_module, "ensemble_trace_distance")
     _counting(monkeypatch, qrs, np.linalg, "qr")
     report = privacy_lower_bound(build_kerenidis(4))
     assert len(report.rows) == 528
-    # 16 databases x 3 even steps, the databases' views blocks of one run
-    assert (len(executes), len(spans)) == (1, 48)
+    # 16 databases x 3 even steps, the databases' views blocks of one run,
+    # all the blocks of a step from one call
+    assert (len(executes), sum(spans), len(spans)) == (1, 48, 3)
     # the 528 comparisons come in 3 [a b] shapes, one stacked call each
     assert len(distances) == 3
     assert len(qrs) == 48 + 3
@@ -320,7 +332,7 @@ def test_lower_bound_takes_one_span_per_database_and_step(monkeypatch):
 def test_meter_takes_one_span_per_database_and_step(monkeypatch):
     executes, spans, distances, qrs = [], [], [], []
     _counting(monkeypatch, executes, adversaries, "execute")
-    _counting(monkeypatch, spans, adversaries, "in_span")
+    _counting_spans(monkeypatch, spans, adversaries)
     _counting(monkeypatch, distances, distances_module, "ensemble_trace_distance")
     _counting(monkeypatch, qrs, np.linalg, "qr")
     cx = build_counterexample(2)
@@ -329,8 +341,9 @@ def test_meter_takes_one_span_per_database_and_step(monkeypatch):
     # at 8 steps
     assert len(report.rows) == 184
     # an honest and an adversarial run for the 4 classical databases
-    # together and for the superposed one; 5 database states x 8 steps
-    assert (len(executes), len(spans)) == (4, 40)
+    # together and for the superposed one; 5 database states x 8 steps, in
+    # one call per run and step
+    assert (len(executes), sum(spans), len(spans)) == (4, 40, 16)
     # the 184 comparisons come in 3 [b a] shapes, one stacked call each
     assert len(distances) == 3
     assert len(qrs) == 40 + 3
