@@ -13,6 +13,7 @@ Usage: python scripts/trajectory.py [DIR]
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -41,8 +42,9 @@ def trajectory(directory: Path) -> tuple[dict[str, list[dict]], list[str]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    workloads, skipped = trajectory(Path(args[0]) if args else REPO)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("dir", type=Path, nargs="?", default=REPO)
+    workloads, skipped = trajectory(ap.parse_args(argv).dir)
     for workload, rows in workloads.items():
         print(workload)
         for row in rows:
