@@ -82,7 +82,6 @@ __all__ = [
     "database_block",
     "steer",
     "block_spans",
-    "in_span",
     "steered_rows",
     "steered_distances",
     "purified_honest",
@@ -297,9 +296,9 @@ def database_block(ens: Ensemble, register: str | None, label: int | None) -> En
     from the shared run of :func:`database_runs`, it is bit for bit the
     same run on ``|label>`` alone: each op acted on each block as on that
     block alone, and a row the run on ``|label>`` pruned carries no more
-    weight here.  ``label=None`` (a run of its own) is ``ens`` itself.  The
-    certificates' simulators need it named; spans read it in place
-    (:func:`block_spans`)."""
+    weight here.  ``label=None`` (a run of its own) is ``ens`` itself.
+    Spans read it in place (:func:`block_spans`); a named copy is made only
+    there, for a run without :data:`PURIFIER`."""
     if label is None:
         return ens
     block, rows = _block_rows(ens, register, label)
@@ -328,9 +327,9 @@ def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     :data:`PURIFIER`, which puts ``reference`` in its place (appended to the
     layout).  Branches left at zero weight are dropped, as a run drops them.
     ``ens`` is read with :data:`PURIFIER` last, which is a view of its
-    memory when it is already last, as in :func:`in_span`'s output.  A run
-    without :data:`PURIFIER` had no index to purify, so it is the run on
-    every client state, and those must have no index either.
+    memory when it is already last, as in :func:`block_spans`'s output.  A
+    run without :data:`PURIFIER` had no index to purify, so it is the run
+    on every client state, and those must have no index either.
     """
     rest, c = _client_matrix(client, reference, (ens.layout,))
     if c is None:
@@ -458,20 +457,14 @@ def block_spans(ensembles, register: str | None, labels) -> list[tuple[Ensemble,
     return out
 
 
-def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
-    """``ens`` and ``others`` whole in the coordinates of their branch span
-    (:func:`block_spans`); a run without :data:`PURIFIER` as it is."""
-    return block_spans((ens, *others), None, (None,))[0]
-
-
 def steered_distances(groups) -> list[tuple[str, int, float]]:
     """``(label, t, distance)`` for each ``(members, pairs)`` of ``groups``,
     each input of ``members`` and each step ``t`` of ``pairs``, which maps it
     to ``(a, b)``: the distance of ``b`` from ``a`` (aligned to ``b`` by
     register name), both steered to the input's client state.  Each pair
     comes from one run on the purified index and lies in one branch span
-    (:func:`in_span`).  Every comparison of every group is measured in one
-    :func:`~qpirlab.distances.paired_distances` call."""
+    (:func:`block_spans`).  Every comparison of every group is measured in
+    one :func:`~qpirlab.distances.paired_distances` call."""
     keys, pairs_of_rows = [], []
     for members, pairs in groups:
         views = []

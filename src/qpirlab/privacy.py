@@ -10,22 +10,20 @@ that only reads the database register acts on each label block of it
 alone, so every classical database is one ``db = x`` block of a single run
 on their unnormalized sum; only a spec that relabels the database (the
 purification attack) and the superposed database run on their own.
-``_run_views``, one run per database, is the reference the tests hold
-every view to.
 
 Views are low-rank ensembles (branch vectors componentized over the
 traced-out client side).  Everything steered from one database's view lies
 in its branch span tensored with the reference registers, so every figure
 takes its views into that span (one QR over the amplitudes nonzero in the
-view) and steers and compares them on the span's few coordinates.  The
-lower bound reads the spans of all the databases of a step from one move
-of the step's view (:func:`qpirlab.adversaries.block_spans`).  A
-certificate names each database's view
-(:func:`qpirlab.adversaries.database_block`), because the theorem
-simulator applies inverted recovery ops by register name to the honest
-simulator's views, and puts its simulated view, tensored with the
-maximally mixed purifier, into the same span
-(:func:`qpirlab.adversaries.in_span`); steered to a client state, it
+view) and steers and compares them on the span's few coordinates.  Every
+figure reads the spans of all the databases of a step from one move of the
+step's views (:func:`qpirlab.adversaries.block_spans`).  The simulators
+act on the whole view of a run, so database ``x``'s simulated view is the
+``db = x`` block of theirs, by the same rule as the run's: where the runs
+are shared, no op of the plan (the recoveries the theorem simulator
+inverts included) relabels ``db``.  A certificate tensors the simulated
+view with the maximally mixed purifier and takes each database's block of
+it into one span with the run view's; steered to a client state, it
 becomes the simulated view beside that client's reference marginal.
 
 The paper's point is that a party may run a protocol on a purification
@@ -67,9 +65,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversaries import (PURIFIER, Adversary, block_spans, database_block, database_groups,
-                          database_runs, in_span, measure_speciousness, purified_input,
-                          standard_inputs, steer, steered_distances, steered_rows)
+from .adversaries import (PURIFIER, Adversary, block_spans, database_groups, database_runs,
+                          measure_speciousness, standard_inputs, steer, steered_distances,
+                          steered_rows)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -119,25 +117,18 @@ def _even_steps(spec: ProtocolSpec) -> list[int]:
     return [st.t for st in spec.schedule if st.party == CLIENT]
 
 
-def _run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
-    """The server's view at each of ``steps`` in one run of ``spec`` over
-    ``database`` on the purified index: the per-database reference that
-    every view :func:`_each_view` gives equals."""
-    tr = execute(spec, purified_input(spec, database), keep=steps)
-    return {t: tr.server_view(t) for t in steps}
-
-
-def _each_view(spec: ProtocolSpec, instance: QpirInstance, groups, each) -> None:
-    """``each(t, view, blocks)`` for each run that :func:`database_runs`
-    plans for ``groups`` and each even step ``t``: the server's view, and
-    ``[(g, x)]`` such that group ``g``'s view (as :func:`_run_views` gives
-    it) is the ``x`` block of ``view`` (:func:`database_block`).  Each view
-    is formed once and released before the next, and the run on return."""
+def _each_view(specs, instance: QpirInstance, groups, ops, each) -> None:
+    """``each(t, view, run, blocks)`` for each run that :func:`database_runs`
+    plans for ``groups`` through ``specs`` (with ``ops``) and each even step
+    ``t``: the server's view in the run of ``specs[0]`` on the input
+    ``run``, and ``[(g, x)]`` such that group ``g``'s view is the ``db =
+    x`` block of ``view`` (``x = None``: the whole view).  Each view is
+    formed once and released before the next, and the run on return."""
     steps = _even_steps(instance.spec)
-    for run_input, blocks in database_runs(instance, groups, (spec,), ()):
-        tr = execute(spec, run_input, keep=steps)
+    for run, blocks in database_runs(instance, groups, specs, ops):
+        tr = execute(specs[0], run, keep=steps)
         for t in steps:
-            each(t, tr.server_view(t), blocks)
+            each(t, tr.server_view(t), run, blocks)
 
 
 @dataclass(frozen=True)
@@ -200,10 +191,10 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     spans = [[] for _ in groups]  # per group, one span view per even step
     db = instance.database_register
 
-    def each(t, view, blocks):  # every group's span of the step from one move
+    def each(t, view, _, blocks):  # every group's span of the step from one move
         for (g, _), (span,) in zip(blocks, block_spans((view,), db, [x for _, x in blocks])):
             spans[g].append(span)
-    _each_view(spec, instance, groups, each)
+    _each_view((spec,), instance, groups, (), each)
     keys, pairs_of_rows = [], []
     for members, group_spans in zip(groups, spans):
         classes: dict[str, list] = {}
@@ -240,30 +231,34 @@ def _mixed_purifier(width: int) -> Ensemble:
                     np.eye(labels, dtype=np.complex128) / math.sqrt(labels))
 
 
-def _certificate(instance: QpirInstance, spec: ProtocolSpec, simulate):
+def _certificate(instance: QpirInstance, spec: ProtocolSpec, ops, simulate):
     """(eps, rows): the worst distance, over the anchored test inputs and the
-    even steps, between the simulated view ``simulate(db, t, view)``, beside
-    the input's reference marginal, and the input's server view ``view`` in
-    the run of ``spec`` over database ``db`` on the purified index (as
-    :func:`_each_view` gives it).
+    even steps, between the input's server view in the run of ``spec`` on
+    the purified index and its simulated view beside the input's reference
+    marginal.
 
-    The simulated view is tensored with the maximally mixed
-    :data:`PURIFIER` and taken into one branch span with the run's view.
+    The runs are those :func:`database_runs` plans for ``spec``, the honest
+    spec and ``ops``, since both of those act on the simulated side.
+    ``simulate(t, view, run, blocks)`` (:func:`_each_view`'s arguments) is
+    the simulated view of the whole run, whose ``x`` block is database
+    ``x``'s.  It is tensored with the maximally mixed :data:`PURIFIER`,
+    and one :func:`block_spans` call per run and step takes each group's
+    block of it into one branch span with its block of the run's view.
     Steered to a client state ``c``, it becomes the simulated view tensored
     with ``c``'s marginal on its reference registers, so both sides are
     steered and compared as the lower bound's views are."""
     groups = database_groups(standard_inputs(instance))
     pairs = [{} for _ in groups]  # per group: even step -> (view, sim) in one span
+    db = instance.database_register
 
-    def each(t, run_view, blocks):
-        for g, x in blocks:
-            view = database_block(run_view, instance.database_register, x)
-            sim = simulate(groups[g][0].db, t, view)
-            if view.layout.has(PURIFIER):
-                sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
-            pairs[g][t] = in_span(view, sim)
+    def each(t, view, run, blocks):
+        sim = simulate(t, view, run, blocks)
+        if view.layout.has(PURIFIER):
+            sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
+        for (g, _), pair in zip(blocks, block_spans((view, sim), db, [x for _, x in blocks])):
+            pairs[g][t] = pair
 
-    _each_view(spec, instance, groups, each)
+    _each_view((spec, instance.spec), instance, groups, ops, each)
     rows = steered_distances(list(zip(groups, pairs)))
     eps = max((d for _, _, d in rows), default=0.0)
     return eps, rows
@@ -271,11 +266,13 @@ def _certificate(instance: QpirInstance, spec: ProtocolSpec, simulate):
 
 class HonestSimulator:
     """Def-style simulator for the honest server: rerun with the client
-    input pinned to index 1 and output the server-side registers."""
+    input pinned to index 1 and output the server-side registers.  Its
+    views are of whole planned runs, so database ``x``'s is their ``x``
+    block."""
 
     def __init__(self, instance: QpirInstance):
         self.instance = instance
-        self._views: dict = {}  # database -> {even step: view}
+        self._views: dict = {}  # plan entry [(g, x)] as a tuple -> {even step: view}
         self._references: dict = {}  # x0 -> the honest run on (x0, i=1)
 
     def reference_run(self, x0) -> ExecutionTranscript:
@@ -286,33 +283,32 @@ class HonestSimulator:
             self._references[x0] = execute(inst.spec, inst.basis_input(x0, 1))
         return self._references[x0]
 
-    def _keep(self, db, t: int, view: Ensemble) -> Ensemble:
-        """Keep and return the simulator's own view (index 1) of database
-        ``db`` at step ``t``, steered from ``view``, the server's view in the
-        honest run on the purified index."""
+    def _keep(self, t: int, view: Ensemble, blocks) -> Ensemble:
+        """Keep and return the simulator's own view (index 1) at step ``t``
+        of the run whose plan entry is ``blocks``, steered from ``view``,
+        the server's view in the honest run on it."""
         own = steer(view, self.instance.client_basis_state(1), ())
-        self._views.setdefault(db, {})[t] = own
+        self._views.setdefault(tuple(blocks), {})[t] = own
         return own
 
-    def view(self, db, t: int) -> Ensemble:
-        """The simulated view; an unseen database runs every database, with
-        the classical ones in one shared run (:func:`_each_view`)."""
-        if db not in self._views:
-            inst = self.instance
-            groups = database_groups(standard_inputs(inst))
-
-            def keep(t, view, blocks):
-                for g, x in blocks:
-                    self._keep(groups[g][0].db, t, database_block(view, inst.database_register, x))
-            _each_view(inst.spec, inst, groups, keep)
-        return self._views[db][t]
+    def view(self, t: int, run, blocks) -> Ensemble:
+        """The simulated view at step ``t`` of the run on the input ``run``
+        whose plan entry is ``blocks``; the honest spec runs on ``run`` only
+        for an entry not seen before."""
+        if tuple(blocks) not in self._views:
+            spec = self.instance.spec
+            steps = _even_steps(spec)
+            tr = execute(spec, run, keep=steps)
+            for s in steps:
+                self._keep(s, tr.server_view(s), blocks)
+        return self._views[tuple(blocks)][t]
 
     def epsilon_upper(self):
         """Max distance between the simulated and the actual view over the
         test inputs; returns (eps_upper, rows).  One honest run gives both
-        sides: the classical databases share it, and every database's views
-        are kept for :meth:`view`."""
-        return _certificate(self.instance, self.instance.spec, self._keep)
+        sides, and its views are kept for :meth:`view`."""
+        return _certificate(self.instance, self.instance.spec, (),
+                            lambda t, view, _, blocks: self._keep(t, view, blocks))
 
 
 _SELF_INVERSE = (HadamardOp, InnerProductCnotOp, SelectPhaseOp, SelectCnotOp,
@@ -385,23 +381,27 @@ class TheoremSimulator:
         discard = set(recovery.discard)
         return sigma.reordered([n for n in alpha.layout.names if n in discard]), bound
 
-    def simulated_view(self, db, t: int) -> Ensemble:
-        """Simulator output for database ``db`` at even step ``t``: the
-        reconstructed adversary view."""
-        sim = self.honest.view(db, t)
+    def simulated_view(self, t: int, honest_view: Ensemble) -> Ensemble:
+        """Simulator output at even step ``t``, the reconstructed adversary
+        view: the inverted recovery applied to (anchor tensor
+        ``honest_view``), the honest simulator's view."""
         anchor = self.anchors[t]
         if anchor is None:
-            return sim
-        ens = Ensemble.from_pure(anchor).tensor(sim)
+            return honest_view
+        ens = Ensemble.from_pure(anchor).tensor(honest_view)
         for op in _inverted(self.adversary.recoveries[t - 1].ops):
             ens = ens.apply(op)
         return ens
 
     def certify(self):
         """(eps_hat, rows): worst distance between the simulator output and
-        the adversary's actual view across anchored test inputs and steps."""
-        return _certificate(self.instance, self.adversary.modified_spec(self.instance.spec),
-                            lambda db, t, _: self.simulated_view(db, t))
+        the adversary's actual view across anchored test inputs and steps.
+        The plan lists the recovery ops: inverted, they act on the simulation."""
+        adv = self.adversary
+        return _certificate(self.instance, adv.modified_spec(self.instance.spec),
+                            [op for recovery in adv.recoveries for op in recovery.ops],
+                            lambda t, _, run, blocks: self.simulated_view(
+                                t, self.honest.view(t, run, blocks)))
 
 
 # The lab's figure tolerance: a computed distance at or below it is a

@@ -68,12 +68,13 @@ from qpirlab.adversaries import (adversary_by_name, database_groups, gamma_famil
                                  measure_speciousness, standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
 from qpirlab.channels import HadamardOp, MeasureOp
-from qpirlab.privacy import (FIGURE_TOL, HonestSimulator, TheoremSimulator, _run_views,
+from qpirlab.privacy import (FIGURE_TOL, HonestSimulator, TheoremSimulator,
                              privacy_lower_bound, verify_theorem_bound)
 from qpirlab.protocols import build_counterexample, build_kerenidis, database_bits, epr_pair_state
 from qpirlab.runtime import CLIENT
 from qpirlab.states import RegisterLayout
 from conftest import random_pure
+from span_reference import run_views
 from test_kernel_reference import REFERENCE
 
 TOL = 1e-12
@@ -354,7 +355,7 @@ def test_views_of_any_client_state_match_the_density_reference(rng):
     clients = [random_pure(rng, layout) for _ in range(2)]
     database = inst.database_state(2)
     steps = [st.t for st in inst.spec.schedule if st.party == CLIENT]
-    run = _run_views(inst.spec, database, steps)
+    run = run_views(inst.spec, database, steps)
     for client in clients:
         want, _ = _run(inst.spec, database, client)
         for t in steps:

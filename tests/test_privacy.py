@@ -133,9 +133,36 @@ class TestTheoremSimulator:
         sim = TheoremSimulator(HonestSimulator(k2), gamma_family(k2, 0.2, lossy=True), x0=0)
         adv_tr = sim.adversary.run(k2.spec, k2.basis_input(0, 1))
         for t in (2, 4):
-            view = sim.simulated_view(0, t)
+            view = sim.simulated_view(t, execute(k2.spec, k2.basis_input(0, 1)).server_view(t))
             assert isinstance(view, Ensemble)
             assert set(view.layout.names) == set(adv_tr.server_view(t).layout.names)
+
+    def test_a_fresh_honest_simulator_certifies_the_same_rows(self, k2):
+        # the theorem simulator runs the honest spec on the planned run
+        # itself, or reads the views the honest certificate kept of it
+        adv = gamma_family(k2, 0.3, lossy=True)
+        fresh = TheoremSimulator(HonestSimulator(k2), adv, x0=0).certify()
+        honest = HonestSimulator(k2)
+        honest.epsilon_upper()
+        assert TheoremSimulator(honest, adv, x0=0).certify() == fresh
+
+    def test_purify_db_runs_each_database_honestly_once(self, k2, monkeypatch):
+        # the attack relabels db, so each database is a run of its own, and
+        # the honest simulator keeps its view of each
+        from qpirlab import privacy
+
+        sim = TheoremSimulator(HonestSimulator(k2), purification_attack(k2), x0=0)
+        inner, calls = privacy.execute, []
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.name)
+            return inner(spec, *args, **kwargs)
+        monkeypatch.setattr(privacy, "execute", counted)
+        sim.certify()
+        assert calls.count(k2.spec.name) == 4
+        calls.clear()
+        sim.certify()
+        assert calls.count(k2.spec.name) == 0
 
     def test_requires_measurement_free(self):
         cx = build_counterexample(2)

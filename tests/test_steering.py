@@ -9,6 +9,7 @@ it to 1e-12.  Where the specs only read the database register, the
 classical databases are the blocks of one shared run; their views, states
 and every figure row must equal those of one run per database bit for bit."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -18,12 +19,12 @@ from qpirlab import adversaries, distances, privacy
 from qpirlab.adversaries import (
     adversary_by_name,
     PURIFIER,
+    Recovery,
     apply_recovery,
     block_spans,
     database_block,
     database_groups,
     database_runs,
-    in_span,
     measure_speciousness,
     purification_attack,
     purified_honest,
@@ -37,13 +38,14 @@ from qpirlab.privacy import (
     HonestSimulator,
     TheoremSimulator,
     _even_steps,
-    _run_views,
     is_measurement_free,
     privacy_lower_bound,
 )
+from qpirlab.channels import HadamardOp
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import PureState, RegisterLayout
+from span_reference import in_span, run_views
 
 TOL = 1e-12
 
@@ -170,7 +172,7 @@ def test_steered_views_and_rows_match_the_per_input_loop(inst_name, adv_name):
     want_views = _reference_views(spec, inputs, steps)
 
     for members in database_groups(inputs):
-        run = _run_views(spec, members[0].database, steps)
+        run = run_views(spec, members[0].database, steps)
         for ins in members:
             for t in steps:
                 got = steer(run[t], ins.client, ins.reference)
@@ -190,7 +192,7 @@ def test_inputs_without_an_index_register_are_not_steered():
         assert [ins.label.split(",")[-1] for ins in members] == ["i=1"]
         ins = members[0]
         steps = _even_steps(inst.spec)
-        run = _run_views(inst.spec, ins.database, steps)
+        run = run_views(inst.spec, ins.database, steps)
         tr = execute(inst.spec, ins.state)
         for t in steps:
             view = steer(run[t], ins.client, ins.reference)
@@ -219,11 +221,41 @@ def test_theorem_certificate_matches_the_per_input_loop(adv_name):
     adv = _adversary(inst, adv_name)
     sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
     eps, rows = sim.certify()
-    ref_sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
-    ref_sim.honest.view = _reference_honest_view(inst)
-    want = _reference_certificate(inst, adv.modified_spec(inst.spec), ref_sim.simulated_view)
+    want = _reference_theorem_certificate(inst, adv)
     _assert_rows_match(rows, want)
     assert abs(eps - max(d for *_, d in want)) <= TOL
+
+
+def _reference_theorem_certificate(inst, adv):
+    # per database, the simulated view of the honest run on (db, i=1)
+    ref_sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
+    honest_view = _reference_honest_view(inst)
+    return _reference_certificate(inst, adv.modified_spec(inst.spec),
+                                  lambda db, t: ref_sim.simulated_view(t, honest_view(db, t)))
+
+
+def test_a_recovery_that_relabels_db_runs_each_database_alone(monkeypatch):
+    # gamma-lossy:0.3 with H(db) twice at the head of each recovery: the
+    # identity, but it relabels db, so the theorem simulator's plan gives
+    # each database its own run
+    inst = build_kerenidis(2)
+    lossy = adversary_by_name(inst, "gamma-lossy:0.3")
+    db = inst.database_register
+    adv = replace(lossy, recoveries=tuple(
+        Recovery((HadamardOp(db), HadamardOp(db), *r.ops), r.discard) for r in lossy.recoveries))
+    ops = [op for r in adv.recoveries for op in r.ops]
+    groups = database_groups(standard_inputs(inst))
+    runs = database_runs(inst, groups, (adv.modified_spec(inst.spec), inst.spec), ops)
+    assert [blocks for _, blocks in runs] == [[(g, None)] for g in range(4)]
+    sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
+    calls = _count_calls(monkeypatch, privacy)
+    eps, rows = sim.certify()
+    # an honest and an adversarial run per database
+    assert calls.count(inst.spec.name) == 4 and len(calls) == 8
+    want = _reference_theorem_certificate(inst, adv)
+    _assert_rows_match(rows, want)
+    assert abs(eps - max(d for *_, d in want)) <= TOL
+    _assert_rows_match(rows, TheoremSimulator(HonestSimulator(inst), lossy, 0).certify()[1])
 
 
 @pytest.mark.parametrize("inst_name,adv_name", [
@@ -299,7 +331,7 @@ def test_database_blocks_are_the_per_database_runs(inst_name, adv_name):
     assert shared_groups(inst, groups, (spec,), ()) == list(range(1 << inst.n))
     shared = execute(spec, database_runs(inst, groups, (spec,), ())[0][0])
     for x in range(1 << inst.n):
-        views = _run_views(spec, inst.database_state(x), steps)
+        views = run_views(spec, inst.database_state(x), steps)
         own = execute(spec, purified_input(spec, inst.database_state(x)))
         for t in range(1, shared.steps + 1):
             pairs = [(database_block(shared.ensemble(t), db, x), own.ensemble(t))]
@@ -589,7 +621,7 @@ def test_stacked_steering_prunes_as_steer_does():
     k2 = build_kerenidis(2)
     steps = _even_steps(k2.spec)
     members = database_groups(standard_inputs(k2))[0]
-    run = _run_views(k2.spec, members[0].database, steps)
+    run = run_views(k2.spec, members[0].database, steps)
     spans = [in_span(run[t])[0] for t in steps]
     pruned = 0
     for ins, rows in zip(members, steered_rows(spans, members)):

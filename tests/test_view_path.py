@@ -10,15 +10,16 @@ import pytest
 from qpirlab import adversaries, privacy
 from qpirlab import distances as distances_module
 from qpirlab.adversaries import (PURIFIER, adversary_by_name, client_variants, database_groups,
-                                 in_span, measure_speciousness, purified_honest, purified_input,
+                                 measure_speciousness, purified_honest, purified_input,
                                  standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
 from qpirlab.config import CapExceeded
 from qpirlab.distances import paired_distances
-from qpirlab.privacy import _even_steps, _run_views, privacy_lower_bound
+from qpirlab.privacy import _even_steps, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout, slots_to_front
+from span_reference import in_span, run_views
 
 
 def _aligned_by_hand(v, layout, names):
@@ -60,7 +61,7 @@ def test_server_views_match_a_run_that_keeps_every_step():
     steps = list(range(1, 2 * k2.spec.rounds + 1))
     for members in database_groups(standard_inputs(k2, superposed_db=True)):
         database = members[0].database
-        run = _run_views(k2.spec, database, steps)
+        run = run_views(k2.spec, database, steps)
         assert sorted(run) == steps
         kept = execute(k2.spec, purified_input(k2.spec, database))
         for ins in members:
@@ -350,28 +351,30 @@ def test_meter_takes_one_span_per_database_and_step(monkeypatch):
 
 
 def test_certificates_take_one_span_per_database_and_step(monkeypatch):
-    executes, spans = [], []
+    executes, spans, qrs = [], [], []
     _counting(monkeypatch, executes, privacy, "execute")
-    _counting(monkeypatch, spans, privacy, "in_span")
+    _counting_spans(monkeypatch, spans, privacy)
+    _counting(monkeypatch, qrs, np.linalg, "qr")
     privacy.HonestSimulator(build_kerenidis(4)).epsilon_upper()
     # 16 databases x 3 even steps, all in one run; the simulated view
-    # shares it
-    assert (len(executes), len(spans)) == (1, 48)
+    # shares it, and all the blocks of a step come from one call
+    assert (len(executes), sum(spans), len(spans)) == (1, 48, 3)
+    assert len(qrs) == 48 + 3
 
     k2 = build_kerenidis(2)
     sim = privacy.TheoremSimulator(privacy.HonestSimulator(k2),
                                    adversary_by_name(k2, "gamma-lossy:0.3"), 0)
     spans.clear()
     sim.certify()
-    # 4 databases x 2 even steps
-    assert len(spans) == 8
+    # 4 databases x 2 even steps, one call per step
+    assert (sum(spans), len(spans)) == (8, 2)
 
 
 def test_steer_reads_a_span_view_in_place(monkeypatch):
     # in_span puts refi last, so steering reads the view's own memory
     inst = build_kerenidis(4)
     steps = _even_steps(inst.spec)
-    runs = [_run_views(inst.spec, inst.database_state(db), steps) for db in (0b0110, 0b1001)]
+    runs = [run_views(inst.spec, inst.database_state(db), steps) for db in (0b0110, 0b1001)]
     read = []
 
     def recording(vectors, total, slots):
