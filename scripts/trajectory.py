@@ -4,7 +4,8 @@ Reads every ``BENCH_*.json`` in DIR (default: this repository) that holds a
 list of ``scripts/pairs.py`` records and prints, per workload in file-name
 order, one line per record in the order the records were appended: the
 ``change`` revision, the number of pairs and the change's median of each
-end-to-end metric.  A file in another format (a single object, such as
+end-to-end metric, then ``claim`` when the record's claim rule holds (a
+record without ``claim_rule`` ends at its medians).  A file in another format (a single object, such as
 ``BENCH_pairs.json`` and ``BENCH_kernels.json``) is named as skipped.  The
 script only reads; no record is edited.
 
@@ -23,7 +24,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 def trajectory(directory: Path) -> tuple[dict[str, list[dict]], list[str]]:
     """``(workloads, skipped)``: per workload, ``{"change", "pairs",
-    "medians"}`` for each record in file order, and the names of the
+    "medians", "claim"}`` for each record in file order, and the names of the
     ``BENCH_*.json`` files that hold no record list."""
     workloads: dict[str, list[dict]] = {}
     skipped = []
@@ -37,6 +38,7 @@ def trajectory(directory: Path) -> tuple[dict[str, list[dict]], list[str]]:
                 "change": rec["change"],
                 "pairs": len(rec["pairs"]),
                 "medians": {name: s["change_median"] for name, s in rec["summary"].items()},
+                "claim": rec.get("claim_rule", {}).get("holds", False),
             })
     return workloads, skipped
 
@@ -49,7 +51,8 @@ def main(argv: list[str] | None = None) -> int:
         print(workload)
         for row in rows:
             medians = " ".join(f"{name}={value:.4g}" for name, value in row["medians"].items())
-            print(f"  {row['change']} {row['pairs']} pairs {medians}")
+            claim = " claim" if row["claim"] else ""
+            print(f"  {row['change']} {row['pairs']} pairs {medians}{claim}")
     for name in skipped:
         print(f"skipped {name}: not a list of pairs records")
     return 0

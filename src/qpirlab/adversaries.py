@@ -27,7 +27,9 @@ states (:func:`block_spans`), with no named copy of any block.
 Following the paper's purification argument, the steering map acts only on
 that reference, which no program and no recovery touches, so it commutes
 with the protocol, the adversary, the recoveries (measurements included)
-and the discards: the steered distances are those of separate runs.
+and the discards: the steered distances are those of separate runs.  By
+the same commutation a recovery traces out the discards its ops do not
+touch before the ops (:func:`apply_recovery`), on the reduced state.
 
 :func:`steer` is the one steering function and keeps no state.  It is a
 client matrix, formed from the input's client state, times the run's
@@ -95,7 +97,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Recovery:
-    """Operations on adversary-side registers, then registers to discard."""
+    """Operations on adversary-side registers, then registers to discard.
+
+    The recovered state is the mixture of its rows, whose order carries no
+    meaning: :func:`apply_recovery` gives (branch, discarded label, outcome)
+    where the ops first give (branch, outcome, discarded label); the two
+    coincide where each (branch, discarded label) has one outcome, as in
+    :func:`purified_honest`, whose purifiers copy the measured registers."""
 
     ops: tuple[ChannelOp, ...] = ()
     discard: tuple[str, ...] = ()
@@ -623,30 +631,39 @@ class SpeciousnessReport:
 
 
 def apply_recovery(transcript: ExecutionTranscript, t: int, recovery: Recovery) -> Ensemble:
-    """The recovered global state at step t (discards traced out)."""
-    ens = transcript.ensemble(t)
-    # Recovery domain: the adversary's memory, plus the in-flight message
-    # after its own steps only (after a client step the incoming message is
-    # out of bounds).
+    """The recovered global state at step t (discards traced out).
+
+    Every domain check runs first, naming the step: ops and discards reach
+    only the adversary's memory, the message in flight after its own steps
+    (not after a client step) and what earlier ops created.  The discards
+    no op touches or creates are then traced out in one call before the ops
+    (a partial trace commutes with every channel on the other registers),
+    the rest after them.  A trace is a gather and a measurement a masked
+    copy, so the rows are bit for bit those of the ops first; only their
+    order may differ (:class:`Recovery`)."""
     allowed = set(transcript.owned(t, SERVER))
     if transcript.spec.schedule[t - 1].party == SERVER:
         allowed |= set(transcript.in_transit(t))
+    used = set()  # registers an op touches or creates
     for op in recovery.ops:
         stray = set(op.touches) - allowed
         if stray:
-            raise ProtocolShapeError(
-                f"recovery at step {t} touches non-adversary registers {sorted(stray)}"
-            )
-        ens = ens.apply(op)
+            raise ProtocolShapeError(f"recovery at step {t} touches non-adversary "
+                                     f"registers {sorted(stray)}")
         allowed |= {n for n, _ in op.creates}
-    if recovery.discard:
-        stray = set(recovery.discard) - allowed
-        if stray:
-            raise ProtocolShapeError(
-                f"recovery at step {t} discards non-adversary registers {sorted(stray)}"
-            )
-        ens = ens.traced(recovery.discard)
-    return ens
+        used |= {*op.touches, *(n for n, _ in op.creates)}
+    stray = set(recovery.discard) - allowed
+    if stray:
+        raise ProtocolShapeError(f"recovery at step {t} discards non-adversary "
+                                 f"registers {sorted(stray)}")
+    ens = transcript.ensemble(t)
+    first = [n for n in recovery.discard if n not in used]
+    if first:
+        ens = ens.traced(first)
+    for op in recovery.ops:
+        ens = ens.apply(op)
+    last = [n for n in recovery.discard if n in used]
+    return ens.traced(last) if last else ens
 
 
 def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> SpeciousnessReport:
@@ -659,7 +676,9 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     untouched).  The runs are those :func:`database_runs` plans for the
     honest spec, the adversarial spec and the recovery ops: each run input
     goes once through the honest protocol and once through the adversary,
-    and at each step the recovery is applied once.  The step's two states
+    and at each step the recovery is applied once, its ops on the state
+    with the discards they do not touch already traced out
+    (:func:`apply_recovery`).  The step's two states
     (``target`` and ``recovered``) go once, with every database group's
     label, to :func:`block_spans`: each group's pair is its block of them
     (bit for bit the states of its own runs on the purified index) in one

@@ -9,6 +9,8 @@ from qpirlab.adversaries import (
     adversary_by_name,
     apply_recovery,
     client_variants,
+    database_groups,
+    database_runs,
     gamma_family,
     measure_speciousness,
     purification_attack,
@@ -17,12 +19,14 @@ from qpirlab.adversaries import (
     standard_inputs,
     steer,
 )
-from qpirlab.channels import HadamardOp
+from qpirlab.channels import HadamardOp, MeasureOp, PrepareOp
 from qpirlab.distances import paired_distances
 from qpirlab.privacy import privacy_lower_bound
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
-from qpirlab.runtime import ProtocolShapeError, execute
-from qpirlab.states import LayoutError
+from qpirlab.runtime import (Ensemble, PartyProgram, PartyStep, ProtocolShapeError, ProtocolSpec,
+                             execute)
+from qpirlab.states import LayoutError, RegisterLayout
+from span_reference import recover_in_order
 
 # measured once from the exact simulation and frozen; equals sin^2(theta/2)/2,
 # attained on the superposed-database inputs at the final step
@@ -163,12 +167,84 @@ class TestMeter:
         with pytest.raises(ProtocolShapeError, match="non-adversary"):
             apply_recovery(tr, 2, touch_q0)
 
+    @pytest.mark.parametrize("ops", [(), (HadamardOp("r1"),)])
+    def test_recovery_cannot_discard_client_side(self, k2, monkeypatch, ops):
+        # the check runs before any register is traced or any op applied
+        tr = k2.run(0b01, 1)
+        calls = []
+        for name in ("traced", "apply"):
+            monkeypatch.setattr(Ensemble, name, lambda *a, name=name: calls.append(name))
+        with pytest.raises(ProtocolShapeError,
+                           match=r"recovery at step 1 discards non-adversary registers \['r1c'\]"):
+            apply_recovery(tr, 1, Recovery(ops=ops, discard=("r1c",)))
+        assert calls == []
+
+    def test_a_created_register_is_discarded_after_the_ops(self, k2, monkeypatch):
+        tr = k2.run(0b01, 1)
+        traced = []
+        inner = Ensemble.traced
+
+        def recording(self, names):
+            traced.append((tuple(names), self.layout.has("fresh")))
+            return inner(self, names)
+        monkeypatch.setattr(Ensemble, "traced", recording)
+        recovery = Recovery(ops=(PrepareOp.zeros((("fresh", 1),)),), discard=("fresh", "r1"))
+        got = apply_recovery(tr, 1, recovery)
+        # r1, which no op touches, goes first; fresh only once it exists
+        assert traced == [(("r1",), False), (("fresh",), True)]
+        want = tr.ensemble(1).traced(("r1",))
+        assert got.layout == want.layout
+        np.testing.assert_array_equal(got.vectors, want.vectors)
+
     def test_report_carries_inventory(self, k2):
         report = measure_speciousness(k2, purified_honest(k2))
         assert any("x=01" in label for label in report.inputs)
         assert any("x=+" in label for label in report.inputs)
         first = max(d for label, _, d in report.rows if label == report.inputs[0])
         assert first <= report.gamma_hat + 1e-15
+
+
+@pytest.mark.parametrize("instance,name", [
+    ("cx2", "honest-purified"),
+    *(("k2", name) for name in ("honest-purified", "purify-db", "gamma:0.3", "gamma-lossy:0.3")),
+])
+def test_recovery_equals_the_in_order_reference_on_every_planned_run(instance, name):
+    # tracing the discards no op touches first gives the rows of the ops
+    # first, in the same order: each (branch, discarded label) of these
+    # runs has one outcome per measurement
+    inst = build_counterexample(2) if instance == "cx2" else build_kerenidis(2)
+    adv = adversary_by_name(inst, name)
+    adv_spec = adv.modified_spec(inst.spec)
+    groups = database_groups(standard_inputs(inst, superposed_db=True))
+    ops = [op for recovery in adv.recoveries for op in recovery.ops]
+    for run_input, _ in database_runs(inst, groups, (inst.spec, adv_spec), ops):
+        tr = execute(adv_spec, run_input)
+        for t, recovery in enumerate(adv.recoveries, start=1):
+            got, want = apply_recovery(tr, t, recovery), recover_in_order(tr, t, recovery)
+            assert got.layout == want.layout
+            np.testing.assert_array_equal(got.vectors, want.vectors)
+
+
+def test_tracing_first_gives_the_in_order_rows_up_to_their_order(rng):
+    # every branch puts m, d and s in independent superpositions, so each
+    # (branch, d label) has several outcomes of m: the rows come in another
+    # order, (branch, d label, outcome) rather than (branch, outcome, d label)
+    regs = (("m", 2), ("d", 2), ("s", 1))
+    prepare = PartyStep((PrepareOp.zeros((("p", 1),)),))
+    spec = ProtocolSpec(1, PartyProgram("A", (prepare,), input_registers=regs),
+                        PartyProgram("B", (PartyStep(),)))
+    branches = []
+    for _ in range(3):
+        parts = [rng.normal(size=1 << w) + 1j * rng.normal(size=1 << w) for _, w in regs]
+        branches.append(np.kron(np.kron(parts[0], parts[1]), parts[2]))
+    tr = execute(spec, Ensemble(RegisterLayout(regs), np.array(branches)))
+    for recovery in (Recovery((MeasureOp("m"),), ("d",)),
+                     Recovery((MeasureOp("m"), HadamardOp("s")), ("d", "s")),
+                     Recovery((HadamardOp("s"), MeasureOp("m")), ("m", "d"))):
+        got, want = apply_recovery(tr, 1, recovery), recover_in_order(tr, 1, recovery)
+        assert got.layout == want.layout
+        assert len(got.vectors) == len(want.vectors)
+        assert sorted(map(bytes, got.vectors)) == sorted(map(bytes, want.vectors))
 
 
 def test_purification_consistency_at_register_level(k2):
@@ -221,9 +297,11 @@ def test_steering_refuses_a_client_that_does_not_fit_the_run(k2):
 
 
 # The meter's tracemalloc peak below when this bound was set (Python 3.11,
-# numpy 2.4).  Taking the span only after the step loop, which keeps every
-# step's full recovered state alive, reads 22.7 MiB and fails it.
-_METER_PEAK_MIB = 19.19
+# numpy 2.4), with each recovery's untouched discards traced before its ops.
+# Measuring before the discard (the ops first, then every discard) reads
+# 19.18 MiB and fails it; taking the span only after the step loop, which
+# keeps every step's full recovered state alive, reads more.
+_METER_PEAK_MIB = 15.71
 
 
 def test_meter_peak_memory_stays_at_one_step():

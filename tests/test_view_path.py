@@ -13,6 +13,7 @@ from qpirlab.adversaries import (PURIFIER, adversary_by_name, client_variants, d
                                  measure_speciousness, purified_honest, purified_input,
                                  standard_inputs, steer)
 from qpirlab.bounds import extraction_attack
+from qpirlab.channels import MeasureOp
 from qpirlab.config import CapExceeded
 from qpirlab.distances import paired_distances
 from qpirlab.privacy import _even_steps, privacy_lower_bound
@@ -348,6 +349,22 @@ def test_meter_takes_one_span_per_database_and_step(monkeypatch):
     # the 184 comparisons come in 3 [b a] shapes, one stacked call each
     assert len(distances) == 3
     assert len(qrs) == 40 + 3
+
+
+def test_meter_measures_the_recovery_on_the_reduced_state(monkeypatch):
+    # purified_honest's recovery measures dbm and discards purif1, which no
+    # op touches: traced first, the 16-qubit adversarial state is measured
+    # at 14 qubits, as the honest run is
+    columns = []
+    inner = MeasureOp.apply_vectors
+
+    def recording(self, vectors, layout):
+        columns.append(vectors.shape[1])
+        return inner(self, vectors, layout)
+    monkeypatch.setattr(MeasureOp, "apply_vectors", recording)
+    cx = build_counterexample(2)
+    measure_speciousness(cx, purified_honest(cx))
+    assert max(columns) == 2**14
 
 
 def test_certificates_take_one_span_per_database_and_step(monkeypatch):
