@@ -6,13 +6,26 @@ registers it may relabel and any registers it creates.  A flip op relabels
 its flipped register (a swap both of its registers), a Hadamard, rotate or
 dense op its target registers, and a phase, measurement or preparation
 none: it commutes with the label projectors of every register it does not
-relabel.  :meth:`runtime.Ensemble.apply` is the one evolution
-engine: it hands its whole ``(B, dim)`` branch array to one
-``apply_vectors(vectors, layout)`` call per op.  Every kernel takes that C-contiguous complex128
-array of unnormalized branches and returns a ``(B', dim')`` one, with the
-output rows in the order ``for row in vectors: for outcome or matrix``.  A
-measurement or Kraus set multiplies branches; total squared norm is
-conserved, and outputs at or below ``states.BRANCH_PRUNE`` are dropped.
+relabel.
+
+Every op applies through one ``apply_vectors(vectors, layout)`` call, which
+takes a set of unnormalized branches in either of two forms and returns the
+same form:
+
+* dense: a C-contiguous ``(B, dim)`` complex128 array, which
+  :meth:`runtime.Ensemble.apply` hands over for the ops applied after a run
+  (recoveries and the simulators);
+* support: a :class:`Support`, the (branch, flat index, value) entries of
+  the nonzero amplitudes, which ``runtime.execute`` carries through a whole
+  run; an anchored run holds a classical database, so almost all of its
+  amplitudes are exact zeros.
+
+Either way the output branches are in the order ``for row in vectors: for
+outcome or matrix``.  A measurement or Kraus set multiplies branches; total
+squared norm is conserved, and outputs at or below ``states.BRANCH_PRUNE``
+are dropped.  An op's support branch maps the entries by the definition its
+dense kernel uses and gives the dense kernel's nonzero amplitudes bit for
+bit; its zeros are all +0.0, where a dense sign flip of a zero leaves -0.0.
 
 Ops apply through three kernel shapes, all under the big-endian convention
 of :mod:`qpirlab.states`:
@@ -20,8 +33,10 @@ of :mod:`qpirlab.states`:
 * XOR permutation: ``InnerProductCnotOp``, ``SelectCnotOp``,
   ``SelectFlipOp``, ``CnotOp``, ``CopyOp`` and ``SwapOp`` each supply only a
   ``_flip(idx, layout)`` mask; the shared kernel gathers
-  ``vectors[:, idx ^ flip]`` through a cached index array;
-* diagonal sign: ``SelectPhaseOp`` multiplies by a cached +-1 array;
+  ``vectors[:, idx ^ flip]`` through a cached index array, and moves each
+  support entry to ``index ^ flip(index)``, with no array and no cache;
+* diagonal sign: ``SelectPhaseOp`` multiplies by a cached +-1 array, or
+  each support value by its index's sign;
 * local matrices, ``_apply_local``: ``HadamardOp``, ``RotateOp`` and
   ``DenseOp`` multiply a ``2**k``-square matrix into their qubits.  When the
   slots are contiguous and ascending and written back in place, as a single
@@ -39,11 +54,21 @@ of :mod:`qpirlab.states`:
   equal amplitudes that cancel give exact zeros.  A normalized matrix, or
   one ``2**w``-term sum, leaves ~1e-17 dust there, which costs the analyses'
   QR and eigh work and moves figures that go through an Uhlmann completion.
+  On the support, ``HadamardOp`` and ``RotateOp`` group the entries by
+  (branch, index with the op's slots cleared) and multiply the
+  ``(groups, 2**k)`` block of their values by the same matrix, so each
+  output sums the same nonzero terms in the same order; ``DenseOp`` runs
+  dense.
 
-``PrepareOp`` applies an outer product, and ``MeasureOp`` repeats each
-branch once per observed label and zeroes the other labels in place.  An op
-that flips a qubit it also controls on is rejected when it is built.  Every
-concrete op class binds ``apply_vectors(self, vectors, layout)`` in its own
+``PrepareOp`` applies an outer product (on the support, ``(index << w) | j``
+for each nonzero amplitude ``j``), and ``MeasureOp`` repeats each branch
+once per observed label and zeroes the other labels in place (on the
+support, each (branch, label) pair above the prune level is a new branch).
+Every support expansion (a local product's groups times ``2**k``, a
+preparation's entries times its nonzero amplitudes and a measurement's new
+branches) is checked against ``config.check_branches`` before it allocates.
+An op that flips a qubit it also controls on is rejected when it is built.
+Every concrete op class binds ``apply_vectors(self, vectors, layout)`` in its own
 class body (the XOR ops as ``apply_vectors = _apply_flip``), never by
 inheritance: per-kind instrumentation looks the method up in each class's
 ``__dict__``.
@@ -73,6 +98,7 @@ from .states import (PureState, RegisterLayout, nonzero_rows, slot_weights, slot
 
 __all__ = [
     "ChannelError",
+    "Support",
     "ChannelOp",
     "DenseOp",
     "HadamardOp",
@@ -94,6 +120,45 @@ __all__ = [
 
 class ChannelError(ValueError):
     """An operation is malformed or does not fit the state it is applied to."""
+
+
+class Support:
+    """A ``(B, dim)`` branch array held on its support.
+
+    Entry ``e`` is the amplitude ``value[e]`` (complex128) at the flat
+    big-endian index ``index[e]`` (int64) of branch ``branch[e]``; every
+    (branch, index) pair appears at most once, no value is an exact zero and
+    the entries are in no particular order.  ``shape`` is the shape of the
+    dense array the entries stand for.  Like that array, ``len`` gives the
+    branch count and iteration one value array per branch.
+    """
+
+    __slots__ = ("shape", "branch", "index", "value")
+
+    def __init__(self, shape, branch, index, value):
+        self.shape = shape
+        self.branch, self.index, self.value = branch, index, value
+
+    @classmethod
+    def of(cls, vectors: np.ndarray) -> "Support":
+        branch, index = np.nonzero(vectors)
+        return cls(vectors.shape, branch, index, vectors[branch, index])
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __iter__(self):
+        return (self.value[self.branch == b] for b in range(len(self)))
+
+    def __imul__(self, factor):
+        self.value *= factor
+        return self
+
+    def dense(self) -> np.ndarray:
+        """The ``(B, dim)`` array: one zeroed array and one scatter."""
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[self.branch, self.index] = self.value
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -178,6 +243,8 @@ def _apply_local(vectors, total, slots, matrices, dest):
     ``d * post <= _GEMM_WIDTH``, else as one broadcast ``np.matmul``.  The
     output is then the only new array.  Other slot orders move the slots to
     the front, multiply and move them back."""
+    if isinstance(vectors, Support):
+        return _apply_local_support(vectors, total, slots, matrices[0])
     first, w = slots[0], len(slots)
     if len(matrices) == 1 and dest == slots == list(range(first, first + w)):
         d, post = 1 << w, 1 << (total - first - w)
@@ -193,6 +260,29 @@ def _apply_local(vectors, total, slots, matrices, dest):
     else:
         blocks = blocks[:, 0]
     return slots_from_front(blocks, dest)
+
+
+def _apply_local_support(sup: Support, total: int, slots, m: np.ndarray) -> Support:
+    """:func:`_apply_local` on the support, for one ``2**k``-square matrix
+    written back in place: the entries are grouped by (branch, index with
+    the ``k`` slots cleared), each group is one row of a ``(groups, 2**k)``
+    block and one product ``block @ m.T`` maps them all.  Each output sums
+    the nonzero terms of the dense product in the same order (its other
+    terms are exact zeros); outputs that are exact zeros are dropped."""
+    k = len(slots)
+    labels = np.arange(1 << k)
+    spread = np.zeros(1 << k, dtype=np.int64)  # each local label's bits at its slots
+    for j, s in enumerate(slots):
+        spread |= ((labels >> (k - 1 - j)) & 1) << _shift(total, s)
+    keys, group = np.unique((sup.branch << total) | (sup.index & ~spread[-1]),
+                            return_inverse=True)
+    check_branches(len(keys), 1 << k, what=f"a local product on qubits {list(slots)}")
+    block = np.zeros((len(keys), 1 << k), dtype=np.complex128)
+    block[group, _gather(sup.index, total, slots)] = sup.value
+    out = block @ m.T
+    g, y = np.nonzero(out)
+    keys = keys[g]
+    return Support(sup.shape, keys >> total, (keys & ((1 << total) - 1)) | spread[y], out[g, y])
 
 
 # H with exact +-1 entries and H (x) H / 2 with exact +-1/2 entries, as
@@ -235,9 +325,11 @@ class ChannelOp:
                 raise ChannelError(f"{type(self).__name__} would recreate register {name!r}")
         return layout.extended(self.creates) if self.creates else layout
 
-    def apply_vectors(self, vectors: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-        """Apply to a ``(B, dim)`` array of unnormalized branches; returns a
-        ``(B', dim')`` array and may multiply branches."""
+    def apply_vectors(self, vectors: np.ndarray | Support,
+                      layout: RegisterLayout) -> np.ndarray | Support:
+        """Apply to a ``(B, dim)`` array of unnormalized branches, or to its
+        :class:`Support`; returns a ``(B', dim')`` one in the same form and
+        may multiply branches."""
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -282,7 +374,12 @@ class HadamardOp(ChannelOp):
 def _apply_flip(self, vectors, layout):
     """The XOR-permutation kernel: gather ``vectors[:, idx ^ flip]``, where
     the op's ``_flip(idx, layout)`` gives the bits to flip at each flat
-    index.  The gather index is built once per (op, layout) and cached."""
+    index.  The gather index is built once per (op, layout) and cached.  On
+    the support each entry moves to ``index ^ flip(index)``: the map is its
+    own inverse, since no op flips a bit that its flip reads."""
+    if isinstance(vectors, Support):
+        index = vectors.index ^ self._flip(vectors.index, layout)
+        return Support(vectors.shape, vectors.branch, index, vectors.value)
 
     def build():
         idx = _index_array(layout.dim)
@@ -417,12 +514,15 @@ class SelectPhaseOp(ChannelOp):
     def relabels(self):
         return ()
 
-    def _build_sign(self, layout):
-        idx = _index_array(layout.dim)
+    def _sign(self, idx, layout):
         return 1.0 - 2.0 * _selected_bit(idx, layout, self.targets, self.selector)
 
     def apply_vectors(self, vectors, layout):
-        return vectors * _perm_cache.get(self, layout, lambda: self._build_sign(layout))
+        if isinstance(vectors, Support):
+            value = vectors.value * self._sign(vectors.index, layout)
+            return Support(vectors.shape, vectors.branch, vectors.index, value)
+        return vectors * _perm_cache.get(
+            self, layout, lambda: self._sign(_index_array(layout.dim), layout))
 
 
 @dataclass(frozen=True)
@@ -656,8 +756,19 @@ class PrepareOp(ChannelOp):
 
     def apply_vectors(self, vectors, layout):
         prep = np.asarray(self.amplitudes, dtype=np.complex128)
-        check_cap(layout.total_qubits + sum(w for _, w in self.registers), what="state")
-        return np.multiply.outer(vectors, prep).reshape(len(vectors), layout.dim * prep.size)
+        width = sum(w for _, w in self.registers)
+        check_cap(layout.total_qubits + width, what="state")
+        if not isinstance(vectors, Support):
+            return np.multiply.outer(vectors, prep).reshape(len(vectors), layout.dim * prep.size)
+        # each entry (b, i, v) gives (b, (i << width) | j, v * prep[j]) per nonzero prep[j]
+        j = np.flatnonzero(prep)
+        check_branches(len(vectors.value), len(j),
+                       what=f"preparing {[n for n, _ in self.registers]}")
+        value = np.multiply.outer(vectors.value, prep[j]).reshape(-1)
+        nz = value != 0
+        index = ((vectors.index[:, None] << width) | j).reshape(-1)
+        return Support((len(vectors), layout.dim << width),
+                       np.repeat(vectors.branch, len(j))[nz], index[nz], value[nz])
 
 
 @dataclass(frozen=True)
@@ -683,6 +794,8 @@ class MeasureOp(ChannelOp):
     def apply_vectors(self, vectors, layout):
         total = layout.total_qubits
         slots = layout.slots([self.register])
+        if isinstance(vectors, Support):
+            return self._measure_support(vectors, layout, slots)
         rows, labels = nonzero_rows(slot_weights(vectors, total, slots))
         check_branches(len(rows), layout.dim, what=f"measurement of {self.register!r}")
         # A register's slots are contiguous: view each output row as (before,
@@ -692,6 +805,20 @@ class MeasureOp(ChannelOp):
         view = out.reshape(len(out), 1 << slots[0], 1 << w, 1 << (total - slots[0] - w))
         view *= (np.arange(1 << w) == labels[:, None])[:, None, :, None]
         return out
+
+    def _measure_support(self, sup: Support, layout, slots) -> Support:
+        """The measurement on the support: the new branches are the
+        (branch, label) pairs above ``states.BRANCH_PRUNE``, branch-major."""
+        w = len(slots)
+        key = (sup.branch << w) | _gather(sup.index, layout.total_qubits, slots)
+        weights = np.bincount(key, np.abs(sup.value) ** 2, minlength=len(sup) << w)
+        rows, labels = nonzero_rows(weights.reshape(len(sup), 1 << w))
+        check_branches(len(rows), layout.dim, what=f"measurement of {self.register!r}")
+        new = np.full(len(sup) << w, -1)
+        new[(rows << w) | labels] = np.arange(len(rows))
+        branch = new[key]
+        kept = branch >= 0
+        return Support((len(rows), layout.dim), branch[kept], sup.index[kept], sup.value[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +878,8 @@ class DenseOp(ChannelOp):
         return self.created
 
     def apply_vectors(self, vectors, layout):
+        if isinstance(vectors, Support):  # no builder makes a DenseOp: run it dense
+            return Support.of(self.apply_vectors(vectors.dense(), layout))
         total = layout.total_qubits
         slots = layout.ordered_slots(self.registers)
         k = len(slots)

@@ -21,10 +21,20 @@ recoveries from it and the privacy analyses take their steps from it.
 privacy analysis compares, and :meth:`Ensemble.distance` is the one
 comparison.
 
-Evolution runs on one ``(B, dim)`` array of unnormalized pure branches
-(:class:`Ensemble`): a measurement multiplies branches and mixed inputs
-enter as ensembles of pure branches, so :meth:`Ensemble.apply` is the only
-evolution engine.
+A state is a set of unnormalized pure branches: a measurement multiplies
+branches and mixed inputs enter as ensembles of pure branches.  The set
+takes one of two forms, and every op applies to either through its
+``apply_vectors`` (see :mod:`qpirlab.channels`):
+
+* :func:`execute` carries a run on its support, a
+  :class:`~qpirlab.channels.Support` of (branch, flat index, value)
+  entries, from the setup-tensored input to the last step, and forms the
+  dense :class:`Ensemble` only for the steps it keeps (one zeroed array and
+  one scatter each).  An anchored run holds a classical database, so almost
+  all of its amplitudes are exact zeros.
+* :class:`Ensemble` holds one dense ``(B, dim)`` array.  Transcripts and
+  every analysis read it, and :meth:`Ensemble.apply` applies the ops that
+  come after a run (recoveries and the simulators) to it.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import (ChannelOp, ChannelError, PrepareOp, from_json_value, op_from_descriptor,
-                       to_json_value)
+from .channels import (ChannelOp, ChannelError, PrepareOp, Support, from_json_value,
+                       op_from_descriptor, to_json_value)
 from .config import CapExceeded, check_branches, check_cap, check_reduced_cap
 from .distances import gram_reduce, paired_distances
 from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, marginal,
@@ -387,7 +397,11 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
 
     The input may carry extra registers beyond the declared inputs; they are
     treated as the untouched reference side.  ``keep`` names the steps whose
-    states are retained besides the last; ``None`` retains every step.  An
+    states are retained besides the last; ``None`` retains every step.  The
+    ops run on the support of the branches, and a retained step is
+    scattered to the dense :class:`Ensemble` that applying them through
+    :meth:`Ensemble.apply` gives (``dense_execute`` in
+    ``tests/span_reference.py``).  An
     op that fails raises :class:`ProtocolShapeError`, and one that breaks a
     resource cap raises :class:`~qpirlab.config.CapExceeded` again; either
     names the step, the party, the op and its registers (or the setup).
@@ -416,19 +430,24 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
         except CapExceeded as exc:
             raise CapExceeded(f"setup {list(spec.setup.layout.names)}: {exc}") from exc
 
+    layout, vectors = ens.layout, Support.of(ens.vectors)
+    del ens  # the run holds no dense state but the steps it keeps
     last = spec.schedule[-1]
     kept: list[Ensemble | None] = []
     for st in spec.schedule:
         for op in st.step.ops:
             try:
-                ens = ens.apply(op)
+                out_layout = op.output_layout(layout)
+                vectors = op.apply_vectors(vectors, layout)
             except (ChannelError, LayoutError, StateError, CapExceeded) as exc:
                 where = (f"step {st.t} ({st.party}): {type(op).__name__} on "
                          f"{[*op.touches, *(n for n, _ in op.creates)]}")
                 if isinstance(exc, CapExceeded):
                     raise CapExceeded(f"{where}: {exc}") from exc
                 raise ProtocolShapeError(f"{where} failed: {exc}") from exc
-        kept.append(ens if keep is None or st.t in keep or st is last else None)
+            layout = out_layout
+        keeps = keep is None or st.t in keep or st is last
+        kept.append(Ensemble(layout, vectors.dense()) if keeps else None)
     return ExecutionTranscript(spec, kept, refs)
 
 

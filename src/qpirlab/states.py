@@ -11,7 +11,7 @@ has one axis per qubit slot, most significant first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,33 +87,30 @@ class StateError(ValueError):
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered, named qubit registers backing one amplitude array."""
+    """Ordered, named qubit registers backing one amplitude array.
+
+    The layout is frozen, so its qubit count, dimension and names are worked
+    out once, when it is built."""
 
     registers: tuple[tuple[str, int], ...]
+    total_qubits: int = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _name_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "registers", tuple((str(n), int(w)) for n, w in self.registers)
-        )
-        names = [n for n, _ in self.registers]
+        registers = tuple((str(n), int(w)) for n, w in self.registers)
+        names = tuple(n for n, _ in registers)
         if len(set(names)) != len(names):
-            raise LayoutError(f"duplicate register names in {names}")
-        for name, width in self.registers:
+            raise LayoutError(f"duplicate register names in {list(names)}")
+        for name, width in registers:
             if width < 1:
                 raise LayoutError(f"register {name!r} has width {width}, must be >= 1")
-        check_cap(self.total_qubits, what="layout")
-
-    @property
-    def total_qubits(self) -> int:
-        return sum(w for _, w in self.registers)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.total_qubits
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.registers)
+        total = sum(w for _, w in registers)
+        check_cap(total, what="layout")
+        for key, value in (("registers", registers), ("total_qubits", total), ("dim", 1 << total),
+                           ("names", names), ("_name_set", frozenset(names))):
+            object.__setattr__(self, key, value)
 
     def width(self, name: str) -> int:
         for n, w in self.registers:
@@ -122,7 +119,7 @@ class RegisterLayout:
         raise LayoutError(f"no register named {name!r} in {self.names}")
 
     def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.registers)
+        return name in self._name_set
 
     def offset(self, name: str) -> int:
         """Qubit slot of the register's first (most significant) qubit."""
@@ -143,7 +140,7 @@ class RegisterLayout:
     def slots(self, names) -> list[int]:
         """Global qubit slots covered by ``names``, in layout order."""
         wanted = set(names)
-        missing = wanted - set(self.names)
+        missing = wanted - self._name_set
         if missing:
             raise LayoutError(f"unknown registers {sorted(missing)}")
         out = []
@@ -169,7 +166,7 @@ class RegisterLayout:
     def subset(self, names) -> "RegisterLayout":
         """Sub-layout of ``names`` in declaration order."""
         wanted = set(names)
-        missing = wanted - set(self.names)
+        missing = wanted - self._name_set
         if missing:
             raise LayoutError(f"unknown registers {sorted(missing)}")
         return RegisterLayout(tuple((n, w) for n, w in self.registers if n in wanted))

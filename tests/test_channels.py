@@ -20,6 +20,7 @@ from qpirlab.channels import (
     SelectFlipOp,
     SelectPhaseOp,
     SwapOp,
+    Support,
     op_from_descriptor,
 )
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
@@ -385,16 +386,17 @@ def _hadamard_by_moved_pairs(vectors, layout):
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4])
-@pytest.mark.parametrize("place", ["high", "middle", "low", "above-low", "moved"])
+@pytest.mark.parametrize("place", ["high", "middle", "low", "above-low", "moved", "support"])
 def test_hadamard_twice_keeps_exact_zeros(rng, w, place, monkeypatch):
     # Each setting of the other qubits of a 16-qubit state holds one label of
     # the register, or nothing.  H then H sums equal terms that cancel, so a
     # rounded product or partial sum would leave dust where a zero belongs.
     # "high" and "middle" take the broadcast form; "low" and "above-low"
     # (three qubits below the register) end on the GEMM form against
-    # kron(m, I_post); "moved" takes the move path for every pair.
+    # kron(m, I_post); "moved" takes the move path for every pair;
+    # "support" runs both on the support form and scatters the result.
     before = {"high": 0, "middle": (16 - w) // 2, "low": 16 - w, "above-low": 13 - w,
-              "moved": (16 - w) // 2}[place]
+              "moved": (16 - w) // 2, "support": (16 - w) // 2}[place]
     regs = tuple((n, k) for n, k in (("a", before), ("r", w), ("b", 16 - w - before)) if k)
     layout = RegisterLayout(regs)
     rest = layout.dim >> w
@@ -411,7 +413,10 @@ def test_hadamard_twice_keeps_exact_zeros(rng, w, place, monkeypatch):
         apply = _hadamard_by_moved_pairs
     else:
         apply = HadamardOp("r").apply_vectors
-    twice = apply(apply(vectors, layout), layout)
+    if place == "support":
+        twice = apply(apply(Support.of(vectors), layout), layout).dense()
+    else:
+        twice = apply(apply(vectors, layout), layout)
     assert bool(moves) == (place == "moved" and w > 1)
     np.testing.assert_array_equal(twice == 0, vectors == 0)
     np.testing.assert_allclose(twice, vectors, rtol=0, atol=1e-14)

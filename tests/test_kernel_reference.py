@@ -29,9 +29,10 @@ from qpirlab.channels import (
     SelectFlipOp,
     SelectPhaseOp,
     SwapOp,
+    Support,
 )
 from qpirlab.runtime import Ensemble
-from qpirlab.states import RegisterLayout
+from qpirlab.states import BRANCH_PRUNE, RegisterLayout
 
 
 def _bit(label: int, width: int, j: int) -> int:
@@ -464,3 +465,69 @@ def test_ops_commute_with_the_labels_they_do_not_relabel(seed):
             moved = _labels(out_layout, name)[:, None] != _labels(layout, name)[None, :]
             for m in REFERENCE[type(op)](op, layout):
                 assert not np.any(m[moved]), (op, name)
+
+
+# ---------------------------------------------------------------------------
+# the support form
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_support_kernels_match_reference(seed):
+    """Each op's support branch, on three branches fully dense and with
+    about three amplitudes in four exact zeros: the entries are distinct
+    and nonzero, they scatter to the reference's rows (lighter outputs of a
+    measurement or Kraus set dropped) and to the dense kernel's bit for
+    bit, and iteration gives one value array per branch."""
+    rng = np.random.default_rng(9600 + seed)
+    layout = _layout(rng)
+    for op in _ops(rng, layout):
+        mats = REFERENCE[type(op)](op, layout)
+        out_dim = op.output_layout(layout).dim
+        full = rng.normal(size=(3, layout.dim)) + 1j * rng.normal(size=(3, layout.dim))
+        for vectors in (full, full * (rng.random(full.shape) < 0.25)):
+            got = op.apply_vectors(Support.of(vectors), layout)
+            assert isinstance(got, Support), op
+            pairs = got.branch * out_dim + got.index
+            assert len(np.unique(pairs)) == len(pairs) and np.all(got.value != 0), op
+            want = [m @ v for v in vectors for m in mats]
+            if len(mats) > 1:
+                want = [w for w in want if np.vdot(w, w).real > BRANCH_PRUNE]
+            assert got.shape == (len(want), out_dim), op
+            np.testing.assert_allclose(got.dense(), want, rtol=0, atol=1e-12, err_msg=repr(op))
+            assert np.array_equal(got.dense(), op.apply_vectors(vectors, layout)), op
+            assert [v.size for v in got] == [np.count_nonzero(r) for r in got.dense()], op
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_support_ops_keep_the_labels_they_do_not_relabel(seed):
+    """``test_ops_commute_with_the_labels_they_do_not_relabel`` on the
+    support form: with every basis state as a branch of its own, each
+    output entry keeps the label of every register the op does not
+    relabel."""
+    rng = np.random.default_rng(9200 + seed)
+    layout = _layout(rng)
+    basis = Support.of(np.eye(layout.dim, dtype=np.complex128))
+    for op in _ops(rng, layout):
+        out_layout = op.output_layout(layout)
+        got = op.apply_vectors(basis, layout)
+        per = len(got) // len(basis)  # outputs per branch: one, or one per Kraus operator
+        assert len(got) == per * len(basis), op
+        for name in layout.names:
+            if name not in op.relabels:
+                assert np.array_equal(_labels(out_layout, name)[got.index],
+                                      _labels(layout, name)[got.branch // per]), (op, name)
+
+
+def test_support_measurement_drops_the_outcomes_the_dense_kernel_prunes():
+    # outcome 1 of branch 0 weighs about 1e-26, at or below BRANCH_PRUNE;
+    # outcome 2 has no amplitude in either branch
+    layout = RegisterLayout((("a", 2), ("m", 2)))
+    vectors = np.random.default_rng(9700).normal(size=(2, 4, 4)).astype(np.complex128)
+    vectors[:, :, 2] = 0.0
+    vectors[0, :, 1] *= 1e-13
+    vectors = vectors.reshape(2, layout.dim)
+    got = MeasureOp("m").apply_vectors(Support.of(vectors), layout)
+    want = MeasureOp("m").apply_vectors(vectors, layout)
+    assert len(got) == len(want) == 5
+    assert np.array_equal(got.dense(), want)
