@@ -321,7 +321,7 @@ def _block_rows(ens: Ensemble, register: str, label: int):
     view, and the rows :func:`database_block` keeps of it."""
     lay = ens.layout
     first, width = lay.offset(register), lay.width(register)
-    block = ens.vectors.reshape(len(ens.vectors), 1 << first, 1 << width, -1)[:, :, label]
+    block = ens.dense().reshape(len(ens.vectors), 1 << first, 1 << width, -1)[:, :, label]
     return block, nonzero_rows((np.abs(block) ** 2).sum(axis=(1, 2)))[0]
 
 
@@ -362,7 +362,7 @@ def _client_matrix(client: PureState | Ensemble, reference, layouts):
     rest = tuple(r for r in cl.layout.registers if r[0] not in index)
     if not index:
         return rest, None
-    return rest, slots_to_front(cl.vectors, cl.layout.total_qubits, cl.layout.slots(index))
+    return rest, slots_to_front(cl.dense(), cl.layout.total_qubits, cl.layout.slots(index))
 
 
 def _purifier_last(ens: Ensemble):
@@ -372,7 +372,7 @@ def _purifier_last(ens: Ensemble):
     lay = ens.layout
     others = tuple(r for r in lay.registers if r[0] != PURIFIER)
     labels = 1 << lay.width(PURIFIER)
-    v = slots_to_front(ens.vectors, lay.total_qubits,
+    v = slots_to_front(ens.dense(), lay.total_qubits,
                        lay.ordered_slots([*(n for n, _ in others), PURIFIER]))
     return others, v.reshape(len(ens.vectors), lay.dim // labels, labels)
 
@@ -404,7 +404,7 @@ def steered_rows(views, members) -> list[list[np.ndarray]]:
     for ins in members:
         _, c = _client_matrix(ins.client, ins.reference, [view.layout for view in views])
         if c is None:
-            out.append([view.vectors for view in views])
+            out.append([view.dense() for view in views])
             continue
         rows = [None] * len(views)
         for js, starts, stack in stacks:

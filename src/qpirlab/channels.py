@@ -154,6 +154,19 @@ class Support:
         self.value *= factor
         return self
 
+    def tensor(self, amplitudes: np.ndarray, *, what: str) -> "Support":
+        """The branches ``row (x) amplitudes``: entry ``(b, i, v)`` gives
+        ``(b, i * n + j, v * amplitudes[j])`` per nonzero ``amplitudes[j]`` of
+        the ``n``, entry-major, less the exact-zero products; checked with
+        ``config.check_branches``, naming ``what``, before it allocates."""
+        j = np.flatnonzero(amplitudes)
+        check_branches(len(self.value), len(j), what=what)
+        value = np.multiply.outer(self.value, amplitudes[j]).reshape(-1)
+        nz = value != 0
+        index = (self.index[:, None] * len(amplitudes) + j).reshape(-1)
+        return Support((len(self), self.shape[1] * len(amplitudes)),
+                       np.repeat(self.branch, len(j))[nz], index[nz], value[nz])
+
     def dense(self) -> np.ndarray:
         """The ``(B, dim)`` array: one zeroed array and one scatter."""
         out = np.zeros(self.shape, dtype=np.complex128)
@@ -758,17 +771,9 @@ class PrepareOp(ChannelOp):
         prep = np.asarray(self.amplitudes, dtype=np.complex128)
         width = sum(w for _, w in self.registers)
         check_cap(layout.total_qubits + width, what="state")
-        if not isinstance(vectors, Support):
-            return np.multiply.outer(vectors, prep).reshape(len(vectors), layout.dim * prep.size)
-        # each entry (b, i, v) gives (b, (i << width) | j, v * prep[j]) per nonzero prep[j]
-        j = np.flatnonzero(prep)
-        check_branches(len(vectors.value), len(j),
-                       what=f"preparing {[n for n, _ in self.registers]}")
-        value = np.multiply.outer(vectors.value, prep[j]).reshape(-1)
-        nz = value != 0
-        index = ((vectors.index[:, None] << width) | j).reshape(-1)
-        return Support((len(vectors), layout.dim << width),
-                       np.repeat(vectors.branch, len(j))[nz], index[nz], value[nz])
+        if isinstance(vectors, Support):
+            return vectors.tensor(prep, what=f"preparing {[n for n, _ in self.registers]}")
+        return np.multiply.outer(vectors, prep).reshape(len(vectors), layout.dim * prep.size)
 
 
 @dataclass(frozen=True)

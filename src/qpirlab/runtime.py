@@ -28,13 +28,13 @@ takes one of two forms, and every op applies to either through its
 
 * :func:`execute` carries a run on its support, a
   :class:`~qpirlab.channels.Support` of (branch, flat index, value)
-  entries, from the setup-tensored input to the last step, and forms the
-  dense :class:`Ensemble` only for the steps it keeps (one zeroed array and
-  one scatter each).  An anchored run holds a classical database, so almost
-  all of its amplitudes are exact zeros.
-* :class:`Ensemble` holds one dense ``(B, dim)`` array.  Transcripts and
-  every analysis read it, and :meth:`Ensemble.apply` applies the ops that
-  come after a run (recoveries and the simulators) to it.
+  entries, from the input tensored with the setup to the last step, and
+  keeps each retained step in that form.  An anchored run holds a
+  classical database, so almost all of its amplitudes are exact zeros.
+* :class:`Ensemble` holds either form.  :meth:`Ensemble.probabilities` (the
+  decode) reads a support as it is; every other reader, and
+  :meth:`Ensemble.apply` (recoveries and the simulators), takes the dense
+  ``(B, dim)`` array from :meth:`Ensemble.dense`, which scatters once.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import (ChannelOp, ChannelError, PrepareOp, Support, from_json_value,
+from .channels import (ChannelOp, ChannelError, PrepareOp, Support, _gather, from_json_value,
                        op_from_descriptor, to_json_value)
 from .config import CapExceeded, check_branches, check_cap, check_reduced_cap
 from .distances import gram_reduce, paired_distances
@@ -239,28 +239,39 @@ def communication(spec: ProtocolSpec) -> CommunicationBill:
 class Ensemble:
     """A mixed state as unnormalized pure branches over one layout.
 
-    ``vectors`` is one C-contiguous ``(B, dim)`` complex128 array: row ``b``
-    is branch ``b``'s flat amplitude vector under the big-endian convention
-    of :mod:`qpirlab.states`, and the state is the sum of the rows' outer
-    products.  Every method acts on the whole array at once.
+    ``vectors`` is a C-contiguous ``(B, dim)`` complex128 array, row ``b``
+    branch ``b``'s flat amplitude vector under the big-endian convention of
+    :mod:`qpirlab.states`, or its :class:`~qpirlab.channels.Support`; the
+    state is the sum of the rows' outer products.  :meth:`probabilities`
+    reads either form, every other reader the array from :meth:`dense`.
+    ``len(vectors)`` is the branch count in both forms.
     """
 
     __slots__ = ("layout", "vectors")
 
     def __init__(self, layout: RegisterLayout, vectors):
-        vecs = np.ascontiguousarray(vectors, dtype=np.complex128)
-        if vecs.ndim != 2 or vecs.shape[1] != layout.dim:
-            raise StateError(f"branch array has shape {vecs.shape}, expected (B, {layout.dim})")
+        if not isinstance(vectors, Support):
+            vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
+        if len(vectors.shape) != 2 or vectors.shape[1] != layout.dim:
+            raise StateError(f"branch array has shape {vectors.shape}, expected (B, {layout.dim})")
         self.layout = layout
-        self.vectors = vecs
+        self.vectors = vectors
 
     @classmethod
     def from_pure(cls, state: PureState) -> "Ensemble":
         return cls(state.layout, state.amplitudes[None])
 
+    def dense(self) -> np.ndarray:
+        """The ``(B, dim)`` branch array; a support is scattered on the first
+        call and the array replaces it."""
+        if isinstance(self.vectors, Support):
+            self.vectors = self.vectors.dense()
+        return self.vectors
+
     @property
     def weight(self) -> float:
-        return float(np.vdot(self.vectors, self.vectors).real)
+        v = self.dense()
+        return float(np.vdot(v, v).real)
 
     @property
     def is_pure(self) -> bool:
@@ -269,11 +280,11 @@ class Ensemble:
     def to_pure(self) -> PureState:
         if not self.is_pure:
             raise StateError(f"ensemble has {len(self.vectors)} branches, not pure")
-        return PureState.from_vector(self.layout, self.vectors[0], normalize=True)
+        return PureState.from_vector(self.layout, self.dense()[0], normalize=True)
 
     def apply(self, op: ChannelOp) -> "Ensemble":
         new_layout = op.output_layout(self.layout)
-        return Ensemble(new_layout, op.apply_vectors(self.vectors, self.layout))
+        return Ensemble(new_layout, op.apply_vectors(self.dense(), self.layout))
 
     def tensor(self, other: "Ensemble") -> "Ensemble":
         """Product ensemble; ``other``'s registers are appended to the layout
@@ -281,27 +292,28 @@ class Ensemble:
         layout = self.layout.extended(other.layout.registers)
         check_branches(len(self.vectors) * len(other.vectors), layout.dim,
                        what=f"tensor with {other.layout.names}")
-        prod = self.vectors[:, None, :, None] * other.vectors[None, :, None, :]
+        prod = self.dense()[:, None, :, None] * other.dense()[None, :, None, :]
         return Ensemble(layout, prod.reshape(-1, layout.dim))
 
     def purity(self) -> float:
-        g = self.vectors.conj() @ self.vectors.T
+        v = self.dense()
+        g = v.conj() @ v.T
         return float(np.sum(np.abs(g) ** 2))
 
     def reduced(self, names) -> DensityOperator:
         """Reduced density operator on ``names``, its basis big-endian in the
         given name order."""
-        return gram_reduce(self.vectors, self.layout, names)
+        return gram_reduce(self.dense(), self.layout, names)
 
     def density(self) -> DensityOperator:
         check_reduced_cap(self.layout.total_qubits)
-        return DensityOperator.from_ensemble(self.vectors)
+        return DensityOperator.from_ensemble(self.dense())
 
     def traced(self, names) -> "Ensemble":
         """Ensemble over the remaining registers after discarding ``names``:
         one branch per (branch, discarded label) pair above
         ``states.BRANCH_PRUNE``."""
-        t = slots_to_front(self.vectors, self.layout.total_qubits, self.layout.slots(names))
+        t = slots_to_front(self.dense(), self.layout.total_qubits, self.layout.slots(names))
         rows = nonzero_rows((np.abs(t) ** 2).sum(axis=2))
         check_branches(len(rows[0]), t.shape[2], what=f"tracing out {tuple(names)}")
         kept = t[rows]
@@ -312,24 +324,29 @@ class Ensemble:
         must be a permutation of the layout's names."""
         names = tuple(names)
         if names == self.layout.names:
-            return self.vectors
+            return self.dense()
         if sorted(names) != sorted(self.layout.names):
             raise LayoutError(
                 f"alignment order {names} is not a permutation of the layout {self.layout.names}"
             )
         perm = self.layout.ordered_slots(names)
-        t = slots_to_front(self.vectors, self.layout.total_qubits, perm)
+        t = slots_to_front(self.dense(), self.layout.total_qubits, perm)
         return t.reshape(len(self.vectors), self.layout.dim)
 
     def probabilities(self, names) -> np.ndarray:
         """Marginal outcome distribution of ``names``, indexed big-endian in
-        the given name order."""
-        return marginal(self.vectors, self.layout, names)
+        the given name order.  A support adds each entry's squared value to
+        its label (one ``bincount``) and is not scattered."""
+        if not isinstance(self.vectors, Support):
+            return marginal(self.vectors, self.layout, names)
+        sup, slots = self.vectors, self.layout.ordered_slots(names)
+        return np.bincount(_gather(sup.index, self.layout.total_qubits, slots),
+                           np.abs(sup.value) ** 2, minlength=1 << len(slots))
 
     def distance(self, other: "Ensemble") -> float:
         """Halved trace distance to ``other``, whose registers are aligned
         to this layout's order by name."""
-        return paired_distances([(self.vectors, other.aligned_vectors(self.layout.names))])[0]
+        return paired_distances([(self.dense(), other.aligned_vectors(self.layout.names))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +415,14 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
     The input may carry extra registers beyond the declared inputs; they are
     treated as the untouched reference side.  ``keep`` names the steps whose
     states are retained besides the last; ``None`` retains every step.  The
-    ops run on the support of the branches, and a retained step is
-    scattered to the dense :class:`Ensemble` that applying them through
+    setup and the ops act on the support of the branches, and a retained
+    step is an :class:`Ensemble` holding its support, whose
+    :meth:`Ensemble.dense` is the array that applying the ops through
     :meth:`Ensemble.apply` gives (``dense_execute`` in
-    ``tests/span_reference.py``).  An
-    op that fails raises :class:`ProtocolShapeError`, and one that breaks a
-    resource cap raises :class:`~qpirlab.config.CapExceeded` again; either
-    names the step, the party, the op and its registers (or the setup).
+    ``tests/span_reference.py``).  An op that fails raises
+    :class:`ProtocolShapeError`, and one that breaks a resource cap raises
+    :class:`~qpirlab.config.CapExceeded` again; either names the step, the
+    party, the op and its registers (or the setup).
     """
     declared = dict((*spec.server.input_registers, *spec.client.input_registers))
 
@@ -413,7 +431,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
     elif isinstance(input_state, PureState):
         ens = Ensemble.from_pure(input_state)
     else:
-        ens = Ensemble(input_state.layout, input_state.vectors.copy())
+        ens = input_state
 
     for name, w in declared.items():
         if not ens.layout.has(name):
@@ -423,16 +441,15 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
                 f"input register {name!r} has width {ens.layout.width(name)}, expected {w}"
             )
     refs = tuple(n for n in ens.layout.names if n not in declared)
+    layout, vectors = ens.layout, Support.of(ens.dense())
     if spec.setup is not None:
         try:
-            check_cap(ens.layout.total_qubits + spec.setup.layout.total_qubits, what="state")
-            ens = ens.tensor(Ensemble.from_pure(spec.setup))
+            check_cap(layout.total_qubits + spec.setup.layout.total_qubits, what="state")
+            vectors = vectors.tensor(spec.setup.amplitudes, what="the setup product")
         except CapExceeded as exc:
             raise CapExceeded(f"setup {list(spec.setup.layout.names)}: {exc}") from exc
+        layout = layout.extended(spec.setup.layout.registers)
 
-    layout, vectors = ens.layout, Support.of(ens.vectors)
-    del ens  # the run holds no dense state but the steps it keeps
-    last = spec.schedule[-1]
     kept: list[Ensemble | None] = []
     for st in spec.schedule:
         for op in st.step.ops:
@@ -446,8 +463,8 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
                     raise CapExceeded(f"{where}: {exc}") from exc
                 raise ProtocolShapeError(f"{where} failed: {exc}") from exc
             layout = out_layout
-        keeps = keep is None or st.t in keep or st is last
-        kept.append(Ensemble(layout, vectors.dense()) if keeps else None)
+        keeps = keep is None or st.t in keep or st is spec.schedule[-1]
+        kept.append(Ensemble(layout, vectors) if keeps else None)
     return ExecutionTranscript(spec, kept, refs)
 
 

@@ -57,7 +57,7 @@ class TestPurifiedHonest:
         recovered = apply_recovery(dishonest, t, adv.recoveries[t - 1])
         d, = paired_distances([(
             recovered.aligned_vectors(honest.ensemble(t).layout.names),
-            honest.ensemble(t).vectors)])
+            honest.ensemble(t).dense())])
         assert d <= 1e-10
 
     def test_counterexample_purification_is_zero_specious(self):
@@ -260,7 +260,7 @@ def test_purification_consistency_at_register_level(k2):
         traced = dishonest.ensemble(t).traced(adv.extra_registers)
         d, = paired_distances([(
             traced.aligned_vectors(honest.ensemble(t).layout.names),
-            honest.ensemble(t).vectors)])
+            honest.ensemble(t).dense())])
         # anchored inputs keep the ancillas unentangled for these families
         assert d <= max(gamma, 1e-9) + 1e-9
 

@@ -199,7 +199,7 @@ class TestFold:
             inp = random_pure(rng, layout)
             a = execute(inst.spec, inp).final
             b = execute(folded, inp).final
-            va = a.vectors[0]
+            va = a.dense()[0]
             vb = np.asarray(b.aligned_vectors(a.layout.names)[0])
             assert abs(abs(np.vdot(va, vb)) - 1.0) <= 1e-10
 
@@ -217,7 +217,7 @@ def test_spec_json_round_trip():
     inp = PureState.basis(RegisterLayout((("db", 2), ("idx", 1))), {"db": 0b01, "idx": 1})
     a = execute(inst.spec, inp).final
     b = execute(again, inp).final
-    assert abs(abs(np.vdot(a.vectors[0], b.vectors[0])) - 1.0) <= 1e-12
+    assert abs(abs(np.vdot(a.dense()[0], b.dense()[0])) - 1.0) <= 1e-12
     bill_a, bill_b = communication(inst.spec), communication(again)
     assert bill_a == bill_b
 
@@ -231,7 +231,7 @@ def test_spec_json_round_trip_with_measurement():
     a = execute(inst.spec, inp).final
     b = execute(again, inp).final
     assert len(a.vectors) == len(b.vectors)
-    for x, y in zip(a.vectors, b.vectors):
+    for x, y in zip(a.dense(), b.dense()):
         np.testing.assert_allclose(x, y, atol=1e-12)
 
 
@@ -260,7 +260,7 @@ def test_mixed_input_from_density_matches_branch_mixture():
         run = inst.run(0b01, i)
         parts.extend(np.sqrt(w) * v for v in
                      run.final.aligned_vectors(tr.final.layout.names))
-    assert paired_distances([(tr.final.vectors, np.array(parts))])[0] <= 1e-10
+    assert paired_distances([(tr.final.dense(), np.array(parts))])[0] <= 1e-10
 
 
 def test_missing_input_register():

@@ -61,7 +61,7 @@ def _assert_same_run(got, want):
         assert (a is None) == (b is None), t
         if a is not None:
             assert a.layout == b.layout, t
-            assert np.array_equal(a.vectors, b.vectors), t
+            assert np.array_equal(a.dense(), b.dense()), t
 
 
 @pytest.mark.parametrize("name,adversary", CASES,
