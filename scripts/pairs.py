@@ -9,8 +9,9 @@ change's ``BENCHMARK.json``.
 Appends one record to ``BENCH_<workload>.json`` in ``--out`` (default: this
 repository), a JSON list of records, one per run of this script: both
 checkouts' revisions, the seeds, each pair's end-to-end metrics, and per
-metric the two medians, the parent's quartiles and how many pairs the change
-won.  The record also says whether the claim rule holds: at least
+metric the two medians, both sides' quartiles and how many pairs the change
+won.  The printed summary gives each side's interquartile range as a share
+of its median.  The record also says whether the claim rule holds: at least
 ``MIN_PAIRS`` pairs, every run correct with no failed task, and no seed
 already recorded in any record of a ``BENCH_*.json`` of ``--out``.  Earlier
 records stay byte for byte (a file holding one record, as this script once
@@ -84,20 +85,33 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """The first and third quartiles (inclusive method)."""
+    q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return [q[0], q[2]]
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name, direction in better.items():
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
-        quartiles = (statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1
-                     else [parent[0]] * 3)
         out[name] = {"better": direction,
                      "parent_median": statistics.median(parent),
                      "change_median": statistics.median(change),
-                     "parent_quartiles": [quartiles[0], quartiles[2]],
+                     "parent_quartiles": quartiles(parent),
+                     "change_quartiles": quartiles(change),
                      "change_better": f"{wins} of {len(pairs)}"}
     return out
+
+
+def spread(s: dict, side: str) -> str:
+    """One side's quartiles and its interquartile range as a share of its
+    median."""
+    (q1, q3), median = s[f"{side}_quartiles"], s[f"{side}_median"]
+    share = f"{(q3 - q1) / abs(median):.1%}" if median else "n/a"
+    return f"{side} quartiles {q1:.4g}-{q3:.4g}, IQR {share} of median"
 
 
 def record(parent_dir: Path, change_dir: Path, workload: str, seeds: list[int],
@@ -177,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
                  args.out)
     for name, s in doc["summary"].items():
         print(f"{name}: {s['parent_median']:.4g} -> {s['change_median']:.4g} "
-              f"(parent quartiles {s['parent_quartiles'][0]:.4g}-{s['parent_quartiles'][1]:.4g}), "
+              f"({spread(s, 'parent')}; {spread(s, 'change')}), "
               f"change better in {s['change_better']}")
     rule = doc["claim_rule"]
     print(f"claim rule {'holds' if rule['holds'] else 'does not hold'}: {rule['pairs']} pairs "

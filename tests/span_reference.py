@@ -51,7 +51,7 @@ def dense_execute(spec: ProtocolSpec, input_state, keep) -> ExecutionTranscript:
     elif isinstance(input_state, PureState):
         ens = Ensemble.from_pure(input_state)
     else:
-        ens = Ensemble(input_state.layout, input_state.vectors.copy())
+        ens = Ensemble(input_state.layout, input_state.dense().copy())
     refs = tuple(n for n in ens.layout.names if n not in declared)
     if spec.setup is not None:
         ens = ens.tensor(Ensemble.from_pure(spec.setup))

@@ -136,3 +136,23 @@ def test_a_failing_run_stops_the_pairs(tmp_path):
                           "--out", str(out)], capture_output=True, text=True)
     assert res.returncode != 0 and "broken" in res.stderr
     assert not (out / "BENCH_w.json").exists()
+
+
+def test_records_carry_both_sides_quartiles_and_print_their_spreads(tmp_path):
+    out = _checkouts(tmp_path)
+    # a record of the earlier form, without change quartiles, stays as written
+    old = {"seeds": [50], "summary": {"task_s.p50": {"parent_quartiles": [1, 2]}}}
+    (out / "BENCH_w.json").write_text(json.dumps([old], indent=2) + "\n")
+    before = (out / "BENCH_w.json").read_text()
+    stdout, doc = _pairs(tmp_path, out, "1-10")
+    after = (out / "BENCH_w.json").read_text()
+    assert after.startswith(before.rstrip()[:-1].rstrip() + ",\n")
+    assert json.loads(after)[0] == old
+    # change task times: 0.41, 0.42, 0.53 (seed 3), 0.44, ..., 0.50
+    task = doc["summary"]["task_s.p50"]
+    assert [round(q, 6) for q in task["parent_quartiles"]] == [0.5325, 0.5775]
+    assert [round(q, 6) for q in task["change_quartiles"]] == [0.4425, 0.4875]
+    assert all(len(s["change_quartiles"]) == 2 for s in doc["summary"].values())
+    assert ("task_s.p50: 0.555 -> 0.465 (parent quartiles 0.5325-0.5775, IQR 8.1% of median; "
+            "change quartiles 0.4425-0.4875, IQR 9.7% of median), change better in 9 of 10"
+            in stdout)

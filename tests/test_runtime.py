@@ -163,7 +163,7 @@ def test_determinism_bit_identical():
     for t in range(1, t1.steps + 1):
         a, b = t1.ensemble(t), t2.ensemble(t)
         assert len(a.vectors) == len(b.vectors)
-        for x, y in zip(a.vectors, b.vectors):
+        for x, y in zip(a.dense(), b.dense()):
             assert np.array_equal(x, y)
 
 

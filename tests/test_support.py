@@ -1,7 +1,9 @@
-"""``execute`` runs on the support (``channels.Support``); it must equal the
-dense run of ``span_reference.dense_execute`` at every kept step, on every
-spec and input kind behind ``scripts/figures.py``, and its support
-expansions are checked against the qubit cap before they allocate."""
+"""``execute`` runs on the support (``channels.Support``) and keeps each
+step in that form; it must equal the dense run of
+``span_reference.dense_execute`` at every kept step, on every spec and input
+kind behind ``scripts/figures.py``, a kept step's ``probabilities`` must
+match the dense marginal up to rounding, and its support expansions are
+checked against the qubit cap before they allocate."""
 
 import math
 
@@ -10,11 +12,11 @@ import pytest
 
 from qpirlab.adversaries import (adversary_by_name, database_groups, database_runs,
                                  purified_input, standard_inputs)
-from qpirlab.channels import HadamardOp, PrepareOp
+from qpirlab.channels import HadamardOp, PrepareOp, Support, _gather
 from qpirlab.config import CapExceeded
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, PartyProgram, PartyStep, ProtocolSpec, execute
-from qpirlab.states import PureState, RegisterLayout
+from qpirlab.states import PureState, RegisterLayout, marginal
 from span_reference import dense_execute
 
 INSTANCES = {
@@ -34,6 +36,7 @@ INSTANCES = {
 CASES = [(name, None) for name in INSTANCES] + [
     ("k2", adv) for adv in ("honest-purified", "purify-db", "gamma:0.3", "gamma-lossy:0.3",
                             "gamma-lossy:0.1")] + [("cx2", "honest-purified")]
+CASE_IDS = [f"{n}-{a}" if a else n for n, a in CASES]
 
 
 def _inputs(inst, spec, rng):
@@ -64,15 +67,40 @@ def _assert_same_run(got, want):
             assert np.array_equal(a.dense(), b.dense()), t
 
 
-@pytest.mark.parametrize("name,adversary", CASES,
-                         ids=[f"{n}-{a}" if a else n for n, a in CASES])
-def test_execute_equals_the_dense_run_at_every_kept_step(name, adversary):
+def _case(name, adversary):
     inst = INSTANCES[name]()
     spec = inst.spec if adversary is None else adversary_by_name(inst, adversary).modified_spec(
         inst.spec)
-    rng = np.random.default_rng(31000)
-    for state in _inputs(inst, spec, rng):
+    return spec, _inputs(inst, spec, np.random.default_rng(31000))
+
+
+@pytest.mark.parametrize("name,adversary", CASES, ids=CASE_IDS)
+def test_execute_equals_the_dense_run_at_every_kept_step(name, adversary):
+    spec, inputs = _case(name, adversary)
+    for state in inputs:
         _assert_same_run(execute(spec, state), dense_execute(spec, state, None))
+
+
+@pytest.mark.parametrize("name,adversary", CASES, ids=CASE_IDS)
+def test_probabilities_of_a_kept_support_equal_the_dense_marginal(name, adversary):
+    # each register alone and every register in reverse order, read from the
+    # support first, then from the scattered array.  The two sum a label's m
+    # nonzero terms in other orders, each within (m - 1) rounding units of
+    # the label's probability p, so they differ by at most m * eps * p.
+    spec, inputs = _case(name, adversary)
+    assert any(len(state.vectors) > 1 for state in inputs if isinstance(state, Ensemble))
+    for state in inputs:
+        for ens in execute(spec, state).ensembles:
+            orders = [(n,) for n in ens.layout.names] + [ens.layout.names[::-1]]
+            got = [ens.probabilities(names) for names in orders]
+            sup = ens.vectors
+            assert isinstance(sup, Support)
+            dense = ens.dense()
+            for names, dist in zip(orders, got):
+                want = marginal(dense, ens.layout, names)
+                terms = np.bincount(_gather(sup.index, ens.layout.total_qubits,
+                                            ens.layout.ordered_slots(names)), minlength=len(want))
+                assert np.all(np.abs(dist - want) <= terms * np.finfo(float).eps * want), names
 
 
 def test_execute_keeps_the_steps_it_is_asked_for():
@@ -85,10 +113,28 @@ def test_execute_keeps_the_steps_it_is_asked_for():
             {*keep, got.steps})
 
 
+DB8 = (1, 0, 1, 1, 0, 0, 1, 0)
+
+
+def _decode_run():
+    k8 = build_kerenidis(8, database=DB8)
+    return k8, PureState(RegisterLayout(((k8.index_register, k8.levels),)),
+                         [1 / math.sqrt(8)] * 8)
+
+
 def test_decode_run_equals_the_dense_run():
-    k8 = build_kerenidis(8, database=(1, 0, 1, 1, 0, 0, 1, 0))
-    index = PureState(RegisterLayout(((k8.index_register, k8.levels),)), [1 / math.sqrt(8)] * 8)
+    k8, index = _decode_run()
     _assert_same_run(execute(k8.spec, index, keep=()), dense_execute(k8.spec, index, ()))
+
+
+def test_decoding_and_counting_branches_leave_the_final_state_on_its_support():
+    # a benchmark observer reads len(final.vectors) after the run; neither
+    # it nor the decode may scatter the 2**20-amplitude final state
+    k8, index = _decode_run()
+    tr = execute(k8.spec, index, keep=())
+    assert [k8.decode(tr, i)[0] for i in range(1, 9)] == list(DB8)
+    assert len(tr.final.vectors) == 1
+    assert isinstance(tr.final.vectors, Support)
 
 
 def _one_step_spec(ops, width):
@@ -119,3 +165,19 @@ def test_a_preparation_past_the_cap_names_the_op(monkeypatch):
     with pytest.raises(CapExceeded, match=r"step 1 \(A\): PrepareOp on \['p'\]: preparing "
                                           r"\['p'\] needs 128 branches x 4 amplitudes"):
         execute(_one_step_spec((prep,), 6), Ensemble(layout, np.ones((2, layout.dim))))
+
+
+def test_a_setup_product_past_the_cap_names_the_setup(monkeypatch):
+    # 2 x 16 input entries times the setup's 4 nonzero amplitudes, past 2**6
+    # at cap 6, while the 6-qubit layout fits it
+    setup = PureState(RegisterLayout((("sa", 1), ("sb", 1))), [0.5] * 4)
+    spec = ProtocolSpec(1, PartyProgram("A", (PartyStep((HadamardOp("sa"),)),), (("r", 4),),
+                                        ("sa",)),
+                        PartyProgram("B", (PartyStep(),), (), ("sb",)), setup)
+    layout = RegisterLayout((("r", 4),))
+    monkeypatch.setenv("QPIRLAB_QUBIT_CAP", "6")
+    with pytest.raises(CapExceeded, match=r"setup \['sa', 'sb'\]: the setup product needs 32 "
+                                          r"branches x 4 amplitudes"):
+        execute(spec, Ensemble(layout, np.ones((2, layout.dim))))
+    # one branch's 16 x 4 products fit the cap
+    execute(spec, Ensemble(layout, np.ones((1, layout.dim))))
