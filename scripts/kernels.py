@@ -1,12 +1,17 @@
 """Print kernel-layer numbers: one ``apply_vectors`` call per op row, as JSON.
 
-Each row applies one op to a one-row random state of ``--qubits`` qubits
-(default 20) with one BLAS thread.  It reports the best of five warm calls
-in milliseconds (``ms``; a first call fills the permutation cache) and the
-tracemalloc peak of one more call over its output bytes
-(``peak_over_output``; the input is allocated before tracing starts).  The
-rows are those of the kernel table in ROADMAP.md, plus the local-matrix
-placements that pick each product form of ``channels._apply_local``.
+Each row applies one op to the ``Support`` of a one-row random state of
+``--qubits`` qubits (default 20, every amplitude nonzero) with one BLAS
+thread.  It reports the best of five warm calls in milliseconds (``ms``)
+and the tracemalloc peak of one more call over the bytes of its output
+support's three arrays (``peak_over_output``; the input is allocated
+before tracing starts).  The rows are those of the kernel table in
+ROADMAP.md, with the Hadamard at several placements of its register; the
+``PureState`` row builds a state from the dense vector.
+
+A fully nonzero state is the worst case of the support form: the lab's runs
+hold a classical database, so almost all of their amplitudes are exact
+zeros.
 
 The script imports ``qpirlab`` from the ``src`` beside it.  To compare two
 commits, run a copy of it in a checkout of each, alternately, on one
@@ -34,7 +39,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qpirlab.channels import (CopyOp, HadamardOp, InnerProductCnotOp,  # noqa: E402
-                              MeasureOp, RotateOp, SelectPhaseOp, SwapOp)
+                              MeasureOp, RotateOp, SelectPhaseOp, Support, SwapOp)
 from qpirlab.states import PureState, RegisterLayout  # noqa: E402
 
 # The fewest qubits that fit every row's registers.
@@ -42,8 +47,9 @@ MIN_QUBITS = 10
 
 
 def rows(q: int):
-    """(name, registers, call) per row; ``call(vectors, layout)`` is timed.
-    Each layout's last register pads the state to ``q`` qubits."""
+    """(name, registers, call, form) per row; ``call(form(vectors), layout)``
+    is timed on the dense ``(1, dim)`` array ``vectors``.  Each layout's
+    last register pads the state to ``q`` qubits."""
     half = (q - 8) // 2
     rot = RotateOp(("t", 0), 0.3, ("c", 0))
     table = [
@@ -68,14 +74,14 @@ def rows(q: int):
         ("measure, 4-qubit register in the low slots", (("hi", q - 4), ("r", 4)),
          MeasureOp("r")),
     ]
-    out = [(name, regs, op.apply_vectors) for name, regs, op in table]
+    out = [(name, regs, op.apply_vectors, Support.of) for name, regs, op in table]
     out.append(("PureState construction", (("all", q),),
-                lambda vectors, layout: PureState(layout, vectors[0])))
+                lambda vectors, layout: PureState(layout, vectors[0]), lambda vectors: vectors))
     return out
 
 
 def measure(call, vectors, layout) -> dict:
-    call(vectors, layout)  # warm: caches and lazy set-up
+    call(vectors, layout)  # warm: lazy set-up
     times = []
     for _ in range(5):
         start = time.perf_counter()
@@ -88,7 +94,10 @@ def measure(call, vectors, layout) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nbytes = out.amplitudes.nbytes if isinstance(out, PureState) else out.nbytes
+    if isinstance(out, PureState):
+        nbytes = out.amplitudes.nbytes
+    else:
+        nbytes = out.branch.nbytes + out.index.nbytes + out.value.nbytes
     return {"ms": round(min(times) * 1e3, 3), "peak_over_output": round(peak / nbytes, 3)}
 
 
@@ -100,11 +109,11 @@ def main(argv=None) -> int:
         ap.error(f"--qubits must be at least {MIN_QUBITS}")
     rng = np.random.default_rng(0)
     result = {"qubits": args.qubits, "numpy": np.__version__, "rows": []}
-    for name, regs, call in rows(args.qubits):
+    for name, regs, call, form in rows(args.qubits):
         layout = RegisterLayout(regs)
         vectors = rng.normal(size=(1, layout.dim)) + 1j * rng.normal(size=(1, layout.dim))
         vectors /= np.linalg.norm(vectors)
-        result["rows"].append({"row": name, **measure(call, vectors, layout)})
+        result["rows"].append({"row": name, **measure(call, form(vectors), layout)})
         del vectors
     print(json.dumps(result, indent=1))
     return 0

@@ -9,69 +9,49 @@ none: it commutes with the label projectors of every register it does not
 relabel.
 
 Every op applies through one ``apply_vectors(vectors, layout)`` call, which
-takes a set of unnormalized branches in either of two forms and returns the
-same form:
-
-* dense: a C-contiguous ``(B, dim)`` complex128 array, which
-  :meth:`runtime.Ensemble.apply` hands over for the ops applied after a run
-  (recoveries and the simulators);
-* support: a :class:`Support`, the (branch, flat index, value) entries of
-  the nonzero amplitudes, which ``runtime.execute`` carries through a whole
-  run; an anchored run holds a classical database, so almost all of its
-  amplitudes are exact zeros.
-
-Either way the output branches are in the order ``for row in vectors: for
-outcome or matrix``.  A measurement or Kraus set multiplies branches; total
-squared norm is conserved, and outputs at or below ``states.BRANCH_PRUNE``
-are dropped.  An op's support branch maps the entries by the definition its
-dense kernel uses and gives the dense kernel's nonzero amplitudes bit for
-bit; its zeros are all +0.0, where a dense sign flip of a zero leaves -0.0.
+takes a set of unnormalized branches as a :class:`Support`, the (branch,
+flat index, value) entries of their nonzero amplitudes, and returns a new
+one.  A run of the lab holds a classical database, so almost all of its
+amplitudes are exact zeros.  The output branches are in the order ``for row
+in vectors: for outcome or matrix``.  A measurement or Kraus set multiplies
+branches; total squared norm is conserved, and outputs at or below
+``states.BRANCH_PRUNE`` are dropped.  No op writes into its input, whose
+arrays a kept step or a recovery state may share; the output holds no zeros.
 
 Ops apply through three kernel shapes, all under the big-endian convention
 of :mod:`qpirlab.states`:
 
 * XOR permutation: ``InnerProductCnotOp``, ``SelectCnotOp``,
   ``SelectFlipOp``, ``CnotOp``, ``CopyOp`` and ``SwapOp`` each supply only a
-  ``_flip(idx, layout)`` mask; the shared kernel gathers
-  ``vectors[:, idx ^ flip]`` through a cached index array, and moves each
-  support entry to ``index ^ flip(index)``, with no array and no cache;
-* diagonal sign: ``SelectPhaseOp`` multiplies by a cached +-1 array, or
-  each support value by its index's sign;
-* local matrices, ``_apply_local``: ``HadamardOp``, ``RotateOp`` and
-  ``DenseOp`` multiply a ``2**k``-square matrix into their qubits.  When the
-  slots are contiguous and ascending and written back in place, as a single
-  register's always are, the product runs on the ``(B * pre, 2**k, post)``
-  reshape of the branch array, a view, so the output is the only new array:
-  one GEMM against ``kron(m, I_post)`` for a short trailing ``post``, one
-  broadcast ``np.matmul`` otherwise.  Other slot orders, and ``DenseOp``'s
-  Kraus sets and created registers, bring the axes to the front with
-  ``states.slots_to_front``, apply one ``np.matmul`` and move them back.
-  ``DenseOp`` covers anything else (general isometries, Kraus sets,
-  measurement operator sets), embedded as identity on untouched registers.
-  ``HadamardOp`` multiplies by ``H`` (entries +-1) or ``H (x) H / 2``
-  (entries +-1/2), two qubits at a time, and scales an odd width once by
-  ``1/sqrt(2)``: each output then sums at most four exact products, so
-  equal amplitudes that cancel give exact zeros.  A normalized matrix, or
-  one ``2**w``-term sum, leaves ~1e-17 dust there, which costs the analyses'
-  QR and eigh work and moves figures that go through an Uhlmann completion.
-  On the support, ``HadamardOp`` and ``RotateOp`` group the entries by
-  (branch, index with the op's slots cleared) and multiply the
-  ``(groups, 2**k)`` block of their values by the same matrix, so each
-  output sums the same nonzero terms in the same order; ``DenseOp`` runs
-  dense.
+  ``_flip(idx, layout)`` mask; the shared kernel moves each entry to
+  ``index ^ flip(index)``;
+* diagonal sign: ``SelectPhaseOp`` multiplies each value by its index's
+  sign;
+* local matrices, ``_apply_local_support``: ``HadamardOp`` and ``RotateOp``
+  group the entries by (branch, index with the op's slots cleared) and
+  multiply the ``(groups, 2**k)`` block of their values by a
+  ``2**k``-square matrix.  ``HadamardOp`` multiplies by ``H`` (entries +-1)
+  or ``H (x) H / 2`` (entries +-1/2), two qubits at a time, and scales an
+  odd width once by ``1/sqrt(2)``: each output then sums at most four exact
+  products, so equal amplitudes that cancel give exact zeros.  A normalized
+  matrix, or one ``2**w``-term sum, leaves ~1e-17 dust there, which costs
+  the analyses' QR and eigh work and moves figures that go through an
+  Uhlmann completion.  ``DenseOp`` covers anything else (general
+  isometries, Kraus sets, measurement operator sets), embedded as identity
+  on untouched registers: it scatters the branches, brings its qubits to
+  the front with ``states.slots_to_front``, applies one ``np.matmul``,
+  moves them back (``_apply_local``) and takes the support of the result.
 
-``PrepareOp`` applies an outer product (on the support, ``(index << w) | j``
-for each nonzero amplitude ``j``), and ``MeasureOp`` repeats each branch
-once per observed label and zeroes the other labels in place (on the
-support, each (branch, label) pair above the prune level is a new branch).
-Every support expansion (a local product's groups times ``2**k``, a
-preparation's entries times its nonzero amplitudes and a measurement's new
-branches) is checked against ``config.check_branches`` before it allocates.
-An op that flips a qubit it also controls on is rejected when it is built.
-Every concrete op class binds ``apply_vectors(self, vectors, layout)`` in its own
-class body (the XOR ops as ``apply_vectors = _apply_flip``), never by
-inheritance: per-kind instrumentation looks the method up in each class's
-``__dict__``.
+``PrepareOp`` gives ``(index << w) | j`` for each nonzero amplitude ``j`` of
+its state, and ``MeasureOp`` makes each (branch, label) pair above the
+prune level a new branch.  Every support expansion (a local product's
+groups times ``2**k``, a preparation's entries times its nonzero amplitudes
+and a measurement's new branches) is checked against
+``config.check_branches`` before it allocates.  An op that flips a qubit it
+also controls on is rejected when it is built.  Every concrete op class
+binds ``apply_vectors(self, vectors, layout)`` in its own class body (the
+XOR ops as ``apply_vectors = _apply_flip``), never by inheritance:
+per-kind instrumentation looks the method up in each class's ``__dict__``.
 
 The text form of an op is derived from its dataclass fields in one place:
 ``descriptor()`` writes ``{"op": name}`` and then each field in declaration
@@ -88,13 +68,11 @@ import numbers
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
-from .config import STATE_ATOL, check_branches, check_cap, qubit_cap
-from .states import (PureState, RegisterLayout, nonzero_rows, slot_weights, slots_from_front,
-                     slots_to_front)
+from .config import STATE_ATOL, check_branches, check_cap
+from .states import PureState, RegisterLayout, nonzero_rows, slots_from_front, slots_to_front
 
 __all__ = [
     "ChannelError",
@@ -150,10 +128,6 @@ class Support:
     def __iter__(self):
         return (self.value[self.branch == b] for b in range(len(self)))
 
-    def __imul__(self, factor):
-        self.value *= factor
-        return self
-
     def tensor(self, amplitudes: np.ndarray, *, what: str) -> "Support":
         """The branches ``row (x) amplitudes``: entry ``(b, i, v)`` gives
         ``(b, i * n + j, v * amplitudes[j])`` per nonzero ``amplitudes[j]`` of
@@ -174,15 +148,6 @@ class Support:
         return out
 
 
-@lru_cache(maxsize=8)
-def _index_array(dim: int) -> np.ndarray:
-    # int32 halves the bandwidth of index arithmetic; layouts are capped well
-    # below 31 qubits.
-    idx = np.arange(dim, dtype=np.int32)
-    idx.flags.writeable = False
-    return idx
-
-
 def _shift(total: int, slot: int) -> int:
     # Flat-index bit position of qubit slot `slot` under the big-endian layout.
     return total - 1 - slot
@@ -198,74 +163,15 @@ def _gather(idx: np.ndarray, total: int, slots) -> np.ndarray:
     return out
 
 
-# Entries the permutation cache holds before it evicts the least recently used.
-_CACHE_ENTRIES = 48
-
-
-class _ArrayCache:
-    """LRU cache for per-(op, layout) permutation and sign arrays.
-
-    Structured ops are frozen dataclasses, hashed and compared by their
-    fields, and layouts repeat run after run, so the index arithmetic is
-    paid once per distinct (op, layout) pair.  It holds at most
-    ``_CACHE_ENTRIES`` arrays and at most ``16 << config.qubit_cap()``
-    bytes, one complex128 state at the cap.
-    """
-
-    def __init__(self):
-        self._store: dict = {}
-        self._bytes = 0
-
-    def get(self, op: "ChannelOp", layout: RegisterLayout, build):
-        key = (op, layout.registers)
-        hit = self._store.pop(key, None)
-        if hit is None:
-            hit = build()
-            hit.flags.writeable = False
-            limit = 16 << qubit_cap()
-            while self._store and (len(self._store) >= _CACHE_ENTRIES
-                                   or self._bytes + hit.nbytes > limit):
-                self._bytes -= self._store.pop(next(iter(self._store))).nbytes
-            self._bytes += hit.nbytes
-        self._store[key] = hit
-        return hit
-
-
-_perm_cache = _ArrayCache()
-
-
-# Largest ``d * post`` (the block and its trailing size) that the view
-# product takes as one GEMM against ``kron(m, I_post)``.  On a 20-qubit
-# vector with one BLAS thread the GEMM beat the broadcast matmul up to 32 and
-# lost from 64 up, where its ``post``-fold redundant work outweighs the
-# broadcast's per-block BLAS calls (grid in CHANGES.md).
-_GEMM_WIDTH = 32
-
-
 def _apply_local(vectors, total, slots, matrices, dest):
-    """The local-matrix kernel: apply each matrix of the ``(m, dout, din)``
-    stack ``matrices`` to the qubit ``slots`` of every branch, with the
-    matrix basis big-endian in the given slot order, and return the output
-    row bits at ``dest``, which may name slots appended past ``total``.
-    Outputs are branch-major, one per (branch, matrix); with several
-    matrices, outputs at or below ``states.BRANCH_PRUNE`` are dropped.
-
-    One matrix on contiguous, ascending slots written back in place (any
-    single register) multiplies the ``(B * pre, d, post)`` reshape of the
-    input, a view: as one GEMM with ``kron(m, I_post)`` while
-    ``d * post <= _GEMM_WIDTH``, else as one broadcast ``np.matmul``.  The
-    output is then the only new array.  Other slot orders move the slots to
-    the front, multiply and move them back."""
-    if isinstance(vectors, Support):
-        return _apply_local_support(vectors, total, slots, matrices[0])
-    first, w = slots[0], len(slots)
-    if len(matrices) == 1 and dest == slots == list(range(first, first + w)):
-        d, post = 1 << w, 1 << (total - first - w)
-        if d * post <= _GEMM_WIDTH:
-            out = vectors.reshape(-1, d * post) @ np.kron(matrices[0], np.eye(post)).T
-        else:
-            out = np.matmul(matrices[0], vectors.reshape(-1, d, post))
-        return out.reshape(len(vectors), -1)
+    """The dense local-matrix kernel: apply each matrix of the ``(m, dout,
+    din)`` stack ``matrices`` to the qubit ``slots`` of every row of the
+    ``(B, 2**total)`` array ``vectors``, with the matrix basis big-endian in
+    the given slot order, and return the output row bits at ``dest``, which
+    may name slots appended past ``total``.  The slots move to the front,
+    one ``np.matmul`` multiplies and they move back.  Outputs are
+    branch-major, one per (branch, matrix); with several matrices, outputs
+    at or below ``states.BRANCH_PRUNE`` are dropped."""
     # (B, m, dout, rest): one block per (branch, matrix), branch-major
     blocks = np.matmul(matrices, slots_to_front(vectors, total, slots)[:, None])
     if len(matrices) > 1:
@@ -276,12 +182,13 @@ def _apply_local(vectors, total, slots, matrices, dest):
 
 
 def _apply_local_support(sup: Support, total: int, slots, m: np.ndarray) -> Support:
-    """:func:`_apply_local` on the support, for one ``2**k``-square matrix
-    written back in place: the entries are grouped by (branch, index with
-    the ``k`` slots cleared), each group is one row of a ``(groups, 2**k)``
-    block and one product ``block @ m.T`` maps them all.  Each output sums
-    the nonzero terms of the dense product in the same order (its other
-    terms are exact zeros); outputs that are exact zeros are dropped."""
+    """Apply one ``2**k``-square matrix to the qubit ``slots`` of every
+    branch, its basis big-endian in the given slot order, written back in
+    place: the entries are grouped by (branch, index with the ``k`` slots
+    cleared), each group is one row of a ``(groups, 2**k)`` block and one
+    product ``block @ m.T`` maps them all.  Each output sums the nonzero
+    terms of the dense product in the same order (its other terms are exact
+    zeros); outputs that are exact zeros are dropped."""
     k = len(slots)
     labels = np.arange(1 << k)
     spread = np.zeros(1 << k, dtype=np.int64)  # each local label's bits at its slots
@@ -298,12 +205,12 @@ def _apply_local_support(sup: Support, total: int, slots, m: np.ndarray) -> Supp
     return Support(sup.shape, keys >> total, (keys & ((1 << total) - 1)) | spread[y], out[g, y])
 
 
-# H with exact +-1 entries and H (x) H / 2 with exact +-1/2 entries, as
-# (1, d, d) stacks for _apply_local (see the module docstring for why not a
-# normalized matrix).  A pair's 1/2 is a power of two, so scaling inside the
-# product rounds nothing; only an odd width's last qubit leaves a 1/sqrt(2).
+# H with exact +-1 entries and H (x) H / 2 with exact +-1/2 entries (see the
+# module docstring for why not a normalized matrix).  A pair's 1/2 is a power
+# of two, so scaling inside the product rounds nothing; only an odd width's
+# last qubit leaves a 1/sqrt(2).
 _H_SIGNS = np.array([[1, 1], [1, -1]], dtype=np.complex128)
-_HADAMARD_SIGNS = {1: _H_SIGNS[None], 2: np.kron(_H_SIGNS, _H_SIGNS)[None] / 2}
+_HADAMARD_SIGNS = {1: _H_SIGNS, 2: np.kron(_H_SIGNS, _H_SIGNS) / 2}
 
 
 class ChannelOp:
@@ -338,11 +245,10 @@ class ChannelOp:
                 raise ChannelError(f"{type(self).__name__} would recreate register {name!r}")
         return layout.extended(self.creates) if self.creates else layout
 
-    def apply_vectors(self, vectors: np.ndarray | Support,
-                      layout: RegisterLayout) -> np.ndarray | Support:
-        """Apply to a ``(B, dim)`` array of unnormalized branches, or to its
-        :class:`Support`; returns a ``(B', dim')`` one in the same form and
-        may multiply branches."""
+    def apply_vectors(self, vectors: Support, layout: RegisterLayout) -> Support:
+        """Apply to the :class:`Support` of a ``(B, dim)`` array of
+        unnormalized branches; returns that of a ``(B', dim')`` one and may
+        multiply branches."""
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -378,30 +284,20 @@ class HadamardOp(ChannelOp):
         # would round at its partial sum 3y and leave dust for a zero.
         for k in range(0, len(slots), 2):
             pair = slots[k:k + 2]
-            out = _apply_local(out, layout.total_qubits, pair, _HADAMARD_SIGNS[len(pair)], pair)
+            out = _apply_local_support(out, layout.total_qubits, pair, _HADAMARD_SIGNS[len(pair)])
         if len(slots) % 2:
-            out *= 1.0 / math.sqrt(2.0)  # `out` is the last product's fresh array
+            out = Support(out.shape, out.branch, out.index, out.value * (1.0 / math.sqrt(2.0)))
         return out
 
 
 def _apply_flip(self, vectors, layout):
-    """The XOR-permutation kernel: gather ``vectors[:, idx ^ flip]``, where
-    the op's ``_flip(idx, layout)`` gives the bits to flip at each flat
-    index.  The gather index is built once per (op, layout) and cached.  On
-    the support each entry moves to ``index ^ flip(index)``: the map is its
-    own inverse, since no op flips a bit that its flip reads."""
-    if isinstance(vectors, Support):
-        index = vectors.index ^ self._flip(vectors.index, layout)
-        return Support(vectors.shape, vectors.branch, index, vectors.value)
-
-    def build():
-        idx = _index_array(layout.dim)
-        return idx ^ self._flip(idx, layout)
-
-    perm = _perm_cache.get(self, layout, build)
-    # vectors[:, perm] reads the int32 index in place but is column-major for
-    # several rows; np.take gives C order but first copies the index to intp.
-    return vectors[:, perm] if len(vectors) == 1 else np.take(vectors, perm, axis=1)
+    """The XOR-permutation kernel: each entry moves to ``index ^ flip``,
+    where the op's ``_flip(idx, layout)`` gives the bits to flip at each
+    flat index.  The map is its own inverse, since no op flips a bit that
+    its flip reads; the output shares its branches and values with the
+    input."""
+    index = vectors.index ^ self._flip(vectors.index, layout)
+    return Support(vectors.shape, vectors.branch, index, vectors.value)
 
 
 def _distinct(*names) -> tuple[str, ...]:
@@ -531,11 +427,8 @@ class SelectPhaseOp(ChannelOp):
         return 1.0 - 2.0 * _selected_bit(idx, layout, self.targets, self.selector)
 
     def apply_vectors(self, vectors, layout):
-        if isinstance(vectors, Support):
-            value = vectors.value * self._sign(vectors.index, layout)
-            return Support(vectors.shape, vectors.branch, vectors.index, value)
-        return vectors * _perm_cache.get(
-            self, layout, lambda: self._sign(_index_array(layout.dim), layout))
+        value = vectors.value * self._sign(vectors.index, layout)
+        return Support(vectors.shape, vectors.branch, vectors.index, value)
 
 
 @dataclass(frozen=True)
@@ -721,7 +614,7 @@ class RotateOp(ChannelOp):
         # rows 0/1 (uncontrolled) or 2/3 (control set) hold target 0/1
         m = np.eye(1 << len(slots), dtype=np.complex128)
         m[-2:, -2:] = [[c, -s], [s, c]]
-        return _apply_local(vectors, layout.total_qubits, slots, m[None], slots)
+        return _apply_local_support(vectors, layout.total_qubits, slots, m)
 
 
 @dataclass(frozen=True)
@@ -771,9 +664,7 @@ class PrepareOp(ChannelOp):
         prep = np.asarray(self.amplitudes, dtype=np.complex128)
         width = sum(w for _, w in self.registers)
         check_cap(layout.total_qubits + width, what="state")
-        if isinstance(vectors, Support):
-            return vectors.tensor(prep, what=f"preparing {[n for n, _ in self.registers]}")
-        return np.multiply.outer(vectors, prep).reshape(len(vectors), layout.dim * prep.size)
+        return vectors.tensor(prep, what=f"preparing {[n for n, _ in self.registers]}")
 
 
 @dataclass(frozen=True)
@@ -797,33 +688,20 @@ class MeasureOp(ChannelOp):
         return ()
 
     def apply_vectors(self, vectors, layout):
-        total = layout.total_qubits
+        # the new branches are the (branch, label) pairs above
+        # states.BRANCH_PRUNE, branch-major
         slots = layout.slots([self.register])
-        if isinstance(vectors, Support):
-            return self._measure_support(vectors, layout, slots)
-        rows, labels = nonzero_rows(slot_weights(vectors, total, slots))
-        check_branches(len(rows), layout.dim, what=f"measurement of {self.register!r}")
-        # A register's slots are contiguous: view each output row as (before,
-        # label, after) and zero the other labels in place (peak = output).
-        out = vectors[rows]
         w = len(slots)
-        view = out.reshape(len(out), 1 << slots[0], 1 << w, 1 << (total - slots[0] - w))
-        view *= (np.arange(1 << w) == labels[:, None])[:, None, :, None]
-        return out
-
-    def _measure_support(self, sup: Support, layout, slots) -> Support:
-        """The measurement on the support: the new branches are the
-        (branch, label) pairs above ``states.BRANCH_PRUNE``, branch-major."""
-        w = len(slots)
-        key = (sup.branch << w) | _gather(sup.index, layout.total_qubits, slots)
-        weights = np.bincount(key, np.abs(sup.value) ** 2, minlength=len(sup) << w)
-        rows, labels = nonzero_rows(weights.reshape(len(sup), 1 << w))
+        key = (vectors.branch << w) | _gather(vectors.index, layout.total_qubits, slots)
+        weights = np.bincount(key, np.abs(vectors.value) ** 2, minlength=len(vectors) << w)
+        rows, labels = nonzero_rows(weights.reshape(len(vectors), 1 << w))
         check_branches(len(rows), layout.dim, what=f"measurement of {self.register!r}")
-        new = np.full(len(sup) << w, -1)
+        new = np.full(len(vectors) << w, -1)
         new[(rows << w) | labels] = np.arange(len(rows))
         branch = new[key]
         kept = branch >= 0
-        return Support((len(rows), layout.dim), branch[kept], sup.index[kept], sup.value[kept])
+        return Support((len(rows), layout.dim), branch[kept], vectors.index[kept],
+                       vectors.value[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +761,7 @@ class DenseOp(ChannelOp):
         return self.created
 
     def apply_vectors(self, vectors, layout):
-        if isinstance(vectors, Support):  # no builder makes a DenseOp: run it dense
-            return Support.of(self.apply_vectors(vectors.dense(), layout))
+        # no builder makes a DenseOp: it runs on the scattered branches
         total = layout.total_qubits
         slots = layout.ordered_slots(self.registers)
         k = len(slots)
@@ -900,7 +777,8 @@ class DenseOp(ChannelOp):
         check_branches(len(vectors) * len(self.matrices), 1 << (total + knew),
                        what=f"{self.kind} on {self.registers!r}")
         dest = slots + list(range(total, total + knew))
-        return _apply_local(vectors, total, slots, np.stack(self.matrices), dest)
+        return Support.of(_apply_local(vectors.dense(), total, slots, np.stack(self.matrices),
+                                       dest))
 
 
 # ---------------------------------------------------------------------------

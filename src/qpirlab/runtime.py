@@ -22,19 +22,19 @@ privacy analysis compares, and :meth:`Ensemble.distance` is the one
 comparison.
 
 A state is a set of unnormalized pure branches: a measurement multiplies
-branches and mixed inputs enter as ensembles of pure branches.  The set
-takes one of two forms, and every op applies to either through its
-``apply_vectors`` (see :mod:`qpirlab.channels`):
+branches and mixed inputs enter as ensembles of pure branches.  Every op
+applies to the branches' support, a :class:`~qpirlab.channels.Support` of
+(branch, flat index, value) entries, through its ``apply_vectors`` (see
+:mod:`qpirlab.channels`); an anchored run holds a classical database, so
+almost all of its amplitudes are exact zeros.
 
-* :func:`execute` carries a run on its support, a
-  :class:`~qpirlab.channels.Support` of (branch, flat index, value)
-  entries, from the input tensored with the setup to the last step, and
-  keeps each retained step in that form.  An anchored run holds a
-  classical database, so almost all of its amplitudes are exact zeros.
-* :class:`Ensemble` holds either form.  :meth:`Ensemble.probabilities` (the
-  decode) reads a support as it is; every other reader, and
-  :meth:`Ensemble.apply` (recoveries and the simulators), takes the dense
-  ``(B, dim)`` array from :meth:`Ensemble.dense`, which scatters once.
+* :func:`execute` carries a run on its support from the input tensored with
+  the setup to the last step, and keeps each retained step in that form.
+* :class:`Ensemble` holds the branches as a dense ``(B, dim)`` array or as
+  their support.  :meth:`Ensemble.apply` (recoveries and the simulators)
+  and :meth:`Ensemble.probabilities` (the decode) read the support; every
+  other reader takes the dense array from :meth:`Ensemble.dense`, which
+  scatters once.
 """
 
 from __future__ import annotations
@@ -242,9 +242,11 @@ class Ensemble:
     ``vectors`` is a C-contiguous ``(B, dim)`` complex128 array, row ``b``
     branch ``b``'s flat amplitude vector under the big-endian convention of
     :mod:`qpirlab.states`, or its :class:`~qpirlab.channels.Support`; the
-    state is the sum of the rows' outer products.  :meth:`probabilities`
-    reads either form, every other reader the array from :meth:`dense`.
-    ``len(vectors)`` is the branch count in both forms.
+    state is the sum of the rows' outer products.  :meth:`apply` and
+    :meth:`probabilities` read the support (taken from an array with
+    ``Support.of``) and :meth:`apply` returns one; every other reader takes
+    the array from :meth:`dense`.  ``len(vectors)`` is the branch count in
+    both forms.
     """
 
     __slots__ = ("layout", "vectors")
@@ -284,7 +286,8 @@ class Ensemble:
 
     def apply(self, op: ChannelOp) -> "Ensemble":
         new_layout = op.output_layout(self.layout)
-        return Ensemble(new_layout, op.apply_vectors(self.dense(), self.layout))
+        vectors = self.vectors if isinstance(self.vectors, Support) else Support.of(self.vectors)
+        return Ensemble(new_layout, op.apply_vectors(vectors, self.layout))
 
     def tensor(self, other: "Ensemble") -> "Ensemble":
         """Product ensemble; ``other``'s registers are appended to the layout
@@ -417,9 +420,8 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
     states are retained besides the last; ``None`` retains every step.  The
     setup and the ops act on the support of the branches, and a retained
     step is an :class:`Ensemble` holding its support, whose
-    :meth:`Ensemble.dense` is the array that applying the ops through
-    :meth:`Ensemble.apply` gives (``dense_execute`` in
-    ``tests/span_reference.py``).  An op that fails raises
+    :meth:`Ensemble.dense` is the array that the dense reference kernels
+    give (``dense_execute`` in ``tests/span_reference.py``).  An op that fails raises
     :class:`ProtocolShapeError`, and one that breaks a resource cap raises
     :class:`~qpirlab.config.CapExceeded` again; either names the step, the
     party, the op and its registers (or the setup).

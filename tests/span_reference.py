@@ -2,18 +2,24 @@
 
 ``run_views`` runs a spec once per database on the purified index,
 ``in_span`` takes whole ensembles into their branch span,
-``recover_in_order`` applies a recovery's ops before any discard and
-``dense_execute`` runs a spec on dense branch arrays; the package reads
-every view from the runs ``adversaries.database_runs`` plans, every span
-from ``adversaries.block_spans``, traces the discards no op touches first
-(``adversaries.apply_recovery``) and runs a spec on its support
-(``runtime.execute``)."""
+``recover_in_order`` applies a recovery's ops before any discard,
+``dense_apply`` applies an op to a dense branch array and ``dense_execute``
+runs a spec on dense branch arrays; the package reads every view from the
+runs ``adversaries.database_runs`` plans, every span from
+``adversaries.block_spans``, traces the discards no op touches first
+(``adversaries.apply_recovery``) and applies every op on the support of the
+branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
+``Ensemble.apply``)."""
+
+import math
 
 import numpy as np
 
 from qpirlab.adversaries import Recovery, block_spans, purified_input
+from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, PrepareOp,
+                              RotateOp, SelectPhaseOp, _apply_local, _gather)
 from qpirlab.runtime import Ensemble, ExecutionTranscript, ProtocolSpec, execute
-from qpirlab.states import PureState, RegisterLayout
+from qpirlab.states import BRANCH_PRUNE, PureState, RegisterLayout
 
 
 def run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
@@ -40,9 +46,53 @@ def recover_in_order(transcript: ExecutionTranscript, t: int, recovery: Recovery
     return ens.traced(recovery.discard) if recovery.discard else ens
 
 
+def dense_apply(op, vectors: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+    """``op`` applied to the ``(B, dim)`` branch array ``vectors`` on
+    ``layout`` by its dense definition, with no cache and no fast path: an
+    XOR op gathers ``vectors[:, idx ^ flip]``, a phase multiplies by the
+    signs, a preparation takes the outer product, a measurement gives one
+    row per (branch, label) above ``BRANCH_PRUNE`` with the other labels
+    zeroed, and the local-matrix ops move their qubits to the front,
+    multiply by the matrices the op's support kernel uses (a Hadamard's
+    pairs in the same order) and move them back (``channels._apply_local``).
+    The support kernel of ``op`` must give these amplitudes bit for bit."""
+    total, idx = layout.total_qubits, np.arange(layout.dim)
+    if hasattr(op, "_flip"):
+        return vectors[:, idx ^ op._flip(idx, layout)]
+    if isinstance(op, SelectPhaseOp):
+        return vectors * op._sign(idx, layout)
+    if isinstance(op, PrepareOp):
+        prep = np.asarray(op.amplitudes, dtype=np.complex128)
+        return np.multiply.outer(vectors, prep).reshape(len(vectors), -1)
+    if isinstance(op, MeasureOp):
+        labels = _gather(idx, total, layout.slots([op.register]))
+        rows = [np.where(labels == x, v, 0) for v in vectors
+                for x in range(1 << layout.width(op.register))]
+        return np.array([r for r in rows if np.vdot(r, r).real > BRANCH_PRUNE],
+                        dtype=np.complex128).reshape(-1, layout.dim)
+    if isinstance(op, HadamardOp):
+        slots = layout.slots([op.register])
+        for k in range(0, len(slots), 2):
+            pair = slots[k:k + 2]
+            vectors = _apply_local(vectors, total, pair, _HADAMARD_SIGNS[len(pair)][None], pair)
+        return vectors * (1.0 / math.sqrt(2.0)) ** (len(slots) % 2)
+    if isinstance(op, RotateOp):
+        slots = [layout.qubit(*op.target)]
+        if op.control is not None:
+            slots.insert(0, layout.qubit(*op.control))
+        c, s = math.cos(op.theta / 2.0), math.sin(op.theta / 2.0)
+        m = np.eye(1 << len(slots), dtype=np.complex128)
+        m[-2:, -2:] = [[c, -s], [s, c]]
+        return _apply_local(vectors, total, slots, m[None], slots)
+    assert isinstance(op, DenseOp), op
+    slots = layout.ordered_slots(op.registers)
+    dest = slots + list(range(total, total + sum(w for _, w in op.created)))
+    return _apply_local(vectors, total, slots, np.stack(op.matrices), dest)
+
+
 def dense_execute(spec: ProtocolSpec, input_state, keep) -> ExecutionTranscript:
     """``execute`` with every op applied to the whole ``(B, dim)`` branch
-    array through ``Ensemble.apply`` (no input checks and no error context):
+    array through ``dense_apply`` (no input checks and no error context):
     the dense run that ``execute``'s support run must equal at every kept
     step."""
     declared = dict((*spec.server.input_registers, *spec.client.input_registers))
@@ -58,6 +108,6 @@ def dense_execute(spec: ProtocolSpec, input_state, keep) -> ExecutionTranscript:
     kept = []
     for st in spec.schedule:
         for op in st.step.ops:
-            ens = ens.apply(op)
+            ens = Ensemble(op.output_layout(ens.layout), dense_apply(op, ens.dense(), ens.layout))
         kept.append(ens if keep is None or st.t in keep or st is spec.schedule[-1] else None)
     return ExecutionTranscript(spec, kept, refs)

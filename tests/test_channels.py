@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,7 +163,7 @@ def test_isometry_norm_preservation_property(rng):
         s = random_pure(rng, layout)
         u = random_unitary(rng, 4)
         out = Ensemble.from_pure(s).apply(DenseOp((u,), ("a",)))
-        assert abs(np.linalg.norm(out.vectors) - 1) < 1e-10
+        assert abs(np.linalg.norm(out.dense()) - 1) < 1e-10
 
 
 def test_select_ops_and_swap_copy():
@@ -249,8 +248,9 @@ def test_descriptor_round_trip():
         assert type(clone) is type(op) and json.dumps(clone.descriptor()) == text
         if not isinstance(op, DenseOp):  # DenseOp compares by identity
             assert clone == op
-        v = rng.normal(size=(1, layout.dim)) + 1j * rng.normal(size=(1, layout.dim))
-        assert np.array_equal(op.apply_vectors(v, layout), clone.apply_vectors(v, layout)), op
+        v = Support.of(rng.normal(size=(1, layout.dim)) + 1j * rng.normal(size=(1, layout.dim)))
+        assert np.array_equal(op.apply_vectors(v, layout).dense(),
+                              clone.apply_vectors(v, layout).dense()), op
 
 
 @pytest.mark.parametrize("d,message", [
@@ -332,56 +332,15 @@ def test_malformed_op_rejected():
         DenseOp((bad,), ("a",))
 
 
-def test_measure_peak_memory_stays_near_its_output(rng):
-    # A 4-qubit register in the low slots of a 16-qubit state: 16 outcome
-    # branches of 1 MiB each.  Building them in front-moved order and moving
-    # them back would peak at twice the output.
-    layout = RegisterLayout((("hi", 12), ("m", 4)))
-    vectors = random_pure(rng, layout).amplitudes[None].copy()
-    tracemalloc.start()
-    try:
-        out = MeasureOp("m").apply_vectors(vectors, layout)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (16, layout.dim)
-    assert peak <= 1.5 * out.nbytes
-
-
-@pytest.mark.parametrize("regs,op,ratio", [
-    ((("hi", 8), ("r", 2), ("lo", 6)), HadamardOp("r"), 1.0),
-    # two 2-qubit products: the first one's output is live during the second
-    ((("hi", 8), ("r", 4), ("lo", 4)), HadamardOp("r"), 2.0),
-    ((("hi", 8), ("c", 1), ("t", 1), ("lo", 6)), RotateOp(("t", 0), 0.3, ("c", 0)), 1.0),
-    ((("hi", 8), ("a", 2), ("lo", 6)), DenseOp((np.eye(4)[::-1],), ("a",)), 1.0),
-    # control and target apart: the move path's copies
-    ((("hi", 8), ("c", 1), ("m", 1), ("t", 1), ("lo", 5)), RotateOp(("t", 0), 0.3, ("c", 0)), 2.0),
-])
-def test_local_kernel_peak_memory(rng, regs, op, ratio):
-    # On a 16-qubit state, a product on contiguous ascending slots reads a
-    # reshaped view of the input, so its output is the only new array.  The
-    # move path holds the front-moved copy and the product, then the product
-    # and its moved-back copy: twice the output.
-    layout = RegisterLayout(regs)
-    vectors = random_pure(rng, layout).amplitudes[None].copy()
-    tracemalloc.start()
-    try:
-        out = op.apply_vectors(vectors, layout)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == vectors.shape
-    assert peak <= 1.01 * ratio * out.nbytes
-
-
 def _hadamard_by_moved_pairs(vectors, layout):
-    # HadamardOp's products with each pair's slots named in reverse order,
-    # which takes the kernel's move path; H (x) H is the same after the swap.
+    # HadamardOp's products on the dense array through the move path that
+    # DenseOp and the dense reference take, each pair's slots named in
+    # reverse order; H (x) H is the same after the swap.
     slots = layout.slots(["r"])
     for k in range(0, len(slots), 2):
         pair = slots[k:k + 2][::-1]
         vectors = channels._apply_local(vectors, layout.total_qubits, pair,
-                                        channels._HADAMARD_SIGNS[len(pair)], pair)
+                                        channels._HADAMARD_SIGNS[len(pair)][None], pair)
     return vectors * (1.0 / np.sqrt(2.0)) ** (len(slots) % 2)
 
 
@@ -391,33 +350,32 @@ def test_hadamard_twice_keeps_exact_zeros(rng, w, place, monkeypatch):
     # Each setting of the other qubits of a 16-qubit state holds one label of
     # the register, or nothing.  H then H sums equal terms that cancel, so a
     # rounded product or partial sum would leave dust where a zero belongs.
-    # "high" and "middle" take the broadcast form; "low" and "above-low"
-    # (three qubits below the register) end on the GEMM form against
-    # kron(m, I_post); "moved" takes the move path for every pair;
-    # "support" runs both on the support form and scatters the result.
+    # "high", "middle", "low" and "above-low" (three qubits below the
+    # register) run two branches on the support form; "support" runs one;
+    # "moved" runs the dense move path with every pair reversed.
     before = {"high": 0, "middle": (16 - w) // 2, "low": 16 - w, "above-low": 13 - w,
               "moved": (16 - w) // 2, "support": (16 - w) // 2}[place]
     regs = tuple((n, k) for n, k in (("a", before), ("r", w), ("b", 16 - w - before)) if k)
     layout = RegisterLayout(regs)
     rest = layout.dim >> w
-    amps = rng.normal(size=rest) + 1j * rng.normal(size=rest)
-    amps[rng.random(rest) < 0.5] = 0.0
-    t = np.zeros((1 << before, 1 << w, rest >> before), dtype=np.complex128)
-    t[np.arange(1 << before)[:, None], rng.integers(0, 1 << w, size=t[:, 0].shape),
-      np.arange(rest >> before)] = amps.reshape(1 << before, -1)
-    vectors = t.reshape(1, -1)
+    rows = []
+    for _ in range(1 if place in ("moved", "support") else 2):
+        amps = rng.normal(size=rest) + 1j * rng.normal(size=rest)
+        amps[rng.random(rest) < 0.5] = 0.0
+        t = np.zeros((1 << before, 1 << w, rest >> before), dtype=np.complex128)
+        t[np.arange(1 << before)[:, None], rng.integers(0, 1 << w, size=t[:, 0].shape),
+          np.arange(rest >> before)] = amps.reshape(1 << before, -1)
+        rows.append(t.reshape(-1))
+    vectors = np.array(rows)
     moves = []
     monkeypatch.setattr(channels, "slots_to_front",
                         lambda *a: moves.append(a[2]) or slots_to_front(*a))
     if place == "moved":
-        apply = _hadamard_by_moved_pairs
+        twice = _hadamard_by_moved_pairs(_hadamard_by_moved_pairs(vectors, layout), layout)
     else:
         apply = HadamardOp("r").apply_vectors
-    if place == "support":
         twice = apply(apply(Support.of(vectors), layout), layout).dense()
-    else:
-        twice = apply(apply(vectors, layout), layout)
-    assert bool(moves) == (place == "moved" and w > 1)
+    assert bool(moves) == (place == "moved")
     np.testing.assert_array_equal(twice == 0, vectors == 0)
     np.testing.assert_allclose(twice, vectors, rtol=0, atol=1e-14)
 
@@ -444,47 +402,3 @@ def test_ops_reject_controlling_on_what_they_flip(make, name):
     # inside numpy, rather than name the op.
     with pytest.raises(ChannelError, match=rf"{name}.*'a'"):
         make()
-
-
-def test_permutation_cache_is_keyed_on_the_op_and_layout(monkeypatch):
-    from qpirlab import channels
-
-    cache = channels._ArrayCache()
-    monkeypatch.setattr(channels, "_perm_cache", cache)
-    layout = RegisterLayout((("a", 2), ("b", 2)))
-    v = np.arange(2 * layout.dim, dtype=np.complex128).reshape(2, -1)
-    # equal ops built apart, and one rebuilt from its descriptor, share one
-    # entry; another op or another layout gets its own
-    ops = [CopyOp("a", "b"), CopyOp("a", "b"),
-           op_from_descriptor(CopyOp("a", "b").descriptor())]
-    outs = [op.apply_vectors(v, layout) for op in ops]
-    assert len(cache._store) == 1
-    for out in outs[1:]:
-        np.testing.assert_array_equal(out, outs[0])
-    CopyOp("b", "a").apply_vectors(v, layout)
-    SelectPhaseOp(((0, ("b", 1)), (3, ("b", 0))), selector="a").apply_vectors(v, layout)
-    CopyOp("a", "b").apply_vectors(v, RegisterLayout((("b", 2), ("a", 2))))
-    assert len(cache._store) == 4
-
-
-def test_permutation_cache_is_bounded_by_bytes(monkeypatch):
-    # At a 6-qubit cap the cache holds 16 << 6 = 1024 bytes: four 256-byte
-    # permutations of a 6-qubit layout, so a fifth evicts the least recently
-    # used.
-    from qpirlab import channels
-
-    monkeypatch.setenv("QPIRLAB_QUBIT_CAP", "6")
-    cache = channels._ArrayCache()
-    monkeypatch.setattr(channels, "_perm_cache", cache)
-    layout = RegisterLayout((("a", 3), ("b", 3)))
-    v = np.arange(layout.dim, dtype=np.complex128)[None]
-    ops = [CopyOp("a", "b"), CopyOp("b", "a"), SwapOp("a", "b"), SwapOp("b", "a"),
-           CnotOp(("a", 0), ("b", 0)), CnotOp(("a", 1), ("b", 1))]
-    for op in ops:
-        op.apply_vectors(v, layout)
-    ops[2].apply_vectors(v, layout)  # now the most recently used
-    CnotOp(("a", 2), ("b", 2)).apply_vectors(v, layout)
-    assert sum(a.nbytes for a in cache._store.values()) <= 16 << 6
-    assert [op for op, _ in cache._store] == [ops[4], ops[5], ops[2],
-                                              CnotOp(("a", 2), ("b", 2))]
-

@@ -33,6 +33,7 @@ from qpirlab.channels import (
 )
 from qpirlab.runtime import Ensemble
 from qpirlab.states import BRANCH_PRUNE, RegisterLayout
+from span_reference import dense_apply
 
 
 def _bit(label: int, width: int, j: int) -> int:
@@ -324,13 +325,13 @@ def test_kernels_match_reference(seed):
     vectors = [rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim) for _ in range(2)]
     for op in ops:
         mats = REFERENCE[type(op)](op, layout)
-        got = op.apply_vectors(np.array(vectors), layout)
+        got = op.apply_vectors(Support.of(np.array(vectors)), layout).dense()
         want = [m @ v for v in vectors for m in mats]
         assert len(got) == len(want), op
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-12, err_msg=repr(op))
-        # one branch takes the XOR kernel's other gather
-        one = op.apply_vectors(np.array(vectors[:1]), layout)
+        # one branch on its own
+        one = op.apply_vectors(Support.of(np.array(vectors[:1])), layout).dense()
         assert len(one) == len(mats), op
         np.testing.assert_allclose(one, want[:len(mats)], atol=1e-12, err_msg=repr(op))
 
@@ -372,7 +373,8 @@ def test_ensemble_apply_hands_the_whole_batch_to_one_kernel_call(seed, monkeypat
         out = ens.apply(op)
         monkeypatch.undo()
         assert calls == [(3, layout.dim)], op
-        v = out.vectors
+        assert isinstance(out.vectors, Support), op
+        v = out.dense()
         assert v.ndim == 2 and v.shape[1] == op.output_layout(layout).dim, op
         assert v.dtype == np.complex128 and v.flags.c_contiguous, op
         if op.kind == "isometry":
@@ -380,7 +382,7 @@ def test_ensemble_apply_hands_the_whole_batch_to_one_kernel_call(seed, monkeypat
 
 
 # ---------------------------------------------------------------------------
-# each product form of the local-matrix kernel
+# the local-matrix kernels at each placement of their qubits
 # ---------------------------------------------------------------------------
 
 
@@ -391,20 +393,13 @@ def _regs(*regs) -> RegisterLayout:
 def _check_against_reference(op, layout, rows, rng):
     vectors = rng.normal(size=(rows, layout.dim)) + 1j * rng.normal(size=(rows, layout.dim))
     mats = REFERENCE[type(op)](op, layout)
-    got = op.apply_vectors(vectors, layout)
+    got = op.apply_vectors(Support.of(vectors), layout).dense()
     want = np.array([m @ v for v in vectors for m in mats])
     assert got.shape == want.shape, op
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=repr(op))
 
 
 POSTS = [1, 2, 8, 16, 32, 64]
-
-
-@pytest.mark.parametrize("w", [1, 2])
-def test_block_sizes_span_both_view_forms(w):
-    # the GEMM form up to channels._GEMM_WIDTH, the broadcast form above it
-    sizes = [(1 << w) * post for post in POSTS]
-    assert min(sizes) <= channels._GEMM_WIDTH < max(sizes)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -474,10 +469,10 @@ def test_ops_commute_with_the_labels_they_do_not_relabel(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_support_kernels_match_reference(seed):
-    """Each op's support branch, on three branches fully dense and with
-    about three amplitudes in four exact zeros: the entries are distinct
-    and nonzero, they scatter to the reference's rows (lighter outputs of a
-    measurement or Kraus set dropped) and to the dense kernel's bit for
+    """Each op's kernel, on three branches fully dense and with about three
+    amplitudes in four exact zeros: the entries are distinct and nonzero,
+    they scatter to the reference's rows (lighter outputs of a measurement
+    or Kraus set dropped) and to ``span_reference.dense_apply``'s bit for
     bit, and iteration gives one value array per branch."""
     rng = np.random.default_rng(9600 + seed)
     layout = _layout(rng)
@@ -495,7 +490,7 @@ def test_support_kernels_match_reference(seed):
                 want = [w for w in want if np.vdot(w, w).real > BRANCH_PRUNE]
             assert got.shape == (len(want), out_dim), op
             np.testing.assert_allclose(got.dense(), want, rtol=0, atol=1e-12, err_msg=repr(op))
-            assert np.array_equal(got.dense(), op.apply_vectors(vectors, layout)), op
+            assert np.array_equal(got.dense(), dense_apply(op, vectors, layout)), op
             assert [v.size for v in got] == [np.count_nonzero(r) for r in got.dense()], op
 
 
@@ -519,15 +514,36 @@ def test_support_ops_keep_the_labels_they_do_not_relabel(seed):
                                       _labels(layout, name)[got.branch // per]), (op, name)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ops_leave_their_input_support_unchanged(seed):
+    """A kept step or a recovery state shares its support's arrays with the
+    ops applied after it (a flip returns its input's branches and values),
+    so no op may write into its input: every op kind, a Hadamard on every
+    register and so at least one odd width among the seeds, on three
+    branches about half of whose amplitudes are exact zeros."""
+    rng = np.random.default_rng(9800 + seed)
+    layout = _layout(rng)
+    vectors = rng.normal(size=(3, layout.dim)) + 1j * rng.normal(size=(3, layout.dim))
+    sup = Support.of(vectors * (rng.random(vectors.shape) < 0.5))
+    before = [a.copy() for a in (sup.branch, sup.index, sup.value)]
+    ops = _ops(rng, layout) + [HadamardOp(name) for name in layout.names]
+    assert {type(op) for op in ops} == set(REFERENCE)
+    for op in ops:
+        op.apply_vectors(sup, layout)
+        for got, want in zip((sup.branch, sup.index, sup.value), before):
+            assert np.array_equal(got, want), op
+
+
 def test_support_measurement_drops_the_outcomes_the_dense_kernel_prunes():
-    # outcome 1 of branch 0 weighs about 1e-26, at or below BRANCH_PRUNE;
-    # outcome 2 has no amplitude in either branch
+    # the dense kernel is span_reference.dense_apply's.  Outcome 1 of
+    # branch 0 weighs about 1e-26, at or below BRANCH_PRUNE; outcome 2 has
+    # no amplitude in either branch
     layout = RegisterLayout((("a", 2), ("m", 2)))
     vectors = np.random.default_rng(9700).normal(size=(2, 4, 4)).astype(np.complex128)
     vectors[:, :, 2] = 0.0
     vectors[0, :, 1] *= 1e-13
     vectors = vectors.reshape(2, layout.dim)
     got = MeasureOp("m").apply_vectors(Support.of(vectors), layout)
-    want = MeasureOp("m").apply_vectors(vectors, layout)
+    want = dense_apply(MeasureOp("m"), vectors, layout)
     assert len(got) == len(want) == 5
     assert np.array_equal(got.dense(), want)
