@@ -31,9 +31,9 @@ almost all of its amplitudes are exact zeros.
 * :func:`execute` carries a run on its support from the input tensored with
   the setup to the last step, and keeps each retained step in that form.
 * :class:`Ensemble` holds the branches as a dense ``(B, dim)`` array or as
-  their support.  :meth:`Ensemble.apply` (recoveries and the simulators)
-  and :meth:`Ensemble.probabilities` (the decode) read the support; every
-  other reader takes the dense array from :meth:`Ensemble.dense`, which
+  their support.  :meth:`Ensemble.apply` (recoveries, simulators) runs on
+  the support and :meth:`Ensemble.probabilities` (the decode) reads a held
+  one; every other reader takes the array that :meth:`Ensemble.dense`
   scatters once.
 """
 
@@ -242,11 +242,11 @@ class Ensemble:
     ``vectors`` is a C-contiguous ``(B, dim)`` complex128 array, row ``b``
     branch ``b``'s flat amplitude vector under the big-endian convention of
     :mod:`qpirlab.states`, or its :class:`~qpirlab.channels.Support`; the
-    state is the sum of the rows' outer products.  :meth:`apply` and
-    :meth:`probabilities` read the support (taken from an array with
-    ``Support.of``) and :meth:`apply` returns one; every other reader takes
-    the array from :meth:`dense`.  ``len(vectors)`` is the branch count in
-    both forms.
+    state is the sum of the rows' outer products.  :meth:`apply` hands the
+    op the support (``Support.of`` an array) and holds the support it
+    returns, :meth:`probabilities` reads a held support as it is, and every
+    other reader takes the array from :meth:`dense`.  ``len(vectors)`` is
+    the branch count in both forms.
     """
 
     __slots__ = ("layout", "vectors")
@@ -420,9 +420,9 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
     states are retained besides the last; ``None`` retains every step.  The
     setup and the ops act on the support of the branches, and a retained
     step is an :class:`Ensemble` holding its support, whose
-    :meth:`Ensemble.dense` is the array that the dense reference kernels
-    give (``dense_execute`` in ``tests/span_reference.py``).  An op that fails raises
-    :class:`ProtocolShapeError`, and one that breaks a resource cap raises
+    :meth:`Ensemble.dense` is the array that the dense reference gives
+    (``dense_execute`` in ``tests/span_reference.py``).  An op that fails
+    raises :class:`ProtocolShapeError`, and one that breaks a resource cap raises
     :class:`~qpirlab.config.CapExceeded` again; either names the step, the
     party, the op and its registers (or the setup).
     """
