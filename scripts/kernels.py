@@ -3,9 +3,11 @@
 Each row applies one op to the ``Support`` of a one-row random state of
 ``--qubits`` qubits (default 20, every amplitude nonzero) with one BLAS
 thread.  It reports the best of five warm calls in milliseconds (``ms``)
-and the tracemalloc peak of one more call over the bytes of its output
-support's three arrays (``peak_over_output``; the input is allocated
-before tracing starts).  The rows are those of the kernel table in
+and the tracemalloc peak of one more call over the bytes of the output
+arrays that share no memory with the input (``peak_over_output``; the
+input is allocated before tracing starts, and an XOR op's output shares
+its ``branch`` and ``value`` with it, a phase's its ``branch`` and
+``index``).  The rows are those of the kernel table in
 ROADMAP.md, with the Hadamard at several placements of its register; the
 ``PureState`` row builds a state from the dense vector.
 
@@ -80,6 +82,16 @@ def rows(q: int):
     return out
 
 
+def _arrays(x) -> list[np.ndarray]:
+    """The arrays a row's input or output holds: a dense array, a
+    ``PureState``'s amplitudes or a ``Support``'s three arrays."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, PureState):
+        return [x.amplitudes]
+    return [x.branch, x.index, x.value]
+
+
 def measure(call, vectors, layout) -> dict:
     call(vectors, layout)  # warm: lazy set-up
     times = []
@@ -94,10 +106,8 @@ def measure(call, vectors, layout) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if isinstance(out, PureState):
-        nbytes = out.amplitudes.nbytes
-    else:
-        nbytes = out.branch.nbytes + out.index.nbytes + out.value.nbytes
+    nbytes = sum(a.nbytes for a in _arrays(out)
+                 if not any(np.shares_memory(a, b) for b in _arrays(vectors)))
     return {"ms": round(min(times) * 1e3, 3), "peak_over_output": round(peak / nbytes, 3)}
 
 

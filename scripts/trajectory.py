@@ -5,9 +5,9 @@ list of ``scripts/pairs.py`` records and prints, per workload in file-name
 order, one line per record in the order the records were appended: the
 ``change`` revision, the number of pairs and the change's median of each
 end-to-end metric, then ``claim`` when the record's claim rule holds (a
-record without ``claim_rule`` ends at its medians).  A file in another format (a single object, such as
-``BENCH_pairs.json`` and ``BENCH_kernels.json``) is named as skipped.  The
-script only reads; no record is edited.
+record without ``claim_rule`` ends at its medians).  A file in another
+format (a single object, such as ``BENCH_kernels.json``) is named as
+skipped.  The script only reads; no record is edited.
 
 Usage: python scripts/trajectory.py [DIR]
 """

@@ -55,7 +55,9 @@ from .channels import (
     MeasureOp,
     PrepareOp,
     RotateOp,
+    Support,
     SwapOp,
+    _gather,
 )
 from .config import CapExceeded
 from .distances import paired_distances
@@ -305,24 +307,30 @@ def database_block(ens: Ensemble, register: str | None, label: int | None) -> En
     same run on ``|label>`` alone: each op acted on each block as on that
     block alone, and a row the run on ``|label>`` pruned carries no more
     weight here.  ``label=None`` (a run of its own) is ``ens`` itself.
-    Spans read it in place (:func:`block_spans`); a named copy is made only
-    there, for a run without :data:`PURIFIER`."""
-    if label is None:
-        return ens
-    block, rows = _block_rows(ens, register, label)
-    out = np.zeros((len(rows), block.shape[1], 1 << ens.layout.width(register), block.shape[2]),
-                   dtype=np.complex128)
-    out[:, :, label] = block[rows]
-    return Ensemble(ens.layout, out.reshape(len(rows), ens.layout.dim))
+    The block is the support's entries at ``label``, with no zero-filled
+    copy; spans read its rows in place (:func:`block_spans`)."""
+    return ens if label is None else _block(ens, register, label, _label_weights(ens, register))
 
 
-def _block_rows(ens: Ensemble, register: str, label: int):
-    """The ``register = label`` block of ``ens``, a ``(B, before, after)``
-    view, and the rows :func:`database_block` keeps of it."""
-    lay = ens.layout
-    first, width = lay.offset(register), lay.width(register)
-    block = ens.dense().reshape(len(ens.vectors), 1 << first, 1 << width, -1)[:, :, label]
-    return block, nonzero_rows((np.abs(block) ** 2).sum(axis=(1, 2)))[0]
+def _label_weights(ens: Ensemble, register: str) -> np.ndarray:
+    """Each branch's squared norm in each label block of ``register``, a
+    ``(B, 2**width)`` array from one ``bincount`` on the support."""
+    sup, lay = ens.vectors, ens.layout
+    w = lay.width(register)
+    key = (sup.branch << w) | _gather(sup.index, lay.total_qubits, lay.slots([register]))
+    return np.bincount(key, np.abs(sup.value) ** 2, minlength=len(sup) << w).reshape(-1, 1 << w)
+
+
+def _block(ens: Ensemble, register: str, label: int, weights: np.ndarray) -> Ensemble:
+    """:func:`database_block` of a label, given :func:`_label_weights`."""
+    sup, lay = ens.vectors, ens.layout
+    rows = nonzero_rows(weights[:, label])[0]
+    new = np.full(len(sup), -1)
+    new[rows] = np.arange(len(rows))
+    branch = new[sup.branch]
+    kept = (branch >= 0) & (_gather(sup.index, lay.total_qubits, lay.slots([register])) == label)
+    return Ensemble(lay, Support((len(rows), lay.dim), branch[kept], sup.index[kept],
+                                 sup.value[kept]))
 
 
 def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
@@ -334,8 +342,8 @@ def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     branches of ``ens`` with ``sqrt(n) sum_{i,r} c[i, r] |r><i|`` applied to
     :data:`PURIFIER`, which puts ``reference`` in its place (appended to the
     layout).  Branches left at zero weight are dropped, as a run drops them.
-    ``ens`` is read with :data:`PURIFIER` last, which is a view of its
-    memory when it is already last, as in :func:`block_spans`'s output.  A
+    ``ens`` is read with :data:`PURIFIER` last, with no bit permutation
+    when it is already last, as in :func:`block_spans`'s output.  A
     run without :data:`PURIFIER` had no index to purify, so it is the run
     on every client state, and those must have no index either.
     """
@@ -372,9 +380,8 @@ def _purifier_last(ens: Ensemble):
     lay = ens.layout
     others = tuple(r for r in lay.registers if r[0] != PURIFIER)
     labels = 1 << lay.width(PURIFIER)
-    v = slots_to_front(ens.dense(), lay.total_qubits,
-                       lay.ordered_slots([*(n for n, _ in others), PURIFIER]))
-    return others, v.reshape(len(ens.vectors), lay.dim // labels, labels)
+    v = ens.aligned_vectors([*(n for n, _ in others), PURIFIER])
+    return others, v.reshape(len(v), lay.dim // labels, labels)
 
 
 def _product(v: np.ndarray, c: np.ndarray):
@@ -422,22 +429,26 @@ def block_spans(ensembles, register: str | None, labels) -> list[tuple[Ensemble,
 
     Whatever is steered from a block lies in span{``v[b, i]``} (x)
     (reference registers), ``v[b, i]`` being branch ``b`` at
-    :data:`PURIFIER` label ``i``.  Each ensemble is moved once,
-    :data:`PURIFIER` first and the others in the first one's register
-    order, and a block is a strided view of that move less the rows
-    :func:`database_block` drops.  Per label, one QR of all the blocks'
-    columns over their support (the amplitudes nonzero in some column;
-    since ``A = P^T [A'; 0]``, the ``R`` of ``A'`` holds coordinates of the
-    same span, and an ``A`` with no zero row is factored as it is) gives the
-    coordinates ``R``, less its rows at or below ``states.BRANCH_PRUNE``.
-    Each block comes back over ``span`` (``R``'s rows, zero-padded to a
-    power of two) and :data:`PURIFIER`, in one shared basis, so :func:`steer`
-    and :meth:`Ensemble.distance` give the same figures on the result.
-    Without :data:`PURIFIER`, the blocks are :func:`database_block`'s.
+    :data:`PURIFIER` label ``i``.  Each ensemble is scattered once,
+    :data:`PURIFIER` first and the others in the first one's register order
+    (:meth:`Ensemble.aligned_vectors`); a block is a strided view of that
+    array less the rows :func:`database_block` drops, every label's from
+    one ``bincount`` on the support (:func:`_label_weights`).  Per label,
+    one QR of all the blocks' columns over their support (the amplitudes
+    nonzero in some column; since ``A = P^T [A'; 0]``, the ``R`` of ``A'``
+    holds coordinates of the same span, and an ``A`` with no zero row is
+    factored as it is) gives the coordinates ``R``, less its rows at or
+    below ``states.BRANCH_PRUNE``.  Each block comes back over ``span``
+    (``R``'s rows, zero-padded to a power of two) and :data:`PURIFIER`, in
+    one shared basis, so :func:`steer` and :meth:`Ensemble.distance` give
+    the same figures on the result.  Without :data:`PURIFIER`, the blocks
+    are :func:`database_block`'s.
     """
     lay = ensembles[0].layout
+    weights = [_label_weights(e, register) if set(labels) != {None} else None for e in ensembles]
     if not lay.has(PURIFIER):
-        return [tuple(database_block(e, register, x) for e in ensembles) for x in labels]
+        return [tuple(e if x is None else _block(e, register, x, w)
+                      for e, w in zip(ensembles, weights)) for x in labels]
     others, labels_i = lay.without((PURIFIER,)), 1 << lay.width(PURIFIER)
     moved = [e.aligned_vectors((PURIFIER, *others.names)) for e in ensembles]
     out = []
@@ -447,9 +458,9 @@ def block_spans(ensembles, register: str | None, labels) -> list[tuple[Ensemble,
         if x is not None:
             # (branch, purifier label, registers before `register`, its label, after)
             split = (labels_i, 1 << others.offset(register), 1 << others.width(register), -1)
-            blocks = [v.reshape(len(v), *split)[_block_rows(e, register, x)[1], :, :, x]
+            blocks = [v.reshape(len(v), *split)[nonzero_rows(w[:, x])[0], :, :, x]
                       .reshape(-1, others.dim >> others.width(register))
-                      for e, v in zip(ensembles, moved)]
+                      for w, v in zip(weights, moved)]
         support = np.logical_or.reduce([b.any(axis=0) for b in blocks])
         r = np.linalg.qr(np.concatenate([b[:, support] for b in blocks]).T, mode="r")
         r = r[nonzero_rows((np.abs(r) ** 2).sum(axis=1))]

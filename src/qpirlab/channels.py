@@ -141,6 +141,22 @@ class Support:
         return Support((len(self), self.shape[1] * len(amplitudes)),
                        np.repeat(self.branch, len(j))[nz], index[nz], value[nz])
 
+    def split(self, total: int, slots, dim: int, *, what: str) -> "Support":
+        """One branch per (branch, label of the qubit ``slots``, big-endian in
+        slot order) above ``states.BRANCH_PRUNE``, branch-major; the entries
+        keep their index and value, under ``dim`` columns.  Checked with
+        ``config.check_branches``, naming ``what``, before it allocates."""
+        w = len(slots)
+        key = (self.branch << w) | _gather(self.index, total, slots)
+        weights = np.bincount(key, np.abs(self.value) ** 2, minlength=len(self) << w)
+        rows, labels = nonzero_rows(weights.reshape(len(self), 1 << w))
+        check_branches(len(rows), dim, what=what)
+        new = np.full(len(self) << w, -1)
+        new[(rows << w) | labels] = np.arange(len(rows))
+        branch = new[key]
+        kept = branch >= 0
+        return Support((len(rows), dim), branch[kept], self.index[kept], self.value[kept])
+
     def dense(self) -> np.ndarray:
         """The ``(B, dim)`` array: one zeroed array and one scatter."""
         out = np.zeros(self.shape, dtype=np.complex128)
@@ -671,8 +687,8 @@ class PrepareOp(ChannelOp):
 class MeasureOp(ChannelOp):
     """Complete computational-basis measurement of one register.
 
-    Branches the state over observed labels; outcome registers keep their
-    post-measurement content (projective, non-destructive).
+    Branches the state over observed labels (:meth:`Support.split`); outcome
+    registers keep their post-measurement content (projective, non-destructive).
     """
 
     register: str
@@ -688,20 +704,8 @@ class MeasureOp(ChannelOp):
         return ()
 
     def apply_vectors(self, vectors, layout):
-        # the new branches are the (branch, label) pairs above
-        # states.BRANCH_PRUNE, branch-major
-        slots = layout.slots([self.register])
-        w = len(slots)
-        key = (vectors.branch << w) | _gather(vectors.index, layout.total_qubits, slots)
-        weights = np.bincount(key, np.abs(vectors.value) ** 2, minlength=len(vectors) << w)
-        rows, labels = nonzero_rows(weights.reshape(len(vectors), 1 << w))
-        check_branches(len(rows), layout.dim, what=f"measurement of {self.register!r}")
-        new = np.full(len(vectors) << w, -1)
-        new[(rows << w) | labels] = np.arange(len(rows))
-        branch = new[key]
-        kept = branch >= 0
-        return Support((len(rows), layout.dim), branch[kept], vectors.index[kept],
-                       vectors.value[kept])
+        return vectors.split(layout.total_qubits, layout.slots([self.register]), layout.dim,
+                             what=f"measurement of {self.register!r}")
 
 
 # ---------------------------------------------------------------------------

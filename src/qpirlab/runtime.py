@@ -30,11 +30,8 @@ almost all of its amplitudes are exact zeros.
 
 * :func:`execute` carries a run on its support from the input tensored with
   the setup to the last step, and keeps each retained step in that form.
-* :class:`Ensemble` holds the branches as a dense ``(B, dim)`` array or as
-  their support.  :meth:`Ensemble.apply` (recoveries, simulators) runs on
-  the support and :meth:`Ensemble.probabilities` (the decode) reads a held
-  one; every other reader takes the array that :meth:`Ensemble.dense`
-  scatters once.
+* An :class:`Ensemble` holds its branches' support and no other form; a
+  reader that needs the array scatters it afresh (:meth:`Ensemble.dense`).
 """
 
 from __future__ import annotations
@@ -46,10 +43,9 @@ import numpy as np
 
 from .channels import (ChannelOp, ChannelError, PrepareOp, Support, _gather, from_json_value,
                        op_from_descriptor, to_json_value)
-from .config import CapExceeded, check_branches, check_cap, check_reduced_cap
+from .config import CapExceeded, check_branches, check_cap
 from .distances import gram_reduce, paired_distances
-from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, marginal,
-                     nonzero_rows, slots_to_front)
+from .states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
 
 __all__ = [
     "ProtocolShapeError",
@@ -239,41 +235,31 @@ def communication(spec: ProtocolSpec) -> CommunicationBill:
 class Ensemble:
     """A mixed state as unnormalized pure branches over one layout.
 
-    ``vectors`` is a C-contiguous ``(B, dim)`` complex128 array, row ``b``
-    branch ``b``'s flat amplitude vector under the big-endian convention of
-    :mod:`qpirlab.states`, or its :class:`~qpirlab.channels.Support`; the
-    state is the sum of the rows' outer products.  :meth:`apply` hands the
-    op the support (``Support.of`` an array) and holds the support it
-    returns, :meth:`probabilities` reads a held support as it is, and every
-    other reader takes the array from :meth:`dense`.  ``len(vectors)`` is
-    the branch count in both forms.
+    ``vectors`` is the :class:`~qpirlab.channels.Support` of a ``(B, dim)``
+    array (a dense one given to the constructor is taken to its support):
+    row ``b`` is branch ``b`` under the big-endian convention of
+    :mod:`qpirlab.states`, and the state is the sum of the rows' outer
+    products.  Every reader but :meth:`dense`, which scatters a fresh array
+    on every call, works on the support.
     """
 
     __slots__ = ("layout", "vectors")
 
     def __init__(self, layout: RegisterLayout, vectors):
         if not isinstance(vectors, Support):
-            vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
+            vectors = np.asarray(vectors, dtype=np.complex128)
         if len(vectors.shape) != 2 or vectors.shape[1] != layout.dim:
             raise StateError(f"branch array has shape {vectors.shape}, expected (B, {layout.dim})")
         self.layout = layout
-        self.vectors = vectors
+        self.vectors = vectors if isinstance(vectors, Support) else Support.of(vectors)
 
     @classmethod
     def from_pure(cls, state: PureState) -> "Ensemble":
         return cls(state.layout, state.amplitudes[None])
 
     def dense(self) -> np.ndarray:
-        """The ``(B, dim)`` branch array; a support is scattered on the first
-        call and the array replaces it."""
-        if isinstance(self.vectors, Support):
-            self.vectors = self.vectors.dense()
-        return self.vectors
-
-    @property
-    def weight(self) -> float:
-        v = self.dense()
-        return float(np.vdot(v, v).real)
+        """The ``(B, dim)`` branch array, scattered afresh from the support."""
+        return self.vectors.dense()
 
     @property
     def is_pure(self) -> bool:
@@ -285,9 +271,7 @@ class Ensemble:
         return PureState.from_vector(self.layout, self.dense()[0], normalize=True)
 
     def apply(self, op: ChannelOp) -> "Ensemble":
-        new_layout = op.output_layout(self.layout)
-        vectors = self.vectors if isinstance(self.vectors, Support) else Support.of(self.vectors)
-        return Ensemble(new_layout, op.apply_vectors(vectors, self.layout))
+        return Ensemble(op.output_layout(self.layout), op.apply_vectors(self.vectors, self.layout))
 
     def tensor(self, other: "Ensemble") -> "Ensemble":
         """Product ensemble; ``other``'s registers are appended to the layout
@@ -298,50 +282,40 @@ class Ensemble:
         prod = self.dense()[:, None, :, None] * other.dense()[None, :, None, :]
         return Ensemble(layout, prod.reshape(-1, layout.dim))
 
-    def purity(self) -> float:
-        v = self.dense()
-        g = v.conj() @ v.T
-        return float(np.sum(np.abs(g) ** 2))
-
     def reduced(self, names) -> DensityOperator:
         """Reduced density operator on ``names``, its basis big-endian in the
         given name order."""
         return gram_reduce(self.dense(), self.layout, names)
 
-    def density(self) -> DensityOperator:
-        check_reduced_cap(self.layout.total_qubits)
-        return DensityOperator.from_ensemble(self.dense())
-
     def traced(self, names) -> "Ensemble":
         """Ensemble over the remaining registers after discarding ``names``:
         one branch per (branch, discarded label) pair above
-        ``states.BRANCH_PRUNE``."""
-        t = slots_to_front(self.dense(), self.layout.total_qubits, self.layout.slots(names))
-        rows = nonzero_rows((np.abs(t) ** 2).sum(axis=2))
-        check_branches(len(rows[0]), t.shape[2], what=f"tracing out {tuple(names)}")
-        kept = t[rows]
-        return Ensemble(self.layout.without(names), kept)
+        ``states.BRANCH_PRUNE``, branch-major (:meth:`Support.split`), with
+        the kept registers' bits packed into the new index."""
+        lay, out = self.layout, self.layout.without(names)
+        sup = self.vectors.split(lay.total_qubits, lay.slots(names), out.dim,
+                                 what=f"tracing out {tuple(names)}")
+        index = _gather(sup.index, lay.total_qubits, lay.slots(out.names))
+        return Ensemble(out, Support(sup.shape, sup.branch, index, sup.value))
 
     def aligned_vectors(self, names) -> np.ndarray:
         """Branch array permuted to the given register-name order, which
-        must be a permutation of the layout's names."""
+        must be a permutation of the layout's names: each entry's index bits
+        are permuted (``_gather``) and the entries scattered once."""
         names = tuple(names)
         if names == self.layout.names:
             return self.dense()
         if sorted(names) != sorted(self.layout.names):
-            raise LayoutError(
-                f"alignment order {names} is not a permutation of the layout {self.layout.names}"
-            )
-        perm = self.layout.ordered_slots(names)
-        t = slots_to_front(self.dense(), self.layout.total_qubits, perm)
-        return t.reshape(len(self.vectors), self.layout.dim)
+            raise LayoutError(f"alignment order {names} is not a permutation of the layout "
+                              f"{self.layout.names}")
+        sup = self.vectors
+        index = _gather(sup.index, self.layout.total_qubits, self.layout.ordered_slots(names))
+        return Support(sup.shape, sup.branch, index, sup.value).dense()
 
     def probabilities(self, names) -> np.ndarray:
         """Marginal outcome distribution of ``names``, indexed big-endian in
-        the given name order.  A support adds each entry's squared value to
-        its label (one ``bincount``) and is not scattered."""
-        if not isinstance(self.vectors, Support):
-            return marginal(self.vectors, self.layout, names)
+        the given name order: each entry's squared value added to its label
+        with one ``bincount``, and nothing scattered."""
         sup, slots = self.vectors, self.layout.ordered_slots(names)
         return np.bincount(_gather(sup.index, self.layout.total_qubits, slots),
                            np.abs(sup.value) ** 2, minlength=1 << len(slots))
@@ -443,7 +417,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
                 f"input register {name!r} has width {ens.layout.width(name)}, expected {w}"
             )
     refs = tuple(n for n in ens.layout.names if n not in declared)
-    layout, vectors = ens.layout, Support.of(ens.dense())
+    layout, vectors = ens.layout, ens.vectors
     if spec.setup is not None:
         try:
             check_cap(layout.total_qubits + spec.setup.layout.total_qubits, what="state")

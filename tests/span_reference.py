@@ -3,13 +3,15 @@
 ``run_views`` runs a spec once per database on the purified index,
 ``in_span`` takes whole ensembles into their branch span,
 ``recover_in_order`` applies a recovery's ops before any discard,
-``dense_apply`` applies an op to a dense branch array and ``dense_execute``
-runs a spec on dense branch arrays; the package reads every view from the
+``dense_apply`` applies an op to a dense branch array, ``dense_execute``
+runs a spec on dense branch arrays, and ``dense_traced``, ``dense_aligned``
+and ``dense_block`` read a partial trace, a register order and a database
+block off the scattered branch array; the package reads every view from the
 runs ``adversaries.database_runs`` plans, every span from
 ``adversaries.block_spans``, traces the discards no op touches first
-(``adversaries.apply_recovery``) and applies every op on the support of the
+(``adversaries.apply_recovery``), applies every op on the support of the
 branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
-``Ensemble.apply``)."""
+``Ensemble.apply``) and reads traces, orders and blocks off that support."""
 
 import math
 
@@ -19,7 +21,7 @@ from qpirlab.adversaries import Recovery, block_spans, purified_input
 from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, PrepareOp,
                               RotateOp, SelectPhaseOp, _apply_local, _gather)
 from qpirlab.runtime import Ensemble, ExecutionTranscript, ProtocolSpec, execute
-from qpirlab.states import BRANCH_PRUNE, PureState, RegisterLayout
+from qpirlab.states import BRANCH_PRUNE, PureState, RegisterLayout, nonzero_rows, slots_to_front
 
 
 def run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
@@ -111,3 +113,31 @@ def dense_execute(spec: ProtocolSpec, input_state, keep) -> ExecutionTranscript:
             ens = Ensemble(op.output_layout(ens.layout), dense_apply(op, ens.dense(), ens.layout))
         kept.append(ens if keep is None or st.t in keep or st is spec.schedule[-1] else None)
     return ExecutionTranscript(spec, kept, refs)
+
+
+def dense_traced(ens: Ensemble, names) -> np.ndarray:
+    """The branch array of ``ens.traced(names)`` off the scattered array: the
+    discarded qubits moved to the front, then one row per (branch, discarded
+    label) above ``BRANCH_PRUNE``, branch-major."""
+    t = slots_to_front(ens.dense(), ens.layout.total_qubits, ens.layout.slots(names))
+    return t[nonzero_rows((np.abs(t) ** 2).sum(axis=2))]
+
+
+def dense_aligned(ens: Ensemble, names) -> np.ndarray:
+    """``ens.aligned_vectors(names)`` off the scattered array: its qubits
+    moved into the register order ``names``."""
+    t = slots_to_front(ens.dense(), ens.layout.total_qubits, ens.layout.ordered_slots(names))
+    return t.reshape(len(ens.vectors), ens.layout.dim)
+
+
+def dense_block(ens: Ensemble, register: str, label: int) -> np.ndarray:
+    """The branch array of ``adversaries.database_block(ens, register,
+    label)`` off the scattered array: a zero-filled copy of the ``register =
+    label`` block, less its rows at or below ``BRANCH_PRUNE``."""
+    lay = ens.layout
+    first, width = lay.offset(register), lay.width(register)
+    block = ens.dense().reshape(len(ens.vectors), 1 << first, 1 << width, -1)[:, :, label]
+    rows = nonzero_rows((np.abs(block) ** 2).sum(axis=(1, 2)))[0]
+    out = np.zeros((len(rows), block.shape[1], 1 << width, block.shape[2]), dtype=np.complex128)
+    out[:, :, label] = block[rows]
+    return out.reshape(len(rows), lay.dim)

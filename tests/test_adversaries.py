@@ -106,7 +106,7 @@ class TestPurificationAttack:
             h = execute(k2.spec, k2.basis_input(x, 1))
             honest_vectors.extend(0.5 * v for v in
                                   h.ensemble(t).aligned_vectors(attacked.layout.names))
-        assert paired_distances([(attacked.vectors, np.array(honest_vectors))])[0] <= 1e-9
+        assert paired_distances([(attacked.dense(), np.array(honest_vectors))])[0] <= 1e-9
 
     def test_needs_quantum_database(self):
         inst = build_kerenidis(2, database=(0, 1))
@@ -194,7 +194,7 @@ class TestMeter:
         assert traced == [(("r1",), False), (("fresh",), True)]
         want = tr.ensemble(1).traced(("r1",))
         assert got.layout == want.layout
-        np.testing.assert_array_equal(got.vectors, want.vectors)
+        np.testing.assert_array_equal(got.dense(), want.dense())
 
     def test_report_carries_inventory(self, k2):
         report = measure_speciousness(k2, purified_honest(k2))

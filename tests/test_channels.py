@@ -40,7 +40,7 @@ def test_identity_kraus_on_density(rng):
     layout = RegisterLayout((("a", 2),))
     rho = DensityOperator.maximally_mixed(4)
     op = DenseOp((np.eye(4),), ("a",), kind="kraus-set")
-    out = Ensemble(layout, rho.branches()).apply(op).density()
+    out = DensityOperator.from_ensemble(Ensemble(layout, rho.branches()).apply(op).dense())
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
 
@@ -125,7 +125,7 @@ def test_hadamard_shifted_entangled_pair(d):
 def test_measure_branches_to_density():
     layout = RegisterLayout((("a", 1), ("b", 1)))
     bell = PureState.from_vector(layout, np.array([1, 0, 0, 1]) / np.sqrt(2))
-    out = Ensemble.from_pure(bell).apply(MeasureOp("a")).density()
+    out = DensityOperator.from_ensemble(Ensemble.from_pure(bell).apply(MeasureOp("a")).dense())
     assert isinstance(out, DensityOperator)
     want = np.zeros((4, 4))
     want[0, 0] = want[3, 3] = 0.5
@@ -151,7 +151,7 @@ def test_dense_kraus_completeness_and_branching(rng):
     ks = random_kraus(rng, 2, 3)
     op = DenseOp(tuple(ks), ("a",), kind="kraus-set")
     s = random_pure(rng, RegisterLayout((("a", 1),)))
-    out = Ensemble.from_pure(s).apply(op).density()
+    out = DensityOperator.from_ensemble(Ensemble.from_pure(s).apply(op).dense())
     assert isinstance(out, DensityOperator)
     want = sum(k @ np.outer(s.amplitudes, s.amplitudes.conj()) @ k.conj().T for k in ks)
     np.testing.assert_allclose(out.matrix, want, atol=1e-12)

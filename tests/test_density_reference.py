@@ -94,7 +94,7 @@ LOSSY = "gamma-lossy:0.3"
 
 def _branches(state):
     # the rows of a pure state or of a branch ensemble, read without its class
-    return state.amplitudes[None] if hasattr(state, "amplitudes") else state.vectors
+    return state.amplitudes[None] if hasattr(state, "amplitudes") else state.dense()
 
 
 def _density(parts):
@@ -360,7 +360,7 @@ def test_views_of_any_client_state_match_the_density_reference(rng):
         want, _ = _run(inst.spec, database, client)
         for t in steps:
             got = steer(run[t], client, ("refx", "refy"))
-            rows = got.vectors
+            rows = got.dense()
             dims = [1 << w for _, w in got.layout.registers]
             view = (got.layout.registers, (rows.T @ rows.conj()).reshape(dims + dims))
             assert _distance(view, want[t]) <= TOL, t

@@ -112,8 +112,9 @@ class TestTraceDistance:
             ks = random_kraus(rng, 4, 2)
             op = DenseOp(tuple(ks), ("a",), kind="kraus-set")
             d_before = trace_distance(rho, sigma)
-            d_after = trace_distance(Ensemble(layout, rho.branches()).apply(op).density(),
-                                     Ensemble(layout, sigma.branches()).apply(op).density())
+            d_after = trace_distance(
+                DensityOperator.from_ensemble(Ensemble(layout, rho.branches()).apply(op).dense()),
+                DensityOperator.from_ensemble(Ensemble(layout, sigma.branches()).apply(op).dense()))
             assert d_after <= d_before + 1e-9
 
     def test_pure_state_formula_agreement(self, rng):

@@ -176,7 +176,8 @@ class TestCounterexample:
         inst = build_counterexample(2)
         tr = inst.run((1, 0), 1)
         assert len(tr.final.vectors) == 4  # one branch per measured database
-        assert tr.ensemble(tr.steps).purity() < 0.999
+        v = tr.ensemble(tr.steps).dense()
+        assert np.sum(np.abs(v.conj() @ v.T) ** 2) < 0.999
 
     def test_n1(self):
         inst = build_counterexample(1)

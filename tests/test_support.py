@@ -2,22 +2,24 @@
 step in that form; it must equal the dense run of
 ``span_reference.dense_execute`` at every kept step, on every spec and input
 kind behind ``scripts/figures.py``, a kept step's ``probabilities`` must
-match the dense marginal up to rounding, and its support expansions are
-checked against the qubit cap before they allocate."""
+match the dense marginal up to rounding, its ``traced``,
+``aligned_vectors`` and database blocks must equal their dense references
+row for row, and its support expansions are checked against the qubit cap
+before they allocate."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qpirlab.adversaries import (adversary_by_name, database_groups, database_runs,
-                                 purified_input, standard_inputs)
+from qpirlab.adversaries import (adversary_by_name, database_block, database_groups,
+                                 database_runs, purified_input, standard_inputs)
 from qpirlab.channels import HadamardOp, PrepareOp, Support, _gather
 from qpirlab.config import CapExceeded
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
-from qpirlab.runtime import Ensemble, PartyProgram, PartyStep, ProtocolSpec, execute
+from qpirlab.runtime import CLIENT, Ensemble, PartyProgram, PartyStep, ProtocolSpec, execute
 from qpirlab.states import PureState, RegisterLayout, marginal
-from span_reference import dense_execute
+from span_reference import dense_aligned, dense_block, dense_execute, dense_traced
 
 INSTANCES = {
     "k1": lambda: build_kerenidis(1),
@@ -71,12 +73,12 @@ def _case(name, adversary):
     inst = INSTANCES[name]()
     spec = inst.spec if adversary is None else adversary_by_name(inst, adversary).modified_spec(
         inst.spec)
-    return spec, _inputs(inst, spec, np.random.default_rng(31000))
+    return spec, _inputs(inst, spec, np.random.default_rng(31000)), inst.database_register
 
 
 @pytest.mark.parametrize("name,adversary", CASES, ids=CASE_IDS)
 def test_execute_equals_the_dense_run_at_every_kept_step(name, adversary):
-    spec, inputs = _case(name, adversary)
+    spec, inputs, _ = _case(name, adversary)
     for state in inputs:
         _assert_same_run(execute(spec, state), dense_execute(spec, state, None))
 
@@ -87,7 +89,7 @@ def test_probabilities_of_a_kept_support_equal_the_dense_marginal(name, adversar
     # support first, then from the scattered array.  The two sum a label's m
     # nonzero terms in other orders, each within (m - 1) rounding units of
     # the label's probability p, so they differ by at most m * eps * p.
-    spec, inputs = _case(name, adversary)
+    spec, inputs, _ = _case(name, adversary)
     assert any(len(state.vectors) > 1 for state in inputs if isinstance(state, Ensemble))
     for state in inputs:
         for ens in execute(spec, state).ensembles:
@@ -101,6 +103,29 @@ def test_probabilities_of_a_kept_support_equal_the_dense_marginal(name, adversar
                 terms = np.bincount(_gather(sup.index, ens.layout.total_qubits,
                                             ens.layout.ordered_slots(names)), minlength=len(want))
                 assert np.all(np.abs(dist - want) <= terms * np.finfo(float).eps * want), names
+
+
+@pytest.mark.parametrize("name,adversary", CASES, ids=CASE_IDS)
+def test_support_readers_equal_the_dense_references(name, adversary):
+    # every kept step: the trace of the client's registers, the registers
+    # in reverse order and every database block, row for row
+    spec, inputs, db = _case(name, adversary)
+    assert any(len(state.vectors) > 1 for state in inputs if isinstance(state, Ensemble))
+    for state in inputs:
+        tr = execute(spec, state)
+        for t, ens in enumerate(tr.ensembles, start=1):
+            client = tr.owned(t, CLIENT)
+            if client:
+                traced = ens.traced(client)
+                assert traced.layout == ens.layout.without(client)
+                assert np.array_equal(traced.dense(), dense_traced(ens, client)), t
+            names = ens.layout.names[::-1]
+            assert np.array_equal(ens.aligned_vectors(names), dense_aligned(ens, names)), t
+            if db is not None and ens.layout.has(db):
+                for x in range(1 << ens.layout.width(db)):
+                    block = database_block(ens, db, x)
+                    assert block.layout == ens.layout
+                    assert np.array_equal(block.dense(), dense_block(ens, db, x)), (t, x)
 
 
 def test_execute_keeps_the_steps_it_is_asked_for():

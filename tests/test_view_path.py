@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qpirlab import adversaries, privacy
+from qpirlab import adversaries, privacy, runtime
 from qpirlab import distances as distances_module
 from qpirlab.adversaries import (PURIFIER, adversary_by_name, client_variants, database_groups,
                                  measure_speciousness, purified_honest, purified_input,
@@ -19,7 +19,7 @@ from qpirlab.distances import paired_distances
 from qpirlab.privacy import _even_steps, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
-from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout, slots_to_front
+from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout
 from span_reference import in_span, run_views
 
 
@@ -40,8 +40,8 @@ def test_ensemble_distance_aligns_the_other_view_by_name(seed):
 
     a = random_ensemble(RegisterLayout(tuple(regs[i] for i in rng.permutation(3))), 3)
     b = random_ensemble(RegisterLayout(tuple(regs[i] for i in rng.permutation(3))), 2)
-    by_hand = [_aligned_by_hand(v, b.layout, a.layout.names) for v in b.vectors]
-    assert a.distance(b) == pytest.approx(paired_distances([(a.vectors, np.array(by_hand))])[0],
+    by_hand = [_aligned_by_hand(v, b.layout, a.layout.names) for v in b.dense()]
+    assert a.distance(b) == pytest.approx(paired_distances([(a.dense(), np.array(by_hand))])[0],
                                           abs=1e-12)
     assert a.distance(a) <= 1e-12
 
@@ -70,7 +70,7 @@ def test_server_views_match_a_run_that_keeps_every_step():
                 got = steer(run[t], ins.client, ins.reference)
                 want = steer(kept.server_view(t), ins.client, ins.reference)
                 assert got.layout == want.layout
-                np.testing.assert_array_equal(got.vectors, want.vectors)
+                np.testing.assert_array_equal(got.dense(), want.dense())
 
 
 @pytest.mark.parametrize("build", [lambda: build_kerenidis(2), lambda: build_kerenidis(4),
@@ -137,6 +137,12 @@ def _clients(rng, index_width):
     return [_random_ensemble(rng, layout, rows) for rows in (1, 1, 2, 3)]
 
 
+def _weight(ens):
+    """The squared norm of all of ``ens``'s branches."""
+    v = ens.dense()
+    return np.vdot(v, v).real
+
+
 def _pairwise(views):
     return [a.distance(b) for a, b in combinations(views, 2)]
 
@@ -149,7 +155,7 @@ def test_span_views_match_the_named_views(seed):
     ens = _random_ensemble(rng, RegisterLayout((("a", 2), (PURIFIER, 2), ("b", 3))), 3)
     (span,) = in_span(ens)
     assert span.layout.registers == (("span", 4), (PURIFIER, 2))
-    assert span.weight == pytest.approx(ens.weight, abs=1e-12)
+    assert _weight(span) == pytest.approx(_weight(ens), abs=1e-12)
     clients = _clients(rng, 2)
     named = [steer(ens, c, ("refx",)) for c in clients]
     spanned = [steer(span, c, ("refx",)) for c in clients]
@@ -193,10 +199,10 @@ def test_dropped_directions_carry_at_most_the_prune_weight():
     ens = Ensemble(layout, v.reshape(2, -1))
     (span,) = in_span(ens)
     kept = int(np.count_nonzero(
-        (np.abs(span.vectors.reshape(2, -1, 2)) ** 2).sum(axis=(0, 2))))
+        (np.abs(span.dense().reshape(2, -1, 2)) ** 2).sum(axis=(0, 2))))
     dropped = 4 - kept  # R has min(8 amplitudes, 4 columns) rows
     assert (kept, dropped) == (2, 2)
-    assert 0 <= ens.weight - span.weight <= dropped * BRANCH_PRUNE
+    assert 0 <= _weight(ens) - _weight(span) <= dropped * BRANCH_PRUNE
 
 
 def _recording_qr(monkeypatch):
@@ -222,7 +228,7 @@ def _columns(views):
 def _span_coordinates(spans):
     """The coordinates of the same columns in the span views."""
     labels = 2 ** spans[0].layout.width(PURIFIER)
-    return np.concatenate([s.vectors.reshape(len(s.vectors), -1, labels).swapaxes(0, 1)
+    return np.concatenate([s.dense().reshape(len(s.vectors), -1, labels).swapaxes(0, 1)
                            .reshape(s.vectors.shape[1] // labels, -1) for s in spans], axis=1)
 
 
@@ -282,7 +288,7 @@ def test_an_all_zero_view_has_an_empty_span():
     spans = in_span(zero, Ensemble(layout, np.zeros((1, layout.dim), dtype=complex)))
     assert [s.vectors.shape for s in spans] == [(2, 4), (1, 4)]
     assert all(s.layout.registers == (("span", 1), (PURIFIER, 1)) for s in spans)
-    assert all(s.weight == 0.0 for s in spans)
+    assert all(_weight(s) == 0.0 for s in spans)
 
 
 def test_lower_bound_spans_factor_their_support(monkeypatch):
@@ -388,29 +394,32 @@ def test_certificates_take_one_span_per_database_and_step(monkeypatch):
 
 
 def test_steer_reads_a_span_view_in_place(monkeypatch):
-    # in_span puts refi last, so steering reads the view's own memory
+    # in_span puts refi last, so steering a span reads its branches with no
+    # bit permutation; a run view, refi not last, takes one
     inst = build_kerenidis(4)
     steps = _even_steps(inst.spec)
     runs = [run_views(inst.spec, inst.database_state(db), steps) for db in (0b0110, 0b1001)]
-    read = []
+    permuted = []
 
-    def recording(vectors, total, slots):
-        out = slots_to_front(vectors, total, slots)
-        read.append((vectors, out))
-        return out
+    def recording(idx, total, slots):
+        permuted.append(list(slots))
+        return gather(idx, total, slots)
 
-    monkeypatch.setattr(adversaries, "slots_to_front", recording)
+    gather = runtime._gather
+    monkeypatch.setattr(runtime, "_gather", recording)
     client = inst.client_basis_state(3)
     assert len(steps) == 3
     for t in steps:
         spans = in_span(runs[0][t], runs[1][t])
         steered = []
         for span in spans:
-            read.clear()
+            assert span.layout.names[-1] == PURIFIER
+            permuted.clear()
             steered.append(steer(span, client, ()))
-            # the client matrix is read too; one read is the view's own
-            (out,) = [out for vectors, out in read if vectors is span.vectors]
-            assert np.shares_memory(out, span.vectors)
+            assert permuted == []
+        permuted.clear()
+        steer(runs[0][t], client, ())
+        assert len(permuted) == 1
         want = steer(runs[1][t], client, ()).distance(steer(runs[0][t], client, ()))
         assert want > 0.5
         assert steered[1].distance(steered[0]) == pytest.approx(want, abs=1e-12)
