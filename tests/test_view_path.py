@@ -399,13 +399,12 @@ def test_steer_reads_a_span_view_in_place(monkeypatch):
     inst = build_kerenidis(4)
     steps = _even_steps(inst.spec)
     runs = [run_views(inst.spec, inst.database_state(db), steps) for db in (0b0110, 0b1001)]
-    permuted = []
+    permuted, gather = [], runtime._gather
 
     def recording(idx, total, slots):
         permuted.append(list(slots))
         return gather(idx, total, slots)
 
-    gather = runtime._gather
     monkeypatch.setattr(runtime, "_gather", recording)
     client = inst.client_basis_state(3)
     assert len(steps) == 3
