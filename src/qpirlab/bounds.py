@@ -9,6 +9,7 @@ from functools import partial
 
 import numpy as np
 
+from .channels import _gather
 from .config import CHECK_ATOL, STATE_ATOL
 from .distances import UhlmannPreconditionError, trace_distance, uhlmann_unitary
 from .privacy import is_measurement_free
@@ -185,18 +186,6 @@ class ReconstructionTrace:
                 for b in self.bits]
 
 
-def _output_bits(layout_regs, widths, output_register) -> np.ndarray:
-    """The output bit (0 or 1) of each client basis index, as a 0/1 mask."""
-    total = sum(widths[n] for n in layout_regs)
-    pos = 0
-    for n in layout_regs:
-        if n == output_register:
-            break
-        pos += widths[n]
-    shift = total - 1 - pos  # output registers are single qubits here
-    return (np.arange(1 << total) >> shift) & 1
-
-
 def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
                       database=None) -> ReconstructionTrace:
     """The sequential learn-every-bit attack.
@@ -259,12 +248,14 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
 
     first = run(1)
     b_regs = list(first.owned(first.steps, CLIENT))
-    final_1 = first.final.to_pure()
+    final_1 = first.final
     view_1 = first.server_view(first.steps)
     correct = [correctness(first.final, 1)]
     rho = sigma_1 = first.final.reduced(
         b_regs if mode == "classical-per-a" else ["refdb"] + b_regs)
-    out = _output_bits(b_regs, dict(final_1.layout.registers), instance.output_register)
+    client = final_1.layout.subset(b_regs)  # the output bit of each client basis index
+    out = _gather(np.arange(client.dim), client.total_qubits,
+                  client.slots([instance.output_register]))
     del first
 
     # Each later run, one at a time: its decoder's correctness, half its
@@ -278,7 +269,7 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
         correct.append(correctness(tr.final, i))
         eps = max(eps, view_1.distance(tr.server_view(tr.steps)) / 2.0)
         try:
-            unitaries.append(uhlmann_unitary(final_1, tr.final.to_pure(), side=b_regs))
+            unitaries.append(uhlmann_unitary(final_1, tr.final, side=b_regs))
         except UhlmannPreconditionError:
             unitaries.append(None)
         del tr

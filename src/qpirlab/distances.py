@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .channels import _gather
 from .config import check_reduced_cap
 from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, _blocks,
                      _support_blocks, hermitize, slots_to_front)
@@ -153,27 +154,62 @@ class UhlmannPreconditionError(ValueError):
     """The two marginals are (numerically) perfectly distinguishable."""
 
 
-def _split_matrix(state: PureState, side) -> tuple[np.ndarray, list[str], list[str]]:
+def _side_names(layout: RegisterLayout, side) -> tuple[list[str], list[str]]:
+    """The off-``side`` and ``side`` register names, each in layout order."""
     side_set = set(side)
-    missing = side_set - set(state.layout.names)
+    missing = side_set - set(layout.names)
     if missing:
         raise LayoutError(f"unknown side registers {sorted(missing)}")
-    a_names = [n for n in state.layout.names if n not in side_set]
-    b_names = [n for n in state.layout.names if n in side_set]
+    a_names = [n for n in layout.names if n not in side_set]
+    b_names = [n for n in layout.names if n in side_set]
     if not a_names or not b_names:
         raise LayoutError("both sides of the split must be nonempty")
+    return a_names, b_names
+
+
+def _split_matrix(state: PureState, side) -> tuple[np.ndarray, list[str], list[str]]:
+    a_names, b_names = _side_names(state.layout, side)
     ordered = state.reordered(a_names + b_names)
     d_b = 1 << sum(state.layout.width(n) for n in b_names)
     return ordered.amplitudes.reshape(-1, d_b), a_names, b_names
 
 
-def uhlmann_unitary(phi: PureState, psi: PureState, side) -> np.ndarray:
-    """Unitary on the ``side`` registers maximizing |<phi| (I (x) U) |psi>|.
+def _rescaled(value: np.ndarray) -> np.ndarray:
+    # the PureState constructor's rescale, on the nonzero amplitudes alone
+    return value / np.sqrt(float(np.vdot(value, value).real))
+
+
+def _pure_support(state) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and amplitudes of the nonzero entries of a ``PureState``
+    or a one-branch ``Ensemble``, scaled as ``reordered`` of ``to_pure``
+    scales them: ``np.linalg.norm`` and a ``vdot`` rescale for an
+    ensemble (``Ensemble.to_pure``), then a ``vdot`` rescale for either."""
+    if isinstance(state, PureState):
+        index = np.flatnonzero(state.amplitudes)
+        return index, _rescaled(state.amplitudes[index])
+    if len(state.vectors) != 1:
+        raise StateError(f"ensemble has {len(state.vectors)} branches, not pure")
+    value = state.vectors.value
+    return state.vectors.index, _rescaled(_rescaled(value / np.linalg.norm(value)))
+
+
+def uhlmann_unitary(phi, psi, side) -> np.ndarray:
+    """Unitary on the ``side`` registers maximizing |<phi| (I (x) U) |psi>|,
+    for two ``PureState`` objects or one-branch ensembles over the same
+    registers.
 
     Returns the matrix of U in the basis given by the big-endian
     concatenation of the ``side`` registers in ``phi``'s layout order.  With
     marginals (off ``side``) at halved trace distance eps < 1, the rotated
     state satisfies ``D(phi, (I (x) U) psi) <= sqrt(eps (2 - eps))``.
+
+    Both states are read on their support, scaled exactly as the dense
+    path scaled them (:func:`_pure_support`): each entry's index splits
+    (``channels._gather``) into an off-side row and a side column label,
+    and the union of the two states' nonzero rows, ascending, fills two
+    ``(rows, d_b)`` matrices.  The rows left out are zero in both, so the
+    overlap handed to the SVD is that of the dense reordered states bit for
+    bit, and LAPACK returns the same completion.
 
     Rank-deficient overlaps are completed to a full unitary through the
     singular-value decomposition, which pairs the orthogonal complements in
@@ -181,9 +217,20 @@ def uhlmann_unitary(phi: PureState, psi: PureState, side) -> np.ndarray:
     this one pairs whatever bases of the null spaces LAPACK returns, which
     are not unique and may differ across LAPACK builds.
     """
-    mat_phi, a_names, b_names = _split_matrix(phi, side)
-    psi_aligned = psi.reordered(a_names + b_names)
-    mat_psi = psi_aligned.amplitudes.reshape(mat_phi.shape)
+    a_names, b_names = _side_names(phi.layout, side)
+    if sorted(psi.layout.registers) != sorted(phi.layout.registers):
+        raise LayoutError(f"layouts hold different registers: {phi.layout.names} vs "
+                          f"{psi.layout.names}")
+    split = []
+    for state in (phi, psi):
+        (index, value), lay = _pure_support(state), state.layout
+        split.append((_gather(index, lay.total_qubits, lay.ordered_slots(a_names)),
+                      _gather(index, lay.total_qubits, lay.ordered_slots(b_names)), value))
+    rows = np.union1d(split[0][0], split[1][0])
+    mat_phi, mat_psi = np.zeros((2, len(rows), 1 << len(phi.layout.slots(b_names))),
+                                dtype=np.complex128)
+    for mat, (row, col, value) in zip((mat_phi, mat_psi), split):
+        mat[np.searchsorted(rows, row), col] = value
     m = (mat_phi.conj().T @ mat_psi).T
     w, s, vh = np.linalg.svd(m)
     if float(np.sum(s)) < 1e-12:

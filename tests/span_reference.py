@@ -20,6 +20,7 @@ import numpy as np
 from qpirlab.adversaries import Recovery, block_spans, purified_input
 from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, PrepareOp,
                               RotateOp, SelectPhaseOp, _apply_local, _gather)
+from qpirlab.distances import UhlmannPreconditionError, _split_matrix
 from qpirlab.runtime import Ensemble, ExecutionTranscript, ProtocolSpec, execute
 from qpirlab.states import BRANCH_PRUNE, PureState, RegisterLayout, nonzero_rows, slots_to_front
 
@@ -141,3 +142,20 @@ def dense_block(ens: Ensemble, register: str, label: int) -> np.ndarray:
     out = np.zeros((len(rows), block.shape[1], 1 << width, block.shape[2]), dtype=np.complex128)
     out[:, :, label] = block[rows]
     return out.reshape(len(rows), lay.dim)
+
+
+def dense_uhlmann(phi: PureState, psi: PureState, side) -> np.ndarray:
+    """``distances.uhlmann_unitary`` on the whole reordered amplitude
+    arrays: both states reordered to off-side registers then side registers
+    (``_split_matrix``), one overlap of the two ``(rows, d_b)`` matrices and
+    its SVD.  The support read must give this unitary bit for bit."""
+    mat_phi, a_names, b_names = _split_matrix(phi, side)
+    psi_aligned = psi.reordered(a_names + b_names)
+    mat_psi = psi_aligned.amplitudes.reshape(mat_phi.shape)
+    m = (mat_phi.conj().T @ mat_psi).T
+    w, s, vh = np.linalg.svd(m)
+    if float(np.sum(s)) < 1e-12:
+        raise UhlmannPreconditionError(
+            "marginals are orthogonal (fidelity 0); no useful Uhlmann rotation exists"
+        )
+    return (w @ vh).conj().T

@@ -17,9 +17,11 @@ from qpirlab.bounds import (
     nayak_bound,
     reconstruction_bound,
 )
-from qpirlab.distances import trace_distance
+from qpirlab.distances import UhlmannPreconditionError, trace_distance
 from qpirlab.protocols import build_baseline, build_kerenidis
-from qpirlab.states import DensityOperator, StateError
+from qpirlab.runtime import Ensemble
+from qpirlab.states import DensityOperator, PureState, StateError
+from span_reference import dense_uhlmann
 
 
 def ket(vec):
@@ -229,8 +231,10 @@ class TestExtractionAttack:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_kerenidis_n4_coherent_memory(self):
-        # Bound: the measured tracemalloc peak (52.2 MiB) + 10%.  A dense
-        # 1024 x 1024 operator per bit and all n runs kept peak at 140.5 MiB.
+        # Bound: the measured tracemalloc peak (18.0 MiB) + 10%.  A dense
+        # 2^19-amplitude pure state per run in the Uhlmann step peaked at
+        # 42.2 MiB; a dense 1024 x 1024 operator per bit and all n runs kept
+        # peaked at 140.5 MiB.
         inst = build_kerenidis(4)
         extraction_attack(inst, "coherent-reference")  # fill the kernel caches
         tracemalloc.start()
@@ -239,7 +243,51 @@ class TestExtractionAttack:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 52.2 * 2**20
+        assert peak <= 1.1 * 18.0 * 2**20
+
+    @pytest.mark.parametrize("protocol,n,mode,db", [
+        ("kerenidis", 2, "coherent-reference", None),
+        ("kerenidis", 2, "classical-per-a", (1, 0)),
+        ("kerenidis", 4, "coherent-reference", None),
+        ("kerenidis", 4, "classical-per-a", (0, 1, 1, 0)),
+        ("send-db", 2, "classical-per-a", (1, 0)),
+        ("send-index", 2, "classical-per-a", (1, 0))])
+    def test_uhlmann_unitaries_equal_the_dense_reference(self, monkeypatch, protocol, n,
+                                                         mode, db):
+        # every attack behind scripts/figures.py: the support read of run 1
+        # and run i must give the dense path's unitary bit for bit
+        inner, pairs = bounds.uhlmann_unitary, []
+
+        def recorded(phi, psi, side):
+            pairs.append((phi, psi, side))
+            return inner(phi, psi, side)
+        monkeypatch.setattr(bounds, "uhlmann_unitary", recorded)
+        inst = build_kerenidis(n) if protocol == "kerenidis" else build_baseline(protocol, n)
+        extraction_attack(inst, mode, database=db)
+        assert len(pairs) == n - 1
+        for phi, psi, side in pairs:
+            try:
+                slow = dense_uhlmann(phi.to_pure(), psi.to_pure(), side)
+            except UhlmannPreconditionError:
+                with pytest.raises(UhlmannPreconditionError):
+                    inner(phi, psi, side)
+                continue
+            assert np.array_equal(inner(phi, psi, side), slow)
+
+    def test_coherent_attack_makes_no_dense_pure_state(self, monkeypatch):
+        to_pure, layouts, finals = [], [], []
+        pure, post, inner = Ensemble.to_pure, PureState.__post_init__, bounds.uhlmann_unitary
+        monkeypatch.setattr(Ensemble, "to_pure", lambda ens: to_pure.append(ens) or pure(ens))
+        monkeypatch.setattr(PureState, "__post_init__",
+                            lambda state: layouts.append(state.layout) or post(state))
+        monkeypatch.setattr(bounds, "uhlmann_unitary",
+                            lambda phi, psi, side: finals.append(phi.layout)
+                            or inner(phi, psi, side))
+        extraction_attack(build_kerenidis(4), "coherent-reference")
+        assert len(finals) == 3 and layouts  # the inputs are PureStates
+        assert to_pure == []
+        run = sorted(finals[0].registers)
+        assert [lay for lay in layouts if sorted(lay.registers) == run] == []
 
     def test_first_drift_is_the_certified_distance(self, monkeypatch):
         # bit 1 is measured on sigma_1 itself, so gentle measurement has

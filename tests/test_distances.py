@@ -18,7 +18,7 @@ from qpirlab.distances import (
     uhlmann_unitary,
 )
 from qpirlab.runtime import Ensemble
-from qpirlab.states import DensityOperator, PureState, RegisterLayout, StateError
+from qpirlab.states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
 
 
 def dense_distance(a, b) -> float:
@@ -248,6 +248,21 @@ class TestUhlmann:
             achieved = pure_trace_distance(phi, apply_side_unitary(psi, u, side=["B"]))
             assert achieved <= math.sqrt(eps * (2 - eps)) + 1e-8
             checked += 1
+
+    def test_two_branch_ensemble_rejected(self, rng):
+        layout = RegisterLayout((("A", 1), ("B", 1)))
+        phi = random_pure(rng, layout)
+        mixed = Ensemble(layout, np.stack([phi.amplitudes, random_pure(rng, layout).amplitudes]))
+        with pytest.raises(StateError, match="2 branches"):
+            uhlmann_unitary(phi, mixed, side=["B"])
+        with pytest.raises(StateError, match="2 branches"):
+            uhlmann_unitary(mixed, phi, side=["B"])
+
+    @pytest.mark.parametrize("side", [["C"], []], ids=["unknown", "empty"])
+    def test_bad_side_rejected(self, rng, side):
+        phi = random_pure(rng, RegisterLayout((("A", 1), ("B", 1))))
+        with pytest.raises(LayoutError):
+            uhlmann_unitary(phi, Ensemble.from_pure(phi), side=side)
 
     def test_orthogonal_marginals_rejected(self):
         layout = RegisterLayout((("A", 1), ("B", 1)))
