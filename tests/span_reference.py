@@ -4,14 +4,16 @@
 ``in_span`` takes whole ensembles into their branch span,
 ``recover_in_order`` applies a recovery's ops before any discard,
 ``dense_apply`` applies an op to a dense branch array, ``dense_execute``
-runs a spec on dense branch arrays, and ``dense_traced``, ``dense_aligned``
+runs a spec on dense branch arrays, ``dense_traced``, ``dense_aligned``
 and ``dense_block`` read a partial trace, a register order and a database
-block off the scattered branch array; the package reads every view from the
-runs ``adversaries.database_runs`` plans, every span from
-``adversaries.block_spans``, traces the discards no op touches first
+block off the scattered branch array, and ``dense_uhlmann`` takes an
+Uhlmann unitary from two whole reordered pure states; the package reads
+every view from the runs ``adversaries.database_runs`` plans, every span
+from ``adversaries.block_spans``, traces the discards no op touches first
 (``adversaries.apply_recovery``), applies every op on the support of the
 branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
-``Ensemble.apply``) and reads traces, orders and blocks off that support."""
+``Ensemble.apply``) and reads traces, orders, blocks and Uhlmann overlaps
+off that support."""
 
 import math
 

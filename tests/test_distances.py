@@ -264,6 +264,12 @@ class TestUhlmann:
         with pytest.raises(LayoutError):
             uhlmann_unitary(phi, Ensemble.from_pure(phi), side=side)
 
+    def test_states_over_other_registers_rejected(self, rng):
+        phi = random_pure(rng, RegisterLayout((("A", 1), ("B", 1))))
+        psi = random_pure(rng, RegisterLayout((("A", 1), ("B", 1), ("C", 1))))
+        with pytest.raises(LayoutError):
+            uhlmann_unitary(phi, Ensemble.from_pure(psi), side=["B"])
+
     def test_orthogonal_marginals_rejected(self):
         layout = RegisterLayout((("A", 1), ("B", 1)))
         phi = PureState.basis(layout, {"A": 0})
