@@ -2,7 +2,9 @@
 
 The figures are the privacy rows (kerenidis n = 2 and 4 in both modes, the
 purification attack, the counterexample honest and purified), the
-speciousness rows, the honest and theorem certificates, the
+speciousness rows, the honest and theorem certificates, the same three
+families on two runs without an index register (kerenidis n = 1 and the
+send-db baseline at n = 1, whose runs carry no ``refi``), the
 ``verify_theorem_bound`` rows, the reconstruction attack (n = 2 and 4, both
 modes, and the two baselines) and the decode distribution of kerenidis
 n = 8.  ``float.hex`` is exact, so two commits give the same outputs when
@@ -47,6 +49,20 @@ def certificate_figures(name, rows):
         emit(f"certificate/{name}/t{t}/{label}", d)
 
 
+def speciousness_figures(name, inst, advs):
+    for adv in advs:
+        report = measure_speciousness(inst, adversary_by_name(inst, adv))
+        for label, t, d in report.rows:
+            emit(f"specious/{name}/{adv}/t{t}/{label}", d)
+        emit(f"specious/{name}/{adv}/gamma_hat", report.gamma_hat)
+
+
+def theorem_figures(name, inst):
+    for adv in ADVERSARIES:
+        sim = TheoremSimulator(HonestSimulator(inst), adversary_by_name(inst, adv), 0)
+        certificate_figures(f"theorem/{name}/{adv}", sim.certify()[1])
+
+
 def attack_figures(name, inst, mode, database):
     tr = extraction_attack(inst, mode, database)
     for field in ("delta", "epsilon", "epsilon_prime", "overall"):
@@ -66,18 +82,20 @@ def main() -> int:
     privacy_figures("cx2", cx2, None, "anchored")
     privacy_figures("cx2-purified", cx2, adversary_by_name(cx2, "honest-purified"), "anchored")
 
-    for name, inst, advs in (("k2", k2, ADVERSARIES), ("cx2", cx2, ("honest-purified",))):
-        for adv in advs:
-            report = measure_speciousness(inst, adversary_by_name(inst, adv))
-            for label, t, d in report.rows:
-                emit(f"specious/{name}/{adv}/t{t}/{label}", d)
-            emit(f"specious/{name}/{adv}/gamma_hat", report.gamma_hat)
+    speciousness_figures("k2", k2, ADVERSARIES)
+    speciousness_figures("cx2", cx2, ("honest-purified",))
 
     for name, inst in (("k2", k2), ("k4", k4), ("cx2", cx2)):
         certificate_figures(f"honest/{name}", HonestSimulator(inst).epsilon_upper()[1])
-    for adv in ADVERSARIES:
-        sim = TheoremSimulator(HonestSimulator(k2), adversary_by_name(k2, adv), 0)
-        certificate_figures(f"theorem/k2/{adv}", sim.certify()[1])
+    theorem_figures("k2", k2)
+
+    # runs without refi: no index to purify, so nothing is steered
+    for name, inst in (("k1", build_kerenidis(1)), ("send-db1", build_baseline("send-db", 1))):
+        for mode in ("anchored", "full"):
+            privacy_figures(name, inst, None, mode)
+        speciousness_figures(name, inst, ADVERSARIES)
+        certificate_figures(f"honest/{name}", HonestSimulator(inst).epsilon_upper()[1])
+        theorem_figures(name, inst)
 
     advs = [adversary_by_name(k2, a) for a in (*ADVERSARIES, "gamma-lossy:0.1")]
     for r in verify_theorem_bound(k2, advs):

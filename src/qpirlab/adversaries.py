@@ -23,7 +23,8 @@ classical databases are the label blocks (:func:`database_block`) of one
 run on their sum, so each side runs once for all of them; only the
 purification attack and the superposed database run on their own.  The
 spans of every block of a step come from one move of each of the step's
-states (:func:`block_spans`), with no named copy of any block.
+states (:func:`block_spans`), with no named copy of any block, as plain
+``(B, S, I)`` arrays: an :class:`~qpirlab.runtime.Ensemble` is a run state.
 Following the paper's purification argument, the steering map acts only on
 that reference, which no program and no recovery touches, so it commutes
 with the protocol, the adversary, the recoveries (measurements included)
@@ -34,7 +35,7 @@ touch before the ops (:func:`apply_recovery`), on the reduced state.
 :func:`steer` is the one steering function and keeps no state.  It is a
 client matrix, formed from the input's client state, times the run's
 branches; :func:`steered_rows` forms each input's matrix once and takes one
-product per input for all the views of one shape.  One comparison loop,
+product per input for all the spans of one shape.  One comparison loop,
 :func:`steered_distances`, serves the meter here and both privacy
 certificates: it takes every database group of a figure, steers each step's
 pair to every input and measures all the pairs together, one stacked QR per
@@ -309,7 +310,16 @@ def database_block(ens: Ensemble, register: str | None, label: int | None) -> En
     weight here.  ``label=None`` (a run of its own) is ``ens`` itself.
     The block is the support's entries at ``label``, with no zero-filled
     copy; spans read its rows in place (:func:`block_spans`)."""
-    return ens if label is None else _block(ens, register, label, _label_weights(ens, register))
+    if label is None:
+        return ens
+    sup, lay = ens.vectors, ens.layout
+    rows = nonzero_rows(_label_weights(ens, register)[:, label])[0]
+    new = np.full(len(sup), -1)
+    new[rows] = np.arange(len(rows))
+    branch = new[sup.branch]
+    kept = (branch >= 0) & (_gather(sup.index, lay.total_qubits, lay.slots([register])) == label)
+    return Ensemble(lay, Support((len(rows), lay.dim), branch[kept], sup.index[kept],
+                                 sup.value[kept]))
 
 
 def _label_weights(ens: Ensemble, register: str) -> np.ndarray:
@@ -319,18 +329,6 @@ def _label_weights(ens: Ensemble, register: str) -> np.ndarray:
     w = lay.width(register)
     key = (sup.branch << w) | _gather(sup.index, lay.total_qubits, lay.slots([register]))
     return np.bincount(key, np.abs(sup.value) ** 2, minlength=len(sup) << w).reshape(-1, 1 << w)
-
-
-def _block(ens: Ensemble, register: str, label: int, weights: np.ndarray) -> Ensemble:
-    """:func:`database_block` of a label, given :func:`_label_weights`."""
-    sup, lay = ens.vectors, ens.layout
-    rows = nonzero_rows(weights[:, label])[0]
-    new = np.full(len(sup), -1)
-    new[rows] = np.arange(len(rows))
-    branch = new[sup.branch]
-    kept = (branch >= 0) & (_gather(sup.index, lay.total_qubits, lay.slots([register])) == label)
-    return Ensemble(lay, Support((len(rows), lay.dim), branch[kept], sup.index[kept],
-                                 sup.value[kept]))
 
 
 def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
@@ -343,11 +341,11 @@ def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     :data:`PURIFIER`, which puts ``reference`` in its place (appended to the
     layout).  Branches left at zero weight are dropped, as a run drops them.
     ``ens`` is read with :data:`PURIFIER` last, with no bit permutation
-    when it is already last, as in :func:`block_spans`'s output.  A
-    run without :data:`PURIFIER` had no index to purify, so it is the run
-    on every client state, and those must have no index either.
+    when it is already last.  A run without :data:`PURIFIER` had no index
+    to purify, so it is the run on every client state, and those must have
+    no index either.
     """
-    rest, c = _client_matrix(client, reference, (ens.layout,))
+    rest, c = _client_matrix(client, reference, (ens.layout.has(PURIFIER),))
     if c is None:
         return ens
     others, v = _purifier_last(ens)
@@ -355,22 +353,22 @@ def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
     return Ensemble(RegisterLayout(others + rest), rows[nonzero_rows(weights)])
 
 
-def _client_matrix(client: PureState | Ensemble, reference, layouts):
+def _client_matrix(client: PureState | Ensemble, reference, purified):
     """``(rest, c)``: the ``reference`` registers of ``client`` in its
     layout order, and its branches as matrices ``c[k, i, r]`` over the index
     label ``i`` and the reference label ``r`` (``None`` without an index).
-    Raises unless every run layout of ``layouts`` has :data:`PURIFIER`
-    exactly when the client has an index."""
-    cl = client if isinstance(client, Ensemble) else Ensemble.from_pure(client)
-    index = [name for name in cl.layout.names if name not in reference]
-    for lay in layouts:
-        if bool(index) != lay.has(PURIFIER):
-            raise LayoutError(f"client registers {list(cl.layout.names)} with reference "
-                              f"{list(reference)} do not fit a run on {list(lay.names)}")
-    rest = tuple(r for r in cl.layout.registers if r[0] not in index)
+    Raises unless each run, ``purified`` saying whether it has
+    :data:`PURIFIER`, has it exactly when the client has an index."""
+    lay = client.layout
+    index = [name for name in lay.names if name not in reference]
+    if any(p != bool(index) for p in purified):
+        raise LayoutError(f"client registers {list(lay.names)} with reference {list(reference)} "
+                          f"do not fit a run {'without' if index else 'with'} {PURIFIER}")
+    rest = tuple(r for r in lay.registers if r[0] not in index)
     if not index:
         return rest, None
-    return rest, slots_to_front(cl.dense(), cl.layout.total_qubits, cl.layout.slots(index))
+    v = client.amplitudes[None] if isinstance(client, PureState) else client.dense()
+    return rest, slots_to_front(v, lay.total_qubits, lay.slots(index))
 
 
 def _purifier_last(ens: Ensemble):
@@ -393,25 +391,26 @@ def _product(v: np.ndarray, c: np.ndarray):
 
 
 def steered_rows(views, members) -> list[list[np.ndarray]]:
-    """``out[m][j]``: the branch array of ``steer(views[j], ins.client,
-    ins.reference)`` for the ``m``-th input ``ins`` of ``members``.
+    """``out[m][j]``: the ``(B, S, I)`` span array ``views[j]`` of
+    :func:`block_spans` steered, as :func:`steer` steers a run, to the
+    ``m``-th input of ``members``; without :data:`PURIFIER` (``I == 1``),
+    its rows as they are.
 
-    Each input's client matrix is formed once, and the views whose branches
-    have one shape (read with :data:`PURIFIER` last) are steered by one
-    product per input, then pruned view by view as :func:`steer` prunes."""
-    shapes: dict[tuple, list] = {}  # (other labels, purifier labels) -> [(view index, v)]
-    for j, view in enumerate(views):
-        if view.layout.has(PURIFIER):
-            v = _purifier_last(view)[1]
-            shapes.setdefault(v.shape[1:], []).append((j, v))
+    Each input's client matrix is formed once, and the views of one shape
+    are steered by one product per input, then pruned view by view as
+    :func:`steer` prunes."""
+    shapes: dict[tuple, list] = {}  # (span rows, purifier labels) -> view indices
+    for j, v in enumerate(views):
+        if v.shape[-1] > 1:
+            shapes.setdefault(v.shape[1:], []).append(j)
     # per shape: the view indices, their first rows in the stack, the stack
-    stacks = [([j for j, _ in group], np.cumsum([0] + [len(v) for _, v in group]),
-               np.concatenate([v for _, v in group])) for group in shapes.values()]
+    stacks = [(js, np.cumsum([0] + [len(views[j]) for j in js]),
+               np.concatenate([views[j] for j in js])) for js in shapes.values()]
     out = []
     for ins in members:
-        _, c = _client_matrix(ins.client, ins.reference, [view.layout for view in views])
+        _, c = _client_matrix(ins.client, ins.reference, [v.shape[-1] > 1 for v in views])
         if c is None:
-            out.append([view.dense() for view in views])
+            out.append([v[:, :, 0] for v in views])
             continue
         rows = [None] * len(views)
         for js, starts, stack in stacks:
@@ -422,10 +421,11 @@ def steered_rows(views, members) -> list[list[np.ndarray]]:
     return out
 
 
-def block_spans(ensembles, register: str | None, labels) -> list[tuple[Ensemble, ...]]:
+def block_spans(ensembles, register: str | None, labels) -> list[tuple[np.ndarray, ...]]:
     """For each ``x`` of ``labels``, the ``register = x`` blocks of
     ``ensembles`` (:func:`database_block`; ``x = None``: whole) in the
-    coordinates of their branch span.
+    coordinates of their branch span, one ``(B, S, I)`` array per ensemble:
+    branch ``b``, span row ``s`` and :data:`PURIFIER` label ``i``.
 
     Whatever is steered from a block lies in span{``v[b, i]``} (x)
     (reference registers), ``v[b, i]`` being branch ``b`` at
@@ -438,57 +438,54 @@ def block_spans(ensembles, register: str | None, labels) -> list[tuple[Ensemble,
     nonzero in some column; since ``A = P^T [A'; 0]``, the ``R`` of ``A'``
     holds coordinates of the same span, and an ``A`` with no zero row is
     factored as it is) gives the coordinates ``R``, less its rows at or
-    below ``states.BRANCH_PRUNE``.  Each block comes back over ``span``
-    (``R``'s rows, zero-padded to a power of two) and :data:`PURIFIER`, in
-    one shared basis, so :func:`steer` and :meth:`Ensemble.distance` give
-    the same figures on the result.  Without :data:`PURIFIER`, the blocks
-    are :func:`database_block`'s.
+    below ``states.BRANCH_PRUNE``: ``S`` is ``R``'s rows, with no padding,
+    shared by every block of the label.  Without :data:`PURIFIER`, each
+    block is :func:`database_block`'s dense rows, ``(B, dim, 1)`` in the
+    first ensemble's register order.
     """
     lay = ensembles[0].layout
     weights = [_label_weights(e, register) if set(labels) != {None} else None for e in ensembles]
+    order = sorted(lay.names, key=lambda name: name != PURIFIER)  # PURIFIER first, stable
+    moved = [e.aligned_vectors(order) for e in ensembles]
     if not lay.has(PURIFIER):
-        return [tuple(e if x is None else _block(e, register, x, w)
-                      for e, w in zip(ensembles, weights)) for x in labels]
-    others, labels_i = lay.without((PURIFIER,)), 1 << lay.width(PURIFIER)
-    moved = [e.aligned_vectors((PURIFIER, *others.names)) for e in ensembles]
+        # each amplitude's label of `register`; a block zeroes the others
+        label = None if register is None else _gather(np.arange(lay.dim), lay.total_qubits,
+                                                      lay.slots([register]))
+        return [tuple((v if x is None else np.where(label == x, v[nonzero_rows(w[:, x])[0]], 0))
+                      [:, :, None] for v, w in zip(moved, weights)) for x in labels]
+    labels_i, others = 1 << lay.width(PURIFIER), lay.dim >> lay.width(PURIFIER)
+    if register is not None:
+        # (branch, purifier label and registers before `register`, its label, after)
+        width = lay.width(register)
+        split = (1 << sum(lay.width(n) for n in order[:order.index(register)]), 1 << width, -1)
     out = []
     for x in labels:
         # per ensemble, one row per (branch, label): the columns v[b, i]
-        blocks = [v.reshape(-1, others.dim) for v in moved]
+        blocks = [v.reshape(-1, others) for v in moved]
         if x is not None:
-            # (branch, purifier label, registers before `register`, its label, after)
-            split = (labels_i, 1 << others.offset(register), 1 << others.width(register), -1)
-            blocks = [v.reshape(len(v), *split)[nonzero_rows(w[:, x])[0], :, :, x]
-                      .reshape(-1, others.dim >> others.width(register))
-                      for w, v in zip(weights, moved)]
+            blocks = [v.reshape(len(v), *split)[nonzero_rows(w[:, x])[0], :, x]
+                      .reshape(-1, others >> width) for w, v in zip(weights, moved)]
         support = np.logical_or.reduce([b.any(axis=0) for b in blocks])
         r = np.linalg.qr(np.concatenate([b[:, support] for b in blocks]).T, mode="r")
         r = r[nonzero_rows((np.abs(r) ** 2).sum(axis=1))]
-        width = max(1, (len(r) - 1).bit_length())
-        coords = np.zeros((1 << width, r.shape[1]), dtype=np.complex128)
-        coords[:len(r)] = r
-        layout = RegisterLayout((("span", width), (PURIFIER, lay.width(PURIFIER))))
-        # column (branch, label) -> amplitude (span, label) of that branch
-        out.append(tuple(Ensemble(layout, c.reshape(1 << width, -1, labels_i).swapaxes(0, 1)
-                                  .reshape(-1, layout.dim))
-                         for c in np.split(coords, np.cumsum([len(b) for b in blocks])[:-1],
-                                           axis=1)))
+        # column (branch, label) of a block -> coordinate [branch, span row, label]
+        cuts = np.cumsum([len(b) for b in blocks])[:-1]
+        out.append(tuple(c.reshape(len(r), len(b) // labels_i, labels_i).swapaxes(0, 1)
+                         for b, c in zip(blocks, np.split(r, cuts, axis=1))))
     return out
 
 
 def steered_distances(groups) -> list[tuple[str, int, float]]:
     """``(label, t, distance)`` for each ``(members, pairs)`` of ``groups``,
     each input of ``members`` and each step ``t`` of ``pairs``, which maps it
-    to ``(a, b)``: the distance of ``b`` from ``a`` (aligned to ``b`` by
-    register name), both steered to the input's client state.  Each pair
-    comes from one run on the purified index and lies in one branch span
-    (:func:`block_spans`).  Every comparison of every group is measured in
-    one :func:`~qpirlab.distances.paired_distances` call."""
+    to ``(a, b)``: the distance of ``b`` from ``a``, both steered to the
+    input's client state.  Each pair comes from one run on the purified
+    index and is one label's ``(B, S, I)`` arrays of :func:`block_spans`,
+    so it needs no alignment.  Every comparison of every group is measured
+    in one :func:`~qpirlab.distances.paired_distances` call."""
     keys, pairs_of_rows = [], []
     for members, pairs in groups:
-        views = []
-        for a, b in pairs.values():
-            views += [b, Ensemble(b.layout, a.aligned_vectors(b.layout.names))]
+        views = [v for a, b in pairs.values() for v in (b, a)]
         for ins, rows in zip(members, steered_rows(views, members)):
             for k, t in enumerate(pairs):
                 keys.append((ins.label, t))

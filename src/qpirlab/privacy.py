@@ -15,9 +15,10 @@ Views are low-rank ensembles (branch vectors componentized over the
 traced-out client side).  Everything steered from one database's view lies
 in its branch span tensored with the reference registers, so every figure
 takes its views into that span (one QR over the amplitudes nonzero in the
-view) and steers and compares them on the span's few coordinates.  Every
-figure reads the spans of all the databases of a step from one move of the
-step's views (:func:`qpirlab.adversaries.block_spans`).  The simulators
+view) and steers and compares them on the span's few coordinates, plain
+``(B, S, I)`` arrays.  Every figure reads the spans of all the databases
+of a step from one move of the step's views
+(:func:`qpirlab.adversaries.block_spans`).  The simulators
 act on the whole view of a run, so database ``x``'s simulated view is the
 ``db = x`` block of theirs, by the same rule as the run's: where the runs
 are shared, no op of the plan (the recoveries the theorem simulator
@@ -188,7 +189,7 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     steps = _even_steps(instance.spec)
     last = len(instance.spec.schedule)
     groups = database_groups(inputs)
-    spans = [[] for _ in groups]  # per group, one span view per even step
+    spans = [[] for _ in groups]  # per group, one (B, S, I) span per even step
     db = instance.database_register
 
     def each(t, view, _, blocks):  # every group's span of the step from one move

@@ -1,7 +1,10 @@
 """The slow references the tests hold the fast paths to.
 
 ``run_views`` runs a spec once per database on the purified index,
-``in_span`` takes whole ensembles into their branch span,
+``in_span`` takes whole ensembles into their branch span, as the plain
+``(B, S, I)`` arrays of ``adversaries.block_spans``, and ``span_ensemble``
+wraps such an array as the ``Ensemble`` that ``steer`` and
+``Ensemble.distance`` read,
 ``recover_in_order`` applies a recovery's ops before any discard,
 ``dense_apply`` applies an op to a dense branch array, ``dense_execute``
 runs a spec on dense branch arrays, ``dense_traced``, ``dense_aligned``
@@ -19,7 +22,7 @@ import math
 
 import numpy as np
 
-from qpirlab.adversaries import Recovery, block_spans, purified_input
+from qpirlab.adversaries import PURIFIER, Recovery, block_spans, purified_input
 from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, PrepareOp,
                               RotateOp, SelectPhaseOp, _apply_local, _gather)
 from qpirlab.distances import UhlmannPreconditionError, _split_matrix
@@ -35,10 +38,26 @@ def run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
     return {t: tr.server_view(t) for t in steps}
 
 
-def in_span(ens: Ensemble, *others: Ensemble) -> tuple[Ensemble, ...]:
-    """``ens`` and ``others`` whole in the coordinates of their branch span
-    (``block_spans``); a run without ``refi`` as it is."""
+def in_span(ens: Ensemble, *others: Ensemble) -> tuple[np.ndarray, ...]:
+    """``ens`` and ``others`` whole in the coordinates of their branch span,
+    one ``(B, S, I)`` array each (``block_spans``); a run without ``refi``
+    as its dense rows, ``(B, dim, 1)`` in ``ens``'s register order."""
     return block_spans((ens, *others), None, (None,))[0]
+
+
+def span_ensemble(coords: np.ndarray) -> Ensemble:
+    """The ``(B, S, I)`` array ``coords`` of ``block_spans`` as an
+    ``Ensemble``: the span rows ``S`` zero-padded to a power of two over
+    one ``("span", w)`` register, then ``refi`` of ``I`` labels; for ``I ==
+    1`` (a run without ``refi``), one plain ``span`` register of the
+    array's width.  Steering it (``steer``) gives the rows ``steered_rows``
+    gives, padded with zero columns."""
+    branches, rows, labels = coords.shape
+    width = max(1, (rows - 1).bit_length())
+    padded = np.zeros((branches, 1 << width, labels), dtype=np.complex128)
+    padded[:, :rows] = coords
+    registers = (("span", width),) + (((PURIFIER, labels.bit_length() - 1),) if labels > 1 else ())
+    return Ensemble(RegisterLayout(registers), padded.reshape(branches, -1))
 
 
 def recover_in_order(transcript: ExecutionTranscript, t: int, recovery: Recovery) -> Ensemble:

@@ -45,7 +45,7 @@ from qpirlab.channels import HadamardOp
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import PureState, RegisterLayout
-from span_reference import in_span, run_views
+from span_reference import in_span, run_views, span_ensemble
 
 TOL = 1e-12
 
@@ -448,9 +448,9 @@ def _assert_block_spans_are_those_of_the_named_blocks(ensembles, db, labels):
         want = in_span(*(database_block(e, db, x) for e in ensembles))
         assert len(spans) == len(want) == len(ensembles)
         for g, w in zip(spans, want):
-            assert g.layout == w.layout
-            assert g.vectors.shape == w.vectors.shape, x
-            assert np.array_equal(g.dense(), w.dense()), x
+            assert g.ndim == w.ndim == 3
+            assert g.shape == w.shape, x
+            assert np.array_equal(g, w), x
     return got
 
 
@@ -502,9 +502,9 @@ def test_a_block_with_no_weight_has_empty_spans():
         ens = Ensemble(RegisterLayout(regs), v.reshape(rows, -1))
         ensembles.append(Ensemble(layout, ens.aligned_vectors(layout.names)))
     got = _assert_block_spans_are_those_of_the_named_blocks(ensembles, "db", [0, 1, 2, 3])
-    assert [[len(s.vectors) for s in spans] for spans in got] == [[3, 2], [2, 1], [0, 0], [3, 2]]
-    assert all(s.layout.registers == (("span", 1), (PURIFIER, 1))
-               and np.vdot(s.dense(), s.dense()).real == 0.0 for s in got[2])
+    assert [[len(s) for s in spans] for spans in got] == [[3, 2], [2, 1], [0, 0], [3, 2]]
+    # an empty span: no branch and no span row, over the 2 refi labels
+    assert all(s.shape == (0, 0, 2) and np.vdot(s, s).real == 0.0 for s in got[2])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -556,14 +556,16 @@ def test_steering_reaches_any_client_state(inst_name, rng):
 
 
 def _per_pair_steered_distances(groups):
-    # each pair steered on its own, then one Ensemble.distance per pair
-    return [(ins.label, t, steer(b, ins.client, ins.reference).distance(
-                steer(a, ins.client, ins.reference)))
+    # each pair wrapped and steered on its own, then one Ensemble.distance
+    # per pair
+    return [(ins.label, t, steer(span_ensemble(b), ins.client, ins.reference).distance(
+                steer(span_ensemble(a), ins.client, ins.reference)))
             for members, pairs in groups for ins in members for t, (a, b) in pairs.items()]
 
 
 def _per_view_steered(views, members):
-    return [[steer(view, ins.client, ins.reference) for view in views] for ins in members]
+    return [[steer(span_ensemble(view), ins.client, ins.reference) for view in views]
+            for ins in members]
 
 
 def _per_pair_distances(pairs):
@@ -626,10 +628,12 @@ def test_stacked_steering_prunes_as_steer_does():
     pruned = 0
     for ins, rows in zip(members, steered_rows(spans, members)):
         for span, got in zip(spans, rows):
-            want = steer(span, ins.client, ins.reference).dense()
-            np.testing.assert_array_equal(got, want)
+            # the wrapped span's zero padding gives zero columns after got's
+            want = steer(span_ensemble(span), ins.client, ins.reference).dense()
+            np.testing.assert_array_equal(got, want[:, :got.shape[1]])
+            assert not want[:, got.shape[1]:].any()
             client = ins.client if isinstance(ins.client, Ensemble) else Ensemble.from_pure(
                 ins.client)
-            pruned += len(client.vectors) * len(span.vectors) - len(want)
+            pruned += len(client.vectors) * len(span) - len(want)
     # a classical index leaves some run branches at zero weight
     assert pruned > 0

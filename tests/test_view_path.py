@@ -2,6 +2,7 @@
 view runner, the views in their branch span, the view distance, and the
 checks that reject inputs an analysis cannot honour."""
 
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -9,18 +10,18 @@ import pytest
 
 from qpirlab import adversaries, privacy, runtime
 from qpirlab import distances as distances_module
-from qpirlab.adversaries import (PURIFIER, adversary_by_name, client_variants, database_groups,
-                                 measure_speciousness, purified_honest, purified_input,
-                                 standard_inputs, steer)
+from qpirlab.adversaries import (PURIFIER, InputSpec, adversary_by_name, client_variants,
+                                 database_groups, measure_speciousness, purified_honest,
+                                 purified_input, standard_inputs, steer, steered_rows)
 from qpirlab.bounds import extraction_attack
-from qpirlab.channels import MeasureOp
+from qpirlab.channels import MeasureOp, Support
 from qpirlab.config import CapExceeded
 from qpirlab.distances import paired_distances
 from qpirlab.privacy import _even_steps, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout
-from span_reference import in_span, run_views
+from span_reference import in_span, run_views, span_ensemble
 
 
 def _aligned_by_hand(v, layout, names):
@@ -138,8 +139,9 @@ def _clients(rng, index_width):
 
 
 def _weight(ens):
-    """The squared norm of all of ``ens``'s branches."""
-    v = ens.dense()
+    """The squared norm of all the branches of ``ens``, an ``Ensemble`` or
+    a span array."""
+    v = ens.dense() if isinstance(ens, Ensemble) else ens
     return np.vdot(v, v).real
 
 
@@ -150,15 +152,15 @@ def _pairwise(views):
 @pytest.mark.parametrize("seed", range(3))
 def test_span_views_match_the_named_views(seed):
     rng = np.random.default_rng(1200 + seed)
-    # 3 branches x 4 labels span 12 of the 32 other amplitudes: the span is
-    # padded to 16
+    # 3 branches x 4 labels span 12 of the 32 other amplitudes: R's 12
+    # rows, with no padding
     ens = _random_ensemble(rng, RegisterLayout((("a", 2), (PURIFIER, 2), ("b", 3))), 3)
     (span,) = in_span(ens)
-    assert span.layout.registers == (("span", 4), (PURIFIER, 2))
+    assert span.shape == (3, 12, 4)
     assert _weight(span) == pytest.approx(_weight(ens), abs=1e-12)
     clients = _clients(rng, 2)
     named = [steer(ens, c, ("refx",)) for c in clients]
-    spanned = [steer(span, c, ("refx",)) for c in clients]
+    spanned = [steer(span_ensemble(span), c, ("refx",)) for c in clients]
     np.testing.assert_allclose(_pairwise(spanned), _pairwise(named), rtol=0, atol=1e-12)
 
 
@@ -170,21 +172,25 @@ def test_one_span_serves_two_ensembles():
     ens = _random_ensemble(rng, RegisterLayout(regs), 2)
     other = _random_ensemble(rng, RegisterLayout(regs[::-1]), 3)
     span_ens, span_other = in_span(ens, other)
-    assert span_ens.layout == span_other.layout
+    assert span_ens.shape[1:] == span_other.shape[1:]
     for c in _clients(rng, 1):
         want = steer(ens, c, ("refx",)).distance(steer(other, c, ("refx",)))
-        got = steer(span_ens, c, ("refx",)).distance(steer(span_other, c, ("refx",)))
+        got = steer(span_ensemble(span_ens), c, ("refx",)).distance(
+            steer(span_ensemble(span_other), c, ("refx",)))
         assert got == pytest.approx(want, abs=1e-12)
     with pytest.raises(LayoutError):
         in_span(ens, _random_ensemble(rng, RegisterLayout((("a", 2), (PURIFIER, 1), ("c", 2))), 1))
 
 
 def test_a_run_without_the_purifier_is_returned_as_is(rng):
+    # as its dense rows, (B, dim, 1), the other aligned to the first by name
     ens = _random_ensemble(rng, RegisterLayout((("a", 2), ("b", 1))), 2)
     other = _random_ensemble(rng, RegisterLayout((("b", 1), ("a", 2))), 1)
-    assert in_span(ens) == (ens,)
+    (alone,) = in_span(ens)
+    assert np.array_equal(alone, ens.dense()[:, :, None])
     got = in_span(ens, other)
-    assert got[0] is ens and got[1] is other
+    assert np.array_equal(got[0], ens.dense()[:, :, None])
+    assert np.array_equal(got[1], other.aligned_vectors(ens.layout.names)[:, :, None])
 
 
 def test_dropped_directions_carry_at_most_the_prune_weight():
@@ -198,8 +204,7 @@ def test_dropped_directions_carry_at_most_the_prune_weight():
     v[:, 2:] = 1e-14 * (rng.normal(size=(2, 6, 2)) + 1j * rng.normal(size=(2, 6, 2)))
     ens = Ensemble(layout, v.reshape(2, -1))
     (span,) = in_span(ens)
-    kept = int(np.count_nonzero(
-        (np.abs(span.dense().reshape(2, -1, 2)) ** 2).sum(axis=(0, 2))))
+    kept = int(np.count_nonzero((np.abs(span) ** 2).sum(axis=(0, 2))))
     dropped = 4 - kept  # R has min(8 amplitudes, 4 columns) rows
     assert (kept, dropped) == (2, 2)
     assert 0 <= _weight(ens) - _weight(span) <= dropped * BRANCH_PRUNE
@@ -226,10 +231,9 @@ def _columns(views):
 
 
 def _span_coordinates(spans):
-    """The coordinates of the same columns in the span views."""
-    labels = 2 ** spans[0].layout.width(PURIFIER)
-    return np.concatenate([s.dense().reshape(len(s.vectors), -1, labels).swapaxes(0, 1)
-                           .reshape(s.vectors.shape[1] // labels, -1) for s in spans], axis=1)
+    """The coordinates of the same columns in the ``(B, S, I)`` span
+    arrays: one column per (branch, label), one row per span row."""
+    return np.concatenate([s.swapaxes(0, 1).reshape(s.shape[1], -1) for s in spans], axis=1)
 
 
 def test_dense_columns_factor_as_a_plain_qr(monkeypatch):
@@ -246,7 +250,7 @@ def test_dense_columns_factor_as_a_plain_qr(monkeypatch):
     (got_input,) = inputs
     np.testing.assert_array_equal(got_input, a)
     coords = _span_coordinates(spans)
-    assert len(coords) == 16 and np.all(coords[len(want):] == 0)
+    assert len(coords) == len(want)  # R's rows as they are, with no padding
     np.testing.assert_array_equal(coords[:len(want)], want)
 
 
@@ -278,7 +282,8 @@ def test_zero_amplitudes_leave_the_span_as_the_full_qr_gives_it(monkeypatch, see
     np.testing.assert_allclose(gram, a.conj().T @ a, rtol=0, atol=1e-12)
     for c in _clients(rng, 1):
         want = steer(views[0], c, ("refx",)).distance(steer(views[1], c, ("refx",)))
-        got = steer(spans[0], c, ("refx",)).distance(steer(spans[1], c, ("refx",)))
+        got = steer(span_ensemble(spans[0]), c, ("refx",)).distance(
+            steer(span_ensemble(spans[1]), c, ("refx",)))
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -286,8 +291,8 @@ def test_an_all_zero_view_has_an_empty_span():
     layout = RegisterLayout((("a", 2), (PURIFIER, 1), ("b", 1)))
     zero = Ensemble(layout, np.zeros((2, layout.dim), dtype=complex))
     spans = in_span(zero, Ensemble(layout, np.zeros((1, layout.dim), dtype=complex)))
-    assert [s.vectors.shape for s in spans] == [(2, 4), (1, 4)]
-    assert all(s.layout.registers == (("span", 1), (PURIFIER, 1)) for s in spans)
+    # every branch kept, no span row, the 2 refi labels
+    assert [s.shape for s in spans] == [(2, 0, 2), (1, 0, 2)]
     assert all(_weight(s) == 0.0 for s in spans)
 
 
@@ -393,9 +398,46 @@ def test_certificates_take_one_span_per_database_and_step(monkeypatch):
     assert (sum(spans), len(spans)) == (8, 2)
 
 
+def _record_callers(monkeypatch, owner, name, calls):
+    """Record, per call of ``owner.name``, the names of the functions on
+    the calling stack."""
+    inner = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append(names)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(owner, name, recorded)
+
+
+def test_spans_reach_the_figures_as_plain_arrays(monkeypatch):
+    # the lower bound moves each run view once, in block_spans, and takes
+    # the support of nothing but its inputs: no span and no client state
+    # goes through an Ensemble
+    moves, supports = [], []
+    _record_callers(monkeypatch, runtime.Ensemble, "aligned_vectors", moves)
+    _record_callers(monkeypatch, Support, "of", supports)
+    privacy_lower_bound(build_kerenidis(4))
+    assert len(moves) == 3 and all("block_spans" in names for names in moves)
+    assert 0 < len(supports) <= 4
+    assert all({"standard_inputs", "database_runs"} & names for names in supports)
+    # the meter scatters no span and wraps no client state
+    scatters, wraps = [], []
+    _record_callers(monkeypatch, adversaries, "_purifier_last", scatters)
+    _record_callers(monkeypatch, runtime.Ensemble, "from_pure", wraps)
+    cx = build_counterexample(2)
+    measure_speciousness(cx, purified_honest(cx))
+    assert wraps  # the run inputs
+    assert not any({"steered_rows", "_client_matrix"} & names for names in scatters + wraps)
+
+
 def test_steer_reads_a_span_view_in_place(monkeypatch):
-    # in_span puts refi last, so steering a span reads its branches with no
-    # bit permutation; a run view, refi not last, takes one
+    # in_span gives plain (B, S, I) arrays with the refi labels last, so
+    # steering them (steered_rows) takes no bit permutation at all; a run
+    # view, refi not last, takes one
     inst = build_kerenidis(4)
     steps = _even_steps(inst.spec)
     runs = [run_views(inst.spec, inst.database_state(db), steps) for db in (0b0110, 0b1001)]
@@ -406,19 +448,19 @@ def test_steer_reads_a_span_view_in_place(monkeypatch):
         return gather(idx, total, slots)
 
     monkeypatch.setattr(runtime, "_gather", recording)
+    monkeypatch.setattr(adversaries, "_gather", recording)
     client = inst.client_basis_state(3)
+    member = InputSpec("i=3", "x", None, "plain", None, client)
     assert len(steps) == 3
     for t in steps:
         spans = in_span(runs[0][t], runs[1][t])
-        steered = []
-        for span in spans:
-            assert span.layout.names[-1] == PURIFIER
-            permuted.clear()
-            steered.append(steer(span, client, ()))
-            assert permuted == []
+        assert all(span.shape[-1] == 1 << inst.levels for span in spans)
+        permuted.clear()
+        (steered,) = steered_rows(spans, [member])
+        assert permuted == []
         permuted.clear()
         steer(runs[0][t], client, ())
         assert len(permuted) == 1
         want = steer(runs[1][t], client, ()).distance(steer(runs[0][t], client, ()))
         assert want > 0.5
-        assert steered[1].distance(steered[0]) == pytest.approx(want, abs=1e-12)
+        assert paired_distances([(steered[1], steered[0])])[0] == pytest.approx(want, abs=1e-12)
