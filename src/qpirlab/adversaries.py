@@ -445,7 +445,7 @@ def block_spans(ensembles, register: str | None, labels) -> list[tuple[np.ndarra
     """
     lay = ensembles[0].layout
     weights = [_label_weights(e, register) if set(labels) != {None} else None for e in ensembles]
-    order = sorted(lay.names, key=lambda name: name != PURIFIER)  # PURIFIER first, stable
+    order = sorted(lay.names, key=lambda name: name != PURIFIER)  # PURIFIER first; stable sort
     moved = [e.aligned_vectors(order) for e in ensembles]
     if not lay.has(PURIFIER):
         # each amplitude's label of `register`; a block zeroes the others
