@@ -12,19 +12,21 @@ The measured gamma is therefore a certified lower bound on the true
 worst-case figure; the families constructed in this module attain their
 worst case on the standard set by design.
 
-The meter runs each database state twice, honestly and adversarially, on
-the purified index (the ``i-entangled`` input, whose reference ``refi``
-purifies the client's index), and steers both global states at every step
-to each test input's client state (:func:`steer`), both taken first into
-one shared branch span.  :func:`database_runs` is the one place that
-decides which runs a figure makes: where no op of the specs or of the
-recoveries may relabel the database register (:func:`shared_groups`), the
-classical databases are the label blocks (:func:`database_block`) of one
-run on their sum, so each side runs once for all of them; only the
-purification attack and the superposed database run on their own.  The
-spans of every block of a step come from one move of each of the step's
-states (:func:`block_spans`), with no named copy of any block, as plain
-``(B, S, I)`` arrays: an :class:`~qpirlab.runtime.Ensemble` is a run state.
+Every figure compares states of runs on the purified index (the
+``i-entangled`` input, whose reference ``refi`` purifies the client's
+index), taken first into one shared branch span and steered at each step to
+each test input's client state (:func:`steer`).
+:func:`database_runs` is the one place that decides which runs a figure
+makes: where no op of the specs or of the recoveries may relabel the
+database register (:func:`shared_groups`), the classical databases are the
+label blocks (:func:`database_block`) of one run on their sum, so each spec
+runs once for all of them; only the purification attack and the superposed
+database run on their own.  :func:`planned_spans` is the one runner of that
+plan, for the meter here and every privacy figure: it runs each spec once
+per planned input, forms the states a figure compares at each step and
+takes the spans of every block of them from one move of each state
+(:func:`block_spans`), with no named copy of any block, as plain ``(B, S,
+I)`` arrays: an :class:`~qpirlab.runtime.Ensemble` is a run state.
 Following the paper's purification argument, the steering map acts only on
 that reference, which no program and no recovery touches, so it commutes
 with the protocol, the adversary, the recoveries (measurements included)
@@ -84,6 +86,7 @@ __all__ = [
     "purified_input",
     "shared_groups",
     "database_runs",
+    "planned_spans",
     "database_block",
     "steer",
     "block_spans",
@@ -123,8 +126,6 @@ class Adversary:
     name: str
     program: PartyProgram
     recoveries: tuple[Recovery, ...] | None
-    extra_registers: tuple[str, ...] = ()
-    notes: str = ""
 
     def modified_spec(self, spec: ProtocolSpec) -> ProtocolSpec:
         return replace(spec, server=self.program, name=f"{spec.name}~{self.name}")
@@ -298,6 +299,28 @@ def database_runs(instance: QpirInstance, groups, specs, ops) -> list[tuple]:
                      [(g, groups[g][0].db) for g in shared]))
     return runs + [(purified_input(spec, members[0].database), [(g, None)])
                    for g, members in enumerate(groups) if g not in shared]
+
+
+def planned_spans(instance: QpirInstance, groups, specs, ops, steps, states) -> list[dict]:
+    """Per database group, ``{t: spans}`` for each of ``steps``: the
+    :func:`block_spans` arrays of the group's block of the states that
+    ``states(t, transcripts)`` gives.
+
+    The runs are those :func:`database_runs` plans for ``groups`` through
+    ``specs`` (with ``ops``).  Every spec runs once on each planned input,
+    keeping ``steps``, and ``transcripts`` are those runs in the order of
+    ``specs``.  Every group's block of a step's states comes from one
+    :func:`block_spans` call, so the states share one branch span.  Each
+    step's states are released before the next step's are formed, and the
+    runs on return."""
+    db, spans = instance.database_register, [{} for _ in groups]
+    for run, blocks in database_runs(instance, groups, specs, ops):
+        transcripts = [execute(spec, run, keep=steps) for spec in specs]
+        for t in steps:
+            taken = block_spans(states(t, transcripts), db, [x for _, x in blocks])
+            for (g, _), group_spans in zip(blocks, taken):
+                spans[g][t] = group_spans
+    return spans
 
 
 def database_block(ens: Ensemble, register: str | None, label: int | None) -> Ensemble:
@@ -531,7 +554,6 @@ def purified_honest(instance: QpirInstance) -> Adversary:
         name="honest-purified",
         program=replace(spec.server, steps=tuple(steps)),
         recoveries=tuple(recoveries),
-        extra_registers=tuple(p for _, p in purified),
     )
 
 
@@ -566,9 +588,6 @@ def purification_attack(instance: QpirInstance) -> Adversary:
         name="purify-db",
         program=replace(spec.server, steps=steps),
         recoveries=(recovery,) * len(spec.schedule),
-        extra_registers=("adb", "junk"),
-        notes="recovery applies to the anchored comparison only; none exists "
-              "for the purified input",
     )
 
 
@@ -606,7 +625,6 @@ def gamma_family(instance: QpirInstance, theta: float, lossy: bool = False) -> A
         name=f"gamma-lossy:{theta}" if lossy else f"gamma:{theta}",
         program=replace(spec.server, steps=tuple(steps)),
         recoveries=tuple(recoveries),
-        extra_registers=tuple(ancillas),
     )
 
 
@@ -635,7 +653,6 @@ class SpeciousnessReport:
     rows: tuple[tuple[str, int, float], ...]  # (input label, step, distance)
     gamma_hat: float
     inputs: tuple[str, ...]
-    notes: str = ""
 
 
 def apply_recovery(transcript: ExecutionTranscript, t: int, recovery: Recovery) -> Ensemble:
@@ -681,45 +698,39 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     has a database register) is compared at every step: the step-t recovery
     is applied to the adversarial state and the result is compared globally
     with the honest state (the reference and client side ride along
-    untouched).  The runs are those :func:`database_runs` plans for the
-    honest spec, the adversarial spec and the recovery ops: each run input
-    goes once through the honest protocol and once through the adversary,
-    and at each step the recovery is applied once, its ops on the state
-    with the discards they do not touch already traced out
-    (:func:`apply_recovery`).  The step's two states
-    (``target`` and ``recovered``) go once, with every database group's
-    label, to :func:`block_spans`: each group's pair is its block of them
-    (bit for bit the states of its own runs on the purified index) in one
-    branch span, then steered to each input's client state.  The
-    register-name check runs on every run's states.
+    untouched).  The runs are those :func:`planned_spans` makes of the
+    plan for the honest spec, the adversarial spec and the recovery ops:
+    each run input goes once through the honest protocol and once through
+    the adversary, and at each step the recovery is applied once, its ops
+    on the state with the discards they do not touch already traced out
+    (:func:`apply_recovery`).  The step's two states (``target`` and
+    ``recovered``) share one branch span, so each group's pair is its block
+    of them (bit for bit the states of its own runs on the purified index),
+    then steered to each input's client state.  The register-name check
+    runs on every run's states.
     """
     spec = instance.spec
     if adversary.recoveries is None:
         raise ProtocolShapeError(f"adversary {adversary.name} ships no recovery operators")
     if len(adversary.recoveries) != len(spec.schedule):
         raise ProtocolShapeError("one recovery per global step is required")
-    db = instance.database_register
-    inputs = standard_inputs(instance, superposed_db=db is not None)
+    inputs = standard_inputs(instance, superposed_db=instance.database_register is not None)
     groups = database_groups(inputs)
-    pairs = [{} for _ in groups]  # per group: step -> (honest, recovered) in one span
-    adv_spec = adversary.modified_spec(spec)
     recovery_ops = [op for recovery in adversary.recoveries for op in recovery.ops]
-    for run_input, blocks in database_runs(instance, groups, (spec, adv_spec), recovery_ops):
-        honest = execute(spec, run_input)
-        dishonest = execute(adv_spec, run_input)
-        for t, recovery in enumerate(adversary.recoveries, start=1):
-            recovered = apply_recovery(dishonest, t, recovery)
-            target = honest.ensemble(t)
-            if set(recovered.layout.names) != set(target.layout.names):
-                raise ProtocolShapeError(
-                    f"recovered registers {recovered.layout.names} do not match "
-                    f"honest registers {target.layout.names} at step {t}"
-                )
-            # one client map steers both, so they share one span
-            spans = block_spans((target, recovered), db, [x for _, x in blocks])
-            for (g, _), pair in zip(blocks, spans):
-                pairs[g][t] = pair
-            del recovered  # the full state goes before the next step's is formed
+
+    def states(t, transcripts):
+        honest, dishonest = transcripts
+        recovered = apply_recovery(dishonest, t, adversary.recoveries[t - 1])
+        target = honest.ensemble(t)
+        if set(recovered.layout.names) != set(target.layout.names):
+            raise ProtocolShapeError(
+                f"recovered registers {recovered.layout.names} do not match "
+                f"honest registers {target.layout.names} at step {t}"
+            )
+        return target, recovered  # one client map steers both, so they share one span
+
+    pairs = planned_spans(instance, groups, (spec, adversary.modified_spec(spec)),
+                          recovery_ops, range(1, len(spec.schedule) + 1), states)
     rows = steered_distances(list(zip(groups, pairs)))
     gamma_hat = max(d for _, _, d in rows) if rows else 0.0
     return SpeciousnessReport(
@@ -727,5 +738,4 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
         rows=tuple(rows),
         gamma_hat=gamma_hat,
         inputs=tuple(ins.label for ins in inputs),
-        notes=adversary.notes,
     )

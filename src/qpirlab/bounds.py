@@ -202,7 +202,7 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
     know the database.  ``coherent-reference`` runs on the uniform database
     superposition entangled with an untouched reference, making the
     unitaries input-independent (client-executable), which is exactly the
-    input class anchored privacy excludes.  Either way each bit is measured
+    input class anchored privacy excludes; it takes no ``database``.  Either way each bit is measured
     as a :class:`BlockProjector`: one block in ``classical-per-a``, one block
     per reference label ``a`` in ``coherent-reference``, keeping the outputs
     that match bit ``i`` of ``a``.
@@ -214,6 +214,9 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
     n = instance.n
     if mode == "coherent-reference" and instance.database_register is None:
         raise ValueError("coherent-reference mode needs the quantum-database path")
+    if mode == "coherent-reference" and database is not None:
+        raise ValueError("coherent-reference mode takes no database: it runs on the "
+                         "uniform database superposition")
 
     bits = None
     if mode == "classical-per-a":

@@ -117,7 +117,7 @@ def main():
 @click.option("--protocol", default="kerenidis")
 @click.option("--n", type=int, required=True)
 @click.option("--cleanup", is_flag=True)
-@click.option("--databases", type=int, default=None,
+@click.option("--databases", type=click.IntRange(min=1), default=None,
               help="Random databases to sample (exhaustive when omitted and n <= 4).")
 @click.option("--seed", type=int, default=7)
 @_with_common
@@ -209,6 +209,16 @@ def purify(n, protocol, threshold, out, fmt):
     _finish(rows, out, fmt)
 
 
+def _attack(inst, mode: str, database: str | None):
+    """The reconstruction attack on ``inst`` in ``mode``, with the bit
+    string ``database``; an argument the attack refuses is a usage error."""
+    try:
+        return extraction_attack(inst, mode,
+                                 database=tuple(int(b) for b in database) if database else None)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 @attack.command()
 @click.option("--protocol", default="kerenidis")
 @click.option("--n", type=int, default=2)
@@ -220,8 +230,7 @@ def reconstruct(protocol, n, mode, database, out, fmt):
     """Sequential database-reconstruction attack plus the leakage chain-rule
     consistency check."""
     inst = _build(protocol, n)
-    db = tuple(int(b) for b in database) if database else None
-    trace = extraction_attack(inst, mode, database=db)
+    trace = _attack(inst, mode, database)
     check = chain_rule_check(inst, trace)
     rows = [dict(r, tolerance=TOL, ok=None) for r in trace.as_rows()]
     rows.append(dict(check.as_dict(), tolerance=TOL, ok=check.consistent))
@@ -257,8 +266,7 @@ def nayak(delta, eps, n, out, fmt):
 def chain_rule(protocol, n, mode, database, out, fmt):
     """Attack success against the interactive-leakage ceiling."""
     inst = _build(protocol, n)
-    db = tuple(int(b) for b in database) if database else None
-    trace = extraction_attack(inst, mode, database=db)
+    trace = _attack(inst, mode, database)
     check = chain_rule_check(inst, trace)
     rows = [dict(check.as_dict(), tolerance=TOL, ok=check.consistent)]
     _finish(rows, out, fmt)

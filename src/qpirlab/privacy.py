@@ -3,9 +3,10 @@
 Every figure here is a distance between server views.  The one definition
 of the view is :meth:`ExecutionTranscript.server_view`: at step ``t`` it is
 everything on the server's side plus the in-flight messages, keeping any
-reference registers.  One runner, ``_each_view``, makes the runs of one
-plan, :func:`qpirlab.adversaries.database_runs` (the speciousness meter
-follows it too), and forms each even step's view of a run once.  A spec
+reference registers.  One runner, :func:`qpirlab.adversaries.planned_spans`,
+makes the runs of one plan, :func:`qpirlab.adversaries.database_runs`, for
+every figure here and the speciousness meter: each spec of a figure runs
+once per planned input, and each even step's views are formed once.  A spec
 that only reads the database register acts on each label block of it
 alone, so every classical database is one ``db = x`` block of a single run
 on their unnormalized sum; only a spec that relabels the database (the
@@ -18,14 +19,14 @@ takes its views into that span (one QR over the amplitudes nonzero in the
 view) and steers and compares them on the span's few coordinates, plain
 ``(B, S, I)`` arrays.  Every figure reads the spans of all the databases
 of a step from one move of the step's views
-(:func:`qpirlab.adversaries.block_spans`).  The simulators
-act on the whole view of a run, so database ``x``'s simulated view is the
-``db = x`` block of theirs, by the same rule as the run's: where the runs
-are shared, no op of the plan (the recoveries the theorem simulator
-inverts included) relabels ``db``.  A certificate tensors the simulated
-view with the maximally mixed purifier and takes each database's block of
-it into one span with the run view's; steered to a client state, it
-becomes the simulated view beside that client's reference marginal.
+(:func:`qpirlab.adversaries.block_spans`, inside the runner).  The
+simulators act on the whole view of a run, so database ``x``'s simulated
+view is the ``db = x`` block of theirs, by the same rule as the run's:
+where the runs are shared, no op of the plan (the recoveries the theorem
+simulator inverts included) relabels ``db``.  A certificate tensors the
+simulated view with the maximally mixed purifier and takes each database's
+block of it into one span with the run view's; steered to a client state,
+it becomes the simulated view beside that client's reference marginal.
 
 The paper's point is that a party may run a protocol on a purification
 of its input, and the same holds for the test inputs: in the
@@ -46,9 +47,10 @@ pairwise view distance over inputs sharing a database state and a
 reference-marginal class certifies a floor under every achievable eps.
 
 Upper bounds come from explicit simulators: the honest-protocol simulator
-(rerun with the client input pinned to 1) and the specious-adversary
+(the honest view steered to the client input 1) and the specious-adversary
 simulator assembled from an extracted anchor state, the inverted purified
-recovery, and the honest simulator.  Both are scored by one certificate
+recovery, and the honest simulator, whose view it reads off an honest run
+on its own planned input.  Both are scored by one certificate
 loop over the standard anchored inputs, which compares each (run view,
 simulated view) pair through
 :func:`qpirlab.adversaries.steered_distances`, the speciousness meter's
@@ -66,8 +68,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversaries import (PURIFIER, Adversary, block_spans, database_groups, database_runs,
-                          measure_speciousness, standard_inputs, steer, steered_distances,
+from .adversaries import (PURIFIER, Adversary, database_groups, measure_speciousness,
+                          planned_spans, standard_inputs, steer, steered_distances,
                           steered_rows)
 from .channels import (
     ChannelOp,
@@ -116,20 +118,6 @@ def is_measurement_free(spec: ProtocolSpec) -> bool:
 def _even_steps(spec: ProtocolSpec) -> list[int]:
     """The client's steps, after which the server's view is compared."""
     return [st.t for st in spec.schedule if st.party == CLIENT]
-
-
-def _each_view(specs, instance: QpirInstance, groups, ops, each) -> None:
-    """``each(t, view, run, blocks)`` for each run that :func:`database_runs`
-    plans for ``groups`` through ``specs`` (with ``ops``) and each even step
-    ``t``: the server's view in the run of ``specs[0]`` on the input
-    ``run``, and ``[(g, x)]`` such that group ``g``'s view is the ``db =
-    x`` block of ``view`` (``x = None``: the whole view).  Each view is
-    formed once and released before the next, and the run on return."""
-    steps = _even_steps(instance.spec)
-    for run, blocks in database_runs(instance, groups, specs, ops):
-        tr = execute(specs[0], run, keep=steps)
-        for t in steps:
-            each(t, tr.server_view(t), run, blocks)
 
 
 @dataclass(frozen=True)
@@ -189,17 +177,13 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     steps = _even_steps(instance.spec)
     last = len(instance.spec.schedule)
     groups = database_groups(inputs)
-    spans = [[] for _ in groups]  # per group, one (B, S, I) span per even step
-    db = instance.database_register
-
-    def each(t, view, _, blocks):  # every group's span of the step from one move
-        for (g, _), (span,) in zip(blocks, block_spans((view,), db, [x for _, x in blocks])):
-            spans[g].append(span)
-    _each_view((spec,), instance, groups, (), each)
+    spans = planned_spans(instance, groups, (spec,), (), steps,
+                          lambda t, transcripts: (transcripts[0].server_view(t),))
     keys, pairs_of_rows = [], []
     for members, group_spans in zip(groups, spans):
         classes: dict[str, list] = {}
-        for ins, rows in zip(members, steered_rows(group_spans, members)):
+        views = [span for (span,) in group_spans.values()]  # one per even step, in order
+        for ins, rows in zip(members, steered_rows(views, members)):
             classes.setdefault(ins.marginal_key, []).append((ins.label, rows))
         for labelled in classes.values():
             for (la, ra), (lb, rb) in combinations(labelled, 2):
@@ -232,34 +216,33 @@ def _mixed_purifier(width: int) -> Ensemble:
                     np.eye(labels, dtype=np.complex128) / math.sqrt(labels))
 
 
-def _certificate(instance: QpirInstance, spec: ProtocolSpec, ops, simulate):
+def _certificate(instance: QpirInstance, specs, ops, simulate):
     """(eps, rows): the worst distance, over the anchored test inputs and the
-    even steps, between the input's server view in the run of ``spec`` on
-    the purified index and its simulated view beside the input's reference
-    marginal.
+    even steps, between the input's server view in the run of ``specs[0]``
+    on the purified index and its simulated view beside the input's
+    reference marginal.
 
-    The runs are those :func:`database_runs` plans for ``spec``, the honest
-    spec and ``ops``, since both of those act on the simulated side.
-    ``simulate(t, view, run, blocks)`` (:func:`_each_view`'s arguments) is
-    the simulated view of the whole run, whose ``x`` block is database
-    ``x``'s.  It is tensored with the maximally mixed :data:`PURIFIER`,
-    and one :func:`block_spans` call per run and step takes each group's
-    block of it into one branch span with its block of the run's view.
-    Steered to a client state ``c``, it becomes the simulated view tensored
-    with ``c``'s marginal on its reference registers, so both sides are
-    steered and compared as the lower bound's views are."""
+    The runs are those :func:`planned_spans` makes of the plan for
+    ``specs`` and ``ops``: every spec the simulated side reads runs once on
+    each planned input, and every op it applies is planned.
+    ``simulate(t, view, transcripts)`` is the simulated view of the whole
+    run, from its server view ``view`` and the transcripts of ``specs``;
+    its ``x`` block is database ``x``'s.  It is tensored with the maximally
+    mixed :data:`PURIFIER` and taken into one branch span with the run's
+    view, every group's block of both from one move.  Steered to a client
+    state ``c``, it becomes the simulated view tensored with ``c``'s
+    marginal on its reference registers, so both sides are steered and
+    compared as the lower bound's views are."""
     groups = database_groups(standard_inputs(instance))
-    pairs = [{} for _ in groups]  # per group: even step -> (view, sim) in one span
-    db = instance.database_register
 
-    def each(t, view, run, blocks):
-        sim = simulate(t, view, run, blocks)
+    def states(t, transcripts):
+        view = transcripts[0].server_view(t)
+        sim = simulate(t, view, transcripts)
         if view.layout.has(PURIFIER):
             sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
-        for (g, _), pair in zip(blocks, block_spans((view, sim), db, [x for _, x in blocks])):
-            pairs[g][t] = pair
+        return view, sim
 
-    _each_view((spec, instance.spec), instance, groups, ops, each)
+    pairs = planned_spans(instance, groups, specs, ops, _even_steps(instance.spec), states)
     rows = steered_distances(list(zip(groups, pairs)))
     eps = max((d for _, _, d in rows), default=0.0)
     return eps, rows
@@ -267,13 +250,12 @@ def _certificate(instance: QpirInstance, spec: ProtocolSpec, ops, simulate):
 
 class HonestSimulator:
     """Def-style simulator for the honest server: rerun with the client
-    input pinned to index 1 and output the server-side registers.  Its
-    views are of whole planned runs, so database ``x``'s is their ``x``
-    block."""
+    input pinned to index 1 and output the server-side registers.  Its view
+    of a run is that run's view steered to index 1, so it keeps no views;
+    database ``x``'s is the ``x`` block of the view of a planned run."""
 
     def __init__(self, instance: QpirInstance):
         self.instance = instance
-        self._views: dict = {}  # plan entry [(g, x)] as a tuple -> {even step: view}
         self._references: dict = {}  # x0 -> the honest run on (x0, i=1)
 
     def reference_run(self, x0) -> ExecutionTranscript:
@@ -284,32 +266,17 @@ class HonestSimulator:
             self._references[x0] = execute(inst.spec, inst.basis_input(x0, 1))
         return self._references[x0]
 
-    def _keep(self, t: int, view: Ensemble, blocks) -> Ensemble:
-        """Keep and return the simulator's own view (index 1) at step ``t``
-        of the run whose plan entry is ``blocks``, steered from ``view``,
-        the server's view in the honest run on it."""
-        own = steer(view, self.instance.client_basis_state(1), ())
-        self._views.setdefault(tuple(blocks), {})[t] = own
-        return own
-
-    def view(self, t: int, run, blocks) -> Ensemble:
-        """The simulated view at step ``t`` of the run on the input ``run``
-        whose plan entry is ``blocks``; the honest spec runs on ``run`` only
-        for an entry not seen before."""
-        if tuple(blocks) not in self._views:
-            spec = self.instance.spec
-            steps = _even_steps(spec)
-            tr = execute(spec, run, keep=steps)
-            for s in steps:
-                self._keep(s, tr.server_view(s), blocks)
-        return self._views[tuple(blocks)][t]
+    def simulated_view(self, view: Ensemble) -> Ensemble:
+        """The simulator's view (index 1) beside ``view``, the server's view
+        in an honest run on the purified index."""
+        return steer(view, self.instance.client_basis_state(1), ())
 
     def epsilon_upper(self):
         """Max distance between the simulated and the actual view over the
-        test inputs; returns (eps_upper, rows).  One honest run gives both
-        sides, and its views are kept for :meth:`view`."""
-        return _certificate(self.instance, self.instance.spec, (),
-                            lambda t, view, _, blocks: self._keep(t, view, blocks))
+        test inputs; returns (eps_upper, rows).  One honest run per planned
+        input gives both sides."""
+        return _certificate(self.instance, (self.instance.spec,), (),
+                            lambda t, view, _: self.simulated_view(view))
 
 
 _SELF_INVERSE = (HadamardOp, InnerProductCnotOp, SelectPhaseOp, SelectCnotOp,
@@ -341,8 +308,8 @@ class TheoremSimulator:
     recovery applied to (anchor tensor honest-simulator output).
 
     ``honest`` is the honest simulator of the instance; simulators of
-    several adversaries may share it, and with it its honest runs: the
-    reference run (:meth:`HonestSimulator.reference_run`) and the views.
+    several adversaries may share it, and with it the reference run
+    (:meth:`HonestSimulator.reference_run`).
     """
 
     def __init__(self, honest: HonestSimulator, adversary: Adversary, x0):
@@ -397,12 +364,14 @@ class TheoremSimulator:
     def certify(self):
         """(eps_hat, rows): worst distance between the simulator output and
         the adversary's actual view across anchored test inputs and steps.
-        The plan lists the recovery ops: inverted, they act on the simulation."""
-        adv = self.adversary
-        return _certificate(self.instance, adv.modified_spec(self.instance.spec),
+        Each planned input runs through the adversary and the honest spec,
+        whose view the honest simulator reads; the plan lists the recovery
+        ops: inverted, they act on the simulation."""
+        adv, spec = self.adversary, self.instance.spec
+        return _certificate(self.instance, (adv.modified_spec(spec), spec),
                             [op for recovery in adv.recoveries for op in recovery.ops],
-                            lambda t, _, run, blocks: self.simulated_view(
-                                t, self.honest.view(t, run, blocks)))
+                            lambda t, _, transcripts: self.simulated_view(
+                                t, self.honest.simulated_view(transcripts[1].server_view(t))))
 
 
 # The lab's figure tolerance: a computed distance at or below it is a
@@ -431,7 +400,7 @@ def verify_theorem_bound(instance: QpirInstance, adversaries, *,
     :data:`FIGURE_TOL` counts as 0 in the bound; the row keeps the raw
     ``gamma_hat``.  Each simulator takes its anchors from the run on
     database 0, index 1.  One honest simulator serves every adversary, so
-    each database's honest run is made once."""
+    the reference run is made once."""
     honest = HonestSimulator(instance)
     eps_honest, _ = honest.epsilon_upper()
     rows = []

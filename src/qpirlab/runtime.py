@@ -18,8 +18,9 @@ applies the ops in schedule order, the adversaries build their programs and
 recoveries from it and the privacy analyses take their steps from it.
 :class:`ExecutionTranscript` is the only reader of the owner tags;
 :meth:`ExecutionTranscript.server_view` is the server's view that every
-privacy analysis compares, and :meth:`Ensemble.distance` is the one
-comparison.
+privacy analysis compares, in the coordinates of its branch span, through
+:func:`~qpirlab.distances.paired_distances`; :meth:`Ensemble.distance`
+compares two whole ensembles.
 
 A state is a set of unnormalized pure branches: a measurement multiplies
 branches and mixed inputs enter as ensembles of pure branches.  Every op

@@ -11,8 +11,9 @@ runs a spec on dense branch arrays, ``dense_traced``, ``dense_aligned``
 and ``dense_block`` read a partial trace, a register order and a database
 block off the scattered branch array, and ``dense_uhlmann`` takes an
 Uhlmann unitary from two whole reordered pure states; the package reads
-every view from the runs ``adversaries.database_runs`` plans, every span
-from ``adversaries.block_spans``, traces the discards no op touches first
+every view from the runs ``adversaries.planned_spans`` makes of the plan
+of ``adversaries.database_runs``, every span from
+``adversaries.block_spans``, traces the discards no op touches first
 (``adversaries.apply_recovery``), applies every op on the support of the
 branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
 ``Ensemble.apply``) and reads traces, orders, blocks and Uhlmann overlaps
@@ -33,7 +34,7 @@ from qpirlab.states import BRANCH_PRUNE, PureState, RegisterLayout, nonzero_rows
 def run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
     """The server's view at each of ``steps`` in one run of ``spec`` over
     ``database`` on the purified index: the per-database reference that
-    every view ``privacy._each_view`` gives equals."""
+    every view ``adversaries.planned_spans`` forms equals."""
     tr = execute(spec, purified_input(spec, database), keep=steps)
     return {t: tr.server_view(t) for t in steps}
 

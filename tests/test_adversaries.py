@@ -144,7 +144,7 @@ class TestGammaFamily:
 class TestMeter:
     def test_missing_recoveries_rejected(self, k2):
         adv = purified_honest(k2)
-        stripped = type(adv)(adv.name, adv.program, None, adv.extra_registers)
+        stripped = type(adv)(adv.name, adv.program, None)
         with pytest.raises(ProtocolShapeError, match="recovery"):
             measure_speciousness(k2, stripped)
 
@@ -153,8 +153,7 @@ class TestMeter:
 
         adv = purified_honest(k2)
         bad = Recovery(ops=(HadamardOp("r1c"),))
-        broken = type(adv)(adv.name, adv.program,
-                           tuple([bad] * len(adv.recoveries)), adv.extra_registers)
+        broken = type(adv)(adv.name, adv.program, tuple([bad] * len(adv.recoveries)))
         with pytest.raises(ProtocolShapeError, match="non-adversary"):
             measure_speciousness(k2, broken)
 
@@ -257,7 +256,7 @@ def test_purification_consistency_at_register_level(k2):
         honest = execute(k2.spec, inp)
         dishonest = adv.run(k2.spec, inp)
         t = honest.steps
-        traced = dishonest.ensemble(t).traced(adv.extra_registers)
+        traced = dishonest.ensemble(t).traced(adv.recoveries[-1].discard)
         d, = paired_distances([(
             traced.aligned_vectors(honest.ensemble(t).layout.names),
             honest.ensemble(t).dense())])

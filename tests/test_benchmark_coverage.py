@@ -21,6 +21,13 @@ import spans  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
+# The executes of one task of each workload.  specious-n2 makes 33: 6 for
+# its three lower bounds, 16 for its four meters, 1 for the honest
+# certificate, 1 reference and 3 anchor runs for the theorem simulators, and
+# an adversarial and an honest run for each of the three theorem certificates.
+EXECUTES = {"decode-n8": 1, "privacy-n4": 1, "reconstruct-n4": 4, "specious-n2": 33}
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_one_task_covers_its_metrics_and_repeats_its_counts(name):
     workload = WORKLOADS[name]
@@ -36,3 +43,4 @@ def test_one_task_covers_its_metrics_and_repeats_its_counts(name):
     first, second = tracer.task_totals
     assert [m for m in workload.covers if not first[m]] == []
     assert {m: (first[m], second[m]) for m in spans.EXACT_COUNTS if first[m] != second[m]} == {}
+    assert first["runtime.execute.calls"] == EXECUTES[name]

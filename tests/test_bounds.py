@@ -304,6 +304,12 @@ class TestExtractionAttack:
         with pytest.raises(ValueError):
             extraction_attack(inst, "coherent-reference")
 
+    def test_coherent_reference_rejects_a_database(self):
+        # the mode runs on the database superposition, so a database given
+        # to it is refused rather than ignored
+        with pytest.raises(ValueError, match="coherent-reference"):
+            extraction_attack(build_kerenidis(2), "coherent-reference", database=(1, 0))
+
 
 class TestChainRule:
     def test_send_db(self):

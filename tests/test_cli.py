@@ -71,6 +71,26 @@ def test_bounds_chain_rule(runner):
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("command", [["attack", "reconstruct"], ["bounds", "chain-rule"]])
+@pytest.mark.parametrize("mode,database,message", [
+    ("coherent-reference", ["--database", "10"], "coherent-reference mode takes no database"),
+    ("classical-per-a", [], "classical-per-a mode needs a database"),
+])
+def test_attack_arguments_the_attack_refuses_are_usage_errors(runner, command, mode,
+                                                               database, message):
+    res = runner.invoke(main, [*command, "--n", "2", "--mode", mode, *database])
+    assert res.exit_code == 2, res.output
+    assert not isinstance(res.exception, ValueError)
+    assert message in res.output
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_correctness_rejects_fewer_than_one_database(runner, count):
+    res = runner.invoke(main, ["correctness", "--n", "8", "--databases", count])
+    assert res.exit_code == 2, res.output
+    assert "--databases" in res.output
+
+
 def test_unknown_protocol(runner):
     res = runner.invoke(main, ["correctness", "--protocol", "teleport", "--n", "2"])
     assert res.exit_code != 0

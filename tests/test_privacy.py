@@ -138,31 +138,30 @@ class TestTheoremSimulator:
             assert set(view.layout.names) == set(adv_tr.server_view(t).layout.names)
 
     def test_a_fresh_honest_simulator_certifies_the_same_rows(self, k2):
-        # the theorem simulator runs the honest spec on the planned run
-        # itself, or reads the views the honest certificate kept of it
+        # the theorem simulator reads the honest view off the honest run on
+        # its own planned input, whatever the honest simulator ran before
         adv = gamma_family(k2, 0.3, lossy=True)
         fresh = TheoremSimulator(HonestSimulator(k2), adv, x0=0).certify()
         honest = HonestSimulator(k2)
         honest.epsilon_upper()
         assert TheoremSimulator(honest, adv, x0=0).certify() == fresh
 
-    def test_purify_db_runs_each_database_honestly_once(self, k2, monkeypatch):
+    def test_purify_db_certify_runs_each_database_honestly(self, k2, monkeypatch):
         # the attack relabels db, so each database is a run of its own, and
-        # the honest simulator keeps its view of each
-        from qpirlab import privacy
+        # every certify runs the honest spec once on each
+        from qpirlab import adversaries
 
         sim = TheoremSimulator(HonestSimulator(k2), purification_attack(k2), x0=0)
-        inner, calls = privacy.execute, []
+        inner, calls = adversaries.execute, []
 
         def counted(spec, *args, **kwargs):
             calls.append(spec.name)
             return inner(spec, *args, **kwargs)
-        monkeypatch.setattr(privacy, "execute", counted)
-        sim.certify()
-        assert calls.count(k2.spec.name) == 4
-        calls.clear()
-        sim.certify()
-        assert calls.count(k2.spec.name) == 0
+        monkeypatch.setattr(adversaries, "execute", counted)
+        for _ in range(2):
+            calls.clear()
+            sim.certify()
+            assert calls.count(k2.spec.name) == 4
 
     def test_requires_measurement_free(self):
         cx = build_counterexample(2)
@@ -200,20 +199,21 @@ class TestTheoremBound:
         assert row.bound == row.eps_honest + 3.0 * math.sqrt(2.0 * row.gamma_hat)
         assert row.bound == pytest.approx(float.fromhex("0x1.cb12edecfe42cp-2"), abs=1e-12)
 
-    def test_honest_runs_are_shared_across_adversaries(self, k2, monkeypatch):
-        # one run of the 4 databases for the honest certificate, whose views
-        # every adversary's simulator reuses, plus one x0 reference run that
-        # the honest simulator keeps for all of them
-        from qpirlab import privacy
+    def test_each_figure_runs_the_honest_spec_on_its_own_plan(self, k2, monkeypatch):
+        # one x0 reference run that the honest simulator keeps for every
+        # adversary, one run of the 4 databases for the honest certificate,
+        # and per adversary two for its meter (the 4 databases and the
+        # superposed one) and one for its certificate
+        from qpirlab import adversaries, privacy
 
-        inner, calls = privacy.execute, []
-
-        def counted(spec, *args, **kwargs):
-            calls.append(spec.name)
-            return inner(spec, *args, **kwargs)
-        monkeypatch.setattr(privacy, "execute", counted)
+        calls = []
+        for module in (adversaries, privacy):
+            def counted(spec, *args, inner=module.execute, **kwargs):
+                calls.append(spec.name)
+                return inner(spec, *args, **kwargs)
+            monkeypatch.setattr(module, "execute", counted)
         verify_theorem_bound(k2, [gamma_family(k2, t, lossy=True) for t in (0.1, 0.2, 0.4)])
-        assert calls.count(k2.spec.name) == 2
+        assert calls.count(k2.spec.name) == 1 + 1 + 3 * (2 + 1)
 
     def test_sandwich_lower_vs_certified(self, k2):
         adv = gamma_family(k2, 0.4, lossy=True)

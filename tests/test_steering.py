@@ -248,7 +248,7 @@ def test_a_recovery_that_relabels_db_runs_each_database_alone(monkeypatch):
     runs = database_runs(inst, groups, (adv.modified_spec(inst.spec), inst.spec), ops)
     assert [blocks for _, blocks in runs] == [[(g, None)] for g in range(4)]
     sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
-    calls = _count_calls(monkeypatch, privacy)
+    calls = _count_calls(monkeypatch, adversaries)
     eps, rows = sim.certify()
     # an honest and an adversarial run per database
     assert calls.count(inst.spec.name) == 4 and len(calls) == 8
@@ -288,7 +288,7 @@ def _count_calls(monkeypatch, module):
 
 
 def test_privacy_lower_bound_runs_every_classical_database_in_one_execute(monkeypatch):
-    calls = _count_calls(monkeypatch, privacy)
+    calls = _count_calls(monkeypatch, adversaries)
     report = privacy_lower_bound(build_kerenidis(4))
     # the 16 databases are the db blocks of one run
     assert len(calls) == 1
@@ -297,7 +297,7 @@ def test_privacy_lower_bound_runs_every_classical_database_in_one_execute(monkey
 
 def test_honest_certificate_runs_every_classical_database_in_one_execute(monkeypatch):
     # the simulated view (index 1) and the actual views share the one run
-    calls = _count_calls(monkeypatch, privacy)
+    calls = _count_calls(monkeypatch, adversaries)
     HonestSimulator(build_kerenidis(4)).epsilon_upper()
     assert len(calls) == 1
 
@@ -368,16 +368,14 @@ def _shared_figures(inst, adv):
 def test_shared_figures_equal_the_per_database_runs(monkeypatch, inst_name, adv_name):
     inst = _instance(inst_name)
     adv = _adversary(inst, adv_name or "honest-purified")
-    privacy_calls = _count_calls(monkeypatch, privacy)
-    meter_calls = _count_calls(monkeypatch, adversaries)
+    calls = _count_calls(monkeypatch, adversaries)
     got = _shared_figures(inst, adv)
-    shared = len(privacy_calls), len(meter_calls)
-    privacy_calls.clear()
-    meter_calls.clear()
+    shared = len(calls)
+    calls.clear()
     # the reference: every database group runs on its own
     monkeypatch.setattr(adversaries, "shared_groups", lambda *args: [])
     want = _shared_figures(inst, adv)
-    assert len(privacy_calls) > shared[0] and len(meter_calls) > shared[1]
+    assert len(calls) > shared
     assert got.keys() == want.keys()
     for name in got:
         assert len(got[name]) == len(want[name]) > 0, name
@@ -392,13 +390,13 @@ def test_purify_db_and_the_superposed_database_run_on_their_own(monkeypatch):
     assert shared_groups(k2, groups, (attack.modified_spec(k2.spec),), ()) == []
     assert shared_groups(k2, groups, (k2.spec,), attack.recoveries[0].ops) == []
     assert shared_groups(k2, groups, (k2.spec,), ()) == [0, 1, 2, 3]
-    calls = _count_calls(monkeypatch, privacy)
+    calls = _count_calls(monkeypatch, adversaries)
     privacy_lower_bound(k2, attack, "full")
     assert len(calls) == 5  # four classical databases and x=+, one run each
     calls.clear()
     privacy_lower_bound(k2, None, "full")
     assert len(calls) == 2  # the classical databases together, and x=+
-    calls = _count_calls(monkeypatch, adversaries)
+    calls.clear()
     measure_speciousness(k2, attack)
     assert len(calls) == 10  # five database states, honest and adversarial
     calls.clear()

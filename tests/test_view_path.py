@@ -328,8 +328,8 @@ def _counting_spans(monkeypatch, spans, module):
 
 def test_lower_bound_takes_one_span_per_database_and_step(monkeypatch):
     executes, spans, distances, qrs = [], [], [], []
-    _counting(monkeypatch, executes, privacy, "execute")
-    _counting_spans(monkeypatch, spans, privacy)
+    _counting(monkeypatch, executes, adversaries, "execute")
+    _counting_spans(monkeypatch, spans, adversaries)
     _counting(monkeypatch, distances, distances_module, "ensemble_trace_distance")
     _counting(monkeypatch, qrs, np.linalg, "qr")
     report = privacy_lower_bound(build_kerenidis(4))
@@ -380,8 +380,8 @@ def test_meter_measures_the_recovery_on_the_reduced_state(monkeypatch):
 
 def test_certificates_take_one_span_per_database_and_step(monkeypatch):
     executes, spans, qrs = [], [], []
-    _counting(monkeypatch, executes, privacy, "execute")
-    _counting_spans(monkeypatch, spans, privacy)
+    _counting(monkeypatch, executes, adversaries, "execute")
+    _counting_spans(monkeypatch, spans, adversaries)
     _counting(monkeypatch, qrs, np.linalg, "qr")
     privacy.HonestSimulator(build_kerenidis(4)).epsilon_upper()
     # 16 databases x 3 even steps, all in one run; the simulated view
@@ -411,6 +411,30 @@ def _record_callers(monkeypatch, owner, name, calls):
         calls.append(names)
         return inner(*args, **kwargs)
     monkeypatch.setattr(owner, name, recorded)
+
+
+def test_every_figure_runs_its_plan_through_the_one_runner(monkeypatch):
+    # the lower bound, the meter and both certificates take their runs from
+    # database_runs only inside planned_spans, and the honest simulator
+    # keeps nothing but its reference runs
+    plans = []
+    _record_callers(monkeypatch, adversaries, "database_runs", plans)
+    k2, cx = build_kerenidis(2), build_counterexample(2)
+    honest = privacy.HonestSimulator(k2)
+    theorem = privacy.TheoremSimulator(honest, adversary_by_name(k2, "gamma-lossy:0.3"), 0)
+    figures = {
+        "privacy_lower_bound": lambda: privacy_lower_bound(k2),
+        "measure_speciousness": lambda: measure_speciousness(cx, purified_honest(cx)),
+        "epsilon_upper": honest.epsilon_upper,
+        "certify": theorem.certify,
+    }
+    for name, figure in figures.items():
+        plans.clear()
+        figure()
+        assert len(plans) == 1, name
+        assert {name, "planned_spans"} <= plans[0], name
+    assert not {"database_runs", "block_spans"} & set(vars(privacy))
+    assert set(vars(honest)) == {"instance", "_references"}
 
 
 def test_spans_reach_the_figures_as_plain_arrays(monkeypatch):
