@@ -2,9 +2,10 @@
 
 The figures are the privacy rows (kerenidis n = 2 and 4 in both modes, the
 purification attack, the counterexample honest and purified), the
-speciousness rows, the honest and theorem certificates, the same three
-families on two runs without an index register (kerenidis n = 1 and the
-send-db baseline at n = 1, whose runs carry no ``refi``), the
+speciousness rows, the honest and theorem certificates (with each theorem
+simulator's extraction bound per even step, which pins its anchors), the
+same three families on two runs without an index register (kerenidis n = 1
+and the send-db baseline at n = 1, whose runs carry no ``refi``), the
 ``verify_theorem_bound`` rows, the reconstruction attack (n = 2 and 4, both
 modes, and the two baselines) and the decode distribution of kerenidis
 n = 8.  ``float.hex`` is exact, so two commits give the same outputs when
@@ -61,6 +62,8 @@ def theorem_figures(name, inst):
     for adv in ADVERSARIES:
         sim = TheoremSimulator(HonestSimulator(inst), adversary_by_name(inst, adv), 0)
         certificate_figures(f"theorem/{name}/{adv}", sim.certify()[1])
+        for t, bound in sim.extraction_bounds.items():
+            emit(f"certificate/theorem/{name}/{adv}/extraction_bound/t{t}", bound)
 
 
 def attack_figures(name, inst, mode, database):

@@ -15,7 +15,7 @@ worst case on the standard set by design.
 Every figure compares states of runs on the purified index (the
 ``i-entangled`` input, whose reference ``refi`` purifies the client's
 index), taken first into one shared branch span and steered at each step to
-each test input's client state (:func:`steer`).
+each test input's client state (:func:`steered_rows`).
 :func:`database_runs` is the one place that decides which runs a figure
 makes: where no op of the specs or of the recoveries may relabel the
 database register (:func:`shared_groups`), the classical databases are the
@@ -34,10 +34,11 @@ and the discards: the steered distances are those of separate runs.  By
 the same commutation a recovery traces out the discards its ops do not
 touch before the ops (:func:`apply_recovery`), on the reduced state.
 
-:func:`steer` is the one steering function and keeps no state.  It is a
-client matrix, formed from the input's client state, times the run's
-branches; :func:`steered_rows` forms each input's matrix once and takes one
-product per input for all the spans of one shape.  One comparison loop,
+:func:`steered_rows` is the one steering function and keeps no state: a
+client matrix, formed once from each input's client state, times the span
+arrays, one product per input for all the spans of one shape.  It steers
+nothing but spans; the privacy certificates pin the index with the same
+matrix and product.  One comparison loop,
 :func:`steered_distances`, serves the meter here and both privacy
 certificates: it takes every database group of a figure, steers each step's
 pair to every input and measures all the pairs together, one stacked QR per
@@ -88,7 +89,6 @@ __all__ = [
     "database_runs",
     "planned_spans",
     "database_block",
-    "steer",
     "block_spans",
     "steered_rows",
     "steered_distances",
@@ -354,55 +354,21 @@ def _label_weights(ens: Ensemble, register: str) -> np.ndarray:
     return np.bincount(key, np.abs(sup.value) ** 2, minlength=len(sup) << w).reshape(-1, 1 << w)
 
 
-def steer(ens: Ensemble, client: PureState | Ensemble, reference) -> Ensemble:
-    """``ens``, taken from a run on :func:`purified_input`, as the run on
-    ``client`` would give it.
-
-    ``client`` is a state of the client's index register plus the
-    ``reference`` registers.  Each of its branches ``c`` contributes the
-    branches of ``ens`` with ``sqrt(n) sum_{i,r} c[i, r] |r><i|`` applied to
-    :data:`PURIFIER`, which puts ``reference`` in its place (appended to the
-    layout).  Branches left at zero weight are dropped, as a run drops them.
-    ``ens`` is read with :data:`PURIFIER` last, with no bit permutation
-    when it is already last.  A run without :data:`PURIFIER` had no index
-    to purify, so it is the run on every client state, and those must have
-    no index either.
-    """
-    rest, c = _client_matrix(client, reference, (ens.layout.has(PURIFIER),))
-    if c is None:
-        return ens
-    others, v = _purifier_last(ens)
-    rows, weights = _product(v, c)
-    return Ensemble(RegisterLayout(others + rest), rows[nonzero_rows(weights)])
-
-
 def _client_matrix(client: PureState | Ensemble, reference, purified):
-    """``(rest, c)``: the ``reference`` registers of ``client`` in its
-    layout order, and its branches as matrices ``c[k, i, r]`` over the index
-    label ``i`` and the reference label ``r`` (``None`` without an index).
-    Raises unless each run, ``purified`` saying whether it has
-    :data:`PURIFIER`, has it exactly when the client has an index."""
+    """The branches of ``client`` as matrices ``c[k, i, r]`` over the index
+    label ``i`` and the label ``r`` of its ``reference`` registers, in its
+    layout order (``None`` without an index).  Raises unless each run,
+    ``purified`` saying whether it has :data:`PURIFIER`, has it exactly when
+    the client has an index."""
     lay = client.layout
     index = [name for name in lay.names if name not in reference]
     if any(p != bool(index) for p in purified):
         raise LayoutError(f"client registers {list(lay.names)} with reference {list(reference)} "
                           f"do not fit a run {'without' if index else 'with'} {PURIFIER}")
-    rest = tuple(r for r in lay.registers if r[0] not in index)
     if not index:
-        return rest, None
+        return None
     v = client.amplitudes[None] if isinstance(client, PureState) else client.dense()
-    return rest, slots_to_front(v, lay.total_qubits, lay.slots(index))
-
-
-def _purifier_last(ens: Ensemble):
-    """``(others, v)``: the registers of ``ens`` but :data:`PURIFIER`, and
-    its branches as ``v[b, s, i]`` over those registers' label ``s`` and the
-    :data:`PURIFIER` label ``i``."""
-    lay = ens.layout
-    others = tuple(r for r in lay.registers if r[0] != PURIFIER)
-    labels = 1 << lay.width(PURIFIER)
-    v = ens.aligned_vectors([*(n for n, _ in others), PURIFIER])
-    return others, v.reshape(len(v), lay.dim // labels, labels)
+    return slots_to_front(v, lay.total_qubits, lay.slots(index))
 
 
 def _product(v: np.ndarray, c: np.ndarray):
@@ -415,13 +381,13 @@ def _product(v: np.ndarray, c: np.ndarray):
 
 def steered_rows(views, members) -> list[list[np.ndarray]]:
     """``out[m][j]``: the ``(B, S, I)`` span array ``views[j]`` of
-    :func:`block_spans` steered, as :func:`steer` steers a run, to the
-    ``m``-th input of ``members``; without :data:`PURIFIER` (``I == 1``),
-    its rows as they are.
-
-    Each input's client matrix is formed once, and the views of one shape
-    are steered by one product per input, then pruned view by view as
-    :func:`steer` prunes."""
+    :func:`block_spans` steered to the ``m``-th input of ``members``: each
+    branch ``c`` of its client state contributes the rows with ``sqrt(n)
+    sum_{i,r} c[i, r] |r><i|`` applied to :data:`PURIFIER`, which puts the
+    input's references in its place.  Without :data:`PURIFIER` (``I ==
+    1``), the rows as they are.  Each input's client matrix is formed once,
+    the views of one shape are steered by one product per input, and rows
+    left at zero weight are dropped view by view, as a run drops them."""
     shapes: dict[tuple, list] = {}  # (span rows, purifier labels) -> view indices
     for j, v in enumerate(views):
         if v.shape[-1] > 1:
@@ -431,7 +397,7 @@ def steered_rows(views, members) -> list[list[np.ndarray]]:
                np.concatenate([views[j] for j in js])) for js in shapes.values()]
     out = []
     for ins in members:
-        _, c = _client_matrix(ins.client, ins.reference, [v.shape[-1] > 1 for v in views])
+        c = _client_matrix(ins.client, ins.reference, [v.shape[-1] > 1 for v in views])
         if c is None:
             out.append([v[:, :, 0] for v in views])
             continue

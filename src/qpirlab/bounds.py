@@ -174,7 +174,7 @@ class ReconstructionTrace:
     bits: tuple[BitExtraction, ...]
     overall: float
     client_executable: bool
-    notes: str = ""
+    notes: str
 
     def as_rows(self) -> list[dict]:
         base = {"protocol": self.protocol, "n": self.n, "mode": self.mode,

@@ -42,6 +42,13 @@ TOL = 1e-9
 
 
 def _build(protocol: str, n: int, cleanup: bool = False, database=None):
+    """``protocol``'s instance.  Only kerenidis has a cleanup phase, and the
+    counterexample takes no database; either option given to a protocol
+    without it is a usage error."""
+    if cleanup and protocol in ("send-db", "send-index", "counterexample"):
+        raise click.UsageError(f"--cleanup does not apply to protocol {protocol!r}")
+    if database is not None and protocol == "counterexample":
+        raise click.UsageError(f"--database does not apply to protocol {protocol!r}")
     try:
         if protocol == "kerenidis":
             return build_kerenidis(n, cleanup=cleanup, database=database)

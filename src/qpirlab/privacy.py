@@ -23,10 +23,11 @@ of a step from one move of the step's views
 simulators act on the whole view of a run, so database ``x``'s simulated
 view is the ``db = x`` block of theirs, by the same rule as the run's:
 where the runs are shared, no op of the plan (the recoveries the theorem
-simulator inverts included) relabels ``db``.  A certificate tensors the
-simulated view with the maximally mixed purifier and takes each database's
-block of it into one span with the run view's; steered to a client state,
-it becomes the simulated view beside that client's reference marginal.
+simulator inverts included) relabels ``db``.  The simulated view keeps the
+purifier: a certificate takes each database's block of it into one span
+with the run view's and pins it there to index 1 beside the maximally mixed
+purifier; steered to a client state, that is the simulated view beside the
+client's reference marginal.
 
 The paper's point is that a party may run a protocol on a purification
 of its input, and the same holds for the test inputs: in the
@@ -38,8 +39,10 @@ client state ``c`` over the index and its references (one map per branch of
 with every channel on the other registers (unitaries, measurements, Kraus
 operators, recoveries) and with the partial trace that forms the view.
 Steering the views of the one run on the purified index
-(:func:`qpirlab.adversaries.steer`) is therefore exact for every spec,
-measuring ones included; no analysis runs ``execute`` once per test input.
+(:func:`qpirlab.adversaries.steered_rows`, the one steering function) is
+therefore exact for every spec, measuring ones included; no analysis runs
+``execute`` once per test input.  By the same commutation the simulators
+act before the index is pinned.
 
 Lower bounds need no simulator: two runs that any one simulator state must
 approximate within eps sit within 2 eps of each other, so half the largest
@@ -47,7 +50,7 @@ pairwise view distance over inputs sharing a database state and a
 reference-marginal class certifies a floor under every achievable eps.
 
 Upper bounds come from explicit simulators: the honest-protocol simulator
-(the honest view steered to the client input 1) and the specious-adversary
+(the honest view pinned to the client input 1) and the specious-adversary
 simulator assembled from an extracted anchor state, the inverted purified
 recovery, and the honest simulator, whose view it reads off an honest run
 on its own planned input.  Both are scored by one certificate
@@ -68,9 +71,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversaries import (PURIFIER, Adversary, database_groups, measure_speciousness,
-                          planned_spans, standard_inputs, steer, steered_distances,
-                          steered_rows)
+from .adversaries import (PURIFIER, Adversary, _client_matrix, _product, database_groups,
+                          measure_speciousness, planned_spans, standard_inputs,
+                          steered_distances, steered_rows)
 from .channels import (
     ChannelOp,
     CnotOp,
@@ -93,7 +96,7 @@ from .runtime import (
     ProtocolSpec,
     execute,
 )
-from .states import PureState, RegisterLayout
+from .states import PureState, nonzero_rows
 
 __all__ = [
     "PrivacyRow",
@@ -140,7 +143,7 @@ class PrivacyReport:
     adversary: str
     rows: tuple[PrivacyRow, ...]
     eps_lower: float
-    target: float | None = None
+    target: float | None
 
     @property
     def passed(self) -> bool | None:
@@ -208,12 +211,21 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
 # ---------------------------------------------------------------------------
 
 
-def _mixed_purifier(width: int) -> Ensemble:
-    """The maximally mixed :data:`PURIFIER`: one branch ``e_i / sqrt(L)`` per
-    label."""
-    labels = 1 << width
-    return Ensemble(RegisterLayout(((PURIFIER, width),)),
-                    np.eye(labels, dtype=np.complex128) / math.sqrt(labels))
+def _pinned(sim: np.ndarray, client: PureState) -> np.ndarray:
+    """``sim``, a ``(B, S, I)`` span array, pinned to the index state
+    ``client`` beside the maximally mixed :data:`PURIFIER`: steered by the
+    client matrix and product of :func:`~qpirlab.adversaries.steered_rows`,
+    its rows at zero weight dropped, then one branch ``(b, l)`` per label
+    ``l``, at ``l``, over ``sqrt(I)``.  ``I == 1`` (no index) is as it is."""
+    c = _client_matrix(client, (), (sim.shape[-1] > 1,))
+    if c is None:
+        return sim
+    rows, weights = _product(sim, c)
+    pinned, labels = rows[nonzero_rows(weights)], sim.shape[-1]
+    out = np.zeros((len(pinned), labels, pinned.shape[1], labels), dtype=np.complex128)
+    at = np.arange(labels)
+    out[:, at, :, at] = pinned / math.sqrt(labels)
+    return out.reshape(-1, pinned.shape[1], labels)
 
 
 def _certificate(instance: QpirInstance, specs, ops, simulate):
@@ -225,24 +237,26 @@ def _certificate(instance: QpirInstance, specs, ops, simulate):
     The runs are those :func:`planned_spans` makes of the plan for
     ``specs`` and ``ops``: every spec the simulated side reads runs once on
     each planned input, and every op it applies is planned.
-    ``simulate(t, view, transcripts)`` is the simulated view of the whole
-    run, from its server view ``view`` and the transcripts of ``specs``;
-    its ``x`` block is database ``x``'s.  It is tensored with the maximally
-    mixed :data:`PURIFIER` and taken into one branch span with the run's
-    view, every group's block of both from one move.  Steered to a client
-    state ``c``, it becomes the simulated view tensored with ``c``'s
-    marginal on its reference registers, so both sides are steered and
-    compared as the lower bound's views are."""
+    ``simulate(t, view, transcripts)`` is the simulator's view of the whole
+    run, :data:`PURIFIER` still in it, from its server view ``view`` and
+    the transcripts of ``specs``; its ``x`` block is database ``x``'s.
+    Every group's block of both is taken into one branch span from one
+    move, and the simulated span is pinned to index 1 beside the maximally
+    mixed :data:`PURIFIER` (:func:`_pinned`; the pin acts on that reference
+    alone, so it commutes with the simulator).  Steered to a client state
+    ``c``, it becomes the simulated view tensored with ``c``'s marginal on
+    its reference registers, so both sides are steered and compared as the
+    lower bound's views are."""
     groups = database_groups(standard_inputs(instance))
 
     def states(t, transcripts):
         view = transcripts[0].server_view(t)
-        sim = simulate(t, view, transcripts)
-        if view.layout.has(PURIFIER):
-            sim = sim.tensor(_mixed_purifier(view.layout.width(PURIFIER)))
-        return view, sim
+        return view, simulate(t, view, transcripts)
 
-    pairs = planned_spans(instance, groups, specs, ops, _even_steps(instance.spec), states)
+    index = instance.client_basis_state(1)
+    pairs = [{t: (view, _pinned(sim, index)) for t, (view, sim) in spans.items()}
+             for spans in planned_spans(instance, groups, specs, ops,
+                                        _even_steps(instance.spec), states)]
     rows = steered_distances(list(zip(groups, pairs)))
     eps = max((d for _, _, d in rows), default=0.0)
     return eps, rows
@@ -250,9 +264,10 @@ def _certificate(instance: QpirInstance, specs, ops, simulate):
 
 class HonestSimulator:
     """Def-style simulator for the honest server: rerun with the client
-    input pinned to index 1 and output the server-side registers.  Its view
-    of a run is that run's view steered to index 1, so it keeps no views;
-    database ``x``'s is the ``x`` block of the view of a planned run."""
+    input pinned to index 1 and output the server-side registers.  That is
+    the run on the purified index with :data:`PURIFIER` pinned, so its view
+    of a run is the run's view, which the certificate pins; it keeps no
+    views, and database ``x``'s is the ``x`` block of a planned run's."""
 
     def __init__(self, instance: QpirInstance):
         self.instance = instance
@@ -266,17 +281,11 @@ class HonestSimulator:
             self._references[x0] = execute(inst.spec, inst.basis_input(x0, 1))
         return self._references[x0]
 
-    def simulated_view(self, view: Ensemble) -> Ensemble:
-        """The simulator's view (index 1) beside ``view``, the server's view
-        in an honest run on the purified index."""
-        return steer(view, self.instance.client_basis_state(1), ())
-
     def epsilon_upper(self):
         """Max distance between the simulated and the actual view over the
         test inputs; returns (eps_upper, rows).  One honest run per planned
         input gives both sides."""
-        return _certificate(self.instance, (self.instance.spec,), (),
-                            lambda t, view, _: self.simulated_view(view))
+        return _certificate(self.instance, (self.instance.spec,), (), lambda t, view, _: view)
 
 
 _SELF_INVERSE = (HadamardOp, InnerProductCnotOp, SelectPhaseOp, SelectCnotOp,
@@ -352,7 +361,8 @@ class TheoremSimulator:
     def simulated_view(self, t: int, honest_view: Ensemble) -> Ensemble:
         """Simulator output at even step ``t``, the reconstructed adversary
         view: the inverted recovery applied to (anchor tensor
-        ``honest_view``), the honest simulator's view."""
+        ``honest_view``), the honest simulator's view.  The recovery leaves
+        :data:`PURIFIER` alone, so it may act before the index is pinned."""
         anchor = self.anchors[t]
         if anchor is None:
             return honest_view
@@ -365,13 +375,13 @@ class TheoremSimulator:
         """(eps_hat, rows): worst distance between the simulator output and
         the adversary's actual view across anchored test inputs and steps.
         Each planned input runs through the adversary and the honest spec,
-        whose view the honest simulator reads; the plan lists the recovery
-        ops: inverted, they act on the simulation."""
+        whose server view is the honest simulator's; the plan lists the
+        recovery ops: inverted, they act on the simulation."""
         adv, spec = self.adversary, self.instance.spec
         return _certificate(self.instance, (adv.modified_spec(spec), spec),
                             [op for recovery in adv.recoveries for op in recovery.ops],
                             lambda t, _, transcripts: self.simulated_view(
-                                t, self.honest.simulated_view(transcripts[1].server_view(t))))
+                                t, transcripts[1].server_view(t)))
 
 
 # The lab's figure tolerance: a computed distance at or below it is a

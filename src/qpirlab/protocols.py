@@ -162,7 +162,7 @@ class QpirInstance:
             input_state = self.basis_input(db, index)
         return execute(self.spec, input_state, keep=None if keep_states else ())
 
-    def decode(self, transcript: ExecutionTranscript, index: int = 1):
+    def decode(self, transcript: ExecutionTranscript, index: int):
         return decode_output(transcript, index,
                              output_register=self.output_register,
                              index_register=self.index_register)
@@ -381,7 +381,7 @@ def build_counterexample(n: int) -> QpirInstance:
 # ---------------------------------------------------------------------------
 
 
-def decode_output(transcript: ExecutionTranscript, index: int = 1, *,
+def decode_output(transcript: ExecutionTranscript, index: int, *,
                   output_register: str,
                   index_register: str | None = "idx") -> tuple[int, float]:
     """Standard-basis readout of the client's response register.

@@ -2,10 +2,10 @@
 
 ``run_views`` runs a spec once per database on the purified index,
 ``in_span`` takes whole ensembles into their branch span, as the plain
-``(B, S, I)`` arrays of ``adversaries.block_spans``, and ``span_ensemble``
+``(B, S, I)`` arrays of ``adversaries.block_spans``, ``span_ensemble``
 wraps such an array as the ``Ensemble`` that ``steer`` and
-``Ensemble.distance`` read,
-``recover_in_order`` applies a recovery's ops before any discard,
+``Ensemble.distance`` read, ``steer`` steers a whole ensemble to a client
+state, ``recover_in_order`` applies a recovery's ops before any discard,
 ``dense_apply`` applies an op to a dense branch array, ``dense_execute``
 runs a spec on dense branch arrays, ``dense_traced``, ``dense_aligned``
 and ``dense_block`` read a partial trace, a register order and a database
@@ -13,7 +13,8 @@ block off the scattered branch array, and ``dense_uhlmann`` takes an
 Uhlmann unitary from two whole reordered pure states; the package reads
 every view from the runs ``adversaries.planned_spans`` makes of the plan
 of ``adversaries.database_runs``, every span from
-``adversaries.block_spans``, traces the discards no op touches first
+``adversaries.block_spans``, steers only span arrays
+(``adversaries.steered_rows``), traces the discards no op touches first
 (``adversaries.apply_recovery``), applies every op on the support of the
 branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
 ``Ensemble.apply``) and reads traces, orders, blocks and Uhlmann overlaps
@@ -23,7 +24,8 @@ import math
 
 import numpy as np
 
-from qpirlab.adversaries import PURIFIER, Recovery, block_spans, purified_input
+from qpirlab.adversaries import (PURIFIER, Recovery, _client_matrix, _product, block_spans,
+                                 purified_input)
 from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, PrepareOp,
                               RotateOp, SelectPhaseOp, _apply_local, _gather)
 from qpirlab.distances import UhlmannPreconditionError, _split_matrix
@@ -59,6 +61,41 @@ def span_ensemble(coords: np.ndarray) -> Ensemble:
     padded[:, :rows] = coords
     registers = (("span", width),) + (((PURIFIER, labels.bit_length() - 1),) if labels > 1 else ())
     return Ensemble(RegisterLayout(registers), padded.reshape(branches, -1))
+
+
+def steer(ens: Ensemble, client, reference) -> Ensemble:
+    """``ens``, taken from a run on ``purified_input``, as the run on
+    ``client`` would give it: the whole-ensemble steering that
+    ``adversaries.steered_rows`` must equal on span arrays.
+
+    ``client`` is a state of the client's index register plus the
+    ``reference`` registers.  Each of its branches ``c`` contributes the
+    branches of ``ens`` with ``sqrt(n) sum_{i,r} c[i, r] |r><i|`` applied to
+    ``PURIFIER``, which puts ``reference`` in its place (appended to the
+    layout).  Branches left at zero weight are dropped, as a run drops them.
+    ``ens`` is read with ``PURIFIER`` last, with no bit permutation
+    when it is already last.  A run without ``PURIFIER`` had no index
+    to purify, so it is the run on every client state, and those must have
+    no index either.
+    """
+    c = _client_matrix(client, reference, (ens.layout.has(PURIFIER),))
+    if c is None:
+        return ens
+    rest = tuple(r for r in client.layout.registers if r[0] in reference)
+    others, v = _purifier_last(ens)
+    rows, weights = _product(v, c)
+    return Ensemble(RegisterLayout(others + rest), rows[nonzero_rows(weights)])
+
+
+def _purifier_last(ens: Ensemble):
+    """``(others, v)``: the registers of ``ens`` but ``PURIFIER``, and
+    its branches as ``v[b, s, i]`` over those registers' label ``s`` and the
+    ``PURIFIER`` label ``i``."""
+    lay = ens.layout
+    others = tuple(r for r in lay.registers if r[0] != PURIFIER)
+    labels = 1 << lay.width(PURIFIER)
+    v = ens.aligned_vectors([*(n for n, _ in others), PURIFIER])
+    return others, v.reshape(len(v), lay.dim // labels, labels)
 
 
 def recover_in_order(transcript: ExecutionTranscript, t: int, recovery: Recovery) -> Ensemble:

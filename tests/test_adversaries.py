@@ -17,7 +17,6 @@ from qpirlab.adversaries import (
     purified_honest,
     purified_input,
     standard_inputs,
-    steer,
 )
 from qpirlab.channels import HadamardOp, MeasureOp, PrepareOp
 from qpirlab.distances import paired_distances
@@ -26,7 +25,7 @@ from qpirlab.protocols import build_baseline, build_counterexample, build_kereni
 from qpirlab.runtime import (Ensemble, PartyProgram, PartyStep, ProtocolShapeError, ProtocolSpec,
                              execute)
 from qpirlab.states import LayoutError, RegisterLayout
-from span_reference import recover_in_order
+from span_reference import recover_in_order, steer
 
 # measured once from the exact simulation and frozen; equals sin^2(theta/2)/2,
 # attained on the superposed-database inputs at the final step

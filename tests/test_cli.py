@@ -91,6 +91,31 @@ def test_correctness_rejects_fewer_than_one_database(runner, count):
     assert "--databases" in res.output
 
 
+@pytest.mark.parametrize("args,option", [
+    (["correctness", "--protocol", "send-db", "--n", "2", "--cleanup"], "--cleanup"),
+    (["correctness", "--protocol", "send-index", "--n", "2", "--cleanup"], "--cleanup"),
+    (["correctness", "--protocol", "counterexample", "--n", "2", "--cleanup"], "--cleanup"),
+    (["spec", "--protocol", "send-db", "--n", "2", "--cleanup"], "--cleanup"),
+    (["spec", "--protocol", "counterexample", "--n", "2", "--cleanup", "--database", "01"],
+     "--cleanup"),
+    (["spec", "--protocol", "counterexample", "--n", "2", "--database", "01"], "--database"),
+])
+def test_options_a_protocol_does_not_take_are_usage_errors(runner, args, option):
+    # the builder would drop the option and report the plain protocol
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    protocol = args[args.index("--protocol") + 1]
+    assert option in res.output and repr(protocol) in res.output
+    assert '"cleanup": true' not in res.output and "register" not in res.output
+
+
+@pytest.mark.parametrize("protocol", ["send-db", "send-index", "counterexample"])
+def test_correctness_builds_every_protocol_without_those_options(runner, protocol):
+    # correctness hands every protocol but the counterexample its database
+    res = runner.invoke(main, ["correctness", "--protocol", protocol, "--n", "2"])
+    assert res.exit_code == 0, res.output
+
+
 def test_unknown_protocol(runner):
     res = runner.invoke(main, ["correctness", "--protocol", "teleport", "--n", "2"])
     assert res.exit_code != 0

@@ -65,7 +65,7 @@ import numpy as np
 import pytest
 
 from qpirlab.adversaries import (adversary_by_name, database_groups, gamma_family,
-                                 measure_speciousness, standard_inputs, steer)
+                                 measure_speciousness, standard_inputs)
 from qpirlab.bounds import extraction_attack
 from qpirlab.channels import HadamardOp, MeasureOp
 from qpirlab.privacy import (FIGURE_TOL, HonestSimulator, TheoremSimulator,
@@ -74,7 +74,7 @@ from qpirlab.protocols import build_counterexample, build_kerenidis, database_bi
 from qpirlab.runtime import CLIENT
 from qpirlab.states import RegisterLayout
 from conftest import random_pure
-from span_reference import run_views
+from span_reference import run_views, steer
 from test_kernel_reference import REFERENCE
 
 TOL = 1e-12

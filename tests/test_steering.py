@@ -31,7 +31,6 @@ from qpirlab.adversaries import (
     purified_input,
     shared_groups,
     standard_inputs,
-    steer,
     steered_rows,
 )
 from qpirlab.privacy import (
@@ -45,7 +44,7 @@ from qpirlab.channels import HadamardOp
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import PureState, RegisterLayout
-from span_reference import in_span, run_views, span_ensemble
+from span_reference import in_span, run_views, span_ensemble, steer
 
 TOL = 1e-12
 
@@ -60,6 +59,8 @@ def _instance(name):
         "cx2": lambda: build_counterexample(2),
         # no index register, so its runs carry no refi
         "send-db-1": lambda: build_baseline("send-db", 1),
+        # the server holds the index, so the simulator's index 1 shows
+        "send-index-2": lambda: build_baseline("send-index", 2),
     }[name]()
 
 
@@ -204,7 +205,7 @@ def test_inputs_without_an_index_register_are_not_steered():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("inst_name", ["k1", "k2", "k4", "k2-classical", "cx2"])
+@pytest.mark.parametrize("inst_name", ["k1", "k2", "k4", "k2-classical", "cx2", "send-index-2"])
 def test_honest_certificate_matches_the_per_input_loop(inst_name):
     inst = _instance(inst_name)
     sim = HonestSimulator(inst)
@@ -507,28 +508,50 @@ def test_a_block_with_no_weight_has_empty_spans():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_steered_mixed_purifier_is_the_reference_marginal(seed):
-    """The certificates steer ``sim (x) mixed refi`` to each client state:
-    that gives ``sim`` beside the client's marginal on its references, here
-    for complex client ensembles with two references besides the index."""
+    """The certificates pin each simulated span to index 1 beside the
+    maximally mixed refi (``privacy._pinned``).  That is ``steer`` to the
+    basis state 1, then (x) a maximally mixed refi, in span coordinates;
+    steered to a client state it gives the simulated view beside the
+    client's marginal on its references, here for complex client ensembles
+    with two references besides the index."""
     rng = np.random.default_rng(1300 + seed)
 
     def random_ensemble(layout, rows):
         v = rng.normal(size=(rows, layout.dim)) + 1j * rng.normal(size=(rows, layout.dim))
         return Ensemble(layout, v / np.linalg.norm(v))
 
-    sim = random_ensemble(RegisterLayout((("a", 2), ("b", 1))), 2)
-    mixed = sim.tensor(privacy._mixed_purifier(2))
+    # a run view over (a, b) and refi, its branch 2 with nothing at index 1
+    # (refi = 0), so the pin leaves it at zero weight; scaled so that the
+    # pinned view has unit trace
+    v = rng.normal(size=(3, 8, 4)) + 1j * rng.normal(size=(3, 8, 4))
+    v[2, :, 0] = 0
+    v /= np.sqrt(4 * np.vdot(v[:, :, 0], v[:, :, 0]).real)
+    run = Ensemble(RegisterLayout((("a", 2), ("b", 1), (PURIFIER, 2))), v.reshape(3, -1))
+    index = PureState.basis(RegisterLayout((("idx", 2),)), {"idx": 0})
+    sim = steer(run, index, ())
+    assert len(sim.vectors) == 2
+    mixed_refi = Ensemble(RegisterLayout(((PURIFIER, 2),)), np.eye(4, dtype=complex) / 2)
+    reference = sim.tensor(mixed_refi)
+    span, reference_span = in_span(run, reference)
+    pinned = privacy._pinned(span, index)
+    assert pinned.shape == reference_span.shape == (8, 8, 4)
+    mixed, want_mixed = span_ensemble(pinned), span_ensemble(reference_span)
+    assert mixed.layout == want_mixed.layout
+    assert mixed.distance(want_mixed) <= TOL
     for rows in (1, 2, 3):
         client = random_ensemble(RegisterLayout((("idx", 2), ("refx", 1), ("refy", 2))), rows)
         want = sim.tensor(_reference_marginal(client, ("refx", "refy")))
+        assert steer(reference, client, ("refx", "refy")).distance(want) <= TOL
         got = steer(mixed, client, ("refx", "refy"))
+        want = steer(want_mixed, client, ("refx", "refy"))
         assert got.layout == want.layout
         assert got.distance(want) <= TOL
         np.testing.assert_allclose(got.reduced(got.layout.names).matrix,
                                    want.reduced(want.layout.names).matrix, rtol=0, atol=TOL)
     # a client without references steers it back to ``sim``
     client = random_ensemble(RegisterLayout((("idx", 2),)), 2)
-    assert steer(mixed, client, ()).distance(sim) <= TOL
+    assert steer(reference, client, ()).distance(sim) <= TOL
+    assert steer(mixed, client, ()).distance(steer(span_ensemble(span), index, ())) <= TOL
 
 
 @pytest.mark.parametrize("inst_name", ["k2", "cx2"])

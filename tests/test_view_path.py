@@ -2,17 +2,20 @@
 view runner, the views in their branch span, the view distance, and the
 checks that reject inputs an analysis cannot honour."""
 
+import importlib
+import pkgutil
 import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import qpirlab
 from qpirlab import adversaries, privacy, runtime
 from qpirlab import distances as distances_module
 from qpirlab.adversaries import (PURIFIER, InputSpec, adversary_by_name, client_variants,
                                  database_groups, measure_speciousness, purified_honest,
-                                 purified_input, standard_inputs, steer, steered_rows)
+                                 purified_input, standard_inputs, steered_rows)
 from qpirlab.bounds import extraction_attack
 from qpirlab.channels import MeasureOp, Support
 from qpirlab.config import CapExceeded
@@ -21,7 +24,7 @@ from qpirlab.privacy import _even_steps, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout
-from span_reference import in_span, run_views, span_ensemble
+from span_reference import in_span, run_views, span_ensemble, steer
 
 
 def _aligned_by_hand(v, layout, names):
@@ -448,14 +451,40 @@ def test_spans_reach_the_figures_as_plain_arrays(monkeypatch):
     assert len(moves) == 3 and all("block_spans" in names for names in moves)
     assert 0 < len(supports) <= 4
     assert all({"standard_inputs", "database_runs"} & names for names in supports)
-    # the meter scatters no span and wraps no client state
-    scatters, wraps = [], []
-    _record_callers(monkeypatch, adversaries, "_purifier_last", scatters)
+    # the meter wraps no client state, and no module of the package binds
+    # the whole-ensemble steering of tests/span_reference.py
+    wraps = []
     _record_callers(monkeypatch, runtime.Ensemble, "from_pure", wraps)
     cx = build_counterexample(2)
     measure_speciousness(cx, purified_honest(cx))
     assert wraps  # the run inputs
-    assert not any({"steered_rows", "_client_matrix"} & names for names in scatters + wraps)
+    assert not any({"steered_rows", "_client_matrix"} & names for names in wraps)
+    for module in pkgutil.iter_modules(qpirlab.__path__):
+        bound = vars(importlib.import_module(f"qpirlab.{module.name}"))
+        assert not {"steer", "_purifier_last"} & set(bound), module.name
+
+
+def test_certificates_pin_the_index_in_span_coordinates(monkeypatch):
+    # both simulators hand on their view of the purified run with refi in
+    # it: the only moves of a view are block_spans', and the certificate
+    # tensors nothing with a mixed refi (the theorem simulator's anchor
+    # tensor is its own)
+    k2 = build_kerenidis(2)
+    theorem = privacy.TheoremSimulator(privacy.HonestSimulator(k2),
+                                       adversary_by_name(k2, "gamma-lossy:0.3"), 0)
+    moves, tensors = [], []
+    _record_callers(monkeypatch, runtime.Ensemble, "aligned_vectors", moves)
+    inner = runtime.Ensemble.tensor
+
+    def recorded(self, other):
+        tensors.append(sys._getframe(1).f_code.co_qualname)
+        return inner(self, other)
+    monkeypatch.setattr(runtime.Ensemble, "tensor", recorded)
+    privacy.HonestSimulator(build_kerenidis(4)).epsilon_upper()
+    theorem.certify()
+    assert moves and all("block_spans" in names for names in moves)
+    assert "TheoremSimulator.simulated_view" in tensors
+    assert not [caller for caller in tensors if caller.startswith("_certificate")]
 
 
 def test_steer_reads_a_span_view_in_place(monkeypatch):
