@@ -71,7 +71,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversaries import (PURIFIER, Adversary, _client_matrix, _product, database_groups,
+from .adversaries import (Adversary, _client_matrix, _product, database_groups,
                           measure_speciousness, planned_spans, standard_inputs,
                           steered_distances, steered_rows)
 from .channels import (
@@ -213,9 +213,9 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
 
 def _pinned(sim: np.ndarray, client: PureState) -> np.ndarray:
     """``sim``, a ``(B, S, I)`` span array, pinned to the index state
-    ``client`` beside the maximally mixed :data:`PURIFIER`: steered by the
-    client matrix and product of :func:`~qpirlab.adversaries.steered_rows`,
-    its rows at zero weight dropped, then one branch ``(b, l)`` per label
+    ``client`` beside the maximally mixed ``refi``: steered by the client
+    matrix and product of :func:`~qpirlab.adversaries.steered_rows`, its
+    rows at zero weight dropped, then one branch ``(b, l)`` per label
     ``l``, at ``l``, over ``sqrt(I)``.  ``I == 1`` (no index) is as it is."""
     c = _client_matrix(client, (), (sim.shape[-1] > 1,))
     if c is None:
@@ -238,12 +238,12 @@ def _certificate(instance: QpirInstance, specs, ops, simulate):
     ``specs`` and ``ops``: every spec the simulated side reads runs once on
     each planned input, and every op it applies is planned.
     ``simulate(t, view, transcripts)`` is the simulator's view of the whole
-    run, :data:`PURIFIER` still in it, from its server view ``view`` and
-    the transcripts of ``specs``; its ``x`` block is database ``x``'s.
-    Every group's block of both is taken into one branch span from one
-    move, and the simulated span is pinned to index 1 beside the maximally
-    mixed :data:`PURIFIER` (:func:`_pinned`; the pin acts on that reference
-    alone, so it commutes with the simulator).  Steered to a client state
+    run, ``refi`` still in it, from its server view ``view`` and the
+    transcripts of ``specs``; its ``x`` block is database ``x``'s.  Every
+    group's block of both is taken into one branch span from one move, and
+    the simulated span is pinned to index 1 beside the maximally mixed
+    ``refi`` (:func:`_pinned`; the pin acts on that reference alone, so it
+    commutes with the simulator).  Steered to a client state
     ``c``, it becomes the simulated view tensored with ``c``'s marginal on
     its reference registers, so both sides are steered and compared as the
     lower bound's views are."""
@@ -265,9 +265,9 @@ def _certificate(instance: QpirInstance, specs, ops, simulate):
 class HonestSimulator:
     """Def-style simulator for the honest server: rerun with the client
     input pinned to index 1 and output the server-side registers.  That is
-    the run on the purified index with :data:`PURIFIER` pinned, so its view
-    of a run is the run's view, which the certificate pins; it keeps no
-    views, and database ``x``'s is the ``x`` block of a planned run's."""
+    the run on the purified index with ``refi`` pinned, so its view of a
+    run is the run's view, which the certificate pins; it keeps no views,
+    and database ``x``'s is the ``x`` block of a planned run's."""
 
     def __init__(self, instance: QpirInstance):
         self.instance = instance
@@ -330,7 +330,6 @@ class TheoremSimulator:
         self.instance = instance
         self.adversary = adversary
         self.x0 = x0
-        self.honest = honest
         self.anchors: dict[int, PureState | None] = {}
         self.extraction_bounds: dict[int, float] = {}
         honest_tr = honest.reference_run(x0)
@@ -362,7 +361,7 @@ class TheoremSimulator:
         """Simulator output at even step ``t``, the reconstructed adversary
         view: the inverted recovery applied to (anchor tensor
         ``honest_view``), the honest simulator's view.  The recovery leaves
-        :data:`PURIFIER` alone, so it may act before the index is pinned."""
+        ``refi`` alone, so it may act before the index is pinned."""
         anchor = self.anchors[t]
         if anchor is None:
             return honest_view

@@ -540,8 +540,8 @@ def test_steered_mixed_purifier_is_the_reference_marginal(seed):
     assert mixed.distance(want_mixed) <= TOL
     for rows in (1, 2, 3):
         client = random_ensemble(RegisterLayout((("idx", 2), ("refx", 1), ("refy", 2))), rows)
-        want = sim.tensor(_reference_marginal(client, ("refx", "refy")))
-        assert steer(reference, client, ("refx", "refy")).distance(want) <= TOL
+        beside = sim.tensor(_reference_marginal(client, ("refx", "refy")))
+        assert steer(reference, client, ("refx", "refy")).distance(beside) <= TOL
         got = steer(mixed, client, ("refx", "refy"))
         want = steer(want_mixed, client, ("refx", "refy"))
         assert got.layout == want.layout
