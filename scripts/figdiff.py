@@ -3,7 +3,9 @@
 Prints the label count, how many figures are bit-identical, the largest
 difference with its label, and per section (the label up to its first
 ``/``) how many figures moved and the section's largest difference with
-its label.  Exits 1 when the two prints have different labels or a figure
+its label.  Then one ``changed LABEL PARENT CHANGE`` line per moved figure,
+in the parent's label order, each value the shortest decimal that reads
+back to it bit for bit.  Exits 1 when the two prints have different labels or a figure
 moved by more than ``privacy.FIGURE_TOL``, else 0.
 
 Usage: python scripts/figdiff.py PARENT CHANGE
@@ -50,9 +52,8 @@ def main(argv: list[str]) -> int:
     sections = Counter(label.split("/")[0] for label in common)
     moved = Counter()
     worst = {section: (0.0, "-") for section in sections}  # section -> (difference, label)
-    for label in common:
-        if parent[label] == change[label]:
-            continue
+    changed = [label for label in common if parent[label] != change[label]]
+    for label in changed:
         section = label.split("/")[0]
         moved[section] += 1
         diff = abs(float.fromhex(parent[label]) - float.fromhex(change[label]))
@@ -68,6 +69,9 @@ def main(argv: list[str]) -> int:
     for section, count in sections.items():
         diff, label = worst[section]
         print(f"moved {section} {moved[section]} of {count} largest {diff:.3g} {label}")
+    for label in changed:
+        print(f"changed {label} {float.fromhex(parent[label])!r} "
+              f"{float.fromhex(change[label])!r}")
     return 1 if only["parent"] or only["change"] or not largest[0] <= FIGURE_TOL else 0
 
 

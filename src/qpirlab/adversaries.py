@@ -19,7 +19,7 @@ each test input's client state (:func:`steered_rows`).
 :func:`database_runs` is the one place that decides which runs a figure
 makes: where no op of the specs or of the recoveries may relabel the
 database register (:func:`shared_groups`), the classical databases are the
-label blocks (:func:`database_block`) of one run on their sum, so each spec
+label blocks (:func:`block_spans`) of one run on their sum, so each spec
 runs once for all of them; only the purification attack and the superposed
 database run on their own.  :func:`planned_spans` is the one runner of that
 plan, for the meter here and every privacy figure: it runs each spec once
@@ -59,7 +59,6 @@ from .channels import (
     MeasureOp,
     PrepareOp,
     RotateOp,
-    Support,
     SwapOp,
     _gather,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "shared_groups",
     "database_runs",
     "planned_spans",
-    "database_block",
     "block_spans",
     "steered_rows",
     "steered_distances",
@@ -264,7 +262,7 @@ def shared_groups(instance: QpirInstance, groups, specs, ops) -> list[int]:
     sources and masks only read) and no step sends it, so it stays in the
     server's view; else none.  Then every op acts on each label block of the
     register alone, and the run of a classical database is its block
-    (:func:`database_block`) of one run on their sum (:func:`database_runs`).
+    (:func:`block_spans`) of one run on their sum (:func:`database_runs`).
     The superposed database, a built-in one and every database of a spec
     that relabels the register (the purification attack) run on their own."""
     db = instance.database_register
@@ -279,7 +277,7 @@ def shared_groups(instance: QpirInstance, groups, specs, ops) -> list[int]:
 def database_runs(instance: QpirInstance, groups, specs, ops) -> list[tuple]:
     """How the database ``groups`` are run through ``specs`` (with ``ops``
     applied after them): ``[(run input, [(g, x)])]``, where group ``g``'s
-    run is the ``x`` block (:func:`database_block`) of the run on that
+    run is the ``x`` block (:func:`block_spans`) of the run on that
     input.
 
     First, when :func:`shared_groups` lists any, one run on the
@@ -321,28 +319,6 @@ def planned_spans(instance: QpirInstance, groups, specs, ops, steps, states) -> 
             for (g, _), group_spans in zip(blocks, taken):
                 spans[g][t] = group_spans
     return spans
-
-
-def database_block(ens: Ensemble, register: str | None, label: int | None) -> Ensemble:
-    """The ``register = label`` block of ``ens``: every other label of
-    ``register`` zeroed, and the rows whose squared norm is then at or
-    below ``states.BRANCH_PRUNE`` dropped, the others kept in order.  Taken
-    from the shared run of :func:`database_runs`, it is bit for bit the
-    same run on ``|label>`` alone: each op acted on each block as on that
-    block alone, and a row the run on ``|label>`` pruned carries no more
-    weight here.  ``label=None`` (a run of its own) is ``ens`` itself.
-    The block is the support's entries at ``label``, with no zero-filled
-    copy; spans read its rows in place (:func:`block_spans`)."""
-    if label is None:
-        return ens
-    sup, lay = ens.vectors, ens.layout
-    rows = nonzero_rows(_label_weights(ens, register)[:, label])[0]
-    new = np.full(len(sup), -1)
-    new[rows] = np.arange(len(rows))
-    branch = new[sup.branch]
-    kept = (branch >= 0) & (_gather(sup.index, lay.total_qubits, lay.slots([register])) == label)
-    return Ensemble(lay, Support((len(rows), lay.dim), branch[kept], sup.index[kept],
-                                 sup.value[kept]))
 
 
 def _label_weights(ens: Ensemble, register: str) -> np.ndarray:
@@ -412,37 +388,34 @@ def steered_rows(views, members) -> list[list[np.ndarray]]:
 
 def block_spans(ensembles, register: str | None, labels) -> list[tuple[np.ndarray, ...]]:
     """For each ``x`` of ``labels``, the ``register = x`` blocks of
-    ``ensembles`` (:func:`database_block`; ``x = None``: whole) in the
-    coordinates of their branch span, one ``(B, S, I)`` array per ensemble:
-    branch ``b``, span row ``s`` and :data:`PURIFIER` label ``i``.
+    ``ensembles`` (``x = None``: whole) in the coordinates of their branch
+    span, one ``(B, S, I)`` array per ensemble: branch ``b``, span row ``s``
+    and :data:`PURIFIER` label ``i``.  A run without :data:`PURIFIER` has
+    one label, ``I = 1``.
 
-    Whatever is steered from a block lies in span{``v[b, i]``} (x)
-    (reference registers), ``v[b, i]`` being branch ``b`` at
+    A block is every other label of ``register`` zeroed, less the rows whose
+    squared norm is then at or below ``states.BRANCH_PRUNE``; taken from the
+    shared run of :func:`database_runs`, it is bit for bit the run on
+    ``|x>`` alone.  Whatever is steered from a block lies in span{``v[b,
+    i]``} (x) (reference registers), ``v[b, i]`` being branch ``b`` at
     :data:`PURIFIER` label ``i``.  Each ensemble is scattered once,
     :data:`PURIFIER` first and the others in the first one's register order
     (:meth:`Ensemble.aligned_vectors`); a block is a strided view of that
-    array less the rows :func:`database_block` drops, every label's from
-    one ``bincount`` on the support (:func:`_label_weights`).  Per label,
-    one QR of all the blocks' columns over their support (the amplitudes
-    nonzero in some column; since ``A = P^T [A'; 0]``, the ``R`` of ``A'``
-    holds coordinates of the same span, and an ``A`` with no zero row is
-    factored as it is) gives the coordinates ``R``, less its rows at or
-    below ``states.BRANCH_PRUNE``: ``S`` is ``R``'s rows, with no padding,
-    shared by every block of the label.  Without :data:`PURIFIER`, each
-    block is :func:`database_block`'s dense rows, ``(B, dim, 1)`` in the
-    first ensemble's register order.
+    array less its dropped rows, every label's from one ``bincount`` on the
+    support (:func:`_label_weights`).  Per label, one QR of all the blocks'
+    columns over their support (the amplitudes nonzero in some column; since
+    ``A = P^T [A'; 0]``, the ``R`` of ``A'`` holds coordinates of the same
+    span, and an ``A`` with no zero row is factored as it is) gives the
+    coordinates ``R``, less its rows at or below ``states.BRANCH_PRUNE``:
+    ``S`` is ``R``'s rows, with no padding, shared by every block of the
+    label.
     """
     lay = ensembles[0].layout
     weights = [_label_weights(e, register) if set(labels) != {None} else None for e in ensembles]
     order = sorted(lay.names, key=lambda name: name != PURIFIER)  # PURIFIER first; stable sort
     moved = [e.aligned_vectors(order) for e in ensembles]
-    if not lay.has(PURIFIER):
-        # each amplitude's label of `register`; a block zeroes the others
-        label = None if register is None else _gather(np.arange(lay.dim), lay.total_qubits,
-                                                      lay.slots([register]))
-        return [tuple((v if x is None else np.where(label == x, v[nonzero_rows(w[:, x])[0]], 0))
-                      [:, :, None] for v, w in zip(moved, weights)) for x in labels]
-    labels_i, others = 1 << lay.width(PURIFIER), lay.dim >> lay.width(PURIFIER)
+    labels_i = 1 << lay.width(PURIFIER) if lay.has(PURIFIER) else 1
+    others = lay.dim // labels_i
     if register is not None:
         # (branch, purifier label and registers before `register`, its label, after)
         width = lay.width(register)

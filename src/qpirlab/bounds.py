@@ -9,9 +9,10 @@ from functools import partial
 
 import numpy as np
 
+from .adversaries import block_spans
 from .channels import _gather
 from .config import CHECK_ATOL, STATE_ATOL
-from .distances import UhlmannPreconditionError, trace_distance, uhlmann_unitary
+from .distances import UhlmannPreconditionError, paired_distances, trace_distance, uhlmann_unitary
 from .privacy import is_measurement_free
 from .protocols import QpirInstance, database_bits, epr_pair_state
 from .runtime import (
@@ -186,8 +187,7 @@ class ReconstructionTrace:
                 for b in self.bits]
 
 
-def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
-                      database=None) -> ReconstructionTrace:
+def extraction_attack(instance: QpirInstance, mode: str, database=None) -> ReconstructionTrace:
     """The sequential learn-every-bit attack.
 
     Runs the protocol once with client input 1, then for each further index
@@ -195,7 +195,11 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
     relating the run-1 and run-i server marginals, measuring and gently
     recovering in sequence.  Only run 1 is kept; each later run gives its
     correctness term, its view distance to run 1 and its unitary, and is
-    dropped.
+    dropped.  The privacy error ``epsilon`` is half the largest of those
+    distances, measured as an anchored-privacy row is: both views taken
+    into one branch span (:func:`~qpirlab.adversaries.block_spans`, one
+    label ``I = 1``, as neither run has ``refi``) and the pair compared
+    there by :func:`~qpirlab.distances.paired_distances`.
 
     ``classical-per-a`` computes those unitaries per database, so the trace
     records that the strategy is not executable by a client who does not
@@ -270,7 +274,8 @@ def extraction_attack(instance: QpirInstance, mode: str = "classical-per-a",
     for i in range(2, n + 1):
         tr = run(i)
         correct.append(correctness(tr.final, i))
-        eps = max(eps, view_1.distance(tr.server_view(tr.steps)) / 2.0)
+        ((a, b),) = block_spans((view_1, tr.server_view(tr.steps)), None, [None])
+        eps = max(eps, paired_distances([(a[:, :, 0], b[:, :, 0])])[0] / 2.0)
         try:
             unitaries.append(uhlmann_unitary(final_1, tr.final, side=b_regs))
         except UhlmannPreconditionError:

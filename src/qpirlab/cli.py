@@ -2,9 +2,10 @@
 
 Every command emits flat report rows (one assertion each, tagged with the
 tolerance it was judged against), writes them as JSON and CSV when an output
-path is given, and exits nonzero if any assertion failed.  All protocol
-physics is deterministic; the seed only fixes randomized fixtures such as
-the sampled databases at n = 8.
+path is given, and exits 1 if any assertion failed; an option value the
+library refuses exits 2, naming the option.  All protocol physics is
+deterministic; the seed only fixes randomized fixtures such as the sampled
+databases at n = 8.
 
 The global qubit cap can be overridden with the ``QPIRLAB_QUBIT_CAP``
 environment variable; commands estimate the register bill before allocating
@@ -18,6 +19,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -41,21 +43,32 @@ from .runtime import communication, spec_to_json
 TOL = 1e-9
 
 
+@contextmanager
+def _usage(option: str):
+    """A ``ValueError`` the library raises for ``option``'s value, as a
+    usage error (exit 2) naming the option; exit 1 stays a failed check."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=f"'{option}'") from exc
+
+
 def _build(protocol: str, n: int, cleanup: bool = False, database=None):
     """``protocol``'s instance.  Only kerenidis has a cleanup phase, and the
     counterexample takes no database; either option given to a protocol
-    without it is a usage error."""
+    without it is a usage error, and so is a size the protocol refuses."""
     if cleanup and protocol in ("send-db", "send-index", "counterexample"):
         raise click.UsageError(f"--cleanup does not apply to protocol {protocol!r}")
     if database is not None and protocol == "counterexample":
         raise click.UsageError(f"--database does not apply to protocol {protocol!r}")
     try:
-        if protocol == "kerenidis":
-            return build_kerenidis(n, cleanup=cleanup, database=database)
-        if protocol in ("send-db", "send-index"):
-            return build_baseline(protocol, n, database=database)
-        if protocol == "counterexample":
-            return build_counterexample(n)
+        with _usage("--n"):
+            if protocol == "kerenidis":
+                return build_kerenidis(n, cleanup=cleanup, database=database)
+            if protocol in ("send-db", "send-index"):
+                return build_baseline(protocol, n, database=database)
+            if protocol == "counterexample":
+                return build_counterexample(n)
     except CapExceeded as exc:
         raise click.ClickException(
             f"register bill too large: {exc} (raise QPIRLAB_QUBIT_CAP to override)"
@@ -122,7 +135,7 @@ def main():
 
 @main.command()
 @click.option("--protocol", default="kerenidis")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--cleanup", is_flag=True)
 @click.option("--databases", type=click.IntRange(min=1), default=None,
               help="Random databases to sample (exhaustive when omitted and n <= 4).")
@@ -154,7 +167,7 @@ def correctness(protocol, n, cleanup, databases, seed, out, fmt):
 
 @main.command()
 @click.option("--protocol", default="kerenidis")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--adversary", "adversary_name", default=None,
               help="honest-purified | purify-db | gamma:<t> | gamma-lossy:<t>")
 @click.option("--mode", type=click.Choice(["anchored", "full"]), default="anchored")
@@ -165,7 +178,8 @@ def privacy(protocol, n, adversary_name, mode, target, out, fmt):
     """Certified privacy-error lower bound against a (possibly adversarial)
     server; fails when it exceeds the target."""
     inst = _build(protocol, n)
-    adv = adversary_by_name(inst, adversary_name) if adversary_name else None
+    with _usage("--adversary"):
+        adv = adversary_by_name(inst, adversary_name) if adversary_name else None
     report = privacy_lower_bound(inst, adv, mode, target=target)
     rows = [dict(r, tolerance=TOL, ok=None) for r in report.as_rows()]
     rows.append({"protocol": report.protocol, "adversary": report.adversary,
@@ -176,14 +190,15 @@ def privacy(protocol, n, adversary_name, mode, target, out, fmt):
 
 @main.command("spec")
 @click.option("--protocol", default="kerenidis")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--cleanup", is_flag=True)
 @click.option("--database", default=None, help="Bit string for the classical fast path.")
 @click.option("--out", default=None)
 def spec_dump(protocol, n, cleanup, database, out):
     """Emit a protocol's register table and per-step operator descriptors in
     the serialized text form."""
-    db = tuple(int(b) for b in database) if database else None
+    with _usage("--database"):
+        db = database_bits(database, n) if database else None
     inst = _build(protocol, n, cleanup=cleanup, database=db)
     text = spec_to_json(inst.spec)
     if out:
@@ -197,7 +212,7 @@ def attack():
 
 
 @attack.command()
-@click.option("--n", type=int, default=2)
+@click.option("--n", type=click.IntRange(min=1), default=2)
 @click.option("--protocol", default="kerenidis")
 @click.option("--threshold", type=float, default=0.05)
 @_with_common
@@ -219,16 +234,17 @@ def purify(n, protocol, threshold, out, fmt):
 def _attack(inst, mode: str, database: str | None):
     """The reconstruction attack on ``inst`` in ``mode``, with the bit
     string ``database``; an argument the attack refuses is a usage error."""
+    with _usage("--database"):
+        bits = database_bits(database, inst.n) if database else None
     try:
-        return extraction_attack(inst, mode,
-                                 database=tuple(int(b) for b in database) if database else None)
+        return extraction_attack(inst, mode, database=bits)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
 
 @attack.command()
 @click.option("--protocol", default="kerenidis")
-@click.option("--n", type=int, default=2)
+@click.option("--n", type=click.IntRange(min=1), default=2)
 @click.option("--mode", type=click.Choice(["classical-per-a", "coherent-reference"]),
               default="coherent-reference")
 @click.option("--database", default=None, help="Bit string (classical-per-a mode).")
@@ -265,7 +281,7 @@ def nayak(delta, eps, n, out, fmt):
 
 @bounds.command("chain-rule")
 @click.option("--protocol", default="kerenidis")
-@click.option("--n", type=int, default=2)
+@click.option("--n", type=click.IntRange(min=1), default=2)
 @click.option("--mode", type=click.Choice(["classical-per-a", "coherent-reference"]),
               default="coherent-reference")
 @click.option("--database", default=None)
@@ -280,15 +296,17 @@ def chain_rule(protocol, n, mode, database, out, fmt):
 
 
 @bounds.command()
-@click.option("--n", type=int, default=2)
+@click.option("--n", type=click.IntRange(min=1), default=2)
 @click.option("--thetas", default="0.1,0.2,0.4")
 @click.option("--tolerance", type=float, default=1e-6)
 @_with_common
 def theorem32(n, thetas, tolerance, out, fmt):
     """Certificate eps_hat <= eps_honest + 3 sqrt(2 gamma_hat) for the lossy
     rotation family."""
-    inst = build_kerenidis(n)
-    grid = [float(t) for t in thetas.split(",")]
+    with _usage("--n"):
+        inst = build_kerenidis(n)
+    with _usage("--thetas"):
+        grid = [float(t) for t in thetas.split(",")]
     adversaries = [gamma_family(inst, t, lossy=True) for t in grid]
     rows = []
     for row in verify_theorem_bound(inst, adversaries, tolerance=tolerance):
@@ -302,7 +320,10 @@ def theorem32(n, thetas, tolerance, out, fmt):
 @_with_common
 def suite(which, sizes, out, fmt):
     """The full qualitative battery at desk scale."""
-    ns = [int(s) for s in sizes.split(",")]
+    with _usage("--sizes"):
+        ns = [int(s) for s in sizes.split(",")]
+        for n in ns:
+            build_kerenidis(n)  # refuse a bad size before the battery runs
     rows: list[dict] = []
 
     def row(**kw):

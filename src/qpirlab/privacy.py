@@ -27,7 +27,11 @@ simulator inverts included) relabels ``db``.  The simulated view keeps the
 purifier: a certificate takes each database's block of it into one span
 with the run view's and pins it there to index 1 beside the maximally mixed
 purifier; steered to a client state, that is the simulated view beside the
-client's reference marginal.
+client's reference marginal.  The honest simulator's view is the run's own,
+so its certificate takes that one view into its span once and compares it
+with itself pinned.  The reconstruction attack's privacy error
+(:func:`qpirlab.bounds.extraction_attack`) is measured the same way: two
+views in one span, one :func:`qpirlab.distances.paired_distances` pair.
 
 The paper's point is that a party may run a protocol on a purification
 of its input, and the same holds for the test inputs: in the
@@ -228,33 +232,29 @@ def _pinned(sim: np.ndarray, client: PureState) -> np.ndarray:
     return out.reshape(-1, pinned.shape[1], labels)
 
 
-def _certificate(instance: QpirInstance, specs, ops, simulate):
+def _certificate(instance: QpirInstance, specs, ops, states):
     """(eps, rows): the worst distance, over the anchored test inputs and the
-    even steps, between the input's server view in the run of ``specs[0]``
-    on the purified index and its simulated view beside the input's
-    reference marginal.
+    even steps, between the input's server view and its simulated view
+    beside the input's reference marginal.
 
     The runs are those :func:`planned_spans` makes of the plan for
     ``specs`` and ``ops``: every spec the simulated side reads runs once on
     each planned input, and every op it applies is planned.
-    ``simulate(t, view, transcripts)`` is the simulator's view of the whole
-    run, ``refi`` still in it, from its server view ``view`` and the
-    transcripts of ``specs``; its ``x`` block is database ``x``'s.  Every
-    group's block of both is taken into one branch span from one move, and
-    the simulated span is pinned to index 1 beside the maximally mixed
+    ``states(t, transcripts)`` gives, from the transcripts of ``specs``, the
+    states of one span: first the run's server view, last the simulator's
+    view of the whole run, ``refi`` still in it, whose ``x`` block is
+    database ``x``'s.  Where the simulator's view is the run's own, one
+    state serves as both, so each view is taken into its span once.  Every
+    group's block of the states is taken into one branch span from one
+    move, and the last is pinned to index 1 beside the maximally mixed
     ``refi`` (:func:`_pinned`; the pin acts on that reference alone, so it
-    commutes with the simulator).  Steered to a client state
-    ``c``, it becomes the simulated view tensored with ``c``'s marginal on
-    its reference registers, so both sides are steered and compared as the
+    commutes with the simulator).  Steered to a client state ``c``, it
+    becomes the simulated view tensored with ``c``'s marginal on its
+    reference registers, so both sides are steered and compared as the
     lower bound's views are."""
     groups = database_groups(standard_inputs(instance))
-
-    def states(t, transcripts):
-        view = transcripts[0].server_view(t)
-        return view, simulate(t, view, transcripts)
-
     index = instance.client_basis_state(1)
-    pairs = [{t: (view, _pinned(sim, index)) for t, (view, sim) in spans.items()}
+    pairs = [{t: (views[0], _pinned(views[-1], index)) for t, views in spans.items()}
              for spans in planned_spans(instance, groups, specs, ops,
                                         _even_steps(instance.spec), states)]
     rows = steered_distances(list(zip(groups, pairs)))
@@ -266,8 +266,9 @@ class HonestSimulator:
     """Def-style simulator for the honest server: rerun with the client
     input pinned to index 1 and output the server-side registers.  That is
     the run on the purified index with ``refi`` pinned, so its view of a
-    run is the run's view, which the certificate pins; it keeps no views,
-    and database ``x``'s is the ``x`` block of a planned run's."""
+    run is the run's view: the certificate takes that one view into its
+    span and compares it with itself pinned.  It keeps no views, and
+    database ``x``'s is the ``x`` block of a planned run's."""
 
     def __init__(self, instance: QpirInstance):
         self.instance = instance
@@ -284,8 +285,9 @@ class HonestSimulator:
     def epsilon_upper(self):
         """Max distance between the simulated and the actual view over the
         test inputs; returns (eps_upper, rows).  One honest run per planned
-        input gives both sides."""
-        return _certificate(self.instance, (self.instance.spec,), (), lambda t, view, _: view)
+        input gives both sides, from one span of its view."""
+        return _certificate(self.instance, (self.instance.spec,), (),
+                            lambda t, runs: (runs[0].server_view(t),))
 
 
 _SELF_INVERSE = (HadamardOp, InnerProductCnotOp, SelectPhaseOp, SelectCnotOp,
@@ -379,8 +381,8 @@ class TheoremSimulator:
         adv, spec = self.adversary, self.instance.spec
         return _certificate(self.instance, (adv.modified_spec(spec), spec),
                             [op for recovery in adv.recoveries for op in recovery.ops],
-                            lambda t, _, transcripts: self.simulated_view(
-                                t, transcripts[1].server_view(t)))
+                            lambda t, runs: (runs[0].server_view(t),
+                                             self.simulated_view(t, runs[1].server_view(t))))
 
 
 # The lab's figure tolerance: a computed distance at or below it is a

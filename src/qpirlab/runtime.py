@@ -18,9 +18,9 @@ applies the ops in schedule order, the adversaries build their programs and
 recoveries from it and the privacy analyses take their steps from it.
 :class:`ExecutionTranscript` is the only reader of the owner tags;
 :meth:`ExecutionTranscript.server_view` is the server's view that every
-privacy analysis compares, in the coordinates of its branch span, through
-:func:`~qpirlab.distances.paired_distances`; :meth:`Ensemble.distance`
-compares two whole ensembles.
+privacy analysis and the reconstruction attack compare, in the coordinates
+of its branch span (:func:`~qpirlab.adversaries.block_spans`), through
+:func:`~qpirlab.distances.paired_distances`.
 
 A state is a set of unnormalized pure branches: a measurement multiplies
 branches and mixed inputs enter as ensembles of pure branches.  Every op
@@ -45,7 +45,7 @@ import numpy as np
 from .channels import (ChannelOp, ChannelError, PrepareOp, Support, _gather, from_json_value,
                        op_from_descriptor, to_json_value)
 from .config import CapExceeded, check_branches, check_cap
-from .distances import gram_reduce, paired_distances
+from .distances import gram_reduce
 from .states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
 
 __all__ = [
@@ -320,11 +320,6 @@ class Ensemble:
         sup, slots = self.vectors, self.layout.ordered_slots(names)
         return np.bincount(_gather(sup.index, self.layout.total_qubits, slots),
                            np.abs(sup.value) ** 2, minlength=1 << len(slots))
-
-    def distance(self, other: "Ensemble") -> float:
-        """Halved trace distance to ``other``, whose registers are aligned
-        to this layout's order by name."""
-        return paired_distances([(self.dense(), other.aligned_vectors(self.layout.names))])[0]
 
 
 # ---------------------------------------------------------------------------

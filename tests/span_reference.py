@@ -4,16 +4,19 @@
 ``in_span`` takes whole ensembles into their branch span, as the plain
 ``(B, S, I)`` arrays of ``adversaries.block_spans``, ``span_ensemble``
 wraps such an array as the ``Ensemble`` that ``steer`` and
-``Ensemble.distance`` read, ``steer`` steers a whole ensemble to a client
-state, ``recover_in_order`` applies a recovery's ops before any discard,
+``ensemble_distance`` read, ``ensemble_distance`` compares two whole
+ensembles, ``steer`` steers a whole ensemble to a client state,
+``recover_in_order`` applies a recovery's ops before any discard,
 ``dense_apply`` applies an op to a dense branch array, ``dense_execute``
-runs a spec on dense branch arrays, ``dense_traced``, ``dense_aligned``
-and ``dense_block`` read a partial trace, a register order and a database
+runs a spec on dense branch arrays, ``database_block`` names a database
+block on the support, ``dense_traced``, ``dense_aligned`` and
+``dense_block`` read a partial trace, a register order and a database
 block off the scattered branch array, and ``dense_uhlmann`` takes an
 Uhlmann unitary from two whole reordered pure states; the package reads
 every view from the runs ``adversaries.planned_spans`` makes of the plan
-of ``adversaries.database_runs``, every span from
-``adversaries.block_spans``, steers only span arrays
+of ``adversaries.database_runs``, every span and block from
+``adversaries.block_spans``, compares views only in span coordinates
+(``distances.paired_distances``), steers only span arrays
 (``adversaries.steered_rows``), traces the discards no op touches first
 (``adversaries.apply_recovery``), applies every op on the support of the
 branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
@@ -24,11 +27,11 @@ import math
 
 import numpy as np
 
-from qpirlab.adversaries import (PURIFIER, Recovery, _client_matrix, _product, block_spans,
-                                 purified_input)
+from qpirlab.adversaries import (PURIFIER, Recovery, _client_matrix, _label_weights, _product,
+                                 block_spans, purified_input)
 from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, PrepareOp,
-                              RotateOp, SelectPhaseOp, _apply_local, _gather)
-from qpirlab.distances import UhlmannPreconditionError, _split_matrix
+                              RotateOp, SelectPhaseOp, Support, _apply_local, _gather)
+from qpirlab.distances import UhlmannPreconditionError, _split_matrix, paired_distances
 from qpirlab.runtime import Ensemble, ExecutionTranscript, ProtocolSpec, execute
 from qpirlab.states import BRANCH_PRUNE, PureState, RegisterLayout, nonzero_rows, slots_to_front
 
@@ -43,8 +46,9 @@ def run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
 
 def in_span(ens: Ensemble, *others: Ensemble) -> tuple[np.ndarray, ...]:
     """``ens`` and ``others`` whole in the coordinates of their branch span,
-    one ``(B, S, I)`` array each (``block_spans``); a run without ``refi``
-    as its dense rows, ``(B, dim, 1)`` in ``ens``'s register order."""
+    one ``(B, S, I)`` array each (``block_spans``), the others aligned to
+    ``ens`` by register name; a run without ``refi`` is one label, ``I =
+    1``, like every other span."""
     return block_spans((ens, *others), None, (None,))[0]
 
 
@@ -52,15 +56,24 @@ def span_ensemble(coords: np.ndarray) -> Ensemble:
     """The ``(B, S, I)`` array ``coords`` of ``block_spans`` as an
     ``Ensemble``: the span rows ``S`` zero-padded to a power of two over
     one ``("span", w)`` register, then ``refi`` of ``I`` labels; for ``I ==
-    1`` (a run without ``refi``), one plain ``span`` register of the
-    array's width.  Steering it (``steer``) gives the rows ``steered_rows``
-    gives, padded with zero columns."""
+    1`` (a run without ``refi``), the ``span`` register alone.  Steering it
+    (``steer``) gives the rows ``steered_rows`` gives, padded with zero
+    columns, and ``ensemble_distance`` compares it as the figures compare
+    the array."""
     branches, rows, labels = coords.shape
     width = max(1, (rows - 1).bit_length())
     padded = np.zeros((branches, 1 << width, labels), dtype=np.complex128)
     padded[:, :rows] = coords
     registers = (("span", width),) + (((PURIFIER, labels.bit_length() - 1),) if labels > 1 else ())
     return Ensemble(RegisterLayout(registers), padded.reshape(branches, -1))
+
+
+def ensemble_distance(a: Ensemble, b: Ensemble) -> float:
+    """The halved trace distance between the whole ensembles ``a`` and
+    ``b``, ``b``'s registers aligned to ``a``'s order by name: one QR of
+    every amplitude row of both dense arrays, the whole-ensemble reference
+    that the span comparisons of the package must equal."""
+    return paired_distances([(a.dense(), b.aligned_vectors(a.layout.names))])[0]
 
 
 def steer(ens: Ensemble, client, reference) -> Ensemble:
@@ -175,6 +188,27 @@ def dense_execute(spec: ProtocolSpec, input_state, keep) -> ExecutionTranscript:
     return ExecutionTranscript(spec, kept, refs)
 
 
+def database_block(ens: Ensemble, register: str | None, label: int | None) -> Ensemble:
+    """The ``register = label`` block of ``ens`` as a named ``Ensemble``:
+    every other label of ``register`` zeroed, and the rows whose squared
+    norm is then at or below ``BRANCH_PRUNE`` dropped, the others kept in
+    order.  Taken from the shared run of ``adversaries.database_runs``, it
+    is bit for bit the same run on ``|label>`` alone.  ``label=None`` (a
+    run of its own) is ``ens`` itself.  The block is the support's entries
+    at ``label``, with no zero-filled copy; ``adversaries.block_spans``
+    reads the same rows in place, with no named block."""
+    if label is None:
+        return ens
+    sup, lay = ens.vectors, ens.layout
+    rows = nonzero_rows(_label_weights(ens, register)[:, label])[0]
+    new = np.full(len(sup), -1)
+    new[rows] = np.arange(len(rows))
+    branch = new[sup.branch]
+    kept = (branch >= 0) & (_gather(sup.index, lay.total_qubits, lay.slots([register])) == label)
+    return Ensemble(lay, Support((len(rows), lay.dim), branch[kept], sup.index[kept],
+                                 sup.value[kept]))
+
+
 def dense_traced(ens: Ensemble, names) -> np.ndarray:
     """The branch array of ``ens.traced(names)`` off the scattered array: the
     discarded qubits moved to the front, then one row per (branch, discarded
@@ -191,8 +225,8 @@ def dense_aligned(ens: Ensemble, names) -> np.ndarray:
 
 
 def dense_block(ens: Ensemble, register: str, label: int) -> np.ndarray:
-    """The branch array of ``adversaries.database_block(ens, register,
-    label)`` off the scattered array: a zero-filled copy of the ``register =
+    """The branch array of ``database_block(ens, register, label)`` off
+    the scattered array: a zero-filled copy of the ``register =
     label`` block, less its rows at or below ``BRANCH_PRUNE``."""
     lay = ens.layout
     first, width = lay.offset(register), lay.width(register)

@@ -170,3 +170,30 @@ def test_suite_small(runner, tmp_path):
     checks = {r["check"] for r in rows}
     assert {"correctness", "communication", "purification-attack", "theorem32",
             "counterexample-specious", "chain-rule", "nayak"} <= checks
+
+
+@pytest.mark.parametrize("args,option", [
+    (["correctness", "--n", "3"], "--n"),
+    (["privacy", "--n", "0"], "--n"),
+    (["privacy", "--protocol", "send-index", "--n", "1"], "--n"),
+    (["correctness", "--protocol", "counterexample", "--n", "4"], "--n"),
+    (["attack", "purify", "--n", "3"], "--n"),
+    (["attack", "reconstruct", "--n", "3"], "--n"),
+    (["bounds", "chain-rule", "--n", "3"], "--n"),
+    (["bounds", "theorem32", "--n", "3"], "--n"),
+    (["suite", "all", "--sizes", "3"], "--sizes"),
+    (["suite", "all", "--sizes", "1,x"], "--sizes"),
+    (["spec", "--n", "2", "--database", "0a"], "--database"),
+    (["spec", "--n", "2", "--database", "011"], "--database"),
+    (["privacy", "--n", "2", "--adversary", "bogus"], "--adversary"),
+    (["privacy", "--n", "2", "--adversary", "gamma:x"], "--adversary"),
+    (["bounds", "theorem32", "--thetas", "0.1,x"], "--thetas"),
+])
+def test_arguments_the_library_refuses_are_usage_errors(runner, args, option):
+    # exit 2 names the option; exit 1 stays a failed check
+    # (test_privacy_purify_db_fails)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"'{option}'" in res.output
+    assert "Traceback" not in res.output

@@ -35,11 +35,15 @@ def _figdiff(tmp_path, parent, change):
     out, moved, largest = {}, {}, {}
     for line in res.stdout.splitlines():
         key, rest = line.split(" ", 1)
+        # the changed lines come after the whole summary
+        assert "changed" not in out or key == "changed", line
         if key == "moved":
             section, rest = rest.split(" ", 1)
             count, worst = rest.split(" largest ")
             moved[section] = count
             largest[section] = worst.split()
+        elif key == "changed":
+            out.setdefault("changed", []).append(rest.split())
         else:
             out[key] = rest
     return res.returncode, out, moved, largest
@@ -55,6 +59,7 @@ def test_figdiff_passes_identical_prints(tmp_path):
     assert out["largest"] == "0 -"
     assert moved == {"privacy": "0 of 2", "specious": "0 of 1"}
     assert largest == {"privacy": ["0", "-"], "specious": ["0", "-"]}
+    assert "changed" not in out
 
 
 def test_figdiff_passes_a_move_within_tolerance(tmp_path):
@@ -65,6 +70,8 @@ def test_figdiff_passes_a_move_within_tolerance(tmp_path):
     assert moved == {"privacy": "1 of 2", "specious": "0 of 1"}
     assert out["largest"].split() == ["2.22e-16", "privacy/b"]
     assert largest == {"privacy": ["2.22e-16", "privacy/b"], "specious": ["0", "-"]}
+    # the moved figure itself, both values exact
+    assert out["changed"] == [["privacy/b", "0.5", "0.5000000000000002"]]
 
 
 def test_figdiff_fails_a_move_beyond_tolerance(tmp_path):
@@ -77,6 +84,9 @@ def test_figdiff_fails_a_move_beyond_tolerance(tmp_path):
     # each section reports its own worst figure, not the overall one
     assert largest["privacy"] == ["9.99e-16", "privacy/a"]
     assert largest["specious"] == out["largest"].split()
+    # one line per moved figure, after the summary, in the parent's order
+    assert out["changed"] == [["privacy/a", "0.25", repr(0.25 + 1e-15)],
+                              ["specious/a", repr(1 / 3), "0.5"]]
 
 
 def test_figdiff_counts_a_nan_as_the_worst(tmp_path):
@@ -87,6 +97,8 @@ def test_figdiff_counts_a_nan_as_the_worst(tmp_path):
     assert moved == {"privacy": "2 of 2", "specious": "0 of 1"}
     assert largest == {"privacy": ["nan", "privacy/b"], "specious": ["0", "-"]}
     assert out["largest"].split() == ["nan", "privacy/b"]
+    assert [line[0] for line in out["changed"]] == ["privacy/a", "privacy/b"]
+    assert out["changed"][1][1:] == ["0.5", "nan"]
 
 
 def test_figdiff_fails_different_labels(tmp_path):

@@ -22,7 +22,6 @@ from qpirlab.adversaries import (
     Recovery,
     apply_recovery,
     block_spans,
-    database_block,
     database_groups,
     database_runs,
     measure_speciousness,
@@ -44,7 +43,8 @@ from qpirlab.channels import HadamardOp
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import PureState, RegisterLayout
-from span_reference import in_span, run_views, span_ensemble, steer
+from span_reference import (database_block, ensemble_distance, in_span, run_views, span_ensemble,
+                            steer)
 
 TOL = 1e-12
 
@@ -92,7 +92,7 @@ def _reference_rows(inst, spec, inputs, views):
     for (x_label, _), labels in groups.items():
         for la, lb in combinations(labels, 2):
             for t in steps:
-                rows.append((t, x_label, (la, lb), views[la][t].distance(views[lb][t])))
+                rows.append((t, x_label, (la, lb), ensemble_distance(views[la][t], views[lb][t])))
     return rows
 
 
@@ -116,7 +116,7 @@ def _reference_certificate(inst, spec, simulate):
             sim = simulate(ins.db, t)
             if ref is not None:
                 sim = sim.tensor(ref)
-            rows.append((ins.label, t, sim.distance(views[ins.label][t])))
+            rows.append((ins.label, t, ensemble_distance(sim, views[ins.label][t])))
     return rows
 
 
@@ -140,7 +140,7 @@ def _reference_speciousness(inst, adv):
         dishonest = execute(adv_spec, ins.state)
         for t, recovery in enumerate(adv.recoveries, start=1):
             recovered = apply_recovery(dishonest, t, recovery)
-            rows.append((ins.label, t, recovered.distance(honest.ensemble(t))))
+            rows.append((ins.label, t, ensemble_distance(recovered, honest.ensemble(t))))
     return rows
 
 
@@ -177,7 +177,7 @@ def test_steered_views_and_rows_match_the_per_input_loop(inst_name, adv_name):
         for ins in members:
             for t in steps:
                 got = steer(run[t], ins.client, ins.reference)
-                assert got.distance(want_views[ins.label][t]) <= TOL, (ins.label, t)
+                assert ensemble_distance(got, want_views[ins.label][t]) <= TOL, (ins.label, t)
 
     for mode in ("anchored", "full") if full else ("anchored",):
         report = privacy_lower_bound(inst, adv, mode)
@@ -537,21 +537,21 @@ def test_steered_mixed_purifier_is_the_reference_marginal(seed):
     assert pinned.shape == reference_span.shape == (8, 8, 4)
     mixed, want_mixed = span_ensemble(pinned), span_ensemble(reference_span)
     assert mixed.layout == want_mixed.layout
-    assert mixed.distance(want_mixed) <= TOL
+    assert ensemble_distance(mixed, want_mixed) <= TOL
     for rows in (1, 2, 3):
         client = random_ensemble(RegisterLayout((("idx", 2), ("refx", 1), ("refy", 2))), rows)
         beside = sim.tensor(_reference_marginal(client, ("refx", "refy")))
-        assert steer(reference, client, ("refx", "refy")).distance(beside) <= TOL
+        assert ensemble_distance(steer(reference, client, ("refx", "refy")), beside) <= TOL
         got = steer(mixed, client, ("refx", "refy"))
         want = steer(want_mixed, client, ("refx", "refy"))
         assert got.layout == want.layout
-        assert got.distance(want) <= TOL
+        assert ensemble_distance(got, want) <= TOL
         np.testing.assert_allclose(got.reduced(got.layout.names).matrix,
                                    want.reduced(want.layout.names).matrix, rtol=0, atol=TOL)
     # a client without references steers it back to ``sim``
     client = random_ensemble(RegisterLayout((("idx", 2),)), 2)
-    assert steer(reference, client, ()).distance(sim) <= TOL
-    assert steer(mixed, client, ()).distance(steer(span_ensemble(span), index, ())) <= TOL
+    assert ensemble_distance(steer(reference, client, ()), sim) <= TOL
+    assert ensemble_distance(steer(mixed, client, ()), steer(span_ensemble(span), index, ())) <= TOL
 
 
 @pytest.mark.parametrize("inst_name", ["k2", "cx2"])
@@ -568,7 +568,7 @@ def test_steering_reaches_any_client_state(inst_name, rng):
     direct = execute(inst.spec, Ensemble.from_pure(database).tensor(client))
     for t in range(1, steered.steps + 1):
         got = steer(steered.ensemble(t), client, ("refx",))
-        assert got.distance(direct.ensemble(t)) <= TOL, t
+        assert ensemble_distance(got, direct.ensemble(t)) <= TOL, t
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +579,8 @@ def test_steering_reaches_any_client_state(inst_name, rng):
 def _per_pair_steered_distances(groups):
     # each pair wrapped and steered on its own, then one Ensemble.distance
     # per pair
-    return [(ins.label, t, steer(span_ensemble(b), ins.client, ins.reference).distance(
-                steer(span_ensemble(a), ins.client, ins.reference)))
+    return [(ins.label, t, ensemble_distance(steer(span_ensemble(b), ins.client, ins.reference),
+                                             steer(span_ensemble(a), ins.client, ins.reference)))
             for members, pairs in groups for ins in members for t, (a, b) in pairs.items()]
 
 
@@ -590,7 +590,7 @@ def _per_view_steered(views, members):
 
 
 def _per_pair_distances(pairs):
-    return [x.distance(y) for x, y in pairs]
+    return [ensemble_distance(x, y) for x, y in pairs]
 
 
 def _figures(inst, adv):

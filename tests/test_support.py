@@ -12,14 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from qpirlab.adversaries import (adversary_by_name, database_block, database_groups,
-                                 database_runs, purified_input, standard_inputs)
+from qpirlab.adversaries import (adversary_by_name, database_groups, database_runs,
+                                 purified_input, standard_inputs)
 from qpirlab.channels import HadamardOp, PrepareOp, Support, _gather
 from qpirlab.config import CapExceeded
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import CLIENT, Ensemble, PartyProgram, PartyStep, ProtocolSpec, execute
 from qpirlab.states import PureState, RegisterLayout, marginal
-from span_reference import dense_aligned, dense_block, dense_execute, dense_traced
+from span_reference import database_block, dense_aligned, dense_block, dense_execute, dense_traced
 
 INSTANCES = {
     "k1": lambda: build_kerenidis(1),

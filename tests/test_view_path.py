@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qpirlab
-from qpirlab import adversaries, privacy, runtime
+from qpirlab import adversaries, bounds, privacy, runtime
 from qpirlab import distances as distances_module
 from qpirlab.adversaries import (PURIFIER, InputSpec, adversary_by_name, client_variants,
                                  database_groups, measure_speciousness, purified_honest,
@@ -24,7 +24,7 @@ from qpirlab.privacy import _even_steps, privacy_lower_bound
 from qpirlab.protocols import build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, execute
 from qpirlab.states import BRANCH_PRUNE, LayoutError, RegisterLayout
-from span_reference import in_span, run_views, span_ensemble, steer
+from span_reference import ensemble_distance, in_span, run_views, span_ensemble, steer
 
 
 def _aligned_by_hand(v, layout, names):
@@ -45,13 +45,13 @@ def test_ensemble_distance_aligns_the_other_view_by_name(seed):
     a = random_ensemble(RegisterLayout(tuple(regs[i] for i in rng.permutation(3))), 3)
     b = random_ensemble(RegisterLayout(tuple(regs[i] for i in rng.permutation(3))), 2)
     by_hand = [_aligned_by_hand(v, b.layout, a.layout.names) for v in b.dense()]
-    assert a.distance(b) == pytest.approx(paired_distances([(a.dense(), np.array(by_hand))])[0],
-                                          abs=1e-12)
-    assert a.distance(a) <= 1e-12
+    assert ensemble_distance(a, b) == pytest.approx(
+        paired_distances([(a.dense(), np.array(by_hand))])[0], abs=1e-12)
+    assert ensemble_distance(a, a) <= 1e-12
 
     other = random_ensemble(RegisterLayout((("x", 2), ("y", 1), ("w", 2))), 1)
     with pytest.raises(LayoutError):
-        a.distance(other)
+        ensemble_distance(a, other)
 
 
 def test_paired_distances_of_empty_and_one_sided_pairs(rng):
@@ -100,7 +100,7 @@ def test_correlated_input_has_the_marginals_of_the_entangled_input(n):
     correlated = variants["i-correlated"]
     assert len(correlated.vectors) == n
     for side in ("idx", "refi"):
-        assert entangled.traced([side]).distance(correlated.traced([side])) <= 1e-15
+        assert ensemble_distance(entangled.traced([side]), correlated.traced([side])) <= 1e-15
 
 
 def test_standard_inputs_refuse_to_test_a_subset_of_databases(monkeypatch):
@@ -149,7 +149,7 @@ def _weight(ens):
 
 
 def _pairwise(views):
-    return [a.distance(b) for a, b in combinations(views, 2)]
+    return [ensemble_distance(a, b) for a, b in combinations(views, 2)]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -177,23 +177,42 @@ def test_one_span_serves_two_ensembles():
     span_ens, span_other = in_span(ens, other)
     assert span_ens.shape[1:] == span_other.shape[1:]
     for c in _clients(rng, 1):
-        want = steer(ens, c, ("refx",)).distance(steer(other, c, ("refx",)))
-        got = steer(span_ensemble(span_ens), c, ("refx",)).distance(
-            steer(span_ensemble(span_other), c, ("refx",)))
+        want = ensemble_distance(steer(ens, c, ("refx",)), steer(other, c, ("refx",)))
+        got = ensemble_distance(steer(span_ensemble(span_ens), c, ("refx",)),
+                                steer(span_ensemble(span_other), c, ("refx",)))
         assert got == pytest.approx(want, abs=1e-12)
     with pytest.raises(LayoutError):
         in_span(ens, _random_ensemble(rng, RegisterLayout((("a", 2), (PURIFIER, 1), ("c", 2))), 1))
 
 
-def test_a_run_without_the_purifier_is_returned_as_is(rng):
-    # as its dense rows, (B, dim, 1), the other aligned to the first by name
+def test_a_run_without_the_purifier_is_one_label(rng):
+    # span coordinates (B, S, 1) like every other span, S at most the
+    # support rows and the columns; the other aligned to the first by name
     ens = _random_ensemble(rng, RegisterLayout((("a", 2), ("b", 1))), 2)
     other = _random_ensemble(rng, RegisterLayout((("b", 1), ("a", 2))), 1)
+    dense, aligned = ens.dense(), other.aligned_vectors(ens.layout.names)
     (alone,) = in_span(ens)
-    assert np.array_equal(alone, ens.dense()[:, :, None])
+    assert alone.shape == (2, 2, 1)
+    np.testing.assert_allclose(alone[:, :, 0] @ alone[:, :, 0].conj().T,
+                               dense @ dense.conj().T, rtol=0, atol=1e-12)
     got = in_span(ens, other)
-    assert np.array_equal(got[0], ens.dense()[:, :, None])
-    assert np.array_equal(got[1], other.aligned_vectors(ens.layout.names)[:, :, None])
+    assert [s.shape for s in got] == [(2, 3, 1), (1, 3, 1)]
+    rows = np.concatenate([s[:, :, 0] for s in got])
+    both = np.concatenate([dense, aligned])
+    # every inner product of the branches, the other's across the first's
+    np.testing.assert_allclose(rows @ rows.conj().T, both @ both.conj().T, rtol=0, atol=1e-12)
+    assert paired_distances([(got[0][:, :, 0], got[1][:, :, 0])])[0] == pytest.approx(
+        paired_distances([(dense, aligned)])[0], abs=1e-12)
+    assert ensemble_distance(span_ensemble(got[0]), span_ensemble(got[1])) == pytest.approx(
+        ensemble_distance(ens, other), abs=1e-12)
+
+    # a classical label of `a` leaves 2 of the 8 amplitudes nonzero: S <= 2
+    sparse = np.zeros((3, 8), dtype=complex)
+    sparse[:, [2, 3]] = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    (few,) = in_span(Ensemble(ens.layout, sparse))
+    assert few.shape == (3, 2, 1)
+    np.testing.assert_allclose(few[:, :, 0] @ few[:, :, 0].conj().T,
+                               sparse @ sparse.conj().T, rtol=0, atol=1e-12)
 
 
 def test_dropped_directions_carry_at_most_the_prune_weight():
@@ -284,9 +303,9 @@ def test_zero_amplitudes_leave_the_span_as_the_full_qr_gives_it(monkeypatch, see
     np.testing.assert_allclose(gram, full.conj().T @ full, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gram, a.conj().T @ a, rtol=0, atol=1e-12)
     for c in _clients(rng, 1):
-        want = steer(views[0], c, ("refx",)).distance(steer(views[1], c, ("refx",)))
-        got = steer(span_ensemble(spans[0]), c, ("refx",)).distance(
-            steer(span_ensemble(spans[1]), c, ("refx",)))
+        want = ensemble_distance(steer(views[0], c, ("refx",)), steer(views[1], c, ("refx",)))
+        got = ensemble_distance(steer(span_ensemble(spans[0]), c, ("refx",)),
+                                steer(span_ensemble(spans[1]), c, ("refx",)))
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -399,6 +418,34 @@ def test_certificates_take_one_span_per_database_and_step(monkeypatch):
     sim.certify()
     # 4 databases x 2 even steps, one call per step
     assert (sum(spans), len(spans)) == (8, 2)
+
+
+def test_honest_certificate_takes_each_view_into_its_span_once(monkeypatch):
+    # the simulated view is the run's own: one move per even step, and each
+    # span QR factors the 128 columns of one view, not 256 of two
+    moves = []
+    _counting(monkeypatch, moves, runtime.Ensemble, "aligned_vectors")
+    inputs = _recording_qr(monkeypatch)
+    privacy.HonestSimulator(build_kerenidis(4)).epsilon_upper()
+    assert len(moves) == 3
+    spans = [a for a in inputs if a.ndim == 2]
+    assert len(spans) == 48 and len(inputs) == 48 + 3
+    assert {a.shape[1] for a in spans} == {128}
+
+
+def test_attack_compares_its_views_in_one_span(monkeypatch):
+    # each later run's view goes into one span with run 1's, never through
+    # a QR of every amplitude row (8192 on k4): 128 nonzero rows at most
+    inst = build_kerenidis(4)
+    spans = []
+    _counting_spans(monkeypatch, spans, bounds)
+    inputs = _recording_qr(monkeypatch)
+    trace = extraction_attack(inst, "coherent-reference")
+    assert spans == [1] * (inst.n - 1)
+    assert max(a.shape[-2] for a in inputs) <= 128
+    assert trace.epsilon > 0.1
+    assert not hasattr(runtime.Ensemble, "distance")
+    assert "paired_distances" not in vars(runtime)
 
 
 def _record_callers(monkeypatch, owner, name, calls):
@@ -514,6 +561,6 @@ def test_steer_reads_a_span_view_in_place(monkeypatch):
         permuted.clear()
         steer(runs[0][t], client, ())
         assert len(permuted) == 1
-        want = steer(runs[1][t], client, ()).distance(steer(runs[0][t], client, ()))
+        want = ensemble_distance(steer(runs[1][t], client, ()), steer(runs[0][t], client, ()))
         assert want > 0.5
         assert paired_distances([(steered[1], steered[0])])[0] == pytest.approx(want, abs=1e-12)
