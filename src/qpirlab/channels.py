@@ -605,6 +605,8 @@ class RotateOp(ChannelOp):
     control: tuple[str, int] | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ChannelError(f"RotateOp angle {self.theta!r} is not finite")
         if self.control is not None:
             _check_flips_no_control(self, tuple(self.target), (tuple(self.control),))
 

@@ -306,8 +306,7 @@ def theorem32(n, thetas, tolerance, out, fmt):
     with _usage("--n"):
         inst = build_kerenidis(n)
     with _usage("--thetas"):
-        grid = [float(t) for t in thetas.split(",")]
-    adversaries = [gamma_family(inst, t, lossy=True) for t in grid]
+        adversaries = [gamma_family(inst, float(t), lossy=True) for t in thetas.split(",")]
     rows = []
     for row in verify_theorem_bound(inst, adversaries, tolerance=tolerance):
         rows.append(dict(row.as_dict(), tolerance=tolerance))

@@ -402,3 +402,11 @@ def test_ops_reject_controlling_on_what_they_flip(make, name):
     # inside numpy, rather than name the op.
     with pytest.raises(ChannelError, match=rf"{name}.*'a'"):
         make()
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+def test_rotate_rejects_an_angle_that_is_not_finite(theta):
+    # Built with it, the op ran until a math domain error or an empty
+    # reshape inside the run, rather than name the op.
+    with pytest.raises(ChannelError, match="RotateOp angle"):
+        RotateOp(("t", 0), theta, control=("c", 0))

@@ -188,6 +188,8 @@ def test_suite_small(runner, tmp_path):
     (["privacy", "--n", "2", "--adversary", "bogus"], "--adversary"),
     (["privacy", "--n", "2", "--adversary", "gamma:x"], "--adversary"),
     (["bounds", "theorem32", "--thetas", "0.1,x"], "--thetas"),
+    (["bounds", "theorem32", "--thetas", "nan"], "--thetas"),
+    (["privacy", "--n", "2", "--adversary", "gamma:inf"], "--adversary"),
 ])
 def test_arguments_the_library_refuses_are_usage_errors(runner, args, option):
     # exit 2 names the option; exit 1 stays a failed check
