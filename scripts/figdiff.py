@@ -5,8 +5,8 @@ difference with its label, and per section (the label up to its first
 ``/``) how many figures moved and the section's largest difference with
 its label.  Then one ``changed LABEL PARENT CHANGE`` line per moved figure,
 in the parent's label order, each value the shortest decimal that reads
-back to it bit for bit.  Exits 1 when the two prints have different labels or a figure
-moved by more than ``privacy.FIGURE_TOL``, else 0.
+back to it bit for bit.  Exits 1 when the two prints have different labels
+or a figure moved by more than ``privacy.FIGURE_TOL``, else 0.
 
 Usage: python scripts/figdiff.py PARENT CHANGE
 """
