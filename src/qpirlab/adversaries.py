@@ -534,11 +534,11 @@ def gamma_family(instance: QpirInstance, theta: float, lossy: bool = False) -> A
     """Honest steps plus one ancilla rotation per server step.
 
     At each server step a fresh ancilla is rotated by ``theta`` controlled
-    on the first database qubit.  The proper recovery rotates each ancilla
-    back conditioned identically and discards it, which undoes the deviation
-    exactly at every step; the ``lossy`` variant discards the ancillas
-    without un-rotating, so its measured speciousness grows with ``theta``
-    once the test set includes superposed databases.
+    on the first database qubit.  The proper recovery applies the
+    ``inverse()`` of each rotation and discards the ancillas, which undoes
+    the deviation exactly at every step; the ``lossy`` variant discards the
+    ancillas without un-rotating, so its measured speciousness grows with
+    ``theta`` once the test set includes superposed databases.
 
     The control sits on the database register (rather than a message qubit)
     because it is the one register that never leaves the server, which is
@@ -548,18 +548,16 @@ def gamma_family(instance: QpirInstance, theta: float, lossy: bool = False) -> A
     if db is None:
         raise ProtocolShapeError("the rotation family needs the quantum-database path")
     spec = instance.spec
-    ancillas: list[str] = []
+    rotations: list[RotateOp] = []
     steps, recoveries = [], []
     for st in spec.schedule:
         if st.party == SERVER:
-            anc = f"anc{len(ancillas) + 1}"
-            ancillas.append(anc)
-            steps.append(replace(st.step, ops=st.step.ops + (
-                PrepareOp.zeros(((anc, 1),)),
-                RotateOp((anc, 0), theta, control=(db, 0)),
-            )))
-        undo = () if lossy else tuple(RotateOp((a, 0), -theta, control=(db, 0)) for a in ancillas)
-        recoveries.append(Recovery(ops=undo, discard=tuple(ancillas)))
+            anc = f"anc{len(rotations) + 1}"
+            rotations.append(RotateOp((anc, 0), theta, control=(db, 0)))
+            steps.append(replace(st.step, ops=st.step.ops + (PrepareOp.zeros(((anc, 1),)),
+                                                             rotations[-1])))
+        undo = () if lossy else tuple(r.inverse() for r in rotations)
+        recoveries.append(Recovery(ops=undo, discard=tuple(r.target[0] for r in rotations)))
     return Adversary(
         name=f"gamma-lossy:{theta}" if lossy else f"gamma:{theta}",
         program=replace(spec.server, steps=tuple(steps)),

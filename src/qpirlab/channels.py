@@ -1,12 +1,14 @@
 """Quantum operations over named registers.
 
-Every op reports its ``kind`` (``isometry``, ``kraus-set`` or
+Every op declares its ``kind`` (``isometry``, ``kraus-set`` or
 ``measurement``), the registers it touches (reads or may change), the
-registers it may relabel and any registers it creates.  A flip op relabels
-its flipped register (a swap both of its registers), a Hadamard, rotate or
-dense op its target registers, and a phase, measurement or preparation
-none: it commutes with the label projectors of every register it does not
-relabel.
+registers it may relabel, any registers it creates and its ``inverse()``.
+A flip op relabels its flipped register (a swap both of its registers), a
+Hadamard, rotate or dense op its target registers, and a phase,
+measurement or preparation none: it commutes with the label projectors of
+every register it does not relabel.  The flip ops, the Hadamard and the
+phase are their own inverses, a rotation's turns by ``-theta``, and a
+preparation, measurement or dense op refuses (:class:`ChannelError`).
 
 Every op applies through one ``apply_vectors(vectors, layout)`` call, which
 takes a set of unnormalized branches as a :class:`Support`, the (branch,
@@ -230,7 +232,7 @@ _HADAMARD_SIGNS = {1: _H_SIGNS, 2: np.kron(_H_SIGNS, _H_SIGNS) / 2}
 
 
 class ChannelOp:
-    """Base class; subclasses implement :meth:`apply_vectors`."""
+    """Base class; subclasses implement :meth:`apply_vectors` and may declare :meth:`inverse`."""
 
     kind = "isometry"
 
@@ -267,6 +269,10 @@ class ChannelOp:
         multiply branches."""
         raise NotImplementedError
 
+    def inverse(self) -> "ChannelOp":
+        """The op that undoes this one; an op that declares none refuses."""
+        raise ChannelError(f"{type(self).__name__} is not invertible")
+
     def descriptor(self) -> dict:
         """The op's text form: ``{"op": name}``, then each field in declaration order."""
         return {"op": _OP_NAMES[type(self)],
@@ -277,6 +283,10 @@ class ChannelOp:
 # ---------------------------------------------------------------------------
 # structured permutation / phase ops
 # ---------------------------------------------------------------------------
+
+
+def _self_inverse(self):
+    return self  # applied twice, the op is the identity
 
 
 @dataclass(frozen=True)
@@ -292,6 +302,8 @@ class HadamardOp(ChannelOp):
     @property
     def relabels(self):
         return (self.register,)
+
+    inverse = _self_inverse
 
     def apply_vectors(self, vectors, layout):
         slots = layout.slots([self.register])
@@ -413,6 +425,7 @@ class InnerProductCnotOp(ChannelOp):
         return par << tshift
 
     apply_vectors = _apply_flip
+    inverse = _self_inverse
 
 
 @dataclass(frozen=True)
@@ -441,6 +454,8 @@ class SelectPhaseOp(ChannelOp):
 
     def _sign(self, idx, layout):
         return 1.0 - 2.0 * _selected_bit(idx, layout, self.targets, self.selector)
+
+    inverse = _self_inverse
 
     def apply_vectors(self, vectors, layout):
         value = vectors.value * self._sign(vectors.index, layout)
@@ -475,6 +490,7 @@ class SelectCnotOp(ChannelOp):
         return par << _shift(layout.total_qubits, layout.qubit(*self.target))
 
     apply_vectors = _apply_flip
+    inverse = _self_inverse
 
 
 @dataclass(frozen=True)
@@ -506,6 +522,7 @@ class SelectFlipOp(ChannelOp):
         return par << _shift(total, layout.qubit(*self.target))
 
     apply_vectors = _apply_flip
+    inverse = _self_inverse
 
 
 @dataclass(frozen=True)
@@ -532,6 +549,7 @@ class CnotOp(ChannelOp):
         return par << _shift(total, layout.qubit(*self.target))
 
     apply_vectors = _apply_flip
+    inverse = _self_inverse
 
 
 @dataclass(frozen=True)
@@ -565,6 +583,7 @@ class CopyOp(ChannelOp):
         return flip
 
     apply_vectors = _apply_flip
+    inverse = _self_inverse
 
 
 @dataclass(frozen=True)
@@ -594,6 +613,7 @@ class SwapOp(ChannelOp):
         return flip
 
     apply_vectors = _apply_flip
+    inverse = _self_inverse
 
 
 @dataclass(frozen=True)

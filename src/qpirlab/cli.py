@@ -2,10 +2,10 @@
 
 Every command emits flat report rows (one assertion each, tagged with the
 tolerance it was judged against), writes them as JSON and CSV when an output
-path is given, and exits 1 if any assertion failed; an option value the
-library refuses exits 2, naming the option.  All protocol physics is
-deterministic; the seed only fixes randomized fixtures such as the sampled
-databases at n = 8.
+path is given, and exits 1 if any assertion failed, and only then; an option
+value the library refuses exits 2, naming the option, and so does a run past
+a cap, with the library's message.  All protocol physics is deterministic;
+the seed only fixes randomized fixtures such as the sampled databases at n = 8.
 
 The global qubit cap can be overridden with the ``QPIRLAB_QUBIT_CAP``
 environment variable; commands estimate the register bill before allocating
@@ -35,7 +35,7 @@ from .bounds import (
     nayak_bound,
     reconstruction_bound,
 )
-from .config import CapExceeded
+from .config import CapExceeded, QubitCapExceeded
 from .privacy import privacy_lower_bound, verify_theorem_bound
 from .protocols import build_baseline, build_counterexample, build_kerenidis, database_bits
 from .runtime import communication, spec_to_json
@@ -61,18 +61,13 @@ def _build(protocol: str, n: int, cleanup: bool = False, database=None):
         raise click.UsageError(f"--cleanup does not apply to protocol {protocol!r}")
     if database is not None and protocol == "counterexample":
         raise click.UsageError(f"--database does not apply to protocol {protocol!r}")
-    try:
-        with _usage("--n"):
-            if protocol == "kerenidis":
-                return build_kerenidis(n, cleanup=cleanup, database=database)
-            if protocol in ("send-db", "send-index"):
-                return build_baseline(protocol, n, database=database)
-            if protocol == "counterexample":
-                return build_counterexample(n)
-    except CapExceeded as exc:
-        raise click.ClickException(
-            f"register bill too large: {exc} (raise QPIRLAB_QUBIT_CAP to override)"
-        ) from exc
+    with _usage("--n"):
+        if protocol == "kerenidis":
+            return build_kerenidis(n, cleanup=cleanup, database=database)
+        if protocol in ("send-db", "send-index"):
+            return build_baseline(protocol, n, database=database)
+        if protocol == "counterexample":
+            return build_counterexample(n)
     raise click.UsageError(f"unknown protocol {protocol!r}")
 
 
@@ -128,7 +123,19 @@ def _with_common(f):
     return f
 
 
-@click.group()
+class _Lab(click.Group):
+    """Each command, nested ones too, exits 2 on a cap the run would pass."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CapExceeded as exc:
+            hint = " (raise QPIRLAB_QUBIT_CAP to override)" if isinstance(
+                exc, QubitCapExceeded) else ""
+            raise click.UsageError(f"{exc}{hint}") from exc
+
+
+@click.group(cls=_Lab)
 def main():
     """Simulation lab for anchored-privacy analysis of QPIR protocols."""
 
@@ -138,18 +145,21 @@ def main():
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--cleanup", is_flag=True)
 @click.option("--databases", type=click.IntRange(min=1), default=None,
-              help="Random databases to sample (exhaustive when omitted and n <= 4).")
+              help="Distinct random databases to sample (exhaustive when omitted and n <= 4).")
 @click.option("--seed", type=int, default=7)
 @_with_common
 def correctness(protocol, n, cleanup, databases, seed, out, fmt):
     """Decode probability for every (database, index) pair."""
-    rng = np.random.default_rng(seed)
     if databases is None and n <= 4:
-        dbs = [database_bits(d, n) for d in range(1 << n)]
+        labels = range(1 << n)
         seed = None  # exhaustive: no database was drawn
     else:
-        count = databases or 64
-        dbs = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(count)]
+        # refuse a bad size before drawing from its 2**n databases
+        _build(protocol, n, cleanup=cleanup,
+               database=None if protocol == "counterexample" else (0,) * n)
+        with _usage("--databases"):  # more than the 2**n databases
+            labels = np.random.default_rng(seed).choice(1 << n, databases or 64, replace=False)
+    dbs = [database_bits(int(d), n) for d in labels]
     rows = []
     for db in dbs:
         inst = _build(protocol, n, cleanup=cleanup,
@@ -171,7 +181,7 @@ def correctness(protocol, n, cleanup, databases, seed, out, fmt):
 @click.option("--adversary", "adversary_name", default=None,
               help="honest-purified | purify-db | gamma:<t> | gamma-lossy:<t>")
 @click.option("--mode", type=click.Choice(["anchored", "full"]), default="anchored")
-@click.option("--target", type=float, default=TOL,
+@click.option("--target", type=click.FloatRange(min=0), default=TOL,
               help="Privacy error the protocol is verified against.")
 @_with_common
 def privacy(protocol, n, adversary_name, mode, target, out, fmt):
@@ -180,11 +190,11 @@ def privacy(protocol, n, adversary_name, mode, target, out, fmt):
     inst = _build(protocol, n)
     with _usage("--adversary"):
         adv = adversary_by_name(inst, adversary_name) if adversary_name else None
-    report = privacy_lower_bound(inst, adv, mode, target=target)
+    report = privacy_lower_bound(inst, adv, mode)
     rows = [dict(r, tolerance=TOL, ok=None) for r in report.as_rows()]
     rows.append({"protocol": report.protocol, "adversary": report.adversary,
                  "mode": mode, "eps_lower": report.eps_lower, "target": target,
-                 "tolerance": TOL, "ok": bool(report.passed)})
+                 "tolerance": TOL, "ok": report.eps_lower <= target + TOL})
     _finish(rows, out, fmt)
 
 
@@ -214,7 +224,7 @@ def attack():
 @attack.command()
 @click.option("--n", type=click.IntRange(min=1), default=2)
 @click.option("--protocol", default="kerenidis")
-@click.option("--threshold", type=float, default=0.05)
+@click.option("--threshold", type=click.FloatRange(min=0), default=0.05)
 @_with_common
 def purify(n, protocol, threshold, out, fmt):
     """Input-purification attack: asserts the purified server's view leaks
@@ -298,7 +308,7 @@ def chain_rule(protocol, n, mode, database, out, fmt):
 @bounds.command()
 @click.option("--n", type=click.IntRange(min=1), default=2)
 @click.option("--thetas", default="0.1,0.2,0.4")
-@click.option("--tolerance", type=float, default=1e-6)
+@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6)
 @_with_common
 def theorem32(n, thetas, tolerance, out, fmt):
     """Certificate eps_hat <= eps_honest + 3 sqrt(2 gamma_hat) for the lossy
@@ -307,10 +317,8 @@ def theorem32(n, thetas, tolerance, out, fmt):
         inst = build_kerenidis(n)
     with _usage("--thetas"):
         adversaries = [gamma_family(inst, float(t), lossy=True) for t in thetas.split(",")]
-    rows = []
-    for row in verify_theorem_bound(inst, adversaries, tolerance=tolerance):
-        rows.append(dict(row.as_dict(), tolerance=tolerance))
-    _finish(rows, out, fmt)
+    rows = verify_theorem_bound(inst, adversaries, tolerance=tolerance)
+    _finish([dict(row.as_dict(), tolerance=tolerance) for row in rows], out, fmt)
 
 
 @main.command()

@@ -38,13 +38,17 @@ def reduced_cap() -> int:
 
 
 class CapExceeded(Exception):
-    """A register bill would exceed a configured qubit cap."""
+    """A register bill would exceed a configured cap."""
+
+
+class QubitCapExceeded(CapExceeded):
+    """The cap passed is the qubit cap, which ``QPIRLAB_QUBIT_CAP`` raises."""
 
 
 def check_cap(qubits: int, *, what: str) -> None:
     limit = qubit_cap()
     if qubits > limit:
-        raise CapExceeded(f"{what} needs {qubits} qubits, cap is {limit}")
+        raise QubitCapExceeded(f"{what} needs {qubits} qubits, cap is {limit}")
 
 
 def check_branches(rows: int, dim: int, *, what: str) -> None:
@@ -52,8 +56,8 @@ def check_branches(rows: int, dim: int, *, what: str) -> None:
     one state at the qubit cap, ``2**qubit_cap()``."""
     limit = qubit_cap()
     if rows * dim > 1 << limit:
-        raise CapExceeded(f"{what} needs {rows} branches x {dim} amplitudes, "
-                          f"past 2**{limit} at cap {limit}")
+        raise QubitCapExceeded(f"{what} needs {rows} branches x {dim} amplitudes, "
+                               f"past 2**{limit} at cap {limit}")
 
 
 def check_reduced_cap(qubits: int) -> None:

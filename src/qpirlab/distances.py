@@ -181,16 +181,17 @@ def _rescaled(value: np.ndarray) -> np.ndarray:
 
 def _pure_support(state) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices and amplitudes of the nonzero entries of a ``PureState``
-    or a one-branch ``Ensemble``, scaled as ``reordered`` of ``to_pure``
-    scales them: ``np.linalg.norm`` and a ``vdot`` rescale for an
-    ensemble (``Ensemble.to_pure``), then a ``vdot`` rescale for either."""
+    or a one-branch ``Ensemble``, scaled as the whole dense state was: an
+    ensemble's by ``np.linalg.norm`` and a ``vdot`` rescale (``to_pure`` of
+    ``tests/span_reference.py``).  A reader that reorders the registers
+    rescales them again, as ``PureState.reordered`` did."""
     if isinstance(state, PureState):
         index = np.flatnonzero(state.amplitudes)
-        return index, _rescaled(state.amplitudes[index])
+        return index, state.amplitudes[index]
     if len(state.vectors) != 1:
         raise StateError(f"ensemble has {len(state.vectors)} branches, not pure")
     value = state.vectors.value
-    return state.vectors.index, _rescaled(_rescaled(value / np.linalg.norm(value)))
+    return state.vectors.index, _rescaled(value / np.linalg.norm(value))
 
 
 def uhlmann_unitary(phi, psi, side) -> np.ndarray:
@@ -203,8 +204,9 @@ def uhlmann_unitary(phi, psi, side) -> np.ndarray:
     marginals (off ``side``) at halved trace distance eps < 1, the rotated
     state satisfies ``D(phi, (I (x) U) psi) <= sqrt(eps (2 - eps))``.
 
-    Both states are read on their support, scaled exactly as the dense
-    path scaled them (:func:`_pure_support`): each entry's index splits
+    Both states are read on their support, scaled as the dense path
+    scaled them (:func:`_pure_support`, then the ``vdot`` rescale of
+    ``PureState.reordered``): each entry's index splits
     (``channels._gather``) into an off-side row and a side column label,
     and the union of the two states' nonzero rows, ascending, fills two
     ``(rows, d_b)`` matrices.  The rows left out are zero in both, so the
@@ -225,7 +227,8 @@ def uhlmann_unitary(phi, psi, side) -> np.ndarray:
     for state in (phi, psi):
         (index, value), lay = _pure_support(state), state.layout
         split.append((_gather(index, lay.total_qubits, lay.ordered_slots(a_names)),
-                      _gather(index, lay.total_qubits, lay.ordered_slots(b_names)), value))
+                      _gather(index, lay.total_qubits, lay.ordered_slots(b_names)),
+                      _rescaled(value)))
     rows = np.union1d(split[0][0], split[1][0])
     mat_phi, mat_psi = np.zeros((2, len(rows), 1 << len(phi.layout.slots(b_names))),
                                 dtype=np.complex128)
@@ -248,32 +251,40 @@ def apply_side_unitary(state: PureState, u: np.ndarray, side) -> PureState:
     return PureState.from_vector(ordered_layout, rotated.reshape(-1)).reordered(state.layout.names)
 
 
-def trace_in_extraction(alpha: PureState, phi: PureState) -> tuple[PureState, float]:
+def trace_in_extraction(alpha, phi) -> tuple[PureState, float]:
     """Split off the non-``phi`` part of a nearly-product pure state.
 
-    ``phi``'s registers name the X side; the remaining registers of
-    ``alpha`` form Y.  Projects X onto ``phi`` and renormalizes, returning
-    the pure state ``beta`` on Y together with the certified bound
-    ``sqrt(eps)`` where ``eps`` is the measured distance of ``alpha``'s X
-    marginal from ``phi``; the product ``phi (x) beta`` is then within
-    ``sqrt(eps)`` of ``alpha``.
-    """
-    x_names = list(phi.layout.names)
-    y_names = [n for n in alpha.layout.names if n not in set(x_names)]
+    ``alpha`` and ``phi`` are each a ``PureState`` or a one-branch
+    ``Ensemble``.  ``phi``'s registers name the X side; the remaining
+    registers of ``alpha`` form Y.  Projects X onto ``phi`` and
+    renormalizes, returning the pure state ``beta`` on Y together with the
+    certified bound ``sqrt(eps)`` where ``eps`` is the measured distance of
+    ``alpha``'s X marginal from ``phi``; the product ``phi (x) beta`` is
+    then within ``sqrt(eps)`` of ``alpha``.
+
+    Both are read on their support (:func:`_pure_support`): ``alpha``'s
+    entries, split by ``channels._gather``, fill the ``(X, Y)`` factor of
+    its X marginal, which is rescaled as ``PureState.reordered`` rescaled
+    the dense state and projected, so the figures keep their bits."""
+    lay = alpha.layout
+    y_names = [n for n in lay.names if not phi.layout.has(n)]
     if not y_names:
         raise LayoutError("alpha has no registers beyond those of phi")
-    ordered = alpha.reordered(x_names + y_names)
-    d_y = 1 << sum(alpha.layout.width(n) for n in y_names)
-    mat = ordered.amplitudes.reshape(-1, d_y)
-    phi_vec = phi.aligned_to(RegisterLayout(tuple((n, alpha.layout.width(n)) for n in x_names)))
-    proj = phi_vec.conj() @ mat
+    if any(lay.width(n) != w for n, w in phi.layout.registers):
+        raise LayoutError(f"layouts hold different registers: {phi.layout.names} vs {lay.names}")
+    x_slots = lay.ordered_slots(phi.layout.names)
+    check_reduced_cap(len(x_slots))
+    (index, value), (phi_index, phi_value) = _pure_support(alpha), _pure_support(phi)
+    factor = np.zeros((1 << len(x_slots), lay.dim >> len(x_slots)), dtype=np.complex128)
+    factor[_gather(index, lay.total_qubits, x_slots),
+           _gather(index, lay.total_qubits, lay.slots(y_names))] = value
+    phi_vec = np.zeros(len(factor), dtype=np.complex128)
+    phi_vec[phi_index] = phi_value
+    proj = phi_vec.conj() @ _rescaled(factor)
     p0 = float(np.vdot(proj, proj).real)
     if p0 < 1e-14:
-        raise StateError(
-            "projection probability is 0; the X marginal is orthogonal to phi"
-        )
-    beta_layout = RegisterLayout(tuple((n, alpha.layout.width(n)) for n in y_names))
+        raise StateError("projection probability is 0; the X marginal is orthogonal to phi")
+    beta_layout = RegisterLayout(tuple((n, lay.width(n)) for n in y_names))
     beta = PureState.from_vector(beta_layout, proj / math.sqrt(p0))
-    eps = trace_distance(gram_reduce(alpha.amplitudes[None], alpha.layout, x_names),
-                         DensityOperator.from_pure(phi_vec))
+    eps = trace_distance(DensityOperator(len(factor), factor), DensityOperator.from_pure(phi_vec))
     return beta, math.sqrt(max(eps, 0.0))

@@ -78,18 +78,7 @@ import numpy as np
 from .adversaries import (Adversary, _client_matrix, _product, database_groups,
                           measure_speciousness, planned_spans, standard_inputs,
                           steered_distances, steered_rows)
-from .channels import (
-    ChannelOp,
-    CnotOp,
-    CopyOp,
-    HadamardOp,
-    InnerProductCnotOp,
-    RotateOp,
-    SelectCnotOp,
-    SelectFlipOp,
-    SelectPhaseOp,
-    SwapOp,
-)
+from .channels import ChannelError, ChannelOp
 from .distances import paired_distances, trace_in_extraction
 from .protocols import QpirInstance
 from .runtime import (
@@ -147,13 +136,6 @@ class PrivacyReport:
     adversary: str
     rows: tuple[PrivacyRow, ...]
     eps_lower: float
-    target: float | None
-
-    @property
-    def passed(self) -> bool | None:
-        if self.target is None:
-            return None
-        return self.eps_lower <= self.target + 1e-9
 
     def as_rows(self) -> list[dict]:
         meta = {"mode": self.mode, "protocol": self.protocol, "adversary": self.adversary}
@@ -161,8 +143,7 @@ class PrivacyReport:
 
 
 def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = None,
-                        mode: str = "anchored", *,
-                        target: float | None = None) -> PrivacyReport:
+                        mode: str = "anchored") -> PrivacyReport:
     """Certified floor under the privacy error of a (possibly adversarial) run.
 
     For every even step and every pair of inputs sharing the database state
@@ -199,15 +180,8 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
                     pairs_of_rows.append((a, b))
     rows = [PrivacyRow(t, x_label, pair, d, required=(t < last))
             for (t, x_label, pair), d in zip(keys, paired_distances(pairs_of_rows))]
-    eps_lower = max((r.distance for r in rows), default=0.0) / 2.0
-    return PrivacyReport(
-        mode=mode,
-        protocol=instance.spec.name,
-        adversary=adversary.name if adversary else "honest",
-        rows=tuple(rows),
-        eps_lower=eps_lower,
-        target=target,
-    )
+    return PrivacyReport(mode, instance.spec.name, adversary.name if adversary else "honest",
+                         tuple(rows), max((r.distance for r in rows), default=0.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +264,14 @@ class HonestSimulator:
                             lambda t, runs: (runs[0].server_view(t),))
 
 
-_SELF_INVERSE = (HadamardOp, InnerProductCnotOp, SelectPhaseOp, SelectCnotOp,
-                 SelectFlipOp, CnotOp, CopyOp, SwapOp)
-
-
 def _inverted(ops) -> tuple[ChannelOp, ...]:
-    out = []
-    for op in reversed(tuple(ops)):
-        if isinstance(op, RotateOp):
-            out.append(op.inverse())
-        elif isinstance(op, _SELF_INVERSE):
-            out.append(op)
-        else:
-            raise ProtocolShapeError(
-                f"recovery op {type(op).__name__} is not invertible; purify it first"
-            )
-    return tuple(out)
+    """The inverses (:meth:`~qpirlab.channels.ChannelOp.inverse`) of
+    ``ops`` in reverse order: the recovery undone.  An op that declares no
+    inverse is refused, naming it."""
+    try:
+        return tuple(op.inverse() for op in reversed(tuple(ops)))
+    except ChannelError as exc:  # "<op> is not invertible"
+        raise ProtocolShapeError(f"recovery op {exc}; purify it first") from exc
 
 
 class TheoremSimulator:
@@ -315,8 +281,10 @@ class TheoremSimulator:
     adversary on the reference input ``(x0, i=1)``: the purified recovery is
     applied, the result is projected onto the honest pure state, and the
     renormalized remainder on the adversary's private registers is the
-    anchor.  The simulator for any anchored input is then the inverted
-    recovery applied to (anchor tensor honest-simulator output).
+    anchor (:func:`~qpirlab.distances.trace_in_extraction`, which reads both
+    runs on their support).  The simulator for any anchored input is then
+    the inverted recovery, each op's ``inverse()`` in reverse order, applied
+    to (anchor tensor honest-simulator output).
 
     ``honest`` is the honest simulator of the instance; simulators of
     several adversaries may share it, and with it the reference run
@@ -331,7 +299,6 @@ class TheoremSimulator:
             raise ProtocolShapeError("the adversary ships no recovery operators")
         self.instance = instance
         self.adversary = adversary
-        self.x0 = x0
         self.anchors: dict[int, PureState | None] = {}
         self.extraction_bounds: dict[int, float] = {}
         honest_tr = honest.reference_run(x0)
@@ -350,14 +317,10 @@ class TheoremSimulator:
             ens = ens.apply(op)
         if not ens.is_pure:
             raise ProtocolShapeError(
-                f"adversarial state at step {t} is not pure; purify the adversary"
-            )
+                f"adversarial state at step {t} is not pure; purify the adversary")
         if not recovery.discard:
             return None, 0.0
-        alpha = ens.to_pure()
-        sigma, bound = trace_in_extraction(alpha, honest_tr.ensemble(t).to_pure())
-        discard = set(recovery.discard)
-        return sigma.reordered([n for n in alpha.layout.names if n in discard]), bound
+        return trace_in_extraction(ens, honest_tr.ensemble(t))
 
     def simulated_view(self, t: int, honest_view: Ensemble) -> Ensemble:
         """Simulator output at even step ``t``, the reconstructed adversary

@@ -260,9 +260,9 @@ def _assemble_pi(n: int, *, db_register: str | None, db: tuple[int, ...] | None,
 
 
 def _undone(step: PartyStep) -> tuple[ChannelOp, ...]:
-    """The step's ops in reverse, without its preparations: every other op
-    the builders emit is its own inverse."""
-    return tuple(reversed([op for op in step.ops if not isinstance(op, PrepareOp)]))
+    """The step undone: the inverses (``ChannelOp.inverse``) of its ops in
+    reverse, without its preparations, whose fresh registers stay."""
+    return tuple(op.inverse() for op in reversed(step.ops) if not isinstance(op, PrepareOp))
 
 
 def _instance(name: str, n: int, bits, steps, pairs, output: str, flags: str) -> QpirInstance:

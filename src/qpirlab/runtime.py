@@ -266,11 +266,6 @@ class Ensemble:
     def is_pure(self) -> bool:
         return len(self.vectors) == 1
 
-    def to_pure(self) -> PureState:
-        if not self.is_pure:
-            raise StateError(f"ensemble has {len(self.vectors)} branches, not pure")
-        return PureState.from_vector(self.layout, self.dense()[0], normalize=True)
-
     def apply(self, op: ChannelOp) -> "Ensemble":
         return Ensemble(op.output_layout(self.layout), op.apply_vectors(self.vectors, self.layout))
 
@@ -393,7 +388,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
     :meth:`Ensemble.dense` is the array that the dense reference gives
     (``dense_execute`` in ``tests/span_reference.py``).  An op that fails
     raises :class:`ProtocolShapeError`, and one that breaks a resource cap raises
-    :class:`~qpirlab.config.CapExceeded` again; either names the step, the
+    its :class:`~qpirlab.config.CapExceeded` again; either names the step, the
     party, the op and its registers (or the setup).
     """
     declared = dict((*spec.server.input_registers, *spec.client.input_registers))
@@ -419,7 +414,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
             check_cap(layout.total_qubits + spec.setup.layout.total_qubits, what="state")
             vectors = vectors.tensor(spec.setup.amplitudes, what="the setup product")
         except CapExceeded as exc:
-            raise CapExceeded(f"setup {list(spec.setup.layout.names)}: {exc}") from exc
+            raise type(exc)(f"setup {list(spec.setup.layout.names)}: {exc}") from exc
         layout = layout.extended(spec.setup.layout.registers)
 
     kept: list[Ensemble | None] = []
@@ -432,7 +427,7 @@ def execute(spec: ProtocolSpec, input_state: PureState | Ensemble | None = None,
                 where = (f"step {st.t} ({st.party}): {type(op).__name__} on "
                          f"{[*op.touches, *(n for n, _ in op.creates)]}")
                 if isinstance(exc, CapExceeded):
-                    raise CapExceeded(f"{where}: {exc}") from exc
+                    raise type(exc)(f"{where}: {exc}") from exc
                 raise ProtocolShapeError(f"{where} failed: {exc}") from exc
             layout = out_layout
         keeps = keep is None or st.t in keep or st is spec.schedule[-1]

@@ -11,17 +11,20 @@ ensembles, ``steer`` steers a whole ensemble to a client state,
 runs a spec on dense branch arrays, ``database_block`` names a database
 block on the support, ``dense_traced``, ``dense_aligned`` and
 ``dense_block`` read a partial trace, a register order and a database
-block off the scattered branch array, and ``dense_uhlmann`` takes an
-Uhlmann unitary from two whole reordered pure states; the package reads
-every view from the runs ``adversaries.planned_spans`` makes of the plan
-of ``adversaries.database_runs``, every span and block from
+block off the scattered branch array, ``dense_uhlmann`` takes an
+Uhlmann unitary from two whole reordered pure states, ``to_pure`` makes a
+one-branch ensemble a ``PureState`` of its whole layout and
+``dense_trace_in_extraction`` extracts an anchor from two whole reordered
+pure states; the package reads every view from the runs
+``adversaries.planned_spans`` makes of the plan of
+``adversaries.database_runs``, every span and block from
 ``adversaries.block_spans``, compares views only in span coordinates
 (``distances.paired_distances``), steers only span arrays
 (``adversaries.steered_rows``), traces the discards no op touches first
 (``adversaries.apply_recovery``), applies every op on the support of the
 branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
-``Ensemble.apply``) and reads traces, orders, blocks and Uhlmann overlaps
-off that support."""
+``Ensemble.apply``) and reads traces, orders, blocks, Uhlmann overlaps and
+the theorem simulator's anchors off that support."""
 
 import math
 
@@ -31,9 +34,11 @@ from qpirlab.adversaries import (PURIFIER, Recovery, _client_matrix, _label_weig
                                  block_spans, purified_input)
 from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, PrepareOp,
                               RotateOp, SelectPhaseOp, Support, _apply_local, _gather)
-from qpirlab.distances import UhlmannPreconditionError, _split_matrix, paired_distances
+from qpirlab.distances import (UhlmannPreconditionError, _split_matrix, gram_reduce,
+                               paired_distances, trace_distance)
 from qpirlab.runtime import Ensemble, ExecutionTranscript, ProtocolSpec, execute
-from qpirlab.states import BRANCH_PRUNE, PureState, RegisterLayout, nonzero_rows, slots_to_front
+from qpirlab.states import (BRANCH_PRUNE, DensityOperator, LayoutError, PureState, RegisterLayout,
+                            StateError, nonzero_rows, slots_to_front)
 
 
 def run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
@@ -252,3 +257,40 @@ def dense_uhlmann(phi: PureState, psi: PureState, side) -> np.ndarray:
             "marginals are orthogonal (fidelity 0); no useful Uhlmann rotation exists"
         )
     return (w @ vh).conj().T
+
+
+def to_pure(ens: Ensemble) -> PureState:
+    """The one-branch ``ens`` as a ``PureState`` of its whole layout: its
+    branch scattered, divided by its ``np.linalg.norm`` and rescaled by the
+    ``PureState`` constructor.  The package reads pure states on their
+    support (``distances._pure_support``), scaled as this one is."""
+    if not ens.is_pure:
+        raise StateError(f"ensemble has {len(ens.vectors)} branches, not pure")
+    return PureState.from_vector(ens.layout, ens.dense()[0], normalize=True)
+
+
+def dense_trace_in_extraction(alpha, phi) -> tuple[PureState, float]:
+    """``distances.trace_in_extraction`` on whole dense states: ``alpha``
+    (a ``PureState`` or a one-branch ``Ensemble``, through ``to_pure``)
+    reordered to ``phi``'s registers then the rest, ``phi``'s amplitudes
+    aligned to them, one projection, and the bound from ``gram_reduce`` of
+    ``alpha`` against ``phi``.  The support read must give ``beta``'s
+    amplitudes and the bound bit for bit."""
+    alpha, phi = (to_pure(s) if isinstance(s, Ensemble) else s for s in (alpha, phi))
+    x_names = list(phi.layout.names)
+    y_names = [n for n in alpha.layout.names if n not in set(x_names)]
+    if not y_names:
+        raise LayoutError("alpha has no registers beyond those of phi")
+    ordered = alpha.reordered(x_names + y_names)
+    d_y = 1 << sum(alpha.layout.width(n) for n in y_names)
+    mat = ordered.amplitudes.reshape(-1, d_y)
+    phi_vec = phi.aligned_to(RegisterLayout(tuple((n, alpha.layout.width(n)) for n in x_names)))
+    proj = phi_vec.conj() @ mat
+    p0 = float(np.vdot(proj, proj).real)
+    if p0 < 1e-14:
+        raise StateError("projection probability is 0; the X marginal is orthogonal to phi")
+    beta_layout = RegisterLayout(tuple((n, alpha.layout.width(n)) for n in y_names))
+    beta = PureState.from_vector(beta_layout, proj / math.sqrt(p0))
+    eps = trace_distance(gram_reduce(alpha.amplitudes[None], alpha.layout, x_names),
+                         DensityOperator.from_pure(phi_vec))
+    return beta, math.sqrt(max(eps, 0.0))

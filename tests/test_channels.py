@@ -25,6 +25,7 @@ from qpirlab.channels import (
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, spec_from_json, spec_to_json
 from qpirlab.states import DensityOperator, PureState, RegisterLayout, slots_to_front
+from span_reference import to_pure
 from test_kernel_reference import SEEDS, _layout, _ops
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -32,7 +33,7 @@ H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 def test_hadamard_on_zero():
     state = PureState.basis(RegisterLayout((("a", 1),)))
-    out = Ensemble.from_pure(state).apply(DenseOp((H,), ("a",))).to_pure()
+    out = to_pure(Ensemble.from_pure(state).apply(DenseOp((H,), ("a",))))
     np.testing.assert_allclose(out.amplitudes, [2**-0.5, 2**-0.5], atol=1e-12)
 
 
@@ -48,12 +49,12 @@ def test_inner_product_cnot_examples():
     layout = RegisterLayout((("r", 2), ("q", 1)))
     s = PureState.basis(layout, {"r": 0b11})
     op = InnerProductCnotOp(source="r", target="q", mask="01")
-    out = Ensemble.from_pure(s).apply(op).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(op))
     assert out.amplitudes[layout.basis_index({"r": 0b11, "q": 1})] == pytest.approx(1)
 
     s = PureState.basis(layout, {"r": 0b10})
     op = InnerProductCnotOp(source="r", target="q", mask="01")
-    out = Ensemble.from_pure(s).apply(op).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(op))
     assert out.amplitudes[layout.basis_index({"r": 0b10, "q": 0})] == pytest.approx(1)
 
     # (|00> + |11>)/sqrt2 (x) |0>, mask 11 -> unchanged (1*1 xor 1*1 = 0)
@@ -62,7 +63,7 @@ def test_inner_product_cnot_examples():
     v[layout.basis_index({"r": 0b11})] = 2**-0.5
     s = PureState.from_vector(layout, v)
     op = InnerProductCnotOp(source="r", target="q", mask="11")
-    out = Ensemble.from_pure(s).apply(op).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(op))
     np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
 
 
@@ -70,7 +71,7 @@ def test_inner_product_cnot_zero_mask_fixes_state(rng):
     layout = RegisterLayout((("r", 2), ("q", 1)))
     s = random_pure(rng, layout)
     op = InnerProductCnotOp(source="r", target="q", mask="00")
-    out = Ensemble.from_pure(s).apply(op).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(op))
     np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
 
 
@@ -87,8 +88,8 @@ def test_inner_product_register_mask():
     for r in range(4):
         for d in range(4):
             s = PureState.basis(layout, {"r": r, "d": d})
-            out = Ensemble.from_pure(s).apply(
-                InnerProductCnotOp(source="r", target="q", mask_register="d")).to_pure()
+            out = to_pure(Ensemble.from_pure(s).apply(
+                InnerProductCnotOp(source="r", target="q", mask_register="d")))
             par = ((r >> 1) & (d >> 1)) ^ (r & d & 1)
             idx = layout.basis_index({"r": r, "d": d, "q": par})
             assert abs(out.amplitudes[idx]) == pytest.approx(1)
@@ -97,11 +98,11 @@ def test_inner_product_register_mask():
 def test_hadamard_transform_examples(rng):
     layout = RegisterLayout((("r", 3),))
     s = PureState.basis(layout)
-    out = Ensemble.from_pure(s).apply(HadamardOp("r")).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(HadamardOp("r")))
     np.testing.assert_allclose(out.amplitudes, np.full(8, 8**-0.5), atol=1e-12)
     # involution
     s = random_pure(rng, layout)
-    twice = Ensemble.from_pure(s).apply(HadamardOp("r")).apply(HadamardOp("r")).to_pure()
+    twice = to_pure(Ensemble.from_pure(s).apply(HadamardOp("r")).apply(HadamardOp("r")))
     np.testing.assert_allclose(twice.amplitudes, s.amplitudes, atol=1e-10)
 
 
@@ -115,7 +116,7 @@ def test_hadamard_shifted_entangled_pair(d):
         par = bin(r & d).count("1") & 1
         v[layout.basis_index({"R": r, "Rp": r})] = (-1) ** par / 2
     s = PureState.from_vector(layout, v)
-    out = Ensemble.from_pure(s).apply(HadamardOp("R")).apply(HadamardOp("Rp")).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(HadamardOp("R")).apply(HadamardOp("Rp")))
     want = np.zeros(16, dtype=complex)
     for y in range(4):
         want[layout.basis_index({"R": y, "Rp": y ^ d})] = 0.5
@@ -135,7 +136,7 @@ def test_measure_branches_to_density():
 def test_prepare_appends_registers():
     layout = RegisterLayout((("a", 1),))
     s = PureState.basis(layout, {"a": 1})
-    out = Ensemble.from_pure(s).apply(PrepareOp.zeros((("anc", 2),))).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(PrepareOp.zeros((("anc", 2),))))
     assert out.layout.names == ("a", "anc")
     assert out.amplitudes[out.layout.basis_index({"a": 1, "anc": 0})] == pytest.approx(1)
 
@@ -172,15 +173,15 @@ def test_select_ops_and_swap_copy():
         s = PureState.basis(layout, {"sel": v, "src": 0b10})
         op = SelectCnotOp(sources=tuple((x, ("src", x % 2)) for x in range(4)),
                           target=("t", 0), selector="sel")
-        out = Ensemble.from_pure(s).apply(op).to_pure()
+        out = to_pure(Ensemble.from_pure(s).apply(op))
         bit = (0b10 >> (1 - (v % 2))) & 1
         assert abs(out.amplitudes[layout.basis_index({"sel": v, "src": 0b10, "t": bit})]) == pytest.approx(1)
 
     layout = RegisterLayout((("a", 2), ("b", 2)))
     s = PureState.basis(layout, {"a": 0b01, "b": 0b10})
-    out = Ensemble.from_pure(s).apply(SwapOp("a", "b")).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(SwapOp("a", "b")))
     assert abs(out.amplitudes[layout.basis_index({"a": 0b10, "b": 0b01})]) == pytest.approx(1)
-    out = Ensemble.from_pure(s).apply(CopyOp("a", "b")).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(CopyOp("a", "b")))
     assert abs(out.amplitudes[layout.basis_index({"a": 0b01, "b": 0b11})]) == pytest.approx(1)
 
 
@@ -190,7 +191,7 @@ def test_select_phase_applies_sign():
     v = np.zeros(8, dtype=complex)
     v[layout.basis_index({"sel": 0, "q0": 1})] = 1 / np.sqrt(2)
     v[layout.basis_index({"sel": 1, "q0": 1})] = 1 / np.sqrt(2)
-    out = Ensemble.from_pure(PureState.from_vector(layout, v)).apply(op).to_pure()
+    out = to_pure(Ensemble.from_pure(PureState.from_vector(layout, v)).apply(op))
     assert out.amplitudes[layout.basis_index({"sel": 0, "q0": 1})] == pytest.approx(-1 / np.sqrt(2))
     assert out.amplitudes[layout.basis_index({"sel": 1, "q0": 1})] == pytest.approx(1 / np.sqrt(2))
 
@@ -199,7 +200,7 @@ def test_rotate_and_inverse(rng):
     layout = RegisterLayout((("c", 1), ("t", 1)))
     s = random_pure(rng, layout)
     op = RotateOp(("t", 0), 0.7, control=("c", 0))
-    out = Ensemble.from_pure(s).apply(op).apply(op.inverse()).to_pure()
+    out = to_pure(Ensemble.from_pure(s).apply(op).apply(op.inverse()))
     np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
 
 

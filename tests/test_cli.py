@@ -190,6 +190,10 @@ def test_suite_small(runner, tmp_path):
     (["bounds", "theorem32", "--thetas", "0.1,x"], "--thetas"),
     (["bounds", "theorem32", "--thetas", "nan"], "--thetas"),
     (["privacy", "--n", "2", "--adversary", "gamma:inf"], "--adversary"),
+    (["bounds", "theorem32", "--tolerance", "-1"], "--tolerance"),
+    (["attack", "purify", "--threshold", "-1"], "--threshold"),
+    (["privacy", "--n", "2", "--target", "-1"], "--target"),
+    (["correctness", "--n", "2", "--databases", "5"], "--databases"),
 ])
 def test_arguments_the_library_refuses_are_usage_errors(runner, args, option):
     # exit 2 names the option; exit 1 stays a failed check
@@ -199,3 +203,27 @@ def test_arguments_the_library_refuses_are_usage_errors(runner, args, option):
     assert isinstance(res.exception, SystemExit)
     assert f"'{option}'" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args,cap,qubits", [
+    (["suite", "all", "--sizes", "8"], "register bill needs 28 qubits, cap is 24", True),
+    (["bounds", "theorem32", "--n", "8"], "register bill needs 28 qubits, cap is 24", True),
+    (["privacy", "--n", "8"], "register bill needs 28 qubits, cap is 24", True),
+    (["privacy", "--protocol", "send-db", "--n", "8"], "all 256 databases", False),
+])
+def test_a_cap_the_run_would_pass_is_a_usage_error(runner, args, cap, qubits):
+    # one handler at the main group: the library's message, the override
+    # hint only for the qubit cap, and exit 1 stays a failed check
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert cap in res.output and "Traceback" not in res.output
+    assert ("QPIRLAB_QUBIT_CAP" in res.output) == qubits
+
+
+def test_correctness_draws_distinct_databases(runner, tmp_path):
+    out = tmp_path / "drawn"
+    res = runner.invoke(main, ["correctness", "--n", "2", "--databases", "4", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(out.with_suffix(".json").read_text())
+    assert len(rows) == 8 and len({r["db"] for r in rows}) == 4

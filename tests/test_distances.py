@@ -19,6 +19,7 @@ from qpirlab.distances import (
 )
 from qpirlab.runtime import Ensemble
 from qpirlab.states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
+from span_reference import dense_trace_in_extraction
 
 
 def dense_distance(a, b) -> float:
@@ -333,6 +334,31 @@ class TestTraceIn:
         beta, bound = trace_in_extraction(alpha, phi)
         assert bound == pytest.approx(0.0, abs=1e-6)
         assert abs(beta.amplitudes[0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("registers", [
+        (("X", 1), ("Y", 2)),
+        (("Y", 2), ("X", 1)),
+        (("Y", 1), ("X", 2), ("Z", 2)),
+    ])
+    def test_support_read_equals_the_dense_reference(self, rng, registers):
+        # the lemma suites' near-product states, X first, last and between
+        # two Y registers, alpha and phi each a PureState and a one-branch
+        # Ensemble: beta's amplitudes and the bound bit for bit
+        layout, x = RegisterLayout(registers), RegisterLayout((("X", dict(registers)["X"]),))
+        ys = RegisterLayout(tuple(r for r in registers if r[0] != "X"))
+        for _ in range(50):
+            base = random_pure(rng, x).tensor(random_pure(rng, ys)).reordered(layout.names)
+            noise = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+            alpha = PureState.from_vector(
+                layout, base.amplitudes + rng.uniform(0.0, 0.5) * noise / np.linalg.norm(noise),
+                normalize=True)
+            evals, evecs = np.linalg.eigh(partial_trace(alpha, ["X"]).matrix)
+            phi = PureState.from_vector(x, evecs[:, int(np.argmax(evals))], normalize=True)
+            for a, p in ((alpha, phi), (Ensemble.from_pure(alpha), Ensemble.from_pure(phi))):
+                beta, bound = trace_in_extraction(a, p)
+                want, want_bound = dense_trace_in_extraction(a, p)
+                assert beta.layout == want.layout == ys
+                assert np.array_equal(beta.amplitudes, want.amplitudes) and bound == want_bound
 
     def test_zero_projection_rejected(self):
         layout = RegisterLayout((("X", 1), ("Y", 1)))

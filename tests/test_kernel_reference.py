@@ -16,6 +16,7 @@ import pytest
 from conftest import random_kraus, random_unitary
 from qpirlab import channels
 from qpirlab.channels import (
+    ChannelError,
     ChannelOp,
     CnotOp,
     CopyOp,
@@ -352,6 +353,38 @@ def test_op_classes_bind_apply_vectors_in_their_own_body():
         fn = cls.__dict__.get("apply_vectors")
         assert fn is not None, cls.__name__
         assert list(inspect.signature(fn).parameters) == ["self", "vectors", "layout"], cls.__name__
+
+
+def test_op_classes_declare_their_inverse_or_refuse():
+    # every op class binds inverse() in its own body but the three that
+    # inherit ChannelOp's refusal
+    refusing = {cls for cls in _op_classes() if "inverse" not in cls.__dict__}
+    assert refusing == {PrepareOp, MeasureOp, DenseOp}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_op_is_undone_by_its_inverse_or_refuses(seed):
+    """Each op, then its ``inverse()``, on two dense branches gives the
+    input again, by the kernels and by ``span_reference.dense_apply``:
+    exactly for the XOR and sign ops, to 1e-12 for the Hadamard and the
+    rotations.  A preparation, a measurement or a dense op refuses, naming
+    the op."""
+    rng = np.random.default_rng(9900 + seed)
+    layout = _layout(rng)
+    vectors = rng.normal(size=(2, layout.dim)) + 1j * rng.normal(size=(2, layout.dim))
+    for op in _ops(rng, layout):
+        if isinstance(op, (PrepareOp, MeasureOp, DenseOp)):
+            with pytest.raises(ChannelError, match=type(op).__name__):
+                op.inverse()
+            continue
+        inv = op.inverse()
+        got = inv.apply_vectors(op.apply_vectors(Support.of(vectors), layout), layout).dense()
+        dense = dense_apply(inv, dense_apply(op, vectors, layout), layout)
+        if isinstance(op, (HadamardOp, RotateOp)):
+            np.testing.assert_allclose(got, vectors, rtol=0, atol=1e-12, err_msg=repr(op))
+            np.testing.assert_allclose(dense, vectors, rtol=0, atol=1e-12, err_msg=repr(op))
+        else:
+            assert np.array_equal(got, vectors) and np.array_equal(dense, vectors), op
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qpirlab import privacy
 from qpirlab.adversaries import (
+    adversary_by_name,
     client_variants,
     gamma_family,
     measure_speciousness,
@@ -11,6 +13,7 @@ from qpirlab.adversaries import (
     purified_honest,
     standard_inputs,
 )
+from qpirlab.channels import HadamardOp, MeasureOp, RotateOp
 from qpirlab.distances import pure_trace_distance
 from qpirlab.privacy import (
     FIGURE_TOL,
@@ -23,6 +26,7 @@ from qpirlab.privacy import (
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, ProtocolShapeError, execute
 from qpirlab.states import PureState, RegisterLayout
+from span_reference import dense_trace_in_extraction
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +166,50 @@ class TestTheoremSimulator:
             calls.clear()
             sim.certify()
             assert calls.count(k2.spec.name) == 4
+
+    def test_inverted_recovery_is_the_inverses_in_reverse(self):
+        h, r = HadamardOp("a"), RotateOp(("b", 0), 0.3, control=("a", 0))
+        assert privacy._inverted((h, r)) == (RotateOp(("b", 0), -0.3, control=("a", 0)), h)
+        with pytest.raises(ProtocolShapeError,
+                           match="recovery op MeasureOp is not invertible; purify it first"):
+            privacy._inverted((h, MeasureOp("a")))
+
+    @pytest.mark.parametrize("name,n", [("kerenidis", 1), ("kerenidis", 2), ("send-db", 1)])
+    def test_anchors_equal_the_dense_extraction(self, monkeypatch, name, n):
+        # every theorem simulator scripts/figures.py builds, the theorem
+        # bound's gamma-lossy:0.1 included: beta and the bound of each
+        # extraction bit for bit those of the dense reordered states
+        inst = build_kerenidis(n) if name == "kerenidis" else build_baseline(name, n)
+        inner, calls = privacy.trace_in_extraction, []
+        monkeypatch.setattr(privacy, "trace_in_extraction",
+                            lambda alpha, phi: calls.append((alpha, phi)) or inner(alpha, phi))
+        names = ("honest-purified", "purify-db", "gamma:0.3", "gamma-lossy:0.3")
+        for adv in names + (("gamma-lossy:0.1",) if n == 2 else ()):
+            calls.clear()
+            sim = TheoremSimulator(HonestSimulator(inst), adversary_by_name(inst, adv), 0)
+            assert len(calls) == sum(a is not None for a in sim.anchors.values())
+            for alpha, phi in calls:
+                (beta, bound), (want, want_bound) = inner(alpha, phi), dense_trace_in_extraction(
+                    alpha, phi)
+                assert beta.layout == want.layout
+                assert np.array_equal(beta.amplitudes, want.amplitudes) and bound == want_bound
+
+    def test_construction_makes_no_dense_pure_state(self, k2, monkeypatch):
+        # the anchors are read off the support of the recovered and the
+        # honest runs: no PureState of either run's registers is made
+        layouts, runs = [], []
+        post, inner = PureState.__post_init__, privacy.trace_in_extraction
+        monkeypatch.setattr(PureState, "__post_init__",
+                            lambda state: layouts.append(state.layout) or post(state))
+        monkeypatch.setattr(privacy, "trace_in_extraction",
+                            lambda alpha, phi: runs.append((alpha.layout, phi.layout))
+                            or inner(alpha, phi))
+        for adv in (gamma_family(k2, 0.3), gamma_family(k2, 0.3, lossy=True),
+                    purification_attack(k2)):
+            TheoremSimulator(HonestSimulator(k2), adv, x0=0)
+        assert runs and layouts  # the anchors are PureStates
+        run = {frozenset(lay.registers) for pair in runs for lay in pair}
+        assert [lay for lay in layouts if frozenset(lay.registers) in run] == []
 
     def test_requires_measurement_free(self):
         cx = build_counterexample(2)

@@ -17,6 +17,7 @@ from qpirlab.protocols import (
 from qpirlab.runtime import Ensemble, communication, execute
 from qpirlab.states import DensityOperator, PureState, RegisterLayout
 from qpirlab.config import CapExceeded
+from span_reference import to_pure
 
 
 def all_databases(n):
@@ -62,7 +63,7 @@ class TestKerenidis:
                 tr = inst.run(db, i)
                 ens = tr.ensemble(3)
                 assert ens.is_pure
-                state = ens.apply(HadamardOp("r1c")).apply(CopyOp("r1", "f")).to_pure()
+                state = to_pure(ens.apply(HadamardOp("r1c")).apply(CopyOp("r1", "f")))
                 got = partial_trace(state, ["r1", "r1c"])
                 want = np.zeros(4, dtype=complex)
                 d = db[i - 1]
