@@ -123,7 +123,7 @@ def _with_common(f):
     return f
 
 
-class _Lab(click.Group):
+class _CapsAreUsageErrors(click.Group):
     """Each command, nested ones too, exits 2 on a cap the run would pass."""
 
     def invoke(self, ctx):
@@ -135,7 +135,7 @@ class _Lab(click.Group):
             raise click.UsageError(f"{exc}{hint}") from exc
 
 
-@click.group(cls=_Lab)
+@click.group(cls=_CapsAreUsageErrors)
 def main():
     """Simulation lab for anchored-privacy analysis of QPIR protocols."""
 

@@ -175,7 +175,7 @@ def _split_matrix(state: PureState, side) -> tuple[np.ndarray, list[str], list[s
 
 
 def _rescaled(value: np.ndarray) -> np.ndarray:
-    # the PureState constructor's rescale, on the nonzero amplitudes alone
+    # the PureState constructor's rescale, over every entry in memory order
     return value / np.sqrt(float(np.vdot(value, value).real))
 
 
@@ -204,14 +204,14 @@ def uhlmann_unitary(phi, psi, side) -> np.ndarray:
     marginals (off ``side``) at halved trace distance eps < 1, the rotated
     state satisfies ``D(phi, (I (x) U) psi) <= sqrt(eps (2 - eps))``.
 
-    Both states are read on their support, scaled as the dense path
-    scaled them (:func:`_pure_support`, then the ``vdot`` rescale of
-    ``PureState.reordered``): each entry's index splits
-    (``channels._gather``) into an off-side row and a side column label,
-    and the union of the two states' nonzero rows, ascending, fills two
-    ``(rows, d_b)`` matrices.  The rows left out are zero in both, so the
-    overlap handed to the SVD is that of the dense reordered states bit for
-    bit, and LAPACK returns the same completion.
+    Both states are read on their support (:func:`_pure_support`): each
+    entry's index splits (``channels._gather``) into an off-side row and a
+    side column label, and the union of the two states' nonzero rows,
+    ascending, fills two ``(rows, d_b)`` matrices, each rescaled over its
+    entries in that order, as ``PureState.reordered`` rescaled the dense
+    reordered state.  The rows left out are zero in both, so the overlap
+    handed to the SVD is that of the dense reordered states bit for bit, and
+    LAPACK returns the same completion.
 
     Rank-deficient overlaps are completed to a full unitary through the
     singular-value decomposition, which pairs the orthogonal complements in
@@ -227,13 +227,13 @@ def uhlmann_unitary(phi, psi, side) -> np.ndarray:
     for state in (phi, psi):
         (index, value), lay = _pure_support(state), state.layout
         split.append((_gather(index, lay.total_qubits, lay.ordered_slots(a_names)),
-                      _gather(index, lay.total_qubits, lay.ordered_slots(b_names)),
-                      _rescaled(value)))
+                      _gather(index, lay.total_qubits, lay.ordered_slots(b_names)), value))
     rows = np.union1d(split[0][0], split[1][0])
     mat_phi, mat_psi = np.zeros((2, len(rows), 1 << len(phi.layout.slots(b_names))),
                                 dtype=np.complex128)
     for mat, (row, col, value) in zip((mat_phi, mat_psi), split):
         mat[np.searchsorted(rows, row), col] = value
+    mat_phi, mat_psi = _rescaled(mat_phi), _rescaled(mat_psi)  # as PureState.reordered
     m = (mat_phi.conj().T @ mat_psi).T
     w, s, vh = np.linalg.svd(m)
     if float(np.sum(s)) < 1e-12:

@@ -19,7 +19,7 @@ from qpirlab.distances import (
 )
 from qpirlab.runtime import Ensemble
 from qpirlab.states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
-from span_reference import dense_trace_in_extraction
+from span_reference import dense_trace_in_extraction, dense_uhlmann, to_pure
 
 
 def dense_distance(a, b) -> float:
@@ -213,6 +213,23 @@ class TestBlockDistance:
 
 
 class TestUhlmann:
+    @pytest.mark.parametrize("registers", [
+        (("A", 2), ("B", 2)),
+        (("B", 2), ("A", 2)),
+        (("A", 1), ("B", 2), ("C", 1)),
+    ])
+    def test_support_read_equals_the_dense_reference(self, rng, registers):
+        # random dense states, the side register B last, first and in the
+        # middle, each a PureState and a one-branch Ensemble: the unitary
+        # bit for bit that of the whole reordered states
+        layout = RegisterLayout(registers)
+        for _ in range(100):
+            phi, psi = random_pure(rng, layout), random_pure(rng, layout)
+            assert np.array_equal(uhlmann_unitary(phi, psi, ["B"]), dense_uhlmann(phi, psi, ["B"]))
+            phi, psi = Ensemble.from_pure(phi), Ensemble.from_pure(psi)
+            assert np.array_equal(uhlmann_unitary(phi, psi, ["B"]),
+                                  dense_uhlmann(to_pure(phi), to_pure(psi), ["B"]))
+
     def test_identical_states(self, rng):
         # full-rank B marginal, so the completion is forced: identity up to phase
         layout = RegisterLayout((("A", 2), ("B", 1)))

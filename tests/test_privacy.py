@@ -189,8 +189,8 @@ class TestTheoremSimulator:
             sim = TheoremSimulator(HonestSimulator(inst), adversary_by_name(inst, adv), 0)
             assert len(calls) == sum(a is not None for a in sim.anchors.values())
             for alpha, phi in calls:
-                (beta, bound), (want, want_bound) = inner(alpha, phi), dense_trace_in_extraction(
-                    alpha, phi)
+                beta, bound = inner(alpha, phi)
+                want, want_bound = dense_trace_in_extraction(alpha, phi)
                 assert beta.layout == want.layout
                 assert np.array_equal(beta.amplitudes, want.amplitudes) and bound == want_bound
 
