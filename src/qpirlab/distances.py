@@ -184,7 +184,7 @@ def _pure_support(state) -> tuple[np.ndarray, np.ndarray]:
     or a one-branch ``Ensemble``, scaled as the whole dense state was: an
     ensemble's by ``np.linalg.norm`` and a ``vdot`` rescale (``to_pure`` of
     ``tests/span_reference.py``).  A reader that reorders the registers
-    rescales them again, as ``PureState.reordered`` did."""
+    rescales the matrix it fills, as ``PureState.reordered`` did."""
     if isinstance(state, PureState):
         index = np.flatnonzero(state.amplitudes)
         return index, state.amplitudes[index]
