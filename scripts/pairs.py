@@ -11,7 +11,9 @@ repository), a JSON list of records, one per run of this script: both
 checkouts' revisions, the seeds, each pair's end-to-end metrics, and per
 metric the two medians, both sides' quartiles and how many pairs the change
 won.  The printed summary gives each side's interquartile range as a share
-of its median.  The record also says whether the claim rule holds: at least
+of its median.  The record says whether a gain on the workload was stated
+before the pairs were run (``--claimed``; ``claimed`` is false without
+it), and whether the claim rule holds: at least
 ``MIN_PAIRS`` pairs, every run correct with no failed task, and no seed
 already recorded in any record of a ``BENCH_*.json`` of ``--out``.  Earlier
 records stay byte for byte (a file holding one record, as this script once
@@ -19,7 +21,7 @@ wrote, becomes a list with that record first), and ``earlier_seeds`` lists
 the seeds the file held before.  The script claims nothing itself.
 
 Usage: python scripts/pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B
-       [--out DIR]
+       [--out DIR] [--claimed]
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def spread(s: dict, side: str) -> str:
 
 
 def record(parent_dir: Path, change_dir: Path, workload: str, seeds: list[int],
-           out: Path) -> dict:
+           out: Path, claimed: bool = False) -> dict:
     """Run the pairs and append their record to ``out / BENCH_<workload>.json``;
     returns the record."""
     bench = json.loads((change_dir / "BENCHMARK.json").read_text())
@@ -145,6 +147,7 @@ def record(parent_dir: Path, change_dir: Path, workload: str, seeds: list[int],
         "change": revision(change_dir),
         "seeds": seeds,
         "earlier_seeds": earlier,
+        "claimed": claimed,
         "claim_rule": {"pairs": len(pairs), "min_pairs": MIN_PAIRS, "reused_seeds": reused,
                        "all_correct": all_correct,
                        "holds": len(pairs) >= MIN_PAIRS and not reused and all_correct},
@@ -186,9 +189,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=seed_range)
     ap.add_argument("--out", type=Path, default=REPO)
+    ap.add_argument("--claimed", action="store_true",
+                    help="a gain on this workload was stated before the pairs were run")
     args = ap.parse_args(argv)
     doc = record(args.parent.resolve(), args.change.resolve(), args.workload, args.seeds,
-                 args.out)
+                 args.out, args.claimed)
     for name, s in doc["summary"].items():
         print(f"{name}: {s['parent_median']:.4g} -> {s['change_median']:.4g} "
               f"({spread(s, 'parent')}; {spread(s, 'change')}), "
@@ -196,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
     rule = doc["claim_rule"]
     print(f"claim rule {'holds' if rule['holds'] else 'does not hold'}: {rule['pairs']} pairs "
           f"(at least {MIN_PAIRS}), reused seeds {rule['reused_seeds']}, "
-          f"all runs correct: {rule['all_correct']}")
+          f"all runs correct: {rule['all_correct']}; a gain was "
+          f"{'claimed' if doc['claimed'] else 'not claimed'} beforehand")
     return 0
 
 

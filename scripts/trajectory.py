@@ -4,8 +4,11 @@ Reads every ``BENCH_*.json`` in DIR (default: this repository) that holds a
 list of ``scripts/pairs.py`` records and prints, per workload in file-name
 order, one line per record in the order the records were appended: the
 ``change`` revision, the number of pairs and the change's median of each
-end-to-end metric, then ``claim`` when the record's claim rule holds (a
-record without ``claim_rule`` ends at its medians).  A file in another
+end-to-end metric, then, when the record's claim rule holds, ``claim`` if
+a gain was claimed beforehand (``claimed``) and ``rule holds`` if not.  A
+record without ``claimed``, written before ``scripts/pairs.py`` recorded
+it, reads as claimed, and one without ``claim_rule`` ends at its medians.
+A file in another
 format (a single object, such as ``BENCH_kernels.json``) is named as
 skipped.  The script only reads; no record is edited.
 
@@ -24,8 +27,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 def trajectory(directory: Path) -> tuple[dict[str, list[dict]], list[str]]:
     """``(workloads, skipped)``: per workload, ``{"change", "pairs",
-    "medians", "claim"}`` for each record in file order, and the names of the
-    ``BENCH_*.json`` files that hold no record list."""
+    "medians", "holds", "claimed"}`` for each record in file order, and the
+    names of the ``BENCH_*.json`` files that hold no record list."""
     workloads: dict[str, list[dict]] = {}
     skipped = []
     for path in sorted(directory.glob("BENCH_*.json")):
@@ -38,7 +41,8 @@ def trajectory(directory: Path) -> tuple[dict[str, list[dict]], list[str]]:
                 "change": rec["change"],
                 "pairs": len(rec["pairs"]),
                 "medians": {name: s["change_median"] for name, s in rec["summary"].items()},
-                "claim": rec.get("claim_rule", {}).get("holds", False),
+                "holds": rec.get("claim_rule", {}).get("holds", False),
+                "claimed": rec.get("claimed", True),
             })
     return workloads, skipped
 
@@ -51,8 +55,8 @@ def main(argv: list[str] | None = None) -> int:
         print(workload)
         for row in rows:
             medians = " ".join(f"{name}={value:.4g}" for name, value in row["medians"].items())
-            claim = " claim" if row["claim"] else ""
-            print(f"  {row['change']} {row['pairs']} pairs {medians}{claim}")
+            mark = (" claim" if row["claimed"] else " rule holds") if row["holds"] else ""
+            print(f"  {row['change']} {row['pairs']} pairs {medians}{mark}")
     for name in skipped:
         print(f"skipped {name}: not a list of pairs records")
     return 0

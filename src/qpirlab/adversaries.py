@@ -60,7 +60,6 @@ from .channels import (
     PrepareOp,
     RotateOp,
     SwapOp,
-    _gather,
 )
 from .config import CapExceeded
 from .distances import paired_distances
@@ -326,7 +325,7 @@ def _label_weights(ens: Ensemble, register: str) -> np.ndarray:
     ``(B, 2**width)`` array from one ``bincount`` on the support."""
     sup, lay = ens.vectors, ens.layout
     w = lay.width(register)
-    key = (sup.branch << w) | _gather(sup.index, lay.total_qubits, lay.slots([register]))
+    key = (sup.branch << w) | lay.labels(sup.index, (register,))
     return np.bincount(key, np.abs(sup.value) ** 2, minlength=len(sup) << w).reshape(-1, 1 << w)
 
 

@@ -10,7 +10,6 @@ from functools import partial
 import numpy as np
 
 from .adversaries import block_spans
-from .channels import _gather
 from .config import CHECK_ATOL, STATE_ATOL
 from .distances import UhlmannPreconditionError, paired_distances, trace_distance, uhlmann_unitary
 from .privacy import is_measurement_free
@@ -261,8 +260,7 @@ def extraction_attack(instance: QpirInstance, mode: str, database=None) -> Recon
     rho = sigma_1 = first.final.reduced(
         b_regs if mode == "classical-per-a" else ["refdb"] + b_regs)
     client = final_1.layout.subset(b_regs)  # the output bit of each client basis index
-    out = _gather(np.arange(client.dim), client.total_qubits,
-                  client.slots([instance.output_register]))
+    out = client.labels(np.arange(client.dim), (instance.output_register,))
     del first
 
     # Each later run, one at a time: its decoder's correctness, half its

@@ -21,16 +21,17 @@ branches; total squared norm is conserved, and outputs at or below
 arrays a kept step or a recovery state may share; the output holds no zeros.
 
 Ops apply through three kernel shapes, all under the big-endian convention
-of :mod:`qpirlab.states`:
+of :mod:`qpirlab.states`, whose ``RegisterLayout.bit`` and
+``RegisterLayout.labels`` give every bit and register label they read:
 
 * XOR permutation: ``InnerProductCnotOp``, ``SelectCnotOp``,
   ``SelectFlipOp``, ``CnotOp``, ``CopyOp`` and ``SwapOp`` each supply only a
-  ``_flip(idx, layout)`` mask; the shared kernel moves each entry to
-  ``index ^ flip(index)``;
+  ``_flip(idx, layout)`` mask, read register by register where it can; the
+  shared kernel moves each entry to ``index ^ flip(index)``;
 * diagonal sign: ``SelectPhaseOp`` multiplies each value by its index's
   sign;
 * local matrices, ``_apply_local_support``: ``HadamardOp`` and ``RotateOp``
-  group the entries by (branch, index with the op's slots cleared) and
+  group the entries by (branch, index with the op's qubits' bits cleared) and
   multiply the ``(groups, 2**k)`` block of their values by a
   ``2**k``-square matrix.  ``HadamardOp`` multiplies by ``H`` (entries +-1)
   or ``H (x) H / 2`` (entries +-1/2), two qubits at a time, and scales an
@@ -143,13 +144,14 @@ class Support:
         return Support((len(self), self.shape[1] * len(amplitudes)),
                        np.repeat(self.branch, len(j))[nz], index[nz], value[nz])
 
-    def split(self, total: int, slots, dim: int, *, what: str) -> "Support":
-        """One branch per (branch, label of the qubit ``slots``, big-endian in
-        slot order) above ``states.BRANCH_PRUNE``, branch-major; the entries
-        keep their index and value, under ``dim`` columns.  Checked with
-        ``config.check_branches``, naming ``what``, before it allocates."""
-        w = len(slots)
-        key = (self.branch << w) | _gather(self.index, total, slots)
+    def split(self, labels: np.ndarray, w: int, dim: int, *, what: str) -> "Support":
+        """One branch per (branch, label) above ``states.BRANCH_PRUNE``,
+        branch-major, where ``labels`` holds each entry's ``w``-bit label
+        (``RegisterLayout.labels`` of the registers its caller splits on);
+        the entries keep their index and value, under ``dim`` columns.
+        Checked with ``config.check_branches``, naming ``what``, before it
+        allocates."""
+        key = (self.branch << w) | labels
         weights = np.bincount(key, np.abs(self.value) ** 2, minlength=len(self) << w)
         rows, labels = nonzero_rows(weights.reshape(len(self), 1 << w))
         check_branches(len(rows), dim, what=what)
@@ -164,21 +166,6 @@ class Support:
         out = np.zeros(self.shape, dtype=np.complex128)
         out[self.branch, self.index] = self.value
         return out
-
-
-def _shift(total: int, slot: int) -> int:
-    # Flat-index bit position of qubit slot `slot` under the big-endian layout.
-    return total - 1 - slot
-
-
-def _gather(idx: np.ndarray, total: int, slots) -> np.ndarray:
-    """Pack the bits at the given qubit slots into the register label they
-    spell under the big-endian convention (first slot = most significant)."""
-    w = len(slots)
-    out = np.zeros_like(idx)
-    for j, s in enumerate(slots):
-        out |= ((idx >> _shift(total, s)) & 1) << (w - 1 - j)
-    return out
 
 
 def _apply_local(vectors, total, slots, matrices, dest):
@@ -199,24 +186,29 @@ def _apply_local(vectors, total, slots, matrices, dest):
     return slots_from_front(blocks, dest)
 
 
-def _apply_local_support(sup: Support, total: int, slots, m: np.ndarray) -> Support:
-    """Apply one ``2**k``-square matrix to the qubit ``slots`` of every
-    branch, its basis big-endian in the given slot order, written back in
-    place: the entries are grouped by (branch, index with the ``k`` slots
-    cleared), each group is one row of a ``(groups, 2**k)`` block and one
-    product ``block @ m.T`` maps them all.  Each output sums the nonzero
-    terms of the dense product in the same order (its other terms are exact
-    zeros); outputs that are exact zeros are dropped."""
-    k = len(slots)
-    labels = np.arange(1 << k)
-    spread = np.zeros(1 << k, dtype=np.int64)  # each local label's bits at its slots
-    for j, s in enumerate(slots):
-        spread |= ((labels >> (k - 1 - j)) & 1) << _shift(total, s)
+def _apply_local_support(sup: Support, layout: RegisterLayout, qubits, m: np.ndarray) -> Support:
+    """Apply one ``2**k``-square matrix to the ``k`` ``(register, qubit)``
+    pairs ``qubits`` of every branch, its basis big-endian in the given
+    order, written back in place: the entries are grouped by (branch, index
+    with the qubits' bits cleared), each group is one row of a ``(groups,
+    2**k)`` block and one product ``block @ m.T`` maps them all.  Each
+    output sums the nonzero terms of the dense product in the same order
+    (its other terms are exact zeros); outputs that are exact zeros are
+    dropped."""
+    k, total = len(qubits), layout.total_qubits
+    bits, labels = [layout.bit(*q) for q in qubits], np.arange(1 << k)
+    spread = np.zeros(1 << k, dtype=np.int64)  # each local label's bits at its qubits
+    for j, b in enumerate(bits):
+        spread |= ((labels >> (k - 1 - j)) & 1) << b
     keys, group = np.unique((sup.branch << total) | (sup.index & ~spread[-1]),
                             return_inverse=True)
-    check_branches(len(keys), 1 << k, what=f"a local product on qubits {list(slots)}")
+    check_branches(len(keys), 1 << k,
+                   what=f"a local product on qubits {[layout.qubit(*q) for q in qubits]}")
+    local = np.zeros_like(sup.index)  # each entry's label at its qubits
+    for b in bits:
+        local = (local << 1) | ((sup.index >> b) & 1)
     block = np.zeros((len(keys), 1 << k), dtype=np.complex128)
-    block[group, _gather(sup.index, total, slots)] = sup.value
+    block[group, local] = sup.value
     out = block @ m.T
     g, y = np.nonzero(out)
     keys = keys[g]
@@ -306,14 +298,14 @@ class HadamardOp(ChannelOp):
     inverse = _self_inverse
 
     def apply_vectors(self, vectors, layout):
-        slots = layout.slots([self.register])
+        qubits = [(self.register, j) for j in range(layout.width(self.register))]
         out = vectors
         # Two qubits per product: a sum of 2**w equal terms that cancel
         # would round at its partial sum 3y and leave dust for a zero.
-        for k in range(0, len(slots), 2):
-            pair = slots[k:k + 2]
-            out = _apply_local_support(out, layout.total_qubits, pair, _HADAMARD_SIGNS[len(pair)])
-        if len(slots) % 2:
+        for k in range(0, len(qubits), 2):
+            pair = qubits[k:k + 2]
+            out = _apply_local_support(out, layout, pair, _HADAMARD_SIGNS[len(pair)])
+        if len(qubits) % 2:
             out = Support(out.shape, out.branch, out.index, out.value * (1.0 / math.sqrt(2.0)))
         return out
 
@@ -354,14 +346,13 @@ def _selected_bit(idx, layout, table, selector):
     """At each flat index, the bit of the ``(register, qubit)`` that
     ``table`` assigns to the selector's label; 0 for labels without an entry.
     With ``selector=None`` the table's one entry applies everywhere."""
-    total = layout.total_qubits
     if selector is None:
         ((_, (reg, q)),) = table
-        return (idx >> _shift(total, layout.qubit(reg, q))) & 1
+        return (idx >> layout.bit(reg, q)) & 1
     shifts = np.full(1 << layout.width(selector), -1, dtype=np.int32)
     for v, (reg, q) in table:
-        shifts[v] = _shift(total, layout.qubit(reg, q))
-    sh = shifts[_gather(idx, total, layout.slots([selector]))]
+        shifts[v] = layout.bit(reg, q)
+    sh = shifts[layout.labels(idx, (selector,))]
     return np.where(sh >= 0, (idx >> np.maximum(sh, 0)) & 1, 0)
 
 
@@ -399,30 +390,27 @@ class InnerProductCnotOp(ChannelOp):
         return (self.target,)
 
     def _flip(self, idx, layout):
-        total = layout.total_qubits
         w = layout.width(self.source)
-        src_slots = layout.slots([self.source])
-        tshift = _shift(total, layout.qubit(self.target, 0))
         if self.mask is not None:
             if len(self.mask) != w:
                 raise ChannelError(
                     f"mask length {len(self.mask)} != width {w} of {self.source!r}"
                 )
-            const = sum(1 << _shift(total, s) for s, c in zip(src_slots, self.mask) if c == "1")
+            const = int(self.mask, 2) << layout.bit(self.source, w - 1)
             if const == 0:
                 return 0
-            return (np.bitwise_count(idx & const).astype(np.int32) & 1) << tshift
-        mw = layout.width(self.mask_register)
-        if self.mask_offset < 0 or self.mask_offset + w > mw:
-            raise ChannelError(
-                f"mask slice [{self.mask_offset}, {self.mask_offset + w}) "
-                f"out of range for {self.mask_register!r} (width {mw})"
-            )
-        moff = layout.offset(self.mask_register) + self.mask_offset
-        par = np.zeros_like(idx)
-        for j in range(w):
-            par ^= (idx >> _shift(total, src_slots[j])) & (idx >> _shift(total, moff + j)) & 1
-        return par << tshift
+            paired = idx & const
+        else:
+            mw = layout.width(self.mask_register)
+            if self.mask_offset < 0 or self.mask_offset + w > mw:
+                raise ChannelError(
+                    f"mask slice [{self.mask_offset}, {self.mask_offset + w}) "
+                    f"out of range for {self.mask_register!r} (width {mw})"
+                )
+            mask = layout.labels(idx, (self.mask_register,)) >> (mw - self.mask_offset - w)
+            paired = layout.labels(idx, (self.source,)) & mask & ((1 << w) - 1)
+        parity = np.bitwise_count(paired).astype(np.int64) & 1
+        return parity << layout.bit(self.target, 0)
 
     apply_vectors = _apply_flip
     inverse = _self_inverse
@@ -487,7 +475,7 @@ class SelectCnotOp(ChannelOp):
 
     def _flip(self, idx, layout):
         par = _selected_bit(idx, layout, self.sources, self.selector)
-        return par << _shift(layout.total_qubits, layout.qubit(*self.target))
+        return par << layout.bit(*self.target)
 
     apply_vectors = _apply_flip
     inverse = _self_inverse
@@ -514,12 +502,11 @@ class SelectFlipOp(ChannelOp):
         return (self.target[0],)
 
     def _flip(self, idx, layout):
-        total = layout.total_qubits
         if len(self.bit_table) != (1 << layout.width(self.selector)):
             raise ChannelError("bit table length does not match selector width")
-        vals = _gather(idx, total, layout.slots([self.selector]))
+        vals = layout.labels(idx, (self.selector,))
         par = np.asarray(self.bit_table, dtype=np.int32)[vals]
-        return par << _shift(total, layout.qubit(*self.target))
+        return par << layout.bit(*self.target)
 
     apply_vectors = _apply_flip
     inverse = _self_inverse
@@ -544,9 +531,7 @@ class CnotOp(ChannelOp):
         return (self.target[0],)
 
     def _flip(self, idx, layout):
-        total = layout.total_qubits
-        par = (idx >> _shift(total, layout.qubit(*self.control))) & 1
-        return par << _shift(total, layout.qubit(*self.target))
+        return ((idx >> layout.bit(*self.control)) & 1) << layout.bit(*self.target)
 
     apply_vectors = _apply_flip
     inverse = _self_inverse
@@ -575,12 +560,9 @@ class CopyOp(ChannelOp):
             raise ChannelError(
                 f"copy width mismatch: {self.source!r} vs {self.target!r}"
             )
-        total = layout.total_qubits
-        flip = np.zeros_like(idx)
-        for j, s in enumerate(layout.slots([self.source])):
-            bit = (idx >> _shift(total, s)) & 1
-            flip |= bit << _shift(total, layout.qubit(self.target, j))
-        return flip
+        # a register's qubits are consecutive bits, its last the least
+        last = layout.width(self.target) - 1
+        return layout.labels(idx, (self.source,)) << layout.bit(self.target, last)
 
     apply_vectors = _apply_flip
     inverse = _self_inverse
@@ -604,13 +586,9 @@ class SwapOp(ChannelOp):
     def _flip(self, idx, layout):
         if layout.width(self.first) != layout.width(self.second):
             raise ChannelError(f"swap width mismatch: {self.first!r} vs {self.second!r}")
-        total = layout.total_qubits
-        flip = np.zeros_like(idx)
-        for a, b in zip(layout.slots([self.first]), layout.slots([self.second])):
-            bit = ((idx >> _shift(total, a)) ^ (idx >> _shift(total, b))) & 1
-            flip |= bit << _shift(total, a)
-            flip |= bit << _shift(total, b)
-        return flip
+        last = layout.width(self.first) - 1
+        diff = layout.labels(idx, (self.first,)) ^ layout.labels(idx, (self.second,))
+        return (diff << layout.bit(self.first, last)) | (diff << layout.bit(self.second, last))
 
     apply_vectors = _apply_flip
     inverse = _self_inverse
@@ -644,15 +622,13 @@ class RotateOp(ChannelOp):
         return RotateOp(self.target, -self.theta, self.control)
 
     def apply_vectors(self, vectors, layout):
-        slots = [layout.qubit(*self.target)]
-        if self.control is not None:
-            slots.insert(0, layout.qubit(*self.control))
+        qubits = [self.target] if self.control is None else [self.control, self.target]
         c = math.cos(self.theta / 2.0)
         s = math.sin(self.theta / 2.0)
         # rows 0/1 (uncontrolled) or 2/3 (control set) hold target 0/1
-        m = np.eye(1 << len(slots), dtype=np.complex128)
+        m = np.eye(1 << len(qubits), dtype=np.complex128)
         m[-2:, -2:] = [[c, -s], [s, c]]
-        return _apply_local_support(vectors, layout.total_qubits, slots, m)
+        return _apply_local_support(vectors, layout, qubits, m)
 
 
 @dataclass(frozen=True)
@@ -726,7 +702,8 @@ class MeasureOp(ChannelOp):
         return ()
 
     def apply_vectors(self, vectors, layout):
-        return vectors.split(layout.total_qubits, layout.slots([self.register]), layout.dim,
+        return vectors.split(layout.labels(vectors.index, (self.register,)),
+                             layout.width(self.register), layout.dim,
                              what=f"measurement of {self.register!r}")
 
 

@@ -53,6 +53,14 @@ def _usage(option: str):
         raise click.BadParameter(str(exc), param_hint=f"'{option}'") from exc
 
 
+def _unit_interval(ctx, param, value: float) -> float:
+    """A finite float in [0, 1]: ``click.FloatRange`` lets NaN through, and
+    NaN fails every comparison."""
+    if not 0.0 <= value <= 1.0:
+        raise click.BadParameter(f"{value!r} is not a finite value in [0, 1]")
+    return value
+
+
 def _build(protocol: str, n: int, cleanup: bool = False, database=None):
     """``protocol``'s instance.  Only kerenidis has a cleanup phase, and the
     counterexample takes no database; either option given to a protocol
@@ -276,9 +284,9 @@ def bounds():
 
 
 @bounds.command()
-@click.option("--delta", type=float, required=True)
-@click.option("--eps", type=float, required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--delta", type=float, required=True, callback=_unit_interval)
+@click.option("--eps", type=float, required=True, callback=_unit_interval)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @_with_common
 def nayak(delta, eps, n, out, fmt):
     """Communication lower bound (1 - H(1 - delta - 2 sqrt(eps(2-eps)))) n."""

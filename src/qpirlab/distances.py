@@ -25,7 +25,6 @@ import math
 
 import numpy as np
 
-from .channels import _gather
 from .config import check_reduced_cap
 from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, _blocks,
                      _support_blocks, hermitize, slots_to_front)
@@ -205,8 +204,8 @@ def uhlmann_unitary(phi, psi, side) -> np.ndarray:
     state satisfies ``D(phi, (I (x) U) psi) <= sqrt(eps (2 - eps))``.
 
     Both states are read on their support (:func:`_pure_support`): each
-    entry's index splits (``channels._gather``) into an off-side row and a
-    side column label, and the union of the two states' nonzero rows,
+    entry's index splits (``RegisterLayout.labels``) into an off-side row
+    and a side column label, and the union of the two states' nonzero rows,
     ascending, fills two ``(rows, d_b)`` matrices, each rescaled over its
     entries in that order, as ``PureState.reordered`` rescaled the dense
     reordered state.  The rows left out are zero in both, so the overlap
@@ -226,10 +225,9 @@ def uhlmann_unitary(phi, psi, side) -> np.ndarray:
     split = []
     for state in (phi, psi):
         (index, value), lay = _pure_support(state), state.layout
-        split.append((_gather(index, lay.total_qubits, lay.ordered_slots(a_names)),
-                      _gather(index, lay.total_qubits, lay.ordered_slots(b_names)), value))
+        split.append((lay.labels(index, a_names), lay.labels(index, b_names), value))
     rows = np.union1d(split[0][0], split[1][0])
-    mat_phi, mat_psi = np.zeros((2, len(rows), 1 << len(phi.layout.slots(b_names))),
+    mat_phi, mat_psi = np.zeros((2, len(rows), 1 << sum(phi.layout.width(n) for n in b_names)),
                                 dtype=np.complex128)
     for mat, (row, col, value) in zip((mat_phi, mat_psi), split):
         mat[np.searchsorted(rows, row), col] = value
@@ -263,7 +261,8 @@ def trace_in_extraction(alpha, phi) -> tuple[PureState, float]:
     then within ``sqrt(eps)`` of ``alpha``.
 
     Both are read on their support (:func:`_pure_support`): ``alpha``'s
-    entries, split by ``channels._gather``, fill the ``(X, Y)`` factor of
+    entries, split by ``RegisterLayout.labels`` into an X row (``phi``'s
+    register order) and a Y column, fill the ``(X, Y)`` factor of
     its X marginal, which is rescaled as ``PureState.reordered`` rescaled
     the dense state and projected, so the figures keep their bits."""
     lay = alpha.layout
@@ -272,12 +271,11 @@ def trace_in_extraction(alpha, phi) -> tuple[PureState, float]:
         raise LayoutError("alpha has no registers beyond those of phi")
     if any(lay.width(n) != w for n, w in phi.layout.registers):
         raise LayoutError(f"layouts hold different registers: {phi.layout.names} vs {lay.names}")
-    x_slots = lay.ordered_slots(phi.layout.names)
-    check_reduced_cap(len(x_slots))
+    x_width = phi.layout.total_qubits
+    check_reduced_cap(x_width)
     (index, value), (phi_index, phi_value) = _pure_support(alpha), _pure_support(phi)
-    factor = np.zeros((1 << len(x_slots), lay.dim >> len(x_slots)), dtype=np.complex128)
-    factor[_gather(index, lay.total_qubits, x_slots),
-           _gather(index, lay.total_qubits, lay.slots(y_names))] = value
+    factor = np.zeros((1 << x_width, lay.dim >> x_width), dtype=np.complex128)
+    factor[lay.labels(index, phi.layout.names), lay.labels(index, y_names)] = value
     phi_vec = np.zeros(len(factor), dtype=np.complex128)
     phi_vec[phi_index] = phi_value
     proj = phi_vec.conj() @ _rescaled(factor)

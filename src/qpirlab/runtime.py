@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import (ChannelOp, ChannelError, PrepareOp, Support, _gather, from_json_value,
+from .channels import (ChannelOp, ChannelError, PrepareOp, Support, from_json_value,
                        op_from_descriptor, to_json_value)
 from .config import CapExceeded, check_branches, check_cap
 from .distances import gram_reduce
@@ -287,17 +287,20 @@ class Ensemble:
         """Ensemble over the remaining registers after discarding ``names``:
         one branch per (branch, discarded label) pair above
         ``states.BRANCH_PRUNE``, branch-major (:meth:`Support.split`), with
-        the kept registers' bits packed into the new index."""
+        the kept registers' labels (``RegisterLayout.labels``, in layout
+        order) as the new index."""
         lay, out = self.layout, self.layout.without(names)
-        sup = self.vectors.split(lay.total_qubits, lay.slots(names), out.dim,
-                                 what=f"tracing out {tuple(names)}")
-        index = _gather(sup.index, lay.total_qubits, lay.slots(out.names))
+        gone = lay.subset(names)
+        sup = self.vectors.split(lay.labels(self.vectors.index, gone.names), gone.total_qubits,
+                                 out.dim, what=f"tracing out {tuple(names)}")
+        index = lay.labels(sup.index, out.names)
         return Ensemble(out, Support(sup.shape, sup.branch, index, sup.value))
 
     def aligned_vectors(self, names) -> np.ndarray:
         """Branch array permuted to the given register-name order, which
-        must be a permutation of the layout's names: each entry's index bits
-        are permuted (``_gather``) and the entries scattered once."""
+        must be a permutation of the layout's names: each entry's index is
+        replaced by its label in that order (``RegisterLayout.labels``) and
+        the entries scattered once."""
         names = tuple(names)
         if names == self.layout.names:
             return self.dense()
@@ -305,16 +308,16 @@ class Ensemble:
             raise LayoutError(f"alignment order {names} is not a permutation of the layout "
                               f"{self.layout.names}")
         sup = self.vectors
-        index = _gather(sup.index, self.layout.total_qubits, self.layout.ordered_slots(names))
+        index = self.layout.labels(sup.index, names)
         return Support(sup.shape, sup.branch, index, sup.value).dense()
 
     def probabilities(self, names) -> np.ndarray:
         """Marginal outcome distribution of ``names``, indexed big-endian in
         the given name order: each entry's squared value added to its label
         with one ``bincount``, and nothing scattered."""
-        sup, slots = self.vectors, self.layout.ordered_slots(names)
-        return np.bincount(_gather(sup.index, self.layout.total_qubits, slots),
-                           np.abs(sup.value) ** 2, minlength=1 << len(slots))
+        sup, lay, names = self.vectors, self.layout, tuple(names)
+        return np.bincount(lay.labels(sup.index, names), np.abs(sup.value) ** 2,
+                           minlength=1 << sum(lay.width(n) for n in names))
 
 
 # ---------------------------------------------------------------------------

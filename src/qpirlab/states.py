@@ -6,7 +6,11 @@ in declaration order.  Within a register of width ``w``, bit ``j`` of the
 label is qubit ``j``, reading the label as a ``w``-character bit string
 (so label ``0b10`` of a 2-qubit register sets qubit 0 and clears qubit 1).
 Equivalently, the flat amplitude array reshaped to ``[2] * total_qubits``
-has one axis per qubit slot, most significant first.
+has one axis per qubit slot, most significant first: slot ``s`` is bit
+``total_qubits - 1 - s`` of the flat index.  This module alone writes the
+convention down.  Flat indices are read through :meth:`RegisterLayout.bit`
+and :meth:`RegisterLayout.labels`, dense arrays through
+:func:`slots_to_front` and built through :meth:`RegisterLayout.basis_index`.
 """
 
 from __future__ import annotations
@@ -89,84 +93,95 @@ class StateError(ValueError):
 class RegisterLayout:
     """Ordered, named qubit registers backing one amplitude array.
 
-    The layout is frozen, so its qubit count, dimension and names are worked
-    out once, when it is built."""
+    The layout is frozen, so its qubit count, dimension, names and register
+    table (``{name: (first slot, width)}``) are worked out once, when it is
+    built; every lookup reads the table.  Two readers carry the index
+    convention to flat indices, and no other code in the package maps a
+    qubit slot to a bit: :meth:`bit` (the bit of one qubit) and
+    :meth:`labels` (the label a set of registers spells)."""
 
     registers: tuple[tuple[str, int], ...]
     total_qubits: int = field(init=False, repr=False, compare=False)
     dim: int = field(init=False, repr=False, compare=False)
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _name_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _table: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         registers = tuple((str(n), int(w)) for n, w in self.registers)
         names = tuple(n for n, _ in registers)
         if len(set(names)) != len(names):
             raise LayoutError(f"duplicate register names in {list(names)}")
+        table, total = {}, 0
         for name, width in registers:
             if width < 1:
                 raise LayoutError(f"register {name!r} has width {width}, must be >= 1")
-        total = sum(w for _, w in registers)
+            table[name] = (total, width)
+            total += width
         check_cap(total, what="layout")
         for key, value in (("registers", registers), ("total_qubits", total), ("dim", 1 << total),
-                           ("names", names), ("_name_set", frozenset(names))):
+                           ("names", names), ("_table", table)):
             object.__setattr__(self, key, value)
 
+    def _entry(self, name: str) -> tuple[int, int]:
+        try:
+            return self._table[name]
+        except KeyError:
+            raise LayoutError(f"no register named {name!r} in {self.names}") from None
+
+    def _entries(self, names) -> list[tuple[int, int]]:
+        """``(first slot, width)`` of each of ``names``, in the given order;
+        repeated or unknown names raise."""
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise LayoutError(f"register names {names} repeat")
+        return [self._entry(n) for n in names]
+
     def width(self, name: str) -> int:
-        for n, w in self.registers:
-            if n == name:
-                return w
-        raise LayoutError(f"no register named {name!r} in {self.names}")
+        return self._entry(name)[1]
 
     def has(self, name: str) -> bool:
-        return name in self._name_set
+        return name in self._table
 
     def offset(self, name: str) -> int:
         """Qubit slot of the register's first (most significant) qubit."""
-        off = 0
-        for n, w in self.registers:
-            if n == name:
-                return off
-            off += w
-        raise LayoutError(f"no register named {name!r} in {self.names}")
+        return self._entry(name)[0]
 
     def qubit(self, name: str, j: int) -> int:
         """Global qubit slot of qubit ``j`` of register ``name``."""
-        w = self.width(name)
+        off, w = self._entry(name)
         if not 0 <= j < w:
             raise LayoutError(f"qubit {j} out of range for {name!r} (width {w})")
-        return self.offset(name) + j
+        return off + j
+
+    def bit(self, name: str, j: int) -> int:
+        """Flat-index bit of qubit ``j`` of register ``name``: slot ``s`` is
+        bit ``total_qubits - 1 - s``."""
+        return self.total_qubits - 1 - self.qubit(name, j)
+
+    def labels(self, index, names):
+        """The big-endian label of ``names``, register by register in the
+        given order, at each flat ``index`` (an integer array or an int).  A
+        register's qubits are consecutive bits, so each register takes one
+        shift and one mask; names are refused as :meth:`ordered_slots`
+        refuses them."""
+        out = index & 0
+        for off, w in self._entries(names):
+            out = (out << w) | ((index >> (self.total_qubits - off - w)) & ((1 << w) - 1))
+        return out
 
     def slots(self, names) -> list[int]:
         """Global qubit slots covered by ``names``, in layout order."""
-        wanted = set(names)
-        missing = wanted - self._name_set
-        if missing:
-            raise LayoutError(f"unknown registers {sorted(missing)}")
-        out = []
-        off = 0
-        for n, w in self.registers:
-            if n in wanted:
-                out.extend(range(off, off + w))
-            off += w
-        return out
+        return self.ordered_slots(self.subset(names).names)
 
     def ordered_slots(self, names) -> list[int]:
         """Global qubit slots of ``names``, register by register in the
         given order."""
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise LayoutError(f"register names {names} repeat")
-        out = []
-        for n in names:
-            off = self.offset(n)
-            out.extend(range(off, off + self.width(n)))
-        return out
+        return [off + j for off, w in self._entries(names) for j in range(w)]
 
     def subset(self, names) -> "RegisterLayout":
         """Sub-layout of ``names`` in declaration order."""
         wanted = set(names)
-        missing = wanted - self._name_set
+        missing = wanted - self._table.keys()
         if missing:
             raise LayoutError(f"unknown registers {sorted(missing)}")
         return RegisterLayout(tuple((n, w) for n, w in self.registers if n in wanted))

@@ -1,5 +1,6 @@
 """The slow references the tests hold the fast paths to.
 
+``gather_slots`` reads a label off flat indices one qubit slot at a time,
 ``run_views`` runs a spec once per database on the purified index,
 ``in_span`` takes whole ensembles into their branch span, as the plain
 ``(B, S, I)`` arrays of ``adversaries.block_spans``, ``span_ensemble``
@@ -24,7 +25,8 @@ pure states; the package reads every view from the runs
 (``adversaries.apply_recovery``), applies every op on the support of the
 branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
 ``Ensemble.apply``) and reads traces, orders, blocks, Uhlmann overlaps and
-the theorem simulator's anchors off that support."""
+the theorem simulator's anchors off that support, every label through
+``RegisterLayout.labels``."""
 
 import math
 
@@ -33,12 +35,24 @@ import numpy as np
 from qpirlab.adversaries import (PURIFIER, Recovery, _client_matrix, _label_weights, _product,
                                  block_spans, purified_input)
 from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, PrepareOp,
-                              RotateOp, SelectPhaseOp, Support, _apply_local, _gather)
+                              RotateOp, SelectPhaseOp, Support, _apply_local)
 from qpirlab.distances import (UhlmannPreconditionError, _split_matrix, gram_reduce,
                                paired_distances, trace_distance)
 from qpirlab.runtime import Ensemble, ExecutionTranscript, ProtocolSpec, execute
 from qpirlab.states import (BRANCH_PRUNE, DensityOperator, LayoutError, PureState, RegisterLayout,
                             StateError, nonzero_rows, slots_to_front)
+
+
+def gather_slots(idx: np.ndarray, total: int, slots) -> np.ndarray:
+    """The label the bits at the qubit ``slots`` spell at each flat index,
+    first slot most significant, read one qubit at a time: the slot-level
+    reference that ``RegisterLayout.labels`` must equal (slot ``s`` is bit
+    ``total - 1 - s``)."""
+    w = len(slots)
+    out = np.zeros_like(idx)
+    for j, s in enumerate(slots):
+        out |= ((idx >> (total - 1 - s)) & 1) << (w - 1 - j)
+    return out
 
 
 def run_views(spec: ProtocolSpec, database, steps) -> dict[int, Ensemble]:
@@ -145,7 +159,7 @@ def dense_apply(op, vectors: np.ndarray, layout: RegisterLayout) -> np.ndarray:
         prep = np.asarray(op.amplitudes, dtype=np.complex128)
         return np.multiply.outer(vectors, prep).reshape(len(vectors), -1)
     if isinstance(op, MeasureOp):
-        labels = _gather(idx, total, layout.slots([op.register]))
+        labels = gather_slots(idx, total, layout.slots([op.register]))
         rows = [np.where(labels == x, v, 0) for v in vectors
                 for x in range(1 << layout.width(op.register))]
         return np.array([r for r in rows if np.vdot(r, r).real > BRANCH_PRUNE],
@@ -209,7 +223,8 @@ def database_block(ens: Ensemble, register: str | None, label: int | None) -> En
     new = np.full(len(sup), -1)
     new[rows] = np.arange(len(rows))
     branch = new[sup.branch]
-    kept = (branch >= 0) & (_gather(sup.index, lay.total_qubits, lay.slots([register])) == label)
+    kept = (branch >= 0) & (gather_slots(sup.index, lay.total_qubits,
+                                         lay.slots([register])) == label)
     return Ensemble(lay, Support((len(rows), lay.dim), branch[kept], sup.index[kept],
                                  sup.value[kept]))
 

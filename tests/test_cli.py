@@ -194,6 +194,13 @@ def test_suite_small(runner, tmp_path):
     (["attack", "purify", "--threshold", "-1"], "--threshold"),
     (["privacy", "--n", "2", "--target", "-1"], "--target"),
     (["correctness", "--n", "2", "--databases", "5"], "--databases"),
+    (["bounds", "nayak", "--delta", "0.1", "--eps", "0.01", "--n", "-5"], "--n"),
+    (["bounds", "nayak", "--delta", "0.1", "--eps", "0.01", "--n", "0"], "--n"),
+    (["bounds", "nayak", "--delta", "nan", "--eps", "0.01", "--n", "4"], "--delta"),
+    (["bounds", "nayak", "--delta", "-0.1", "--eps", "0.01", "--n", "4"], "--delta"),
+    (["bounds", "nayak", "--delta", "0.1", "--eps", "1.5", "--n", "4"], "--eps"),
+    (["bounds", "nayak", "--delta", "0.1", "--eps", "inf", "--n", "4"], "--eps"),
+    (["bounds", "nayak", "--delta", "0.1", "--eps", "nan", "--n", "4"], "--eps"),
 ])
 def test_arguments_the_library_refuses_are_usage_errors(runner, args, option):
     # exit 2 names the option; exit 1 stays a failed check

@@ -42,11 +42,11 @@ def _checkouts(tmp_path):
     return out
 
 
-def _pairs(tmp_path, out, seeds, workload="w"):
+def _pairs(tmp_path, out, seeds, workload="w", *flags):
     """Run the script; its output and the record it appended."""
     res = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "parent"),
                           str(tmp_path / "change"), "--workload", workload, "--seeds", seeds,
-                          "--out", str(out)],
+                          "--out", str(out), *flags],
                          capture_output=True, text=True, check=True)
     return res.stdout, json.loads((out / f"BENCH_{workload}.json").read_text())[-1]
 
@@ -83,6 +83,20 @@ def test_pairs_alternate_and_record_every_metric(tmp_path):
     assert doc["claim_rule"] == {"pairs": 10, "min_pairs": 10, "reused_seeds": [],
                                  "all_correct": True, "holds": True}
     assert "claim rule holds" in stdout
+    assert doc["claimed"] is False and "a gain was not claimed beforehand" in stdout
+
+
+def test_the_record_says_whether_a_gain_was_claimed_beforehand(tmp_path):
+    out = _checkouts(tmp_path)
+    bench = out / "BENCH_w.json"
+    _, doc = _pairs(tmp_path, out, "1-10")
+    before = bench.read_text()
+    stdout, doc = _pairs(tmp_path, out, "21-30", "w", "--claimed")
+    assert doc["claimed"] is True and "a gain was claimed beforehand" in stdout
+    assert doc["claim_rule"]["holds"]
+    # the earlier record keeps its bytes, its field false
+    assert bench.read_text().startswith(before.rstrip()[:-1].rstrip() + ",\n")
+    assert [r["claimed"] for r in json.loads(bench.read_text())] == [False, True]
 
 
 def test_claim_rule_needs_ten_pairs_unused_seeds_and_correct_runs(tmp_path):

@@ -1,5 +1,7 @@
+import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from qpirlab.states import (
     _support_blocks,
     hermitize,
 )
+from span_reference import gather_slots
 
 
 def test_layout_rejects_duplicates_and_zero_width():
@@ -38,6 +41,60 @@ def test_big_endian_indexing():
     assert layout.qubit("a", 1) == 1
     state = PureState.basis(layout, {"a": 0b10, "b": 1})
     assert state.amplitudes[0b101] == 1.0
+
+
+def _shuffled_layout(rng) -> RegisterLayout:
+    # 1-4 registers of widths 1-5 (at most 20 qubits) in a shuffled order
+    names = [f"r{k}" for k in range(int(rng.integers(1, 5)))]
+    rng.shuffle(names)
+    return RegisterLayout(tuple((n, int(rng.integers(1, 6))) for n in names))
+
+
+@pytest.mark.parametrize("seed", range(3701, 3741))
+def test_labels_and_bit_equal_the_slot_level_reference(seed):
+    # labels against gather_slots (one qubit slot at a time, slot s at bit
+    # total - 1 - s) over random indices, every single register, the whole
+    # layout reversed and random subsets in random orders
+    rng = np.random.default_rng(seed)
+    lay = _shuffled_layout(rng)
+    idx = rng.integers(0, lay.dim, size=64)
+    orders = [(n,) for n in lay.names] + [lay.names[::-1], ()]
+    for _ in range(4):
+        picked = rng.permutation(lay.names)[:int(rng.integers(1, len(lay.names) + 1))]
+        orders.append(tuple(str(n) for n in picked))
+    for names in orders:
+        want = gather_slots(idx, lay.total_qubits, lay.ordered_slots(names))
+        got = lay.labels(idx, names)
+        assert got.dtype == idx.dtype
+        np.testing.assert_array_equal(got, want, err_msg=str((lay.registers, names)))
+        assert lay.labels(int(idx[0]), names) == want[0]
+    for name, w in lay.registers:
+        for j in range(w):
+            assert lay.bit(name, j) == lay.total_qubits - 1 - lay.qubit(name, j)
+    # repeated and unknown names are refused as ordered_slots refuses them
+    first = lay.names[0]
+    for bad in [(first, first), (first, "nope"), ("nope",)]:
+        with pytest.raises(LayoutError) as refused:
+            lay.ordered_slots(bad)
+        with pytest.raises(LayoutError, match=re.escape(str(refused.value))):
+            lay.labels(idx, bad)
+    with pytest.raises(LayoutError, match="qubit 5 out of range"):
+        lay.bit(first, 5)
+
+
+def test_only_states_maps_a_qubit_slot_to_a_bit():
+    # The big-endian rule (slot s is bit total - 1 - s) is written in
+    # states.RegisterLayout alone: no other module defines _shift or
+    # subtracts from a qubit total, and none packs labels by slot.
+    src = Path(__file__).resolve().parents[1] / "src" / "qpirlab"
+    modules = sorted(src.glob("*.py"))
+    assert {p.name for p in modules} >= {"channels.py", "runtime.py", "states.py"}
+    for path in modules:
+        if path.name == "states.py":
+            continue
+        text = path.read_text()
+        assert not re.search(r"\bdef _shift\b|\b_shift\(|\b_gather\(", text), path.name
+        assert not re.search(r"\btotal\w*\s*-(?!=)", text), path.name
 
 
 def test_pure_probabilities_follow_name_order():

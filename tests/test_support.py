@@ -14,12 +14,13 @@ import pytest
 
 from qpirlab.adversaries import (adversary_by_name, database_groups, database_runs,
                                  purified_input, standard_inputs)
-from qpirlab.channels import HadamardOp, PrepareOp, Support, _gather
+from qpirlab.channels import HadamardOp, PrepareOp, Support
 from qpirlab.config import CapExceeded
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import CLIENT, Ensemble, PartyProgram, PartyStep, ProtocolSpec, execute
 from qpirlab.states import PureState, RegisterLayout, marginal
-from span_reference import database_block, dense_aligned, dense_block, dense_execute, dense_traced
+from span_reference import (database_block, dense_aligned, dense_block, dense_execute,
+                            dense_traced, gather_slots)
 
 INSTANCES = {
     "k1": lambda: build_kerenidis(1),
@@ -100,8 +101,9 @@ def test_probabilities_of_a_kept_support_equal_the_dense_marginal(name, adversar
             dense = ens.dense()
             for names, dist in zip(orders, got):
                 want = marginal(dense, ens.layout, names)
-                terms = np.bincount(_gather(sup.index, ens.layout.total_qubits,
-                                            ens.layout.ordered_slots(names)), minlength=len(want))
+                terms = np.bincount(gather_slots(sup.index, ens.layout.total_qubits,
+                                                 ens.layout.ordered_slots(names)),
+                                    minlength=len(want))
                 assert np.all(np.abs(dist - want) <= terms * np.finfo(float).eps * want), names
 
 

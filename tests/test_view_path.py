@@ -541,14 +541,13 @@ def test_steer_reads_a_span_view_in_place(monkeypatch):
     inst = build_kerenidis(4)
     steps = _even_steps(inst.spec)
     runs = [run_views(inst.spec, inst.database_state(db), steps) for db in (0b0110, 0b1001)]
-    permuted, gather = [], runtime._gather
+    permuted, labels = [], RegisterLayout.labels
 
-    def recording(idx, total, slots):
-        permuted.append(list(slots))
-        return gather(idx, total, slots)
+    def recording(layout, index, names):
+        permuted.append(list(names))
+        return labels(layout, index, names)
 
-    monkeypatch.setattr(runtime, "_gather", recording)
-    monkeypatch.setattr(adversaries, "_gather", recording)
+    monkeypatch.setattr(RegisterLayout, "labels", recording)
     client = inst.client_basis_state(3)
     member = InputSpec("i=3", "x", None, "plain", None, client)
     assert len(steps) == 3
