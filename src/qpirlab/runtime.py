@@ -290,8 +290,8 @@ class Ensemble:
         the kept registers' labels (``RegisterLayout.labels``, in layout
         order) as the new index."""
         lay, out = self.layout, self.layout.without(names)
-        gone = lay.subset(names)
-        sup = self.vectors.split(lay.labels(self.vectors.index, gone.names), gone.total_qubits,
+        gone = [n for n in lay.names if not out.has(n)]
+        sup = self.vectors.split(lay.labels(self.vectors.index, gone), sum(map(lay.width, gone)),
                                  out.dim, what=f"tracing out {tuple(names)}")
         index = lay.labels(sup.index, out.names)
         return Ensemble(out, Support(sup.shape, sup.branch, index, sup.value))

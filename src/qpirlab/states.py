@@ -123,14 +123,12 @@ class RegisterLayout:
             object.__setattr__(self, key, value)
 
     def _entry(self, name: str) -> tuple[int, int]:
-        try:
-            return self._table[name]
-        except KeyError:
-            raise LayoutError(f"no register named {name!r} in {self.names}") from None
+        if name not in self._table:
+            raise LayoutError(f"no register named {name!r} in {self.names}")
+        return self._table[name]
 
     def _entries(self, names) -> list[tuple[int, int]]:
-        """``(first slot, width)`` of each of ``names``, in the given order;
-        repeated or unknown names raise."""
+        """``(first slot, width)`` of each name; repeated or unknown names raise."""
         names = tuple(names)
         if len(set(names)) != len(names):
             raise LayoutError(f"register names {names} repeat")
@@ -160,10 +158,9 @@ class RegisterLayout:
 
     def labels(self, index, names):
         """The big-endian label of ``names``, register by register in the
-        given order, at each flat ``index`` (an integer array or an int).  A
-        register's qubits are consecutive bits, so each register takes one
-        shift and one mask; names are refused as :meth:`ordered_slots`
-        refuses them."""
+        given order, at each flat ``index`` (an integer array or an int): a
+        register's qubits are consecutive bits, so one shift and one mask
+        each.  Names are refused as :meth:`ordered_slots` refuses them."""
         out = index & 0
         for off, w in self._entries(names):
             out = (out << w) | ((index >> (self.total_qubits - off - w)) & ((1 << w) - 1))
@@ -171,23 +168,27 @@ class RegisterLayout:
 
     def slots(self, names) -> list[int]:
         """Global qubit slots covered by ``names``, in layout order."""
-        return self.ordered_slots(self.subset(names).names)
+        return self.ordered_slots(sorted(self._known(names), key=self.offset))
 
     def ordered_slots(self, names) -> list[int]:
         """Global qubit slots of ``names``, register by register in the
         given order."""
         return [off + j for off, w in self._entries(names) for j in range(w)]
 
-    def subset(self, names) -> "RegisterLayout":
-        """Sub-layout of ``names`` in declaration order."""
+    def _known(self, names) -> set[str]:
         wanted = set(names)
         missing = wanted - self._table.keys()
         if missing:
             raise LayoutError(f"unknown registers {sorted(missing)}")
+        return wanted
+
+    def subset(self, names) -> "RegisterLayout":
+        """Sub-layout of ``names`` in declaration order."""
+        wanted = self._known(names)
         return RegisterLayout(tuple((n, w) for n, w in self.registers if n in wanted))
 
     def without(self, names) -> "RegisterLayout":
-        drop = set(names)
+        drop = self._known(names)
         return RegisterLayout(tuple((n, w) for n, w in self.registers if n not in drop))
 
     def extended(self, new_registers) -> "RegisterLayout":
