@@ -153,10 +153,10 @@ class Support:
         allocates."""
         key = (self.branch << w) | labels
         weights = np.bincount(key, np.abs(self.value) ** 2, minlength=len(self) << w)
-        rows, labels = nonzero_rows(weights.reshape(len(self), 1 << w))
+        rows, seen = nonzero_rows(weights.reshape(len(self), 1 << w))
         check_branches(len(rows), dim, what=what)
         new = np.full(len(self) << w, -1)
-        new[(rows << w) | labels] = np.arange(len(rows))
+        new[(rows << w) | seen] = np.arange(len(rows))
         branch = new[key]
         kept = branch >= 0
         return Support((len(rows), dim), branch[kept], self.index[kept], self.value[kept])
