@@ -60,7 +60,7 @@ def speciousness_figures(name, inst, advs):
 
 def theorem_figures(name, inst):
     for adv in ADVERSARIES:
-        sim = TheoremSimulator(HonestSimulator(inst), adversary_by_name(inst, adv), 0)
+        sim = TheoremSimulator(inst, adversary_by_name(inst, adv))
         certificate_figures(f"theorem/{name}/{adv}", sim.certify()[1])
         for t, bound in sim.extraction_bounds.items():
             emit(f"certificate/theorem/{name}/{adv}/extraction_bound/t{t}", bound)

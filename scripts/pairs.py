@@ -10,8 +10,10 @@ Appends one record to ``BENCH_<workload>.json`` in ``--out`` (default: this
 repository), a JSON list of records, one per run of this script: both
 checkouts' revisions, the seeds, each pair's end-to-end metrics, and per
 metric the two medians, both sides' quartiles and how many pairs the change
-won.  The printed summary gives each side's interquartile range as a share
-of its median.  The record says whether a gain on the workload was stated
+won, and a verdict on the metric against its ``bound`` in
+``BENCHMARK.json`` (:func:`verdict`).  The printed summary gives each
+side's interquartile range as a share of its median and the verdict.  The
+record says whether a gain on the workload was stated
 before the pairs were run (``--claimed``; ``claimed`` is false without
 it), and whether the claim rule holds: at least
 ``MIN_PAIRS`` pairs, every run correct with no failed task, and no seed
@@ -93,7 +95,23 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], direction: str, bound: float) -> str:
+    """One end-to-end metric judged against the ``bound`` by which it may
+    worsen: ``unresolved`` where the parent's interquartile range is a
+    larger share of its median than ``bound`` and not every change run
+    beats every parent run; else ``within bound`` or ``worse than bound``,
+    by how far the change's median is worse than the parent's, as a share
+    of the parent's."""
+    sign = 1 if direction == "lower" else -1
+    (q1, q3), median = quartiles(parent), statistics.median(parent)
+    beats = max(sign * c for c in change) < min(sign * p for p in parent)
+    if q3 - q1 > bound * abs(median) and not beats:
+        return "unresolved"
+    worse = sign * (statistics.median(change) - median)
+    return "within bound" if worse <= bound * abs(median) else "worse than bound"
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     out = {}
     for name, direction in better.items():
         parent = [p["parent"][name] for p in pairs]
@@ -104,7 +122,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                      "change_median": statistics.median(change),
                      "parent_quartiles": quartiles(parent),
                      "change_quartiles": quartiles(change),
-                     "change_better": f"{wins} of {len(pairs)}"}
+                     "change_better": f"{wins} of {len(pairs)}",
+                     "bound": bounds[name],
+                     "verdict": verdict(parent, change, direction, bounds[name])}
     return out
 
 
@@ -122,6 +142,7 @@ def record(parent_dir: Path, change_dir: Path, workload: str, seeds: list[int],
     returns the record."""
     bench = json.loads((change_dir / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     reused = sorted(recorded_seeds(sorted(out.glob("BENCH_*.json"))) & set(seeds))
     target = out / f"BENCH_{workload}.json"
@@ -151,7 +172,7 @@ def record(parent_dir: Path, change_dir: Path, workload: str, seeds: list[int],
         "claim_rule": {"pairs": len(pairs), "min_pairs": MIN_PAIRS, "reused_seeds": reused,
                        "all_correct": all_correct,
                        "holds": len(pairs) >= MIN_PAIRS and not reused and all_correct},
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, better, bounds),
         "pairs": pairs,
     }
     target.write_text(appended(target.read_text() if target.exists() else None, dump(doc)))
@@ -197,7 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, s in doc["summary"].items():
         print(f"{name}: {s['parent_median']:.4g} -> {s['change_median']:.4g} "
               f"({spread(s, 'parent')}; {spread(s, 'change')}), "
-              f"change better in {s['change_better']}")
+              f"change better in {s['change_better']}; {s['verdict']} "
+              f"(bound {s['bound']:.0%})")
     rule = doc["claim_rule"]
     print(f"claim rule {'holds' if rule['holds'] else 'does not hold'}: {rule['pairs']} pairs "
           f"(at least {MIN_PAIRS}), reused seeds {rule['reused_seeds']}, "

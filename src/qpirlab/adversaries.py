@@ -127,9 +127,6 @@ class Adversary:
     def modified_spec(self, spec: ProtocolSpec) -> ProtocolSpec:
         return replace(spec, server=self.program, name=f"{spec.name}~{self.name}")
 
-    def run(self, spec: ProtocolSpec, input_state, **kw) -> ExecutionTranscript:
-        return execute(self.modified_spec(spec), input_state, **kw)
-
 
 # ---------------------------------------------------------------------------
 # the standard test-input set
@@ -306,15 +303,16 @@ def planned_spans(instance: QpirInstance, groups, specs, ops, steps, states) -> 
     The runs are those :func:`database_runs` plans for ``groups`` through
     ``specs`` (with ``ops``).  Every spec runs once on each planned input,
     keeping ``steps``, and ``transcripts`` are those runs in the order of
-    ``specs``.  Every group's block of a step's states comes from one
-    :func:`block_spans` call, so the states share one branch span.  Each
-    step's states are released before the next step's are formed, and the
-    runs on return."""
+    ``specs``; ``states(t, transcripts, blocks)`` also gets the run's
+    ``[(g, x)]``, the groups it holds and their blocks.  Every group's
+    block of a step's states comes from one :func:`block_spans` call, so
+    the states share one branch span.  Each step's states are released
+    before the next step's are formed, and the runs on return."""
     db, spans = instance.database_register, [{} for _ in groups]
     for run, blocks in database_runs(instance, groups, specs, ops):
         transcripts = [execute(spec, run, keep=steps) for spec in specs]
         for t in steps:
-            taken = block_spans(states(t, transcripts), db, [x for _, x in blocks])
+            taken = block_spans(states(t, transcripts, blocks), db, [x for _, x in blocks])
             for (g, _), group_spans in zip(blocks, taken):
                 spans[g][t] = group_spans
     return spans
@@ -654,7 +652,7 @@ def measure_speciousness(instance: QpirInstance, adversary: Adversary) -> Specio
     groups = database_groups(inputs)
     recovery_ops = [op for recovery in adversary.recoveries for op in recovery.ops]
 
-    def states(t, transcripts):
+    def states(t, transcripts, _blocks):
         honest, dishonest = transcripts
         recovered = apply_recovery(dishonest, t, adversary.recoveries[t - 1])
         target = honest.ensemble(t)

@@ -53,12 +53,15 @@ def _usage(option: str):
         raise click.BadParameter(str(exc), param_hint=f"'{option}'") from exc
 
 
-def _unit_interval(ctx, param, value: float) -> float:
-    """A finite float in [0, 1]: ``click.FloatRange`` lets NaN through, and
-    NaN fails every comparison."""
-    if not 0.0 <= value <= 1.0:
-        raise click.BadParameter(f"{value!r} is not a finite value in [0, 1]")
-    return value
+def _finite(low: float, high: float):
+    """The callback that passes a finite float in [``low``, ``high``] and
+    refuses anything else: ``click.FloatRange`` lets NaN and infinity
+    through, and NaN fails every comparison."""
+    def check(ctx, param, value: float) -> float:
+        if not (math.isfinite(value) and low <= value <= high):
+            raise click.BadParameter(f"{value!r} is not a finite value in [{low:g}, {high:g}]")
+        return value
+    return check
 
 
 def _build(protocol: str, n: int, cleanup: bool = False, database=None):
@@ -189,7 +192,7 @@ def correctness(protocol, n, cleanup, databases, seed, out, fmt):
 @click.option("--adversary", "adversary_name", default=None,
               help="honest-purified | purify-db | gamma:<t> | gamma-lossy:<t>")
 @click.option("--mode", type=click.Choice(["anchored", "full"]), default="anchored")
-@click.option("--target", type=click.FloatRange(min=0), default=TOL,
+@click.option("--target", type=float, default=TOL, callback=_finite(0, math.inf),
               help="Privacy error the protocol is verified against.")
 @_with_common
 def privacy(protocol, n, adversary_name, mode, target, out, fmt):
@@ -232,7 +235,7 @@ def attack():
 @attack.command()
 @click.option("--n", type=click.IntRange(min=1), default=2)
 @click.option("--protocol", default="kerenidis")
-@click.option("--threshold", type=click.FloatRange(min=0), default=0.05)
+@click.option("--threshold", type=float, default=0.05, callback=_finite(0, math.inf))
 @_with_common
 def purify(n, protocol, threshold, out, fmt):
     """Input-purification attack: asserts the purified server's view leaks
@@ -284,8 +287,8 @@ def bounds():
 
 
 @bounds.command()
-@click.option("--delta", type=float, required=True, callback=_unit_interval)
-@click.option("--eps", type=float, required=True, callback=_unit_interval)
+@click.option("--delta", type=float, required=True, callback=_finite(0, 1))
+@click.option("--eps", type=float, required=True, callback=_finite(0, 1))
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @_with_common
 def nayak(delta, eps, n, out, fmt):
@@ -316,7 +319,7 @@ def chain_rule(protocol, n, mode, database, out, fmt):
 @bounds.command()
 @click.option("--n", type=click.IntRange(min=1), default=2)
 @click.option("--thetas", default="0.1,0.2,0.4")
-@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6)
+@click.option("--tolerance", type=float, default=1e-6, callback=_finite(0, math.inf))
 @_with_common
 def theorem32(n, thetas, tolerance, out, fmt):
     """Certificate eps_hat <= eps_honest + 3 sqrt(2 gamma_hat) for the lossy

@@ -57,7 +57,10 @@ Upper bounds come from explicit simulators: the honest-protocol simulator
 (the honest view pinned to the client input 1) and the specious-adversary
 simulator assembled from an extracted anchor state, the inverted purified
 recovery, and the honest simulator, whose view it reads off an honest run
-on its own planned input.  Both are scored by one certificate
+on its own planned input.  The anchors come from the run on database 0 and
+index 1, which is a block of the certificate's own first planned run, so
+no run of any figure here is made outside that runner and no run is kept
+between figures.  Both are scored by one certificate
 loop over the standard anchored inputs, which compares each (run view,
 simulated view) pair through
 :func:`qpirlab.adversaries.steered_distances`, the speciousness meter's
@@ -75,20 +78,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversaries import (Adversary, _client_matrix, _product, database_groups,
+from .adversaries import (PURIFIER, Adversary, _client_matrix, _product, database_groups,
                           measure_speciousness, planned_spans, standard_inputs,
                           steered_distances, steered_rows)
-from .channels import ChannelError, ChannelOp
+from .channels import ChannelError, ChannelOp, Support
 from .distances import paired_distances, trace_in_extraction
 from .protocols import QpirInstance
-from .runtime import (
-    CLIENT,
-    Ensemble,
-    ExecutionTranscript,
-    ProtocolShapeError,
-    ProtocolSpec,
-    execute,
-)
+from .runtime import CLIENT, Ensemble, ProtocolShapeError, ProtocolSpec
+from .runtime import execute  # noqa: F401  # unused; perfbench's span test reads privacy.execute
 from .states import PureState, nonzero_rows
 
 __all__ = [
@@ -166,7 +163,7 @@ def privacy_lower_bound(instance: QpirInstance, adversary: Adversary | None = No
     last = len(instance.spec.schedule)
     groups = database_groups(inputs)
     spans = planned_spans(instance, groups, (spec,), (), steps,
-                          lambda t, transcripts: (transcripts[0].server_view(t),))
+                          lambda t, transcripts, _: (transcripts[0].server_view(t),))
     keys, pairs_of_rows = [], []
     for members, group_spans in zip(groups, spans):
         classes: dict[str, list] = {}
@@ -214,8 +211,8 @@ def _certificate(instance: QpirInstance, specs, ops, states):
     The runs are those :func:`planned_spans` makes of the plan for
     ``specs`` and ``ops``: every spec the simulated side reads runs once on
     each planned input, and every op it applies is planned.
-    ``states(t, transcripts)`` gives, from the transcripts of ``specs``, the
-    states of one span: first the run's server view, last the simulator's
+    ``states(t, transcripts, blocks)`` gives, from the transcripts of
+    ``specs`` and the run's ``[(g, x)]``, the states of one span: first the run's server view, last the simulator's
     view of the whole run, ``refi`` still in it, whose ``x`` block is
     database ``x``'s.  Where the simulator's view is the run's own, one
     state serves as both, so each view is taken into its span once.  Every
@@ -241,27 +238,19 @@ class HonestSimulator:
     input pinned to index 1 and output the server-side registers.  That is
     the run on the purified index with ``refi`` pinned, so its view of a
     run is the run's view: the certificate takes that one view into its
-    span and compares it with itself pinned.  It keeps no views, and
-    database ``x``'s is the ``x`` block of a planned run's."""
+    span and compares it with itself pinned.  It holds its instance alone,
+    no run and no view, and database ``x``'s view is the ``x`` block of a
+    planned run's."""
 
     def __init__(self, instance: QpirInstance):
         self.instance = instance
-        self._references: dict = {}  # x0 -> the honest run on (x0, i=1)
-
-    def reference_run(self, x0) -> ExecutionTranscript:
-        """The honest run on the reference input ``(x0, i=1)``, made once
-        per ``x0``; every theorem simulator built on this one reads it."""
-        if x0 not in self._references:
-            inst = self.instance
-            self._references[x0] = execute(inst.spec, inst.basis_input(x0, 1))
-        return self._references[x0]
 
     def epsilon_upper(self):
         """Max distance between the simulated and the actual view over the
         test inputs; returns (eps_upper, rows).  One honest run per planned
         input gives both sides, from one span of its view."""
         return _certificate(self.instance, (self.instance.spec,), (),
-                            lambda t, runs: (runs[0].server_view(t),))
+                            lambda t, runs, _: (runs[0].server_view(t),))
 
 
 def _inverted(ops) -> tuple[ChannelOp, ...]:
@@ -274,25 +263,40 @@ def _inverted(ops) -> tuple[ChannelOp, ...]:
         raise ProtocolShapeError(f"recovery op {exc}; purify it first") from exc
 
 
+def _index_one_block(ens: Ensemble, db: str | None, x) -> Ensemble:
+    """The run on database 0 and index 1 in the state ``ens`` of the planned
+    run that holds group 0, database 0's, as its block ``x``: the ``db = 0``
+    entries where the run is shared (``x = 0``; no op of the plan relabels
+    ``db``), every entry in a run of its own (``x = None``), then the
+    ``refi = 0`` entries, which no program touches, with ``refi`` traced
+    out, dropping the branches left at zero weight as that run drops them.
+    Without ``db`` or ``refi`` to select, ``ens`` is whole."""
+    lay, sup = ens.layout, ens.vectors
+    names = [n for n in ((db,) if x is not None else ()) + (PURIFIER,) if lay.has(n)]
+    if not names:
+        return ens
+    keep = lay.labels(sup.index, names) == 0
+    block = Ensemble(lay, Support(sup.shape, sup.branch[keep], sup.index[keep], sup.value[keep]))
+    return block.traced([n for n in names if n != db])
+
+
 class TheoremSimulator:
     """The constructive specious-server simulator.
 
-    For each even step the anchor state is extracted from one run of the
-    adversary on the reference input ``(x0, i=1)``: the purified recovery is
+    For each even step the anchor state is extracted from the adversary's
+    run on the reference input ``(0, i=1)``: the purified recovery is
     applied, the result is projected onto the honest pure state, and the
     renormalized remainder on the adversary's private registers is the
     anchor (:func:`~qpirlab.distances.trace_in_extraction`, which reads both
-    runs on their support).  The simulator for any anchored input is then
-    the inverted recovery, each op's ``inverse()`` in reverse order, applied
-    to (anchor tensor honest-simulator output).
-
-    ``honest`` is the honest simulator of the instance; simulators of
-    several adversaries may share it, and with it the reference run
-    (:meth:`HonestSimulator.reference_run`).
+    runs on their support).  Both runs are read off the certificate's
+    planned run (:func:`_index_one_block`): building the simulator runs
+    nothing, and :meth:`certify` fills ``anchors`` and
+    ``extraction_bounds``.  The simulator for any anchored input is then the
+    inverted recovery, each op's ``inverse()`` in reverse order, applied to
+    (anchor tensor honest-simulator output).
     """
 
-    def __init__(self, honest: HonestSimulator, adversary: Adversary, x0):
-        instance = honest.instance
+    def __init__(self, instance: QpirInstance, adversary: Adversary):
         if not is_measurement_free(instance.spec):
             raise ProtocolShapeError("the certificate needs a measurement-free protocol")
         if adversary.recoveries is None:
@@ -301,26 +305,22 @@ class TheoremSimulator:
         self.adversary = adversary
         self.anchors: dict[int, PureState | None] = {}
         self.extraction_bounds: dict[int, float] = {}
-        honest_tr = honest.reference_run(x0)
-        adv_tr = adversary.run(instance.spec, instance.basis_input(x0, 1))
-        for t in _even_steps(instance.spec):
-            self.anchors[t], self.extraction_bounds[t] = self._extract(honest_tr, adv_tr, t)
 
-    def _extract(self, honest_tr: ExecutionTranscript, adv_tr: ExecutionTranscript,
-                 t: int) -> tuple[PureState | None, float]:
+    def _extract(self, t: int, adversarial: Ensemble,
+                 honest: Ensemble) -> tuple[PureState | None, float]:
         """The anchor on the adversary's private registers at step ``t`` and
-        its trace-in bound; ``(None, 0.0)`` when the recovery discards
+        its trace-in bound, from the adversarial and the honest state of the
+        run on ``(0, i=1)``; ``(None, 0.0)`` when the recovery discards
         nothing."""
         recovery = self.adversary.recoveries[t - 1]
-        ens = adv_tr.ensemble(t)
         for op in recovery.ops:
-            ens = ens.apply(op)
-        if not ens.is_pure:
+            adversarial = adversarial.apply(op)
+        if not adversarial.is_pure:
             raise ProtocolShapeError(
                 f"adversarial state at step {t} is not pure; purify the adversary")
         if not recovery.discard:
             return None, 0.0
-        return trace_in_extraction(ens, honest_tr.ensemble(t))
+        return trace_in_extraction(adversarial, honest)
 
     def simulated_view(self, t: int, honest_view: Ensemble) -> Ensemble:
         """Simulator output at even step ``t``, the reconstructed adversary
@@ -340,12 +340,19 @@ class TheoremSimulator:
         the adversary's actual view across anchored test inputs and steps.
         Each planned input runs through the adversary and the honest spec,
         whose server view is the honest simulator's; the plan lists the
-        recovery ops: inverted, they act on the simulation."""
-        adv, spec = self.adversary, self.instance.spec
+        recovery ops: inverted, they act on the simulation.  Group 0's run
+        comes first, so each step's anchor precedes its simulated views."""
+        adv, spec, db = self.adversary, self.instance.spec, self.instance.database_register
+
+        def states(t, runs, blocks):
+            for g, x in blocks:
+                if g == 0:
+                    self.anchors[t], self.extraction_bounds[t] = self._extract(
+                        t, *(_index_one_block(run.ensemble(t), db, x) for run in runs))
+            return runs[0].server_view(t), self.simulated_view(t, runs[1].server_view(t))
+
         return _certificate(self.instance, (adv.modified_spec(spec), spec),
-                            [op for recovery in adv.recoveries for op in recovery.ops],
-                            lambda t, runs: (runs[0].server_view(t),
-                                             self.simulated_view(t, runs[1].server_view(t))))
+                            [op for recovery in adv.recoveries for op in recovery.ops], states)
 
 
 # The lab's figure tolerance: a computed distance at or below it is a
@@ -372,15 +379,14 @@ def verify_theorem_bound(instance: QpirInstance, adversaries, *,
     simulator, measure its achieved anchored privacy error, and check it
     against eps_honest + 3 sqrt(2 gamma).  A gamma at or below
     :data:`FIGURE_TOL` counts as 0 in the bound; the row keeps the raw
-    ``gamma_hat``.  Each simulator takes its anchors from the run on
-    database 0, index 1.  One honest simulator serves every adversary, so
-    the reference run is made once."""
-    honest = HonestSimulator(instance)
-    eps_honest, _ = honest.epsilon_upper()
+    ``gamma_hat``.  Each simulator reads its anchors off its certificate's
+    planned run, as the run on database 0, index 1, so every run here is
+    one that :func:`~qpirlab.adversaries.planned_spans` makes."""
+    eps_honest, _ = HonestSimulator(instance).epsilon_upper()
     rows = []
     for adv in adversaries:
         gamma = measure_speciousness(instance, adv).gamma_hat
-        sim = TheoremSimulator(honest, adv, 0)
+        sim = TheoremSimulator(instance, adv)
         eps_hat, _ = sim.certify()
         # sqrt would lift QR noise in an exact recovery (1e-15) to 1e-7
         bound = eps_honest + 3.0 * math.sqrt(2.0 * (gamma if gamma > FIGURE_TOL else 0.0))

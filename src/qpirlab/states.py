@@ -448,10 +448,6 @@ class DensityOperator:
         return cls.from_ensemble(np.asarray(vec, dtype=np.complex128).reshape(1, -1))
 
     @classmethod
-    def maximally_mixed(cls, dimension: int) -> "DensityOperator":
-        return cls(dimension, np.eye(dimension) / np.sqrt(dimension))
-
-    @classmethod
     def from_ensemble(cls, vectors) -> "DensityOperator":
         """Density operator sum(v v^dagger) over the rows of a ``(B, dim)``
         array of unnormalized branch vectors."""
@@ -459,10 +455,6 @@ class DensityOperator:
         if vecs.ndim != 2 or not len(vecs):
             raise StateError(f"branch array has shape {vecs.shape}, expected (B, dim)")
         return cls(vecs.shape[1], np.ascontiguousarray(vecs.T))
-
-    @property
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
     def branches(self) -> np.ndarray:
         """``(k, dim)`` unnormalized pure branches ``sqrt(lam) v``, the

@@ -14,18 +14,20 @@ block on the support, ``dense_traced``, ``dense_aligned`` and
 ``dense_block`` read a partial trace, a register order and a database
 block off the scattered branch array, ``dense_uhlmann`` takes an
 Uhlmann unitary from two whole reordered pure states, ``to_pure`` makes a
-one-branch ensemble a ``PureState`` of its whole layout and
+one-branch ensemble a ``PureState`` of its whole layout,
 ``dense_trace_in_extraction`` extracts an anchor from two whole reordered
-pure states; the package reads every view from the runs
-``adversaries.planned_spans`` makes of the plan of
-``adversaries.database_runs``, every span and block from
+pure states and ``reference_anchors`` takes the theorem simulator's
+anchors from runs of their own on database 0 and index 1; the package
+reads every view from the runs ``adversaries.planned_spans`` makes of the
+plan of ``adversaries.database_runs``, every span and block from
 ``adversaries.block_spans``, compares views only in span coordinates
 (``distances.paired_distances``), steers only span arrays
 (``adversaries.steered_rows``), traces the discards no op touches first
 (``adversaries.apply_recovery``), applies every op on the support of the
 branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
 ``Ensemble.apply``) and reads traces, orders, blocks, Uhlmann overlaps and
-the theorem simulator's anchors off that support, every label through
+the theorem simulator's anchors off that support, the anchors off the
+certificate's own planned run, every label through
 ``RegisterLayout.labels``."""
 
 import math
@@ -38,7 +40,8 @@ from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, P
                               RotateOp, SelectPhaseOp, Support, _apply_local)
 from qpirlab.distances import (UhlmannPreconditionError, _split_matrix, gram_reduce,
                                paired_distances, trace_distance)
-from qpirlab.runtime import Ensemble, ExecutionTranscript, ProtocolSpec, execute
+from qpirlab.privacy import TheoremSimulator
+from qpirlab.runtime import CLIENT, Ensemble, ExecutionTranscript, ProtocolSpec, execute
 from qpirlab.states import (BRANCH_PRUNE, DensityOperator, LayoutError, PureState, RegisterLayout,
                             StateError, nonzero_rows, slots_to_front)
 
@@ -309,3 +312,21 @@ def dense_trace_in_extraction(alpha, phi) -> tuple[PureState, float]:
     eps = trace_distance(gram_reduce(alpha.amplitudes[None], alpha.layout, x_names),
                          DensityOperator.from_pure(phi_vec))
     return beta, math.sqrt(max(eps, 0.0))
+
+
+def reference_anchors(instance, adversary) -> tuple[dict, dict]:
+    """``(anchors, extraction_bounds)`` per even step from runs of their
+    own: the honest and the adversarial run on ``basis_input(0, 1)``, each
+    step's states then taken through ``TheoremSimulator._extract``.  The
+    package reads those two runs off the theorem certificate's planned run
+    instead (``privacy._index_one_block``) and must give the same anchors,
+    bit for bit, and the same bounds."""
+    sim, spec = TheoremSimulator(instance, adversary), instance.spec
+    run = instance.basis_input(0, 1)
+    honest, adversarial = execute(spec, run), execute(adversary.modified_spec(spec), run)
+    anchors, bounds = {}, {}
+    for st in spec.schedule:
+        if st.party == CLIENT:
+            anchors[st.t], bounds[st.t] = sim._extract(st.t, adversarial.ensemble(st.t),
+                                                       honest.ensemble(st.t))
+    return anchors, bounds

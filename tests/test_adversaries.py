@@ -51,7 +51,7 @@ class TestPurifiedHonest:
         adv = purified_honest(k2)
         inp = k2.basis_input(0b10, 2)
         honest = execute(k2.spec, inp)
-        dishonest = adv.run(k2.spec, inp)
+        dishonest = execute(adv.modified_spec(k2.spec), inp)
         t = honest.steps
         recovered = apply_recovery(dishonest, t, adv.recoveries[t - 1])
         d, = paired_distances([(
@@ -97,7 +97,7 @@ class TestPurificationAttack:
         # tracing the mirror out of the purified run reproduces the honest
         # run on the maximally mixed database
         adv = purification_attack(k2)
-        tr = adv.run(k2.spec, k2.basis_input(0b00, 1))
+        tr = execute(adv.modified_spec(k2.spec), k2.basis_input(0b00, 1))
         t = tr.steps
         attacked = tr.ensemble(t).traced(["adb", "junk"])
         honest_vectors = []
@@ -253,7 +253,7 @@ def test_purification_consistency_at_register_level(k2):
                        (gamma_family(k2, 0.5, lossy=True), LOSSY_GAMMA[0.4])):
         inp = k2.basis_input(0b10, 1)
         honest = execute(k2.spec, inp)
-        dishonest = adv.run(k2.spec, inp)
+        dishonest = execute(adv.modified_spec(k2.spec), inp)
         t = honest.steps
         traced = dishonest.ensemble(t).traced(adv.recoveries[-1].discard)
         d, = paired_distances([(

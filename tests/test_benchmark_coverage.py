@@ -21,11 +21,11 @@ import spans  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-# The executes of one task of each workload.  specious-n2 makes 33: 6 for
+# The executes of one task of each workload.  specious-n2 makes 29: 6 for
 # its three lower bounds, 16 for its four meters, 1 for the honest
-# certificate, 1 reference and 3 anchor runs for the theorem simulators, and
-# an adversarial and an honest run for each of the three theorem certificates.
-EXECUTES = {"decode-n8": 1, "privacy-n4": 1, "reconstruct-n4": 4, "specious-n2": 33}
+# certificate, and an adversarial and an honest run for each of the three
+# theorem certificates, which also hold the theorem simulators' anchors.
+EXECUTES = {"decode-n8": 1, "privacy-n4": 1, "reconstruct-n4": 4, "specious-n2": 29}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

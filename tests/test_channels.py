@@ -39,7 +39,7 @@ def test_hadamard_on_zero():
 
 def test_identity_kraus_on_density(rng):
     layout = RegisterLayout((("a", 2),))
-    rho = DensityOperator.maximally_mixed(4)
+    rho = DensityOperator(4, np.eye(4) / np.sqrt(4))
     op = DenseOp((np.eye(4),), ("a",), kind="kraus-set")
     out = DensityOperator.from_ensemble(Ensemble(layout, rho.branches()).apply(op).dense())
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)

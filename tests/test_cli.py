@@ -201,6 +201,12 @@ def test_suite_small(runner, tmp_path):
     (["bounds", "nayak", "--delta", "0.1", "--eps", "1.5", "--n", "4"], "--eps"),
     (["bounds", "nayak", "--delta", "0.1", "--eps", "inf", "--n", "4"], "--eps"),
     (["bounds", "nayak", "--delta", "0.1", "--eps", "nan", "--n", "4"], "--eps"),
+    (["bounds", "theorem32", "--n", "2", "--thetas", "0.1", "--tolerance", "nan"], "--tolerance"),
+    (["bounds", "theorem32", "--n", "2", "--thetas", "0.1", "--tolerance", "inf"], "--tolerance"),
+    (["attack", "purify", "--n", "2", "--threshold", "nan"], "--threshold"),
+    (["attack", "purify", "--n", "2", "--threshold", "inf"], "--threshold"),
+    (["privacy", "--n", "2", "--target", "nan"], "--target"),
+    (["privacy", "--n", "2", "--target", "inf"], "--target"),
 ])
 def test_arguments_the_library_refuses_are_usage_errors(runner, args, option):
     # exit 2 names the option; exit 1 stays a failed check

@@ -28,7 +28,7 @@ at n = 2 (16 qubits) are out of reach.
 The theorem certificate and ``verify_theorem_bound`` have their own
 reference in the last section of the module, on measurement-free runs, so each
 branch of an input is one ket.  Each op is one ``np.einsum`` of its single
-operator into the ket.  The anchor is the recovered run on (x0 = 0,
+operator into the ket.  The anchor is the recovered run on (db = 0,
 i = 1), its honest registers projected onto the honest run's ket and the
 rest renormalized.  The simulated view is the anchor (x) the honest run on
 (db, i = 1), with the recovery ops applied in reverse order as
@@ -572,7 +572,7 @@ def _meter(inst_name, adv_name):
 
 def _anchor(adv, honest, attacked, t):
     """The anchor at step ``t`` as ``(registers, ket)``, or ``None`` when the
-    recovery discards nothing: the recovered run on (x0 = 0, i = 1) with the
+    recovery discards nothing: the recovered run on (db = 0, i = 1) with the
     honest run's registers projected onto the honest ket, renormalized."""
     recovery = adv.recoveries[t - 1]
     if not recovery.discard:
@@ -589,8 +589,8 @@ def _anchor(adv, honest, attacked, t):
 
 @cache
 def _theorem_certificate(inst_name, adv_name):
-    """``{(input label, t): distance}`` of ``TheoremSimulator(...,
-    x0=0).certify()``: per anchored input and even step, the simulated view
+    """``{(input label, t): distance}`` of ``TheoremSimulator(inst,
+    adv).certify()``: per anchored input and even step, the simulated view
     beside the input's reference marginal against the adversary's view.
     The simulated view is the anchor (x) the honest run on (db, i = 1), with
     the recovery ops applied in reverse order as ``K^dagger`` and the
@@ -632,7 +632,7 @@ THEOREM_CASES = {"k1": ("honest-purified", "purify-db", "gamma:0.3", LOSSY, "gam
                                                 THEOREM_CASES.items() for adv in advs])
 def test_theorem_certificate_matches_the_density_reference(inst_name, adv_name):
     inst = _instance(inst_name)
-    sim = TheoremSimulator(HonestSimulator(inst), _adversary(inst_name, adv_name), 0)
+    sim = TheoremSimulator(inst, _adversary(inst_name, adv_name))
     eps, rows = sim.certify()
     want = _theorem_certificate(inst_name, adv_name)
     got = {(label, t): d for label, t, d in rows}

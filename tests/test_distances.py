@@ -97,8 +97,8 @@ class TestTraceDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(StateError):
-            trace_distance(DensityOperator.maximally_mixed(2),
-                           DensityOperator.maximally_mixed(4))
+            trace_distance(DensityOperator(2, np.eye(2) / np.sqrt(2)),
+                           DensityOperator(4, np.eye(4) / np.sqrt(4)))
 
     def test_symmetry_and_triangle(self, rng):
         a, b, c = (random_density(rng, 4) for _ in range(3))
@@ -201,7 +201,7 @@ class TestBlockDistance:
             assert trace_distance(a, b) == pytest.approx(dense_distance(a, b), abs=1e-12)
 
     def test_maximally_mixed_compares_fast(self):
-        mixed = DensityOperator.maximally_mixed(1024)
+        mixed = DensityOperator(1024, np.eye(1024) / np.sqrt(1024))
         basis = DensityOperator.from_pure(np.eye(1024)[0])
         best = float("inf")
         for _ in range(3):

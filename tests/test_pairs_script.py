@@ -25,17 +25,17 @@ print(json.dumps({"correct": seed != 99, "attempted": 5, "failed": 0,
 '''
 
 BENCHMARK = {"run_seconds": 2,
-             "end_to_end": [{"name": "setup_s", "better": "lower"},
-                            {"name": "task_s.p50", "better": "lower"},
-                            {"name": "task_s.tail", "better": "lower"},
-                            {"name": "tasks_per_s", "better": "higher"},
-                            {"name": "peak_rss_mb", "better": "lower"}]}
+             "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25},
+                            {"name": "task_s.p50", "better": "lower", "bound": 0.25},
+                            {"name": "task_s.tail", "better": "lower", "bound": 0.25},
+                            {"name": "tasks_per_s", "better": "higher", "bound": 0.25},
+                            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
 
 
-def _checkouts(tmp_path):
+def _checkouts(tmp_path, runner=RUNNER):
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text(RUNNER)
+        (tmp_path / side / "perfbench" / "run.py").write_text(runner)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     out = tmp_path / "out"
     out.mkdir()
@@ -170,3 +170,41 @@ def test_records_carry_both_sides_quartiles_and_print_their_spreads(tmp_path):
     assert ("task_s.p50: 0.555 -> 0.465 (parent quartiles 0.5325-0.5775, IQR 8.1% of median; "
             "change quartiles 0.4425-0.4875, IQR 9.7% of median), change better in 9 of 10"
             in stdout)
+
+
+# Per metric, one case of each verdict: setup_s and peak_rss_mb worse than
+# their bounds on steady parents; task_s.p50 worse on a parent whose spread
+# (IQR 29% of its median) exceeds the bound; task_s.tail as spread but every
+# change run better; tasks_per_s 10% worse, inside its bound.
+VERDICTS = RUNNER.split("task = ")[0] + '''
+wide = 1.0 + 0.1 * seed
+parent = {"setup_s": 1.0, "task_s.p50": wide, "task_s.tail": wide, "tasks_per_s": 10.0,
+          "peak_rss_mb": 100.0}
+change = {"setup_s": 1.5, "task_s.p50": 1.3 * wide, "task_s.tail": 0.5, "tasks_per_s": 9.0,
+          "peak_rss_mb": 111.0}
+metrics = parent if side == "parent" else change
+print(json.dumps({"correct": True, "attempted": 5, "failed": 0,
+                  "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}))
+'''
+
+
+def test_each_metric_is_judged_against_its_bound(tmp_path):
+    out = _checkouts(tmp_path, VERDICTS)
+    stdout, doc = _pairs(tmp_path, out, "1-10")
+    summary = doc["summary"]
+    assert {name: (s["bound"], s["verdict"]) for name, s in summary.items()} == {
+        "setup_s": (0.25, "worse than bound"),
+        "task_s.p50": (0.25, "unresolved"),
+        "task_s.tail": (0.25, "within bound"),
+        "tasks_per_s": (0.25, "within bound"),
+        "peak_rss_mb": (0.1, "worse than bound")}
+    assert "change better in 0 of 10; worse than bound (bound 10%)" in stdout
+    assert "change better in 0 of 10; unresolved (bound 25%)" in stdout
+    # the spread alone does not decide: with the parent steady, 30% worse is
+    # worse than bound
+    steady = VERDICTS.replace("wide = 1.0 + 0.1 * seed", "wide = 1.0")
+    (tmp_path / "parent" / "perfbench" / "run.py").write_text(steady)
+    (tmp_path / "change" / "perfbench" / "run.py").write_text(steady)
+    _, doc = _pairs(tmp_path, out, "11-20")
+    assert doc["summary"]["task_s.p50"]["verdict"] == "worse than bound"
+    assert doc["summary"]["task_s.tail"]["verdict"] == "within bound"

@@ -1,10 +1,13 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qpirlab import privacy
+from qpirlab import adversaries, bounds, privacy, protocols
 from qpirlab.adversaries import (
+    Recovery,
     adversary_by_name,
     client_variants,
     gamma_family,
@@ -26,7 +29,7 @@ from qpirlab.privacy import (
 from qpirlab.protocols import build_baseline, build_counterexample, build_kerenidis
 from qpirlab.runtime import Ensemble, ProtocolShapeError, execute
 from qpirlab.states import PureState, RegisterLayout
-from span_reference import dense_trace_in_extraction
+from span_reference import dense_trace_in_extraction, reference_anchors
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +103,7 @@ class TestHonestSimulator:
 
 class TestTheoremSimulator:
     def test_purified_honest_reduces_to_honest(self, k2):
-        sim = TheoremSimulator(HonestSimulator(k2), purified_honest(k2), x0=0)
+        sim = TheoremSimulator(k2, purified_honest(k2))
         eps_hat, _ = sim.certify()
         assert eps_hat <= 1e-9
 
@@ -108,7 +111,7 @@ class TestTheoremSimulator:
     def test_lossy_certificate(self, k2, theta):
         adv = gamma_family(k2, theta, lossy=True)
         gamma = measure_speciousness(k2, adv).gamma_hat
-        sim = TheoremSimulator(HonestSimulator(k2), adv, x0=0)
+        sim = TheoremSimulator(k2, adv)
         eps_hat, rows = sim.certify()
         assert eps_hat <= 3.0 * math.sqrt(2.0 * gamma) + 1e-6
         # superposed client indices are part of the certified domain
@@ -119,7 +122,8 @@ class TestTheoremSimulator:
         theta = 0.4
         adv = gamma_family(k2, theta, lossy=True)
         gamma = measure_speciousness(k2, adv).gamma_hat
-        sim = TheoremSimulator(HonestSimulator(k2), adv, x0=0)
+        sim = TheoremSimulator(k2, adv)
+        sim.certify()
         t = 2 * k2.spec.rounds
         base = sim.anchors[t]
         layout = RegisterLayout((("idx", 1),))
@@ -128,34 +132,37 @@ class TestTheoremSimulator:
                           PureState.basis(layout, {"idx": 1}),
                           PureState.from_vector(layout, np.array([1, 1]) / np.sqrt(2))):
                 inp = k2.input_with_client(x, state)
-                sigma, _ = sim._extract(execute(k2.spec, inp), adv.run(k2.spec, inp), t)
+                sigma, _ = sim._extract(t, execute(adv.modified_spec(k2.spec), inp).ensemble(t),
+                                        execute(k2.spec, inp).ensemble(t))
                 assert pure_trace_distance(base, sigma) <= 2 * math.sqrt(2 * gamma) + 1e-8
 
     def test_simulated_view_is_the_server_view_layout(self, k2):
         # the lossy simulator rebuilds the adversary's view: honest server
         # registers plus the discarded ancillas
-        sim = TheoremSimulator(HonestSimulator(k2), gamma_family(k2, 0.2, lossy=True), x0=0)
-        adv_tr = sim.adversary.run(k2.spec, k2.basis_input(0, 1))
+        sim = TheoremSimulator(k2, gamma_family(k2, 0.2, lossy=True))
+        sim.certify()
+        adv_tr = execute(sim.adversary.modified_spec(k2.spec), k2.basis_input(0, 1))
         for t in (2, 4):
             view = sim.simulated_view(t, execute(k2.spec, k2.basis_input(0, 1)).server_view(t))
             assert isinstance(view, Ensemble)
             assert set(view.layout.names) == set(adv_tr.server_view(t).layout.names)
 
     def test_a_fresh_honest_simulator_certifies_the_same_rows(self, k2):
-        # the theorem simulator reads the honest view off the honest run on
-        # its own planned input, whatever the honest simulator ran before
+        # the theorem simulator reads the honest view and its anchors off
+        # the runs of its own plan, whatever ran before, itself included
         adv = gamma_family(k2, 0.3, lossy=True)
-        fresh = TheoremSimulator(HonestSimulator(k2), adv, x0=0).certify()
-        honest = HonestSimulator(k2)
-        honest.epsilon_upper()
-        assert TheoremSimulator(honest, adv, x0=0).certify() == fresh
+        fresh = TheoremSimulator(k2, adv).certify()
+        HonestSimulator(k2).epsilon_upper()
+        sim = TheoremSimulator(k2, adv)
+        assert sim.certify() == fresh
+        assert sim.certify() == fresh
 
     def test_purify_db_certify_runs_each_database_honestly(self, k2, monkeypatch):
         # the attack relabels db, so each database is a run of its own, and
         # every certify runs the honest spec once on each
         from qpirlab import adversaries
 
-        sim = TheoremSimulator(HonestSimulator(k2), purification_attack(k2), x0=0)
+        sim = TheoremSimulator(k2, purification_attack(k2))
         inner, calls = adversaries.execute, []
 
         def counted(spec, *args, **kwargs):
@@ -186,7 +193,8 @@ class TestTheoremSimulator:
         names = ("honest-purified", "purify-db", "gamma:0.3", "gamma-lossy:0.3")
         for adv in names + (("gamma-lossy:0.1",) if n == 2 else ()):
             calls.clear()
-            sim = TheoremSimulator(HonestSimulator(inst), adversary_by_name(inst, adv), 0)
+            sim = TheoremSimulator(inst, adversary_by_name(inst, adv))
+            sim.certify()
             assert len(calls) == sum(a is not None for a in sim.anchors.values())
             for alpha, phi in calls:
                 beta, bound = inner(alpha, phi)
@@ -194,9 +202,56 @@ class TestTheoremSimulator:
                 assert beta.layout == want.layout
                 assert np.array_equal(beta.amplitudes, want.amplitudes) and bound == want_bound
 
+    @pytest.mark.parametrize("name,n", [("kerenidis", 1), ("kerenidis", 2), ("send-db", 1)])
+    def test_anchors_read_off_the_plan_equal_the_side_runs(self, name, n):
+        # database 0's index-1 block of the certificate's planned run is the
+        # run on basis_input(0, 1): the same anchors bit for bit, None where
+        # the recovery discards nothing, and the same extraction bounds
+        inst = build_kerenidis(n) if name == "kerenidis" else build_baseline(name, n)
+        names = ("honest-purified", "purify-db", "gamma:0.3", "gamma-lossy:0.3")
+        for adv_name in names + (("gamma-lossy:0.1",) if n == 2 else ()):
+            adv = adversary_by_name(inst, adv_name)
+            sim = TheoremSimulator(inst, adv)
+            sim.certify()
+            want, want_bounds = reference_anchors(inst, adv)
+            assert sim.anchors.keys() == want.keys() and sim.extraction_bounds == want_bounds
+            for t, anchor in sim.anchors.items():
+                assert (anchor is None) == (not adv.recoveries[t - 1].discard), (adv_name, t)
+                if anchor is not None:
+                    assert anchor.layout == want[t].layout, (adv_name, t)
+                    assert np.array_equal(anchor.amplitudes, want[t].amplitudes), (adv_name, t)
+
+    def test_every_run_is_a_planned_run(self, k2, monkeypatch):
+        # building a simulator runs nothing; every execute of the theorem
+        # bound, the anchors' runs included, is called from planned_spans
+        callers = []
+        for module in (adversaries, bounds, privacy, protocols):
+            def recorded(*args, inner=module.execute, **kwargs):
+                # the function whose body makes the call (a comprehension's
+                # qualified name starts with it)
+                callers.append(sys._getframe(1).f_code.co_qualname.split(".")[0])
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, "execute", recorded)
+        family = [gamma_family(k2, t, lossy=True) for t in (0.1, 0.2, 0.4)]
+        sims = [TheoremSimulator(k2, adv) for adv in family]
+        assert callers == [] and all(sim.anchors == {} for sim in sims)
+        verify_theorem_bound(k2, family)
+        # the honest certificate 1, per adversary its meter 2 x 2 and its
+        # certificate 2
+        assert callers == ["planned_spans"] * 19
+
+    def test_an_impure_recovery_is_refused_by_certify(self, k2):
+        lossy = gamma_family(k2, 0.3, lossy=True)
+        adv = replace(lossy, recoveries=tuple(Recovery((MeasureOp("r1"), *r.ops), r.discard)
+                                              for r in lossy.recoveries))
+        sim = TheoremSimulator(k2, adv)
+        with pytest.raises(ProtocolShapeError,
+                           match="adversarial state at step 2 is not pure; purify the adversary"):
+            sim.certify()
+
     def test_construction_makes_no_dense_pure_state(self, k2, monkeypatch):
-        # the anchors are read off the support of the recovered and the
-        # honest runs: no PureState of either run's registers is made
+        # certify reads the anchors off the support of the recovered and
+        # the honest runs: no PureState of either run's registers is made
         layouts, runs = [], []
         post, inner = PureState.__post_init__, privacy.trace_in_extraction
         monkeypatch.setattr(PureState, "__post_init__",
@@ -206,7 +261,7 @@ class TestTheoremSimulator:
                             or inner(alpha, phi))
         for adv in (gamma_family(k2, 0.3), gamma_family(k2, 0.3, lossy=True),
                     purification_attack(k2)):
-            TheoremSimulator(HonestSimulator(k2), adv, x0=0)
+            TheoremSimulator(k2, adv).certify()
         assert runs and layouts  # the anchors are PureStates
         run = {frozenset(lay.registers) for pair in runs for lay in pair}
         assert [lay for lay in layouts if frozenset(lay.registers) in run] == []
@@ -215,7 +270,7 @@ class TestTheoremSimulator:
         cx = build_counterexample(2)
         assert not is_measurement_free(cx.spec)
         with pytest.raises(ProtocolShapeError, match="measurement-free"):
-            TheoremSimulator(HonestSimulator(cx), purified_honest(cx), x0=0)
+            TheoremSimulator(cx, purified_honest(cx))
 
 
 class TestTheoremBound:
@@ -248,10 +303,9 @@ class TestTheoremBound:
         assert row.bound == pytest.approx(float.fromhex("0x1.cb12edecfe42cp-2"), abs=1e-12)
 
     def test_each_figure_runs_the_honest_spec_on_its_own_plan(self, k2, monkeypatch):
-        # one x0 reference run that the honest simulator keeps for every
-        # adversary, one run of the 4 databases for the honest certificate,
-        # and per adversary two for its meter (the 4 databases and the
-        # superposed one) and one for its certificate
+        # one run of the 4 databases for the honest certificate, and per
+        # adversary two for its meter (the 4 databases and the superposed
+        # one) and one for its certificate, which also holds the anchors
         from qpirlab import adversaries, privacy
 
         calls = []
@@ -261,12 +315,12 @@ class TestTheoremBound:
                 return inner(spec, *args, **kwargs)
             monkeypatch.setattr(module, "execute", counted)
         verify_theorem_bound(k2, [gamma_family(k2, t, lossy=True) for t in (0.1, 0.2, 0.4)])
-        assert calls.count(k2.spec.name) == 1 + 1 + 3 * (2 + 1)
+        assert calls.count(k2.spec.name) == 1 + 3 * (2 + 1)
 
     def test_sandwich_lower_vs_certified(self, k2):
         adv = gamma_family(k2, 0.4, lossy=True)
         lower = privacy_lower_bound(k2, adv).eps_lower
-        sim = TheoremSimulator(HonestSimulator(k2), adv, x0=0)
+        sim = TheoremSimulator(k2, adv)
         eps_hat, _ = sim.certify()
         gamma = measure_speciousness(k2, adv).gamma_hat
         assert lower <= eps_hat + 1e-6

@@ -220,7 +220,7 @@ def test_honest_certificate_matches_the_per_input_loop(inst_name):
 def test_theorem_certificate_matches_the_per_input_loop(adv_name):
     inst = build_kerenidis(2)
     adv = _adversary(inst, adv_name)
-    sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
+    sim = TheoremSimulator(inst, adv)
     eps, rows = sim.certify()
     want = _reference_theorem_certificate(inst, adv)
     _assert_rows_match(rows, want)
@@ -229,7 +229,8 @@ def test_theorem_certificate_matches_the_per_input_loop(adv_name):
 
 def _reference_theorem_certificate(inst, adv):
     # per database, the simulated view of the honest run on (db, i=1)
-    ref_sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
+    ref_sim = TheoremSimulator(inst, adv)
+    ref_sim.certify()
     honest_view = _reference_honest_view(inst)
     return _reference_certificate(inst, adv.modified_spec(inst.spec),
                                   lambda db, t: ref_sim.simulated_view(t, honest_view(db, t)))
@@ -248,7 +249,7 @@ def test_a_recovery_that_relabels_db_runs_each_database_alone(monkeypatch):
     groups = database_groups(standard_inputs(inst))
     runs = database_runs(inst, groups, (adv.modified_spec(inst.spec), inst.spec), ops)
     assert [blocks for _, blocks in runs] == [[(g, None)] for g in range(4)]
-    sim = TheoremSimulator(HonestSimulator(inst), adv, 0)
+    sim = TheoremSimulator(inst, adv)
     calls = _count_calls(monkeypatch, adversaries)
     eps, rows = sim.certify()
     # an honest and an adversarial run per database
@@ -256,7 +257,7 @@ def test_a_recovery_that_relabels_db_runs_each_database_alone(monkeypatch):
     want = _reference_theorem_certificate(inst, adv)
     _assert_rows_match(rows, want)
     assert abs(eps - max(d for *_, d in want)) <= TOL
-    _assert_rows_match(rows, TheoremSimulator(HonestSimulator(inst), lossy, 0).certify()[1])
+    _assert_rows_match(rows, TheoremSimulator(inst, lossy).certify()[1])
 
 
 @pytest.mark.parametrize("inst_name,adv_name", [
@@ -360,7 +361,7 @@ def _shared_figures(inst, adv):
                 for r in privacy_lower_bound(inst, a, mode).rows]
     out["honest certificate"] = honest.epsilon_upper()[1]
     if is_measurement_free(inst.spec):
-        out["theorem certificate"] = TheoremSimulator(honest, adv, 0).certify()[1]
+        out["theorem certificate"] = TheoremSimulator(inst, adv).certify()[1]
     out["meter"] = list(measure_speciousness(inst, adv).rows)
     return out
 
@@ -602,7 +603,7 @@ def _figures(inst, adv):
             (r.step, r.x_label, r.pair, r.distance)
             for r in privacy_lower_bound(inst, adv, mode).rows]
     figures["honest certificate"] = lambda: honest.epsilon_upper()[1]
-    figures["theorem certificate"] = lambda: TheoremSimulator(honest, adv, 0).certify()[1]
+    figures["theorem certificate"] = lambda: TheoremSimulator(inst, adv).certify()[1]
     return figures
 
 

@@ -14,4 +14,4 @@ def test_surface_prints_both_metrics():
     # Ratchet: a change that adds an option raises this ceiling and says why.
     assert int(figures["options"]) <= 45
     # Ratchet: a change that adds source lines raises this ceiling and says why.
-    assert int(figures["src_lines"]) <= 4600
+    assert int(figures["src_lines"]) <= 4599

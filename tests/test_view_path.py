@@ -412,8 +412,7 @@ def test_certificates_take_one_span_per_database_and_step(monkeypatch):
     assert len(qrs) == 48 + 3
 
     k2 = build_kerenidis(2)
-    sim = privacy.TheoremSimulator(privacy.HonestSimulator(k2),
-                                   adversary_by_name(k2, "gamma-lossy:0.3"), 0)
+    sim = privacy.TheoremSimulator(k2, adversary_by_name(k2, "gamma-lossy:0.3"))
     spans.clear()
     sim.certify()
     # 4 databases x 2 even steps, one call per step
@@ -466,12 +465,12 @@ def _record_callers(monkeypatch, owner, name, calls):
 def test_every_figure_runs_its_plan_through_the_one_runner(monkeypatch):
     # the lower bound, the meter and both certificates take their runs from
     # database_runs only inside planned_spans, and the honest simulator
-    # keeps nothing but its reference runs
+    # keeps nothing but its instance
     plans = []
     _record_callers(monkeypatch, adversaries, "database_runs", plans)
     k2, cx = build_kerenidis(2), build_counterexample(2)
     honest = privacy.HonestSimulator(k2)
-    theorem = privacy.TheoremSimulator(honest, adversary_by_name(k2, "gamma-lossy:0.3"), 0)
+    theorem = privacy.TheoremSimulator(k2, adversary_by_name(k2, "gamma-lossy:0.3"))
     figures = {
         "privacy_lower_bound": lambda: privacy_lower_bound(k2),
         "measure_speciousness": lambda: measure_speciousness(cx, purified_honest(cx)),
@@ -484,7 +483,7 @@ def test_every_figure_runs_its_plan_through_the_one_runner(monkeypatch):
         assert len(plans) == 1, name
         assert {name, "planned_spans"} <= plans[0], name
     assert not {"database_runs", "block_spans"} & set(vars(privacy))
-    assert set(vars(honest)) == {"instance", "_references"}
+    assert set(vars(honest)) == {"instance"}
 
 
 def test_spans_reach_the_figures_as_plain_arrays(monkeypatch):
@@ -517,8 +516,7 @@ def test_certificates_pin_the_index_in_span_coordinates(monkeypatch):
     # tensors nothing with a mixed refi (the theorem simulator's anchor
     # tensor is its own)
     k2 = build_kerenidis(2)
-    theorem = privacy.TheoremSimulator(privacy.HonestSimulator(k2),
-                                       adversary_by_name(k2, "gamma-lossy:0.3"), 0)
+    theorem = privacy.TheoremSimulator(k2, adversary_by_name(k2, "gamma-lossy:0.3"))
     moves, tensors = [], []
     _record_callers(monkeypatch, runtime.Ensemble, "aligned_vectors", moves)
     inner = runtime.Ensemble.tensor
