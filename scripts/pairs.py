@@ -13,14 +13,14 @@ metric the two medians, both sides' quartiles and how many pairs the change
 won, and a verdict on the metric against its ``bound`` in
 ``BENCHMARK.json`` (:func:`verdict`).  The printed summary gives each
 side's interquartile range as a share of its median and the verdict.  The
-record says whether a gain on the workload was stated
-before the pairs were run (``--claimed``; ``claimed`` is false without
-it), and whether the claim rule holds: at least
-``MIN_PAIRS`` pairs, every run correct with no failed task, and no seed
-already recorded in any record of a ``BENCH_*.json`` of ``--out``.  Earlier
-records stay byte for byte (a file holding one record, as this script once
-wrote, becomes a list with that record first), and ``earlier_seeds`` lists
-the seeds the file held before.  The script claims nothing itself.
+record says whether a gain on the workload was stated before the pairs
+were run (``--claimed``; ``claimed`` is false without it), and whether the
+claim rule holds: at least ``MIN_PAIRS`` pairs, every run correct with no
+failed task, and no seed already recorded in any record of a
+``BENCH_*.json`` of ``--out``.  Earlier records stay byte for byte (a file
+holding one record, as this script once wrote, becomes a list with that
+record first), and ``earlier_seeds`` lists the seeds the file held
+before.  The script claims nothing itself.
 
 Usage: python scripts/pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B
        [--out DIR] [--claimed]

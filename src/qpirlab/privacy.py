@@ -85,7 +85,7 @@ from .channels import ChannelError, ChannelOp, Support
 from .distances import paired_distances, trace_in_extraction
 from .protocols import QpirInstance
 from .runtime import CLIENT, Ensemble, ProtocolShapeError, ProtocolSpec
-from .runtime import execute  # noqa: F401  # unused; perfbench's span test reads privacy.execute
+from .runtime import execute  # noqa: F401 (no call here; perfbench's wrap test reads it)
 from .states import PureState, nonzero_rows
 
 __all__ = [
