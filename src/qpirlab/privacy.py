@@ -212,17 +212,17 @@ def _certificate(instance: QpirInstance, specs, ops, states):
     ``specs`` and ``ops``: every spec the simulated side reads runs once on
     each planned input, and every op it applies is planned.
     ``states(t, transcripts, blocks)`` gives, from the transcripts of
-    ``specs`` and the run's ``[(g, x)]``, the states of one span: first the run's server view, last the simulator's
-    view of the whole run, ``refi`` still in it, whose ``x`` block is
-    database ``x``'s.  Where the simulator's view is the run's own, one
-    state serves as both, so each view is taken into its span once.  Every
-    group's block of the states is taken into one branch span from one
-    move, and the last is pinned to index 1 beside the maximally mixed
-    ``refi`` (:func:`_pinned`; the pin acts on that reference alone, so it
-    commutes with the simulator).  Steered to a client state ``c``, it
-    becomes the simulated view tensored with ``c``'s marginal on its
-    reference registers, so both sides are steered and compared as the
-    lower bound's views are."""
+    ``specs`` and the run's ``[(g, x)]``, the states of one span: first the
+    run's server view, last the simulator's view of the whole run, ``refi``
+    still in it, whose ``x`` block is database ``x``'s.  Where the
+    simulator's view is the run's own, one state serves as both, so each
+    view is taken into its span once.  Every group's block of the states is
+    taken into one branch span from one move, and the last is pinned to
+    index 1 beside the maximally mixed ``refi`` (:func:`_pinned`; the pin
+    acts on that reference alone, so it commutes with the simulator).
+    Steered to a client state ``c``, it becomes the simulated view tensored
+    with ``c``'s marginal on its reference registers, so both sides are
+    steered and compared as the lower bound's views are."""
     groups = database_groups(standard_inputs(instance))
     index = instance.client_basis_state(1)
     pairs = [{t: (views[0], _pinned(views[-1], index)) for t, views in spans.items()}
