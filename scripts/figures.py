@@ -6,9 +6,9 @@ speciousness rows, the honest and theorem certificates (with each theorem
 simulator's extraction bound per even step, which pins its anchors), the
 same three families on two runs without an index register (kerenidis n = 1
 and the send-db baseline at n = 1, whose runs carry no ``refi``), the
-``verify_theorem_bound`` rows, the reconstruction attack (n = 2 and 4, both
-modes, and the two baselines) and the decode distribution of kerenidis
-n = 8.  ``float.hex`` is exact, so two commits give the same outputs when
+``verify_theorem_bound`` rows, the reconstruction attack (kerenidis n = 2
+and 4 and the send-db and send-index baselines at n = 2, each in both
+modes) and the decode distribution of kerenidis n = 8: 2,720 labels.  ``float.hex`` is exact, so two commits give the same outputs when
 ``diff`` of their prints is empty; a label names one figure and contains
 no whitespace.
 
@@ -109,8 +109,10 @@ def main() -> int:
     attack_figures("k2", k2, "classical-per-a", (1, 0))
     attack_figures("k4", k4, "coherent-reference", None)
     attack_figures("k4", k4, "classical-per-a", (0, 1, 1, 0))
-    attack_figures("send-db2", build_baseline("send-db", 2), "classical-per-a", (1, 0))
-    attack_figures("send-index2", build_baseline("send-index", 2), "classical-per-a", (1, 0))
+    for name in ("send-db", "send-index"):
+        inst = build_baseline(name, 2)
+        attack_figures(f"{name}2", inst, "classical-per-a", (1, 0))
+        attack_figures(f"{name}2", inst, "coherent-reference", None)
 
     k8 = build_kerenidis(8, database=(1, 0, 1, 1, 0, 0, 1, 0))
     index = PureState(RegisterLayout(((k8.index_register, k8.levels),)),

@@ -52,6 +52,11 @@ class GentleMeasurement:
     achieved: float  # trace_distance(post_state, rho), at most the certificate
 
 
+# Column windows of BlockProjector.apply start and end at multiples of this,
+# a multiple of the column unroll of common complex matrix-product kernels.
+_PANEL = 8
+
+
 @dataclass(frozen=True)
 class BlockProjector:
     """The projector ``(+)_a u^dagger diag(keep[a]) u``, block-diagonal over
@@ -82,11 +87,25 @@ class BlockProjector:
         return self.keep.size
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """``P f`` for a ``(dimension, k)`` array, one block at a time."""
+        """``P f`` for a ``(dimension, k)`` array, one block at a time: block
+        ``a`` is ``u^dagger (keep[a] * (u F_a))`` on the window of the columns
+        where ``F_a`` is nonzero (a column may touch several blocks), widened
+        to multiples of :data:`_PANEL` or to ``k``, and an exact zero, ``u @
+        0``, on every other column.  A matrix product computes a column with
+        the same instructions wherever it sits in an aligned panel, so each
+        column keeps the bits of the full-block product."""
         blocks, d_b = self.keep.shape
-        g = self.u @ f.reshape(blocks, d_b, -1)
-        g *= self.keep[:, :, None]
-        return (self.u.conj().T @ g).reshape(f.shape)
+        k = f.shape[1]
+        f = f.reshape(blocks, d_b, k)
+        out = np.zeros_like(f)
+        touched = (f != 0).any(axis=1)
+        for a in np.flatnonzero(touched.any(axis=1)):
+            cols = np.flatnonzero(touched[a])
+            lo, hi = cols[0] - cols[0] % _PANEL, min(k, cols[-1] + _PANEL - cols[-1] % _PANEL)
+            g = self.u @ f[a, :, lo:hi]
+            g *= self.keep[a, :, None]
+            out[a, :, lo:hi] = self.u.conj().T @ g
+        return out.reshape(blocks * d_b, k)
 
 
 def _operator_root(lam: np.ndarray) -> np.ndarray:
@@ -116,12 +135,14 @@ def gentle_measure(rho: DensityOperator,
     A dense ``operator`` is checked to be Hermitian and between 0 and I, and
     its root is taken by :func:`_operator_root`.  A :class:`BlockProjector`
     is a projector by construction and its own root, so it is applied block
-    by block as ``u^dagger (keep * (u F_a))``, with no Hermitian scan, no
-    eigendecomposition and no dense operator.
+    by block as ``u^dagger (keep * (u F_a))``, on the columns each block
+    touches, with no Hermitian scan, no eigendecomposition and no dense
+    operator.
 
     The post-state is built from the branches ``sqrt(L) F / sqrt(p)`` of
-    ``rho``'s factor ``F``, with ``p = ||sqrt(L) F||_F^2``.  ``achieved`` is
-    the post-state's distance from ``rho``, the figure the certificate bounds.
+    ``rho``'s factor ``F``, with ``p = ||sqrt(L) F||_F^2``, scaled in place.
+    ``achieved`` is the post-state's distance from ``rho``, the figure the
+    certificate bounds, taken through both operators' own components.
     """
     if isinstance(operator, BlockProjector):
         if operator.dimension != rho.dimension:
@@ -138,7 +159,8 @@ def gentle_measure(rho: DensityOperator,
     p = float(np.vdot(branches, branches).real)
     if p <= 1e-14:
         raise StateError("measurement succeeds with probability 0")
-    post = DensityOperator(rho.dimension, branches / math.sqrt(p))
+    branches /= math.sqrt(p)  # in place: the root's output is a fresh array
+    post = DensityOperator(rho.dimension, branches)
     certificate = math.sqrt(max(0.0, 1.0 - p))
     achieved = trace_distance(post, rho)
     if achieved > certificate + CHECK_ATOL:

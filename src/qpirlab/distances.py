@@ -12,11 +12,12 @@ For pure states the halved distance reduces to
 
 Every density operator keeps a compressed factor ``F`` with
 ``rho = F F^dagger`` (see :class:`~qpirlab.states.DensityOperator`),
-compressed one support component at a time; eigenvalues at or below 1e-14
-are cut, so at most rank x 1e-14 of trace is dropped.  ``trace_distance``
-splits ``[F G]`` the same way: ``rho - sigma`` is block-diagonal over the
-components of that pair's nonzero pattern, so the distance is a sum over
-components, each taken in the span of its block's columns.
+compressed one support component at a time and keeping those components;
+eigenvalues at or below 1e-14 are cut, so at most rank x 1e-14 of trace is
+dropped.  ``rho - sigma`` is block-diagonal over the components of
+``[F G]``'s nonzero pattern, so ``trace_distance`` is a sum over
+components, each taken in the span of its block's columns; it finds them
+by merging the two operators' own components where they share a row.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import math
 import numpy as np
 
 from .config import check_reduced_cap
-from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, _blocks,
-                     _support_blocks, hermitize, slots_to_front)
+from .states import (DensityOperator, LayoutError, PureState, RegisterLayout, StateError, _grouped,
+                     hermitize, slots_to_front)
 
 __all__ = [
     "partial_trace",
@@ -74,17 +75,64 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     nonzero pattern, so the distance is the sum over components of half the
     absolute eigenvalues of ``R S R^dagger``, with ``R`` the QR factor of the
     component's block of ``W``, as in :func:`ensemble_trace_distance`.
-    Components of one shape share one stacked ``qr`` and ``eigvalsh``; a
-    ``W`` with no zero entry is one component.
+
+    ``W``'s components are the two operators' own
+    (``DensityOperator.components``) merged where they share a row
+    (:func:`_merged_labels`), and are grouped by shape by
+    ``states._grouped``, as a labelling of ``W`` itself would be.  Each block
+    is gathered from ``F`` and ``G``; ``W`` is formed only when one
+    component covers it.  Components of one shape share one stacked ``qr``
+    and ``eigvalsh``; a ``W`` with no zero entry is one component.
     """
     if rho.dimension != sigma.dimension:
         raise StateError(
             f"dimension mismatch: {rho.dimension} vs {sigma.dimension}"
         )
-    w = np.hstack([rho.factor, sigma.factor])
-    signs = np.repeat([1.0, -1.0], [rho.factor.shape[1], sigma.factor.shape[1]])
-    return sum(float(np.sum(_half_spectrum(_blocks(w, rows, cols), signs[cols])))
-               for rows, cols in _support_blocks(w))
+    d, f, g = rho.dimension, rho.factor, sigma.factor
+    (rho_rows, rho_cols), (sigma_rows, sigma_cols) = rho.components, sigma.components
+    label = _merged_labels(rho_rows, sigma_rows, d)
+    row_labels = np.minimum(label[rho_rows], label[sigma_rows])
+    col_labels = label[np.concatenate([rho_cols, sigma_cols])]
+    rows, cols = np.flatnonzero(row_labels < d), np.flatnonzero(col_labels < d)
+    signs = np.repeat([1.0, -1.0], [f.shape[1], g.shape[1]])
+    return sum(float(np.sum(_half_spectrum(_pair_blocks(f, g, rows, cols), signs[cols])))
+               for rows, cols in _grouped(rows, row_labels[rows], cols, col_labels[cols]))
+
+
+def _merged_labels(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """A ``(d + 1,)`` table from each component label of two row labellings
+    ``a`` and ``b`` of ``d`` rows (``d`` for a row in no component) to the
+    first row of the union of the components linked to it by shared rows.
+
+    A label is its component's first row, so the nodes are the two
+    operators' component labels and each row in both labellings an edge;
+    min-label propagation with shortcuts takes every node to the least
+    label linked to it.  Other entries, ``d`` among them, map to themselves.
+    """
+    both = (a < d) & (b < d)
+    u, v = a[both], b[both]
+    table = np.arange(d + 1)
+    while True:
+        new = table.copy()
+        np.minimum.at(new, u, table[v])
+        np.minimum.at(new, v, table[u])
+        new = new[new]
+        if np.array_equal(new, table):
+            return table
+        table = new
+
+
+def _pair_blocks(f: np.ndarray, g: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The ``(n, r, c)`` stack of one group of ``[f g]``, whose columns
+    ``cols`` number ``f``'s first, gathered from ``f`` and ``g``; ``[f g]``
+    itself when the group is one component covering it."""
+    k = f.shape[1]
+    if rows.shape == (1, len(f)) and cols.shape == (1, k + g.shape[1]):
+        return np.concatenate([f, g], axis=1)[None]
+    at_f, at_g = np.minimum(cols, k - 1)[:, None, :], np.maximum(cols - k, 0)[:, None, :]
+    out = f[rows[:, :, None], at_f]
+    np.copyto(out, g[rows[:, :, None], at_g], where=(cols >= k)[:, None, :])
+    return out
 
 
 def _as_vector(state) -> np.ndarray:

@@ -44,8 +44,7 @@ import numpy as np
 
 from .channels import (ChannelOp, ChannelError, PrepareOp, Support, from_json_value,
                        op_from_descriptor, to_json_value)
-from .config import CapExceeded, check_branches, check_cap
-from .distances import gram_reduce
+from .config import CapExceeded, check_branches, check_cap, check_reduced_cap
 from .states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
 
 __all__ = [
@@ -280,8 +279,21 @@ class Ensemble:
 
     def reduced(self, names) -> DensityOperator:
         """Reduced density operator on ``names``, its basis big-endian in the
-        given name order."""
-        return gram_reduce(self.dense(), self.layout, names)
+        given name order, from the branches' entries: one factor row per
+        label of ``names`` (``RegisterLayout.labels``) and one column per
+        distinct nonzero (branch, label of the traced registers in layout
+        order), ascending.  These are the nonzero columns, in order, of the
+        factor ``distances.gram_reduce`` takes from the scattered array."""
+        lay, sup, names = self.layout, self.vectors, tuple(names)
+        row = lay.labels(sup.index, names)
+        width = sum(map(lay.width, names))
+        check_reduced_cap(width)
+        traced = [n for n in lay.names if n not in names]
+        key = (sup.branch << sum(map(lay.width, traced))) | lay.labels(sup.index, traced)
+        columns, col = np.unique(key, return_inverse=True)
+        factor = np.zeros((1 << width, len(columns)), dtype=np.complex128)
+        factor[row, col] = sup.value
+        return DensityOperator(1 << width, factor)
 
     def traced(self, names) -> "Ensemble":
         """Ensemble over the remaining registers after discarding ``names``:

@@ -298,21 +298,18 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().mT)
 
 
-def _support_blocks(f: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The connected components of the nonzero pattern of a ``(d, k)``
-    array, grouped by shape.
+def _support_labels(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's and each column's component label in the nonzero pattern
+    of a ``(d, k)`` array: the first row of its connected component, or
+    ``d`` for a line with no nonzero.
 
-    Row ``i`` and column ``j`` are linked when ``f[i, j] != 0``; all-zero rows
-    and columns belong to no component.  Each group is a pair of index arrays
-    ``(rows, cols)`` of shapes ``(n, r)`` and ``(n, c)`` for its ``n``
-    components of ``r`` rows and ``c`` columns: line ``m`` of each holds the
-    ascending row and column indices of component ``m``, and the components
-    are ordered by first row.  An array with no zero entry is one component.
+    Row ``i`` and column ``j`` are linked when ``f[i, j] != 0``.  An array
+    with no zero entry is one component, labelled 0.
     """
     nz = f != 0
     d, k = nz.shape
     if nz.all():
-        return [(np.arange(d)[None], np.arange(k)[None])]
+        return np.zeros(d, dtype=np.int64), np.zeros(k, dtype=np.int64)
     # Min-label propagation over the boolean support, by masked reductions
     # that allocate nothing per entry: every column takes the least label of
     # its rows, every row the least label of its columns and then its
@@ -329,13 +326,26 @@ def _support_blocks(f: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         if np.array_equal(new, lab):
             break
         lab = new
-    rows, cols = np.flatnonzero(row_min < d), np.flatnonzero(col_lab < d)
+    return np.where(row_min < d, lab, d), col_lab
+
+
+def _grouped(rows: np.ndarray, row_labels: np.ndarray, cols: np.ndarray,
+             col_labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Components grouped by shape, from the ascending ``rows`` and ``cols``
+    that belong to one and their component labels (each component's first
+    row).
+
+    Each group is a pair of index arrays ``(rows, cols)`` of shapes ``(n, r)``
+    and ``(n, c)`` for its ``n`` components of ``r`` rows and ``c`` columns:
+    line ``m`` of each holds the ascending row and column indices of
+    component ``m``, and the components are ordered by first row.
+    """
     if not len(rows):
         return []
-    lab, col_lab = lab[rows], col_lab[cols]
-    row_order, col_order = np.argsort(lab, kind="stable"), np.argsort(col_lab, kind="stable")
-    _, row_first, r_count = np.unique(lab[row_order], return_index=True, return_counts=True)
-    _, col_first, c_count = np.unique(col_lab[col_order], return_index=True, return_counts=True)
+    row_order = np.argsort(row_labels, kind="stable")
+    col_order = np.argsort(col_labels, kind="stable")
+    _, row_first, r_count = np.unique(row_labels[row_order], return_index=True, return_counts=True)
+    _, col_first, c_count = np.unique(col_labels[col_order], return_index=True, return_counts=True)
     shapes, group = np.unique(r_count * (len(cols) + 1) + c_count, return_inverse=True)
     out = []
     for g, shape in enumerate(shapes):
@@ -347,7 +357,7 @@ def _support_blocks(f: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _blocks(f: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The ``(n, r, c)`` stack of one :func:`_support_blocks` group of ``f``;
+    """The ``(n, r, c)`` stack of one :func:`_grouped` group of ``f``;
     a view of ``f`` when the group is one component covering it."""
     if rows.shape == (1, f.shape[0]) and cols.shape == (1, f.shape[1]):
         return f[None]
@@ -382,11 +392,14 @@ class DensityOperator:
     one stacked ``eigh``.  Eigenvalues at or below 1e-14 of the whole trace
     are dropped, so at most rank x 1e-14 of trace is lost.  The compressed
     ``factor`` holds exact zeros off each component's rows; a factor with no
-    zero entry is one component.  The dense ``matrix`` is formed only on
-    first use.
+    zero entry is one component.  ``components`` keeps what the compression
+    found: each row's and each factor column's component label (its first
+    row, ``dimension`` for none), relabelled where exact zeros in the kept
+    columns split a component, so ``trace_distance`` need not label the
+    factor again.  The dense ``matrix`` is formed only on first use.
     """
 
-    __slots__ = ("dimension", "factor", "_matrix")
+    __slots__ = ("dimension", "factor", "components", "_matrix")
 
     def __init__(self, dimension: int, factor):
         m = np.asarray(factor, dtype=np.complex128)
@@ -399,8 +412,14 @@ class DensityOperator:
         # Every group's eigenpairs first, for the count of kept columns; then
         # its kept columns sqrt(lam) v, written straight into the factor.
         cut = _EIGEN_CUTOFF * tr
+        row_labels, col_labels = _support_labels(m)
+        rows, cols = np.flatnonzero(row_labels < d), np.flatnonzero(col_labels < d)
         solved = [(rows, cols, *_gram_eigh(_blocks(m, rows, cols)))
-                  for rows, cols in _support_blocks(m)]
+                  for rows, cols in _grouped(rows, row_labels[rows], cols, col_labels[cols])]
+        total = sum(int((e > cut).sum()) for *_, e, _ in solved)
+        # each row's and each kept column's component label, and the labels
+        # of the components that exact zeros in their kept columns may split
+        row_labels, col_labels, suspect = np.full(d, d), np.empty(total, dtype=np.int64), []
         f, at = None, 0
         for rows, cols, wide, evals, evecs in solved:
             keep = evals > cut
@@ -410,13 +429,19 @@ class DensityOperator:
             v = evecs[..., first:]
             kept = (v * np.sqrt(np.where(keep, evals, 0.0)[:, None, first:] / tr) if wide
                     else _blocks(m, rows, cols) @ v / np.sqrt(tr))
+            nonempty = counts > 0
+            row_labels[rows[nonempty]] = rows[nonempty, :1]
+            col_labels[at:at + int(counts.sum())] = np.repeat(rows[:, 0], counts)
+            if not np.all(kept):
+                # a component stays whole while a kept column is nonzero on all its rows
+                whole = ((kept != 0).all(axis=1) & keep[:, first:]).any(axis=1)
+                suspect += rows[nonempty & ~whole, 0].tolist()
             if rows.shape == (1, d):
                 # one component on every row: its kept columns are the factor
                 f = kept[0]
                 break
             if f is None:
                 # allocated once the first block stack is freed
-                total = sum(int((e > cut).sum()) for *_, e, _ in solved)
                 f = np.zeros((d, total), dtype=np.complex128)
             # component i's columns go to f[rows[i], offset[i] + (0..counts[i])]
             offset = at + np.cumsum(counts) - counts
@@ -426,9 +451,17 @@ class DensityOperator:
                 part = kept if len(members) == len(counts) else kept[members, :, kept.shape[2] - c:]
                 f[rows[members, :, None], offset[members, None, None] + np.arange(c)] = part
             at += int(counts.sum())
-        f.flags.writeable = False
+        if suspect:
+            # label those components' compressed block of the factor itself
+            rows, cols = (np.flatnonzero(np.isin(x, suspect)) for x in (row_labels, col_labels))
+            sub_rows, sub_cols = _support_labels(f[rows[:, None], cols])
+            row_at = np.append(rows, d)
+            row_labels[rows], col_labels[cols] = row_at[sub_rows], row_at[sub_cols]
+        for a in (f, row_labels, col_labels):
+            a.flags.writeable = False
         self.dimension = d
         self.factor = f
+        self.components = (row_labels, col_labels)
         self._matrix = None
 
     @property

@@ -16,8 +16,12 @@ block off the scattered branch array, ``dense_uhlmann`` takes an
 Uhlmann unitary from two whole reordered pure states, ``to_pure`` makes a
 one-branch ensemble a ``PureState`` of its whole layout,
 ``dense_trace_in_extraction`` extracts an anchor from two whole reordered
-pure states and ``reference_anchors`` takes the theorem simulator's
-anchors from runs of their own on database 0 and index 1; the package
+pure states, ``reference_anchors`` takes the theorem simulator's
+anchors from runs of their own on database 0 and index 1,
+``support_blocks`` labels a whole factor's nonzero pattern,
+``stacked_trace_distance`` compares two density operators through the
+components of their side-by-side factors and ``full_block_apply``
+multiplies every block of a projector by every column; the package
 reads every view from the runs ``adversaries.planned_spans`` makes of the
 plan of ``adversaries.database_runs``, every span and block from
 ``adversaries.block_spans``, compares views only in span coordinates
@@ -28,7 +32,10 @@ branches (``ChannelOp.apply_vectors``, through ``runtime.execute`` and
 ``Ensemble.apply``) and reads traces, orders, blocks, Uhlmann overlaps and
 the theorem simulator's anchors off that support, the anchors off the
 certificate's own planned run, every label through
-``RegisterLayout.labels``."""
+``RegisterLayout.labels``, reduced states off the run's entries
+(``Ensemble.reduced``), trace distances through the operators' own
+components (``DensityOperator.components``) and each projector block on
+the columns it touches (``bounds.BlockProjector.apply``)."""
 
 import math
 
@@ -38,12 +45,13 @@ from qpirlab.adversaries import (PURIFIER, Recovery, _client_matrix, _label_weig
                                  block_spans, purified_input)
 from qpirlab.channels import (_HADAMARD_SIGNS, DenseOp, HadamardOp, MeasureOp, PrepareOp,
                               RotateOp, SelectPhaseOp, Support, _apply_local)
-from qpirlab.distances import (UhlmannPreconditionError, _split_matrix, gram_reduce,
-                               paired_distances, trace_distance)
+from qpirlab.distances import (UhlmannPreconditionError, _half_spectrum, _split_matrix,
+                               gram_reduce, paired_distances, trace_distance)
 from qpirlab.privacy import TheoremSimulator
 from qpirlab.runtime import CLIENT, Ensemble, ExecutionTranscript, ProtocolSpec, execute
 from qpirlab.states import (BRANCH_PRUNE, DensityOperator, LayoutError, PureState, RegisterLayout,
-                            StateError, nonzero_rows, slots_to_front)
+                            StateError, _blocks, _grouped, _support_labels, nonzero_rows,
+                            slots_to_front)
 
 
 def gather_slots(idx: np.ndarray, total: int, slots) -> np.ndarray:
@@ -330,3 +338,35 @@ def reference_anchors(instance, adversary) -> tuple[dict, dict]:
             anchors[st.t], bounds[st.t] = sim._extract(st.t, adversarial.ensemble(st.t),
                                                        honest.ensemble(st.t))
     return anchors, bounds
+
+
+def support_blocks(f: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected components of the nonzero pattern of a whole ``(d, k)``
+    array, grouped by shape: ``states._grouped`` of the min-label
+    propagation over its boolean support (``states._support_labels``).  The
+    package labels the input of a ``DensityOperator`` this way and keeps
+    what it found (``DensityOperator.components``)."""
+    row_labels, col_labels = _support_labels(f)
+    rows, cols = np.flatnonzero(row_labels < len(f)), np.flatnonzero(col_labels < len(f))
+    return _grouped(rows, row_labels[rows], cols, col_labels[cols])
+
+
+def stacked_trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """The halved trace distance through the components of ``W = [F G]``,
+    the two factors side by side, labelled afresh (``support_blocks``): the
+    reference that ``distances.trace_distance``, which merges the two
+    operators' own components, must equal bit for bit."""
+    w = np.hstack([rho.factor, sigma.factor])
+    signs = np.repeat([1.0, -1.0], [rho.factor.shape[1], sigma.factor.shape[1]])
+    return sum(float(np.sum(_half_spectrum(_blocks(w, rows, cols), signs[cols])))
+               for rows, cols in support_blocks(w))
+
+
+def full_block_apply(proj, f: np.ndarray) -> np.ndarray:
+    """``P f`` for a ``bounds.BlockProjector`` ``proj``, every block times
+    every column: ``u^dagger (keep[a] * (u F_a))`` over whole blocks, which
+    ``BlockProjector.apply`` must equal bit for bit."""
+    blocks, d_b = proj.keep.shape
+    g = proj.u @ f.reshape(blocks, d_b, -1)
+    g *= proj.keep[:, :, None]
+    return (proj.u.conj().T @ g).reshape(f.shape)

@@ -53,7 +53,9 @@ matrix, each Uhlmann unitary comes from an SVD of the dense overlap, and
 each bit is measured as ``sqrt(L) rho sqrt(L) / p`` with ``L`` the dense
 projector.  It covers ``build_kerenidis(1)`` and ``build_kerenidis(2)`` (10
 qubits with the reference), in ``coherent-reference`` mode and in
-``classical-per-a`` mode on every database.
+``classical-per-a`` mode on every database, and the send-db and send-index
+baselines at n = 2 (8 and 7 qubits) in ``coherent-reference`` mode;
+send-index's second bit has no Uhlmann unitary and is guessed.
 """
 
 import math
@@ -70,7 +72,8 @@ from qpirlab.bounds import extraction_attack
 from qpirlab.channels import HadamardOp, MeasureOp
 from qpirlab.privacy import (FIGURE_TOL, HonestSimulator, TheoremSimulator,
                              privacy_lower_bound, verify_theorem_bound)
-from qpirlab.protocols import build_counterexample, build_kerenidis, database_bits, epr_pair_state
+from qpirlab.protocols import (build_baseline, build_counterexample, build_kerenidis, database_bits,
+                               epr_pair_state)
 from qpirlab.runtime import CLIENT
 from qpirlab.states import RegisterLayout
 from conftest import random_pure
@@ -83,6 +86,8 @@ INSTANCES = {
     "k1": lambda: build_kerenidis(1),
     "k2": lambda: build_kerenidis(2),
     "cx1": lambda: build_counterexample(1),
+    "send-db2": lambda: build_baseline("send-db", 2),
+    "send-index2": lambda: build_baseline("send-index", 2),
 }
 LOSSY = "gamma-lossy:0.3"
 
@@ -438,7 +443,10 @@ def _root(lam):
 
 
 def _attack_reference(inst, mode, db=None):
-    """``(probabilities, drifts, delta, epsilon, overall)`` of the attack."""
+    """``(probabilities, drifts, premises, delta, epsilon, overall)`` of the
+    attack.  A bit whose run has a server marginal orthogonal to run 1's has
+    no Uhlmann unitary: it is guessed (probability 1/2), its premise fails
+    and the state and the drift stay as they were."""
     n, spec = inst.n, inst.spec
     owner = spec.schedule[-1].owner
 
@@ -475,13 +483,16 @@ def _attack_reference(inst, mode, db=None):
     unitaries = [np.eye(phi.shape[1])]
     for r in runs[1:]:
         w, s, vh = np.linalg.svd(_rows(r, server).T @ phi.conj())
-        assert np.sum(s) > 1e-12
-        unitaries.append(vh.conj().T @ w.conj().T)
+        unitaries.append(vh.conj().T @ w.conj().T if np.sum(s) >= 1e-12 else None)
 
     m = _rows(runs[0], held)
     sigma = rho = m @ m.conj().T
     probabilities, drifts = [], []
     for i, u in enumerate(unitaries, start=1):
+        if u is None:
+            probabilities.append(0.5)
+            drifts.append(drifts[-1] if drifts else 0.0)
+            continue
         # the client's registers (the last ones in ``held``) are rotated by U
         blocks = len(out) // len(u)
         rot = np.kron(np.eye(blocks), u)
@@ -491,10 +502,13 @@ def _attack_reference(inst, mode, db=None):
         rho = root @ rho @ root / p
         probabilities.append(p)
         drifts.append(_half_norm(rho - sigma))
-    return probabilities, drifts, max(0.0, 1.0 - min(correct)), eps, float(np.prod(probabilities))
+    premises = [u is not None for u in unitaries]
+    return (probabilities, drifts, premises, max(0.0, 1.0 - min(correct)), eps,
+            float(np.prod(probabilities)))
 
 
-ATTACKS = ([("k1", "coherent-reference", None), ("k2", "coherent-reference", None)]
+ATTACKS = ([("k1", "coherent-reference", None), ("k2", "coherent-reference", None),
+            ("send-db2", "coherent-reference", None), ("send-index2", "coherent-reference", None)]
            + [("k1", "classical-per-a", db) for db in range(2)]
            + [("k2", "classical-per-a", db) for db in range(4)])
 
@@ -503,10 +517,10 @@ ATTACKS = ([("k1", "coherent-reference", None), ("k2", "coherent-reference", Non
 def test_reconstruction_attack_matches_the_density_reference(inst_name, mode, db):
     inst = _instance(inst_name)
     trace = extraction_attack(inst, mode, database=db)
-    probabilities, drifts, delta, eps, overall = _attack_reference(inst, mode, db)
+    probabilities, drifts, premises, delta, eps, overall = _attack_reference(inst, mode, db)
     assert len(trace.bits) == inst.n
-    for b, p, drift in zip(trace.bits, probabilities, drifts):
-        assert b.premise_ok
+    for b, p, drift, premise in zip(trace.bits, probabilities, drifts, premises):
+        assert b.premise_ok == premise
         assert abs(b.probability - p) <= TOL, (b.index, b.probability, p)
         assert abs(b.drift - drift) <= TOL, (b.index, b.drift, drift)
     assert abs(trace.delta - delta) <= TOL

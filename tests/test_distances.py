@@ -19,7 +19,9 @@ from qpirlab.distances import (
 )
 from qpirlab.runtime import Ensemble
 from qpirlab.states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
-from span_reference import dense_trace_in_extraction, dense_uhlmann, to_pure
+from test_states import exact_zero_factor
+from span_reference import (dense_trace_in_extraction, dense_uhlmann, stacked_trace_distance,
+                            to_pure)
 
 
 def dense_distance(a, b) -> float:
@@ -210,6 +212,57 @@ class TestBlockDistance:
             best = min(best, time.perf_counter() - start)
         assert d == pytest.approx(1023 / 1024, abs=1e-12)
         assert best < 0.05, best
+
+
+    def test_merged_components_equal_the_stacked_reference(self, rng):
+        # seeded block-sparse pairs, compared with == to today's path (the
+        # components of [F G] labelled afresh): overlapping, disjoint and
+        # identical supports, a factor with no zero, a factor whose kept
+        # columns hold exact zeros, and random sparse factors
+        def sparse(d, density):
+            m = np.where(rng.random((d, int(rng.integers(1, 2 * d)))) < density,
+                         rng.normal(size=(d, 1)) + 1j * rng.normal(size=(d, 1)), 0)
+            m[int(rng.integers(d)), 0] = 1.0
+            return DensityOperator(d, m / np.linalg.norm(m))
+
+        zeros = np.zeros((12, 4), dtype=np.complex128)
+        zeros[6:] = exact_zero_factor()
+        zeros = DensityOperator(12, zeros)
+        for _ in range(20):
+            a = self.on_rows(rng, 12, [([0, 1, 2, 3], 2), ([8], 1), ([10, 11], 3)])
+            pairs = [
+                (a, self.on_rows(rng, 12, [([2, 3, 4, 5], 3), ([8, 9], 1)])),
+                (a, self.on_rows(rng, 12, [([4, 5], 2), ([6, 7, 9], 1)])),
+                (a, self.on_rows(rng, 12, [([0, 1, 2, 3], 1), ([8], 1), ([10, 11], 2)])),
+                (a, a),
+                (a, random_density(rng, 12, rank=int(rng.integers(1, 13)))),
+                (random_density(rng, 12, rank=3), random_density(rng, 12, rank=5)),
+                (zeros, a),
+                (zeros, self.on_rows(rng, 12, [([1, 6, 7], 2), ([9, 11], 1)])),
+                (sparse(24, 0.1), sparse(24, 0.05)),
+                (sparse(16, 0.3), sparse(16, 0.02)),
+            ]
+            for rho, sigma in pairs:
+                for x, y in ((rho, sigma), (sigma, rho)):
+                    assert trace_distance(x, y) == stacked_trace_distance(x, y)
+
+    def test_merging_reads_no_stacked_factor(self, monkeypatch, rng):
+        # the merged path joins no factors side by side unless one
+        # component covers them
+        joined = []
+        for name in ("hstack", "concatenate"):
+            inner = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda arrays, *args, inner=inner, **kwargs:
+                                joined.append([np.ndim(x) for x in arrays])
+                                or inner(arrays, *args, **kwargs))
+        a = self.on_rows(rng, 12, [([0, 1, 2, 3], 2), ([8], 1)])
+        b = self.on_rows(rng, 12, [([2, 3, 4, 5], 3), ([8, 9], 1)])
+        trace_distance(a, b)
+        assert joined and all(dims == [1, 1] for dims in joined)
+        joined.clear()
+        a, b = random_density(rng, 8, rank=3), random_density(rng, 8, rank=2)
+        trace_distance(a, b)
+        assert [2, 2] in joined
 
 
 class TestUhlmann:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pure
+from qpirlab import distances, runtime
 from qpirlab.adversaries import measure_speciousness, purified_honest, standard_inputs
 from qpirlab.channels import CopyOp, HadamardOp, MeasureOp, PrepareOp
 from qpirlab.config import CapExceeded
@@ -19,7 +20,7 @@ from qpirlab.runtime import (
     spec_from_json,
     spec_to_json,
 )
-from qpirlab.states import LayoutError, PureState, RegisterLayout, StateError
+from qpirlab.states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
 
 
 def send_db_spec(n=2):
@@ -326,6 +327,49 @@ def test_ensemble_methods_match_a_per_row_loop(seed):
         in_order = [n for n in layout.names if n in names]
         want_rho = sum(m @ m.conj().T for m in (_front(v, layout, in_order) for v in rows))
         np.testing.assert_allclose(ens.reduced(in_order).matrix, want_rho, rtol=0, atol=1e-12)
+
+
+def test_reduced_factor_is_the_nonzero_columns_of_the_dense_one(monkeypatch, rng):
+    # the factor reduced() hands DensityOperator, read off the entries, is
+    # the nonzero columns, in order, of the one gram_reduce takes from the
+    # scattered branch array: sparse multi-branch ensembles, every kept
+    # order, and the reconstruction attack's state on refdb and the client
+    handed = []
+
+    class Recording(DensityOperator):
+        def __init__(self, dimension, factor):
+            handed.append(np.array(factor))
+            super().__init__(dimension, factor)
+    monkeypatch.setattr(runtime, "DensityOperator", Recording)
+    monkeypatch.setattr(distances, "DensityOperator", Recording)
+    layout = RegisterLayout((("x", 2), ("y", 1), ("z", 3)))
+    cases = []
+    for density in (0.03, 0.2, 1.0):
+        v = rng.normal(size=(4, layout.dim)) + 1j * rng.normal(size=(4, layout.dim))
+        v = np.where(rng.random(v.shape) < density, v, 0)
+        v[:, 0] = 1.0
+        v[1, 1:] = 0  # a branch with one entry
+        ens = Ensemble(layout, v / np.linalg.norm(v))
+        cases += [(ens, names) for names in (("x",), ("z", "x"), ("y", "z", "x"), layout.names)]
+    inst = build_kerenidis(4)
+    run = execute(inst.spec, epr_pair_state("refdb", inst.database_register, 4)
+                  .tensor(inst.client_basis_state(1)), keep=())
+    cases.append((run.final, ("refdb",) + run.owned(run.steps, "B")))
+    for ens, names in cases:
+        handed.clear()
+        got = ens.reduced(names)
+        want = distances.gram_reduce(ens.dense(), ens.layout, names)
+        (entries, dense) = handed
+        assert np.array_equal(entries, dense[:, np.flatnonzero(dense.any(axis=0))]), names
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-15)
+    ens = cases[0][0]
+    with pytest.raises(LayoutError):
+        ens.reduced(("x", "w"))
+    with pytest.raises(LayoutError):
+        ens.reduced(("x", "x"))
+    monkeypatch.setenv("QPIRLAB_REDUCED_CAP", "2")
+    with pytest.raises(CapExceeded):
+        ens.reduced(("z",))
 
 
 def test_ensemble_rejects_malformed_branch_arrays():

@@ -13,10 +13,11 @@ from qpirlab.states import (
     PureState,
     RegisterLayout,
     StateError,
-    _support_blocks,
+    _grouped,
+    _support_labels,
     hermitize,
 )
-from span_reference import gather_slots
+from span_reference import gather_slots, support_blocks
 
 
 def test_layout_rejects_duplicates_and_zero_width():
@@ -175,16 +176,107 @@ def test_support_blocks_are_the_components_grouped_by_shape(rng):
     f = block_factor(rng)
     f[[3, 4], 3] = 0.1  # a fourth block, rows 3-4 on column 3
     f[[10, 11], 5] = 0.2  # and a fifth of the same (2, 1) shape
-    groups = {(r.shape[1], c.shape[1]): (r.tolist(), c.tolist()) for r, c in _support_blocks(f)}
+    groups = {(r.shape[1], c.shape[1]): (r.tolist(), c.tolist()) for r, c in support_blocks(f)}
     assert groups == {(3, 2): ([[0, 1, 2]], [[0, 4]]), (2, 3): ([[5, 6]], [[1, 2, 7]]),
                       (1, 1): ([[9]], [[8]]), (2, 1): ([[3, 4], [10, 11]], [[3], [5]])}
     # a staircase is one component however long the chain of links
     stair = np.eye(64, 63) + np.eye(64, 63, -1)
-    ((rows, cols),) = _support_blocks(stair[::-1])
+    ((rows, cols),) = support_blocks(stair[::-1])
     assert rows.tolist() == [list(range(64))] and cols.tolist() == [list(range(63))]
     dense = rng.normal(size=(5, 7))
-    ((rows, cols),) = _support_blocks(dense)
+    ((rows, cols),) = support_blocks(dense)
     assert rows.tolist() == [list(range(5))] and cols.tolist() == [list(range(7))]
+
+
+def bfs_components(f):
+    """The components of ``f``'s nonzero pattern by breadth-first search over
+    the bipartite row/column graph, each as (ascending rows, ascending
+    columns), ordered by first row."""
+    nz = f != 0
+    seen_rows, seen_cols, out = set(), set(), []
+    for start in range(len(f)):
+        if start in seen_rows or not nz[start].any():
+            continue
+        rows, cols, queue = {start}, set(), [("r", start)]
+        while queue:
+            kind, i = queue.pop(0)
+            links = np.flatnonzero(nz[i] if kind == "r" else nz[:, i])
+            for j in links.tolist():
+                into = cols if kind == "r" else rows
+                if j not in into:
+                    into.add(j)
+                    queue.append(("c" if kind == "r" else "r", j))
+        seen_rows |= rows
+        seen_cols |= cols
+        out.append((sorted(rows), sorted(cols)))
+    return out
+
+
+def reference_groups(components, k):
+    """The components grouped by shape, groups in ascending ``r (k + 1) + c``
+    order and components by first row, as ``(n, r)`` and ``(n, c)`` arrays."""
+    shapes = sorted({(len(r), len(c)) for r, c in components}, key=lambda s: s[0] * (k + 1) + s[1])
+    return [(np.array([r for r, c in components if (len(r), len(c)) == shape]),
+             np.array([c for r, c in components if (len(r), len(c)) == shape]))
+            for shape in shapes]
+
+
+def test_support_blocks_are_the_breadth_first_components(rng):
+    # seeds of shapes, densities and all-zero lines: labels, the shared
+    # grouping stage and their composition against a breadth-first search
+    for trial in range(300):
+        d, k = (int(x) for x in rng.integers(1, 40, size=2))
+        density = float(rng.choice([0.0, 0.02, 0.08, 0.2, 0.5, 1.0]))
+        f = np.where(rng.random((d, k)) < density, rng.normal(size=(d, k)), 0.0)
+        if trial % 3 == 0:
+            f[rng.random(d) < 0.3] = 0.0
+            f[:, rng.random(k) < 0.3] = 0.0
+        components = bfs_components(f)
+        row_labels, col_labels = _support_labels(f)
+        want_rows, want_cols = np.full(d, d), np.full(k, d)
+        for rows, cols in components:
+            want_rows[rows], want_cols[cols] = rows[0], rows[0]
+        assert np.array_equal(row_labels, want_rows) and np.array_equal(col_labels, want_cols)
+        want = reference_groups(components, k)
+        rows, cols = np.flatnonzero(want_rows < d), np.flatnonzero(want_cols < d)
+        for got in (support_blocks(f), _grouped(rows, want_rows[rows], cols, want_cols[cols])):
+            assert len(got) == len(want), trial
+            for (r, c), (wr, wc) in zip(got, want):
+                assert np.array_equal(r, wr) and np.array_equal(c, wc), trial
+
+
+def exact_zero_factor():
+    """A (6, 4) factor whose kept columns hold exact zeros: rows 0-1 on
+    columns 0-1 as [[1, 1], [1, -1]] (orthogonal rows, so the compressed
+    columns are e_0 and e_1 and the component splits in two), and rows 2-5 on
+    columns 2-3 with orthogonal columns that share rows 4-5 (the compressed
+    columns are the input's, zeros included, and the component stays
+    whole)."""
+    f = np.zeros((6, 4), dtype=np.complex128)
+    f[np.ix_([0, 1], [0, 1])] = [[1, 1], [1, -1]]
+    f[np.ix_([2, 3, 4, 5], [2, 3])] = [[1, 0], [0, 1], [1, 1], [1, -1]]
+    return f / np.linalg.norm(f)
+
+
+def test_components_are_those_of_the_compressed_factor(rng):
+    # the recorded components label the compressed factor exactly as a
+    # fresh labelling does: through exact zeros in kept columns (split or
+    # not), zero components, repeated shapes and a factor with no zero
+    f = exact_zero_factor()
+    rho = DensityOperator(6, f)
+    assert [c.tolist() for c in rho.components] == [[0, 1, 2, 2, 2, 2], [0, 1, 2, 2]]
+    factors = [f, block_factor(rng), np.eye(8) / np.sqrt(8),
+               rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))]
+    for _ in range(40):
+        d, k = (int(x) for x in rng.integers(2, 24, size=2))
+        m = np.where(rng.random((d, k)) < rng.choice([0.05, 0.15, 0.4]),
+                     rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)), 0)
+        if m.any():
+            factors.append(m)
+    for m in factors:
+        rho = DensityOperator(len(m), m / np.linalg.norm(m))
+        got, want = rho.components, _support_labels(rho.factor)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_block_factor_compresses_per_component(rng):
