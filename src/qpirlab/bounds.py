@@ -52,8 +52,8 @@ class GentleMeasurement:
     achieved: float  # trace_distance(post_state, rho), at most the certificate
 
 
-# Column windows of BlockProjector.apply start and end at multiples of this,
-# a multiple of the column unroll of common complex matrix-product kernels.
+# Column windows of BlockProjector.apply start and end at multiples of this;
+# that they keep the full-block product's bits was checked on OpenBLAS only.
 _PANEL = 8
 
 
@@ -91,9 +91,9 @@ class BlockProjector:
         ``a`` is ``u^dagger (keep[a] * (u F_a))`` on the window of the columns
         where ``F_a`` is nonzero (a column may touch several blocks), widened
         to multiples of :data:`_PANEL` or to ``k``, and an exact zero, ``u @
-        0``, on every other column.  A matrix product computes a column with
-        the same instructions wherever it sits in an aligned panel, so each
-        column keeps the bits of the full-block product."""
+        0``, on every other column.  OpenBLAS 0.3.31 computes a column alike
+        anywhere in an aligned panel, so each column keeps the full-block
+        product's bits there; other BLAS builds were not checked."""
         blocks, d_b = self.keep.shape
         k = f.shape[1]
         f = f.reshape(blocks, d_b, k)

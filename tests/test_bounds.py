@@ -245,9 +245,11 @@ class TestExtractionAttack:
 
         fast, fast_posts = attack(False)
         slow, slow_posts = attack(True)
-        # a bit whose premise fails (send-index's second) is not measured
-        assert len(fast_posts) == len(slow_posts) == sum(b.premise_ok for b in fast.bits)
-        assert [b.premise_ok for b in fast.bits] == [b.premise_ok for b in slow.bits]
+        # every premise holds but send-index's second bit's, which is guessed
+        # and not measured
+        premises = [True, False] if protocol == "send-index" else [True] * n
+        assert [b.premise_ok for b in fast.bits] == [b.premise_ok for b in slow.bits] == premises
+        assert len(fast_posts) == len(slow_posts) == premises.count(True)
         for a, b in zip(fast.bits, slow.bits):
             assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
             assert a.drift == pytest.approx(b.drift, rel=0, abs=1e-12)

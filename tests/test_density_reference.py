@@ -519,6 +519,9 @@ def test_reconstruction_attack_matches_the_density_reference(inst_name, mode, db
     trace = extraction_attack(inst, mode, database=db)
     probabilities, drifts, premises, delta, eps, overall = _attack_reference(inst, mode, db)
     assert len(trace.bits) == inst.n
+    # every premise holds but send-index's second bit's, which is guessed
+    want = [True, False] if inst_name == "send-index2" else [True] * inst.n
+    assert premises == want
     for b, p, drift, premise in zip(trace.bits, probabilities, drifts, premises):
         assert b.premise_ok == premise
         assert abs(b.probability - p) <= TOL, (b.index, b.probability, p)

@@ -19,7 +19,7 @@ from qpirlab.distances import (
 )
 from qpirlab.runtime import Ensemble
 from qpirlab.states import DensityOperator, LayoutError, PureState, RegisterLayout, StateError
-from test_states import exact_zero_factor
+from test_states import exact_zero_factor, split_factor
 from span_reference import (dense_trace_in_extraction, dense_uhlmann, stacked_trace_distance,
                             to_pure)
 
@@ -218,7 +218,9 @@ class TestBlockDistance:
         # seeded block-sparse pairs, compared with == to today's path (the
         # components of [F G] labelled afresh): overlapping, disjoint and
         # identical supports, a factor with no zero, a factor whose kept
-        # columns hold exact zeros, and random sparse factors
+        # columns hold exact zeros, one whose kept columns split its input's
+        # component (taken whole, half or more of its distances here differ
+        # from the reference in the last bits), and random sparse factors
         def sparse(d, density):
             m = np.where(rng.random((d, int(rng.integers(1, 2 * d)))) < density,
                          rng.normal(size=(d, 1)) + 1j * rng.normal(size=(d, 1)), 0)
@@ -228,6 +230,7 @@ class TestBlockDistance:
         zeros = np.zeros((12, 4), dtype=np.complex128)
         zeros[6:] = exact_zero_factor()
         zeros = DensityOperator(12, zeros)
+        split = DensityOperator(7, split_factor())
         for _ in range(20):
             a = self.on_rows(rng, 12, [([0, 1, 2, 3], 2), ([8], 1), ([10, 11], 3)])
             pairs = [
@@ -241,6 +244,10 @@ class TestBlockDistance:
                 (zeros, self.on_rows(rng, 12, [([1, 6, 7], 2), ([9, 11], 1)])),
                 (sparse(24, 0.1), sparse(24, 0.05)),
                 (sparse(16, 0.3), sparse(16, 0.02)),
+                (split, self.on_rows(rng, 7, [([1, 2, 3], 2)])),
+                (split, self.on_rows(rng, 7, [([0, 4], 1), ([5, 6], 2)])),
+                (split, self.on_rows(rng, 7, [([0], 1)])),
+                (split, self.on_rows(rng, 7, [([2], 1), ([6], 1)])),
             ]
             for rho, sigma in pairs:
                 for x, y in ((rho, sigma), (sigma, rho)):

@@ -258,6 +258,19 @@ def exact_zero_factor():
     return f / np.linalg.norm(f)
 
 
+def split_factor():
+    """A (7, 6) factor of one component that compresses to two: rows 1-3 as
+    [A A] and rows 4-6 as [B -B] over columns 0-5, so every row of one half
+    is orthogonal to every row of the other and the kept columns of the
+    Gram's eigenvectors fall on one half each (rows 1-3 on columns 0, 2 and
+    4, rows 4-6 on 1, 3 and 5).  Row 0 is zero."""
+    a = np.array([[-3j, -2 - 2j, 2 + 2j], [-1 + 1j, 1, -2 - 2j], [1, 2 - 3j, 2]])
+    b = np.array([[-2 + 3j, -2j, 2 + 1j], [1 + 3j, -2 + 3j, 2j], [-2 - 3j, -1 + 1j, 1 + 3j]])
+    f = np.zeros((7, 6), dtype=np.complex128)
+    f[1:4], f[4:] = np.hstack([a, a]), np.hstack([b, -b])
+    return f / np.linalg.norm(f)
+
+
 def test_components_are_those_of_the_compressed_factor(rng):
     # the recorded components label the compressed factor exactly as a
     # fresh labelling does: through exact zeros in kept columns (split or
@@ -265,7 +278,9 @@ def test_components_are_those_of_the_compressed_factor(rng):
     f = exact_zero_factor()
     rho = DensityOperator(6, f)
     assert [c.tolist() for c in rho.components] == [[0, 1, 2, 2, 2, 2], [0, 1, 2, 2]]
-    factors = [f, block_factor(rng), np.eye(8) / np.sqrt(8),
+    rho = DensityOperator(7, split_factor())
+    assert [c.tolist() for c in rho.components] == [[7, 1, 1, 1, 4, 4, 4], [1, 4, 1, 4, 1, 4]]
+    factors = [f, split_factor(), block_factor(rng), np.eye(8) / np.sqrt(8),
                rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))]
     for _ in range(40):
         d, k = (int(x) for x in rng.integers(2, 24, size=2))
