@@ -1,14 +1,15 @@
 """Quantum operations over named registers.
 
 Every op declares its ``kind`` (``isometry``, ``kraus-set`` or
-``measurement``), the registers it touches (reads or may change), the
-registers it may relabel, any registers it creates and its ``inverse()``.
-A flip op relabels its flipped register (a swap both of its registers), a
-Hadamard, rotate or dense op its target registers, and a phase,
-measurement or preparation none: it commutes with the label projectors of
-every register it does not relabel.  The flip ops, the Hadamard and the
-phase are their own inverses, a rotation's turns by ``-theta``, and a
-preparation, measurement or dense op refuses (:class:`ChannelError`).
+``measurement``), any registers it creates and its ``inverse()``.  Each op
+class names its register roles once, in two plain class attributes:
+``_reads``, the fields naming registers it only reads, and ``_relabels``,
+those naming registers it may relabel.  ``ChannelOp`` derives ``touches``
+and ``relabels`` from them, once per op; an op commutes with the label
+projectors of every register it does not relabel.  The flip ops, the
+Hadamard and the phase are their own inverses, a rotation's turns by
+``-theta``, and a preparation, measurement or dense op refuses
+(:class:`ChannelError`).
 
 Every op applies through one ``apply_vectors(vectors, layout)`` call, which
 takes a set of unnormalized branches as a :class:`Support`, the (branch,
@@ -71,6 +72,7 @@ import numbers
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -223,23 +225,48 @@ _H_SIGNS = np.array([[1, 1], [1, -1]], dtype=np.complex128)
 _HADAMARD_SIGNS = {1: _H_SIGNS, 2: np.kron(_H_SIGNS, _H_SIGNS) / 2}
 
 
+def _names(value):
+    """The register names in a role field's value: a name, a ``(register,
+    qubit)`` pair, a tuple of names or a ``(label, (register, qubit))``
+    table; its numbers name no register, and ``None`` names nothing."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _names(v)
+
+
+def _distinct(*names) -> tuple[str, ...]:
+    """``names`` in order, each once: two qubits of an op may share a register."""
+    return tuple(dict.fromkeys(names))
+
+
 class ChannelOp:
     """Base class; subclasses implement :meth:`apply_vectors` and may declare :meth:`inverse`."""
 
     kind = "isometry"
+    # ``_reads`` lists the fields naming registers the op only reads
+    # (controls, selectors, sources, masks, selector tables), ``_relabels``
+    # those naming registers it may relabel; class attributes, not fields.
+    _reads = ()
+    _relabels = ()
 
-    @property
+    def _role(self, role_fields) -> tuple[str, ...]:
+        return _distinct(*(n for f in role_fields for n in _names(getattr(self, f))))
+
+    @cached_property
     def touches(self) -> tuple[str, ...]:
-        """Registers the op reads or may change, each named once."""
-        raise NotImplementedError
+        """Registers the op reads or may change, each named once: those of
+        its ``_reads`` fields, then those of its ``_relabels`` fields."""
+        return _distinct(*self._role(self._reads), *self.relabels)
 
-    @property
+    @cached_property
     def relabels(self) -> tuple[str, ...]:
-        """Registers whose label the op may change: a basis state with label
-        ``l`` there may go to one with another label.  The op commutes with
-        the label projectors of every other register, which it at most reads
-        (controls, selectors, sources and masks)."""
-        raise NotImplementedError
+        """Registers whose label the op may change (those of its
+        ``_relabels`` fields, each once): a basis state with label ``l``
+        there may go to one with another label.  The op commutes with the
+        label projectors of every other register, which it at most reads."""
+        return self._role(self._relabels)
 
     @property
     def creates(self) -> tuple[tuple[str, int], ...]:
@@ -287,13 +314,7 @@ class HadamardOp(ChannelOp):
 
     register: str
 
-    @property
-    def touches(self):
-        return (self.register,)
-
-    @property
-    def relabels(self):
-        return (self.register,)
+    _relabels = ("register",)
 
     inverse = _self_inverse
 
@@ -318,11 +339,6 @@ def _apply_flip(self, vectors, layout):
     input."""
     index = vectors.index ^ self._flip(vectors.index, layout)
     return Support(vectors.shape, vectors.branch, index, vectors.value)
-
-
-def _distinct(*names) -> tuple[str, ...]:
-    """``names`` in order, each once: two qubits of an op may share a register."""
-    return tuple(dict.fromkeys(names))
 
 
 def _check_flips_no_control(op: "ChannelOp", flipped, controls) -> None:
@@ -372,22 +388,15 @@ class InnerProductCnotOp(ChannelOp):
     mask_register: str | None = None
     mask_offset: int = 0
 
+    _reads = ("source", "mask_register")  # ``mask`` is a bit string, not a register
+    _relabels = ("target",)
+
     def __post_init__(self):
         if (self.mask is None) == (self.mask_register is None):
             raise ChannelError("exactly one of mask / mask_register is required")
         if self.mask is not None and set(self.mask) - {"0", "1"}:
             raise ChannelError(f"mask {self.mask!r} is not a bit string")
         _check_flips_no_control(self, self.target, (self.source, self.mask_register))
-
-    @property
-    def touches(self):
-        if self.mask_register is None:
-            return (self.source, self.target)
-        return _distinct(self.source, self.mask_register, self.target)
-
-    @property
-    def relabels(self):
-        return (self.target,)
 
     def _flip(self, idx, layout):
         w = layout.width(self.source)
@@ -428,17 +437,10 @@ class SelectPhaseOp(ChannelOp):
     targets: tuple[tuple[int, tuple[str, int]], ...]
     selector: str | None = None
 
+    _reads = ("selector", "targets")
+
     def __post_init__(self):
         _check_table(self, self.targets, self.selector)
-
-    @property
-    def touches(self):
-        regs = [r for _, (r, _) in self.targets]
-        return _distinct(*regs) if self.selector is None else _distinct(self.selector, *regs)
-
-    @property
-    def relabels(self):
-        return ()
 
     def _sign(self, idx, layout):
         return 1.0 - 2.0 * _selected_bit(idx, layout, self.targets, self.selector)
@@ -459,19 +461,13 @@ class SelectCnotOp(ChannelOp):
     target: tuple[str, int]
     selector: str | None = None
 
+    _reads = ("selector", "sources")
+    _relabels = ("target",)
+
     def __post_init__(self):
         _check_table(self, self.sources, self.selector)
         _check_flips_no_control(self, self.target[0], (self.selector,))
         _check_flips_no_control(self, tuple(self.target), [tuple(q) for _, q in self.sources])
-
-    @property
-    def touches(self):
-        regs = [r for _, (r, _) in self.sources] + [self.target[0]]
-        return _distinct(*regs) if self.selector is None else _distinct(self.selector, *regs)
-
-    @property
-    def relabels(self):
-        return (self.target[0],)
 
     def _flip(self, idx, layout):
         par = _selected_bit(idx, layout, self.sources, self.selector)
@@ -490,16 +486,11 @@ class SelectFlipOp(ChannelOp):
     bit_table: tuple[int, ...]
     target: tuple[str, int]
 
+    _reads = ("selector",)
+    _relabels = ("target",)
+
     def __post_init__(self):
         _check_flips_no_control(self, self.target[0], (self.selector,))
-
-    @property
-    def touches(self):
-        return (self.selector, self.target[0])
-
-    @property
-    def relabels(self):
-        return (self.target[0],)
 
     def _flip(self, idx, layout):
         if len(self.bit_table) != (1 << layout.width(self.selector)):
@@ -519,16 +510,11 @@ class CnotOp(ChannelOp):
     control: tuple[str, int]
     target: tuple[str, int]
 
+    _reads = ("control",)
+    _relabels = ("target",)
+
     def __post_init__(self):
         _check_flips_no_control(self, tuple(self.target), (tuple(self.control),))
-
-    @property
-    def touches(self):
-        return _distinct(self.control[0], self.target[0])
-
-    @property
-    def relabels(self):
-        return (self.target[0],)
 
     def _flip(self, idx, layout):
         return ((idx >> layout.bit(*self.control)) & 1) << layout.bit(*self.target)
@@ -544,16 +530,11 @@ class CopyOp(ChannelOp):
     source: str
     target: str
 
+    _reads = ("source",)
+    _relabels = ("target",)
+
     def __post_init__(self):
         _check_flips_no_control(self, self.target, (self.source,))
-
-    @property
-    def touches(self):
-        return (self.source, self.target)
-
-    @property
-    def relabels(self):
-        return (self.target,)
 
     def _flip(self, idx, layout):
         if layout.width(self.source) != layout.width(self.target):
@@ -575,13 +556,7 @@ class SwapOp(ChannelOp):
     first: str
     second: str
 
-    @property
-    def touches(self):
-        return _distinct(self.first, self.second)
-
-    @property
-    def relabels(self):
-        return self.touches
+    _relabels = ("first", "second")
 
     def _flip(self, idx, layout):
         if layout.width(self.first) != layout.width(self.second):
@@ -602,21 +577,14 @@ class RotateOp(ChannelOp):
     theta: float
     control: tuple[str, int] | None = None
 
+    _reads = ("control",)
+    _relabels = ("target",)
+
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise ChannelError(f"RotateOp angle {self.theta!r} is not finite")
         if self.control is not None:
             _check_flips_no_control(self, tuple(self.target), (tuple(self.control),))
-
-    @property
-    def touches(self):
-        if self.control is None:
-            return (self.target[0],)
-        return _distinct(self.control[0], self.target[0])
-
-    @property
-    def relabels(self):
-        return (self.target[0],)
 
     def inverse(self) -> "RotateOp":
         return RotateOp(self.target, -self.theta, self.control)
@@ -663,14 +631,6 @@ class PrepareOp(ChannelOp):
         return cls(state.layout.registers, tuple(state.amplitudes))
 
     @property
-    def touches(self):
-        return ()
-
-    @property
-    def relabels(self):
-        return ()
-
-    @property
     def creates(self):
         return tuple(self.registers)
 
@@ -692,14 +652,7 @@ class MeasureOp(ChannelOp):
     register: str
 
     kind = "measurement"
-
-    @property
-    def touches(self):
-        return (self.register,)
-
-    @property
-    def relabels(self):
-        return ()
+    _reads = ("register",)
 
     def apply_vectors(self, vectors, layout):
         return vectors.split(layout.labels(vectors.index, (self.register,)),
@@ -728,6 +681,8 @@ class DenseOp(ChannelOp):
     created: tuple[tuple[str, int], ...] = ()
     kind: str = ""
 
+    _relabels = ("registers",)
+
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=np.complex128) for m in self.matrices)
         if not mats:
@@ -750,14 +705,6 @@ class DenseOp(ChannelOp):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "registers", tuple(self.registers))
         object.__setattr__(self, "created", tuple(self.created))
-
-    @property
-    def touches(self):
-        return self.registers
-
-    @property
-    def relabels(self):
-        return self.registers
 
     @property
     def creates(self):

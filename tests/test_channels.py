@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from qpirlab.protocols import build_baseline, build_counterexample, build_kereni
 from qpirlab.runtime import Ensemble, spec_from_json, spec_to_json
 from qpirlab.states import DensityOperator, PureState, RegisterLayout, slots_to_front
 from span_reference import to_pure
-from test_kernel_reference import SEEDS, _layout, _ops
+from test_kernel_reference import SEEDS, _layout, _op_classes, _ops
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -411,3 +412,47 @@ def test_rotate_rejects_an_angle_that_is_not_finite(theta):
     # reshape inside the run, rather than name the op.
     with pytest.raises(ChannelError, match="RotateOp angle"):
         RotateOp(("t", 0), theta, control=("c", 0))
+
+
+# One op per variant with its exact roles, order included: the registers it
+# touches (its read fields' names, then its relabelled fields', each once)
+# and those it may relabel.
+ROLES = [
+    (InnerProductCnotOp("s", "t", mask="01"), ("s", "t"), ("t",)),
+    (InnerProductCnotOp("s", "t", mask_register="m", mask_offset=1), ("s", "m", "t"), ("t",)),
+    (SelectPhaseOp(((1, ("q", 0)),)), ("q",), ()),
+    (SelectPhaseOp(((0, ("q", 1)), (2, ("p", 0)), (3, ("q", 0))), selector="s"),
+     ("s", "q", "p"), ()),
+    (SelectCnotOp(((1, ("q", 0)),), ("t", 0)), ("q", "t"), ("t",)),
+    (SelectCnotOp(((0, ("q", 1)), (1, ("p", 0)), (3, ("q", 0))), ("t", 0), selector="s"),
+     ("s", "q", "p", "t"), ("t",)),
+    (SelectCnotOp(((1, ("t", 1)),), ("t", 0)), ("t",), ("t",)),
+    (SelectFlipOp("s", (0, 1), ("t", 0)), ("s", "t"), ("t",)),
+    (RotateOp(("t", 1), 0.3), ("t",), ("t",)),
+    (RotateOp(("t", 1), 0.3, ("c", 0)), ("c", "t"), ("t",)),
+    (RotateOp(("t", 1), 0.3, ("t", 0)), ("t",), ("t",)),
+    (SwapOp("b", "a"), ("b", "a"), ("b", "a")),
+    (CnotOp(("r", 0), ("r", 1)), ("r",), ("r",)),
+    (CnotOp(("c", 0), ("t", 1)), ("c", "t"), ("t",)),
+    (DenseOp((np.eye(8)[:, :4],), ("b", "a"), created=(("n", 1),)), ("b", "a"), ("b", "a")),
+    (PrepareOp.zeros((("p", 1),)), (), ()),
+    (MeasureOp("m"), ("m",), ()),
+    (HadamardOp("h"), ("h",), ("h",)),
+    (CopyOp("s", "t"), ("s", "t"), ("t",)),
+]
+
+
+@pytest.mark.parametrize("op,touches,relabels", ROLES, ids=[repr(r[0])[:60] for r in ROLES])
+def test_roles_are_derived_from_the_declared_fields(op, touches, relabels):
+    assert op.touches == touches and op.relabels == relabels
+    assert op.touches is op.touches and op.relabels is op.relabels  # computed once
+    # the declarations are class attributes, not fields: no text form names them
+    names = {f.name for f in fields(op)}
+    assert not {"_reads", "_relabels"} & (names | set(op.descriptor()))
+    for key in ("_reads", "_relabels"):
+        with pytest.raises(ChannelError, match=f"has no field '{key}'"):
+            op_from_descriptor({**op.descriptor(), key: []})
+
+
+def test_every_op_class_has_a_roles_row():
+    assert {type(op) for op, _, _ in ROLES} == _op_classes()

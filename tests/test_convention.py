@@ -14,11 +14,14 @@ the plain run within ``privacy.FIGURE_TOL``.
   wrapping the ``execute`` that the analyses call;
 * ``phase``: the setup times ``exp(0.7i)``.
 
-The figures are the k2 purification attack's rows (``purify-db``,
-anchored), the k2 and k4 coherent reconstruction attacks, the k2
-``gamma-lossy:0.3`` row of ``verify_theorem_bound`` and the kerenidis
-n = 8 decode distribution.  The n = 4 purification attack needs 25 qubits,
-past the cap, and is left out.
+The 739 figures are the k2 purification attack's rows (``purify-db``,
+anchored), the k4 honest rows (the privacy-n4 workload's 528), the k2 and
+k4 coherent reconstruction attacks, the k2 ``gamma-lossy:0.3`` row of
+``verify_theorem_bound``, the kerenidis n = 8 decode distribution and the
+counterexample n = 2 battery: the ``gamma_hat`` of its ``purified_honest``
+adversary and its rows with and without that adversary.  Each set of rows
+comes with its ``eps_lower``.  The n = 4 purification attack needs 25
+qubits, past the cap, and is left out.
 """
 
 import cmath
@@ -29,10 +32,10 @@ from functools import cache
 import numpy as np
 
 from qpirlab import adversaries, bounds, privacy, protocols, runtime
-from qpirlab.adversaries import adversary_by_name
+from qpirlab.adversaries import adversary_by_name, measure_speciousness, purified_honest
 from qpirlab.bounds import extraction_attack
 from qpirlab.privacy import FIGURE_TOL, privacy_lower_bound, verify_theorem_bound
-from qpirlab.protocols import build_kerenidis, decode_distribution
+from qpirlab.protocols import build_counterexample, build_kerenidis, decode_distribution
 from qpirlab.runtime import Ensemble
 from qpirlab.states import PureState, RegisterLayout
 
@@ -40,15 +43,27 @@ K8_DATABASE = (1, 0, 1, 1, 0, 0, 1, 0)
 
 
 def _instances():
-    return build_kerenidis(2), build_kerenidis(4), build_kerenidis(8, database=K8_DATABASE)
+    return (build_kerenidis(2), build_kerenidis(4), build_kerenidis(8, database=K8_DATABASE),
+            build_counterexample(2))
 
 
-def _figures(k2, k4, k8) -> dict[str, float]:
-    out = {}
-    report = privacy_lower_bound(k2, adversary_by_name(k2, "purify-db"), "anchored")
+def _privacy_figures(out: dict[str, float], name: str, report):
+    """Each row's distance and the report's ``eps_lower``, under ``name``."""
     for r in report.rows:
-        out[f"purify-db/t{r.step}/{r.x_label}/{r.pair[0]}|{r.pair[1]}"] = r.distance
-    out["purify-db/eps_lower"] = report.eps_lower
+        key = f"{name}/t{r.step}/{r.x_label}/{r.pair[0]}|{r.pair[1]}"
+        assert key not in out, key
+        out[key] = r.distance
+    out[f"{name}/eps_lower"] = report.eps_lower
+
+
+def _figures(k2, k4, k8, cx2) -> dict[str, float]:
+    out = {}
+    _privacy_figures(out, "purify-db", privacy_lower_bound(k2, adversary_by_name(k2, "purify-db")))
+    _privacy_figures(out, "privacy-n4", privacy_lower_bound(k4))
+    purified = purified_honest(cx2)
+    out["cx2/gamma_hat"] = measure_speciousness(cx2, purified).gamma_hat
+    _privacy_figures(out, "cx2/honest", privacy_lower_bound(cx2))
+    _privacy_figures(out, "cx2/purified", privacy_lower_bound(cx2, purified))
     for name, inst in (("k2", k2), ("k4", k4)):
         tr = extraction_attack(inst, "coherent-reference", None)
         for field in ("delta", "epsilon", "epsilon_prime", "overall"):
