@@ -225,15 +225,19 @@ _H_SIGNS = np.array([[1, 1], [1, -1]], dtype=np.complex128)
 _HADAMARD_SIGNS = {1: _H_SIGNS, 2: np.kron(_H_SIGNS, _H_SIGNS) / 2}
 
 
-def _names(value):
+def _names(value) -> list[str]:
     """The register names in a role field's value: a name, a ``(register,
     qubit)`` pair, a tuple of names or a ``(label, (register, qubit))``
     table; its numbers name no register, and ``None`` names nothing."""
     if isinstance(value, str):
-        yield value
-    elif isinstance(value, (tuple, list)):
-        for v in value:
-            yield from _names(v)
+        return [value]
+    names = []
+    for v in value or ():
+        if isinstance(v, str):
+            names.append(v)
+        elif isinstance(v, (tuple, list)):
+            names += _names(v)
+    return names
 
 
 def _distinct(*names) -> tuple[str, ...]:
@@ -252,13 +256,13 @@ class ChannelOp:
     _relabels = ()
 
     def _role(self, role_fields) -> tuple[str, ...]:
-        return _distinct(*(n for f in role_fields for n in _names(getattr(self, f))))
+        return _distinct(*[n for f in role_fields for n in _names(getattr(self, f))])
 
     @cached_property
     def touches(self) -> tuple[str, ...]:
         """Registers the op reads or may change, each named once: those of
         its ``_reads`` fields, then those of its ``_relabels`` fields."""
-        return _distinct(*self._role(self._reads), *self.relabels)
+        return self._role(self._reads + self._relabels)
 
     @cached_property
     def relabels(self) -> tuple[str, ...]:
